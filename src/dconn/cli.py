@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -24,8 +23,8 @@ from .bundle import BundlePoint, PairElement, act
 from .connection import (
     DiscreteConnection,
     eval_form,
-    horizontal_component,
-    vertical_component,
+    horizontal_from_form,
+    vertical_from_form,
 )
 from .errors import DconnError, DegenerateFitError
 from .limits import estimate_order, unit_directions
@@ -58,19 +57,6 @@ def _dump_report(report: dict, out_path: str | None) -> None:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_threads() -> None:
-    raw = os.environ.get("DCONN_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DconnError(f"DCONN_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DconnError(f"DCONN_THREADS must be positive, got {cap}")
-    # All work currently runs on one thread, which satisfies any positive cap.
 
 
 def _load_config(path: str) -> dict:
@@ -115,8 +101,8 @@ def cmd_decompose(cfg: dict) -> dict:
     conn = _build_connection(cfg)
     pair = _parse_pair(conn, cfg)
     w = eval_form(conn, pair)
-    hor = horizontal_component(conn, pair)
-    ver = vertical_component(conn, pair)
+    hor = horizontal_from_form(pair, w)
+    ver = vertical_from_form(pair, w)
     recon = act(w, hor.second)
     residual = max(
         float(np.max(np.abs(recon.fiber.matrix - pair.second.fiber.matrix))),
@@ -250,7 +236,7 @@ _DISPATCH = {
 }
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dconn",
         description="Discrete connection reports: decomposition, order, curvature, holonomy.",
@@ -260,9 +246,16 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="write the report here instead of stdout")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once per process: construction costs more than parsing one command line.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
-        _check_threads()
         cfg = _load_config(args.config)
         report = _DISPATCH[args.command](cfg)
         _dump_report(report, args.out)

@@ -54,13 +54,13 @@ class DiscreteConnection:
     validity_radius: float = DEFAULT_VALIDITY_RADIUS
 
 
-def trivial_connection(bundle: Bundle, validity_radius: float = DEFAULT_VALIDITY_RADIUS) -> DiscreteConnection:
+def trivial_connection(bundle: Bundle) -> DiscreteConnection:
     """The connection whose local representation is identically e."""
 
     def rep(x0: ShapePoint, x1: ShapePoint) -> GroupElement:
         return lg.identity(bundle.group)
 
-    return DiscreteConnection(bundle, rep, validity_radius)
+    return DiscreteConnection(bundle, rep)
 
 
 def _check_domain(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> None:
@@ -79,15 +79,24 @@ def eval_form(c: DiscreteConnection, p: PairElement) -> GroupElement:
     return lg.compose(p.second.fiber, lg.compose(a, lg.inverse(p.first.fiber)))
 
 
+def vertical_from_form(p: PairElement, w: GroupElement) -> PairElement:
+    """ver(p) = i_{q0}(w), given the connection form value w = form(p)."""
+    return discrete_generator(p.first, w)
+
+
+def horizontal_from_form(p: PairElement, w: GroupElement) -> PairElement:
+    """hor(p) = (q0, w^-1 q1), given the connection form value w = form(p)."""
+    return PairElement(p.first, act(lg.inverse(w), p.second))
+
+
 def vertical_component(c: DiscreteConnection, p: PairElement) -> PairElement:
     """ver(p) = i_{q0}(form(p)): the vertical factor of p."""
-    return discrete_generator(p.first, eval_form(c, p))
+    return vertical_from_form(p, eval_form(c, p))
 
 
 def horizontal_component(c: DiscreteConnection, p: PairElement) -> PairElement:
     """hor(p): the remainder once the vertical factor is removed."""
-    w = eval_form(c, p)
-    return PairElement(p.first, act(lg.inverse(w), p.second))
+    return horizontal_from_form(p, eval_form(c, p))
 
 
 def horizontal_lift(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint,

@@ -15,7 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -33,12 +34,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_EYE1 = _frozen(np.eye(1))
+_EYE3 = _frozen(np.eye(3))
+_EYE4 = _frozen(np.eye(4))
+
+
 class MatrixGroup:
     """A matrix Lie group with a fixed algebra basis and closed-form exp/log."""
 
     name: str
     dim: int
     matrix_size: int
+
+    def __init__(self):
+        self._eye = _frozen(np.eye(self.matrix_size))
 
     def hat(self, vector: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -52,14 +66,18 @@ class MatrixGroup:
     def log_vector(self, matrix: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def adjoint_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Ad_g in algebra coordinates, for the element g with this matrix."""
+        raise NotImplementedError
+
     def identity_matrix(self) -> np.ndarray:
-        return np.eye(self.matrix_size)
+        """The identity matrix (read-only, shared)."""
+        return self._eye
 
     def cayley_matrix(self, vector: np.ndarray) -> np.ndarray:
         # (I - xi/2)^-1 (I + xi/2); lands in the group for all four families.
         half = 0.5 * self.hat(vector)
-        eye = np.eye(self.matrix_size)
-        return np.linalg.solve(eye - half, eye + half)
+        return np.linalg.solve(self._eye - half, self._eye + half)
 
     def check_matrix(self, matrix: np.ndarray, tol: float = 1.0e-8) -> None:
         """Validate that ``matrix`` lies in the group (raises ValueError)."""
@@ -108,6 +126,9 @@ class _SO2(MatrixGroup):
             raise CutLocusError(f"SO2: rotation angle {t:.8f} within 1e-6 of pi")
         return np.array([t])
 
+    def adjoint_matrix(self, matrix):
+        return _EYE1
+
     def _check_structure(self, m, tol):
         _check_rotation(m, tol, self.name)
 
@@ -122,34 +143,37 @@ def _so3_hat(w: np.ndarray) -> np.ndarray:
     )
 
 
+def _norm(w: np.ndarray) -> float:
+    return math.sqrt(w.dot(w))
+
+
 def _so3_exp(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
+    theta = _norm(w)
     k = _so3_hat(w)
     if theta < _SMALL_ANGLE:
         # sin(t)/t and (1-cos t)/t^2 to second order.
         a = 1.0 - theta**2 / 6.0
         b = 0.5 - theta**2 / 24.0
     else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * k + b * (k @ k)
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / theta**2
+    return _EYE3 + a * k + b * (k @ k)
 
 
 def _so3_rotation_angle(r: np.ndarray) -> float:
-    c = (np.trace(r) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    c = (r[0, 0] + r[1, 1] + r[2, 2] - 1.0) / 2.0
+    return math.acos(min(1.0, max(-1.0, c)))
 
 
 def _so3_log(r: np.ndarray) -> np.ndarray:
     theta = _so3_rotation_angle(r)
     if theta >= np.pi - _CUT_MARGIN:
         raise CutLocusError(f"SO3: rotation angle {theta:.8f} within 1e-6 of pi")
-    skew = 0.5 * (r - r.T)
-    w = np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
+    w = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     if theta < _SMALL_ANGLE:
         # w = sin(theta) * axis; sin(t)/t inverse to second order.
         return w * (1.0 + theta**2 / 6.0)
-    return w * (theta / np.sin(theta))
+    return w * (theta / math.sin(theta))
 
 
 class _SO3(MatrixGroup):
@@ -169,30 +193,33 @@ class _SO3(MatrixGroup):
     def log_vector(self, matrix):
         return _so3_log(matrix)
 
+    def adjoint_matrix(self, matrix):
+        return matrix
+
     def _check_structure(self, m, tol):
         _check_rotation(m, tol, self.name)
 
 
 def _se3_v_matrix(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
+    theta = _norm(w)
     k = _so3_hat(w)
     if theta < _SMALL_ANGLE:
         b = 0.5 - theta**2 / 24.0
         c = 1.0 / 6.0 - theta**2 / 120.0
     else:
-        b = (1.0 - np.cos(theta)) / theta**2
-        c = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) + b * k + c * (k @ k)
+        b = (1.0 - math.cos(theta)) / theta**2
+        c = (theta - math.sin(theta)) / theta**3
+    return _EYE3 + b * k + c * (k @ k)
 
 
 def _se3_v_inverse(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
+    theta = _norm(w)
     k = _so3_hat(w)
     if theta < 1.0e-4:
         c = 1.0 / 12.0 + theta**2 / 720.0
     else:
-        c = (1.0 - 0.5 * theta * np.sin(theta) / (1.0 - np.cos(theta))) / theta**2
-    return np.eye(3) - 0.5 * k + c * (k @ k)
+        c = (1.0 - 0.5 * theta * math.sin(theta) / (1.0 - math.cos(theta))) / theta**2
+    return _EYE3 - 0.5 * k + c * (k @ k)
 
 
 class _SE3(MatrixGroup):
@@ -215,7 +242,7 @@ class _SE3(MatrixGroup):
     def exp_matrix(self, vector):
         x = np.asarray(vector, dtype=float).reshape(6)
         w, v = x[:3], x[3:]
-        out = np.eye(4)
+        out = _EYE4.copy()
         out[:3, :3] = _so3_exp(w)
         out[:3, 3] = _se3_v_matrix(w) @ v
         return out
@@ -224,6 +251,15 @@ class _SE3(MatrixGroup):
         w = _so3_log(matrix[:3, :3])
         v = _se3_v_inverse(w) @ matrix[:3, 3]
         return np.concatenate([w, v])
+
+    def adjoint_matrix(self, matrix):
+        # Ad_g (omega, v) = (R omega, p x R omega + R v).
+        r = matrix[:3, :3]
+        out = np.zeros((6, 6))
+        out[:3, :3] = r
+        out[3:, 3:] = r
+        out[3:, :3] = _so3_hat(matrix[:3, 3]) @ r
+        return _frozen(out)
 
     def _check_structure(self, m, tol):
         _check_rotation(m[:3, :3], tol, self.name)
@@ -241,6 +277,8 @@ class _Translation(MatrixGroup):
         self.name = f"T{n}"
         self.dim = n
         self.matrix_size = n + 1
+        super().__init__()
+        self._ad = _frozen(np.eye(n))
 
     def hat(self, vector):
         v = np.asarray(vector, dtype=float).reshape(self.dim)
@@ -253,15 +291,18 @@ class _Translation(MatrixGroup):
 
     def exp_matrix(self, vector):
         # hat(v) is nilpotent of index 2, so exp is I + hat(v).
-        return np.eye(self.matrix_size) + self.hat(vector)
+        return self._eye + self.hat(vector)
 
     def log_vector(self, matrix):
         return self.vee(matrix)
 
+    def adjoint_matrix(self, matrix):
+        return self._ad
+
     def _check_structure(self, m, tol):
         n = self.dim
-        err = np.max(np.abs(m[:n, :n] - np.eye(n)))
-        bottom = np.max(np.abs(m[n] - np.eye(self.matrix_size)[n]))
+        err = np.max(np.abs(m[:n, :n] - self._eye[:n, :n]))
+        bottom = np.max(np.abs(m[n] - self._eye[n]))
         if max(err, bottom) > tol:
             raise ValueError(f"{self.name}: not a homogeneous translation matrix")
 
@@ -294,24 +335,37 @@ def group_by_name(name: str) -> MatrixGroup:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A group element: an immutable square matrix plus its group tag."""
+    """A group element: an immutable square matrix plus its group tag.
+
+    The matrix is copied into a read-only array.  The kernels of this module
+    pass ``_owned=True`` for a float array they have just computed and share
+    with no caller, which is frozen in place instead of copied.
+    """
 
     group: MatrixGroup
     matrix: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
+    def __post_init__(self, _owned):
+        if _owned:
+            self.matrix.flags.writeable = False
+        else:
+            object.__setattr__(self, "matrix", _readonly(self.matrix))
 
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """A Lie-algebra element in basis coordinates."""
+    """A Lie-algebra element in basis coordinates (copied like GroupElement.matrix)."""
 
     group: MatrixGroup
     vector: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _readonly(np.reshape(self.vector, (self.group.dim,))))
+    def __post_init__(self, _owned):
+        if _owned:
+            self.vector.flags.writeable = False
+        else:
+            object.__setattr__(self, "vector", _readonly(np.reshape(self.vector, (self.group.dim,))))
 
 
 def element(group: MatrixGroup, matrix: np.ndarray) -> GroupElement:
@@ -323,7 +377,7 @@ def algebra(group: MatrixGroup, vector: np.ndarray) -> AlgebraElement:
 
 
 def identity(group: MatrixGroup) -> GroupElement:
-    return GroupElement(group, group.identity_matrix())
+    return GroupElement(group, group.identity_matrix(), True)
 
 
 def _same_group(a, b, what: str) -> None:
@@ -334,37 +388,37 @@ def _same_group(a, b, what: str) -> None:
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product a*b.  No re-orthonormalization is applied."""
     _same_group(a, b, "compose")
-    return GroupElement(a.group, a.matrix @ b.matrix)
+    return GroupElement(a.group, a.matrix @ b.matrix, True)
 
 
 def inverse(a: GroupElement) -> GroupElement:
     """Group inverse; exploits the rigid-transform block structure."""
     g = a.group
     if g is SO2 or g is SO3:
-        return GroupElement(g, a.matrix.T)
+        # A transposed view of a read-only matrix is itself read-only.
+        return GroupElement(g, a.matrix.T, True)
     if g is SE3:
         r = a.matrix[:3, :3]
-        out = np.eye(4)
+        out = _EYE4.copy()
         out[:3, :3] = r.T
         out[:3, 3] = -r.T @ a.matrix[:3, 3]
-        return GroupElement(g, out)
-    out = 2.0 * np.eye(g.matrix_size) - a.matrix
-    return GroupElement(g, out)
+        return GroupElement(g, out, True)
+    return GroupElement(g, 2.0 * g.identity_matrix() - a.matrix, True)
 
 
 def exp(xi: AlgebraElement) -> GroupElement:
     """Group exponential (closed form for each supported group)."""
-    return GroupElement(xi.group, xi.group.exp_matrix(xi.vector))
+    return GroupElement(xi.group, xi.group.exp_matrix(xi.vector), True)
 
 
 def log(g: GroupElement) -> AlgebraElement:
     """Principal logarithm.  Raises CutLocusError near the cut locus."""
-    return AlgebraElement(g.group, g.group.log_vector(g.matrix))
+    return AlgebraElement(g.group, g.group.log_vector(g.matrix), True)
 
 
 def cayley(xi: AlgebraElement) -> GroupElement:
     """Cayley transform (I - xi/2)^-1 (I + xi/2): a second-order map to the group."""
-    return GroupElement(xi.group, xi.group.cayley_matrix(xi.vector))
+    return GroupElement(xi.group, xi.group.cayley_matrix(xi.vector), True)
 
 
 def hat(xi: AlgebraElement) -> np.ndarray:
@@ -372,14 +426,22 @@ def hat(xi: AlgebraElement) -> np.ndarray:
 
 
 def vee(group: MatrixGroup, matrix: np.ndarray) -> AlgebraElement:
-    return AlgebraElement(group, group.vee(matrix))
+    return AlgebraElement(group, group.vee(matrix), True)
+
+
+def adjoint_matrix(g: GroupElement) -> np.ndarray:
+    """The read-only matrix of Ad_g in algebra coordinates.
+
+    The identity on SO(2) and R^n, R on SO(3), and [[R, 0], [hat(p) R, R]] on
+    SE(3) in (omega, v) order.
+    """
+    return g.group.adjoint_matrix(g.matrix)
 
 
 def adjoint(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:
     """Adjoint action Ad_g(xi) = vee(g hat(xi) g^-1)."""
     _same_group(g, xi, "adjoint")
-    conj = g.matrix @ g.group.hat(xi.vector) @ inverse(g).matrix
-    return AlgebraElement(g.group, g.group.vee(conj))
+    return AlgebraElement(g.group, adjoint_matrix(g) @ xi.vector, True)
 
 
 def bracket(xi: AlgebraElement, eta: AlgebraElement) -> AlgebraElement:
@@ -387,7 +449,7 @@ def bracket(xi: AlgebraElement, eta: AlgebraElement) -> AlgebraElement:
     _same_group(xi, eta, "bracket")
     g = xi.group
     m = g.hat(xi.vector) @ g.hat(eta.vector) - g.hat(eta.vector) @ g.hat(xi.vector)
-    return AlgebraElement(g, g.vee(m))
+    return AlgebraElement(g, g.vee(m), True)
 
 
 def conj_invariant_norm(g: GroupElement) -> float:
@@ -398,17 +460,11 @@ def conj_invariant_norm(g: GroupElement) -> float:
     by rotations preserves it, since no nondegenerate fully
     conjugation-invariant norm exists there).
     """
-    return float(np.linalg.norm(log(g).vector))
-
-
-def distance(a: GroupElement, b: GroupElement) -> float:
-    """Frobenius distance between matrices (used as a plain closeness test)."""
-    _same_group(a, b, "distance")
-    return float(np.max(np.abs(a.matrix - b.matrix)))
+    return _norm(log(g).vector)
 
 
 def random_algebra(group: MatrixGroup, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    return AlgebraElement(group, scale * rng.standard_normal(group.dim))
+    return AlgebraElement(group, scale * rng.standard_normal(group.dim), True)
 
 
 def random_element(group: MatrixGroup, rng: np.random.Generator, scale: float = 1.0) -> GroupElement:

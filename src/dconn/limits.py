@@ -96,7 +96,7 @@ def shape_form_connection(bundle: Bundle, coefficient: Callable[[np.ndarray], np
     def one_form(v: TangentVector) -> AlgebraElement:
         a = np.asarray(coefficient(v.base.shape.coords), dtype=float)
         vec = v.fiber_velocity.vector + a @ v.shape_velocity
-        return lg.adjoint(v.base.fiber, AlgebraElement(bundle.group, vec))
+        return AlgebraElement(bundle.group, lg.adjoint_matrix(v.base.fiber) @ vec)
 
     return ContinuousConnection(bundle, one_form)
 
@@ -155,50 +155,40 @@ def cayley_discrete(a: ContinuousConnection,
     return lg.cayley(a.one_form(metric_log(p)))
 
 
-def _local_rep_from_value(bundle: Bundle, a: ContinuousConnection,
-                          metric_log, to_group) -> Callable[[ShapePoint, ShapePoint], GroupElement]:
-    e = lg.identity(bundle.group)
+def _local_rep(a: ContinuousConnection, to_group,
+               at_far_end: bool = False) -> Callable[[ShapePoint, ShapePoint], GroupElement]:
+    """to_group of the one-form on the chart log of ((x0, e), (x1, e)).
+
+    That chart log is the tangent (x1 - x0, 0) at (x0, e); with ``at_far_end``
+    the same velocity is based at (x1, e) instead.
+    """
+    e = lg.identity(a.bundle.group)
+    zero = AlgebraElement(a.bundle.group, np.zeros(a.bundle.group.dim))
 
     def rep(x0: ShapePoint, x1: ShapePoint) -> GroupElement:
-        p = PairElement(BundlePoint(x0, e), BundlePoint(x1, e))
-        return to_group(a.one_form(metric_log(p)))
+        base = BundlePoint(x1 if at_far_end else x0, e)
+        return to_group(a.one_form(TangentVector(base, x1.coords - x0.coords, zero)))
 
     return rep
 
 
-def exponentiated_connection(a: ContinuousConnection,
-                             metric_log: Callable[[PairElement], TangentVector] = chart_pair_log,
-                             validity_radius: float = 0.5) -> DiscreteConnection:
-    """The discrete connection exp(one_form(metric_log)), stored via its local rep."""
-    rep = _local_rep_from_value(a.bundle, a, metric_log, lg.exp)
-    return DiscreteConnection(a.bundle, rep, validity_radius)
+def exponentiated_connection(a: ContinuousConnection) -> DiscreteConnection:
+    """The discrete connection exp(one_form(chart_pair_log)), stored via its local rep."""
+    return DiscreteConnection(a.bundle, _local_rep(a, lg.exp))
 
 
-def cayley_connection(a: ContinuousConnection,
-                      metric_log: Callable[[PairElement], TangentVector] = chart_pair_log,
-                      validity_radius: float = 0.5) -> DiscreteConnection:
+def cayley_connection(a: ContinuousConnection) -> DiscreteConnection:
     """Second-order Cayley counterpart of exponentiated_connection."""
-    rep = _local_rep_from_value(a.bundle, a, metric_log, lg.cayley)
-    return DiscreteConnection(a.bundle, rep, validity_radius)
+    return DiscreteConnection(a.bundle, _local_rep(a, lg.cayley))
 
 
-def endpoint_connection(a: ContinuousConnection,
-                        metric_log: Callable[[PairElement], TangentVector] = chart_pair_log,
-                        validity_radius: float = 0.5) -> DiscreteConnection:
+def endpoint_connection(a: ContinuousConnection) -> DiscreteConnection:
     """First-order variant: the one-form is evaluated at the far endpoint.
 
     A literal forward-difference exponential I + hat(...) leaves the group,
     so the one-sided first-order scheme shifts the evaluation point instead.
     """
-
-    def rep(x0: ShapePoint, x1: ShapePoint) -> GroupElement:
-        e = lg.identity(a.bundle.group)
-        v = metric_log(PairElement(BundlePoint(x1, e), BundlePoint(x0, e)))
-        flipped = TangentVector(v.base, -v.shape_velocity,
-                                AlgebraElement(v.fiber_velocity.group, -v.fiber_velocity.vector))
-        return lg.exp(a.one_form(flipped))
-
-    return DiscreteConnection(a.bundle, rep, validity_radius)
+    return DiscreteConnection(a.bundle, _local_rep(a, lg.exp, at_far_end=True))
 
 
 def unit_directions(bundle: Bundle, q: BundlePoint, count: int = 32,

@@ -18,12 +18,14 @@ import numpy as np
 
 from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
-from .connection import DEFAULT_VALIDITY_RADIUS, DiscreteConnection
+from .connection import DiscreteConnection
 from .errors import CutLocusError, NonDegenerateError, SolverDivergedError
 from .lie_group import AlgebraElement, GroupElement
 
 # Relative step for the 6-point central-difference fallback.
 FD_STEP = 1.0e-5
+# Step of the central-difference fallback for d12.
+JAC_FD_STEP = 1.0e-6
 NEWTON_TOL = 1.0e-12
 NEWTON_MAX_ITER = 50
 # Reciprocal condition number below which the momentum Jacobian counts as singular.
@@ -57,12 +59,19 @@ class DiscreteLagrangian:
     which is fine for derivative checks but too noisy for the default
     Newton residual tolerance, so analytic derivatives are preferred for
     time stepping.
+
+    ``d12(q0, q1)`` is the square Jacobian of ``d1(q0, q1)`` under the
+    trivialized moves (x1 + z_shape, g1 exp(z_fiber)) of q1, column j for
+    coordinate z_j.  Both Newton solvers take their Jacobian from it; when
+    omitted it falls back to central differences of ``d1_eval`` with step
+    JAC_FD_STEP.
     """
 
     bundle: Bundle
     value: Callable[[BundlePoint, BundlePoint], float]
     d1: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
     d2: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
+    d12: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
     # Timestep baked into value; metadata for reports, not used by solvers.
     step: float = 1.0
 
@@ -92,6 +101,19 @@ class DiscreteLagrangian:
             return np.asarray(self.d2(q0, q1), dtype=float)
         return self._fd_slot(q0, q1, 1)
 
+    def d12_eval(self, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+        if self.d12 is not None:
+            return np.asarray(self.d12(q0, q1), dtype=float)
+        d = self.bundle.shape_dim
+        dim = d + self.bundle.group.dim
+        jac = np.empty((dim, dim))
+        for j in range(dim):
+            step = np.zeros(dim)
+            step[j] = JAC_FD_STEP
+            jac[:, j] = (self.d1_eval(q0, _shift(q1, step, d))
+                         - self.d1_eval(q0, _shift(q1, -step, d))) / (2 * JAC_FD_STEP)
+        return jac
+
 
 @dataclass(frozen=True, eq=False)
 class MomentumValue:
@@ -110,14 +132,9 @@ def discrete_momentum(L: DiscreteLagrangian, p: PairElement) -> MomentumValue:
     xi_Q(q0) has trivialized coordinates (0, Ad_{g0^-1} xi), so only the
     fiber block of D1 L enters.
     """
-    group = L.bundle.group
-    d = L.bundle.shape_dim
-    d1_fiber = L.d1_eval(p.first, p.second)[d:]
-    ad_inv = np.column_stack([
-        lg.adjoint(lg.inverse(p.first.fiber), AlgebraElement(group, col)).vector
-        for col in np.eye(group.dim)
-    ])
-    return MomentumValue(group, -(ad_inv.T @ d1_fiber))
+    d1_fiber = L.d1_eval(p.first, p.second)[L.bundle.shape_dim:]
+    ad_inv = lg.adjoint_matrix(lg.inverse(p.first.fiber))
+    return MomentumValue(L.bundle.group, -(ad_inv.T @ d1_fiber))
 
 
 def fiber_derivative(L: DiscreteLagrangian, p: PairElement) -> tuple[BundlePoint, np.ndarray]:
@@ -141,7 +158,6 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
     the residual does not fall below ``tol`` within ``max_iter`` iterations.
     """
     d = L.bundle.shape_dim
-    dim = d + L.bundle.group.dim
     rhs = L.d2_eval(q0, q1)
     seed_coords = 2.0 * q1.shape.coords - q0.shape.coords
     # Extrapolate the fiber through the exp chart, not by a bare product:
@@ -159,18 +175,12 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
     def residual(q: BundlePoint) -> np.ndarray:
         return rhs + L.d1_eval(q1, q)
 
-    fd = 1.0e-6
     for _ in range(max_iter):
         res = residual(q2)
         if np.max(np.abs(res)) < tol:
             return q2
-        jac = np.empty((dim, dim))
-        for j in range(dim):
-            step = np.zeros(dim)
-            step[j] = fd
-            jac[:, j] = (residual(_shift(q2, step, d)) - residual(_shift(q2, -step, d))) / (2 * fd)
         try:
-            delta = np.linalg.solve(jac, -res)
+            delta = np.linalg.solve(L.d12_eval(q1, q2), -res)
         except np.linalg.LinAlgError as exc:
             raise SolverDivergedError(f"singular Newton system: {exc}") from exc
         q2 = _shift(q2, delta, d)
@@ -189,25 +199,20 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement,
     the momentum Jacobian in g is singular beyond RCOND_FLOOR conditioning.
     """
     group = L.bundle.group
-    m = group.dim
+    d = L.bundle.shape_dim
     x1 = p.second.shape
     g = p.first.fiber
+    # J = -Ad_{g0^-1}^T D1 L(q0, (x1, g)), and g exp(z) moves only the fiber of the second slot.
+    ad_inv_t = lg.adjoint_matrix(lg.inverse(p.first.fiber)).T
 
     def momentum(gg: GroupElement) -> np.ndarray:
         return discrete_momentum(L, PairElement(p.first, BundlePoint(x1, gg))).covector
 
-    fd = 1.0e-6
     for _ in range(max_iter):
         res = momentum(g)
         if np.max(np.abs(res)) < tol:
             return lg.compose(p.second.fiber, lg.inverse(g))
-        jac = np.empty((m, m))
-        for j in range(m):
-            delta = np.zeros(m)
-            delta[j] = fd
-            plus = lg.compose(g, lg.exp(AlgebraElement(group, delta)))
-            minus = lg.compose(g, lg.exp(AlgebraElement(group, -delta)))
-            jac[:, j] = (momentum(plus) - momentum(minus)) / (2 * fd)
+        jac = -(ad_inv_t @ L.d12_eval(p.first, BundlePoint(x1, g))[d:, d:])
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= RCOND_FLOOR * sv[0] or sv[0] == 0.0:
             raise NonDegenerateError(
@@ -219,8 +224,7 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement,
     )
 
 
-def mechanical_discrete_connection(L: DiscreteLagrangian,
-                                   validity_radius: float = DEFAULT_VALIDITY_RADIUS) -> DiscreteConnection:
+def mechanical_discrete_connection(L: DiscreteLagrangian) -> DiscreteConnection:
     """Wrap the mechanical connection of L as a stored discrete connection."""
     group = L.bundle.group
 
@@ -229,4 +233,4 @@ def mechanical_discrete_connection(L: DiscreteLagrangian,
         p = PairElement(BundlePoint(x0, e), BundlePoint(x1, e))
         return mechanical_connection(L, p)
 
-    return DiscreteConnection(L.bundle, rep, validity_radius)
+    return DiscreteConnection(L.bundle, rep)

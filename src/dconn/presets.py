@@ -31,30 +31,50 @@ from .mechanical import DiscreteLagrangian, mechanical_discrete_connection
 # -- algebra helpers --------------------------------------------------------
 
 
+# Angle below which the dexpinv coefficient switches to its Taylor series.
+_DEXPINV_SERIES = 1.0e-4
+
+
+def _dexpinv_c2(theta: float) -> float:
+    """c2(t) = (1 - (t/2) cot(t/2)) / t^2."""
+    if theta < _DEXPINV_SERIES:
+        return 1.0 / 12.0 + theta**2 / 720.0
+    half = theta / 2.0
+    return (1.0 - half / math.tan(half)) / theta**2
+
+
 def dexpinv_so3(vec: np.ndarray) -> np.ndarray:
     """The inverse differential of exp on so(3) as a 3x3 matrix.
 
-    Maps the left-trivialized velocity delta of g(t) = exp(lam) exp(t delta)
-    to the coordinate velocity d/dt log(g(t)) at t = 0:
+    Maps the velocity delta of g(t) = exp(t delta) exp(lam) to the coordinate
+    velocity d/dt log(g(t)) at t = 0:
     I - hat(lam)/2 + c2 hat(lam)^2 with c2 = (1 - (t/2) cot(t/2)) / t^2.
+    For g(t) = exp(lam) exp(t delta) the map is dexpinv_so3(-lam).
     """
     v = np.asarray(vec, dtype=float).reshape(3)
-    theta = float(np.linalg.norm(v))
-    w = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    if theta < 1.0e-4:
-        c2 = 1.0 / 12.0 + theta**2 / 720.0
+    w = SO3.hat(v)
+    return SO3.identity_matrix() - 0.5 * w + _dexpinv_c2(float(np.linalg.norm(v))) * (w @ w)
+
+
+def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Jacobian in lam, for fixed w, of dexpinv_so3(lam)^T w.
+
+    dexpinv_so3(lam)^T w = w + lam x w / 2 + c2(|lam|) lam x (lam x w).
+    """
+    theta = float(np.linalg.norm(lam))
+    c2 = _dexpinv_c2(theta)
+    # c2'(t) / t; the closed form cancels 1/t^4-sized terms, so small angles use the series.
+    if theta < 1.0e-2:
+        dc2 = 1.0 / 360.0 + theta**2 / 7560.0 + theta**4 / 201600.0
     else:
         half = theta / 2.0
-        c2 = (1.0 - half / math.tan(half)) / theta**2
-    return np.eye(3) - 0.5 * w + c2 * (w @ w)
-
-
-def _vee_antisym(w: np.ndarray) -> np.ndarray:
-    return np.array([w[2, 1], w[0, 2], w[1, 0]])
-
-
-def _hat_so3(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+        df = (half / math.sin(half) ** 2 - 1.0 / math.tan(half)) / 2.0  # d/dt (1 - half cot half)
+        dc2 = (df - 2.0 * c2 * theta) / theta**3
+    lw = float(lam @ w)
+    triple = lam * lw - w * float(lam @ lam)  # lam x (lam x w)
+    return (-0.5 * SO3.hat(w)
+            + c2 * (lw * SO3.identity_matrix() + np.outer(lam, w) - 2.0 * np.outer(w, lam))
+            + dc2 * np.outer(triple, lam))
 
 
 # -- continuous mechanical fixtures -----------------------------------------
@@ -186,7 +206,10 @@ def free_particle() -> DiscreteLagrangian:
     def d2(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         return (combined(q1) - combined(q0)) / h
 
-    return DiscreteLagrangian(bundle, value, d1, d2, step=h)
+    def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+        return -np.eye(2) / h
+
+    return DiscreteLagrangian(bundle, value, d1, d2, d12, step=h)
 
 
 def _coupled_value(h: float, kappa: float, coupling, displacement):
@@ -206,6 +229,24 @@ def _coupled_shape_blocks(h, kappa, coupling, partials, q0, q1, w):
     )
     d2_shape = dx / h + (kappa / h) * (c.T @ w)
     return d1_shape, d2_shape
+
+
+def _coupled_d12(h, kappa, coupling, partials, q0, q1, w, w_fiber, p, p_fiber):
+    """d12 of a coupled Lagrangian whose d1 is [d1_shape, (kappa/h) p^T w].
+
+    ``w_fiber`` is the Jacobian of w under the fiber moves g1 exp(z) and
+    ``p_fiber`` that of p^T w with w held fixed.  Shape moves of q1 change
+    w by the coupling and leave p alone.
+    """
+    x0, dx = q0.shape.coords, q1.shape.coords - q0.shape.coords
+    c = coupling(x0)
+    k = kappa / h
+    b = np.column_stack([cj @ dx - c[:, j] for j, cj in enumerate(partials)])
+    g = np.array([cj.T @ w for cj in partials])
+    return np.block([
+        [k * (b.T @ c + g) - np.eye(dx.size) / h, k * (b.T @ w_fiber)],
+        [k * (p.T @ c), k * (p.T @ w_fiber + p_fiber)],
+    ])
 
 
 def so3_coupled() -> DiscreteLagrangian:
@@ -238,7 +279,15 @@ def so3_coupled() -> DiscreteLagrangian:
         # g1 exp(t delta) perturbs lam with derivative dexpinv(-lam) delta.
         return np.concatenate([d2_shape, (kappa / h) * (dexpinv_so3(-lam).T @ w)])
 
-    return DiscreteLagrangian(bundle, value, d1, d2, step=h)
+    def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+        lam = displacement(q0, q1)
+        w = lam + coupling_so3(q0.shape.coords) @ (q1.shape.coords - q0.shape.coords)
+        lam_fiber = dexpinv_so3(-lam)
+        return _coupled_d12(h, kappa, coupling_so3, partials, q0, q1, w, lam_fiber,
+                            -dexpinv_so3(lam),
+                            -(_dexpinv_transpose_derivative(lam, w) @ lam_fiber))
+
+    return DiscreteLagrangian(bundle, value, d1, d2, d12, step=h)
 
 
 def se3_extract(m: np.ndarray) -> np.ndarray:
@@ -248,31 +297,49 @@ def se3_extract(m: np.ndarray) -> np.ndarray:
     derivatives of Lagrangians built on it stay elementary.
     """
     r = m[:3, :3]
-    return np.concatenate([_vee_antisym((r - r.T) / 2.0), m[:3, 3]])
+    return np.concatenate([SO3.vee((r - r.T) / 2.0), m[:3, 3]])
 
 
 def se3_extract_d2(m: np.ndarray) -> np.ndarray:
-    """Derivative of se3_extract under M exp(t hat(delta)): columns over the basis."""
+    """Derivative of se3_extract under M exp(t hat(delta)): columns over the basis.
+
+    se3_extract is linear, so column i is se3_extract(M hat(e_i)); the
+    columns assemble to [[(tr(R) I - R^T)/2, 0], [0, R]].
+    """
     r = m[:3, :3]
-    cols = []
-    for i in range(3):
-        e = _hat_so3(np.eye(3)[i])
-        cols.append(np.concatenate([_vee_antisym((r @ e + e @ r.T) / 2.0), np.zeros(3)]))
-    for i in range(3):
-        cols.append(np.concatenate([np.zeros(3), r[:, i]]))
-    return np.column_stack(cols)
+    out = np.zeros((6, 6))
+    out[:3, :3] = (np.trace(r) * SO3.identity_matrix() - r.T) / 2.0
+    out[3:, 3:] = r
+    return out
 
 
 def se3_extract_d1(m: np.ndarray) -> np.ndarray:
-    """Derivative of se3_extract under exp(-t hat(delta)) M: columns over the basis."""
-    r, p = m[:3, :3], m[:3, 3]
-    cols = []
-    for i in range(3):
-        e = _hat_so3(np.eye(3)[i])
-        cols.append(np.concatenate([_vee_antisym(-(e @ r + r.T @ e) / 2.0), -e @ p]))
-    for i in range(3):
-        cols.append(np.concatenate([np.zeros(3), -np.eye(3)[i]]))
-    return np.column_stack(cols)
+    """Derivative of se3_extract under exp(-t hat(delta)) M: columns over the basis.
+
+    Column i is se3_extract(-hat(e_i) M); the columns assemble to
+    [[(R - tr(R) I)/2, 0], [hat(p), -I]].
+    """
+    r = m[:3, :3]
+    out = np.zeros((6, 6))
+    out[:3, :3] = (r - np.trace(r) * SO3.identity_matrix()) / 2.0
+    out[3:, :3] = SO3.hat(m[:3, 3])
+    out[3:, 3:] = -SO3.identity_matrix()
+    return out
+
+
+def _se3_extract_d1_derivative(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Jacobian of se3_extract_d1(M)^T w under M exp(t hat(delta)), w held fixed.
+
+    Column j is the w-pairing of se3_extract(-hat(e_i) M hat(e_j)) over i:
+    [[(omega s^T + hat(R^T omega))/2, hat(v) R], [0, 0]] with w = (omega, v)
+    and s = vee(R - R^T).
+    """
+    r = m[:3, :3]
+    omega, v = w[:3], w[3:]
+    out = np.zeros((6, 6))
+    out[:3, :3] = (np.outer(omega, SO3.vee(r - r.T)) + SO3.hat(r.T @ omega)) / 2.0
+    out[:3, 3:] = SO3.hat(v) @ r
+    return out
 
 
 def se3_coupled() -> DiscreteLagrangian:
@@ -305,7 +372,13 @@ def se3_coupled() -> DiscreteLagrangian:
         _, d2_shape = _coupled_shape_blocks(h, kappa, coupling_se3, partials, q0, q1, w)
         return np.concatenate([d2_shape, (kappa / h) * (se3_extract_d2(m).T @ w)])
 
-    return DiscreteLagrangian(bundle, value, d1, d2, step=h)
+    def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+        m = relative(q0, q1)
+        w = se3_extract(m) + coupling_se3(q0.shape.coords) @ (q1.shape.coords - q0.shape.coords)
+        return _coupled_d12(h, kappa, coupling_se3, partials, q0, q1, w, se3_extract_d2(m),
+                            se3_extract_d1(m), _se3_extract_d1_derivative(m, w))
+
+    return DiscreteLagrangian(bundle, value, d1, d2, d12, step=h)
 
 
 def so3_pure() -> DiscreteLagrangian:
@@ -331,7 +404,11 @@ def so3_pure() -> DiscreteLagrangian:
         lam = displacement(q0, q1)
         return (kappa / h) * (dexpinv_so3(-lam).T @ lam)
 
-    return DiscreteLagrangian(bundle, value, d1, d2, step=h)
+    def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+        # d1 = -(kappa/h) lam, since dexpinv(lam)^T lam = lam.
+        return -(kappa / h) * dexpinv_so3(-displacement(q0, q1))
+
+    return DiscreteLagrangian(bundle, value, d1, d2, d12, step=h)
 
 
 LAGRANGIAN_FIXTURES = {

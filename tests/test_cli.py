@@ -3,12 +3,18 @@
 import filecmp
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dconn.cli import main
+from dconn.connection import horizontal_component, vertical_component
 from dconn.meshes import cone, flat_grid, icosphere, write_complex_json, write_off
+from dconn.presets import default_pair, resolve_connection
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def rot_z(theta):
@@ -70,6 +76,41 @@ def test_decompose_default_pair_and_mechanical(tmp_path, capsys):
         assert report["reconstruction_residual"] < tol
         ver = report["vertical"]
         assert ver["first"]["shape"] == ver["second"]["shape"]
+
+
+def test_decompose_components_match_the_library(tmp_path, capsys):
+    # One form evaluation feeds both components; they must equal the library's
+    # separate horizontal_component and vertical_component bit for bit.
+    for family in ("trivial", "exponentiated:so3_mechanical", "cayley:se3_mechanical",
+                   "mechanical:so3_coupled", "mechanical:se3_coupled"):
+        group = "SE3" if "se3" in family else "SO3"
+        cfg = write_config(tmp_path, "d.json", {"connection": family, "group": group})
+        code, report = run(capsys, ["decompose", "--config", cfg])
+        assert code == 0
+        conn = resolve_connection(family, group)
+        pair = default_pair(conn.bundle)
+        for key, part in (("horizontal", horizontal_component(conn, pair)),
+                          ("vertical", vertical_component(conn, pair))):
+            for end, q in (("first", part.first), ("second", part.second)):
+                assert report[key][end]["shape"] == q.shape.coords.tolist()
+                assert report[key][end]["fiber"] == q.fiber.matrix.tolist()
+
+
+def _readme_families() -> list[str]:
+    text = README.read_text()
+    section = text[text.index("Connection families accepted"):text.index("### decompose")]
+    families = ["trivial", "euler_poincare"]
+    for kinds, fixtures in re.findall(r"^- (`\w+:<fixture>`.*?)\(([^)]*)\)", section, re.M | re.S):
+        for kind in re.findall(r"`(\w+):<fixture>`", kinds):
+            families += [f"{kind}:{f}" for f in re.findall(r"`(\w+)`", fixtures)]
+    return families
+
+
+def test_every_family_in_the_readme_resolves():
+    families = _readme_families()
+    assert "cayley:abelian" in families and "mechanical:so3_pure" in families
+    for family in families:
+        assert resolve_connection(family).bundle is not None
 
 
 # -- order -----------------------------------------------------------------------
@@ -291,13 +332,3 @@ def test_bad_h_sweep_is_a_domain_failure(tmp_path, capsys):
     })
     assert main(["order", "--config", cfg]) == 2
 
-
-def test_thread_cap_environment_variable(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, "d.json", {"connection": "trivial"})
-    monkeypatch.setenv("DCONN_THREADS", "4")
-    assert main(["decompose", "--config", cfg]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("DCONN_THREADS", "0")
-    assert main(["decompose", "--config", cfg]) == 2
-    monkeypatch.setenv("DCONN_THREADS", "many")
-    assert main(["decompose", "--config", cfg]) == 2

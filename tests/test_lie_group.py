@@ -231,6 +231,8 @@ def test_adjoint_matches_matrix_conjugation():
             xi = lg.random_algebra(group, rng)
             conj = g.matrix @ group.hat(xi.vector) @ lg.inverse(g).matrix
             assert np.max(np.abs(group.hat(lg.adjoint(g, xi).vector) - conj)) < 1e-11
+            closed_form = lg.adjoint_matrix(g) @ xi.vector
+            assert np.max(np.abs(closed_form - group.vee(conj))) < 1e-11
 
 
 # -- conjugation-invariant norm ----------------------------------------------------
@@ -308,3 +310,29 @@ def test_elements_are_immutable():
     xi = lg.algebra(SO3, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         xi.vector[0] = 3.0
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+def test_kernel_outputs_are_read_only(group):
+    rng = np.random.default_rng(15)
+    g, h = lg.random_element(group, rng), lg.random_element(group, rng)
+    xi, eta = lg.random_algebra(group, rng, 0.5), lg.random_algebra(group, rng, 0.5)
+    arrays = [
+        lg.identity(group).matrix, lg.compose(g, h).matrix, lg.inverse(g).matrix,
+        lg.exp(xi).matrix, lg.cayley(xi).matrix, lg.log(g).vector,
+        lg.adjoint(g, xi).vector, lg.vee(group, group.hat(xi.vector)).vector,
+        lg.bracket(xi, eta).vector, xi.vector, lg.adjoint_matrix(g),
+    ]
+    for a in arrays:
+        assert not a.flags.writeable
+
+
+def test_constructors_copy_the_callers_array():
+    m = np.eye(3)
+    g = lg.element(SO3, m)
+    m[0, 0] = 2.0
+    assert g.matrix[0, 0] == 1.0
+    v = np.zeros(3)
+    xi = lg.algebra(SO3, v)
+    v[0] = 1.0
+    assert xi.vector[0] == 0.0

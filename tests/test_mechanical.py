@@ -73,6 +73,25 @@ def test_analytic_slot_derivatives_match_finite_differences(lagrangian):
         assert np.max(np.abs(a2 - f2)) < 1e-7
 
 
+def test_analytic_d12_matches_differences_of_d1(lagrangian):
+    # Without d12, d12_eval falls back to central differences of d1.
+    fallback = DiscreteLagrangian(lagrangian.bundle, lagrangian.value, lagrangian.d1,
+                                  lagrangian.d2, step=lagrangian.step)
+    group = lagrangian.bundle.group
+    rng = np.random.default_rng(74)
+    pairs = [sample_pair(lagrangian, rng) for _ in range(5)]
+    # Relative rotation angles below the 1e-4 switch to the dexpinv series.
+    q0, x1 = pairs[0].first, pairs[0].second.shape
+    for angle in (5e-5, 0.0):
+        tiny = lg.exp(lg.algebra(group, angle * np.eye(group.dim)[0]))
+        pairs.append(PairElement(q0, BundlePoint(x1, lg.compose(q0.fiber, tiny))))
+    for p in pairs:
+        exact = lagrangian.d12_eval(p.first, p.second)
+        approx = fallback.d12_eval(p.first, p.second)
+        assert exact.shape == approx.shape
+        assert np.max(np.abs(exact - approx)) < 1e-7 * max(1.0, np.max(np.abs(approx)))
+
+
 def test_value_is_group_invariant(lagrangian):
     rng = np.random.default_rng(71)
     from dconn.bundle import act
