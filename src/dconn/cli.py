@@ -196,29 +196,32 @@ def cmd_holonomy(cfg: dict) -> dict:
     enclosed_curvature = None
     if "loop" in cfg:
         loop = [int(t) for t in cfg["loop"]]
+        h = lc.holonomy(K, A, loop)
+        loop_length = len(loop) - 1
         loop_source = "explicit"
     elif "around_vertex" in cfg:
         v = int(cfg["around_vertex"])
-        walk = lc._star_walk(K, v)
-        loop = walk + [walk[0]]
+        h = lc.curvature(K, A, v)
+        loop_length = len(K.vertex_cofaces(v))
         enclosed_curvature = lc.angle_defect(K, v)
         loop_source = "around_vertex"
     elif "latitude" in cfg:
         colat = math.radians(float(cfg["latitude"]["colatitude_deg"]))
         loop, enclosed = meshes.latitude_loop(K, colat)
+        h = lc.holonomy(K, A, loop)
+        loop_length = len(loop) - 1
         enclosed_curvature = float(
             sum(lc.angle_defect(K, v) for v in enclosed)
         )
         loop_source = "latitude"
     else:
         raise DconnError("holonomy config needs 'loop', 'around_vertex', or 'latitude'")
-    h = lc.holonomy(K, A, loop)
     angle = _angle_of(h.matrix)
     report = {
         "command": "holonomy",
         "mesh": cfg["mesh"],
         "loop_source": loop_source,
-        "loop_length": len(loop) - 1,
+        "loop_length": loop_length,
         "holonomy_matrix": h.matrix,
         "angle": angle,
         "enclosed_curvature": enclosed_curvature,

@@ -8,11 +8,13 @@ Gram matrices, from per-edge lengths, or from an embedding.
 Frames.  Each triangle gets an orthonormal frame by isometrically
 developing the complex into the plane along a breadth-first spanning tree
 of the dual graph (rooted at the lowest simplex index of each connected
-component).  The connection element across an interior edge is the
-rotation relating the two developments after unfolding the pair flat
-across that edge.  Tree edges therefore carry the identity, every flat
-complex carries the identity on all interior edges, and curvature and
-holonomy are independent of this gauge choice.
+component); every non-root triangle is unfolded once, against its tree
+parent.  The connection element across an interior edge is read off that
+development: it is the rotation taking the edge's vector in the
+lower-index coface's development to its vector in the higher-index one.
+Tree edges share their endpoints' positions exactly and so carry exactly
+the identity, every flat complex carries the identity on all interior
+edges, and curvature and holonomy are independent of this gauge choice.
 
 Curvature.  The curvature at an interior vertex is the ordered product of
 connection elements around the dual loop of its star, based at the coface
@@ -21,8 +23,10 @@ with the smallest simplex index; its rotation angle is the angle defect.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,15 +46,6 @@ from .lie_group import SO2, GroupElement
 _CHART = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # Shared-edge lengths must agree across adjacent triangles to this tolerance.
 CONSISTENCY_TOL = 1.0e-10
-
-
-def _rot(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def _rotation_angle(m: np.ndarray) -> float:
-    return float(np.arctan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1]))
 
 
 def _edge_key(a: int, b: int) -> tuple[int, int]:
@@ -135,7 +130,8 @@ class MetricComplex:
     # -- adjacency ----------------------------------------------------------
 
     def _build_adjacency(self) -> None:
-        # edge key -> list of (triangle, local index of edge start).
+        # edge key -> list of (triangle, local index of edge start), in
+        # increasing triangle order.
         cofaces: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for t, tri in enumerate(self.triangles):
             for k in range(3):
@@ -153,11 +149,9 @@ class MetricComplex:
                 raise MeshFormatError(
                     f"edge {key} has inconsistent lengths {lens[0]!r} vs {lens[1]!r}"
                 )
-        vertex_edges: dict[int, list[tuple[int, int]]] = {}
-        for key in cofaces:
-            vertex_edges.setdefault(key[0], []).append(key)
-            vertex_edges.setdefault(key[1], []).append(key)
-        self.vertex_edges = vertex_edges
+        self._boundary_vertices = {
+            v for key, lst in cofaces.items() if len(lst) == 1 for v in key
+        }
         vertex_cofaces: dict[int, list[int]] = {}
         for t, tri in enumerate(self.triangles):
             for v in tri:
@@ -172,9 +166,8 @@ class MetricComplex:
         raise NotAFacetError(f"vertex {v} is not in triangle {t}")
 
     def _edge_length_in(self, t: int, edge: tuple[int, int]) -> float:
-        i = self._local_index(t, edge[0])
-        j = self._local_index(t, edge[1])
-        d = _CHART[j] - _CHART[i]
+        """Length of the edge between two vertices of triangle t, in t's metric."""
+        d = self.edge_vector_in(t, edge)
         return float(np.sqrt(d @ self.chart_metrics[t] @ d))
 
     def edge_vector_in(self, t: int, edge: tuple[int, int]) -> np.ndarray:
@@ -209,15 +202,10 @@ class MetricComplex:
         la = self._local_index(t_new, a)
         lb = self._local_index(t_new, b)
         lc = ({0, 1, 2} - {la, lb}).pop()
-        c_vertex = int(self.triangles[t_new][lc])
-        g = self.chart_metrics[t_new]
-
-        def length(u: np.ndarray) -> float:
-            return float(np.sqrt(u @ g @ u))
-
-        l_ab = length(_CHART[lb] - _CHART[la])
-        l_ac = length(_CHART[lc] - _CHART[la])
-        l_bc = length(_CHART[lc] - _CHART[lb])
+        c = int(self.triangles[t_new][lc])
+        l_ab = self._edge_length_in(t_new, (a, b))
+        l_ac = self._edge_length_in(t_new, (a, c))
+        l_bc = self._edge_length_in(t_new, (b, c))
 
         ex = (pb - pa) / np.linalg.norm(pb - pa)
         ey = np.array([-ex[1], ex[0]])
@@ -258,11 +246,6 @@ class MetricComplex:
                     visited[t_next] = True
                     queue.append(t_next)
         self.development = dev
-        # Linear part of each development map (chart -> plane).
-        jac = np.empty((m, 2, 2))
-        for t in range(m):
-            jac[t] = np.column_stack([dev[t][1] - dev[t][0], dev[t][2] - dev[t][0]])
-        self.dev_jacobians = jac
 
     # -- topology helpers ----------------------------------------------------
 
@@ -276,8 +259,7 @@ class MetricComplex:
         return list(self._vertex_cofaces.get(v, []))
 
     def is_interior_vertex(self, v: int) -> bool:
-        edges = self.vertex_edges.get(v, [])
-        return bool(edges) and all(len(self.edge_cofaces[e]) == 2 for e in edges)
+        return v in self._vertex_cofaces and v not in self._boundary_vertices
 
 
 # -- per-simplex geometry ----------------------------------------------------
@@ -340,20 +322,24 @@ def _interior_edge_entry(K: MetricComplex, face: tuple[int, int]):
 
 
 def _edge_angle(K: MetricComplex, key: tuple[int, int]) -> float:
-    """Transport angle across ``key`` from the lower- to the higher-index coface."""
-    (ta, _), (tb, _) = K.edge_cofaces[key]
-    lo, hi = min(ta, tb), max(ta, tb)
-    unfolded = K._unfold_against(K.development[lo], lo, hi, key)
-    j_unf = np.column_stack([unfolded[1] - unfolded[0], unfolded[2] - unfolded[0]])
-    m = K.dev_jacobians[hi] @ np.linalg.inv(j_unf)
-    return _rotation_angle(m)
+    """Transport angle across ``key`` from the lower- to the higher-index coface.
+
+    It is the signed angle from the edge's developed vector in the lower
+    coface to its developed vector in the higher one.
+    """
+    (lo, i), (hi, j) = K.edge_cofaces[key]
+    # Consistent orientation: the two cofaces traverse the edge in opposite
+    # directions, so reversing hi's directed edge matches lo's.
+    u = K.development[lo][(i + 1) % 3] - K.development[lo][i]
+    w = K.development[hi][j] - K.development[hi][(j + 1) % 3]
+    return math.atan2(u[0] * w[1] - u[1] * w[0], u[0] * w[0] + u[1] * w[1])
 
 
 def connection_element(K: MetricComplex, face: tuple[int, int]) -> GroupElement:
     """Connection element across an interior edge, oriented from the
     lower-index coface to the higher-index one."""
     key, _ = _interior_edge_entry(K, face)
-    return GroupElement(SO2, _rot(_edge_angle(K, key)))
+    return GroupElement(SO2, SO2.exp_matrix(_edge_angle(K, key)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,17 +350,14 @@ class DualOneForm:
     angles: dict[tuple[int, int], float] = field(repr=False)
 
     def value(self, face: tuple[int, int], source: int, target: int) -> GroupElement:
-        key = _edge_key(*face)
-        entry = self.complex.edge_cofaces.get(key)
-        if entry is None or len(entry) != 2:
-            raise BoundaryFaceError(f"edge {face} is not interior")
+        key, entry = _interior_edge_entry(self.complex, face)
         tris = {t for t, _ in entry}
         if {source, target} != tris:
             raise NotAdjacentError(f"edge {key} does not join triangles {source} and {target}")
         theta = self.angles[key]
         if source > target:
             theta = -theta
-        return GroupElement(SO2, _rot(theta))
+        return GroupElement(SO2, SO2.exp_matrix(theta))
 
     def transport(self, source: int, target: int) -> GroupElement:
         """Transport across the (unique, deterministic) shared interior edge."""
@@ -383,16 +366,17 @@ class DualOneForm:
 
 
 def _shared_interior_edges(K: MetricComplex, source: int, target: int) -> list[tuple[int, int]]:
+    """Sorted interior edges whose cofaces are exactly {source, target}."""
     if source == target:
         raise NotAdjacentError("a triangle is not adjacent to itself")
-    out = [
-        key
-        for key, lst in K.interior_edges.items()
-        if {t for t, _ in lst} == {source, target}
-    ]
+    m = len(K.triangles)
+    if not (0 <= source < m and 0 <= target < m):
+        raise NotAdjacentError(f"triangles {source} and {target} are not both in the complex")
+    common = sorted(set(K.triangles[source].tolist()) & set(K.triangles[target].tolist()))
+    out = [key for key in combinations(common, 2) if key in K.interior_edges]
     if not out:
         raise NotAdjacentError(f"triangles {source} and {target} share no interior edge")
-    return sorted(out)
+    return out
 
 
 def connection_form(K: MetricComplex) -> DualOneForm:
@@ -401,13 +385,14 @@ def connection_form(K: MetricComplex) -> DualOneForm:
     return DualOneForm(K, angles)
 
 
-def _star_walk(K: MetricComplex, v: int) -> list[int]:
-    """Cofaces of v in dual-loop order, starting at the smallest index."""
+def _star_walk(K: MetricComplex, v: int) -> list[tuple[int, tuple[int, int]]]:
+    """Cofaces of v in dual-loop order, starting at the smallest index, each
+    paired with the edge the loop crosses to leave it."""
     cofaces = K.vertex_cofaces(v)
     if not cofaces:
         raise BoundaryHingeError(f"vertex {v} has no cofaces")
     start = min(cofaces)
-    walk = [start]
+    walk = []
     t = start
     while True:
         tri = K.triangles[t]
@@ -415,16 +400,15 @@ def _star_walk(K: MetricComplex, v: int) -> list[int]:
         # Crossing the edge to the predecessor vertex walks the star in
         # the direction induced by the face orientations, so the ordered
         # curvature product rotates by +defect rather than -defect.
-        nxt_vertex = int(tri[(i + 2) % 3])
-        key = _edge_key(v, nxt_vertex)
+        key = _edge_key(v, int(tri[(i + 2) % 3]))
         entry = K.edge_cofaces[key]
         if len(entry) != 2:
             raise BoundaryHingeError(f"vertex {v} lies on the boundary (edge {key})")
+        walk.append((t, key))
         t = next(tt for tt, _ in entry if tt != t)
         if t == start:
             break
-        walk.append(t)
-        if len(walk) > len(cofaces):
+        if len(walk) >= len(cofaces):
             raise MeshFormatError(f"star of vertex {v} is not a closed fan")
     if len(walk) != len(cofaces):
         raise MeshFormatError(f"star of vertex {v} is not a single closed fan")
@@ -440,16 +424,9 @@ def curvature(K: MetricComplex, A: DualOneForm, hinge: int) -> GroupElement:
     """
     walk = _star_walk(K, hinge)
     h = np.eye(2)
-    for i, t in enumerate(walk):
-        t_next = walk[(i + 1) % len(walk)]
-        h = A.value(_edge_key(hinge, int(_crossed_vertex(K, t, hinge))), t, t_next).matrix @ h
+    for (t, key), (t_next, _) in zip(walk, walk[1:] + walk[:1]):
+        h = A.value(key, t, t_next).matrix @ h
     return GroupElement(SO2, h)
-
-
-def _crossed_vertex(K: MetricComplex, t: int, v: int) -> int:
-    tri = K.triangles[t]
-    i = K._local_index(t, v)
-    return int(tri[(i + 2) % 3])
 
 
 @dataclass(frozen=True, eq=False)

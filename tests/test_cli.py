@@ -228,6 +228,20 @@ def test_holonomy_around_vertex_matches_defect(tmp_path, capsys):
     assert report["difference_mod_2pi"] < 1e-12
 
 
+def test_holonomy_around_degree_two_vertex(tmp_path, capsys):
+    # Two triangles glued along all three edges: consecutive star cofaces
+    # share two edges, and the loop around vertex 0 crosses both.
+    mesh = tmp_path / "pillow.json"
+    write_complex_json(mesh, 3, [[0, 1, 2], [0, 2, 1]],
+                       {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+    cfg = write_config(tmp_path, "h.json", {"mesh": str(mesh), "around_vertex": 0})
+    code, report = run(capsys, ["holonomy", "--config", cfg])
+    assert code == 0
+    assert report["loop_length"] == 2
+    assert report["enclosed_curvature"] == pytest.approx(4.0 * math.pi / 3.0, abs=1e-12)
+    assert report["difference_mod_2pi"] < 1e-12
+
+
 def test_holonomy_explicit_single_simplex(tmp_path, capsys):
     n, tris, lengths = cone(5)
     mesh = tmp_path / "cone.json"

@@ -129,6 +129,9 @@ def test_transport_matches_developments_across_every_hinge():
         build(flat_grid(3, 2)),
         build(torus_grid(4, 4)),
         build(cone(5)),
+        # Two triangles sharing all three edges.
+        MetricComplex.from_edge_lengths(3, [(0, 1, 2), (0, 2, 1)],
+                                        {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}),
     ]
     for K in cases:
         A = connection_form(K)
@@ -141,6 +144,15 @@ def test_transport_matches_developments_across_every_hinge():
             n_lo = developed_outward_normal(K, lo, key)
             n_hi = developed_outward_normal(K, hi, key)
             assert np.max(np.abs(r @ n_lo + n_hi)) < 1e-10
+
+
+def test_spanning_tree_edges_carry_exact_identity():
+    # Tree edges share both endpoints' developed positions bit for bit.
+    for K in (MetricComplex.from_embedding(*icosphere(1)),
+              build(flat_grid(3, 3)),
+              build(torus_grid(5, 4))):
+        angles = connection_form(K).angles.values()
+        assert sum(theta == 0.0 for theta in angles) >= len(K.triangles) - 1
 
 
 def test_dual_one_form_reversal_inverts():
@@ -182,6 +194,8 @@ def test_dual_one_form_guards_arguments():
     boundary = next(k for k, v in K.edge_cofaces.items() if len(v) == 1)
     with pytest.raises(BoundaryFaceError):
         A.value(boundary, t0, t1)
+    with pytest.raises(NotAFacetError):
+        A.value((0, K.vertex_count - 1), t0, t1)
     with pytest.raises(NotAdjacentError):
         A.transport(t0, t0)
 
@@ -289,6 +303,9 @@ def test_holonomy_rejects_open_or_broken_paths():
         holonomy(K, A, [0, 1, 2])
     with pytest.raises(NotAdjacentError):
         holonomy(K, A, [0, 2, 0])
+    for outside in (-1, len(K.triangles)):
+        with pytest.raises(NotAdjacentError):
+            holonomy(K, A, [0, outside, 0])
 
 
 # -- reports and invariants -----------------------------------------------------------
