@@ -79,6 +79,7 @@ def _parse_point(conn: DiscreteConnection, data: dict) -> BundlePoint:
     try:
         coords = np.asarray(data["shape"], dtype=float)
         fiber = np.asarray(data["fiber"], dtype=float)
+        conn.bundle.group.check_matrix(fiber)
     except (KeyError, TypeError, ValueError) as exc:
         raise DconnError(f"bad bundle point in config: {exc}") from exc
     return conn.bundle.point(coords, lg.element(conn.bundle.group, fiber))

@@ -5,6 +5,14 @@ carries a constant positive-definite metric, given in the triangle's own
 affine chart (basis v1-v0, v2-v0).  Metrics may come from per-triangle
 Gram matrices, from per-edge lengths, or from an embedding.
 
+Geometry tables.  Building a complex validates its metrics and tabulates
+them once: ``dets[t]``, ``lengths[t, k]`` (local edge k -> k+1) and
+``corner_angles[t, k]`` per triangle, ``angle_defects[v]`` per vertex.
+Every length and angle query reads these arrays.  A triangle whose
+smallest corner angle has sin^2 below SLIVER_SIN2 = 1e-12 is rejected with
+MeshFormatError: past it the curvature angle at a vertex and the vertex's
+angle defect drift apart, by 3e-10 at 1e-12 and by up to pi at 1e-15.
+
 Frames.  Each triangle gets an orthonormal frame by isometrically
 developing the complex into the plane along a breadth-first spanning tree
 of the dual graph (rooted at the lowest simplex index of each connected
@@ -46,15 +54,21 @@ from .lie_group import SO2, GroupElement
 _CHART = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # Shared-edge lengths must agree across adjacent triangles to this tolerance.
 CONSISTENCY_TOL = 1.0e-10
+# Triangles whose smallest corner angle has a smaller squared sine are rejected.
+SLIVER_SIN2 = 1.0e-12
 
 
 def _edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _gram_from_lengths(l01: float, l02: float, l12: float) -> np.ndarray:
-    g01 = 0.5 * (l01**2 + l02**2 - l12**2)
-    return np.array([[l01**2, g01], [g01, l02**2]])
+def _triangle_array(triangles, vertex_count: int) -> np.ndarray:
+    tris = np.asarray(triangles, dtype=int)
+    if tris.ndim != 2 or tris.shape[1] != 3:
+        raise MeshFormatError("triangles must be an (m, 3) index array")
+    if tris.size and (tris.min() < 0 or tris.max() >= vertex_count):
+        raise MeshFormatError("triangle vertex index out of range")
+    return tris
 
 
 class MetricComplex:
@@ -62,15 +76,13 @@ class MetricComplex:
 
     def __init__(self, vertex_count: int, triangles, chart_metrics, embedding=None):
         self.vertex_count = int(vertex_count)
-        self.triangles = np.asarray(triangles, dtype=int)
+        self.triangles = _triangle_array(triangles, self.vertex_count)
         self.chart_metrics = np.asarray(chart_metrics, dtype=float)
         self.embedding = None if embedding is None else np.asarray(embedding, dtype=float)
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshFormatError("triangles must be an (m, 3) index array")
         if self.chart_metrics.shape != (len(self.triangles), 2, 2):
             raise MeshFormatError("need one 2x2 chart metric per triangle")
         self._validate_combinatorics()
-        self._validate_metrics()
+        self._tabulate_metrics()
         self._build_adjacency()
         self._develop()
 
@@ -79,38 +91,32 @@ class MetricComplex:
     @classmethod
     def from_edge_lengths(cls, vertex_count: int, triangles, lengths: dict) -> "MetricComplex":
         """Build from {(i, j): length} with i < j (abstract complex)."""
-        tris = np.asarray(triangles, dtype=int)
-        metrics = []
-        for a, b, c in tris:
-            try:
-                l01 = lengths[_edge_key(a, b)]
-                l02 = lengths[_edge_key(a, c)]
-                l12 = lengths[_edge_key(b, c)]
-            except KeyError as exc:
-                raise MeshFormatError(f"missing edge length for {exc}") from exc
-            metrics.append(_gram_from_lengths(l01, l02, l12))
-        return cls(vertex_count, tris, np.array(metrics))
+        tris = _triangle_array(triangles, vertex_count)
+        try:
+            gathered = [
+                (lengths[_edge_key(a, b)], lengths[_edge_key(a, c)], lengths[_edge_key(b, c)])
+                for a, b, c in tris.tolist()
+            ]
+        except KeyError as exc:
+            raise MeshFormatError(f"missing edge length for {exc}") from exc
+        # float_power squares with libm pow, as ``**`` on a Python float does.
+        s01, s02, s12 = np.float_power(np.array(gathered, dtype=float).reshape(-1, 3).T, 2)
+        g01 = 0.5 * (s01 + s02 - s12)
+        return cls(vertex_count, tris, np.array([[s01, g01], [g01, s02]]).transpose(2, 0, 1))
 
     @classmethod
     def from_embedding(cls, vertices, triangles) -> "MetricComplex":
         """Build from vertex coordinates (2D or 3D); metrics are the pulled-back Grams."""
         verts = np.asarray(vertices, dtype=float)
-        tris = np.asarray(triangles, dtype=int)
-        metrics = []
-        for a, b, c in tris:
-            e1 = verts[b] - verts[a]
-            e2 = verts[c] - verts[a]
-            metrics.append(np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]]))
-        return cls(len(verts), tris, np.array(metrics), embedding=verts)
+        tris = _triangle_array(triangles, len(verts))
+        e = verts[tris[:, 1:]] - verts[tris[:, :1]]  # rows v1 - v0 and v2 - v0
+        return cls(len(verts), tris, e @ e.transpose(0, 2, 1), embedding=verts)
 
     # -- validation ---------------------------------------------------------
 
     def _validate_combinatorics(self) -> None:
-        m = self.triangles
-        if m.size and (m.min() < 0 or m.max() >= self.vertex_count):
-            raise MeshFormatError("triangle vertex index out of range")
         directed: set[tuple[int, int]] = set()
-        for t, (a, b, c) in enumerate(m):
+        for t, (a, b, c) in enumerate(self.triangles.tolist()):
             if len({a, b, c}) != 3:
                 raise MeshFormatError(f"triangle {t} has repeated vertices")
             for e in ((a, b), (b, c), (c, a)):
@@ -120,92 +126,104 @@ class MetricComplex:
                     )
                 directed.add(e)
 
-    def _validate_metrics(self) -> None:
-        for t, g in enumerate(self.chart_metrics):
-            if abs(g[0, 1] - g[1, 0]) > 1.0e-12 * max(1.0, abs(g[0, 1])):
+    def _tabulate_metrics(self) -> None:
+        """Validate the metrics and fill the geometry tables."""
+        g = self.chart_metrics
+        g00, g01, g10, g11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
+        dets = np.linalg.det(g)
+        # d^T g d for the chart vectors d of local edges 0->1, 1->2 and 2->0.
+        squared = np.stack([g00, (g00 - g10) + (g11 - g01), g11], axis=1)
+        asymmetric = np.abs(g01 - g10) > 1.0e-12 * np.maximum(1.0, np.abs(g01))
+        indefinite = ~((g00 > 0) & (dets > 0))
+        # The smallest angle lies between the two longest edges, so its sin^2
+        # is det over the product of their squared lengths.
+        longest = np.sort(squared, axis=1)[:, 1:].prod(axis=1)
+        sliver = dets < SLIVER_SIN2 * longest
+        bad = np.flatnonzero(asymmetric | indefinite | sliver)
+        if bad.size:
+            t = int(bad[0])
+            if asymmetric[t]:
                 raise MeshFormatError(f"metric of triangle {t} is not symmetric")
-            if g[0, 0] <= 0 or np.linalg.det(g) <= 0:
+            if indefinite[t]:
                 raise MeshFormatError(f"metric of triangle {t} is not positive definite")
+            raise MeshFormatError(
+                f"triangle {t} is a sliver: sin^2 of its smallest angle is "
+                f"{dets[t] / longest[t]:.3g}, below {SLIVER_SIN2:g}"
+            )
+        self.dets = dets
+        self.lengths = np.sqrt(squared)
+        # Each corner's edge vectors have chart cross product 1, so the sine
+        # part is sqrt(det); the cosine parts are u^T g w.
+        cos = np.stack([g01, g00 - g10, g11 - g10], axis=1)
+        self.corner_angles = np.arctan2(np.sqrt(dets)[:, None], cos)
+        # bincount adds each vertex's corners in increasing triangle order.
+        angle_sums = np.bincount(
+            self.triangles.ravel(), self.corner_angles.ravel(), minlength=self.vertex_count
+        )
+        self.angle_defects = 2.0 * np.pi - angle_sums
 
     # -- adjacency ----------------------------------------------------------
 
     def _build_adjacency(self) -> None:
+        tris = self.triangles.tolist()
         # edge key -> list of (triangle, local index of edge start), in
         # increasing triangle order.
         cofaces: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for t, tri in enumerate(self.triangles):
+        for t, tri in enumerate(tris):
             for k in range(3):
-                a, b = int(tri[k]), int(tri[(k + 1) % 3])
-                cofaces.setdefault(_edge_key(a, b), []).append((t, k))
+                cofaces.setdefault(_edge_key(tri[k], tri[(k + 1) % 3]), []).append((t, k))
         for key, lst in cofaces.items():
             if len(lst) > 2:
                 raise MeshFormatError(f"edge {key} has {len(lst)} cofaces")
         self.edge_cofaces = cofaces
         self.interior_edges = {k: v for k, v in cofaces.items() if len(v) == 2}
         # shared-edge length consistency across the two charts
-        for key, lst in self.interior_edges.items():
-            lens = [self._edge_length_in(t, key) for t, _ in lst]
-            if abs(lens[0] - lens[1]) > CONSISTENCY_TOL * max(1.0, lens[0]):
-                raise MeshFormatError(
-                    f"edge {key} has inconsistent lengths {lens[0]!r} vs {lens[1]!r}"
-                )
+        lengths = self.lengths.tolist()
+        for key, ((t0, k0), (t1, k1)) in self.interior_edges.items():
+            l0, l1 = lengths[t0][k0], lengths[t1][k1]
+            if abs(l0 - l1) > CONSISTENCY_TOL * max(1.0, l0):
+                raise MeshFormatError(f"edge {key} has inconsistent lengths {l0!r} vs {l1!r}")
         self._boundary_vertices = {
             v for key, lst in cofaces.items() if len(lst) == 1 for v in key
         }
         vertex_cofaces: dict[int, list[int]] = {}
-        for t, tri in enumerate(self.triangles):
+        for t, tri in enumerate(tris):
             for v in tri:
-                vertex_cofaces.setdefault(int(v), []).append(t)
+                vertex_cofaces.setdefault(v, []).append(t)
         self._vertex_cofaces = vertex_cofaces
-
-    def _local_index(self, t: int, v: int) -> int:
-        tri = self.triangles[t]
-        for k in range(3):
-            if tri[k] == v:
-                return k
-        raise NotAFacetError(f"vertex {v} is not in triangle {t}")
 
     def _edge_length_in(self, t: int, edge: tuple[int, int]) -> float:
         """Length of the edge between two vertices of triangle t, in t's metric."""
-        d = self.edge_vector_in(t, edge)
-        return float(np.sqrt(d @ self.chart_metrics[t] @ d))
-
-    def edge_vector_in(self, t: int, edge: tuple[int, int]) -> np.ndarray:
-        """Chart vector of the directed edge edge[0] -> edge[1] inside triangle t."""
-        i = self._local_index(t, edge[0])
-        j = self._local_index(t, edge[1])
-        return _CHART[j] - _CHART[i]
+        return float(self.lengths[t, dict(self.edge_cofaces[_edge_key(*edge)])[t]])
 
     # -- development --------------------------------------------------------
 
     def _root_positions(self, t: int) -> np.ndarray:
-        g = self.chart_metrics[t]
-        l00 = np.sqrt(g[0, 0])
+        l01 = self.lengths[t, 0]
         # Cholesky-transpose image of the chart corners; positively oriented.
-        p1 = np.array([l00, 0.0])
-        p2 = np.array([g[0, 1] / l00, np.sqrt(np.linalg.det(g)) / l00])
-        return np.array([[0.0, 0.0], p1, p2])
+        p2 = [self.chart_metrics[t, 0, 1] / l01, np.sqrt(self.dets[t]) / l01]
+        return np.array([[0.0, 0.0], [l01, 0.0], p2])
 
-    def _unfold_against(self, pos_known: np.ndarray, t_known: int, t_new: int,
-                        edge: tuple[int, int]) -> np.ndarray:
-        """Planar positions of t_new's corners, hinged flat across edge.
+    def _unfold_against(self, pos_known: np.ndarray, known: tuple[int, int],
+                        new: tuple[int, int], a: int) -> np.ndarray:
+        """Planar positions of a triangle's corners, hinged flat across a shared edge.
 
-        ``pos_known`` holds planar positions of t_known's corners; the new
-        triangle lands on the opposite side of the shared edge.
+        ``known`` and ``new`` are the edge's two cofaces as (triangle, local
+        start index) pairs, ``pos_known`` holds planar positions of the known
+        triangle's corners and ``a`` is the edge endpoint used as the hinge
+        origin.  The new triangle lands on the opposite side of the edge.
         """
-        a, b = edge
-        pa = pos_known[self._local_index(t_known, a)]
-        pb = pos_known[self._local_index(t_known, b)]
-        other_known = ({0, 1, 2} - {self._local_index(t_known, a), self._local_index(t_known, b)}).pop()
-        pc_known = pos_known[other_known]
-
-        la = self._local_index(t_new, a)
-        lb = self._local_index(t_new, b)
-        lc = ({0, 1, 2} - {la, lb}).pop()
-        c = int(self.triangles[t_new][lc])
-        l_ab = self._edge_length_in(t_new, (a, b))
-        l_ac = self._edge_length_in(t_new, (a, c))
-        l_bc = self._edge_length_in(t_new, (b, c))
+        (t_known, k_known), (t_new, k_new) = known, new
+        # The two cofaces traverse the edge in opposite directions.
+        if self.triangles[t_new, k_new] == a:
+            la, lb, ka, kb = k_new, (k_new + 1) % 3, (k_known + 1) % 3, k_known
+        else:
+            la, lb, ka, kb = (k_new + 1) % 3, k_new, k_known, (k_known + 1) % 3
+        lc = (k_new + 2) % 3
+        pa, pb, pc_known = pos_known[ka], pos_known[kb], pos_known[(k_known + 2) % 3]
+        # Local edge j is opposite corner j + 2.
+        lengths = self.lengths[t_new].tolist()
+        l_ab, l_ac, l_bc = lengths[k_new], lengths[(lb + 1) % 3], lengths[(la + 1) % 3]
 
         ex = (pb - pa) / np.linalg.norm(pb - pa)
         ey = np.array([-ex[1], ex[0]])
@@ -224,11 +242,11 @@ class MetricComplex:
         m = len(self.triangles)
         dev = np.full((m, 3, 2), np.nan)
         visited = np.zeros(m, dtype=bool)
-        neighbors: dict[int, list[tuple[int, tuple[int, int]]]] = {t: [] for t in range(m)}
-        for key, lst in self.interior_edges.items():
-            (t0, _), (t1, _) = lst
-            neighbors[t0].append((t1, key))
-            neighbors[t1].append((t0, key))
+        # t -> (neighbor, shared edge, t's coface entry, the neighbor's)
+        neighbors: dict[int, list] = {t: [] for t in range(m)}
+        for key, (c0, c1) in self.interior_edges.items():
+            neighbors[c0[0]].append((c1[0], key, c0, c1))
+            neighbors[c1[0]].append((c0[0], key, c1, c0))
         for t in neighbors:
             neighbors[t].sort()
         for root in range(m):
@@ -239,10 +257,10 @@ class MetricComplex:
             queue = deque([root])
             while queue:
                 t = queue.popleft()
-                for t_next, key in neighbors[t]:
+                for t_next, key, known, new in neighbors[t]:
                     if visited[t_next]:
                         continue
-                    dev[t_next] = self._unfold_against(dev[t], t, t_next, key)
+                    dev[t_next] = self._unfold_against(dev[t], known, new, key[0])
                     visited[t_next] = True
                     queue.append(t_next)
         self.development = dev
@@ -267,22 +285,17 @@ class MetricComplex:
 
 def corner_angle(K: MetricComplex, t: int, v: int) -> float:
     """Interior angle of triangle t at vertex v, measured in t's metric."""
-    i = K._local_index(t, v)
-    tri = K.triangles[t]
-    j, k = (i + 1) % 3, (i + 2) % 3
-    u = _CHART[j] - _CHART[i]
-    w = _CHART[k] - _CHART[i]
-    g = K.chart_metrics[t]
-    cos_raw = float(u @ g @ w)
-    cross = u[0] * w[1] - u[1] * w[0]
-    sin_raw = float(np.sqrt(np.linalg.det(g)) * abs(cross))
-    return float(np.arctan2(sin_raw, cos_raw))
+    tri = K.triangles[t].tolist()
+    if v not in tri:
+        raise NotAFacetError(f"vertex {v} is not in triangle {t}")
+    return float(K.corner_angles[t, tri.index(v)])
 
 
 def angle_defect(K: MetricComplex, v: int) -> float:
     """2 pi minus the total corner angle at v (meaningful for interior vertices)."""
-    total = sum(corner_angle(K, t, v) for t in K.vertex_cofaces(v))
-    return 2.0 * np.pi - total
+    if not 0 <= v < K.vertex_count:
+        raise BoundaryHingeError(f"vertex {v} is not in the complex")
+    return float(K.angle_defects[v])
 
 
 def face_normal(K: MetricComplex, t: int, face: tuple[int, int]) -> np.ndarray:
@@ -292,15 +305,13 @@ def face_normal(K: MetricComplex, t: int, face: tuple[int, int]) -> np.ndarray:
     y = L^T u have Euclidean inner products equal to metric ones, so the
     returned 2-vector is metric-orthogonal to the edge and has unit length.
     """
-    tri = K.triangles[t]
+    tri = K.triangles[t].tolist()
     if face[0] not in tri or face[1] not in tri or face[0] == face[1]:
         raise NotAFacetError(f"edge {face} is not a facet of triangle {t}")
     lt = np.linalg.cholesky(K.chart_metrics[t]).T
-    i = K._local_index(t, face[0])
-    j = K._local_index(t, face[1])
-    k = ({0, 1, 2} - {i, j}).pop()
+    i, j = tri.index(face[0]), tri.index(face[1])
     y_edge = lt @ (_CHART[j] - _CHART[i])
-    y_opp = lt @ (_CHART[k] - _CHART[i])
+    y_opp = lt @ (_CHART[3 - i - j] - _CHART[i])
     n = np.array([-y_edge[1], y_edge[0]])
     n /= np.linalg.norm(n)
     if n @ y_opp > 0.0:
@@ -395,12 +406,11 @@ def _star_walk(K: MetricComplex, v: int) -> list[tuple[int, tuple[int, int]]]:
     walk = []
     t = start
     while True:
-        tri = K.triangles[t]
-        i = K._local_index(t, v)
+        tri = K.triangles[t].tolist()
         # Crossing the edge to the predecessor vertex walks the star in
         # the direction induced by the face orientations, so the ordered
         # curvature product rotates by +defect rather than -defect.
-        key = _edge_key(v, int(tri[(i + 2) % 3]))
+        key = _edge_key(v, tri[(tri.index(v) + 2) % 3])
         entry = K.edge_cofaces[key]
         if len(entry) != 2:
             raise BoundaryHingeError(f"vertex {v} lies on the boundary (edge {key})")

@@ -141,20 +141,6 @@ def induced_continuous(c: DiscreteConnection, v: TangentVector,
     return AlgebraElement(group, derivative_at_zero(sample, h_list))
 
 
-def exact_discrete(a: ContinuousConnection,
-                   metric_log: Callable[[PairElement], TangentVector],
-                   p: PairElement) -> GroupElement:
-    """exp of the one-form evaluated on the metric log of the pair."""
-    return lg.exp(a.one_form(metric_log(p)))
-
-
-def cayley_discrete(a: ContinuousConnection,
-                    metric_log: Callable[[PairElement], TangentVector],
-                    p: PairElement) -> GroupElement:
-    """Cayley transform of the one-form value: a second-order approximant."""
-    return lg.cayley(a.one_form(metric_log(p)))
-
-
 def _local_rep(a: ContinuousConnection, to_group,
                at_far_end: bool = False) -> Callable[[ShapePoint, ShapePoint], GroupElement]:
     """to_group of the one-form on the chart log of ((x0, e), (x1, e)).

@@ -338,6 +338,27 @@ def test_missing_connection_field_is_a_domain_failure(tmp_path, capsys):
     assert main(["decompose", "--config", cfg]) == 2
 
 
+def test_fibers_outside_the_group_are_domain_failures(tmp_path, capsys):
+    stretched = np.diag([2.0, 1.0, 1.0]).tolist()
+    cfg = write_config(tmp_path, "d.json", {
+        "connection": "euler_poincare",
+        "pair": {
+            "first": {"shape": [], "fiber": stretched},
+            "second": {"shape": [], "fiber": rot_z(0.8)},
+        },
+    })
+    assert main(["decompose", "--config", cfg]) == 2
+    assert "not orthonormal" in capsys.readouterr().err
+    reflection = np.diag([1.0, 1.0, -1.0]).tolist()
+    cfg2 = write_config(tmp_path, "o.json", {
+        "candidate": "cayley:so3_mechanical",
+        "reference": "exponentiated:so3_mechanical",
+        "base_point": {"shape": [0.1, -0.2], "fiber": reflection},
+    })
+    assert main(["order", "--config", cfg2]) == 2
+    assert "negative determinant" in capsys.readouterr().err
+
+
 def test_bad_h_sweep_is_a_domain_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, "o.json", {
         "candidate": "cayley:so3_mechanical",

@@ -14,6 +14,8 @@ from dconn.errors import (
     NotClosedError,
 )
 from dconn.levi_civita import (
+    _CHART,
+    SLIVER_SIN2,
     MetricComplex,
     angle_defect,
     connection_element,
@@ -51,16 +53,21 @@ def build(parts) -> MetricComplex:
     return MetricComplex.from_edge_lengths(vertex_count, tris, lengths)
 
 
+def local_indices(K: MetricComplex, t: int, edge) -> tuple[int, int]:
+    tri = list(K.triangles[t])
+    return tri.index(edge[0]), tri.index(edge[1])
+
+
 def developed_edge(K: MetricComplex, t: int, edge) -> np.ndarray:
-    a = K.development[t][K._local_index(t, edge[0])]
-    b = K.development[t][K._local_index(t, edge[1])]
-    return b - a
+    i, j = local_indices(K, t, edge)
+    return K.development[t][j] - K.development[t][i]
 
 
 def developed_outward_normal(K: MetricComplex, t: int, edge) -> np.ndarray:
     u = developed_edge(K, t, edge)
-    opp = ({0, 1, 2} - {K._local_index(t, edge[0]), K._local_index(t, edge[1])}).pop()
-    w = K.development[t][opp] - K.development[t][K._local_index(t, edge[0])]
+    i, j = local_indices(K, t, edge)
+    opp = ({0, 1, 2} - {i, j}).pop()
+    w = K.development[t][opp] - K.development[t][i]
     n = np.array([-u[1], u[0]])
     n /= np.linalg.norm(n)
     if n @ w > 0.0:
@@ -78,6 +85,8 @@ def test_corner_angles_of_right_triangle():
     assert corner_angle(K, 0, 2) == pytest.approx(math.atan2(3.0, 4.0), abs=1e-12)
     total = sum(corner_angle(K, 0, v) for v in range(3))
     assert total == pytest.approx(math.pi, abs=1e-12)
+    with pytest.raises(NotAFacetError):
+        corner_angle(K, 0, 3)
 
 
 def test_face_normal_of_unit_right_triangle():
@@ -98,7 +107,7 @@ def test_face_normals_are_unit_and_metric_orthogonal():
             edge = (int(tri[k]), int(tri[(k + 1) % 3]))
             n = face_normal(K, t, edge)
             assert abs(np.linalg.norm(n) - 1.0) < 1e-12
-            y_edge = lt @ K.edge_vector_in(t, edge)
+            y_edge = lt @ (_CHART[(k + 1) % 3] - _CHART[k])
             assert abs(n @ y_edge) < 1e-12
 
 
@@ -265,6 +274,10 @@ def test_curvature_rejects_boundary_vertices():
     assert not K.is_interior_vertex(boundary_vertex)
     with pytest.raises(BoundaryHingeError):
         curvature(K, A, boundary_vertex)
+    for outside in (-1, K.vertex_count):
+        for query in (lambda v: curvature(K, A, v), lambda v: angle_defect(K, v)):
+            with pytest.raises(BoundaryHingeError):
+                query(outside)
 
 
 # -- holonomy ----------------------------------------------------------------------
@@ -418,6 +431,23 @@ def test_rejects_degenerate_triangles_and_bad_indices():
     with pytest.raises(MeshFormatError):
         MetricComplex.from_edge_lengths(3, [(0, 1, 5)],
                                         {(0, 1): 1.0, (0, 5): 1.0, (1, 5): 1.0})
+
+
+def test_rejects_sliver_triangles():
+    # A flat fan whose ring vertex 2 sits a relative 1e-14 short of ring
+    # vertex 3: accepted, its defect read -1e-8 but its curvature turned 2.09.
+    ring = [[math.cos(math.pi * i / 3), math.sin(math.pi * i / 3)] for i in range(6)]
+    ring[1] = [(1.0 - 1e-14) * x for x in ring[2]]
+    fan = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
+    with pytest.raises(MeshFormatError, match="sliver"):
+        MetricComplex.from_embedding(np.array([[0.0, 0.0]] + ring), fan)
+    # Two unit edges at a small angle: the metric's determinant is its sin^2.
+    def thin(sin2):
+        c = math.sqrt(1.0 - sin2)
+        return MetricComplex(3, [(0, 1, 2)], np.array([[[1.0, c], [c, 1.0]]]))
+    thin(10.0 * SLIVER_SIN2)
+    with pytest.raises(MeshFormatError, match="sliver"):
+        thin(0.1 * SLIVER_SIN2)
 
 
 def test_rejects_missing_and_impossible_lengths():

@@ -8,18 +8,16 @@ import pytest
 from dconn import bundle as bd
 from dconn import lie_group as lg
 from dconn.bundle import Bundle, PairElement, ShapePoint
-from dconn.connection import trivial_connection
+from dconn.connection import eval_form, trivial_connection
 from dconn.errors import BasepointMismatchError, DegenerateFitError
 from dconn.lie_group import SO3, translation_group
 from dconn.limits import (
     cayley_connection,
-    cayley_discrete,
     chart_curve,
     chart_pair_log,
     derivative_at_zero,
     endpoint_connection,
     estimate_order,
-    exact_discrete,
     exponentiated_connection,
     horizontal_variation,
     induced_continuous,
@@ -170,22 +168,21 @@ def test_induced_form_abelian_closed_form():
 
 
 def test_exact_discretization_on_diagonal():
-    a = so3_mechanical()
+    c = exponentiated_connection(so3_mechanical())
     rng = np.random.default_rng(58)
-    q = a.bundle.random_point(rng)
-    w = exact_discrete(a, chart_pair_log, PairElement(q, q))
+    q = c.bundle.random_point(rng)
+    w = eval_form(c, PairElement(q, q))
     assert np.max(np.abs(w.matrix - np.eye(3))) < 1e-15
 
 
 def test_exact_discretization_on_vertical_pairs():
     # exp(xi) . q over the same base point maps back to exp(xi).
-    a = so3_mechanical()
+    c = exponentiated_connection(so3_mechanical())
     rng = np.random.default_rng(59)
     for _ in range(10):
-        q = a.bundle.random_point(rng, shape_scale=0.1)
+        q = c.bundle.random_point(rng, shape_scale=0.1)
         xi = lg.random_algebra(SO3, rng, scale=0.6)
-        p = PairElement(q, bd.act(lg.exp(xi), q))
-        w = exact_discrete(a, chart_pair_log, p)
+        w = eval_form(c, PairElement(q, bd.act(lg.exp(xi), q)))
         assert np.max(np.abs(w.matrix - lg.exp(xi).matrix)) < 1e-11
 
 
@@ -201,14 +198,14 @@ def test_exponentiated_connection_abelian_closed_form():
 
 
 def test_cayley_discretization_identity_and_group_membership():
-    a = so3_mechanical()
+    c = cayley_connection(so3_mechanical())
     rng = np.random.default_rng(61)
-    q = a.bundle.random_point(rng)
-    assert np.max(np.abs(cayley_discrete(a, chart_pair_log, PairElement(q, q)).matrix - np.eye(3))) < 1e-15
+    q = c.bundle.random_point(rng)
+    assert np.max(np.abs(eval_form(c, PairElement(q, q)).matrix - np.eye(3))) < 1e-15
     for _ in range(5):
-        p = PairElement(a.bundle.random_point(rng, shape_scale=0.1),
-                        a.bundle.random_point(rng, shape_scale=0.1))
-        SO3.check_matrix(cayley_discrete(a, chart_pair_log, p).matrix, tol=1e-12)
+        p = PairElement(c.bundle.random_point(rng, shape_scale=0.1),
+                        c.bundle.random_point(rng, shape_scale=0.1))
+        SO3.check_matrix(eval_form(c, p).matrix, tol=1e-12)
 
 
 # -- direction sampling --------------------------------------------------------------

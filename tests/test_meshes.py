@@ -186,6 +186,10 @@ def test_off_rejects_malformed_files(tmp_path):
     flat2d.write_text("OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 2\n")
     with pytest.raises(MeshFormatError):
         read_off(flat2d)
+    stray_index = tmp_path / "i.off"
+    stray_index.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 5\n")
+    with pytest.raises(MeshFormatError):
+        read_off(stray_index)
 
 
 def test_read_mesh_dispatch(tmp_path):
