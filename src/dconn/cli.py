@@ -203,7 +203,7 @@ def cmd_holonomy(cfg: dict) -> dict:
     elif "around_vertex" in cfg:
         v = int(cfg["around_vertex"])
         h = lc.curvature(K, A, v)
-        loop_length = len(K.vertex_cofaces(v))
+        loop_length = int(K.star_ptr[v + 1] - K.star_ptr[v])
         enclosed_curvature = lc.angle_defect(K, v)
         loop_source = "around_vertex"
     elif "latitude" in cfg:

@@ -24,18 +24,20 @@ Tree edges share their endpoints' positions exactly and so carry exactly
 the identity, every flat complex carries the identity on all interior
 edges, and curvature and holonomy are independent of this gauge choice.
 
-Curvature.  The curvature at an interior vertex is the ordered product of
-connection elements around the dual loop of its star, based at the coface
-with the smallest simplex index; its rotation angle is the angle defect.
+Adjacency.  One edge table, built with the complex, answers every adjacency query.
+
+Curvature.  SO(2) is abelian, so a transport adds the signed edge angles it
+crosses.  The curvature at an interior vertex is the transport around the
+dual loop of its star, in the direction the face orientations induce; its
+angle is the angle defect mod 2 pi.  A star that is not a single closed fan
+is rejected with MeshFormatError.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,9 +83,8 @@ class MetricComplex:
         self.embedding = None if embedding is None else np.asarray(embedding, dtype=float)
         if self.chart_metrics.shape != (len(self.triangles), 2, 2):
             raise MeshFormatError("need one 2x2 chart metric per triangle")
-        self._validate_combinatorics()
-        self._tabulate_metrics()
         self._build_adjacency()
+        self._tabulate_metrics()
         self._develop()
 
     # -- construction -------------------------------------------------------
@@ -113,18 +114,6 @@ class MetricComplex:
         return cls(len(verts), tris, e @ e.transpose(0, 2, 1), embedding=verts)
 
     # -- validation ---------------------------------------------------------
-
-    def _validate_combinatorics(self) -> None:
-        directed: set[tuple[int, int]] = set()
-        for t, (a, b, c) in enumerate(self.triangles.tolist()):
-            if len({a, b, c}) != 3:
-                raise MeshFormatError(f"triangle {t} has repeated vertices")
-            for e in ((a, b), (b, c), (c, a)):
-                if e in directed:
-                    raise MeshFormatError(
-                        f"directed edge {e} appears twice; orientations are inconsistent"
-                    )
-                directed.add(e)
 
     def _tabulate_metrics(self) -> None:
         """Validate the metrics and fill the geometry tables."""
@@ -161,40 +150,67 @@ class MetricComplex:
             self.triangles.ravel(), self.corner_angles.ravel(), minlength=self.vertex_count
         )
         self.angle_defects = 2.0 * np.pi - angle_sums
+        # Both cofaces of an edge must give it the same length.
+        inner = self.edge_faces[:, 1] >= 0
+        l0, l1 = self.lengths[self.edge_faces[inner], self.edge_local[inner]].T
+        bad = np.flatnonzero(np.abs(l0 - l1) > CONSISTENCY_TOL * np.maximum(1.0, l0))
+        if bad.size:
+            i = bad[0]
+            raise MeshFormatError(f"edge {tuple(self.edges[inner][i].tolist())} has "
+                                  f"inconsistent lengths {float(l0[i])!r} vs {float(l1[i])!r}")
 
     # -- adjacency ----------------------------------------------------------
 
     def _build_adjacency(self) -> None:
-        tris = self.triangles.tolist()
-        # edge key -> list of (triangle, local index of edge start), in
-        # increasing triangle order.
-        cofaces: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for t, tri in enumerate(tris):
-            for k in range(3):
-                cofaces.setdefault(_edge_key(tri[k], tri[(k + 1) % 3]), []).append((t, k))
-        for key, lst in cofaces.items():
-            if len(lst) > 2:
-                raise MeshFormatError(f"edge {key} has {len(lst)} cofaces")
-        self.edge_cofaces = cofaces
-        self.interior_edges = {k: v for k, v in cofaces.items() if len(v) == 2}
-        # shared-edge length consistency across the two charts
-        lengths = self.lengths.tolist()
-        for key, ((t0, k0), (t1, k1)) in self.interior_edges.items():
-            l0, l1 = lengths[t0][k0], lengths[t1][k1]
-            if abs(l0 - l1) > CONSISTENCY_TOL * max(1.0, l0):
-                raise MeshFormatError(f"edge {key} has inconsistent lengths {l0!r} vs {l1!r}")
-        self._boundary_vertices = {
-            v for key, lst in cofaces.items() if len(lst) == 1 for v in key
-        }
-        vertex_cofaces: dict[int, list[int]] = {}
-        for t, tri in enumerate(tris):
-            for v in tri:
-                vertex_cofaces.setdefault(v, []).append(t)
-        self._vertex_cofaces = vertex_cofaces
+        """Validate the combinatorics and build the edge table.
 
-    def _edge_length_in(self, t: int, edge: tuple[int, int]) -> float:
-        """Length of the edge between two vertices of triangle t, in t's metric."""
-        return float(self.lengths[t, dict(self.edge_cofaces[_edge_key(*edge)])[t]])
+        Half-edge, or corner, ``h = 3 t + k`` runs from ``triangles[t, k]`` to
+        ``triangles[t, k + 1]``.  The table holds ``edges`` (E, 2), the sorted
+        edge keys; ``face_edges`` (F, 3), the edge of each half-edge;
+        ``edge_faces`` and ``edge_local`` (E, 2), each edge's cofaces in
+        increasing order and their local start indices, -1 on the boundary;
+        each vertex's star in CSR form (``star_ptr``, ``star_corners``);
+        ``interior_vertices``; and ``star_fans``, the number of closed fans
+        around each interior vertex.
+        """
+        tris, n = self.triangles, self.vertex_count
+        tails, heads = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+        h = np.arange(tails.size)
+        if (tails == heads).any():
+            raise MeshFormatError(f"triangle {h[tails == heads][0] // 3} has repeated vertices")
+        directed, uses = np.unique(tails * n + heads, return_counts=True)
+        if (uses > 1).any():
+            raise MeshFormatError(
+                f"directed edge {divmod(int(directed[uses > 1][0]), n)} appears twice; "
+                "orientations are inconsistent or the edge has more than two triangles"
+            )
+        # So every edge has one or two half-edges; np.unique returns the
+        # first, in the lower triangle, and the maximum is the other one.
+        keys, lower, halves = np.unique(
+            np.minimum(tails, heads) * n + np.maximum(tails, heads),
+            return_index=True, return_inverse=True,
+        )
+        upper = np.full(keys.size, -1)
+        np.maximum.at(upper, halves, h)
+        pairs = np.stack([lower, np.where(upper > lower, upper, -1)], axis=1)
+        self.edges = np.stack(np.divmod(keys, n), axis=1)
+        self.face_edges = halves.reshape(tris.shape)
+        self.edge_faces, self.edge_local = np.where(pairs >= 0, np.divmod(pairs, 3), -1)
+        degrees = np.bincount(tails, minlength=n)
+        self.star_ptr = np.concatenate([[0], np.cumsum(degrees)])
+        self.star_corners = np.argsort(tails, kind="stable")
+        on_boundary = np.bincount(self.edges[pairs[:, 1] < 0].ravel(), minlength=n) > 0
+        self.interior_vertices = (degrees > 0) & ~on_boundary
+        # Around an interior vertex, corner h steps to the twin of the
+        # half-edge entering it, 3 t + (k + 2) % 3: a permutation of the
+        # vertex's corners with one cycle per closed fan.  Pointer jumping
+        # labels each corner with the smallest corner on its cycle.
+        twin = pairs[halves].sum(axis=1) - h  # -1 on the boundary
+        step = twin[h - h % 3 + (h + 2) % 3]
+        step, label, span = np.where(step >= 0, step, h), h, 1
+        while span < degrees.max(initial=0):
+            label, step, span = np.minimum(label, label[step]), step[step], 2 * span
+        self.star_fans = np.bincount(tails[label == h], minlength=n)
 
     # -- development --------------------------------------------------------
 
@@ -242,13 +258,15 @@ class MetricComplex:
         m = len(self.triangles)
         dev = np.full((m, 3, 2), np.nan)
         visited = np.zeros(m, dtype=bool)
-        # t -> (neighbor, shared edge, t's coface entry, the neighbor's)
-        neighbors: dict[int, list] = {t: [] for t in range(m)}
-        for key, (c0, c1) in self.interior_edges.items():
-            neighbors[c0[0]].append((c1[0], key, c0, c1))
-            neighbors[c1[0]].append((c0[0], key, c1, c0))
-        for t in neighbors:
-            neighbors[t].sort()
+        # Each triangle's (neighbour, k, neighbour's k, smaller vertex) across
+        # its local edges k, by neighbour and edge key; -1 across the boundary.
+        fe = self.face_edges
+        faces, local = self.edge_faces[fe], self.edge_local[fe]
+        lower = faces[..., 0] == np.arange(m)[:, None]
+        nbr = np.where(lower, faces[..., 1], faces[..., 0])
+        nbr_k = np.where(lower, local[..., 1], local[..., 0])
+        steps = np.stack([nbr, np.broadcast_to([0, 1, 2], fe.shape), nbr_k, self.edges[fe, 0]], 2)
+        steps = np.take_along_axis(steps, np.lexsort((fe, nbr), axis=1)[..., None], 1).tolist()
         for root in range(m):
             if visited[root]:
                 continue
@@ -257,10 +275,10 @@ class MetricComplex:
             queue = deque([root])
             while queue:
                 t = queue.popleft()
-                for t_next, key, known, new in neighbors[t]:
-                    if visited[t_next]:
+                for t_next, k, k_next, a in steps[t]:
+                    if t_next < 0 or visited[t_next]:
                         continue
-                    dev[t_next] = self._unfold_against(dev[t], known, new, key[0])
+                    dev[t_next] = self._unfold_against(dev[t], (t, k), (t_next, k_next), a)
                     visited[t_next] = True
                     queue.append(t_next)
         self.development = dev
@@ -268,16 +286,13 @@ class MetricComplex:
     # -- topology helpers ----------------------------------------------------
 
     def euler_characteristic(self) -> int:
-        return self.vertex_count - len(self.edge_cofaces) + len(self.triangles)
+        return self.vertex_count - len(self.edges) + len(self.triangles)
 
     def is_closed(self) -> bool:
-        return len(self.interior_edges) == len(self.edge_cofaces)
-
-    def vertex_cofaces(self, v: int) -> list[int]:
-        return list(self._vertex_cofaces.get(v, []))
+        return bool((self.edge_faces[:, 1] >= 0).all())
 
     def is_interior_vertex(self, v: int) -> bool:
-        return v in self._vertex_cofaces and v not in self._boundary_vertices
+        return 0 <= v < self.vertex_count and bool(self.interior_vertices[v])
 
 
 # -- per-simplex geometry ----------------------------------------------------
@@ -322,121 +337,115 @@ def face_normal(K: MetricComplex, t: int, face: tuple[int, int]) -> np.ndarray:
 # -- the connection ----------------------------------------------------------
 
 
-def _interior_edge_entry(K: MetricComplex, face: tuple[int, int]):
-    key = _edge_key(*face)
-    entry = K.edge_cofaces.get(key)
-    if entry is None:
+def _rotation(theta: float) -> GroupElement:
+    return GroupElement(SO2, SO2.exp_matrix(theta), True)
+
+
+def _interior_edge(K: MetricComplex, face: tuple[int, int]) -> int:
+    """Edge id of an interior edge, looked up in the sorted edge table."""
+    a, b = _edge_key(*face)
+    lo, hi = np.searchsorted(K.edges[:, 0], [a, a + 1])
+    e = int(lo + np.searchsorted(K.edges[lo:hi, 1], b))
+    if e == hi or K.edges[e, 1] != b:
         raise NotAFacetError(f"edge {face} is not in the complex")
-    if len(entry) == 1:
+    if K.edge_faces[e, 1] < 0:
         raise BoundaryFaceError(f"edge {face} lies on the boundary")
-    return key, entry
+    return e
 
 
-def _edge_angle(K: MetricComplex, key: tuple[int, int]) -> float:
-    """Transport angle across ``key`` from the lower- to the higher-index coface.
-
-    It is the signed angle from the edge's developed vector in the lower
-    coface to its developed vector in the higher one.
-    """
-    (lo, i), (hi, j) = K.edge_cofaces[key]
+def _edge_angles(K: MetricComplex, edges: np.ndarray) -> np.ndarray:
+    """Signed angles from interior edges' developed vectors in their lower
+    cofaces to those in their higher ones."""
+    (lo, hi), (i, j) = K.edge_faces[edges].T, K.edge_local[edges].T
     # Consistent orientation: the two cofaces traverse the edge in opposite
     # directions, so reversing hi's directed edge matches lo's.
-    u = K.development[lo][(i + 1) % 3] - K.development[lo][i]
-    w = K.development[hi][j] - K.development[hi][(j + 1) % 3]
-    return math.atan2(u[0] * w[1] - u[1] * w[0], u[0] * w[0] + u[1] * w[1])
+    u = K.development[lo, (i + 1) % 3] - K.development[lo, i]
+    w = K.development[hi, j] - K.development[hi, (j + 1) % 3]
+    return np.arctan2(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0], u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1])
 
 
 def connection_element(K: MetricComplex, face: tuple[int, int]) -> GroupElement:
     """Connection element across an interior edge, oriented from the
     lower-index coface to the higher-index one."""
-    key, _ = _interior_edge_entry(K, face)
-    return GroupElement(SO2, SO2.exp_matrix(_edge_angle(K, key)))
+    return _rotation(_edge_angles(K, [_interior_edge(K, face)])[0])
+
+
+def _shared_edges(K: MetricComplex, sources, targets) -> np.ndarray:
+    """The lowest-keyed edge each pair of triangles shares (it is interior)."""
+    sources, targets = np.asarray(sources, dtype=int), np.asarray(targets, dtype=int)
+    m, n_edges = len(K.triangles), len(K.edges)
+    inside = (0 <= sources) & (sources < m) & (0 <= targets) & (targets < m)
+    fs, ft = K.face_edges[np.where(inside, [sources, targets], 0)]
+    shared = np.where((fs[:, :, None] == ft[:, None, :]).any(axis=2), fs, n_edges).min(axis=1)
+    bad = np.flatnonzero((sources == targets) | ~inside | (shared == n_edges))
+    if bad.size:
+        raise NotAdjacentError(f"triangles {sources[bad[0]]} and {targets[bad[0]]} are not adjacent")
+    return shared
 
 
 @dataclass(frozen=True, eq=False)
 class DualOneForm:
-    """Connection elements on oriented dual edges; reversal inverts exactly."""
+    """Connection angles on dual edges, indexed like ``complex.edges`` (NaN on
+    boundary edges) and oriented from the lower- to the higher-index coface;
+    reversal inverts exactly."""
 
     complex: MetricComplex
-    angles: dict[tuple[int, int], float] = field(repr=False)
+    angles: np.ndarray = field(repr=False)
 
     def value(self, face: tuple[int, int], source: int, target: int) -> GroupElement:
-        key, entry = _interior_edge_entry(self.complex, face)
-        tris = {t for t, _ in entry}
-        if {source, target} != tris:
-            raise NotAdjacentError(f"edge {key} does not join triangles {source} and {target}")
-        theta = self.angles[key]
-        if source > target:
-            theta = -theta
-        return GroupElement(SO2, SO2.exp_matrix(theta))
+        e = _interior_edge(self.complex, face)
+        if sorted((source, target)) != self.complex.edge_faces[e].tolist():
+            raise NotAdjacentError(f"edge {face} does not join triangles {source} and {target}")
+        return _rotation(self.angles[e] if source < target else -self.angles[e])
 
     def transport(self, source: int, target: int) -> GroupElement:
-        """Transport across the (unique, deterministic) shared interior edge."""
-        shared = _shared_interior_edges(self.complex, source, target)
-        return self.value(shared[0], source, target)
-
-
-def _shared_interior_edges(K: MetricComplex, source: int, target: int) -> list[tuple[int, int]]:
-    """Sorted interior edges whose cofaces are exactly {source, target}."""
-    if source == target:
-        raise NotAdjacentError("a triangle is not adjacent to itself")
-    m = len(K.triangles)
-    if not (0 <= source < m and 0 <= target < m):
-        raise NotAdjacentError(f"triangles {source} and {target} are not both in the complex")
-    common = sorted(set(K.triangles[source].tolist()) & set(K.triangles[target].tolist()))
-    out = [key for key in combinations(common, 2) if key in K.interior_edges]
-    if not out:
-        raise NotAdjacentError(f"triangles {source} and {target} share no interior edge")
-    return out
+        """Transport across the lowest-keyed interior edge the two triangles share."""
+        (e,) = _shared_edges(self.complex, [source], [target])
+        return self.value(tuple(self.complex.edges[e].tolist()), source, target)
 
 
 def connection_form(K: MetricComplex) -> DualOneForm:
-    """The Levi-Civita dual one-form: one rotation per interior edge."""
-    angles = {key: _edge_angle(K, key) for key in sorted(K.interior_edges)}
+    """The Levi-Civita dual one-form: one rotation angle per interior edge."""
+    interior = np.flatnonzero(K.edge_faces[:, 1] >= 0)
+    angles = np.full(len(K.edges), np.nan)
+    angles[interior] = _edge_angles(K, interior)
     return DualOneForm(K, angles)
 
 
-def _star_walk(K: MetricComplex, v: int) -> list[tuple[int, tuple[int, int]]]:
-    """Cofaces of v in dual-loop order, starting at the smallest index, each
-    paired with the edge the loop crosses to leave it."""
-    cofaces = K.vertex_cofaces(v)
-    if not cofaces:
-        raise BoundaryHingeError(f"vertex {v} has no cofaces")
-    start = min(cofaces)
-    walk = []
-    t = start
-    while True:
-        tri = K.triangles[t].tolist()
-        # Crossing the edge to the predecessor vertex walks the star in
-        # the direction induced by the face orientations, so the ordered
-        # curvature product rotates by +defect rather than -defect.
-        key = _edge_key(v, tri[(tri.index(v) + 2) % 3])
-        entry = K.edge_cofaces[key]
-        if len(entry) != 2:
-            raise BoundaryHingeError(f"vertex {v} lies on the boundary (edge {key})")
-        walk.append((t, key))
-        t = next(tt for tt, _ in entry if tt != t)
-        if t == start:
-            break
-        if len(walk) >= len(cofaces):
-            raise MeshFormatError(f"star of vertex {v} is not a closed fan")
-    if len(walk) != len(cofaces):
-        raise MeshFormatError(f"star of vertex {v} is not a single closed fan")
-    return walk
+def _turns(K: MetricComplex, A: DualOneForm, corners: np.ndarray) -> np.ndarray:
+    """Signed angle of each corner's step around its vertex's dual loop.
+
+    Crossing the edge to the predecessor vertex walks the star in the
+    direction the face orientations induce, so a fan adds up to +defect.
+    """
+    t, k = np.divmod(corners, 3)
+    e = K.face_edges[t, (k + 2) % 3]
+    return np.where(K.edge_faces[e, 0] == t, A.angles[e], -A.angles[e])
+
+
+def _check_fans(K: MetricComplex, vertices: np.ndarray) -> None:
+    split = vertices[K.star_fans[vertices] != 1]
+    if split.size:
+        raise MeshFormatError(f"star of vertex {split[0]} is not a single closed fan")
 
 
 def curvature(K: MetricComplex, A: DualOneForm, hinge: int) -> GroupElement:
-    """Ordered product of connection elements around the dual loop of a vertex.
+    """Transport around the dual loop of a vertex's star, in the direction the
+    face orientations induce; its rotation angle is the vertex's angle defect."""
+    if not K.is_interior_vertex(hinge):
+        raise BoundaryHingeError(f"vertex {hinge} is not an interior vertex of the complex")
+    _check_fans(K, np.array([hinge]))
+    corners = K.star_corners[K.star_ptr[hinge]:K.star_ptr[hinge + 1]]
+    return _rotation(_turns(K, A, corners).sum())
 
-    The loop starts at the coface with the smallest simplex index and follows
-    the orientation of the complex; the rotation angle equals the angle
-    defect at the vertex.
-    """
-    walk = _star_walk(K, hinge)
-    h = np.eye(2)
-    for (t, key), (t_next, _) in zip(walk, walk[1:] + walk[:1]):
-        h = A.value(key, t, t_next).matrix @ h
-    return GroupElement(SO2, h)
+
+def _curvature_angles(K: MetricComplex, A: DualOneForm) -> tuple[np.ndarray, np.ndarray]:
+    """Interior vertices and their curvature angles, summed over all corners at once."""
+    interior = np.flatnonzero(K.interior_vertices)
+    _check_fans(K, interior)
+    corners = np.arange(K.triangles.size)
+    sums = np.bincount(K.triangles.ravel(), _turns(K, A, corners), minlength=K.vertex_count)
+    return interior, sums[interior]
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,43 +457,36 @@ class DualTwoForm:
 
 
 def curvature_form(K: MetricComplex, A: DualOneForm) -> DualTwoForm:
-    values = {
-        v: curvature(K, A, v)
-        for v in range(K.vertex_count)
-        if K.is_interior_vertex(v)
-    }
-    return DualTwoForm(K, values)
+    vertices, angles = _curvature_angles(K, A)
+    return DualTwoForm(K, dict(zip(vertices.tolist(), map(_rotation, angles.tolist()))))
 
 
 def holonomy(K: MetricComplex, A: DualOneForm, loop: Sequence[int]) -> GroupElement:
-    """Ordered transport around a closed dual path of triangle indices.
+    """Transport around a closed dual path of triangle indices.
 
     The path must be explicitly closed (first == last, or a single simplex).
+    Each step crosses the lowest-keyed edge its two triangles share.
     """
-    loop = [int(t) for t in loop]
-    if not loop:
+    loop = np.array([int(t) for t in loop], dtype=int)
+    if not loop.size:
         raise NotClosedError("empty loop")
     if loop[0] != loop[-1]:
         raise NotClosedError("loop must start and end at the same simplex")
-    h = np.eye(2)
-    for a, b in zip(loop, loop[1:]):
-        h = A.transport(a, b).matrix @ h
-    return GroupElement(SO2, h)
+    sources, targets = loop[:-1], loop[1:]
+    theta = A.angles[_shared_edges(K, sources, targets)]
+    return _rotation(np.where(sources < targets, theta, -theta).sum())
 
 
 def quality_report(K: MetricComplex, A: DualOneForm) -> dict[int, float]:
     """Curvature norm per interior hinge, sorted descending (ties by index)."""
-    pairs = [
-        (v, lg.conj_invariant_norm(curvature(K, A, v)))
-        for v in range(K.vertex_count)
-        if K.is_interior_vertex(v)
-    ]
-    pairs.sort(key=lambda p: (-p[1], p[0]))
-    return dict(pairs)
+    vertices, angles = _curvature_angles(K, A)
+    norms = np.abs(np.arctan2(np.sin(angles), np.cos(angles)))  # as lg.log reads them
+    order = np.lexsort((vertices, -norms))
+    if order.size:  # lg.log rejects the cut locus; the largest norm is nearest it
+        lg.conj_invariant_norm(_rotation(angles[order[0]]))
+    return dict(zip(vertices[order].tolist(), norms[order].tolist()))
 
 
 def total_defect(K: MetricComplex) -> float:
     """Sum of angle defects over interior vertices (2 pi chi when closed)."""
-    return float(
-        sum(angle_defect(K, v) for v in range(K.vertex_count) if K.is_interior_vertex(v))
-    )
+    return float(sum(K.angle_defects[K.interior_vertices].tolist()))

@@ -51,8 +51,8 @@ def read_off(path) -> MetricComplex:
             faces.append([int(t) for t in toks[1:4]])
     except (IndexError, ValueError) as exc:
         raise MeshFormatError(f"{path}: malformed OFF file ({exc})") from exc
-    if verts.shape[1] != 3:
-        raise MeshFormatError(f"{path}: vertices must have three coordinates")
+    if verts.ndim != 2 or verts.shape[1] != 3:
+        raise MeshFormatError(f"{path}: need vertices of three coordinates each")
     return MetricComplex.from_embedding(verts, np.array(faces, dtype=int))
 
 
@@ -262,27 +262,23 @@ def latitude_loop(K: MetricComplex, colatitude: float) -> tuple[list[int], list[
     if not enclosed or len(enclosed) == K.vertex_count:
         raise BoundaryHingeError("latitude circle does not separate the mesh")
 
-    cut_edges = [
-        key for key in K.interior_edges if above[key[0]] != above[key[1]]
-    ]
-    band: dict[int, list[tuple[int, int]]] = {}
-    for key in cut_edges:
-        for t, _ in K.edge_cofaces[key]:
-            band.setdefault(t, []).append(key)
-    for t, keys in band.items():
-        if len(keys) != 2:
-            raise MeshFormatError(f"triangle {t} has {len(keys)} cut edges; bad band")
-
-    start = min(band)
-    # Walk the band: leave each triangle through the cut edge not used to enter.
-    loop = [start]
-    enter = None
-    t = start
+    cut = (K.edge_faces[:, 1] >= 0) & (above[K.edges[:, 0]] != above[K.edges[:, 1]])
+    cut_count = np.bincount(K.edge_faces[cut].ravel(), minlength=len(K.triangles))
+    bad = np.flatnonzero((cut_count != 0) & (cut_count != 2))
+    if bad.size:
+        raise MeshFormatError(f"triangle {bad[0]} has {cut_count[bad[0]]} cut edges; bad band")
+    band = np.flatnonzero(cut_count)
+    # Each triangle's cut edges first, in key order (edge ids sort like keys).
+    exits = np.sort(np.where(cut[K.face_edges], K.face_edges, len(K.edges)), axis=1).tolist()
+    cofaces = K.edge_faces.tolist()
+    start = int(band[0])
+    loop, edge, t = [start], -1, start
     while True:
-        exits = [k for k in band[t] if k != enter]
-        key = sorted(exits)[0]
-        t = next(tt for tt, _ in K.edge_cofaces[key] if tt != t)
-        enter = key
+        # Leave through the cut edge not used to enter (the lower one at the start).
+        first, second, _ = exits[t]
+        edge = first if first != edge else second
+        lo, hi = cofaces[edge]
+        t = hi if lo == t else lo
         if t == start:
             break
         loop.append(t)

@@ -212,6 +212,19 @@ def test_curvature_of_cone(tmp_path, capsys):
     assert report["per_vertex"] == [[0, pytest.approx(math.pi / 3, abs=1e-12)]]
 
 
+def test_non_manifold_vertex_is_a_domain_failure(tmp_path, capsys):
+    from test_levi_civita import two_tetrahedra_sharing_a_vertex
+
+    mesh = tmp_path / "pinched.off"
+    write_off(mesh, *two_tetrahedra_sharing_a_vertex())
+    for command, extra in (("curvature", {}), ("holonomy", {"around_vertex": 0})):
+        cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh), **extra})
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "star of vertex 0 is not a single closed fan" in captured.err
+
+
 # -- holonomy ----------------------------------------------------------------------
 
 

@@ -58,6 +58,17 @@ def local_indices(K: MetricComplex, t: int, edge) -> tuple[int, int]:
     return tri.index(edge[0]), tri.index(edge[1])
 
 
+def hinges(K: MetricComplex) -> list[tuple[tuple[int, int], int, int]]:
+    """(edge key, lower coface, higher coface) of every interior edge, by key."""
+    inner = np.flatnonzero(K.edge_faces[:, 1] >= 0)
+    return [(tuple(key), lo, hi)
+            for key, (lo, hi) in zip(K.edges[inner].tolist(), K.edge_faces[inner].tolist())]
+
+
+def boundary_edge(K: MetricComplex) -> tuple[int, int]:
+    return tuple(K.edges[np.flatnonzero(K.edge_faces[:, 1] < 0)[0]].tolist())
+
+
 def developed_edge(K: MetricComplex, t: int, edge) -> np.ndarray:
     i, j = local_indices(K, t, edge)
     return K.development[t][j] - K.development[t][i]
@@ -125,8 +136,10 @@ def test_face_normal_rejects_non_facets():
 def test_flat_grid_connection_is_identity():
     K = build(flat_grid(3, 3))
     A = connection_form(K)
-    assert A.angles
-    for key, theta in A.angles.items():
+    interior = K.edge_faces[:, 1] >= 0
+    assert interior.any()
+    assert np.isnan(A.angles[~interior]).all()
+    for theta in A.angles[interior]:
         assert abs(theta) < 1e-12
 
 
@@ -144,9 +157,7 @@ def test_transport_matches_developments_across_every_hinge():
     ]
     for K in cases:
         A = connection_form(K)
-        for key, cofaces in K.interior_edges.items():
-            lo = min(t for t, _ in cofaces)
-            hi = max(t for t, _ in cofaces)
+        for key, lo, hi in hinges(K):
             r = A.value(key, lo, hi).matrix
             u_lo, u_hi = developed_edge(K, lo, key), developed_edge(K, hi, key)
             assert np.max(np.abs(r @ u_lo - u_hi)) < 1e-10
@@ -160,15 +171,14 @@ def test_spanning_tree_edges_carry_exact_identity():
     for K in (MetricComplex.from_embedding(*icosphere(1)),
               build(flat_grid(3, 3)),
               build(torus_grid(5, 4))):
-        angles = connection_form(K).angles.values()
-        assert sum(theta == 0.0 for theta in angles) >= len(K.triangles) - 1
+        angles = connection_form(K).angles
+        assert np.count_nonzero(angles == 0.0) >= len(K.triangles) - 1
 
 
 def test_dual_one_form_reversal_inverts():
     K = MetricComplex.from_embedding(*icosahedron())
     A = connection_form(K)
-    for key, cofaces in list(K.interior_edges.items())[:10]:
-        (t0, _), (t1, _) = cofaces
+    for key, t0, t1 in hinges(K)[:10]:
         forward = A.value(key, t0, t1).matrix
         backward = A.value(key, t1, t0).matrix
         assert np.max(np.abs(forward @ backward - np.eye(2))) < 1e-14
@@ -177,18 +187,15 @@ def test_dual_one_form_reversal_inverts():
 def test_connection_element_agrees_with_form():
     K = MetricComplex.from_embedding(*icosahedron())
     A = connection_form(K)
-    for key, cofaces in list(K.interior_edges.items())[:10]:
-        lo = min(t for t, _ in cofaces)
-        hi = max(t for t, _ in cofaces)
+    for key, lo, hi in hinges(K)[:10]:
         assert np.max(np.abs(connection_element(K, key).matrix
                              - A.value(key, lo, hi).matrix)) < 1e-15
 
 
 def test_connection_element_rejects_boundary_and_foreign_edges():
     K = build(flat_grid(2, 2))
-    boundary = next(k for k, v in K.edge_cofaces.items() if len(v) == 1)
     with pytest.raises(BoundaryFaceError):
-        connection_element(K, boundary)
+        connection_element(K, boundary_edge(K))
     with pytest.raises(NotAFacetError):
         connection_element(K, (0, K.vertex_count - 1))
 
@@ -196,13 +203,11 @@ def test_connection_element_rejects_boundary_and_foreign_edges():
 def test_dual_one_form_guards_arguments():
     K = build(flat_grid(2, 2))
     A = connection_form(K)
-    key = next(iter(K.interior_edges))
-    (t0, _), (t1, _) = K.interior_edges[key]
+    key, t0, t1 = hinges(K)[0]
     with pytest.raises(NotAdjacentError):
         A.value(key, t0, t0 + 100)
-    boundary = next(k for k, v in K.edge_cofaces.items() if len(v) == 1)
     with pytest.raises(BoundaryFaceError):
-        A.value(boundary, t0, t1)
+        A.value(boundary_edge(K), t0, t1)
     with pytest.raises(NotAFacetError):
         A.value((0, K.vertex_count - 1), t0, t1)
     with pytest.raises(NotAdjacentError):
@@ -267,7 +272,7 @@ def test_tetrahedron_half_turn_curvature():
     assert total_defect(K) == pytest.approx(4.0 * math.pi, abs=1e-12)
 
 
-def test_curvature_rejects_boundary_vertices():
+def test_curvature_rejects_vertices_off_the_interior():
     K = build(flat_grid(2, 2))
     A = connection_form(K)
     boundary_vertex = 0
@@ -287,8 +292,7 @@ def test_holonomy_of_trivial_loops():
     K = MetricComplex.from_embedding(*icosahedron())
     A = connection_form(K)
     assert np.max(np.abs(holonomy(K, A, [3]).matrix - np.eye(2))) < 1e-15
-    key = next(iter(K.interior_edges))
-    (t0, _), (t1, _) = K.interior_edges[key]
+    _, t0, t1 = hinges(K)[0]
     there_and_back = holonomy(K, A, [t0, t1, t0])
     assert np.max(np.abs(there_and_back.matrix - np.eye(2))) < 1e-14
 
@@ -363,6 +367,34 @@ def test_quality_report_tie_breaks_by_index():
     assert list(report) == [0, v5]
 
 
+def two_tetrahedra_sharing_a_vertex() -> tuple[np.ndarray, np.ndarray]:
+    """A closed complex whose vertex 0 has two fans of three triangles each."""
+    corner = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    verts = np.concatenate([corner, -corner[1:]])
+    faces = []
+    for tet in ((0, 1, 2, 3), (0, 4, 5, 6)):
+        center = verts[list(tet)].mean(axis=0)
+        for skip in range(4):
+            a, b, c = (tet[i] for i in range(4) if i != skip)
+            normal = np.cross(verts[b] - verts[a], verts[c] - verts[a])
+            faces.append((a, b, c) if normal @ (verts[a] - center) > 0.0 else (a, c, b))
+    return verts, np.array(faces)
+
+
+def test_non_manifold_vertex_is_rejected():
+    K = MetricComplex.from_embedding(*two_tetrahedra_sharing_a_vertex())
+    assert K.is_closed()
+    A = connection_form(K)
+    for query in (lambda: curvature(K, A, 0), lambda: quality_report(K, A),
+                  lambda: curvature_form(K, A)):
+        with pytest.raises(MeshFormatError, match="star of vertex 0 is not a single closed fan"):
+            query()
+    # Every other vertex has an ordinary closed fan.
+    for v in range(1, K.vertex_count):
+        gap = (rotation_angle(curvature(K, A, v).matrix) - angle_defect(K, v)) % (2.0 * math.pi)
+        assert min(gap, 2.0 * math.pi - gap) < 1e-12
+
+
 def test_total_defect_is_topological():
     K = MetricComplex.from_embedding(*icosahedron())
     assert K.is_closed()
@@ -423,6 +455,11 @@ def test_rejects_inconsistent_orientations():
         MetricComplex.from_edge_lengths(
             4, [(0, 1, 2), (0, 1, 3)],
             {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 1.0})
+    # A fin: a third triangle on edge (0, 1) always repeats a directed edge.
+    fin = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+    with pytest.raises(MeshFormatError, match="more than two triangles"):
+        MetricComplex.from_edge_lengths(5, fin, {key: 1.0 for key in (
+            (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4))})
 
 
 def test_rejects_degenerate_triangles_and_bad_indices():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dconn.cli import main
 from dconn.errors import MeshFormatError
 from dconn.levi_civita import MetricComplex
 from dconn.meshes import (
@@ -119,8 +120,8 @@ def test_json_round_trip_is_byte_exact(tmp_path):
     # Parse, rebuild, re-serialize: identical bytes.
     K = read_complex_json(path)
     again = tmp_path / "torus2.json"
-    rebuilt_lengths = {k: K._edge_length_in(K.edge_cofaces[k][0][0], k)
-                       for k in K.edge_cofaces}
+    rebuilt_lengths = {tuple(key): float(K.lengths[t, k]) for key, t, k in
+                       zip(K.edges.tolist(), K.edge_faces[:, 0], K.edge_local[:, 0])}
     write_complex_json(again, K.vertex_count, K.triangles, rebuilt_lengths)
     assert again.read_text() == raw
 
@@ -190,6 +191,13 @@ def test_off_rejects_malformed_files(tmp_path):
     stray_index.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 5\n")
     with pytest.raises(MeshFormatError):
         read_off(stray_index)
+    empty = tmp_path / "e.off"
+    empty.write_text("OFF\n0 0 0\n")
+    with pytest.raises(MeshFormatError):
+        read_off(empty)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"mesh": str(empty)}))
+    assert main(["curvature", "--config", str(config)]) == 2
 
 
 def test_read_mesh_dispatch(tmp_path):

@@ -9,7 +9,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dconn.levi_civita import MetricComplex, connection_form, curvature, holonomy, total_defect
+from dconn.levi_civita import (
+    MetricComplex,
+    angle_defect,
+    connection_form,
+    curvature,
+    curvature_form,
+    holonomy,
+    total_defect,
+)
 from dconn.meshes import icosphere, latitude_loop
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -39,7 +47,16 @@ def perturbed_spheres(draw):
 @given(perturbed_spheres())
 def test_gauss_bonnet_on_perturbed_spheres(sphere):
     _, verts, faces = sphere
-    assert abs(total_defect(MetricComplex.from_embedding(verts, faces)) - 4.0 * math.pi) < 1e-9
+    K = MetricComplex.from_embedding(verts, faces)
+    assert abs(total_defect(K) - 4.0 * math.pi) < 1e-9
+    # Each vertex's curvature angle, alone and in the all-vertex form, is its defect.
+    A = connection_form(K)
+    F = curvature_form(K, A)
+    assert set(F.values) == set(range(K.vertex_count))
+    for v in range(K.vertex_count):
+        defect = angle_defect(K, v)
+        assert angle_gap(rotation_angle(curvature(K, A, v).matrix), defect) < 1e-10
+        assert angle_gap(rotation_angle(F.values[v].matrix), defect) < 1e-10
 
 
 @PROPERTY
