@@ -15,6 +15,7 @@ canonical representatives whose leading fiber is the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,6 +66,8 @@ def trivial_connection(bundle: Bundle) -> DiscreteConnection:
 
 def _check_domain(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> None:
     d = chart_distance(x0, x1)
+    if not math.isfinite(d):
+        raise OutOfDomainError(f"shape pair distance {d} is not finite")
     if d > c.validity_radius:
         raise OutOfDomainError(
             f"shape pair distance {d:.4f} exceeds validity radius {c.validity_radius}"

@@ -6,23 +6,26 @@ affine chart (basis v1-v0, v2-v0).  Metrics may come from per-triangle
 Gram matrices, from per-edge lengths, or from an embedding.
 
 Geometry tables.  Building a complex validates its metrics and tabulates
-them once: ``dets[t]``, ``lengths[t, k]`` (local edge k -> k+1) and
+them once: ``lengths[t, k]`` (local edge k -> k+1) and
 ``corner_angles[t, k]`` per triangle, ``angle_defects[v]`` per vertex.
 Every length and angle query reads these arrays.  A triangle whose
 smallest corner angle has sin^2 below SLIVER_SIN2 = 1e-12 is rejected with
 MeshFormatError: past it the curvature angle at a vertex and the vertex's
 angle defect drift apart, by 3e-10 at 1e-12 and by up to pi at 1e-15.
 
-Frames.  Each triangle gets an orthonormal frame by isometrically
-developing the complex into the plane along a breadth-first spanning tree
-of the dual graph (rooted at the lowest simplex index of each connected
-component); every non-root triangle is unfolded once, against its tree
-parent.  The connection element across an interior edge is read off that
-development: it is the rotation taking the edge's vector in the
-lower-index coface's development to its vector in the higher-index one.
-Tree edges share their endpoints' positions exactly and so carry exactly
-the identity, every flat complex carries the identity on all interior
-edges, and curvature and holonomy are independent of this gauge choice.
+Frames.  Each triangle has one orthonormal frame, the Cholesky frame of its
+chart metric (the frame ``face_normal`` reports in); local edge k -> k + 1
+points at 0, pi - corner_angles[t, 1] and corner_angles[t, 0] - pi in it.
+Hinged flat across an interior edge, the frame of the edge's lower-index
+coface turns into the higher one's by the directions' difference plus pi.
+The gauge is one angle per triangle, ``frame_angles[t]``, the rotation from
+its frame into the developed plane: 0 at the lowest simplex index of each
+connected component, and chosen along a breadth-first spanning tree of the
+dual graph so that every tree edge carries exactly the identity.  The
+transport angle of an interior edge, ``transport_angles[e]``, is that turn
+plus the frame angles' difference, wrapped into (-pi, pi]; boundary edges
+hold NaN.  Every flat complex carries the identity on all interior edges,
+and curvature and holonomy are independent of this gauge choice.
 
 Adjacency.  One edge table, built with the complex, answers every adjacency query.
 
@@ -35,6 +38,7 @@ is rejected with MeshFormatError.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -85,7 +89,7 @@ class MetricComplex:
             raise MeshFormatError("need one 2x2 chart metric per triangle")
         self._build_adjacency()
         self._tabulate_metrics()
-        self._develop()
+        self._frames()
 
     # -- construction -------------------------------------------------------
 
@@ -139,7 +143,6 @@ class MetricComplex:
                 f"triangle {t} is a sliver: sin^2 of its smallest angle is "
                 f"{dets[t] / longest[t]:.3g}, below {SLIVER_SIN2:g}"
             )
-        self.dets = dets
         self.lengths = np.sqrt(squared)
         # Each corner's edge vectors have chart cross product 1, so the sine
         # part is sqrt(det); the cosine parts are u^T g w.
@@ -212,76 +215,50 @@ class MetricComplex:
             label, step, span = np.minimum(label, label[step]), step[step], 2 * span
         self.star_fans = np.bincount(tails[label == h], minlength=n)
 
-    # -- development --------------------------------------------------------
+    # -- frames -------------------------------------------------------------
 
-    def _root_positions(self, t: int) -> np.ndarray:
-        l01 = self.lengths[t, 0]
-        # Cholesky-transpose image of the chart corners; positively oriented.
-        p2 = [self.chart_metrics[t, 0, 1] / l01, np.sqrt(self.dets[t]) / l01]
-        return np.array([[0.0, 0.0], [l01, 0.0], p2])
-
-    def _unfold_against(self, pos_known: np.ndarray, known: tuple[int, int],
-                        new: tuple[int, int], a: int) -> np.ndarray:
-        """Planar positions of a triangle's corners, hinged flat across a shared edge.
-
-        ``known`` and ``new`` are the edge's two cofaces as (triangle, local
-        start index) pairs, ``pos_known`` holds planar positions of the known
-        triangle's corners and ``a`` is the edge endpoint used as the hinge
-        origin.  The new triangle lands on the opposite side of the edge.
-        """
-        (t_known, k_known), (t_new, k_new) = known, new
-        # The two cofaces traverse the edge in opposite directions.
-        if self.triangles[t_new, k_new] == a:
-            la, lb, ka, kb = k_new, (k_new + 1) % 3, (k_known + 1) % 3, k_known
-        else:
-            la, lb, ka, kb = (k_new + 1) % 3, k_new, k_known, (k_known + 1) % 3
-        lc = (k_new + 2) % 3
-        pa, pb, pc_known = pos_known[ka], pos_known[kb], pos_known[(k_known + 2) % 3]
-        # Local edge j is opposite corner j + 2.
-        lengths = self.lengths[t_new].tolist()
-        l_ab, l_ac, l_bc = lengths[k_new], lengths[(lb + 1) % 3], lengths[(la + 1) % 3]
-
-        ex = (pb - pa) / np.linalg.norm(pb - pa)
-        ey = np.array([-ex[1], ex[0]])
-        xi = (l_ab**2 + l_ac**2 - l_bc**2) / (2.0 * l_ab)
-        eta = np.sqrt(max(l_ac**2 - xi**2, 0.0))
-        side_known = np.sign((pc_known - pa) @ ey)
-        pc_new = pa + xi * ex - side_known * eta * ey
-
-        out = np.empty((3, 2))
-        out[la] = pa
-        out[lb] = pb
-        out[lc] = pc_new
-        return out
-
-    def _develop(self) -> None:
+    def _frames(self) -> None:
+        """Frame angles along a breadth-first spanning tree, and every edge's
+        transport angle."""
         m = len(self.triangles)
-        dev = np.full((m, 3, 2), np.nan)
-        visited = np.zeros(m, dtype=bool)
-        # Each triangle's (neighbour, k, neighbour's k, smaller vertex) across
-        # its local edges k, by neighbour and edge key; -1 across the boundary.
+        # Direction of local edge k -> k + 1 in each triangle's Cholesky frame.
+        a0, a1 = self.corner_angles[:, 0], self.corner_angles[:, 1]
+        dirs = np.stack([np.zeros(m), np.pi - a1, a0 - np.pi], axis=1)
+        # Rotation from the lower coface's frame to the higher one's across
+        # each interior edge; the cofaces traverse it in opposite directions.
+        (lo, hi), (i, j) = self.edge_faces.T, self.edge_local.T
+        cross = np.where(hi >= 0, dirs[hi, j] + np.pi - dirs[lo, i], np.nan)
+        # Each triangle's (neighbour, edge) across its local edges, by
+        # neighbour and edge id; neighbour -1 across the boundary.
         fe = self.face_edges
-        faces, local = self.edge_faces[fe], self.edge_local[fe]
-        lower = faces[..., 0] == np.arange(m)[:, None]
-        nbr = np.where(lower, faces[..., 1], faces[..., 0])
-        nbr_k = np.where(lower, local[..., 1], local[..., 0])
-        steps = np.stack([nbr, np.broadcast_to([0, 1, 2], fe.shape), nbr_k, self.edges[fe, 0]], 2)
+        faces = self.edge_faces[fe]
+        nbr = np.where(faces[..., 0] == np.arange(m)[:, None], faces[..., 1], faces[..., 0])
+        steps = np.stack([nbr, fe], 2)
         steps = np.take_along_axis(steps, np.lexsort((fe, nbr), axis=1)[..., None], 1).tolist()
+        crosses, psi, visited, tree = cross.tolist(), [0.0] * m, [False] * m, []
         for root in range(m):
             if visited[root]:
                 continue
-            dev[root] = self._root_positions(root)
             visited[root] = True
             queue = deque([root])
             while queue:
                 t = queue.popleft()
-                for t_next, k, k_next, a in steps[t]:
+                for t_next, e in steps[t]:
                     if t_next < 0 or visited[t_next]:
                         continue
-                    dev[t_next] = self._unfold_against(dev[t], (t, k), (t_next, k_next), a)
+                    # Makes the tree edge's cross + psi_hi - psi_lo zero; the
+                    # remainder keeps psi, and so its roundoff, within [-pi, pi].
+                    turn = -crosses[e] if t < t_next else crosses[e]
+                    psi[t_next] = math.remainder(psi[t] + turn, math.tau)
                     visited[t_next] = True
+                    tree.append(e)
                     queue.append(t_next)
-        self.development = dev
+        self.frame_angles = np.array(psi)
+        theta = cross + self.frame_angles[hi] - self.frame_angles[lo]
+        theta -= math.tau * np.ceil((theta - np.pi) / math.tau)  # into (-pi, pi]
+        theta[tree] = 0.0
+        theta.flags.writeable = False
+        self.transport_angles = theta
 
     # -- topology helpers ----------------------------------------------------
 
@@ -353,21 +330,10 @@ def _interior_edge(K: MetricComplex, face: tuple[int, int]) -> int:
     return e
 
 
-def _edge_angles(K: MetricComplex, edges: np.ndarray) -> np.ndarray:
-    """Signed angles from interior edges' developed vectors in their lower
-    cofaces to those in their higher ones."""
-    (lo, hi), (i, j) = K.edge_faces[edges].T, K.edge_local[edges].T
-    # Consistent orientation: the two cofaces traverse the edge in opposite
-    # directions, so reversing hi's directed edge matches lo's.
-    u = K.development[lo, (i + 1) % 3] - K.development[lo, i]
-    w = K.development[hi, j] - K.development[hi, (j + 1) % 3]
-    return np.arctan2(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0], u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1])
-
-
 def connection_element(K: MetricComplex, face: tuple[int, int]) -> GroupElement:
     """Connection element across an interior edge, oriented from the
     lower-index coface to the higher-index one."""
-    return _rotation(_edge_angles(K, [_interior_edge(K, face)])[0])
+    return _rotation(K.transport_angles[_interior_edge(K, face)])
 
 
 def _shared_edges(K: MetricComplex, sources, targets) -> np.ndarray:
@@ -387,7 +353,8 @@ def _shared_edges(K: MetricComplex, sources, targets) -> np.ndarray:
 class DualOneForm:
     """Connection angles on dual edges, indexed like ``complex.edges`` (NaN on
     boundary edges) and oriented from the lower- to the higher-index coface;
-    reversal inverts exactly."""
+    reversal inverts exactly.  The Levi-Civita form shares its complex's
+    read-only ``transport_angles``."""
 
     complex: MetricComplex
     angles: np.ndarray = field(repr=False)
@@ -406,10 +373,7 @@ class DualOneForm:
 
 def connection_form(K: MetricComplex) -> DualOneForm:
     """The Levi-Civita dual one-form: one rotation angle per interior edge."""
-    interior = np.flatnonzero(K.edge_faces[:, 1] >= 0)
-    angles = np.full(len(K.edges), np.nan)
-    angles[interior] = _edge_angles(K, interior)
-    return DualOneForm(K, angles)
+    return DualOneForm(K, K.transport_angles)
 
 
 def _turns(K: MetricComplex, A: DualOneForm, corners: np.ndarray) -> np.ndarray:
@@ -472,6 +436,9 @@ def holonomy(K: MetricComplex, A: DualOneForm, loop: Sequence[int]) -> GroupElem
         raise NotClosedError("empty loop")
     if loop[0] != loop[-1]:
         raise NotClosedError("loop must start and end at the same simplex")
+    outside = loop[(loop < 0) | (loop >= len(K.triangles))]
+    if outside.size:
+        raise NotAdjacentError(f"triangle {outside[0]} is not in the complex")
     sources, targets = loop[:-1], loop[1:]
     theta = A.angles[_shared_edges(K, sources, targets)]
     return _rotation(np.where(sources < targets, theta, -theta).sum())

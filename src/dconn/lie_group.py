@@ -86,6 +86,8 @@ class MatrixGroup:
             raise ValueError(
                 f"{self.name}: expected {self.matrix_size}x{self.matrix_size} matrix, got {m.shape}"
             )
+        if not np.isfinite(m).all():
+            raise ValueError(f"{self.name}: matrix has non-finite entries")
         self._check_structure(m, tol)
 
     def _check_structure(self, m: np.ndarray, tol: float) -> None:

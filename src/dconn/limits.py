@@ -103,8 +103,8 @@ def shape_form_connection(bundle: Bundle, coefficient: Callable[[np.ndarray], np
 
 def _validate_h_list(h_list: Sequence[float]) -> list[float]:
     hs = [float(h) for h in h_list]
-    if not hs or any(h <= 0 for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("h_list must be positive and strictly decreasing")
+    if not hs or not all(0 < h < math.inf for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("h_list must be finite, positive and strictly decreasing")
     return hs
 
 

@@ -72,8 +72,6 @@ class DiscreteLagrangian:
     d1: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
     d2: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
     d12: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
-    # Timestep baked into value; metadata for reports, not used by solvers.
-    step: float = 1.0
 
     def _fd_slot(self, q0: BundlePoint, q1: BundlePoint, slot: int) -> np.ndarray:
         dim = self.bundle.shape_dim + self.bundle.group.dim

@@ -209,7 +209,7 @@ def free_particle() -> DiscreteLagrangian:
     def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         return -np.eye(2) / h
 
-    return DiscreteLagrangian(bundle, value, d1, d2, d12, step=h)
+    return DiscreteLagrangian(bundle, value, d1, d2, d12)
 
 
 def _coupled_value(h: float, kappa: float, coupling, displacement):
@@ -287,7 +287,7 @@ def so3_coupled() -> DiscreteLagrangian:
                             -dexpinv_so3(lam),
                             -(_dexpinv_transpose_derivative(lam, w) @ lam_fiber))
 
-    return DiscreteLagrangian(bundle, value, d1, d2, d12, step=h)
+    return DiscreteLagrangian(bundle, value, d1, d2, d12)
 
 
 def se3_extract(m: np.ndarray) -> np.ndarray:
@@ -378,7 +378,7 @@ def se3_coupled() -> DiscreteLagrangian:
         return _coupled_d12(h, kappa, coupling_se3, partials, q0, q1, w, se3_extract_d2(m),
                             se3_extract_d1(m), _se3_extract_d1_derivative(m, w))
 
-    return DiscreteLagrangian(bundle, value, d1, d2, d12, step=h)
+    return DiscreteLagrangian(bundle, value, d1, d2, d12)
 
 
 def so3_pure() -> DiscreteLagrangian:
@@ -408,7 +408,7 @@ def so3_pure() -> DiscreteLagrangian:
         # d1 = -(kappa/h) lam, since dexpinv(lam)^T lam = lam.
         return -(kappa / h) * dexpinv_so3(-displacement(q0, q1))
 
-    return DiscreteLagrangian(bundle, value, d1, d2, d12, step=h)
+    return DiscreteLagrangian(bundle, value, d1, d2, d12)
 
 
 LAGRANGIAN_FIXTURES = {

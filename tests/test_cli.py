@@ -265,6 +265,9 @@ def test_holonomy_explicit_single_simplex(tmp_path, capsys):
     assert report["angle"] == 0.0
     assert report["enclosed_curvature"] is None
     assert "difference_mod_2pi" not in report
+    cfg = write_config(tmp_path, "h.json", {"mesh": str(mesh), "loop": [999]})
+    assert main(["holonomy", "--config", cfg]) == 2
+    assert "triangle 999 is not in the complex" in capsys.readouterr().err
 
 
 def test_holonomy_latitude_consistency(tmp_path, capsys):
@@ -370,6 +373,20 @@ def test_fibers_outside_the_group_are_domain_failures(tmp_path, capsys):
     })
     assert main(["order", "--config", cfg2]) == 2
     assert "negative determinant" in capsys.readouterr().err
+    # NaN compares false with every tolerance, so it is rejected on its own.
+    nan_fiber = rot_z(0.3)
+    nan_fiber[0][1] = math.nan
+    for family, first, second, message in (
+        ("euler_poincare", {"shape": [], "fiber": nan_fiber},
+         {"shape": [], "fiber": rot_z(0.8)}, "non-finite"),
+        ("exponentiated:so3_mechanical", {"shape": [math.nan, 0.0], "fiber": rot_z(0.3)},
+         {"shape": [0.1, 0.0], "fiber": rot_z(0.8)}, "not finite"),
+    ):
+        cfg3 = write_config(tmp_path, "n.json", {
+            "connection": family, "pair": {"first": first, "second": second}})
+        assert main(["decompose", "--config", cfg3]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def test_bad_h_sweep_is_a_domain_failure(tmp_path, capsys):
@@ -379,4 +396,13 @@ def test_bad_h_sweep_is_a_domain_failure(tmp_path, capsys):
         "h_sweep": {"start": 1e-3, "stop": 1e-1, "count": 5},
     })
     assert main(["order", "--config", cfg]) == 2
+    # Not "rotation angle ... within 1e-6 of pi" from the NaN samples it would give.
+    cfg = write_config(tmp_path, "o.json", {
+        "candidate": "cayley:so3_mechanical",
+        "reference": "exponentiated:so3_mechanical",
+        "h_sweep": {"start": math.nan, "stop": 1e-3, "count": 5},
+    })
+    capsys.readouterr()
+    assert main(["order", "--config", cfg]) == 2
+    assert "finite, positive and strictly decreasing" in capsys.readouterr().err
 

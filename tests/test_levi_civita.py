@@ -1,4 +1,4 @@
-"""Planar development, discrete Levi-Civita transport, curvature, holonomy."""
+"""Triangle frames, discrete Levi-Civita transport, curvature, holonomy."""
 
 import math
 
@@ -70,20 +70,14 @@ def boundary_edge(K: MetricComplex) -> tuple[int, int]:
 
 
 def developed_edge(K: MetricComplex, t: int, edge) -> np.ndarray:
+    """An edge vector of triangle t, turned from its Cholesky frame into the developed plane."""
     i, j = local_indices(K, t, edge)
-    return K.development[t][j] - K.development[t][i]
+    lt = np.linalg.cholesky(K.chart_metrics[t]).T
+    return rot(K.frame_angles[t]) @ lt @ (_CHART[j] - _CHART[i])
 
 
 def developed_outward_normal(K: MetricComplex, t: int, edge) -> np.ndarray:
-    u = developed_edge(K, t, edge)
-    i, j = local_indices(K, t, edge)
-    opp = ({0, 1, 2} - {i, j}).pop()
-    w = K.development[t][opp] - K.development[t][i]
-    n = np.array([-u[1], u[0]])
-    n /= np.linalg.norm(n)
-    if n @ w > 0.0:
-        n = -n
-    return n
+    return rot(K.frame_angles[t]) @ face_normal(K, t, edge)
 
 
 # -- per-simplex geometry ------------------------------------------------------
@@ -130,7 +124,7 @@ def test_face_normal_rejects_non_facets():
         face_normal(K, 0, outside)
 
 
-# -- development and the connection ----------------------------------------------
+# -- frames and the connection ----------------------------------------------
 
 
 def test_flat_grid_connection_is_identity():
@@ -144,8 +138,8 @@ def test_flat_grid_connection_is_identity():
 
 
 def test_transport_matches_developments_across_every_hinge():
-    # Defining property of the development gauge: the connection element
-    # carries lo-developed vectors to hi-developed vectors across the hinge.
+    # Defining property of the frame gauge: the connection element carries
+    # lo-developed vectors to hi-developed vectors across the hinge.
     cases = [
         MetricComplex.from_embedding(*icosahedron()),
         build(flat_grid(3, 2)),
@@ -167,12 +161,26 @@ def test_transport_matches_developments_across_every_hinge():
 
 
 def test_spanning_tree_edges_carry_exact_identity():
-    # Tree edges share both endpoints' developed positions bit for bit.
+    # Frame angles are chosen so that every spanning-tree edge carries 0.0.
     for K in (MetricComplex.from_embedding(*icosphere(1)),
               build(flat_grid(3, 3)),
               build(torus_grid(5, 4))):
         angles = connection_form(K).angles
         assert np.count_nonzero(angles == 0.0) >= len(K.triangles) - 1
+
+
+def test_disconnected_complex_has_one_tree_per_component():
+    # A tetrahedron and an icosahedron side by side: two spanning-tree roots.
+    tv, tf = tetrahedron()
+    iv, i_f = icosahedron()
+    K = MetricComplex.from_embedding(np.concatenate([tv, iv]), np.concatenate([tf, i_f + len(tv)]))
+    assert K.euler_characteristic() == 4
+    A = connection_form(K)
+    assert np.count_nonzero(A.angles == 0.0) >= len(K.triangles) - 2
+    for v in range(K.vertex_count):
+        gap = (rotation_angle(curvature(K, A, v).matrix) - angle_defect(K, v)) % (2.0 * math.pi)
+        assert min(gap, 2.0 * math.pi - gap) < 1e-10
+    assert total_defect(K) == pytest.approx(8.0 * math.pi, abs=1e-12)
 
 
 def test_dual_one_form_reversal_inverts():
@@ -323,6 +331,8 @@ def test_holonomy_rejects_open_or_broken_paths():
     for outside in (-1, len(K.triangles)):
         with pytest.raises(NotAdjacentError):
             holonomy(K, A, [0, outside, 0])
+        with pytest.raises(NotAdjacentError, match="not in the complex"):
+            holonomy(K, A, [outside])
 
 
 # -- reports and invariants -----------------------------------------------------------

@@ -61,7 +61,7 @@ def test_perturb_point_moves_single_coordinate():
 
 def test_analytic_slot_derivatives_match_finite_differences(lagrangian):
     # Rebuild the fixture without derivatives to force the FD fallback.
-    fallback = DiscreteLagrangian(lagrangian.bundle, lagrangian.value, step=lagrangian.step)
+    fallback = DiscreteLagrangian(lagrangian.bundle, lagrangian.value)
     rng = np.random.default_rng(70)
     for _ in range(5):
         p = sample_pair(lagrangian, rng)
@@ -76,7 +76,7 @@ def test_analytic_slot_derivatives_match_finite_differences(lagrangian):
 def test_analytic_d12_matches_differences_of_d1(lagrangian):
     # Without d12, d12_eval falls back to central differences of d1.
     fallback = DiscreteLagrangian(lagrangian.bundle, lagrangian.value, lagrangian.d1,
-                                  lagrangian.d2, step=lagrangian.step)
+                                  lagrangian.d2)
     group = lagrangian.bundle.group
     rng = np.random.default_rng(74)
     pairs = [sample_pair(lagrangian, rng) for _ in range(5)]

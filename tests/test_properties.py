@@ -63,7 +63,7 @@ def test_gauss_bonnet_on_perturbed_spheres(sphere):
 @given(perturbed_spheres(), st.integers(0, 2**32 - 1))
 def test_curvature_and_holonomy_do_not_depend_on_the_gauge(sphere, seed):
     # Reordering the triangles and rotating each one's vertex list moves the
-    # development's root and every chart basis, so it changes the gauge.
+    # spanning tree's root and every chart basis, so it changes the gauge.
     level, verts, faces = sphere
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(faces))
