@@ -126,6 +126,9 @@ def cmd_order(cfg: dict) -> dict:
     start = float(sweep.get("start", 1.0e-1))
     stop = float(sweep.get("stop", 1.0e-3))
     count = int(sweep.get("count", 7))
+    # np.geomspace warns on non-finite ends and refuses a zero one.
+    if not all(0.0 < h < math.inf for h in (start, stop)):
+        raise ValueError("h_list must be finite, positive and strictly decreasing")
     h_list = [float(h) for h in np.geomspace(start, stop, count)]
     if "base_point" in cfg:
         q = _parse_point(reference, cfg["base_point"])

@@ -250,15 +250,26 @@ def _require_based_at(v: TangentVector, q: BundlePoint) -> None:
         raise BasepointMismatchError("curve velocity must be based at p.second")
 
 
-def _fiber_derivative_at(curve: Callable[[float], GroupElement],
-                         h_list: Sequence[float]) -> AlgebraElement:
-    g0inv = lg.inverse(curve(0.0))
-    group = g0inv.group
+def _endpoint_variation(component: Callable[[DiscreteConnection, PairElement], PairElement],
+                        c: DiscreteConnection, p: PairElement, curve_velocity: TangentVector,
+                        h_list: Sequence[float], shape_velocity: np.ndarray) -> TangentVector:
+    """Derivative of eps -> component(q0, q1^eps).second along the chart curve at q1.
+
+    The fiber velocity is left-trivialized at component(p).second; the shape
+    velocity is the caller's.
+    """
+    _require_based_at(curve_velocity, p.second)
+
+    def endpoint(t: float) -> GroupElement:
+        return component(c, PairElement(p.first, chart_curve(curve_velocity, t))).second.fiber
+
+    g0inv = lg.inverse(endpoint(0.0))
 
     def sample(t: float) -> np.ndarray:
-        return lg.log(lg.compose(g0inv, curve(t))).vector
+        return lg.log(lg.compose(g0inv, endpoint(t))).vector
 
-    return AlgebraElement(group, derivative_at_zero(sample, h_list))
+    eta = AlgebraElement(c.bundle.group, derivative_at_zero(sample, h_list))
+    return TangentVector(component(c, p).second, shape_velocity, eta)
 
 
 def vertical_variation(c: DiscreteConnection, p: PairElement, curve_velocity: TangentVector,
@@ -268,15 +279,8 @@ def vertical_variation(c: DiscreteConnection, p: PairElement, curve_velocity: Ta
     The vertical endpoint moves only in the fiber over pi(q0); the result is
     its left-trivialized velocity at ver(p).second.
     """
-    _require_based_at(curve_velocity, p.second)
-
-    def curve(t: float) -> GroupElement:
-        moved = vertical_component(c, PairElement(p.first, chart_curve(curve_velocity, t)))
-        return moved.second.fiber
-
-    base = vertical_component(c, p).second
-    eta = _fiber_derivative_at(curve, h_list)
-    return TangentVector(base, np.zeros_like(p.first.shape.coords), eta)
+    return _endpoint_variation(vertical_component, c, p, curve_velocity, h_list,
+                               np.zeros_like(p.first.shape.coords))
 
 
 def horizontal_variation(c: DiscreteConnection, p: PairElement, curve_velocity: TangentVector,
@@ -286,12 +290,5 @@ def horizontal_variation(c: DiscreteConnection, p: PairElement, curve_velocity: 
     The horizontal endpoint follows the shape curve of the variation; its
     fiber velocity comes from the local representation alone.
     """
-    _require_based_at(curve_velocity, p.second)
-
-    def curve(t: float) -> GroupElement:
-        moved = horizontal_component(c, PairElement(p.first, chart_curve(curve_velocity, t)))
-        return moved.second.fiber
-
-    base = horizontal_component(c, p).second
-    eta = _fiber_derivative_at(curve, h_list)
-    return TangentVector(base, np.array(curve_velocity.shape_velocity), eta)
+    return _endpoint_variation(horizontal_component, c, p, curve_velocity, h_list,
+                               np.array(curve_velocity.shape_velocity))

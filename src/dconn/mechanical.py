@@ -36,17 +36,11 @@ _FD_NODES = (3.0, 2.0, 1.0, -1.0, -2.0, -3.0)
 _FD_WEIGHTS = (1.0 / 60.0, -9.0 / 60.0, 45.0 / 60.0, -45.0 / 60.0, 9.0 / 60.0, -1.0 / 60.0)
 
 
-def perturb_point(q: BundlePoint, index: int, t: float) -> BundlePoint:
-    """Move q along the index-th trivialized coordinate direction by t."""
+def shift(q: BundlePoint, z: np.ndarray) -> BundlePoint:
+    """The trivialized move (x + z_shape, g exp(z_fiber)) of q by coordinates z."""
     d = q.shape.coords.size
-    if index < d:
-        coords = np.array(q.shape.coords)
-        coords[index] += t
-        return BundlePoint(ShapePoint(coords), q.fiber)
-    group = q.fiber.group
-    delta = np.zeros(group.dim)
-    delta[index - d] = t
-    return BundlePoint(q.shape, lg.compose(q.fiber, lg.exp(AlgebraElement(group, delta))))
+    fiber = lg.compose(q.fiber, lg.exp(AlgebraElement(q.fiber.group, z[d:])))
+    return BundlePoint(ShapePoint(q.shape.coords + z[:d]), fiber)
 
 
 @dataclass(frozen=True)
@@ -61,10 +55,10 @@ class DiscreteLagrangian:
     time stepping.
 
     ``d12(q0, q1)`` is the square Jacobian of ``d1(q0, q1)`` under the
-    trivialized moves (x1 + z_shape, g1 exp(z_fiber)) of q1, column j for
-    coordinate z_j.  Both Newton solvers take their Jacobian from it; when
-    omitted it falls back to central differences of ``d1_eval`` with step
-    JAC_FD_STEP.
+    trivialized moves ``shift(q1, z)`` = (x1 + z_shape, g1 exp(z_fiber)),
+    column j for coordinate z_j.  Both Newton solvers take their Jacobian
+    from it; when omitted it falls back to central differences of
+    ``d1_eval`` with step JAC_FD_STEP.
     """
 
     bundle: Bundle
@@ -75,17 +69,16 @@ class DiscreteLagrangian:
 
     def _fd_slot(self, q0: BundlePoint, q1: BundlePoint, slot: int) -> np.ndarray:
         dim = self.bundle.shape_dim + self.bundle.group.dim
+        h = FD_STEP * max(1.0, abs(q0.shape.coords).max(initial=0.0),
+                          abs(q1.shape.coords).max(initial=0.0))
         out = np.zeros(dim)
-        for i in range(dim):
-            scale = max(1.0, abs(q0.shape.coords).max(initial=0.0),
-                        abs(q1.shape.coords).max(initial=0.0))
-            h = FD_STEP * scale
+        for i, step in enumerate(h * np.eye(dim)):
             acc = 0.0
             for node, w in zip(_FD_NODES, _FD_WEIGHTS):
                 if slot == 0:
-                    acc += w * self.value(perturb_point(q0, i, node * h), q1)
+                    acc += w * self.value(shift(q0, node * step), q1)
                 else:
-                    acc += w * self.value(q0, perturb_point(q1, i, node * h))
+                    acc += w * self.value(q0, shift(q1, node * step))
             out[i] = acc / h
         return out
 
@@ -102,14 +95,11 @@ class DiscreteLagrangian:
     def d12_eval(self, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         if self.d12 is not None:
             return np.asarray(self.d12(q0, q1), dtype=float)
-        d = self.bundle.shape_dim
-        dim = d + self.bundle.group.dim
+        dim = self.bundle.shape_dim + self.bundle.group.dim
         jac = np.empty((dim, dim))
-        for j in range(dim):
-            step = np.zeros(dim)
-            step[j] = JAC_FD_STEP
-            jac[:, j] = (self.d1_eval(q0, _shift(q1, step, d))
-                         - self.d1_eval(q0, _shift(q1, -step, d))) / (2 * JAC_FD_STEP)
+        for j, step in enumerate(JAC_FD_STEP * np.eye(dim)):
+            jac[:, j] = (self.d1_eval(q0, shift(q1, step))
+                         - self.d1_eval(q0, shift(q1, -step))) / (2 * JAC_FD_STEP)
         return jac
 
 
@@ -140,13 +130,6 @@ def fiber_derivative(L: DiscreteLagrangian, p: PairElement) -> tuple[BundlePoint
     return p.first, -L.d1_eval(p.first, p.second)
 
 
-def _shift(q: BundlePoint, z: np.ndarray, d: int) -> BundlePoint:
-    coords = q.shape.coords + z[:d]
-    group = q.fiber.group
-    fiber = lg.compose(q.fiber, lg.exp(AlgebraElement(group, z[d:])))
-    return BundlePoint(ShapePoint(coords), fiber)
-
-
 def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
              tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> BundlePoint:
     """Solve the discrete Euler-Lagrange equation D2 L(q0,q1) + D1 L(q1,q2) = 0.
@@ -155,7 +138,6 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
     extrapolation (2 x1 - x0, g1 (g0^-1 g1)); raises SolverDivergedError if
     the residual does not fall below ``tol`` within ``max_iter`` iterations.
     """
-    d = L.bundle.shape_dim
     rhs = L.d2_eval(q0, q1)
     seed_coords = 2.0 * q1.shape.coords - q0.shape.coords
     # Extrapolate the fiber through the exp chart, not by a bare product:
@@ -181,7 +163,7 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
             delta = np.linalg.solve(L.d12_eval(q1, q2), -res)
         except np.linalg.LinAlgError as exc:
             raise SolverDivergedError(f"singular Newton system: {exc}") from exc
-        q2 = _shift(q2, delta, d)
+        q2 = shift(q2, delta)
     res = np.max(np.abs(residual(q2)))
     raise SolverDivergedError(
         f"discrete Euler-Lagrange Newton stalled at residual {res:.3e} after {max_iter} iterations"

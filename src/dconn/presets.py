@@ -4,13 +4,26 @@ The continuous fixtures are genuine mechanical connections: each is the
 shape form Ad_g(eta + a(x) xdot) of a kinetic metric whose locked inertia
 is the identity and whose coupling block is a(x).  The Lagrangian
 fixtures carry analytic slot derivatives so Newton residuals can reach
-1e-12; their couplings are linear in the shape point, which keeps the
-zero-momentum equation solvable in closed form for cross-checks.
+1e-12.
+
+Apart from the closed-form ``free_particle``, the Lagrangian fixtures are
+one coupled form, built by ``_coupled``:
+
+    L(q0, q1) = |dx|^2 / (2h) + kappa |phi(g0^-1 g1) + C(x0) dx|^2 / (2h),
+
+with dx = x1 - x0 and a coupling C linear in the shape point, which keeps
+the zero-momentum equation solvable in closed form for cross-checks.  Only
+the displacement chart phi differs: the logarithm on SO(3) (``so3_coupled``,
+and ``so3_pure`` with no shape), ``se3_extract`` on SE(3) (``se3_coupled``).
+A chart supplies phi(m) of m = g0^-1 g1; the Jacobians P1 and P2 of phi under
+g0 exp(t delta) and g1 exp(t delta); and the Jacobian of P1^T w under
+g1 exp(t delta) with w held fixed.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -212,41 +225,79 @@ def free_particle() -> DiscreteLagrangian:
     return DiscreteLagrangian(bundle, value, d1, d2, d12)
 
 
-def _coupled_value(h: float, kappa: float, coupling, displacement):
-    def value(q0: BundlePoint, q1: BundlePoint) -> float:
-        dx = q1.shape.coords - q0.shape.coords
-        w = displacement(q0, q1) + coupling(q0.shape.coords) @ dx
-        return float(dx @ dx) / (2.0 * h) + kappa * float(w @ w) / (2.0 * h)
+class _Chart(NamedTuple):
+    """A displacement chart, called with m = g0^-1 g1 and lam = phi(m).
 
-    return value
-
-
-def _coupled_shape_blocks(h, kappa, coupling, partials, q0, q1, w):
-    x0, dx = q0.shape.coords, q1.shape.coords - q0.shape.coords
-    c = coupling(x0)
-    d1_shape = -dx / h + (kappa / h) * np.array(
-        [w @ (cj @ dx - c[:, j]) for j, cj in enumerate(partials)]
-    )
-    d2_shape = dx / h + (kappa / h) * (c.T @ w)
-    return d1_shape, d2_shape
-
-
-def _coupled_d12(h, kappa, coupling, partials, q0, q1, w, w_fiber, p, p_fiber):
-    """d12 of a coupled Lagrangian whose d1 is [d1_shape, (kappa/h) p^T w].
-
-    ``w_fiber`` is the Jacobian of w under the fiber moves g1 exp(z) and
-    ``p_fiber`` that of p^T w with w held fixed.  Shape moves of q1 change
-    w by the coupling and leave p alone.
+    ``d1(m, lam)`` is P1, ``d2(m, lam)`` is P2 and ``d1_derivative(m, lam, w, P2)``
+    is the Jacobian of P1^T w, all as in the module docstring.
     """
-    x0, dx = q0.shape.coords, q1.shape.coords - q0.shape.coords
-    c = coupling(x0)
-    k = kappa / h
-    b = np.column_stack([cj @ dx - c[:, j] for j, cj in enumerate(partials)])
-    g = np.array([cj.T @ w for cj in partials])
-    return np.block([
-        [k * (b.T @ c + g) - np.eye(dx.size) / h, k * (b.T @ w_fiber)],
-        [k * (p.T @ c), k * (p.T @ w_fiber + p_fiber)],
-    ])
+
+    phi: Callable[[np.ndarray], np.ndarray]
+    d1: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d1_derivative: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
+             partials: tuple[np.ndarray, ...], chart: _Chart) -> DiscreteLagrangian:
+    """The coupled Lagrangian |dx|^2/(2h) + kappa |phi(g0^-1 g1) + C(x0) dx|^2 / (2h).
+
+    ``coupling(x)`` is C(x), linear in x with the coefficient matrices
+    ``partials``; ``chart`` is phi.  With w = phi + C dx the slot derivatives
+    are D1 = (-dx/h + (kappa/h) B^T w, (kappa/h) P1^T w) and
+    D2 = (dx/h + (kappa/h) C^T w, (kappa/h) P2^T w), where column j of B is
+    dC/dx_j dx - C[:, j], the x0_j-derivative of w.
+    """
+    h = COUPLED_STEP
+    k = COUPLED_KAPPA / h
+
+    def parts(q0: BundlePoint, q1: BundlePoint):
+        m = lg.compose(lg.inverse(q0.fiber), q1.fiber).matrix
+        lam = chart.phi(m)
+        x0 = q0.shape.coords
+        dx = q1.shape.coords - x0
+        c = coupling(x0)
+        return m, lam, dx, c, lam + c @ dx
+
+    def b_columns(dx: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
+        return [cj @ dx - c[:, j] for j, cj in enumerate(partials)]
+
+    def value(q0: BundlePoint, q1: BundlePoint) -> float:
+        _, _, dx, _, w = parts(q0, q1)
+        return float(dx @ dx) / (2.0 * h) + COUPLED_KAPPA * float(w @ w) / (2.0 * h)
+
+    def d1(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+        m, lam, dx, c, w = parts(q0, q1)
+        shape = -dx / h + k * np.array([w @ bj for bj in b_columns(dx, c)])
+        return np.concatenate([shape, k * (chart.d1(m, lam).T @ w)])
+
+    def d2(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+        m, lam, dx, c, w = parts(q0, q1)
+        return np.concatenate([dx / h + k * (c.T @ w), k * (chart.d2(m, lam).T @ w)])
+
+    def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+        # Shape moves of q1 change w by C and leave P1 alone; fiber moves change w by P2.
+        m, lam, dx, c, w = parts(q0, q1)
+        p1, p2 = chart.d1(m, lam), chart.d2(m, lam)
+        b = np.array(b_columns(dx, c)).T.reshape(c.shape)
+        g = np.array([cj.T @ w for cj in partials])
+        return np.block([
+            [k * (b.T @ c + g) - np.eye(dx.size) / h, k * (b.T @ p2)],
+            [k * (p1.T @ c), k * (p1.T @ p2 + chart.d1_derivative(m, lam, w, p2))],
+        ])
+
+    return DiscreteLagrangian(bundle, value, d1, d2, d12)
+
+
+def _so3_chart() -> _Chart:
+    # g0 exp(t delta) perturbs lam with derivative -dexpinv(lam) delta,
+    # g1 exp(t delta) with dexpinv(-lam) delta.
+    return _Chart(
+        SO3.log_vector,
+        lambda m, lam: -dexpinv_so3(lam),
+        lambda m, lam: dexpinv_so3(-lam),
+        lambda m, lam, w, p2: -(_dexpinv_transpose_derivative(lam, w) @ p2),
+    )
 
 
 def so3_coupled() -> DiscreteLagrangian:
@@ -256,38 +307,7 @@ def so3_coupled() -> DiscreteLagrangian:
     zero-momentum equation solves in closed form: the discrete mechanical
     connection has local representation exp(C(x0) dx).
     """
-    bundle = Bundle(SO3, 2)
-    h, kappa = COUPLED_STEP, COUPLED_KAPPA
-    partials = (_SO3_C1, _SO3_C2)
-
-    def displacement(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        return lg.log(lg.compose(lg.inverse(q0.fiber), q1.fiber)).vector
-
-    value = _coupled_value(h, kappa, coupling_so3, displacement)
-
-    def d1(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        lam = displacement(q0, q1)
-        w = lam + coupling_so3(q0.shape.coords) @ (q1.shape.coords - q0.shape.coords)
-        d1_shape, _ = _coupled_shape_blocks(h, kappa, coupling_so3, partials, q0, q1, w)
-        # g0 exp(t delta) perturbs lam with derivative -dexpinv(lam) delta.
-        return np.concatenate([d1_shape, -(kappa / h) * (dexpinv_so3(lam).T @ w)])
-
-    def d2(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        lam = displacement(q0, q1)
-        w = lam + coupling_so3(q0.shape.coords) @ (q1.shape.coords - q0.shape.coords)
-        _, d2_shape = _coupled_shape_blocks(h, kappa, coupling_so3, partials, q0, q1, w)
-        # g1 exp(t delta) perturbs lam with derivative dexpinv(-lam) delta.
-        return np.concatenate([d2_shape, (kappa / h) * (dexpinv_so3(-lam).T @ w)])
-
-    def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        lam = displacement(q0, q1)
-        w = lam + coupling_so3(q0.shape.coords) @ (q1.shape.coords - q0.shape.coords)
-        lam_fiber = dexpinv_so3(-lam)
-        return _coupled_d12(h, kappa, coupling_so3, partials, q0, q1, w, lam_fiber,
-                            -dexpinv_so3(lam),
-                            -(_dexpinv_transpose_derivative(lam, w) @ lam_fiber))
-
-    return DiscreteLagrangian(bundle, value, d1, d2, d12)
+    return _coupled(Bundle(SO3, 2), coupling_so3, (_SO3_C1, _SO3_C2), _so3_chart())
 
 
 def se3_extract(m: np.ndarray) -> np.ndarray:
@@ -348,67 +368,22 @@ def se3_coupled() -> DiscreteLagrangian:
     Uses the linear extraction se3_extract in place of the logarithm, so the
     displacement chart degrades gracefully and the derivatives are exact.
     """
-    bundle = Bundle(SE3, 2)
-    h, kappa = COUPLED_STEP, COUPLED_KAPPA
-    partials = (_SE3_C1, _SE3_C2)
-
-    def relative(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        return lg.compose(lg.inverse(q0.fiber), q1.fiber).matrix
-
-    def displacement(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        return se3_extract(relative(q0, q1))
-
-    value = _coupled_value(h, kappa, coupling_se3, displacement)
-
-    def d1(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        m = relative(q0, q1)
-        w = se3_extract(m) + coupling_se3(q0.shape.coords) @ (q1.shape.coords - q0.shape.coords)
-        d1_shape, _ = _coupled_shape_blocks(h, kappa, coupling_se3, partials, q0, q1, w)
-        return np.concatenate([d1_shape, (kappa / h) * (se3_extract_d1(m).T @ w)])
-
-    def d2(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        m = relative(q0, q1)
-        w = se3_extract(m) + coupling_se3(q0.shape.coords) @ (q1.shape.coords - q0.shape.coords)
-        _, d2_shape = _coupled_shape_blocks(h, kappa, coupling_se3, partials, q0, q1, w)
-        return np.concatenate([d2_shape, (kappa / h) * (se3_extract_d2(m).T @ w)])
-
-    def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        m = relative(q0, q1)
-        w = se3_extract(m) + coupling_se3(q0.shape.coords) @ (q1.shape.coords - q0.shape.coords)
-        return _coupled_d12(h, kappa, coupling_se3, partials, q0, q1, w, se3_extract_d2(m),
-                            se3_extract_d1(m), _se3_extract_d1_derivative(m, w))
-
-    return DiscreteLagrangian(bundle, value, d1, d2, d12)
+    chart = _Chart(
+        se3_extract,
+        lambda m, lam: se3_extract_d1(m),
+        lambda m, lam: se3_extract_d2(m),
+        lambda m, lam, w, p2: _se3_extract_d1_derivative(m, w),
+    )
+    return _coupled(Bundle(SE3, 2), coupling_se3, (_SE3_C1, _SE3_C2), chart)
 
 
 def so3_pure() -> DiscreteLagrangian:
     """Pure rotation group, trivial shape: value depends on g0^-1 g1 alone.
 
-    Its discrete mechanical connection must coincide with g1 g0^-1.
+    The coupled rotation Lagrangian with no shape; its discrete mechanical
+    connection must coincide with g1 g0^-1.
     """
-    bundle = Bundle(SO3, 0)
-    h, kappa = COUPLED_STEP, COUPLED_KAPPA
-
-    def displacement(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        return lg.log(lg.compose(lg.inverse(q0.fiber), q1.fiber)).vector
-
-    def value(q0: BundlePoint, q1: BundlePoint) -> float:
-        lam = displacement(q0, q1)
-        return kappa * float(lam @ lam) / (2.0 * h)
-
-    def d1(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        lam = displacement(q0, q1)
-        return -(kappa / h) * (dexpinv_so3(lam).T @ lam)
-
-    def d2(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        lam = displacement(q0, q1)
-        return (kappa / h) * (dexpinv_so3(-lam).T @ lam)
-
-    def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        # d1 = -(kappa/h) lam, since dexpinv(lam)^T lam = lam.
-        return -(kappa / h) * dexpinv_so3(-displacement(q0, q1))
-
-    return DiscreteLagrangian(bundle, value, d1, d2, d12)
+    return _coupled(Bundle(SO3, 0), lambda x: np.zeros((3, 0)), (), _so3_chart())
 
 
 LAGRANGIAN_FIXTURES = {

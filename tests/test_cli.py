@@ -397,12 +397,16 @@ def test_bad_h_sweep_is_a_domain_failure(tmp_path, capsys):
     })
     assert main(["order", "--config", cfg]) == 2
     # Not "rotation angle ... within 1e-6 of pi" from the NaN samples it would give.
-    cfg = write_config(tmp_path, "o.json", {
-        "candidate": "cayley:so3_mechanical",
-        "reference": "exponentiated:so3_mechanical",
-        "h_sweep": {"start": math.nan, "stop": 1e-3, "count": 5},
-    })
-    capsys.readouterr()
-    assert main(["order", "--config", cfg]) == 2
-    assert "finite, positive and strictly decreasing" in capsys.readouterr().err
+    # Nor numpy's warnings or its "Geometric sequence cannot include zero".
+    for start in (math.nan, math.inf, -0.1, 0.0):
+        cfg = write_config(tmp_path, "o.json", {
+            "candidate": "cayley:so3_mechanical",
+            "reference": "exponentiated:so3_mechanical",
+            "h_sweep": {"start": start, "stop": 1e-3, "count": 5},
+        })
+        capsys.readouterr()
+        assert main(["order", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "finite, positive and strictly decreasing" in err
+        assert "RuntimeWarning" not in err
 

@@ -14,7 +14,7 @@ from dconn.mechanical import (
     fiber_derivative,
     mechanical_connection,
     mechanical_discrete_connection,
-    perturb_point,
+    shift,
 )
 from dconn.presets import (
     FREE_PARTICLE_STEP,
@@ -47,13 +47,13 @@ def sample_pair(L, rng, scale=0.3) -> PairElement:
 # -- slot derivatives -----------------------------------------------------------
 
 
-def test_perturb_point_moves_single_coordinate():
+def test_shift_moves_single_coordinate():
     b = Bundle(SO3, 2)
     q = b.point([0.1, 0.2], np.eye(3))
-    moved = perturb_point(q, 1, 0.05)
+    moved = shift(q, np.array([0.0, 0.05, 0.0, 0.0, 0.0]))
     assert np.allclose(moved.shape.coords, [0.1, 0.25])
     assert np.array_equal(moved.fiber.matrix, q.fiber.matrix)
-    spun = perturb_point(q, 2, 0.3)
+    spun = shift(q, np.array([0.0, 0.0, 0.3, 0.0, 0.0]))
     assert np.array_equal(spun.shape.coords, q.shape.coords)
     want = lg.exp(lg.algebra(SO3, [0.3, 0.0, 0.0]))
     assert np.max(np.abs(spun.fiber.matrix - want.matrix)) < 1e-15
@@ -204,6 +204,15 @@ def test_del_step_reports_divergence():
     q1 = b.point([0.6, -0.4], lg.exp(lg.algebra(SO3, [0.9, 0.7, -0.8])))
     with pytest.raises(SolverDivergedError):
         del_step(L, q0, q1, max_iter=1)
+
+
+def test_mechanical_connection_reports_a_stall():
+    L = so3_coupled()
+    b = L.bundle
+    p = PairElement(b.point([0.0, 0.0], np.eye(3)),
+                    b.point([0.6, -0.4], lg.exp(lg.algebra(SO3, [0.9, 0.7, -0.8]))))
+    with pytest.raises(SolverDivergedError, match="stalled"):
+        mechanical_connection(L, p, max_iter=1)
 
 
 # -- mechanical connections ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property tests of the Levi-Civita transport over generated meshes.
+"""Property tests of the Levi-Civita transport over generated meshes and of
+the discrete Euler-Lagrange flow over the Lagrangian fixtures.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -9,6 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dconn import lie_group as lg
+from dconn.bundle import BundlePoint, act
+from dconn.connection import assemble_chain, canonical_chain, decompose_chain
 from dconn.levi_civita import (
     MetricComplex,
     angle_defect,
@@ -18,7 +22,9 @@ from dconn.levi_civita import (
     holonomy,
     total_defect,
 )
+from dconn.mechanical import del_step, mechanical_discrete_connection
 from dconn.meshes import icosphere, latitude_loop
+from dconn.presets import LAGRANGIAN_FIXTURES
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -80,3 +86,42 @@ def test_curvature_and_holonomy_do_not_depend_on_the_gauge(sphere, seed):
     h = holonomy(K, A, loop)
     h_shuffled = holonomy(S, B, [int(new_index[t]) for t in loop])
     assert angle_gap(rotation_angle(h.matrix), rotation_angle(h_shuffled.matrix)) < 1e-12
+
+
+@st.composite
+def lagrangian_starts(draw):
+    """(L, q0, q1, rng): a Lagrangian fixture, a nearby pair of points and the draw's generator."""
+    L = LAGRANGIAN_FIXTURES[draw(st.sampled_from(sorted(LAGRANGIAN_FIXTURES)))]()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = L.bundle
+    q0 = b.random_point(rng, shape_scale=0.3, fiber_scale=0.3)
+    q1 = b.point(q0.shape.coords + 0.05 * rng.standard_normal(b.shape_dim),
+                 lg.compose(q0.fiber, lg.random_element(b.group, rng, 0.05)))
+    return L, q0, q1, rng
+
+
+def point_gap(a: BundlePoint, b: BundlePoint) -> float:
+    return max(float(np.max(np.abs(a.shape.coords - b.shape.coords), initial=0.0)),
+               float(np.max(np.abs(a.fiber.matrix - b.fiber.matrix))))
+
+
+@PROPERTY
+@given(lagrangian_starts())
+def test_del_flow_is_group_equivariant(start):
+    L, q0, q1, rng = start
+    h = lg.random_element(L.bundle.group, rng)
+    moved = del_step(L, act(h, q0), act(h, q1))
+    assert point_gap(moved, act(h, del_step(L, q0, q1))) < 1e-10
+
+
+@PROPERTY
+@given(lagrangian_starts())
+def test_del_trajectory_chain_round_trips_through_the_mechanical_connection(start):
+    L, q0, q1, _ = start
+    qs = [q0, q1]
+    for _ in range(5):
+        qs.append(del_step(L, qs[-2], qs[-1]))
+    c = mechanical_discrete_connection(L)
+    shapes, adjoints = decompose_chain(c, qs)
+    for got, want in zip(assemble_chain(c, shapes, adjoints), canonical_chain(qs), strict=True):
+        assert point_gap(got, want) < 1e-10
