@@ -66,6 +66,10 @@ class Bundle:
     group: MatrixGroup
     shape_dim: int
 
+    def __post_init__(self):
+        if self.shape_dim < 0:
+            raise ValueError(f"shape_dim must be non-negative, got {self.shape_dim}")
+
     def point(self, coords, fiber) -> BundlePoint:
         x = ShapePoint(np.asarray(coords, dtype=float).reshape(self.shape_dim))
         if isinstance(fiber, GroupElement):
@@ -112,19 +116,19 @@ def points_match(a: BundlePoint, b: BundlePoint, tol: float = BASE_TOL) -> bool:
     return float(np.max(np.abs(a.fiber.matrix - b.fiber.matrix))) <= tol
 
 
-def vertical_compose(v: PairElement, p: PairElement, tol: float = BASE_TOL) -> PairElement:
+def vertical_compose(v: PairElement, p: PairElement) -> PairElement:
     """Compose a vertical pair v = i_{q0}(g) with p = (q0, q1), giving (q0, g q1).
 
     The group element is recovered from v as g = g1' g0'^-1, where g0', g1'
     are the fibers of v.  Raises NotVerticalError if v is not vertical and
     BasepointMismatchError if v is not based at p.first.
     """
-    if chart_distance(v.first.shape, v.second.shape) > tol:
+    if chart_distance(v.first.shape, v.second.shape) > BASE_TOL:
         raise NotVerticalError(
             f"pair spans distinct base points (chart distance "
             f"{chart_distance(v.first.shape, v.second.shape):.2e})"
         )
-    if not points_match(v.first, p.first, tol):
+    if not points_match(v.first, p.first):
         raise BasepointMismatchError("vertical pair is not based at p.first")
     g = lg.compose(v.second.fiber, lg.inverse(v.first.fiber))
     return PairElement(p.first, act(g, p.second))

@@ -35,24 +35,16 @@ _EXIT_DOMAIN = 2
 _EXIT_PARSE = 3
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    return x
+def _plain(x):
+    # json writes np.float64 (a float subclass) itself; arrays, np.bool_ and
+    # np.integer become Python lists, bools and ints.
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _dump_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, default=_plain) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:

@@ -10,7 +10,9 @@ is
 
 which makes equivariance, the splitting property and the horizontal-lift
 identities hold by construction.  All quotient objects are handled through
-canonical representatives whose leading fiber is the identity.
+canonical representatives whose leading fiber is the identity; a quotient
+pair is the one-step case of a chain, so its splitting and reassembly are
+those of a two-point chain.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable, Sequence
 
 from . import lie_group as lg
 from .bundle import (
+    BASE_TOL,
     Bundle,
     BundlePoint,
     PairElement,
@@ -38,7 +41,8 @@ from .errors import (
 )
 from .lie_group import GroupElement
 
-DEFAULT_VALIDITY_RADIUS = 0.5
+# Chart distance up to which a local representation is trusted.
+VALIDITY_RADIUS = 0.5
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,11 @@ class DiscreteConnection:
 
     ``local_rep(x0, x1)`` must return a group element with
     ``local_rep(x, x) = e``; it is only trusted for shape pairs within
-    ``validity_radius`` of each other.
+    VALIDITY_RADIUS of each other.
     """
 
     bundle: Bundle
     local_rep: Callable[[ShapePoint, ShapePoint], GroupElement]
-    validity_radius: float = DEFAULT_VALIDITY_RADIUS
 
 
 def trivial_connection(bundle: Bundle) -> DiscreteConnection:
@@ -68,9 +71,9 @@ def _check_domain(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> None
     d = chart_distance(x0, x1)
     if not math.isfinite(d):
         raise OutOfDomainError(f"shape pair distance {d} is not finite")
-    if d > c.validity_radius:
+    if d > VALIDITY_RADIUS:
         raise OutOfDomainError(
-            f"shape pair distance {d:.4f} exceeds validity radius {c.validity_radius}"
+            f"shape pair distance {d:.4f} exceeds validity radius {VALIDITY_RADIUS}"
         )
 
 
@@ -103,12 +106,12 @@ def horizontal_component(c: DiscreteConnection, p: PairElement) -> PairElement:
 
 
 def horizontal_lift(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint,
-                    q: BundlePoint, tol: float = 1.0e-10) -> PairElement:
+                    q: BundlePoint) -> PairElement:
     """The horizontal pair over (x0, x1) starting at q.
 
     In the trivialization the lift is (q, (x1, g0 A(x0, x1)^-1)).
     """
-    if chart_distance(project(q), x0) > tol:
+    if chart_distance(project(q), x0) > BASE_TOL:
         raise BasepointMismatchError("lift base point q does not sit over x0")
     _check_domain(c, x0, x1)
     a = c.local_rep(x0, x1)
@@ -125,9 +128,7 @@ class QuotientPair:
 
 def quotient_pair(p: PairElement) -> QuotientPair:
     """Canonicalize a pair: translate the orbit so the first fiber is e."""
-    g0inv = lg.inverse(p.first.fiber)
-    rep = PairElement(act(g0inv, p.first), act(g0inv, p.second))
-    return QuotientPair(rep)
+    return QuotientPair(PairElement(*canonical_chain([p.first, p.second])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +152,7 @@ def adjoint_element(q: BundlePoint, g: GroupElement) -> AdjointBundleElement:
 
 def splitting_form(c: DiscreteConnection, qp: QuotientPair) -> AdjointBundleElement:
     """The adjoint-bundle part [q0, form(q0, q1)] of a quotient pair."""
-    rep = qp.representative
-    return adjoint_element(rep.first, eval_form(c, rep))
+    return decompose_quotient(c, qp)[2]
 
 
 def decompose_quotient(
@@ -160,39 +160,28 @@ def decompose_quotient(
 ) -> tuple[ShapePoint, ShapePoint, AdjointBundleElement]:
     """Split a quotient pair into its shape pair and adjoint-bundle part."""
     rep = qp.representative
-    return rep.first.shape, rep.second.shape, splitting_form(c, qp)
+    (x0, x1), (a,) = decompose_chain(c, [rep.first, rep.second])
+    return x0, x1, a
 
 
-def assemble_quotient(
-    c: DiscreteConnection,
-    x0: ShapePoint,
-    x1: ShapePoint,
-    a: AdjointBundleElement,
-    tol: float = 1.0e-10,
-) -> QuotientPair:
+def assemble_quotient(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint,
+                      a: AdjointBundleElement) -> QuotientPair:
     """Inverse of decompose_quotient.
 
     Acts with the adjoint group part on the horizontal lift of (x0, x1)
     based at (x0, e), giving the representative ((x0, e), (x1, g A(x0,x1)^-1)).
     """
-    if chart_distance(a.base, x0) > tol:
-        raise BasepointMismatchError("adjoint element is not based at x0")
-    group = c.bundle.group
-    base = BundlePoint(x0, lg.identity(group))
-    lift = horizontal_lift(c, x0, x1, base)
-    end = act(a.group_part, lift.second)
-    return QuotientPair(PairElement(base, end))
+    return QuotientPair(PairElement(*assemble_chain(c, [x0, x1], [a])))
 
 
-def extended_compose(c: DiscreteConnection, p: PairElement, r: PairElement,
-                     tol: float = 1.0e-10) -> PairElement:
+def extended_compose(c: DiscreteConnection, p: PairElement, r: PairElement) -> PairElement:
     """Connection-dependent composition of pairs sharing a middle shape point.
 
     For p = (q0, q1) and r = (r0, r1) with pi(q1) = pi(r0), the composite is
     (q0, form(r0, q1) r1).  It is associative and G-equivariant.
     """
     d = chart_distance(p.second.shape, r.first.shape)
-    if d > tol:
+    if d > BASE_TOL:
         raise ShapeMismatchError(
             f"middle shape points differ by {d:.2e}; pairs cannot be composed"
         )
@@ -223,20 +212,14 @@ def decompose_chain(
     """
     if len(qs) < 2:
         raise LengthMismatchError("chain needs at least two points")
-    shapes = [project(q) for q in qs]
-    q0 = qs[0]
-    adjoints = [
-        adjoint_element(q0, eval_form(c, PairElement(qs[i], qs[i + 1])))
-        for i in range(len(qs) - 1)
-    ]
-    return shapes, adjoints
+    forms = higher_order_form(c, qs, len(qs) - 1)
+    return [project(q) for q in qs], [adjoint_element(qs[0], w) for w in forms]
 
 
 def assemble_chain(
     c: DiscreteConnection,
     shapes: Sequence[ShapePoint],
     adjoints: Sequence[AdjointBundleElement],
-    tol: float = 1.0e-10,
 ) -> list[BundlePoint]:
     """Inverse of decompose_chain, returned as the canonical chain.
 
@@ -250,7 +233,7 @@ def assemble_chain(
         )
     x0 = shapes[0]
     for a in adjoints:
-        if chart_distance(a.base, x0) > tol:
+        if chart_distance(a.base, x0) > BASE_TOL:
             raise BasepointMismatchError("adjoint part is not based at the chain start")
     group = c.bundle.group
     horizontal = [BundlePoint(x0, lg.identity(group))]

@@ -28,7 +28,7 @@ class BasepointMismatchError(DconnError):
 
 
 class OutOfDomainError(DconnError):
-    """Shape points are farther apart than the connection's validity radius."""
+    """A shape pair's distance is not finite or exceeds connection.VALIDITY_RADIUS (0.5)."""
 
 
 class ShapeMismatchError(DconnError):

@@ -317,7 +317,7 @@ _TRANSLATION_CACHE: dict[int, _Translation] = {}
 
 
 def translation_group(n: int) -> MatrixGroup:
-    """The additive group R^n (cached so instances compare by identity)."""
+    """The additive group R^n (one instance per n, so instances compare by identity)."""
     if n not in _TRANSLATION_CACHE:
         _TRANSLATION_CACHE[n] = _Translation(n)
     return _TRANSLATION_CACHE[n]

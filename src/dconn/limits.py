@@ -80,25 +80,19 @@ def chart_pair_log(p: PairElement) -> TangentVector:
 
 @dataclass(frozen=True)
 class ContinuousConnection:
-    """A principal connection given by its one-form on trivialized tangents."""
-
-    bundle: Bundle
-    one_form: Callable[[TangentVector], AlgebraElement]
-
-
-def shape_form_connection(bundle: Bundle, coefficient: Callable[[np.ndarray], np.ndarray]) -> ContinuousConnection:
-    """The connection with local form Ad_g(eta + a(x) xdot).
+    """The principal connection with local form Ad_g(eta + a(x) xdot).
 
     ``coefficient(x)`` returns the (algebra dim x shape dim) matrix a(x).
     Verticality and equivariance hold for any smooth coefficient field.
     """
 
-    def one_form(v: TangentVector) -> AlgebraElement:
-        a = np.asarray(coefficient(v.base.shape.coords), dtype=float)
-        vec = v.fiber_velocity.vector + a @ v.shape_velocity
-        return AlgebraElement(bundle.group, lg.adjoint_matrix(v.base.fiber) @ vec)
+    bundle: Bundle
+    coefficient: Callable[[np.ndarray], np.ndarray]
 
-    return ContinuousConnection(bundle, one_form)
+    def one_form(self, v: TangentVector) -> AlgebraElement:
+        a = np.asarray(self.coefficient(v.base.shape.coords), dtype=float)
+        vec = v.fiber_velocity.vector + a @ v.shape_velocity
+        return AlgebraElement(self.bundle.group, lg.adjoint_matrix(v.base.fiber) @ vec)
 
 
 def _validate_h_list(h_list: Sequence[float]) -> list[float]:
@@ -145,15 +139,15 @@ def _local_rep(a: ContinuousConnection, to_group,
                at_far_end: bool = False) -> Callable[[ShapePoint, ShapePoint], GroupElement]:
     """to_group of the one-form on the chart log of ((x0, e), (x1, e)).
 
-    That chart log is the tangent (x1 - x0, 0) at (x0, e); with ``at_far_end``
-    the same velocity is based at (x1, e) instead.
+    That chart log is the tangent (x1 - x0, 0) at (x0, e), where the one-form
+    is a(x0)(x1 - x0); with ``at_far_end`` the coefficient is taken at x1.
     """
-    e = lg.identity(a.bundle.group)
-    zero = AlgebraElement(a.bundle.group, np.zeros(a.bundle.group.dim))
+    group = a.bundle.group
 
     def rep(x0: ShapePoint, x1: ShapePoint) -> GroupElement:
-        base = BundlePoint(x1 if at_far_end else x0, e)
-        return to_group(a.one_form(TangentVector(base, x1.coords - x0.coords, zero)))
+        x = x1 if at_far_end else x0
+        step = np.asarray(a.coefficient(x.coords), dtype=float) @ (x1.coords - x0.coords)
+        return to_group(AlgebraElement(group, step))
 
     return rep
 
@@ -220,6 +214,8 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     hs = _validate_h_list(h_list)
     if hs[0] / hs[-1] < 10.0:
         raise ValueError("h_list must span at least one decade")
+    if not directions:
+        raise ValueError("directions must hold at least one unit tangent")
     for v in directions:
         n = np.linalg.norm(v.coordinates())
         if abs(n - 1.0) > 1.0e-8:

@@ -205,12 +205,20 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement,
 
 
 def mechanical_discrete_connection(L: DiscreteLagrangian) -> DiscreteConnection:
-    """Wrap the mechanical connection of L as a stored discrete connection."""
+    """Wrap the mechanical connection of L as a stored discrete connection.
+
+    Each value costs a Newton solve, so the local representation keeps every
+    value it has solved, keyed by the shape pair.
+    """
     group = L.bundle.group
+    solved: dict[tuple[bytes, bytes], GroupElement] = {}
 
     def rep(x0: ShapePoint, x1: ShapePoint) -> GroupElement:
-        e = lg.identity(group)
-        p = PairElement(BundlePoint(x0, e), BundlePoint(x1, e))
-        return mechanical_connection(L, p)
+        key = (x0.coords.tobytes(), x1.coords.tobytes())
+        if key not in solved:
+            e = lg.identity(group)
+            p = PairElement(BundlePoint(x0, e), BundlePoint(x1, e))
+            solved[key] = mechanical_connection(L, p)
+        return solved[key]
 
     return DiscreteConnection(L.bundle, rep)

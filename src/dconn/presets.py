@@ -37,7 +37,6 @@ from .limits import (
     cayley_connection,
     endpoint_connection,
     exponentiated_connection,
-    shape_form_connection,
 )
 from .mechanical import DiscreteLagrangian, mechanical_discrete_connection
 
@@ -124,17 +123,17 @@ def _abelian_shape_coefficient(x: np.ndarray) -> np.ndarray:
 
 def so3_mechanical() -> ContinuousConnection:
     """Mechanical connection of a coupled kinetic metric on a rank-3 rotation bundle."""
-    return shape_form_connection(Bundle(SO3, 2), _so3_shape_coefficient)
+    return ContinuousConnection(Bundle(SO3, 2), _so3_shape_coefficient)
 
 
 def se3_mechanical() -> ContinuousConnection:
     """Mechanical connection of a coupled kinetic metric on a rigid-motion bundle."""
-    return shape_form_connection(Bundle(SE3, 2), _se3_shape_coefficient)
+    return ContinuousConnection(Bundle(SE3, 2), _se3_shape_coefficient)
 
 
 def abelian_mechanical() -> ContinuousConnection:
     """Scalar-translation fiber over a line; one-form has a closed antiderivative."""
-    return shape_form_connection(Bundle(translation_group(1), 1), _abelian_shape_coefficient)
+    return ContinuousConnection(Bundle(translation_group(1), 1), _abelian_shape_coefficient)
 
 
 CONTINUOUS_FIXTURES = {

@@ -88,20 +88,6 @@ def pair_residual(a: PairElement, b: PairElement) -> float:
     return max(point_residual(a.first, b.first), point_residual(a.second, b.second))
 
 
-def cached(c: DiscreteConnection) -> DiscreteConnection:
-    # The local representation is a deterministic pure function of the shape
-    # pair; memoizing it skips repeated Newton solves without changing values.
-    memo: dict = {}
-
-    def rep(x0: ShapePoint, x1: ShapePoint):
-        key = (x0.coords.tobytes(), x1.coords.tobytes())
-        if key not in memo:
-            memo[key] = c.local_rep(x0, x1)
-        return memo[key]
-
-    return DiscreteConnection(c.bundle, rep, c.validity_radius)
-
-
 def sample_pair(c: DiscreteConnection, rng) -> PairElement:
     # Bounded shape offset: every sampled pair stays inside the validity radius.
     b = c.bundle
@@ -138,8 +124,8 @@ def families() -> dict[str, DiscreteConnection]:
         "pure-group-se3": trivial_connection(Bundle(SE3, 0)),
         "exponentiated-so3": exponentiated_connection(so3_mechanical()),
         "exponentiated-se3": exponentiated_connection(se3_mechanical()),
-        "mechanical-so3": cached(mechanical_discrete_connection(so3_coupled())),
-        "mechanical-se3": cached(mechanical_discrete_connection(se3_coupled())),
+        "mechanical-so3": mechanical_discrete_connection(so3_coupled()),
+        "mechanical-se3": mechanical_discrete_connection(se3_coupled()),
     }
 
 
@@ -380,7 +366,7 @@ def test_acceptance_6_momentum_conservation_and_horizontality():
     # Horizontal pairs of the mechanical connection carry zero momentum.
     zero_worst = 0.0
     for L in (so3_coupled(), se3_coupled()):
-        c = cached(mechanical_discrete_connection(L))
+        c = mechanical_discrete_connection(L)
         rng = np.random.default_rng(66)
         for _ in range(10):
             hor = horizontal_component(c, sample_pair(c, rng))

@@ -180,6 +180,11 @@ def test_points_match_tolerance():
     assert not bd.points_match(q, far)
 
 
+def test_negative_shape_dimension_is_rejected():
+    with pytest.raises(ValueError, match="shape_dim"):
+        Bundle(group=SO3, shape_dim=-1)
+
+
 def test_zero_dimensional_shape():
     b = Bundle(group=SO3, shape_dim=0)
     rng = np.random.default_rng(12)

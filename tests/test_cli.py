@@ -349,6 +349,24 @@ def test_unknown_family_is_a_domain_failure(tmp_path, capsys):
     assert main(["decompose", "--config", cfg2]) == 2
 
 
+def test_negative_shape_dimension_is_a_domain_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"connection": "trivial", "shape_dim": -1})
+    assert main(["decompose", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "shape_dim" in captured.err
+
+
+def test_empty_direction_list_is_a_domain_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, "o.json", {
+        "candidate": "cayley:so3_mechanical",
+        "reference": "exponentiated:so3_mechanical",
+        "directions": 0,
+    })
+    assert main(["order", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "directions must hold at least one" in captured.err
+
+
 def test_missing_connection_field_is_a_domain_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json", {})
     assert main(["decompose", "--config", cfg]) == 2

@@ -7,7 +7,7 @@ import pytest
 
 from dconn import bundle as bd
 from dconn import lie_group as lg
-from dconn.bundle import Bundle, PairElement, ShapePoint
+from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from dconn.connection import eval_form, trivial_connection
 from dconn.errors import BasepointMismatchError, DegenerateFitError
 from dconn.lie_group import SO3, translation_group
@@ -26,7 +26,7 @@ from dconn.limits import (
     vertical_tangent,
     vertical_variation,
 )
-from dconn.presets import abelian_mechanical, so3_mechanical
+from dconn.presets import CONTINUOUS_FIXTURES, abelian_mechanical, so3_mechanical
 
 T1 = translation_group(1)
 
@@ -197,6 +197,27 @@ def test_exponentiated_connection_abelian_closed_form():
         assert abs(a.matrix[0, 1] - 0.4 * math.cos(x0[0]) * (x1[0] - x0[0])) < 1e-14
 
 
+@pytest.mark.parametrize("fixture", sorted(CONTINUOUS_FIXTURES))
+def test_local_reps_are_the_one_form_on_the_shape_step(fixture):
+    # Each discretization maps the one-form on the tangent (x1 - x0, 0) at
+    # (x, e) to the group: exp at x0, Cayley at x0, exp at x1.
+    a = CONTINUOUS_FIXTURES[fixture]()
+    b = a.bundle
+    e = lg.identity(b.group)
+    rng = np.random.default_rng(62)
+    schemes = ((exponentiated_connection, lg.exp, False),
+               (cayley_connection, lg.cayley, False),
+               (endpoint_connection, lg.exp, True))
+    for build, to_group, at_far_end in schemes:
+        c = build(a)
+        for _ in range(5):
+            x0 = ShapePoint(0.3 * rng.standard_normal(b.shape_dim))
+            x1 = ShapePoint(x0.coords + 0.2 * rng.standard_normal(b.shape_dim))
+            base = BundlePoint(x1 if at_far_end else x0, e)
+            v = tangent(base, x1.coords - x0.coords, np.zeros(b.group.dim))
+            assert np.array_equal(c.local_rep(x0, x1).matrix, to_group(a.one_form(v)).matrix)
+
+
 def test_cayley_discretization_identity_and_group_membership():
     c = cayley_connection(so3_mechanical())
     rng = np.random.default_rng(61)
@@ -274,6 +295,8 @@ def test_order_estimate_input_validation(order_setup):
                  for v in dirs]
     with pytest.raises(ValueError):
         estimate_order(cayley_connection(a), exact, q, stretched, hs)
+    with pytest.raises(ValueError, match="directions"):
+        estimate_order(cayley_connection(a), exact, q, [], hs)
 
 
 # -- variations -------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dconn import lie_group as lg
+from dconn import mechanical
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
+from dconn.connection import eval_form
 from dconn.errors import NonDegenerateError, SolverDivergedError
 from dconn.lie_group import SO3, translation_group
 from dconn.mechanical import (
@@ -289,6 +291,29 @@ def test_degenerate_lagrangian_is_detected():
     p = PairElement(b.point(np.zeros(0), np.eye(3)), b.point(np.zeros(0), np.eye(3)))
     with pytest.raises(NonDegenerateError):
         mechanical_connection(L, p)
+
+
+def test_mechanical_discrete_connection_solves_each_shape_pair_once(monkeypatch):
+    solves = []
+
+    def counting(L, p):
+        solves.append(p)
+        return mechanical_connection(L, p)
+
+    c = mechanical_discrete_connection(so3_coupled())
+    monkeypatch.setattr(mechanical, "mechanical_connection", counting)
+    rng = np.random.default_rng(79)
+    x0, x1 = [0.1, -0.2], [0.25, -0.1]
+    p = PairElement(c.bundle.point(x0, np.eye(3)), c.bundle.point(x1, np.eye(3)))
+    first, second = eval_form(c, p), eval_form(c, p)
+    moved = PairElement(c.bundle.point(x0, lg.random_element(SO3, rng)),
+                        c.bundle.point(x1, lg.random_element(SO3, rng)))
+    w = eval_form(c, moved)
+    assert len(solves) == 1
+    assert np.array_equal(first.matrix, second.matrix)
+    # The one solved local representation serves every pair over (x0, x1).
+    want = lg.compose(moved.second.fiber, lg.compose(first, lg.inverse(moved.first.fiber)))
+    assert np.array_equal(w.matrix, want.matrix)
 
 
 def test_mechanical_discrete_connection_matches_pointwise_solve():

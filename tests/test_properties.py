@@ -1,5 +1,6 @@
-"""Property tests of the Levi-Civita transport over generated meshes and of
-the discrete Euler-Lagrange flow over the Lagrangian fixtures.
+"""Property tests of the Levi-Civita transport over generated meshes, of
+the discrete Euler-Lagrange flow over the Lagrangian fixtures and of the
+quotient splitting over the connection families.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -11,8 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dconn import lie_group as lg
-from dconn.bundle import BundlePoint, act
-from dconn.connection import assemble_chain, canonical_chain, decompose_chain
+from dconn.bundle import Bundle, BundlePoint, PairElement, act
+from dconn.connection import (
+    AdjointBundleElement,
+    assemble_chain,
+    assemble_quotient,
+    canonical_chain,
+    decompose_chain,
+    decompose_quotient,
+    quotient_pair,
+    trivial_connection,
+)
 from dconn.levi_civita import (
     MetricComplex,
     angle_defect,
@@ -22,9 +32,11 @@ from dconn.levi_civita import (
     holonomy,
     total_defect,
 )
+from dconn.lie_group import SE3, SO2, SO3, translation_group
+from dconn.limits import exponentiated_connection
 from dconn.mechanical import del_step, mechanical_discrete_connection
 from dconn.meshes import icosphere, latitude_loop
-from dconn.presets import LAGRANGIAN_FIXTURES
+from dconn.presets import CONTINUOUS_FIXTURES, LAGRANGIAN_FIXTURES
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -125,3 +137,47 @@ def test_del_trajectory_chain_round_trips_through_the_mechanical_connection(star
     shapes, adjoints = decompose_chain(c, qs)
     for got, want in zip(assemble_chain(c, shapes, adjoints), canonical_chain(qs), strict=True):
         assert point_gap(got, want) < 1e-10
+
+
+QUOTIENT_FAMILIES = {
+    **{f"trivial-{g.name}": (lambda g=g: trivial_connection(Bundle(g, 2)))
+       for g in (SO2, SO3, SE3, translation_group(2))},
+    **{f"exponentiated:{k}": (lambda k=k: exponentiated_connection(CONTINUOUS_FIXTURES[k]()))
+       for k in CONTINUOUS_FIXTURES},
+    **{f"mechanical:{k}": (lambda k=k: mechanical_discrete_connection(LAGRANGIAN_FIXTURES[k]()))
+       for k in LAGRANGIAN_FIXTURES},
+}
+
+
+@st.composite
+def quotient_samples(draw):
+    """(c, p, g): a connection, a pair within its validity radius and a group element."""
+    c = QUOTIENT_FAMILIES[draw(st.sampled_from(sorted(QUOTIENT_FAMILIES)))]()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = c.bundle
+    q0 = b.random_point(rng, shape_scale=0.2, fiber_scale=0.5)
+    step = rng.standard_normal(b.shape_dim)
+    if b.shape_dim:
+        step *= draw(st.floats(0.0, 0.45)) / np.linalg.norm(step)
+    q1 = b.point(q0.shape.coords + step, lg.random_element(b.group, rng, 0.5))
+    return c, PairElement(q0, q1), lg.random_element(b.group, rng, 0.5)
+
+
+@PROPERTY
+@given(quotient_samples())
+def test_quotient_splitting_is_the_two_point_chain_splitting(sample):
+    c, p, g = sample
+    qp = quotient_pair(p)
+    x0, x1, a = decompose_quotient(c, qp)
+    shapes, (b,) = decompose_chain(c, [p.first, p.second])
+    assert np.array_equal(x0.coords, shapes[0].coords)
+    assert np.array_equal(x1.coords, shapes[1].coords)
+    assert np.max(np.abs(a.group_part.matrix - b.group_part.matrix)) < 1e-10
+    # assemble(decompose(qp)) = qp and decompose(assemble(x0, x1, a)) = (x0, x1, a).
+    back = assemble_quotient(c, x0, x1, a).representative
+    assert point_gap(back.first, qp.representative.first) < 1e-10
+    assert point_gap(back.second, qp.representative.second) < 1e-10
+    moved = AdjointBundleElement(x0, g)
+    y0, y1, again = decompose_quotient(c, assemble_quotient(c, x0, x1, moved))
+    assert np.array_equal(y0.coords, x0.coords) and np.array_equal(y1.coords, x1.coords)
+    assert np.max(np.abs(again.group_part.matrix - g.matrix)) < 1e-10
