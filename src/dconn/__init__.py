@@ -8,8 +8,8 @@ The package provides:
 * discrete connections: group-valued forms on configuration pairs, their
   vertical/horizontal decompositions, quotient splittings and higher-order
   variants (``dconn.connection``);
-* continuous limits, exact and Cayley discretizations, and order-of-accuracy
-  estimation (``dconn.limits``);
+* continuous limits, exponentiated, Cayley and forward-difference
+  discretizations, and order-of-accuracy estimation (``dconn.limits``);
 * discrete Lagrangian mechanics: momentum maps, Euler-Lagrange stepping and
   mechanical connections (``dconn.mechanical``);
 * SO(2)-valued parallel transport, curvature and holonomy on triangulated

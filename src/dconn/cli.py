@@ -62,9 +62,10 @@ def _build_connection(cfg: dict, key: str = "connection") -> DiscreteConnection:
     family = cfg.get(key)
     if not isinstance(family, str):
         raise DconnError(f"config field {key!r} must name a connection family")
-    return resolve_connection(
-        family, cfg.get("group", "SO3"), int(cfg.get("shape_dim", 2))
-    )
+    shape_dim = cfg.get("shape_dim", 2)
+    if isinstance(shape_dim, bool) or not isinstance(shape_dim, int):
+        raise DconnError(f"config field 'shape_dim' must be an integer, got {shape_dim!r}")
+    return resolve_connection(family, cfg.get("group", "SO3"), shape_dim)
 
 
 def _parse_point(conn: DiscreteConnection, data: dict) -> BundlePoint:

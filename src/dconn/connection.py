@@ -79,10 +79,15 @@ def _check_domain(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> None
 
 def eval_form(c: DiscreteConnection, p: PairElement) -> GroupElement:
     """The connection form g1 A(x0, x1) g0^-1 on a bundle pair."""
-    x0, x1 = p.first.shape, p.second.shape
-    _check_domain(c, x0, x1)
-    a = c.local_rep(x0, x1)
-    return lg.compose(p.second.fiber, lg.compose(a, lg.inverse(p.first.fiber)))
+    return form_given_inverse(c, p.first, p.second, lg.inverse(p.first.fiber))
+
+
+def form_given_inverse(c: DiscreteConnection, q0: BundlePoint, q1: BundlePoint,
+                       g0inv: GroupElement) -> GroupElement:
+    """eval_form on (q0, q1), given g0inv = g0^-1, for callers that pair one q0 with many q1."""
+    _check_domain(c, q0.shape, q1.shape)
+    a = c.local_rep(q0.shape, q1.shape)
+    return lg.compose(q1.fiber, lg.compose(a, g0inv))
 
 
 def vertical_from_form(p: PairElement, w: GroupElement) -> PairElement:

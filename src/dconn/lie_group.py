@@ -3,7 +3,8 @@
 Supported groups: SO(2), SO(3), SE(3) and the additive translation groups
 R^n (represented as homogeneous matrices so every group shares one code
 path).  Each group fixes a Lie-algebra basis through ``hat``/``vee``; all
-algebra coordinates below refer to that basis.
+algebra coordinates below refer to that basis.  Algebra elements are plain
+float arrays of length ``group.dim``; the kernels return them read-only.
 
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
@@ -149,9 +150,15 @@ def _norm(w: np.ndarray) -> float:
     return math.sqrt(w.dot(w))
 
 
-def _so3_exp(w: np.ndarray) -> np.ndarray:
+def _so3_exp(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """Rodrigues' formula; given a translation v, the SE(3) exponential of (w, v).
+
+    SE(3)'s V matrix I + b k + c k^2 shares theta, k = hat(w), k^2 and b with
+    the rotation.
+    """
     theta = _norm(w)
     k = _so3_hat(w)
+    kk = k @ k
     if theta < _SMALL_ANGLE:
         # sin(t)/t and (1-cos t)/t^2 to second order.
         a = 1.0 - theta**2 / 6.0
@@ -159,7 +166,17 @@ def _so3_exp(w: np.ndarray) -> np.ndarray:
     else:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta**2
-    return _EYE3 + a * k + b * (k @ k)
+    r = _EYE3 + a * k + b * kk
+    if v is None:
+        return r
+    if theta < _SMALL_ANGLE:
+        c = 1.0 / 6.0 - theta**2 / 120.0
+    else:
+        c = (theta - math.sin(theta)) / theta**3
+    out = _EYE4.copy()
+    out[:3, :3] = r
+    out[:3, 3] = (_EYE3 + b * k + c * kk) @ v
+    return out
 
 
 def _so3_rotation_angle(r: np.ndarray) -> float:
@@ -202,18 +219,6 @@ class _SO3(MatrixGroup):
         _check_rotation(m, tol, self.name)
 
 
-def _se3_v_matrix(w: np.ndarray) -> np.ndarray:
-    theta = _norm(w)
-    k = _so3_hat(w)
-    if theta < _SMALL_ANGLE:
-        b = 0.5 - theta**2 / 24.0
-        c = 1.0 / 6.0 - theta**2 / 120.0
-    else:
-        b = (1.0 - math.cos(theta)) / theta**2
-        c = (theta - math.sin(theta)) / theta**3
-    return _EYE3 + b * k + c * (k @ k)
-
-
 def _se3_v_inverse(w: np.ndarray) -> np.ndarray:
     theta = _norm(w)
     k = _so3_hat(w)
@@ -243,11 +248,7 @@ class _SE3(MatrixGroup):
 
     def exp_matrix(self, vector):
         x = np.asarray(vector, dtype=float).reshape(6)
-        w, v = x[:3], x[3:]
-        out = _EYE4.copy()
-        out[:3, :3] = _so3_exp(w)
-        out[:3, 3] = _se3_v_matrix(w) @ v
-        return out
+        return _so3_exp(x[:3], x[3:])
 
     def log_vector(self, matrix):
         w = _so3_log(matrix[:3, :3])
@@ -328,6 +329,8 @@ _NAMED = {"SO2": SO2, "SO3": SO3, "SE3": SE3}
 
 def group_by_name(name: str) -> MatrixGroup:
     """Look up a group by tag: SO2, SO3, SE3, or Tn for R^n."""
+    if not isinstance(name, str):
+        raise ValueError(f"group tag must be a string, got {name!r}")
     if name in _NAMED:
         return _NAMED[name]
     if name.startswith("T") and name[1:].isdigit():
@@ -355,41 +358,18 @@ class GroupElement:
             object.__setattr__(self, "matrix", _readonly(self.matrix))
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    """A Lie-algebra element in basis coordinates (copied like GroupElement.matrix)."""
-
-    group: MatrixGroup
-    vector: np.ndarray
-    _owned: InitVar[bool] = False
-
-    def __post_init__(self, _owned):
-        if _owned:
-            self.vector.flags.writeable = False
-        else:
-            object.__setattr__(self, "vector", _readonly(np.reshape(self.vector, (self.group.dim,))))
-
-
 def element(group: MatrixGroup, matrix: np.ndarray) -> GroupElement:
     return GroupElement(group, matrix)
-
-
-def algebra(group: MatrixGroup, vector: np.ndarray) -> AlgebraElement:
-    return AlgebraElement(group, vector)
 
 
 def identity(group: MatrixGroup) -> GroupElement:
     return GroupElement(group, group.identity_matrix(), True)
 
 
-def _same_group(a, b, what: str) -> None:
-    if a.group is not b.group:
-        raise GroupMismatchError(f"{what}: {a.group.name} vs {b.group.name}")
-
-
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product a*b.  No re-orthonormalization is applied."""
-    _same_group(a, b, "compose")
+    if a.group is not b.group:
+        raise GroupMismatchError(f"compose: {a.group.name} vs {b.group.name}")
     return GroupElement(a.group, a.matrix @ b.matrix, True)
 
 
@@ -408,27 +388,22 @@ def inverse(a: GroupElement) -> GroupElement:
     return GroupElement(g, 2.0 * g.identity_matrix() - a.matrix, True)
 
 
-def exp(xi: AlgebraElement) -> GroupElement:
-    """Group exponential (closed form for each supported group)."""
-    return GroupElement(xi.group, xi.group.exp_matrix(xi.vector), True)
+def exp(group: MatrixGroup, xi) -> GroupElement:
+    """Group exponential of the algebra coordinates xi (closed form per group)."""
+    return GroupElement(group, group.exp_matrix(xi), True)
 
 
-def log(g: GroupElement) -> AlgebraElement:
-    """Principal logarithm.  Raises CutLocusError near the cut locus."""
-    return AlgebraElement(g.group, g.group.log_vector(g.matrix), True)
+def log(g: GroupElement) -> np.ndarray:
+    """Principal logarithm as read-only algebra coordinates.
+
+    Raises CutLocusError near the cut locus.
+    """
+    return _frozen(g.group.log_vector(g.matrix))
 
 
-def cayley(xi: AlgebraElement) -> GroupElement:
+def cayley(group: MatrixGroup, xi) -> GroupElement:
     """Cayley transform (I - xi/2)^-1 (I + xi/2): a second-order map to the group."""
-    return GroupElement(xi.group, xi.group.cayley_matrix(xi.vector), True)
-
-
-def hat(xi: AlgebraElement) -> np.ndarray:
-    return xi.group.hat(xi.vector)
-
-
-def vee(group: MatrixGroup, matrix: np.ndarray) -> AlgebraElement:
-    return AlgebraElement(group, group.vee(matrix), True)
+    return GroupElement(group, group.cayley_matrix(xi), True)
 
 
 def adjoint_matrix(g: GroupElement) -> np.ndarray:
@@ -440,18 +415,15 @@ def adjoint_matrix(g: GroupElement) -> np.ndarray:
     return g.group.adjoint_matrix(g.matrix)
 
 
-def adjoint(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:
-    """Adjoint action Ad_g(xi) = vee(g hat(xi) g^-1)."""
-    _same_group(g, xi, "adjoint")
-    return AlgebraElement(g.group, adjoint_matrix(g) @ xi.vector, True)
+def adjoint(g: GroupElement, xi) -> np.ndarray:
+    """Adjoint action Ad_g(xi) = vee(g hat(xi) g^-1), as read-only coordinates."""
+    return _frozen(adjoint_matrix(g) @ xi)
 
 
-def bracket(xi: AlgebraElement, eta: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [xi, eta] in algebra coordinates."""
-    _same_group(xi, eta, "bracket")
-    g = xi.group
-    m = g.hat(xi.vector) @ g.hat(eta.vector) - g.hat(eta.vector) @ g.hat(xi.vector)
-    return AlgebraElement(g, g.vee(m), True)
+def bracket(group: MatrixGroup, xi, eta) -> np.ndarray:
+    """Lie bracket [xi, eta] in algebra coordinates, read-only."""
+    a, b = group.hat(xi), group.hat(eta)
+    return _frozen(group.vee(a @ b - b @ a))
 
 
 def conj_invariant_norm(g: GroupElement) -> float:
@@ -462,12 +434,12 @@ def conj_invariant_norm(g: GroupElement) -> float:
     by rotations preserves it, since no nondegenerate fully
     conjugation-invariant norm exists there).
     """
-    return _norm(log(g).vector)
+    return _norm(log(g))
 
 
-def random_algebra(group: MatrixGroup, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    return AlgebraElement(group, scale * rng.standard_normal(group.dim), True)
+def random_algebra(group: MatrixGroup, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    return _frozen(scale * rng.standard_normal(group.dim))
 
 
 def random_element(group: MatrixGroup, rng: np.random.Generator, scale: float = 1.0) -> GroupElement:
-    return exp(random_algebra(group, rng, scale))
+    return exp(group, random_algebra(group, rng, scale))

@@ -18,9 +18,15 @@ import numpy as np
 
 from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
-from .connection import DiscreteConnection, eval_form, horizontal_component, vertical_component
+from .connection import (
+    DiscreteConnection,
+    eval_form,
+    form_given_inverse,
+    horizontal_component,
+    vertical_component,
+)
 from .errors import BasepointMismatchError, DegenerateFitError
-from .lie_group import AlgebraElement, GroupElement
+from .lie_group import GroupElement
 
 DEFAULT_H_LIST = (1.0e-2, 5.0e-3, 2.5e-3)
 # Below this error magnitude a log-log fit measures rounding noise, not order.
@@ -29,30 +35,27 @@ ERROR_FLOOR = 1.0e-13
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """A trivialized tangent vector (shape velocity, left-trivialized fiber velocity)."""
+    """A trivialized tangent vector (shape velocity, left-trivialized fiber velocity).
+
+    The fiber velocity is kept as a read-only copy of its algebra coordinates.
+    """
 
     base: BundlePoint
     shape_velocity: np.ndarray
-    fiber_velocity: AlgebraElement
+    fiber_velocity: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.shape_velocity, dtype=float).reshape(self.base.shape.coords.shape)
         object.__setattr__(self, "shape_velocity", v)
+        eta = np.array(self.fiber_velocity, dtype=float).reshape(self.base.fiber.group.dim)
+        eta.flags.writeable = False
+        object.__setattr__(self, "fiber_velocity", eta)
 
     def coordinates(self) -> np.ndarray:
-        return np.concatenate([self.shape_velocity, self.fiber_velocity.vector])
+        return np.concatenate([self.shape_velocity, self.fiber_velocity])
 
 
-def tangent(base: BundlePoint, shape_velocity, fiber_velocity) -> TangentVector:
-    group = base.fiber.group
-    if isinstance(fiber_velocity, AlgebraElement):
-        eta = fiber_velocity
-    else:
-        eta = AlgebraElement(group, fiber_velocity)
-    return TangentVector(base, np.asarray(shape_velocity, dtype=float), eta)
-
-
-def vertical_tangent(q: BundlePoint, xi: AlgebraElement) -> TangentVector:
+def vertical_tangent(q: BundlePoint, xi) -> TangentVector:
     """The infinitesimal generator xi_Q(q): zero shape velocity, eta = Ad_{g^-1} xi."""
     eta = lg.adjoint(lg.inverse(q.fiber), xi)
     return TangentVector(q, np.zeros_like(q.shape.coords), eta)
@@ -61,7 +64,7 @@ def vertical_tangent(q: BundlePoint, xi: AlgebraElement) -> TangentVector:
 def chart_curve(v: TangentVector, t: float) -> BundlePoint:
     """The curve (x + t xdot, g exp(t eta)) through v.base with velocity v."""
     x = ShapePoint(v.base.shape.coords + t * v.shape_velocity)
-    step = lg.exp(AlgebraElement(v.fiber_velocity.group, t * v.fiber_velocity.vector))
+    step = lg.exp(v.base.fiber.group, t * v.fiber_velocity)
     return BundlePoint(x, lg.compose(v.base.fiber, step))
 
 
@@ -89,10 +92,9 @@ class ContinuousConnection:
     bundle: Bundle
     coefficient: Callable[[np.ndarray], np.ndarray]
 
-    def one_form(self, v: TangentVector) -> AlgebraElement:
+    def one_form(self, v: TangentVector) -> np.ndarray:
         a = np.asarray(self.coefficient(v.base.shape.coords), dtype=float)
-        vec = v.fiber_velocity.vector + a @ v.shape_velocity
-        return AlgebraElement(self.bundle.group, lg.adjoint_matrix(v.base.fiber) @ vec)
+        return lg.adjoint(v.base.fiber, v.fiber_velocity + a @ v.shape_velocity)
 
 
 def _validate_h_list(h_list: Sequence[float]) -> list[float]:
@@ -119,20 +121,19 @@ def derivative_at_zero(sample: Callable[[float], np.ndarray],
 
 
 def induced_continuous(c: DiscreteConnection, v: TangentVector,
-                       h_list: Sequence[float] = DEFAULT_H_LIST) -> AlgebraElement:
+                       h_list: Sequence[float] = DEFAULT_H_LIST) -> np.ndarray:
     """The derivative of t -> log form(q, q(t)) at t = 0 along the chart curve.
 
     Recovers the continuous connection underlying a consistent discrete one;
     on a vertical tangent xi_Q(q) the result is xi exactly up to stencil
     error, thanks to the splitting property.
     """
-    group = c.bundle.group
     q0 = v.base
 
     def sample(t: float) -> np.ndarray:
-        return lg.log(eval_form(c, PairElement(q0, chart_curve(v, t)))).vector
+        return lg.log(eval_form(c, PairElement(q0, chart_curve(v, t))))
 
-    return AlgebraElement(group, derivative_at_zero(sample, h_list))
+    return derivative_at_zero(sample, h_list)
 
 
 def _local_rep(a: ContinuousConnection, to_group,
@@ -147,7 +148,7 @@ def _local_rep(a: ContinuousConnection, to_group,
     def rep(x0: ShapePoint, x1: ShapePoint) -> GroupElement:
         x = x1 if at_far_end else x0
         step = np.asarray(a.coefficient(x.coords), dtype=float) @ (x1.coords - x0.coords)
-        return to_group(AlgebraElement(group, step))
+        return to_group(group, step)
 
     return rep
 
@@ -180,7 +181,7 @@ def unit_directions(bundle: Bundle, q: BundlePoint, count: int = 32,
     for _ in range(count):
         raw = rng.standard_normal(dim)
         raw /= np.linalg.norm(raw)
-        out.append(tangent(q, raw[: bundle.shape_dim], raw[bundle.shape_dim:]))
+        out.append(TangentVector(q, raw[: bundle.shape_dim], raw[bundle.shape_dim:]))
     return out
 
 
@@ -220,12 +221,15 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
         n = np.linalg.norm(v.coordinates())
         if abs(n - 1.0) > 1.0e-8:
             raise ValueError(f"directions must be unit vectors (norm {n:.6f})")
+    # Every sample pairs q with a point of its chart curve: invert q's fiber once.
+    g0inv = lg.inverse(q.fiber)
     rows = []
     for h in hs:
         row = []
         for v in directions:
-            p = PairElement(q, chart_curve(v, h))
-            err = lg.compose(eval_form(exact, p), lg.inverse(eval_form(candidate, p)))
+            q1 = chart_curve(v, h)
+            err = lg.compose(form_given_inverse(exact, q, q1, g0inv),
+                             lg.inverse(form_given_inverse(candidate, q, q1, g0inv)))
             row.append(lg.conj_invariant_norm(err))
         rows.append(tuple(row))
     max_errors = tuple(max(row) for row in rows)
@@ -262,9 +266,9 @@ def _endpoint_variation(component: Callable[[DiscreteConnection, PairElement], P
     g0inv = lg.inverse(endpoint(0.0))
 
     def sample(t: float) -> np.ndarray:
-        return lg.log(lg.compose(g0inv, endpoint(t))).vector
+        return lg.log(lg.compose(g0inv, endpoint(t)))
 
-    eta = AlgebraElement(c.bundle.group, derivative_at_zero(sample, h_list))
+    eta = derivative_at_zero(sample, h_list)
     return TangentVector(component(c, p).second, shape_velocity, eta)
 
 

@@ -20,7 +20,7 @@ from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from .connection import DiscreteConnection
 from .errors import CutLocusError, NonDegenerateError, SolverDivergedError
-from .lie_group import AlgebraElement, GroupElement
+from .lie_group import GroupElement
 
 # Relative step for the 6-point central-difference fallback.
 FD_STEP = 1.0e-5
@@ -39,7 +39,7 @@ _FD_WEIGHTS = (1.0 / 60.0, -9.0 / 60.0, 45.0 / 60.0, -45.0 / 60.0, 9.0 / 60.0, -
 def shift(q: BundlePoint, z: np.ndarray) -> BundlePoint:
     """The trivialized move (x + z_shape, g exp(z_fiber)) of q by coordinates z."""
     d = q.shape.coords.size
-    fiber = lg.compose(q.fiber, lg.exp(AlgebraElement(q.fiber.group, z[d:])))
+    fiber = lg.compose(q.fiber, lg.exp(q.fiber.group, z[d:]))
     return BundlePoint(ShapePoint(q.shape.coords + z[:d]), fiber)
 
 
@@ -58,7 +58,8 @@ class DiscreteLagrangian:
     trivialized moves ``shift(q1, z)`` = (x1 + z_shape, g1 exp(z_fiber)),
     column j for coordinate z_j.  Both Newton solvers take their Jacobian
     from it; when omitted it falls back to central differences of
-    ``d1_eval`` with step JAC_FD_STEP.
+    ``d1_eval`` with step JAC_FD_STEP.  The solvers evaluate ``d1`` and
+    ``d12`` of one iterate at the same point objects.
     """
 
     bundle: Bundle
@@ -110,8 +111,8 @@ class MomentumValue:
     group: lg.MatrixGroup
     covector: np.ndarray
 
-    def pair(self, xi: AlgebraElement) -> float:
-        return float(self.covector @ xi.vector)
+    def pair(self, xi: np.ndarray) -> float:
+        return float(self.covector @ xi)
 
 
 def discrete_momentum(L: DiscreteLagrangian, p: PairElement) -> MomentumValue:
@@ -130,13 +131,14 @@ def fiber_derivative(L: DiscreteLagrangian, p: PairElement) -> tuple[BundlePoint
     return p.first, -L.d1_eval(p.first, p.second)
 
 
-def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
-             tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> BundlePoint:
+def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> BundlePoint:
     """Solve the discrete Euler-Lagrange equation D2 L(q0,q1) + D1 L(q1,q2) = 0.
 
     Newton iteration in trivialized coordinates around the chart
     extrapolation (2 x1 - x0, g1 (g0^-1 g1)); raises SolverDivergedError if
-    the residual does not fall below ``tol`` within ``max_iter`` iterations.
+    the residual does not fall below NEWTON_TOL within NEWTON_MAX_ITER
+    iterations.  Each iterate is one point object, so a Lagrangian that
+    shares work between d1 and d12 at one pair can reuse it.
     """
     rhs = L.d2_eval(q0, q1)
     seed_coords = 2.0 * q1.shape.coords - q0.shape.coords
@@ -147,7 +149,7 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
     # long trajectories.
     try:
         rel = lg.log(lg.compose(lg.inverse(q0.fiber), q1.fiber))
-        seed_fiber = lg.compose(q1.fiber, lg.exp(rel))
+        seed_fiber = lg.compose(q1.fiber, lg.exp(q1.fiber.group, rel))
     except CutLocusError:
         seed_fiber = lg.compose(q1.fiber, lg.compose(lg.inverse(q0.fiber), q1.fiber))
     q2 = BundlePoint(ShapePoint(seed_coords), seed_fiber)
@@ -155,9 +157,9 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
     def residual(q: BundlePoint) -> np.ndarray:
         return rhs + L.d1_eval(q1, q)
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         res = residual(q2)
-        if np.max(np.abs(res)) < tol:
+        if np.max(np.abs(res)) < NEWTON_TOL:
             return q2
         try:
             delta = np.linalg.solve(L.d12_eval(q1, q2), -res)
@@ -166,41 +168,44 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
         q2 = shift(q2, delta)
     res = np.max(np.abs(residual(q2)))
     raise SolverDivergedError(
-        f"discrete Euler-Lagrange Newton stalled at residual {res:.3e} after {max_iter} iterations"
+        f"discrete Euler-Lagrange Newton stalled at residual {res:.3e} "
+        f"after {NEWTON_MAX_ITER} iterations"
     )
 
 
-def mechanical_connection(L: DiscreteLagrangian, p: PairElement,
-                          tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> GroupElement:
+def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement:
     """The discrete mechanical connection value for a G-invariant Lagrangian.
 
     Solves J(x0, g0, x1, g) = 0 for g near g0 by Newton iteration in the
-    exponential chart and returns g1 g^-1.  Raises NonDegenerateError when
-    the momentum Jacobian in g is singular beyond RCOND_FLOOR conditioning.
+    exponential chart and returns g1 g^-1, within NEWTON_TOL and
+    NEWTON_MAX_ITER as in del_step.  Raises NonDegenerateError when the
+    momentum Jacobian in g is singular beyond RCOND_FLOOR conditioning.
     """
     group = L.bundle.group
     d = L.bundle.shape_dim
     x1 = p.second.shape
-    g = p.first.fiber
-    # J = -Ad_{g0^-1}^T D1 L(q0, (x1, g)), and g exp(z) moves only the fiber of the second slot.
+    # The second slot (x1, g), g starting at g0; one point object per iterate.
+    q1 = BundlePoint(x1, p.first.fiber)
+    # J = -Ad_{g0^-1}^T D1 L(q0, (x1, g)) as in discrete_momentum, and g exp(z)
+    # moves only the fiber of the second slot.
     ad_inv_t = lg.adjoint_matrix(lg.inverse(p.first.fiber)).T
 
-    def momentum(gg: GroupElement) -> np.ndarray:
-        return discrete_momentum(L, PairElement(p.first, BundlePoint(x1, gg))).covector
+    def momentum(q: BundlePoint) -> np.ndarray:
+        return -(ad_inv_t @ L.d1_eval(p.first, q)[d:])
 
-    for _ in range(max_iter):
-        res = momentum(g)
-        if np.max(np.abs(res)) < tol:
-            return lg.compose(p.second.fiber, lg.inverse(g))
-        jac = -(ad_inv_t @ L.d12_eval(p.first, BundlePoint(x1, g))[d:, d:])
+    for _ in range(NEWTON_MAX_ITER):
+        res = momentum(q1)
+        if np.max(np.abs(res)) < NEWTON_TOL:
+            return lg.compose(p.second.fiber, lg.inverse(q1.fiber))
+        jac = -(ad_inv_t @ L.d12_eval(p.first, q1)[d:, d:])
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= RCOND_FLOOR * sv[0] or sv[0] == 0.0:
             raise NonDegenerateError(
                 f"momentum Jacobian is singular (rcond {sv[-1] / sv[0] if sv[0] else 0.0:.2e})"
             )
-        g = lg.compose(g, lg.exp(AlgebraElement(group, np.linalg.solve(jac, -res))))
+        q1 = BundlePoint(x1, lg.compose(q1.fiber, lg.exp(group, np.linalg.solve(jac, -res))))
     raise SolverDivergedError(
-        f"mechanical connection Newton stalled at residual {np.max(np.abs(momentum(g))):.3e}"
+        f"mechanical connection Newton stalled at residual {np.max(np.abs(momentum(q1))):.3e}"
     )
 
 

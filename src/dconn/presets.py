@@ -31,7 +31,7 @@ from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from .connection import DiscreteConnection, trivial_connection
 from .errors import DconnError
-from .lie_group import SE3, SO3, AlgebraElement, group_by_name, translation_group
+from .lie_group import SE3, SO3, group_by_name, translation_group
 from .limits import (
     ContinuousConnection,
     cayley_connection,
@@ -246,44 +246,53 @@ def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
     are D1 = (-dx/h + (kappa/h) B^T w, (kappa/h) P1^T w) and
     D2 = (dx/h + (kappa/h) C^T w, (kappa/h) P2^T w), where column j of B is
     dC/dx_j dx - C[:, j], the x0_j-derivative of w.
+
+    The pieces m, phi(m), dx, C(x0), w, B and P1, P2 of one pair serve every
+    call at it: the last pair is kept and matched by the identity of its two
+    immutable points, which the Newton solvers hold for d1 and d12 of an
+    iterate (and del_step for d2 of the pair its last residual checked).
     """
     h = COUPLED_STEP
     k = COUPLED_KAPPA / h
+    d = bundle.shape_dim
+    last: list = [None, None, None]  # q0, q1 and their pieces
 
-    def parts(q0: BundlePoint, q1: BundlePoint):
-        m = lg.compose(lg.inverse(q0.fiber), q1.fiber).matrix
-        lam = chart.phi(m)
-        x0 = q0.shape.coords
-        dx = q1.shape.coords - x0
-        c = coupling(x0)
-        return m, lam, dx, c, lam + c @ dx
-
-    def b_columns(dx: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
-        return [cj @ dx - c[:, j] for j, cj in enumerate(partials)]
+    def pieces(q0: BundlePoint, q1: BundlePoint) -> tuple:
+        if last[0] is not q0 or last[1] is not q1:
+            m = lg.compose(lg.inverse(q0.fiber), q1.fiber).matrix
+            lam = chart.phi(m)
+            x0 = q0.shape.coords
+            dx = q1.shape.coords - x0
+            c = coupling(x0)
+            # Row j is column j of B.
+            bt = np.array([cj @ dx - c[:, j] for j, cj in enumerate(partials)])
+            last[:] = q0, q1, (m, lam, dx, c, lam + c @ dx, bt.reshape(d, c.shape[0]),
+                               chart.d1(m, lam), chart.d2(m, lam))
+        return last[2]
 
     def value(q0: BundlePoint, q1: BundlePoint) -> float:
-        _, _, dx, _, w = parts(q0, q1)
+        _, _, dx, _, w, _, _, _ = pieces(q0, q1)
         return float(dx @ dx) / (2.0 * h) + COUPLED_KAPPA * float(w @ w) / (2.0 * h)
 
     def d1(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        m, lam, dx, c, w = parts(q0, q1)
-        shape = -dx / h + k * np.array([w @ bj for bj in b_columns(dx, c)])
-        return np.concatenate([shape, k * (chart.d1(m, lam).T @ w)])
+        _, _, dx, _, w, bt, p1, _ = pieces(q0, q1)
+        shape = -dx / h + k * np.array([w @ bj for bj in bt])
+        return np.concatenate([shape, k * (p1.T @ w)])
 
     def d2(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        m, lam, dx, c, w = parts(q0, q1)
-        return np.concatenate([dx / h + k * (c.T @ w), k * (chart.d2(m, lam).T @ w)])
+        _, _, dx, c, w, _, _, p2 = pieces(q0, q1)
+        return np.concatenate([dx / h + k * (c.T @ w), k * (p2.T @ w)])
 
     def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         # Shape moves of q1 change w by C and leave P1 alone; fiber moves change w by P2.
-        m, lam, dx, c, w = parts(q0, q1)
-        p1, p2 = chart.d1(m, lam), chart.d2(m, lam)
-        b = np.array(b_columns(dx, c)).T.reshape(c.shape)
+        m, lam, _, c, w, bt, p1, p2 = pieces(q0, q1)
         g = np.array([cj.T @ w for cj in partials])
-        return np.block([
-            [k * (b.T @ c + g) - np.eye(dx.size) / h, k * (b.T @ p2)],
-            [k * (p1.T @ c), k * (p1.T @ p2 + chart.d1_derivative(m, lam, w, p2))],
-        ])
+        jac = np.empty((d + w.size, d + w.size))
+        jac[:d, :d] = k * (bt @ c + g) - np.eye(d) / h
+        jac[:d, d:] = k * (bt @ p2)
+        jac[d:, :d] = k * (p1.T @ c)
+        jac[d:, d:] = k * (p1.T @ p2 + chart.d1_derivative(m, lam, w, p2))
+        return jac
 
     return DiscreteLagrangian(bundle, value, d1, d2, d12)
 
@@ -400,7 +409,7 @@ def default_base_point(bundle: Bundle) -> BundlePoint:
     """A fixed, mildly generic base point used by CLI defaults and tests."""
     coords = 0.1 * np.array([(-1.0) ** i * (1.0 + 0.5 * i) for i in range(bundle.shape_dim)])
     seed = np.array([1.0, -0.5, 0.25, 0.75, -0.25, 0.5][: bundle.group.dim])
-    fiber = lg.exp(AlgebraElement(bundle.group, 0.15 * seed))
+    fiber = lg.exp(bundle.group, 0.15 * seed)
     return bundle.point(coords, fiber)
 
 
@@ -410,7 +419,7 @@ def default_pair(bundle: Bundle, separation: float = 0.2) -> PairElement:
         [1.0 / (1.0 + i) for i in range(bundle.shape_dim)]
     )
     seed = np.array([-0.5, 1.0, 0.5, -0.25, 0.75, 0.25][: bundle.group.dim])
-    fiber = lg.compose(q0.fiber, lg.exp(AlgebraElement(bundle.group, 0.2 * seed)))
+    fiber = lg.compose(q0.fiber, lg.exp(bundle.group, 0.2 * seed))
     return PairElement(q0, BundlePoint(ShapePoint(coords), fiber))
 
 

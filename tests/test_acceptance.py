@@ -38,8 +38,8 @@ from dconn.limits import (
     endpoint_connection,
     estimate_order,
     exponentiated_connection,
+    TangentVector,
     induced_continuous,
-    tangent,
     unit_directions,
     vertical_tangent,
 )
@@ -208,8 +208,8 @@ def test_acceptance_2_quotient_isomorphism_round_trips(families):
                               max(point_residual(r, q) for r, q in zip(rebuilt, canon)))
     # Pure-group reduction has the closed form g0^-1 g1 for the adjoint part.
     c = trivial_connection(Bundle(SO3, 0))
-    g0 = lg.exp(lg.algebra(SO3, [0.3, -0.2, 0.5]))
-    g1 = lg.exp(lg.algebra(SO3, [-0.1, 0.4, 0.2]))
+    g0 = lg.exp(SO3, [0.3, -0.2, 0.5])
+    g1 = lg.exp(SO3, [-0.1, 0.4, 0.2])
     p = PairElement(c.bundle.point(np.zeros(0), g0), c.bundle.point(np.zeros(0), g1))
     _, _, a = decompose_quotient(c, quotient_pair(p))
     closed = float(np.max(np.abs(a.group_part.matrix - g0.matrix.T @ g1.matrix)))
@@ -288,13 +288,13 @@ def test_acceptance_4_continuous_limit_recovery():
     for _ in range(5):
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
-        directions.append(tangent(q, u, 0.3 * rng.standard_normal(3)))
+        directions.append(TangentVector(q, u, 0.3 * rng.standard_normal(3)))
     hs = np.geomspace(1e-1, 2e-2, 5)
     errors = []
     for h in hs:
         step = max(
-            float(np.max(np.abs(induced_continuous(c, v, h_list=[h]).vector
-                                - a.one_form(v).vector)))
+            float(np.max(np.abs(induced_continuous(c, v, h_list=[h])
+                                - a.one_form(v))))
             for v in directions
         )
         errors.append(step)
@@ -305,7 +305,7 @@ def test_acceptance_4_continuous_limit_recovery():
         xi = lg.random_algebra(SO3, rng, scale=0.5)
         got = induced_continuous(c, vertical_tangent(q2, xi))
         vertical_worst = max(vertical_worst,
-                             float(np.max(np.abs(got.vector - xi.vector))))
+                             float(np.max(np.abs(got - xi))))
     ok = slope >= 1.8 and errors[-1] < 1e-5 and vertical_worst < 1e-8
     verdict(4, "continuous limit recovery", ok,
             f"difference-quotient slope {slope:.2f}, finest-step error {errors[-1]:.1e}, "
@@ -356,7 +356,7 @@ def test_acceptance_6_momentum_conservation_and_horizontality():
     cases["rotation-coupled"] = (
         L_rot,
         L_rot.bundle.point([0.05, -0.05], np.eye(3)),
-        L_rot.bundle.point([0.08, -0.02], lg.exp(lg.algebra(SO3, [0.02, -0.01, 0.03]))),
+        L_rot.bundle.point([0.08, -0.02], lg.exp(SO3, [0.02, -0.01, 0.03])),
     )
     for name, (L, q0, q1) in cases.items():
         path = trajectory(L, q0, q1, steps)

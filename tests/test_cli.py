@@ -428,3 +428,42 @@ def test_bad_h_sweep_is_a_domain_failure(tmp_path, capsys):
         assert "finite, positive and strictly decreasing" in err
         assert "RuntimeWarning" not in err
 
+
+
+def test_sweep_past_the_validity_radius_is_a_domain_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, "o.json", {
+        "candidate": "cayley:so3_mechanical",
+        "reference": "exponentiated:so3_mechanical",
+        "h_sweep": {"start": 1.0, "stop": 1e-2, "count": 5},
+    })
+    assert main(["order", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds validity radius" in captured.err
+
+
+def test_group_tag_that_is_not_a_string_is_a_domain_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"connection": "trivial", "group": 7})
+    assert main(["decompose", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("dconn: ")
+    assert "group tag" in lines[0]
+
+
+@pytest.mark.parametrize("shape_dim", [2.7, 2.0, True, "2"])
+def test_shape_dimension_that_is_not_an_integer_is_a_domain_failure(tmp_path, capsys,
+                                                                     shape_dim):
+    cfg = write_config(tmp_path, "d.json", {"connection": "trivial", "shape_dim": shape_dim})
+    assert main(["decompose", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'shape_dim' must be an integer" in captured.err
+
+
+def test_newton_stall_is_a_domain_failure(tmp_path, capsys, monkeypatch):
+    from dconn import mechanical
+
+    monkeypatch.setattr(mechanical, "NEWTON_MAX_ITER", 1)
+    cfg = write_config(tmp_path, "d.json", {"connection": "mechanical:so3_coupled"})
+    assert main(["decompose", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "stalled" in captured.err

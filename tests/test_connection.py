@@ -282,8 +282,8 @@ def test_pure_group_reduction_example():
     # g0^-1 g1, conjugation-normalized to the identity-fiber representative.
     c = trivial_connection(Bundle(SO3, 0))
     b = c.bundle
-    g0 = lg.exp(lg.algebra(SO3, [0.3, -0.2, 0.5]))
-    g1 = lg.exp(lg.algebra(SO3, [-0.1, 0.4, 0.2]))
+    g0 = lg.exp(SO3, [0.3, -0.2, 0.5])
+    g1 = lg.exp(SO3, [-0.1, 0.4, 0.2])
     p = PairElement(b.point(np.zeros(0), g0), b.point(np.zeros(0), g1))
     x0, x1, a = decompose_quotient(c, quotient_pair(p))
     expected = g0.matrix.T @ g1.matrix
@@ -433,5 +433,5 @@ def test_mechanical_local_rep_closed_form():
         x0 = 0.2 * rng.standard_normal(2)
         x1 = x0 + 0.2 * rng.standard_normal(2)
         a = c.local_rep(ShapePoint(x0), ShapePoint(x1))
-        want = lg.exp(lg.algebra(SO3, coupling_so3(x0) @ (x1 - x0)))
+        want = lg.exp(SO3, coupling_so3(x0) @ (x1 - x0))
         assert matrices_close(a, want, tol=1e-10)

@@ -9,9 +9,10 @@ from dconn import bundle as bd
 from dconn import lie_group as lg
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from dconn.connection import eval_form, trivial_connection
-from dconn.errors import BasepointMismatchError, DegenerateFitError
+from dconn.errors import BasepointMismatchError, DegenerateFitError, OutOfDomainError
 from dconn.lie_group import SO3, translation_group
 from dconn.limits import (
+    TangentVector,
     cayley_connection,
     chart_curve,
     chart_pair_log,
@@ -21,12 +22,16 @@ from dconn.limits import (
     exponentiated_connection,
     horizontal_variation,
     induced_continuous,
-    tangent,
     unit_directions,
     vertical_tangent,
     vertical_variation,
 )
-from dconn.presets import CONTINUOUS_FIXTURES, abelian_mechanical, so3_mechanical
+from dconn.presets import (
+    CONTINUOUS_FIXTURES,
+    abelian_mechanical,
+    default_pair,
+    so3_mechanical,
+)
 
 T1 = translation_group(1)
 
@@ -38,7 +43,10 @@ def test_chart_curve_endpoints():
     b = Bundle(SO3, 2)
     rng = np.random.default_rng(50)
     q = b.random_point(rng)
-    v = tangent(q, [0.2, -0.1], [0.1, 0.3, -0.2])
+    eta = np.array([0.1, 0.3, -0.2])
+    v = TangentVector(q, [0.2, -0.1], eta)
+    eta[0] = 9.0  # the fiber velocity is a read-only copy
+    assert v.fiber_velocity[0] == 0.1 and not v.fiber_velocity.flags.writeable
     assert bd.points_match(chart_curve(v, 0.0), q)
     far = chart_curve(v, 1.0)
     assert np.max(np.abs(far.shape.coords - (q.shape.coords + v.shape_velocity))) < 1e-15
@@ -49,10 +57,10 @@ def test_chart_pair_log_inverts_chart_curve():
     rng = np.random.default_rng(51)
     for _ in range(20):
         q = b.random_point(rng)
-        v = tangent(q, rng.standard_normal(2), 0.5 * rng.standard_normal(3))
+        v = TangentVector(q, rng.standard_normal(2), 0.5 * rng.standard_normal(3))
         back = chart_pair_log(PairElement(q, chart_curve(v, 1.0)))
         assert np.max(np.abs(back.shape_velocity - v.shape_velocity)) < 1e-12
-        assert np.max(np.abs(back.fiber_velocity.vector - v.fiber_velocity.vector)) < 1e-10
+        assert np.max(np.abs(back.fiber_velocity - v.fiber_velocity)) < 1e-10
 
 
 def test_vertical_tangent_generates_group_action():
@@ -63,7 +71,7 @@ def test_vertical_tangent_generates_group_action():
         q = b.random_point(rng)
         xi = lg.random_algebra(SO3, rng, scale=0.5)
         end = chart_curve(vertical_tangent(q, xi), 1.0)
-        assert bd.points_match(end, bd.act(lg.exp(xi), q), tol=1e-11)
+        assert bd.points_match(end, bd.act(lg.exp(SO3, xi), q), tol=1e-11)
 
 
 # -- scalar differentiation ----------------------------------------------------
@@ -109,10 +117,10 @@ def test_induced_form_of_trivial_connection():
     rng = np.random.default_rng(53)
     for _ in range(10):
         q = b.random_point(rng)
-        v = tangent(q, rng.standard_normal(2), 0.5 * rng.standard_normal(3))
+        v = TangentVector(q, rng.standard_normal(2), 0.5 * rng.standard_normal(3))
         got = induced_continuous(c, v)
         want = lg.adjoint(q.fiber, v.fiber_velocity)
-        assert np.max(np.abs(got.vector - want.vector)) < 1e-9
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_induced_form_recovers_vertical_generator():
@@ -126,15 +134,15 @@ def test_induced_form_recovers_vertical_generator():
             q = c.bundle.random_point(rng, shape_scale=0.1)
             xi = lg.random_algebra(SO3, rng, scale=0.5)
             got = induced_continuous(c, vertical_tangent(q, xi))
-            assert np.max(np.abs(got.vector - xi.vector)) < 1e-8
+            assert np.max(np.abs(got - xi)) < 1e-8
 
 
 def test_induced_form_zero_on_zero_tangent():
     c = exponentiated_connection(so3_mechanical())
     rng = np.random.default_rng(55)
     q = c.bundle.random_point(rng, shape_scale=0.1)
-    v = tangent(q, np.zeros(2), np.zeros(3))
-    assert np.max(np.abs(induced_continuous(c, v).vector)) < 1e-14
+    v = TangentVector(q, np.zeros(2), np.zeros(3))
+    assert np.max(np.abs(induced_continuous(c, v))) < 1e-14
 
 
 def test_induced_form_recovers_continuous_one_form():
@@ -144,10 +152,10 @@ def test_induced_form_recovers_continuous_one_form():
     rng = np.random.default_rng(56)
     for _ in range(10):
         q = a.bundle.random_point(rng, shape_scale=0.1)
-        v = tangent(q, rng.standard_normal(2), 0.3 * rng.standard_normal(3))
+        v = TangentVector(q, rng.standard_normal(2), 0.3 * rng.standard_normal(3))
         got = induced_continuous(c, v)
         want = a.one_form(v)
-        assert np.max(np.abs(got.vector - want.vector)) < 1e-7
+        assert np.max(np.abs(got - want)) < 1e-7
 
 
 def test_induced_form_abelian_closed_form():
@@ -159,9 +167,9 @@ def test_induced_form_abelian_closed_form():
         q = a.bundle.point(x, lg.random_element(T1, rng))
         u = rng.standard_normal(1)
         eta = rng.standard_normal(1)
-        got = induced_continuous(c, tangent(q, u, eta))
+        got = induced_continuous(c, TangentVector(q, u, eta))
         want = eta[0] + 0.4 * math.cos(x[0]) * u[0]
-        assert abs(got.vector[0] - want) < 1e-9
+        assert abs(got[0] - want) < 1e-9
 
 
 # -- exact and Cayley discretizations ----------------------------------------------
@@ -182,8 +190,8 @@ def test_exact_discretization_on_vertical_pairs():
     for _ in range(10):
         q = c.bundle.random_point(rng, shape_scale=0.1)
         xi = lg.random_algebra(SO3, rng, scale=0.6)
-        w = eval_form(c, PairElement(q, bd.act(lg.exp(xi), q)))
-        assert np.max(np.abs(w.matrix - lg.exp(xi).matrix)) < 1e-11
+        w = eval_form(c, PairElement(q, bd.act(lg.exp(SO3, xi), q)))
+        assert np.max(np.abs(w.matrix - lg.exp(SO3, xi).matrix)) < 1e-11
 
 
 def test_exponentiated_connection_abelian_closed_form():
@@ -214,8 +222,8 @@ def test_local_reps_are_the_one_form_on_the_shape_step(fixture):
             x0 = ShapePoint(0.3 * rng.standard_normal(b.shape_dim))
             x1 = ShapePoint(x0.coords + 0.2 * rng.standard_normal(b.shape_dim))
             base = BundlePoint(x1 if at_far_end else x0, e)
-            v = tangent(base, x1.coords - x0.coords, np.zeros(b.group.dim))
-            assert np.array_equal(c.local_rep(x0, x1).matrix, to_group(a.one_form(v)).matrix)
+            v = TangentVector(base, x1.coords - x0.coords, np.zeros(b.group.dim))
+            assert np.array_equal(c.local_rep(x0, x1).matrix, to_group(b.group, a.one_form(v)).matrix)
 
 
 def test_cayley_discretization_identity_and_group_membership():
@@ -291,12 +299,37 @@ def test_order_estimate_input_validation(order_setup):
     a, exact, q, dirs, hs = order_setup
     with pytest.raises(ValueError):
         estimate_order(cayley_connection(a), exact, q, dirs, [1e-2, 5e-3])
-    stretched = [tangent(q, 2.0 * v.shape_velocity, 2.0 * v.fiber_velocity.vector)
+    stretched = [TangentVector(q, 2.0 * v.shape_velocity, 2.0 * v.fiber_velocity)
                  for v in dirs]
     with pytest.raises(ValueError):
         estimate_order(cayley_connection(a), exact, q, stretched, hs)
     with pytest.raises(ValueError, match="directions"):
         estimate_order(cayley_connection(a), exact, q, [], hs)
+
+
+def test_sweep_past_the_validity_radius_is_rejected(order_setup):
+    # At h = 1 some unit direction moves the shape farther than VALIDITY_RADIUS.
+    a, exact, q, dirs, _ = order_setup
+    with pytest.raises(OutOfDomainError, match="exceeds validity radius"):
+        estimate_order(cayley_connection(a), exact, q, dirs, [1.0, 0.1, 0.01])
+
+
+@pytest.mark.parametrize("fixture", ["so3_mechanical", "se3_mechanical", "abelian"])
+@pytest.mark.parametrize("build", [cayley_connection, endpoint_connection],
+                         ids=["cayley", "forward_difference"])
+def test_order_errors_are_those_of_eval_form(fixture, build):
+    # The sweep shares one base-fiber inverse; its errors must still be, bit
+    # for bit, the norms of exact(p) candidate(p)^-1 composed from eval_form.
+    a = CONTINUOUS_FIXTURES[fixture]()
+    exact, candidate = exponentiated_connection(a), build(a)
+    q = default_pair(a.bundle).first
+    dirs = unit_directions(a.bundle, q, count=8)
+    hs = [1e-1, 3e-2, 1e-2]
+    want = [[lg.conj_invariant_norm(lg.compose(eval_form(exact, p),
+                                               lg.inverse(eval_form(candidate, p))))
+             for p in (PairElement(q, chart_curve(v, h)) for v in dirs)] for h in hs]
+    got = estimate_order(candidate, exact, q, dirs, hs).errors
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # -- variations -------------------------------------------------------------------------
@@ -307,10 +340,10 @@ def test_variations_of_stationary_curve_vanish():
     rng = np.random.default_rng(62)
     p = PairElement(c.bundle.random_point(rng, shape_scale=0.1),
                     c.bundle.random_point(rng, shape_scale=0.1))
-    frozen = tangent(p.second, np.zeros(2), np.zeros(3))
+    frozen = TangentVector(p.second, np.zeros(2), np.zeros(3))
     assert np.max(np.abs(vertical_variation(c, p, frozen).coordinates())) < 1e-12
     hvar = horizontal_variation(c, p, frozen)
-    assert np.max(np.abs(hvar.fiber_velocity.vector)) < 1e-12
+    assert np.max(np.abs(hvar.fiber_velocity)) < 1e-12
     assert np.max(np.abs(hvar.shape_velocity)) == 0.0
 
 
@@ -324,13 +357,13 @@ def test_variations_of_trivial_connection_split_coordinates():
                         c.bundle.random_point(rng, shape_scale=0.1))
         u = rng.standard_normal(2)
         eta = 0.5 * rng.standard_normal(3)
-        v = tangent(p.second, u, eta)
+        v = TangentVector(p.second, u, eta)
         ver = vertical_variation(c, p, v)
         assert np.max(np.abs(ver.shape_velocity)) == 0.0
-        assert np.max(np.abs(ver.fiber_velocity.vector - eta)) < 1e-9
+        assert np.max(np.abs(ver.fiber_velocity - eta)) < 1e-9
         hor = horizontal_variation(c, p, v)
         assert np.array_equal(hor.shape_velocity, u)
-        assert np.max(np.abs(hor.fiber_velocity.vector)) < 1e-9
+        assert np.max(np.abs(hor.fiber_velocity)) < 1e-9
 
 
 def test_vertical_curve_has_no_horizontal_fiber_motion():
@@ -344,7 +377,7 @@ def test_vertical_curve_has_no_horizontal_fiber_motion():
     v = vertical_tangent(p.second, xi)
     hor = horizontal_variation(c, p, v)
     assert np.max(np.abs(hor.shape_velocity)) == 0.0
-    assert np.max(np.abs(hor.fiber_velocity.vector)) < 1e-9
+    assert np.max(np.abs(hor.fiber_velocity)) < 1e-9
 
 
 def test_variations_reject_misbased_velocity():
@@ -352,7 +385,7 @@ def test_variations_reject_misbased_velocity():
     rng = np.random.default_rng(65)
     p = PairElement(c.bundle.random_point(rng, shape_scale=0.1),
                     c.bundle.random_point(rng, shape_scale=0.1))
-    stray = tangent(p.first, np.zeros(2), np.zeros(3))
+    stray = TangentVector(p.first, np.zeros(2), np.zeros(3))
     with pytest.raises(BasepointMismatchError):
         vertical_variation(c, p, stray)
     with pytest.raises(BasepointMismatchError):
