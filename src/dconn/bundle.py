@@ -13,16 +13,10 @@ import numpy as np
 
 from . import lie_group as lg
 from .errors import BasepointMismatchError, GroupMismatchError, NotVerticalError
-from .lie_group import GroupElement, MatrixGroup
+from .lie_group import GroupElement, MatrixGroup, _norm, _readonly
 
 # Chart distance below which two points count as the same base point.
 BASE_TOL = 1.0e-10
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +34,7 @@ def shape_point(*coords: float) -> ShapePoint:
 
 
 def chart_distance(x0: ShapePoint, x1: ShapePoint) -> float:
-    return float(np.linalg.norm(x1.coords - x0.coords))
+    return _norm(x1.coords - x0.coords)
 
 
 @dataclass(frozen=True, eq=False)

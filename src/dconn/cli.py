@@ -58,13 +58,18 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _integer(value, name: str) -> int:
+    """A config value that must be a JSON integer; floats are not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DconnError(f"config field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def _build_connection(cfg: dict, key: str = "connection") -> DiscreteConnection:
     family = cfg.get(key)
     if not isinstance(family, str):
         raise DconnError(f"config field {key!r} must name a connection family")
-    shape_dim = cfg.get("shape_dim", 2)
-    if isinstance(shape_dim, bool) or not isinstance(shape_dim, int):
-        raise DconnError(f"config field 'shape_dim' must be an integer, got {shape_dim!r}")
+    shape_dim = _integer(cfg.get("shape_dim", 2), "shape_dim")
     return resolve_connection(family, cfg.get("group", "SO3"), shape_dim)
 
 
@@ -116,9 +121,11 @@ def cmd_order(cfg: dict) -> dict:
     candidate = _build_connection(cfg, "candidate")
     reference = _build_connection(cfg, "reference")
     sweep = cfg.get("h_sweep", {})
+    if not isinstance(sweep, dict):
+        raise DconnError("config field 'h_sweep' must be an object")
     start = float(sweep.get("start", 1.0e-1))
     stop = float(sweep.get("stop", 1.0e-3))
-    count = int(sweep.get("count", 7))
+    count = _integer(sweep.get("count", 7), "h_sweep.count")
     # np.geomspace warns on non-finite ends and refuses a zero one.
     if not all(0.0 < h < math.inf for h in (start, stop)):
         raise ValueError("h_list must be finite, positive and strictly decreasing")
@@ -128,7 +135,8 @@ def cmd_order(cfg: dict) -> dict:
     else:
         q = default_pair(reference.bundle).first
     directions = unit_directions(
-        reference.bundle, q, int(cfg.get("directions", 32)), int(cfg.get("seed", 7))
+        reference.bundle, q, _integer(cfg.get("directions", 32), "directions"),
+        _integer(cfg.get("seed", 7), "seed"),
     )
     report = {
         "command": "order",
@@ -192,12 +200,12 @@ def cmd_holonomy(cfg: dict) -> dict:
     A = lc.connection_form(K)
     enclosed_curvature = None
     if "loop" in cfg:
-        loop = [int(t) for t in cfg["loop"]]
+        loop = [_integer(t, "loop") for t in cfg["loop"]]
         h = lc.holonomy(K, A, loop)
         loop_length = len(loop) - 1
         loop_source = "explicit"
     elif "around_vertex" in cfg:
-        v = int(cfg["around_vertex"])
+        v = _integer(cfg["around_vertex"], "around_vertex")
         h = lc.curvature(K, A, v)
         loop_length = int(K.star_ptr[v + 1] - K.star_ptr[v])
         enclosed_curvature = lc.angle_defect(K, v)

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import lie_group as lg
 from .bundle import (
     BASE_TOL,
@@ -35,6 +37,7 @@ from .bundle import (
 )
 from .errors import (
     BasepointMismatchError,
+    GroupMismatchError,
     LengthMismatchError,
     OutOfDomainError,
     ShapeMismatchError,
@@ -85,9 +88,21 @@ def eval_form(c: DiscreteConnection, p: PairElement) -> GroupElement:
 def form_given_inverse(c: DiscreteConnection, q0: BundlePoint, q1: BundlePoint,
                        g0inv: GroupElement) -> GroupElement:
     """eval_form on (q0, q1), given g0inv = g0^-1, for callers that pair one q0 with many q1."""
-    _check_domain(c, q0.shape, q1.shape)
-    a = c.local_rep(q0.shape, q1.shape)
-    return lg.compose(q1.fiber, lg.compose(a, g0inv))
+    group = c.bundle.group
+    if q1.fiber.group is not group or g0inv.group is not group:
+        raise GroupMismatchError(f"form: fibers must lie in the connection's group {group.name}")
+    return GroupElement(group, form_matrix(c, q0.shape, q1.shape, q1.fiber.matrix, g0inv.matrix),
+                        True)
+
+
+def form_matrix(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint, g1: np.ndarray,
+                g0inv: np.ndarray) -> np.ndarray:
+    """The form g1 A(x0, x1) g0^-1 on bare matrices of the connection's group.
+
+    Raises OutOfDomainError when (x0, x1) lies outside VALIDITY_RADIUS.
+    """
+    _check_domain(c, x0, x1)
+    return g1 @ (c.local_rep(x0, x1).matrix @ g0inv)
 
 
 def vertical_from_form(p: PairElement, w: GroupElement) -> PairElement:

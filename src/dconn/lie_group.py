@@ -6,6 +6,12 @@ path).  Each group fixes a Lie-algebra basis through ``hat``/``vee``; all
 algebra coordinates below refer to that basis.  Algebra elements are plain
 float arrays of length ``group.dim``; the kernels return them read-only.
 
+Every group operation has one matrix kernel, a method of ``MatrixGroup``
+on bare arrays (``exp_matrix``, ``log_vector``, ``inverse_matrix``,
+``cayley_matrix``, ``adjoint_matrix``; the product is ``@``).  The
+module-level functions wrap them for ``GroupElement``s; hot loops elsewhere
+in the package call the kernels directly.
+
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
   * se(3) coordinates are ordered (omega, v): rotation first, then
@@ -65,6 +71,10 @@ class MatrixGroup:
         raise NotImplementedError
 
     def log_vector(self, matrix: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def inverse_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """The inverse of a group matrix, from the group's block structure."""
         raise NotImplementedError
 
     def adjoint_matrix(self, matrix: np.ndarray) -> np.ndarray:
@@ -129,6 +139,10 @@ class _SO2(MatrixGroup):
             raise CutLocusError(f"SO2: rotation angle {t:.8f} within 1e-6 of pi")
         return np.array([t])
 
+    def inverse_matrix(self, matrix):
+        # A transposed view of a read-only matrix is itself read-only.
+        return matrix.T
+
     def adjoint_matrix(self, matrix):
         return _EYE1
 
@@ -147,6 +161,7 @@ def _so3_hat(w: np.ndarray) -> np.ndarray:
 
 
 def _norm(w: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array, rounded exactly as np.linalg.norm rounds it."""
     return math.sqrt(w.dot(w))
 
 
@@ -212,6 +227,9 @@ class _SO3(MatrixGroup):
     def log_vector(self, matrix):
         return _so3_log(matrix)
 
+    def inverse_matrix(self, matrix):
+        return matrix.T
+
     def adjoint_matrix(self, matrix):
         return matrix
 
@@ -254,6 +272,14 @@ class _SE3(MatrixGroup):
         w = _so3_log(matrix[:3, :3])
         v = _se3_v_inverse(w) @ matrix[:3, 3]
         return np.concatenate([w, v])
+
+    def inverse_matrix(self, matrix):
+        # (R, p)^-1 = (R^T, -R^T p).
+        r = matrix[:3, :3]
+        out = _EYE4.copy()
+        out[:3, :3] = r.T
+        out[:3, 3] = -r.T @ matrix[:3, 3]
+        return out
 
     def adjoint_matrix(self, matrix):
         # Ad_g (omega, v) = (R omega, p x R omega + R v).
@@ -299,6 +325,10 @@ class _Translation(MatrixGroup):
     def log_vector(self, matrix):
         return self.vee(matrix)
 
+    def inverse_matrix(self, matrix):
+        # I + hat(v) inverts to I - hat(v).
+        return 2.0 * self._eye - matrix
+
     def adjoint_matrix(self, matrix):
         return self._ad
 
@@ -342,8 +372,8 @@ def group_by_name(name: str) -> MatrixGroup:
 class GroupElement:
     """A group element: an immutable square matrix plus its group tag.
 
-    The matrix is copied into a read-only array.  The kernels of this module
-    pass ``_owned=True`` for a float array they have just computed and share
+    The matrix is copied into a read-only array.  The package's own code
+    passes ``_owned=True`` for a float array it has just computed and shares
     with no caller, which is frozen in place instead of copied.
     """
 
@@ -374,18 +404,8 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def inverse(a: GroupElement) -> GroupElement:
-    """Group inverse; exploits the rigid-transform block structure."""
-    g = a.group
-    if g is SO2 or g is SO3:
-        # A transposed view of a read-only matrix is itself read-only.
-        return GroupElement(g, a.matrix.T, True)
-    if g is SE3:
-        r = a.matrix[:3, :3]
-        out = _EYE4.copy()
-        out[:3, :3] = r.T
-        out[:3, 3] = -r.T @ a.matrix[:3, 3]
-        return GroupElement(g, out, True)
-    return GroupElement(g, 2.0 * g.identity_matrix() - a.matrix, True)
+    """Group inverse, from the group's block structure (``inverse_matrix``)."""
+    return GroupElement(a.group, a.group.inverse_matrix(a.matrix), True)
 
 
 def exp(group: MatrixGroup, xi) -> GroupElement:

@@ -21,12 +21,12 @@ from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from .connection import (
     DiscreteConnection,
     eval_form,
-    form_given_inverse,
+    form_matrix,
     horizontal_component,
     vertical_component,
 )
-from .errors import BasepointMismatchError, DegenerateFitError
-from .lie_group import GroupElement
+from .errors import BasepointMismatchError, DegenerateFitError, GroupMismatchError
+from .lie_group import GroupElement, _norm
 
 DEFAULT_H_LIST = (1.0e-2, 5.0e-3, 2.5e-3)
 # Below this error magnitude a log-log fit measures rounding noise, not order.
@@ -217,20 +217,28 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
         raise ValueError("h_list must span at least one decade")
     if not directions:
         raise ValueError("directions must hold at least one unit tangent")
+    group = q.fiber.group
     for v in directions:
         n = np.linalg.norm(v.coordinates())
         if abs(n - 1.0) > 1.0e-8:
             raise ValueError(f"directions must be unit vectors (norm {n:.6f})")
-    # Every sample pairs q with a point of its chart curve: invert q's fiber once.
-    g0inv = lg.inverse(q.fiber)
+        if v.base.fiber.group is not group:
+            raise GroupMismatchError("directions must be based in the group of q")
+    if candidate.bundle.group is not group or exact.bundle.group is not group:
+        raise GroupMismatchError("both connections must act in the group of q")
+    # Every sample pairs q with a point of its chart curve: invert q's fiber
+    # once, and keep the samples on bare matrices, in the same products as
+    # chart_curve, eval_form and conj_invariant_norm.
+    x0, g0inv = q.shape, group.inverse_matrix(q.fiber.matrix)
     rows = []
     for h in hs:
         row = []
         for v in directions:
-            q1 = chart_curve(v, h)
-            err = lg.compose(form_given_inverse(exact, q, q1, g0inv),
-                             lg.inverse(form_given_inverse(candidate, q, q1, g0inv)))
-            row.append(lg.conj_invariant_norm(err))
+            x1 = ShapePoint(v.base.shape.coords + h * v.shape_velocity)
+            g1 = v.base.fiber.matrix @ group.exp_matrix(h * v.fiber_velocity)
+            err = (form_matrix(exact, x0, x1, g1, g0inv)
+                   @ group.inverse_matrix(form_matrix(candidate, x0, x1, g1, g0inv)))
+            row.append(_norm(group.log_vector(err)))
         rows.append(tuple(row))
     max_errors = tuple(max(row) for row in rows)
     if all(e < ERROR_FLOOR for e in max_errors):

@@ -39,7 +39,8 @@ _FD_WEIGHTS = (1.0 / 60.0, -9.0 / 60.0, 45.0 / 60.0, -45.0 / 60.0, 9.0 / 60.0, -
 def shift(q: BundlePoint, z: np.ndarray) -> BundlePoint:
     """The trivialized move (x + z_shape, g exp(z_fiber)) of q by coordinates z."""
     d = q.shape.coords.size
-    fiber = lg.compose(q.fiber, lg.exp(q.fiber.group, z[d:]))
+    group = q.fiber.group
+    fiber = GroupElement(group, q.fiber.matrix @ group.exp_matrix(z[d:]), True)
     return BundlePoint(ShapePoint(q.shape.coords + z[:d]), fiber)
 
 
@@ -121,9 +122,10 @@ def discrete_momentum(L: DiscreteLagrangian, p: PairElement) -> MomentumValue:
     xi_Q(q0) has trivialized coordinates (0, Ad_{g0^-1} xi), so only the
     fiber block of D1 L enters.
     """
+    group = L.bundle.group
     d1_fiber = L.d1_eval(p.first, p.second)[L.bundle.shape_dim:]
-    ad_inv = lg.adjoint_matrix(lg.inverse(p.first.fiber))
-    return MomentumValue(L.bundle.group, -(ad_inv.T @ d1_fiber))
+    ad_inv = group.adjoint_matrix(group.inverse_matrix(p.first.fiber.matrix))
+    return MomentumValue(group, -(ad_inv.T @ d1_fiber))
 
 
 def fiber_derivative(L: DiscreteLagrangian, p: PairElement) -> tuple[BundlePoint, np.ndarray]:
@@ -147,12 +149,14 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> BundleP
     # rounding noise back onto it.  A three-term product recursion amplifies
     # any off-group component by (1 + sqrt(2)) per step, which would wreck
     # long trajectories.
+    group = q1.fiber.group
+    g1 = q1.fiber.matrix
+    rel_matrix = group.inverse_matrix(q0.fiber.matrix) @ g1
     try:
-        rel = lg.log(lg.compose(lg.inverse(q0.fiber), q1.fiber))
-        seed_fiber = lg.compose(q1.fiber, lg.exp(q1.fiber.group, rel))
+        seed_fiber = g1 @ group.exp_matrix(group.log_vector(rel_matrix))
     except CutLocusError:
-        seed_fiber = lg.compose(q1.fiber, lg.compose(lg.inverse(q0.fiber), q1.fiber))
-    q2 = BundlePoint(ShapePoint(seed_coords), seed_fiber)
+        seed_fiber = g1 @ rel_matrix
+    q2 = BundlePoint(ShapePoint(seed_coords), GroupElement(group, seed_fiber, True))
 
     def residual(q: BundlePoint) -> np.ndarray:
         return rhs + L.d1_eval(q1, q)
@@ -173,6 +177,15 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> BundleP
     )
 
 
+def del_trajectory(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
+                   steps: int) -> list[BundlePoint]:
+    """The discrete trajectory q0, q1, ..., q_{steps+1}: ``steps`` del_step solves."""
+    path = [q0, q1]
+    for _ in range(steps):
+        path.append(del_step(L, path[-2], path[-1]))
+    return path
+
+
 def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement:
     """The discrete mechanical connection value for a G-invariant Lagrangian.
 
@@ -188,7 +201,7 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement
     q1 = BundlePoint(x1, p.first.fiber)
     # J = -Ad_{g0^-1}^T D1 L(q0, (x1, g)) as in discrete_momentum, and g exp(z)
     # moves only the fiber of the second slot.
-    ad_inv_t = lg.adjoint_matrix(lg.inverse(p.first.fiber)).T
+    ad_inv_t = group.adjoint_matrix(group.inverse_matrix(p.first.fiber.matrix)).T
 
     def momentum(q: BundlePoint) -> np.ndarray:
         return -(ad_inv_t @ L.d1_eval(p.first, q)[d:])
@@ -196,14 +209,16 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement
     for _ in range(NEWTON_MAX_ITER):
         res = momentum(q1)
         if np.max(np.abs(res)) < NEWTON_TOL:
-            return lg.compose(p.second.fiber, lg.inverse(q1.fiber))
+            return GroupElement(
+                group, p.second.fiber.matrix @ group.inverse_matrix(q1.fiber.matrix), True)
         jac = -(ad_inv_t @ L.d12_eval(p.first, q1)[d:, d:])
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= RCOND_FLOOR * sv[0] or sv[0] == 0.0:
             raise NonDegenerateError(
                 f"momentum Jacobian is singular (rcond {sv[-1] / sv[0] if sv[0] else 0.0:.2e})"
             )
-        q1 = BundlePoint(x1, lg.compose(q1.fiber, lg.exp(group, np.linalg.solve(jac, -res))))
+        step = group.exp_matrix(np.linalg.solve(jac, -res))
+        q1 = BundlePoint(x1, GroupElement(group, q1.fiber.matrix @ step, True))
     raise SolverDivergedError(
         f"mechanical connection Newton stalled at residual {np.max(np.abs(momentum(q1))):.3e}"
     )

@@ -77,13 +77,23 @@ def complex_to_dict(vertex_count: int, triangles, lengths: dict) -> dict:
     }
 
 
+def _require_integers(values, what: str) -> None:
+    # JSON integers only: int() would truncate a float index silently.
+    if not all(type(v) is int for v in values):
+        raise MeshFormatError(f"{what} must be JSON integers")
+
+
 def dict_to_complex(data: dict) -> MetricComplex:
     if data.get("format") != JSON_FORMAT_NAME:
         raise MeshFormatError(f"unknown complex format {data.get('format')!r}")
     try:
-        lengths = {_edge_key(int(a), int(b)): float(l) for a, b, l in data["edge_lengths"]}
+        vertex_count, triangles, edges = data["vertices"], data["triangles"], data["edge_lengths"]
+        _require_integers([vertex_count], "the vertex count")
+        _require_integers((i for t in triangles for i in t), "triangle indices")
+        _require_integers((i for a, b, _ in edges for i in (a, b)), "edge_lengths ends")
+        lengths = {_edge_key(a, b): float(l) for a, b, l in edges}
         return MetricComplex.from_edge_lengths(
-            int(data["vertices"]), np.array(data["triangles"], dtype=int), lengths
+            vertex_count, np.array(triangles, dtype=int), lengths
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MeshFormatError(f"malformed complex dictionary ({exc})") from exc

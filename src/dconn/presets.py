@@ -255,11 +255,12 @@ def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
     h = COUPLED_STEP
     k = COUPLED_KAPPA / h
     d = bundle.shape_dim
+    group = bundle.group
     last: list = [None, None, None]  # q0, q1 and their pieces
 
     def pieces(q0: BundlePoint, q1: BundlePoint) -> tuple:
         if last[0] is not q0 or last[1] is not q1:
-            m = lg.compose(lg.inverse(q0.fiber), q1.fiber).matrix
+            m = group.inverse_matrix(q0.fiber.matrix) @ q1.fiber.matrix
             lam = chart.phi(m)
             x0 = q0.shape.coords
             dx = q1.shape.coords - x0

@@ -44,7 +44,7 @@ from dconn.limits import (
     vertical_tangent,
 )
 from dconn.mechanical import (
-    del_step,
+    del_trajectory,
     discrete_momentum,
     mechanical_discrete_connection,
 )
@@ -335,13 +335,6 @@ def test_acceptance_5_order_estimation():
     assert elapsed < 30.0
 
 
-def trajectory(L, q0, q1, steps):
-    out = [q0, q1]
-    for _ in range(steps):
-        out.append(del_step(L, out[-2], out[-1]))
-    return out
-
-
 def test_acceptance_6_momentum_conservation_and_horizontality():
     steps = 100
     drifts = {}
@@ -359,7 +352,7 @@ def test_acceptance_6_momentum_conservation_and_horizontality():
         L_rot.bundle.point([0.08, -0.02], lg.exp(SO3, [0.02, -0.01, 0.03])),
     )
     for name, (L, q0, q1) in cases.items():
-        path = trajectory(L, q0, q1, steps)
+        path = del_trajectory(L, q0, q1, steps)
         values = [discrete_momentum(L, PairElement(u, v)).covector
                   for u, v in zip(path, path[1:])]
         drifts[name] = max(float(np.max(np.abs(v - values[0]))) for v in values)

@@ -11,6 +11,7 @@ import pytest
 
 from dconn.cli import main
 from dconn.connection import horizontal_component, vertical_component
+from dconn import meshes
 from dconn.meshes import cone, flat_grid, icosphere, write_complex_json, write_off
 from dconn.presets import default_pair, resolve_connection
 
@@ -457,6 +458,57 @@ def test_shape_dimension_that_is_not_an_integer_is_a_domain_failure(tmp_path, ca
     assert main(["decompose", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "'shape_dim' must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("directions", 2.7), ("seed", 7.5), ("seed", True), ("h_sweep.count", 3.9),
+    ("h_sweep.count", "7"),
+])
+def test_order_integers_that_are_not_integers_are_domain_failures(tmp_path, capsys,
+                                                                  field, value):
+    data = {"candidate": "cayley:so3_mechanical", "reference": "exponentiated:so3_mechanical",
+            "h_sweep": {"start": 1e-1, "stop": 1e-2, "count": 3}}
+    if field == "h_sweep.count":
+        data["h_sweep"]["count"] = value
+    else:
+        data[field] = value
+    cfg = write_config(tmp_path, "o.json", data)
+    assert main(["order", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"'{field}' must be an integer" in captured.err
+
+
+def test_h_sweep_that_is_not_an_object_is_a_domain_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, "o.json", {
+        "candidate": "cayley:so3_mechanical", "reference": "exponentiated:so3_mechanical",
+        "h_sweep": 5,
+    })
+    assert main(["order", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'h_sweep' must be an object" in captured.err
+
+
+@pytest.mark.parametrize("spec", [{"around_vertex": 0.7}, {"around_vertex": False},
+                                  {"loop": [2.0]}, {"loop": [2, 3.5]}])
+def test_holonomy_indices_that_are_not_integers_are_domain_failures(tmp_path, capsys, spec):
+    n, tris, lengths = cone(5)
+    mesh = tmp_path / "cone.json"
+    write_complex_json(mesh, n, tris, lengths)
+    cfg = write_config(tmp_path, "h.json", {"mesh": str(mesh), **spec})
+    assert main(["holonomy", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"'{next(iter(spec))}' must be an integer" in captured.err
+
+
+def test_complex_with_a_fractional_triangle_index_is_a_domain_failure(tmp_path, capsys):
+    mesh = tmp_path / "cone.json"
+    data = meshes.complex_to_dict(*cone(5))
+    data["triangles"][0][2] = 3.6
+    mesh.write_text(json.dumps(data))
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    assert main(["curvature", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "triangle indices must be JSON integers" in captured.err
 
 
 def test_newton_stall_is_a_domain_failure(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,12 @@ from dconn import bundle as bd
 from dconn import lie_group as lg
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from dconn.connection import eval_form, trivial_connection
-from dconn.errors import BasepointMismatchError, DegenerateFitError, OutOfDomainError
+from dconn.errors import (
+    BasepointMismatchError,
+    DegenerateFitError,
+    GroupMismatchError,
+    OutOfDomainError,
+)
 from dconn.lie_group import SO3, translation_group
 from dconn.limits import (
     TangentVector,
@@ -305,6 +310,19 @@ def test_order_estimate_input_validation(order_setup):
         estimate_order(cayley_connection(a), exact, q, stretched, hs)
     with pytest.raises(ValueError, match="directions"):
         estimate_order(cayley_connection(a), exact, q, [], hs)
+
+
+def test_sweep_across_groups_is_rejected(order_setup):
+    # T2 and SO(3) share 3x3 matrices, so only the group tags tell them apart.
+    a, exact, q, dirs, hs = order_setup
+    t2 = trivial_connection(Bundle(translation_group(2), 2))
+    with pytest.raises(GroupMismatchError):
+        estimate_order(t2, exact, q, dirs, hs)
+    q_t2 = t2.bundle.point(q.shape.coords, np.eye(3))
+    with pytest.raises(GroupMismatchError):
+        estimate_order(t2, t2, q_t2, dirs, hs)
+    with pytest.raises(GroupMismatchError):
+        eval_form(t2, PairElement(q, q))
 
 
 def test_sweep_past_the_validity_radius_is_rejected(order_setup):

@@ -12,6 +12,7 @@ from dconn.lie_group import SO3, translation_group
 from dconn.mechanical import (
     DiscreteLagrangian,
     del_step,
+    del_trajectory,
     discrete_momentum,
     fiber_derivative,
     mechanical_connection,
@@ -196,13 +197,6 @@ def test_del_step_fixes_equilibria(lagrangian):
     assert np.max(np.abs(q2.fiber.matrix - q.fiber.matrix)) < 1e-9
 
 
-def trajectory(L, q0, q1, steps):
-    out = [q0, q1]
-    for _ in range(steps):
-        out.append(del_step(L, out[-2], out[-1]))
-    return out
-
-
 def test_momentum_is_conserved_along_trajectories():
     # Discrete Noether: J(q_k, q_{k+1}) is constant along solution sequences.
     cases = []
@@ -215,7 +209,7 @@ def test_momentum_is_conserved_along_trajectories():
     q1 = L2.bundle.point([0.08, -0.02], lg.exp(SO3, [0.02, -0.01, 0.03]))
     cases.append((L2, q0, q1, 20, 1e-10))
     for L, q0, q1, steps, tol in cases:
-        path = trajectory(L, q0, q1, steps)
+        path = del_trajectory(L, q0, q1, steps)
         values = [discrete_momentum(L, PairElement(a, b)).covector
                   for a, b in zip(path, path[1:])]
         drift = max(np.max(np.abs(v - values[0])) for v in values)

@@ -146,6 +146,24 @@ def test_json_rejects_unknown_format_and_junk(tmp_path):
         read_complex_json(bad)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("vertices", 6.5), ("vertices", True),
+    ("triangle", 3.6), ("triangle", 3.0), ("triangle", True),
+    ("edge_end", 1.2), ("edge_end", "1"),
+])
+def test_json_rejects_indices_that_are_not_integers(field, bad):
+    # int() would read vertex 3.6 as 3 and build a complex silently.
+    data = complex_to_dict(*cone(5))
+    if field == "vertices":
+        data["vertices"] = bad
+    elif field == "triangle":
+        data["triangles"][0][2] = bad
+    else:
+        data["edge_lengths"][0][1] = bad
+    with pytest.raises(MeshFormatError, match="must be JSON integers"):
+        dict_to_complex(data)
+
+
 # -- OFF format -----------------------------------------------------------------------
 
 

@@ -34,7 +34,7 @@ from dconn.levi_civita import (
 )
 from dconn.lie_group import SE3, SO2, SO3, translation_group
 from dconn.limits import exponentiated_connection
-from dconn.mechanical import del_step, mechanical_discrete_connection
+from dconn.mechanical import del_step, del_trajectory, mechanical_discrete_connection
 from dconn.meshes import icosphere, latitude_loop
 from dconn.presets import CONTINUOUS_FIXTURES, LAGRANGIAN_FIXTURES
 
@@ -48,6 +48,20 @@ def rotation_angle(m: np.ndarray) -> float:
 def angle_gap(a: float, b: float) -> float:
     d = (a - b) % (2.0 * math.pi)
     return min(d, 2.0 * math.pi - d)
+
+
+@PROPERTY
+@given(st.sampled_from([SO2, SO3, SE3, translation_group(2)]).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(st.floats(-3.0, 3.0), min_size=g.dim,
+                                             max_size=g.dim))))
+def test_inverse_matrix_inverts_and_backs_the_element_inverse(sample):
+    group, coords = sample
+    g = lg.exp(group, coords)
+    inv = group.inverse_matrix(g.matrix)
+    assert np.max(np.abs(inv @ g.matrix - np.eye(group.matrix_size))) <= 1e-14
+    wrapped = lg.inverse(g).matrix
+    assert not wrapped.flags.writeable
+    assert np.array_equal(wrapped, inv)
 
 
 @st.composite
@@ -130,9 +144,7 @@ def test_del_flow_is_group_equivariant(start):
 @given(lagrangian_starts())
 def test_del_trajectory_chain_round_trips_through_the_mechanical_connection(start):
     L, q0, q1, _ = start
-    qs = [q0, q1]
-    for _ in range(5):
-        qs.append(del_step(L, qs[-2], qs[-1]))
+    qs = del_trajectory(L, q0, q1, 5)
     c = mechanical_discrete_connection(L)
     shapes, adjoints = decompose_chain(c, qs)
     for got, want in zip(assemble_chain(c, shapes, adjoints), canonical_chain(qs), strict=True):
