@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     except DconnError as exc:
         print(f"dconn: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"dconn: invalid config: {exc!r}", file=sys.stderr)
         return _EXIT_DOMAIN
     return _EXIT_OK

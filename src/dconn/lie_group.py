@@ -10,7 +10,11 @@ Every group operation has one matrix kernel, a method of ``MatrixGroup``
 on bare arrays (``exp_matrix``, ``log_vector``, ``inverse_matrix``,
 ``cayley_matrix``, ``adjoint_matrix``; the product is ``@``).  The
 module-level functions wrap them for ``GroupElement``s; hot loops elsewhere
-in the package call the kernels directly.
+in the package call the kernels directly.  The SO(3) and SE(3) kernels are
+closed forms on Python floats: one ``tolist`` in, one array out.  No
+group's Cayley map solves a linear system.  Coefficients that cancel at
+small angles, (1 - cos t)/t^2 and the t^2-order coefficient of SE(3)'s V^-1,
+are evaluated in half angles, so exp and log keep roundoff accuracy there.
 
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
@@ -33,6 +37,8 @@ from .errors import CutLocusError, GroupMismatchError
 _SMALL_ANGLE = 1.0e-8
 # Principal-log domain: rotation angle must be < pi - _CUT_MARGIN.
 _CUT_MARGIN = 1.0e-6
+# Angle below which the dexp^-1 coefficient switches to its Taylor series.
+_DEXPINV_SERIES = 1.0e-4
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -47,12 +53,78 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 _EYE1 = _frozen(np.eye(1))
-_EYE3 = _frozen(np.eye(3))
-_EYE4 = _frozen(np.eye(4))
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _exp_coefficients(theta: float) -> tuple[float, float]:
+    """a = sin(t)/t and b = (1 - cos t)/t^2 of Rodrigues' formula at t = theta.
+
+    b is evaluated as (sin(t/2)/(t/2))^2 / 2, which keeps its digits where
+    1 - cos t cancels.
+    """
+    if theta < _SMALL_ANGLE:
+        # Second-order Taylor series.
+        return 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0
+    half = 0.5 * theta
+    sinc_half = math.sin(half) / half
+    return math.sin(theta) / theta, 0.5 * sinc_half * sinc_half
+
+
+def _dexpinv_c2(theta: float) -> float:
+    """c2(t) = (1 - (t/2) cot(t/2)) / t^2, the hat(w)^2 coefficient of dexp^-1.
+
+    It is also the hat(w)^2 coefficient of SE(3)'s V^-1.
+    """
+    if theta < _DEXPINV_SERIES:
+        return 1.0 / 12.0 + theta**2 / 720.0
+    half = theta / 2.0
+    return (1.0 - half / math.tan(half)) / theta**2
+
+
+def _rotation(x: float, y: float, z: float, a: float, b: float) -> tuple[float, ...]:
+    """I + a K + b K^2 row by row, for K = hat(x, y, z) and K^2 = w w^T - |w|^2 I."""
+    bx, by, bz = b * x, b * y, b * z
+    bxy, bxz, byz = bx * y, bx * z, by * z
+    ax, ay, az = a * x, a * y, a * z
+    return (1.0 - (by * y + bz * z), bxy - az, bxz + ay,
+            bxy + az, 1.0 - (bx * x + bz * z), byz - ax,
+            bxz - ay, byz + ax, 1.0 - (bx * x + by * y))
+
+
+def _se3_matrix(x: float, y: float, z: float, v: list[float],
+                a: float, b: float, p: float, q: float) -> np.ndarray:
+    """The SE(3) matrix with rotation I + a K + b K^2 and translation
+    v + p K v + q K^2 v, for K = hat(x, y, z)."""
+    w = (x, y, z)
+    k0, k1, k2 = k = _cross(w, v)
+    kk0, kk1, kk2 = _cross(w, k)
+    v0, v1, v2 = v
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = _rotation(x, y, z, a, b)
+    return np.array([r00, r01, r02, v0 + p * k0 + q * kk0,
+                     r10, r11, r12, v1 + p * k1 + q * kk1,
+                     r20, r21, r22, v2 + p * k2 + q * kk2,
+                     0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
+
+
+def _so3_log(r: list[list[float]]) -> tuple[tuple[float, float, float], float]:
+    """Principal log and rotation angle of the rotation block of a matrix's rows r."""
+    c = (r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0
+    theta = math.acos(min(1.0, max(-1.0, c)))
+    if theta >= math.pi - _CUT_MARGIN:
+        raise CutLocusError(f"SO3: rotation angle {theta:.8f} within 1e-6 of pi")
+    # The skew part is sin(theta) times the axis; sin(t)/t inverse to second
+    # order at small angles.
+    f = 1.0 + theta**2 / 6.0 if theta < _SMALL_ANGLE else theta / math.sin(theta)
+    w = (0.5 * (r[2][1] - r[1][2]) * f, 0.5 * (r[0][2] - r[2][0]) * f,
+         0.5 * (r[1][0] - r[0][1]) * f)
+    return w, theta
 
 
 class MatrixGroup:
-    """A matrix Lie group with a fixed algebra basis and closed-form exp/log."""
+    """A matrix Lie group with a fixed algebra basis and closed-form kernels."""
 
     name: str
     dim: int
@@ -81,14 +153,13 @@ class MatrixGroup:
         """Ad_g in algebra coordinates, for the element g with this matrix."""
         raise NotImplementedError
 
+    def cayley_matrix(self, vector: np.ndarray) -> np.ndarray:
+        """(I - xi/2)^-1 (I + xi/2) for xi = hat(vector), in closed form."""
+        raise NotImplementedError
+
     def identity_matrix(self) -> np.ndarray:
         """The identity matrix (read-only, shared)."""
         return self._eye
-
-    def cayley_matrix(self, vector: np.ndarray) -> np.ndarray:
-        # (I - xi/2)^-1 (I + xi/2); lands in the group for all four families.
-        half = 0.5 * self.hat(vector)
-        return np.linalg.solve(self._eye - half, self._eye + half)
 
     def check_matrix(self, matrix: np.ndarray, tol: float = 1.0e-8) -> None:
         """Validate that ``matrix`` lies in the group (raises ValueError)."""
@@ -146,68 +217,25 @@ class _SO2(MatrixGroup):
     def adjoint_matrix(self, matrix):
         return _EYE1
 
+    def cayley_matrix(self, vector):
+        # The rotation by 2 atan(t/2): cos = (1 - t^2/4)/(1 + t^2/4), sin = t/(1 + t^2/4).
+        (t,) = np.asarray(vector, dtype=float).reshape(1).tolist()
+        q = 0.25 * t * t
+        d = 1.0 / (1.0 + q)
+        c, s = (1.0 - q) * d, t * d
+        return np.array([[c, -s], [s, c]])
+
     def _check_structure(self, m, tol):
         _check_rotation(m, tol, self.name)
 
 
-def _so3_hat(w: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
+def _so3_hat(x: float, y: float, z: float) -> np.ndarray:
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def _norm(w: np.ndarray) -> float:
     """Euclidean norm of a 1-D array, rounded exactly as np.linalg.norm rounds it."""
     return math.sqrt(w.dot(w))
-
-
-def _so3_exp(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """Rodrigues' formula; given a translation v, the SE(3) exponential of (w, v).
-
-    SE(3)'s V matrix I + b k + c k^2 shares theta, k = hat(w), k^2 and b with
-    the rotation.
-    """
-    theta = _norm(w)
-    k = _so3_hat(w)
-    kk = k @ k
-    if theta < _SMALL_ANGLE:
-        # sin(t)/t and (1-cos t)/t^2 to second order.
-        a = 1.0 - theta**2 / 6.0
-        b = 0.5 - theta**2 / 24.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta**2
-    r = _EYE3 + a * k + b * kk
-    if v is None:
-        return r
-    if theta < _SMALL_ANGLE:
-        c = 1.0 / 6.0 - theta**2 / 120.0
-    else:
-        c = (theta - math.sin(theta)) / theta**3
-    out = _EYE4.copy()
-    out[:3, :3] = r
-    out[:3, 3] = (_EYE3 + b * k + c * kk) @ v
-    return out
-
-
-def _so3_rotation_angle(r: np.ndarray) -> float:
-    c = (r[0, 0] + r[1, 1] + r[2, 2] - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
-def _so3_log(r: np.ndarray) -> np.ndarray:
-    theta = _so3_rotation_angle(r)
-    if theta >= np.pi - _CUT_MARGIN:
-        raise CutLocusError(f"SO3: rotation angle {theta:.8f} within 1e-6 of pi")
-    w = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if theta < _SMALL_ANGLE:
-        # w = sin(theta) * axis; sin(t)/t inverse to second order.
-        return w * (1.0 + theta**2 / 6.0)
-    return w * (theta / math.sin(theta))
 
 
 class _SO3(MatrixGroup):
@@ -216,16 +244,20 @@ class _SO3(MatrixGroup):
     matrix_size = 3
 
     def hat(self, vector):
-        return _so3_hat(np.asarray(vector, dtype=float).reshape(3))
+        return _so3_hat(*np.asarray(vector, dtype=float).reshape(3).tolist())
 
     def vee(self, matrix):
         return np.array([matrix[2, 1], matrix[0, 2], matrix[1, 0]])
 
     def exp_matrix(self, vector):
-        return _so3_exp(np.asarray(vector, dtype=float).reshape(3))
+        # Rodrigues: I + a K + b K^2.
+        x, y, z = np.asarray(vector, dtype=float).reshape(3).tolist()
+        a, b = _exp_coefficients(math.sqrt(x * x + y * y + z * z))
+        return np.array(_rotation(x, y, z, a, b)).reshape(3, 3)
 
     def log_vector(self, matrix):
-        return _so3_log(matrix)
+        w, _ = _so3_log(matrix.tolist())
+        return np.array(w)
 
     def inverse_matrix(self, matrix):
         return matrix.T
@@ -233,18 +265,14 @@ class _SO3(MatrixGroup):
     def adjoint_matrix(self, matrix):
         return matrix
 
+    def cayley_matrix(self, vector):
+        # I + d (K + K^2/2) with d = 1/(1 + |w|^2/4).
+        x, y, z = np.asarray(vector, dtype=float).reshape(3).tolist()
+        d = 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
+        return np.array(_rotation(x, y, z, d, 0.5 * d)).reshape(3, 3)
+
     def _check_structure(self, m, tol):
         _check_rotation(m, tol, self.name)
-
-
-def _se3_v_inverse(w: np.ndarray) -> np.ndarray:
-    theta = _norm(w)
-    k = _so3_hat(w)
-    if theta < 1.0e-4:
-        c = 1.0 / 12.0 + theta**2 / 720.0
-    else:
-        c = (1.0 - 0.5 * theta * math.sin(theta) / (1.0 - math.cos(theta))) / theta**2
-    return _EYE3 - 0.5 * k + c * (k @ k)
 
 
 class _SE3(MatrixGroup):
@@ -253,9 +281,9 @@ class _SE3(MatrixGroup):
     matrix_size = 4
 
     def hat(self, vector):
-        x = np.asarray(vector, dtype=float).reshape(6)
+        x = np.asarray(vector, dtype=float).reshape(6).tolist()
         out = np.zeros((4, 4))
-        out[:3, :3] = _so3_hat(x[:3])
+        out[:3, :3] = _so3_hat(*x[:3])
         out[:3, 3] = x[3:]
         return out
 
@@ -265,30 +293,57 @@ class _SE3(MatrixGroup):
         )
 
     def exp_matrix(self, vector):
-        x = np.asarray(vector, dtype=float).reshape(6)
-        return _so3_exp(x[:3], x[3:])
+        # Rotation by Rodrigues; translation V v = v + b K v + c K^2 v with
+        # c = (t - sin t)/t^3.
+        x, y, z, *v = np.asarray(vector, dtype=float).reshape(6).tolist()
+        theta = math.sqrt(x * x + y * y + z * z)
+        a, b = _exp_coefficients(theta)
+        if theta < _SMALL_ANGLE:
+            c = 1.0 / 6.0 - theta**2 / 120.0
+        else:
+            c = (theta - math.sin(theta)) / theta**3
+        return _se3_matrix(x, y, z, v, a, b, b, c)
 
     def log_vector(self, matrix):
-        w = _so3_log(matrix[:3, :3])
-        v = _se3_v_inverse(w) @ matrix[:3, 3]
-        return np.concatenate([w, v])
+        # V^-1 p = p - K p / 2 + c2 K^2 p.
+        r = matrix.tolist()
+        w, theta = _so3_log(r)
+        p0, p1, p2 = r[0][3], r[1][3], r[2][3]
+        c2 = _dexpinv_c2(theta)
+        k0, k1, k2 = k = _cross(w, (p0, p1, p2))
+        kk0, kk1, kk2 = _cross(w, k)
+        return np.array([*w, p0 - 0.5 * k0 + c2 * kk0, p1 - 0.5 * k1 + c2 * kk1,
+                         p2 - 0.5 * k2 + c2 * kk2])
 
     def inverse_matrix(self, matrix):
         # (R, p)^-1 = (R^T, -R^T p).
-        r = matrix[:3, :3]
-        out = _EYE4.copy()
-        out[:3, :3] = r.T
-        out[:3, 3] = -r.T @ matrix[:3, 3]
-        return out
+        (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2), _ = matrix.tolist()
+        return np.array([r00, r10, r20, -(r00 * p0 + r10 * p1 + r20 * p2),
+                         r01, r11, r21, -(r01 * p0 + r11 * p1 + r21 * p2),
+                         r02, r12, r22, -(r02 * p0 + r12 * p1 + r22 * p2),
+                         0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
 
     def adjoint_matrix(self, matrix):
-        # Ad_g (omega, v) = (R omega, p x R omega + R v).
-        r = matrix[:3, :3]
-        out = np.zeros((6, 6))
-        out[:3, :3] = r
-        out[3:, 3:] = r
-        out[3:, :3] = _so3_hat(matrix[:3, 3]) @ r
-        return _frozen(out)
+        # Ad_g (omega, v) = (R omega, p x R omega + R v); column j of hat(p) R
+        # is p x (column j of R).
+        (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2), _ = matrix.tolist()
+        p = (p0, p1, p2)
+        (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = (
+            _cross(p, (r00, r10, r20)), _cross(p, (r01, r11, r21)), _cross(p, (r02, r12, r22)))
+        return _frozen(np.array([
+            r00, r01, r02, 0.0, 0.0, 0.0,
+            r10, r11, r12, 0.0, 0.0, 0.0,
+            r20, r21, r22, 0.0, 0.0, 0.0,
+            m00, m01, m02, r00, r01, r02,
+            m10, m11, m12, r10, r11, r12,
+            m20, m21, m22, r20, r21, r22,
+        ]).reshape(6, 6))
+
+    def cayley_matrix(self, vector):
+        # The SO(3) Cayley rotation; translation (I - K/2)^-1 v = v + d (K v/2 + K^2 v/4).
+        x, y, z, *v = np.asarray(vector, dtype=float).reshape(6).tolist()
+        d = 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
+        return _se3_matrix(x, y, z, v, d, 0.5 * d, 0.5 * d, 0.25 * d)
 
     def _check_structure(self, m, tol):
         _check_rotation(m[:3, :3], tol, self.name)
@@ -331,6 +386,10 @@ class _Translation(MatrixGroup):
 
     def adjoint_matrix(self, matrix):
         return self._ad
+
+    def cayley_matrix(self, vector):
+        # (I - hat(v)/2)^-1 = I + hat(v)/2 by nilpotency, so Cayley is exp.
+        return self.exp_matrix(vector)
 
     def _check_structure(self, m, tol):
         n = self.dim

@@ -74,7 +74,7 @@ def chart_pair_log(p: PairElement) -> TangentVector:
     This is the Riemannian log of the product of the flat chart metric with
     a bi-invariant (or left-invariant) group metric; it satisfies
     chart_curve(vertical lift of xi) = exp(xi) . q, the compatibility needed
-    by the exact discretization.
+    by the exponentiated discretization (``exponentiated_connection``).
     """
     dx = p.second.shape.coords - p.first.shape.coords
     rel = lg.compose(lg.inverse(p.first.fiber), p.second.fiber)

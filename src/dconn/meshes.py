@@ -91,12 +91,38 @@ def dict_to_complex(data: dict) -> MetricComplex:
         _require_integers([vertex_count], "the vertex count")
         _require_integers((i for t in triangles for i in t), "triangle indices")
         _require_integers((i for a, b, _ in edges for i in (a, b)), "edge_lengths ends")
-        lengths = {_edge_key(a, b): float(l) for a, b, l in edges}
+        lengths = _edge_length_table(edges)
         return MetricComplex.from_edge_lengths(
             vertex_count, np.array(triangles, dtype=int), lengths
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MeshFormatError(f"malformed complex dictionary ({exc})") from exc
+
+
+def _edge_length_table(edges) -> dict:
+    """{edge key: length} from the [a, b, length] rows of ``edge_lengths``.
+
+    Lengths must be positive, finite JSON numbers, checked a column at a
+    time; an edge may repeat, in either orientation, only with its length.
+    """
+    lengths = {_edge_key(a, b): l for a, b, l in edges}
+    repeats = len(lengths) < len(edges)
+    # Without repeats the table holds every row's length, in row order.
+    column = [l for _, _, l in edges] if repeats else list(lengths.values())
+    if not set(map(type, column)) <= {int, float}:
+        a, b, l = next(e for e in edges if type(e[2]) not in (int, float))
+        raise MeshFormatError(f"edge ({a}, {b}) length {l!r} is not a JSON number")
+    values = np.array(column, dtype=float)
+    good = np.isfinite(values) & (values > 0.0)
+    if not good.all():
+        a, b, l = edges[int(np.argmin(good))]
+        raise MeshFormatError(f"edge ({a}, {b}) length {l!r} is not positive and finite")
+    if repeats:
+        for a, b, l in edges:
+            key = _edge_key(a, b)
+            if lengths[key] != l:
+                raise MeshFormatError(f"edge {key} is listed with lengths {l!r} and {lengths[key]!r}")
+    return lengths
 
 
 def write_complex_json(path, vertex_count: int, triangles, lengths: dict) -> None:

@@ -31,7 +31,7 @@ from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from .connection import DiscreteConnection, trivial_connection
 from .errors import DconnError
-from .lie_group import SE3, SO3, group_by_name, translation_group
+from .lie_group import SE3, SO3, _dexpinv_c2, group_by_name, translation_group
 from .limits import (
     ContinuousConnection,
     cayley_connection,
@@ -41,18 +41,6 @@ from .limits import (
 from .mechanical import DiscreteLagrangian, mechanical_discrete_connection
 
 # -- algebra helpers --------------------------------------------------------
-
-
-# Angle below which the dexpinv coefficient switches to its Taylor series.
-_DEXPINV_SERIES = 1.0e-4
-
-
-def _dexpinv_c2(theta: float) -> float:
-    """c2(t) = (1 - (t/2) cot(t/2)) / t^2."""
-    if theta < _DEXPINV_SERIES:
-        return 1.0 / 12.0 + theta**2 / 720.0
-    half = theta / 2.0
-    return (1.0 - half / math.tan(half)) / theta**2
 
 
 def dexpinv_so3(vec: np.ndarray) -> np.ndarray:
@@ -93,7 +81,7 @@ def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _so3_shape_coefficient(x: np.ndarray) -> np.ndarray:
-    s, t = float(x[0]), float(x[1])
+    s, t = x.tolist()
     return 0.3 * np.array(
         [
             [math.sin(s), math.cos(t)],
@@ -104,7 +92,7 @@ def _so3_shape_coefficient(x: np.ndarray) -> np.ndarray:
 
 
 def _se3_shape_coefficient(x: np.ndarray) -> np.ndarray:
-    s, t = float(x[0]), float(x[1])
+    s, t = x.tolist()
     return 0.3 * np.array(
         [
             [math.sin(s), math.cos(t)],
@@ -118,7 +106,8 @@ def _se3_shape_coefficient(x: np.ndarray) -> np.ndarray:
 
 
 def _abelian_shape_coefficient(x: np.ndarray) -> np.ndarray:
-    return np.array([[0.4 * math.cos(float(x[0]))]])
+    (s,) = x.tolist()
+    return np.array([[0.4 * math.cos(s)]])
 
 
 def so3_mechanical() -> ContinuousConnection:
@@ -187,12 +176,14 @@ _SE3_C2 = 0.15 * np.array(
 
 def coupling_so3(x: np.ndarray) -> np.ndarray:
     """The 3x2 shape-to-rotation coupling of the coupled rotation Lagrangian."""
-    return _SO3_C0 + float(x[0]) * _SO3_C1 + float(x[1]) * _SO3_C2
+    s, t = x.tolist()
+    return _SO3_C0 + s * _SO3_C1 + t * _SO3_C2
 
 
 def coupling_se3(x: np.ndarray) -> np.ndarray:
     """The 6x2 shape-to-motion coupling of the coupled rigid-motion Lagrangian."""
-    return _SE3_C0 + float(x[0]) * _SE3_C1 + float(x[1]) * _SE3_C2
+    s, t = x.tolist()
+    return _SE3_C0 + s * _SE3_C1 + t * _SE3_C2
 
 
 def free_particle() -> DiscreteLagrangian:

@@ -511,6 +511,44 @@ def test_complex_with_a_fractional_triangle_index_is_a_domain_failure(tmp_path, 
     assert captured.out == "" and "triangle indices must be JSON integers" in captured.err
 
 
+def _assert_one_line_domain_failure(capsys, command, cfg):
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("dconn: ")
+    return lines[0]
+
+
+def test_sweep_start_too_large_for_a_float_is_a_domain_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, "o.json", {
+        "candidate": "cayley:so3_mechanical", "reference": "exponentiated:so3_mechanical",
+        "h_sweep": {"start": 10**400, "stop": 1e-3, "count": 5},
+    })
+    _assert_one_line_domain_failure(capsys, "order", cfg)
+
+
+def test_shape_coordinate_too_large_for_a_float_is_a_domain_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {
+        "connection": "exponentiated:so3_mechanical",
+        "pair": {"first": {"shape": [10**400, 0.0], "fiber": rot_z(0.3)},
+                 "second": {"shape": [0.1, 0.0], "fiber": rot_z(0.8)}},
+    })
+    _assert_one_line_domain_failure(capsys, "decompose", cfg)
+
+
+@pytest.mark.parametrize("length, message", [
+    (-1.0, "length -1.0 is not positive and finite"),
+    (10**400, "malformed complex dictionary"),
+])
+def test_complex_with_a_bad_edge_length_is_a_domain_failure(tmp_path, capsys, length, message):
+    mesh = tmp_path / "cone.json"
+    data = meshes.complex_to_dict(*cone(5))
+    data["edge_lengths"][0][2] = length
+    mesh.write_text(json.dumps(data))
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    assert message in _assert_one_line_domain_failure(capsys, "curvature", cfg)
+
+
 def test_newton_stall_is_a_domain_failure(tmp_path, capsys, monkeypatch):
     from dconn import mechanical
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,41 @@ def test_json_rejects_indices_that_are_not_integers(field, bad):
         data["edge_lengths"][0][1] = bad
     with pytest.raises(MeshFormatError, match="must be JSON integers"):
         dict_to_complex(data)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "is not a JSON number"), ("1.5", "is not a JSON number"),
+    (None, "is not a JSON number"), (-1.0, "is not positive and finite"),
+    (0, "is not positive and finite"), (math.nan, "is not positive and finite"),
+    (math.inf, "is not positive and finite"),
+])
+def test_json_rejects_lengths_that_are_not_positive_finite_numbers(bad, message):
+    # float() would read true as 1.0 and "1.5" as 1.5; NaN and inf reached the
+    # determinant with RuntimeWarnings, and -1.0 squared to a valid metric.
+    data = complex_to_dict(*cone(5))
+    data["edge_lengths"][3][2] = bad
+    a, b, _ = data["edge_lengths"][3]
+    with pytest.raises(MeshFormatError, match=re.escape(f"edge ({a}, {b}) length {bad!r} {message}")):
+        dict_to_complex(data)
+
+
+def test_json_rejects_a_length_too_large_for_a_float():
+    data = complex_to_dict(*cone(5))
+    data["edge_lengths"][0][2] = 10**400
+    with pytest.raises(MeshFormatError, match="malformed complex dictionary"):
+        dict_to_complex(data)
+
+
+def test_json_rejects_conflicting_duplicate_edges():
+    data = complex_to_dict(*flat_grid(2, 2))
+    a, b, length = data["edge_lengths"][0]
+    # Identical repeats, in either orientation, build the same complex.
+    same = dict(data, edge_lengths=data["edge_lengths"] + [[b, a, length], [a, b, length]])
+    assert np.array_equal(dict_to_complex(same).chart_metrics, dict_to_complex(data).chart_metrics)
+    for edge in ([b, a, 1.1], [a, b, 1.1]):
+        conflicting = dict(data, edge_lengths=data["edge_lengths"] + [edge])
+        with pytest.raises(MeshFormatError, match=re.escape(f"edge ({a}, {b}) is listed")):
+            dict_to_complex(conflicting)
 
 
 # -- OFF format -----------------------------------------------------------------------

@@ -8,6 +8,7 @@ Hypothesis runs derandomized, so every run draws the same examples.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from dconn.connection import (
     quotient_pair,
     trivial_connection,
 )
+from dconn.errors import CutLocusError
 from dconn.levi_civita import (
     MetricComplex,
     angle_defect,
@@ -50,10 +52,15 @@ def angle_gap(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-@PROPERTY
-@given(st.sampled_from([SO2, SO3, SE3, translation_group(2)]).flatmap(
+# The kernels cost microseconds, so their properties can afford more examples.
+KERNEL_PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+ALGEBRA_SAMPLES = st.sampled_from([SO2, SO3, SE3, translation_group(2)]).flatmap(
     lambda g: st.tuples(st.just(g), st.lists(st.floats(-3.0, 3.0), min_size=g.dim,
-                                             max_size=g.dim))))
+                                             max_size=g.dim)))
+
+
+@PROPERTY
+@given(ALGEBRA_SAMPLES)
 def test_inverse_matrix_inverts_and_backs_the_element_inverse(sample):
     group, coords = sample
     g = lg.exp(group, coords)
@@ -62,6 +69,57 @@ def test_inverse_matrix_inverts_and_backs_the_element_inverse(sample):
     wrapped = lg.inverse(g).matrix
     assert not wrapped.flags.writeable
     assert np.array_equal(wrapped, inv)
+
+
+@KERNEL_PROPERTY
+@given(ALGEBRA_SAMPLES)
+def test_cayley_matrix_matches_the_linear_solve(sample):
+    group, coords = sample
+    half = 0.5 * group.hat(coords)
+    eye = np.eye(group.matrix_size)
+    oracle = np.linalg.solve(eye - half, eye + half)
+    assert np.max(np.abs(group.cayley_matrix(coords) - oracle)) <= 1e-14
+
+
+def _rotation_slots(group) -> slice:
+    return {SO2: slice(0, 1), SO3: slice(0, 3), SE3: slice(0, 3)}.get(group, slice(0, 0))
+
+
+@st.composite
+def algebra_at_angle(draw, small: bool):
+    """(group, xi) whose rotation angle is log-uniform in [1e-10, 1e-2] or uniform in [1e-2, 3]."""
+    group, coords = draw(ALGEBRA_SAMPLES)
+    xi = np.array(coords)
+    axis = xi[_rotation_slots(group)]
+    if axis.size:
+        angle = 10.0 ** draw(st.floats(-10.0, -2.0)) if small else draw(st.floats(1e-2, 3.0))
+        norm = np.linalg.norm(axis)
+        unit = axis / norm if norm > 0.0 else np.eye(axis.size)[0]
+        xi[_rotation_slots(group)] = angle * unit
+    return group, xi
+
+
+@KERNEL_PROPERTY
+@given(st.booleans().flatmap(lambda small: st.tuples(st.just(small), algebra_at_angle(small))))
+def test_log_inverts_exp_at_small_and_moderate_angles(sample):
+    # (1 - cos t)/t^2 in exp, and V^-1's coefficient, which divides by
+    # 1 - cos t, cancel at small angles unless written in half angles.
+    small, (group, xi) = sample
+    tol = (1e-14 if small else 1e-12) * max(1.0, np.linalg.norm(xi))
+    assert np.max(np.abs(group.log_vector(group.exp_matrix(xi)) - xi)) <= tol
+
+
+@PROPERTY
+@given(st.sampled_from([SO2, SO3, SE3]), st.floats(0.0, 0.99e-6),
+       st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_log_rejects_rotations_near_the_cut_locus(group, gap, coords):
+    xi = np.array(coords[:group.dim])
+    axis = xi[_rotation_slots(group)]
+    norm = np.linalg.norm(axis)
+    unit = axis / norm if norm > 1e-3 else np.eye(axis.size)[0]
+    xi[_rotation_slots(group)] = (math.pi - gap) * unit
+    with pytest.raises(CutLocusError, match="within 1e-6 of pi"):
+        group.log_vector(group.exp_matrix(xi))
 
 
 @st.composite
