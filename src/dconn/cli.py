@@ -34,6 +34,13 @@ _EXIT_OK = 0
 _EXIT_DOMAIN = 2
 _EXIT_PARSE = 3
 
+# Caps on the config fields that size what a command builds, checked before
+# anything of that size is allocated.  The fixtures have at most 2 shape
+# coordinates; the benchmark sweeps 32 directions over 7 step sizes.
+MAX_SHAPE_DIM = 1000
+MAX_DIRECTIONS = 4096
+MAX_H_COUNT = 256
+
 
 def _plain(x):
     # json writes np.float64 (a float subclass) itself; arrays, np.bool_ and
@@ -65,18 +72,50 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _bounded(value, name: str, cap: int) -> int:
+    """A config value that must be a JSON integer no larger than cap."""
+    n = _integer(value, name)
+    if n > cap:
+        raise DconnError(f"config field {name!r} must be at most {cap}, got {n}")
+    return n
+
+
+def _is_number(x) -> bool:
+    # JSON numbers decode to exactly int or float; bool is an int subclass.
+    return type(x) in (int, float)
+
+
+def _number(value, name: str) -> float:
+    """A config value that must be a JSON number; strings and booleans are refused."""
+    if not _is_number(value):
+        raise DconnError(f"config field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """A config number or nested list whose entries must all be JSON numbers."""
+    stack = [value]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(x)
+        elif not _is_number(x):
+            raise DconnError(f"config field {name!r} must hold numbers, got {x!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _build_connection(cfg: dict, key: str = "connection") -> DiscreteConnection:
     family = cfg.get(key)
     if not isinstance(family, str):
         raise DconnError(f"config field {key!r} must name a connection family")
-    shape_dim = _integer(cfg.get("shape_dim", 2), "shape_dim")
+    shape_dim = _bounded(cfg.get("shape_dim", 2), "shape_dim", MAX_SHAPE_DIM)
     return resolve_connection(family, cfg.get("group", "SO3"), shape_dim)
 
 
-def _parse_point(conn: DiscreteConnection, data: dict) -> BundlePoint:
+def _parse_point(conn: DiscreteConnection, data: dict, name: str) -> BundlePoint:
     try:
-        coords = np.asarray(data["shape"], dtype=float)
-        fiber = np.asarray(data["fiber"], dtype=float)
+        coords = _numbers(data["shape"], f"{name}.shape")
+        fiber = _numbers(data["fiber"], f"{name}.fiber")
         conn.bundle.group.check_matrix(fiber)
     except (KeyError, TypeError, ValueError) as exc:
         raise DconnError(f"bad bundle point in config: {exc}") from exc
@@ -88,7 +127,8 @@ def _parse_pair(conn: DiscreteConnection, cfg: dict) -> PairElement:
     if data is None:
         return default_pair(conn.bundle)
     return PairElement(
-        _parse_point(conn, data["first"]), _parse_point(conn, data["second"])
+        _parse_point(conn, data["first"], "pair.first"),
+        _parse_point(conn, data["second"], "pair.second"),
     )
 
 
@@ -123,21 +163,20 @@ def cmd_order(cfg: dict) -> dict:
     sweep = cfg.get("h_sweep", {})
     if not isinstance(sweep, dict):
         raise DconnError("config field 'h_sweep' must be an object")
-    start = float(sweep.get("start", 1.0e-1))
-    stop = float(sweep.get("stop", 1.0e-3))
-    count = _integer(sweep.get("count", 7), "h_sweep.count")
+    start = _number(sweep.get("start", 1.0e-1), "h_sweep.start")
+    stop = _number(sweep.get("stop", 1.0e-3), "h_sweep.stop")
+    count = _bounded(sweep.get("count", 7), "h_sweep.count", MAX_H_COUNT)
+    n_directions = _bounded(cfg.get("directions", 32), "directions", MAX_DIRECTIONS)
+    seed = _integer(cfg.get("seed", 7), "seed")
     # np.geomspace warns on non-finite ends and refuses a zero one.
     if not all(0.0 < h < math.inf for h in (start, stop)):
         raise ValueError("h_list must be finite, positive and strictly decreasing")
     h_list = [float(h) for h in np.geomspace(start, stop, count)]
     if "base_point" in cfg:
-        q = _parse_point(reference, cfg["base_point"])
+        q = _parse_point(reference, cfg["base_point"], "base_point")
     else:
         q = default_pair(reference.bundle).first
-    directions = unit_directions(
-        reference.bundle, q, _integer(cfg.get("directions", 32), "directions"),
-        _integer(cfg.get("seed", 7), "seed"),
-    )
+    directions = unit_directions(reference.bundle, q, n_directions, seed)
     report = {
         "command": "order",
         "candidate": cfg["candidate"],
@@ -211,7 +250,8 @@ def cmd_holonomy(cfg: dict) -> dict:
         enclosed_curvature = lc.angle_defect(K, v)
         loop_source = "around_vertex"
     elif "latitude" in cfg:
-        colat = math.radians(float(cfg["latitude"]["colatitude_deg"]))
+        colat = math.radians(_number(cfg["latitude"]["colatitude_deg"],
+                                     "latitude.colatitude_deg"))
         loop, enclosed = meshes.latitude_loop(K, colat)
         h = lc.holonomy(K, A, loop)
         loop_length = len(loop) - 1

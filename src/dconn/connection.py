@@ -70,8 +70,8 @@ def trivial_connection(bundle: Bundle) -> DiscreteConnection:
     return DiscreteConnection(bundle, rep)
 
 
-def _check_domain(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> None:
-    d = chart_distance(x0, x1)
+def _check_distance(d: float) -> None:
+    """Raise OutOfDomainError unless a shape pair's chart distance d is within VALIDITY_RADIUS."""
     if not math.isfinite(d):
         raise OutOfDomainError(f"shape pair distance {d} is not finite")
     if d > VALIDITY_RADIUS:
@@ -101,8 +101,13 @@ def form_matrix(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint, g1: np.nd
 
     Raises OutOfDomainError when (x0, x1) lies outside VALIDITY_RADIUS.
     """
-    _check_domain(c, x0, x1)
-    return g1 @ (c.local_rep(x0, x1).matrix @ g0inv)
+    _check_distance(chart_distance(x0, x1))
+    return _form_product(g1, c.local_rep(x0, x1).matrix, g0inv)
+
+
+def _form_product(g1: np.ndarray, a: np.ndarray, g0inv: np.ndarray) -> np.ndarray:
+    """g1 A g0^-1 on bare matrices, or on stacks of them that broadcast together."""
+    return g1 @ (a @ g0inv)
 
 
 def vertical_from_form(p: PairElement, w: GroupElement) -> PairElement:
@@ -133,7 +138,7 @@ def horizontal_lift(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint,
     """
     if chart_distance(project(q), x0) > BASE_TOL:
         raise BasepointMismatchError("lift base point q does not sit over x0")
-    _check_domain(c, x0, x1)
+    _check_distance(chart_distance(x0, x1))
     a = c.local_rep(x0, x1)
     end = BundlePoint(x1, lg.compose(q.fiber, lg.inverse(a)))
     return PairElement(q, end)

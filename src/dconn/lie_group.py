@@ -16,6 +16,12 @@ group's Cayley map solves a linear system.  Coefficients that cancel at
 small angles, (1 - cos t)/t^2 and the t^2-order coefficient of SE(3)'s V^-1,
 are evaluated in half angles, so exp and log keep roundoff accuracy there.
 
+Beside the scalar kernels sit batched ones over stacks (``exp_matrices``,
+``log_vectors``, ``inverse_matrices``).  They are the same closed forms: the
+entry formulas are shared and run on (n,) arrays of entries, and the angle
+coefficients come from the scalar helpers row by row, so every row equals
+the scalar kernel's result bit for bit.
+
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
   * se(3) coordinates are ordered (omega, v): rotation first, then
@@ -59,6 +65,31 @@ def _cross(a, b) -> tuple[float, float, float]:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a 2-D array, each rounded exactly as _norm rounds it."""
+    # A stack of (1 x n)(n x 1) products takes numpy's vector-dot path, the one w.dot(w) takes.
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def _per_row(f, values: np.ndarray, width: int) -> np.ndarray:
+    """The scalar helper f, which returns ``width`` floats, on each entry of ``values``.
+
+    Returns a (width, n) array.  The scalar kernels' coefficient helpers run
+    row by row, branches and all, so each row carries the scalar kernel's
+    bits: numpy's vectorized tan, arccos and power can differ from libm's in
+    the last place.  f raises for the first bad row.
+    """
+    return np.array([f(t) for t in values.tolist()], dtype=float).reshape(len(values), width).T
+
+
+def _stacked(entries, n: int, k: int) -> np.ndarray:
+    """n k x k matrices from k*k row-major entries, each an (n,) array or a constant."""
+    out = np.empty((n, k * k))
+    for j, e in enumerate(entries):
+        out[:, j] = e
+    return out.reshape(n, k, k)
+
+
 def _exp_coefficients(theta: float) -> tuple[float, float]:
     """a = sin(t)/t and b = (1 - cos t)/t^2 of Rodrigues' formula at t = theta.
 
@@ -71,6 +102,14 @@ def _exp_coefficients(theta: float) -> tuple[float, float]:
     half = 0.5 * theta
     sinc_half = math.sin(half) / half
     return math.sin(theta) / theta, 0.5 * sinc_half * sinc_half
+
+
+def _se3_exp_coefficients(theta: float) -> tuple[float, float, float]:
+    """a and b of _exp_coefficients, and c = (t - sin t)/t^3 of SE(3)'s V matrix."""
+    a, b = _exp_coefficients(theta)
+    if theta < _SMALL_ANGLE:
+        return a, b, 1.0 / 6.0 - theta**2 / 120.0
+    return a, b, (theta - math.sin(theta)) / theta**3
 
 
 def _dexpinv_c2(theta: float) -> float:
@@ -94,33 +133,73 @@ def _rotation(x: float, y: float, z: float, a: float, b: float) -> tuple[float, 
             bxz - ay, byz + ax, 1.0 - (bx * x + by * y))
 
 
-def _se3_matrix(x: float, y: float, z: float, v: list[float],
-                a: float, b: float, p: float, q: float) -> np.ndarray:
-    """The SE(3) matrix with rotation I + a K + b K^2 and translation
-    v + p K v + q K^2 v, for K = hat(x, y, z)."""
+def _se3_entries(x, y, z, v, a, b, p, q) -> tuple:
+    """The row-major entries of the SE(3) matrix with rotation I + a K + b K^2
+    and translation v + p K v + q K^2 v, for K = hat(x, y, z).
+
+    The arguments are floats, or (n,) arrays for n matrices at once.
+    """
     w = (x, y, z)
     k0, k1, k2 = k = _cross(w, v)
     kk0, kk1, kk2 = _cross(w, k)
     v0, v1, v2 = v
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = _rotation(x, y, z, a, b)
-    return np.array([r00, r01, r02, v0 + p * k0 + q * kk0,
-                     r10, r11, r12, v1 + p * k1 + q * kk1,
-                     r20, r21, r22, v2 + p * k2 + q * kk2,
-                     0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
+    return (r00, r01, r02, v0 + p * k0 + q * kk0,
+            r10, r11, r12, v1 + p * k1 + q * kk1,
+            r20, r21, r22, v2 + p * k2 + q * kk2,
+            0.0, 0.0, 0.0, 1.0)
 
 
-def _so3_log(r: list[list[float]]) -> tuple[tuple[float, float, float], float]:
-    """Principal log and rotation angle of the rotation block of a matrix's rows r."""
-    c = (r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0
+def _log_angle(c: float) -> tuple[float, float]:
+    """The angle t of a rotation with (tr R - 1)/2 = c, and t/sin(t).
+
+    Raises CutLocusError within _CUT_MARGIN of pi.
+    """
     theta = math.acos(min(1.0, max(-1.0, c)))
     if theta >= math.pi - _CUT_MARGIN:
         raise CutLocusError(f"SO3: rotation angle {theta:.8f} within 1e-6 of pi")
-    # The skew part is sin(theta) times the axis; sin(t)/t inverse to second
-    # order at small angles.
-    f = 1.0 + theta**2 / 6.0 if theta < _SMALL_ANGLE else theta / math.sin(theta)
+    # sin(t)/t inverse to second order at small angles.
+    return theta, 1.0 + theta**2 / 6.0 if theta < _SMALL_ANGLE else theta / math.sin(theta)
+
+
+def _log_angles(c: np.ndarray) -> np.ndarray:
+    return _per_row(_log_angle, c, 2)
+
+
+def _so3_log(r, log_angle=_log_angle) -> tuple[tuple, float]:
+    """Principal log and rotation angle of the rotation block of a matrix's rows r.
+
+    r holds floats; with ``log_angle=_log_angles`` it holds (n,) arrays, and
+    the result is n logs and angles.
+    """
+    c = (r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0
+    theta, f = log_angle(c)
+    # The skew part is sin(theta) times the axis.
     w = (0.5 * (r[2][1] - r[1][2]) * f, 0.5 * (r[0][2] - r[2][0]) * f,
          0.5 * (r[1][0] - r[0][1]) * f)
     return w, theta
+
+
+def _se3_log_coordinates(w, p, c2) -> tuple:
+    """(omega, V^-1 p) with V^-1 p = p - K p / 2 + c2 K^2 p, for K = hat(omega)."""
+    p0, p1, p2 = p
+    k0, k1, k2 = k = _cross(w, p)
+    kk0, kk1, kk2 = _cross(w, k)
+    return (*w, p0 - 0.5 * k0 + c2 * kk0, p1 - 0.5 * k1 + c2 * kk1, p2 - 0.5 * k2 + c2 * kk2)
+
+
+def _se3_inverse_entries(r) -> tuple:
+    """The row-major entries of (R, p)^-1 = (R^T, -R^T p), from a matrix's rows r."""
+    (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2) = r[0], r[1], r[2]
+    return (r00, r10, r20, -(r00 * p0 + r10 * p1 + r20 * p2),
+            r01, r11, r21, -(r01 * p0 + r11 * p1 + r21 * p2),
+            r02, r12, r22, -(r02 * p0 + r12 * p1 + r22 * p2),
+            0.0, 0.0, 0.0, 1.0)
+
+
+def _columns(matrices: np.ndarray) -> np.ndarray:
+    """A stack of matrices as one matrix of (n,) arrays: entry [i][j] holds every M[i, j]."""
+    return np.moveaxis(matrices, 0, -1)
 
 
 class MatrixGroup:
@@ -155,6 +234,21 @@ class MatrixGroup:
 
     def cayley_matrix(self, vector: np.ndarray) -> np.ndarray:
         """(I - xi/2)^-1 (I + xi/2) for xi = hat(vector), in closed form."""
+        raise NotImplementedError
+
+    def exp_matrices(self, vectors: np.ndarray) -> np.ndarray:
+        """exp_matrix of each row of an (n, dim) array, as an (n, k, k) stack."""
+        raise NotImplementedError
+
+    def log_vectors(self, matrices: np.ndarray) -> np.ndarray:
+        """log_vector of each matrix of an (n, k, k) stack, as an (n, dim) array.
+
+        Raises log_vector's CutLocusError for the first matrix past the cut.
+        """
+        raise NotImplementedError
+
+    def inverse_matrices(self, matrices: np.ndarray) -> np.ndarray:
+        """inverse_matrix of each matrix of an (n, k, k) stack."""
         raise NotImplementedError
 
     def identity_matrix(self) -> np.ndarray:
@@ -214,6 +308,22 @@ class _SO2(MatrixGroup):
         # A transposed view of a read-only matrix is itself read-only.
         return matrix.T
 
+    def exp_matrices(self, vectors):
+        t = np.asarray(vectors, dtype=float).reshape(-1)
+        c, s = np.cos(t), np.sin(t)
+        return _stacked((c, -s, s, c), len(t), 2)
+
+    def log_vectors(self, matrices):
+        t = np.arctan2(matrices[:, 1, 0], matrices[:, 0, 0])
+        past = np.abs(t) >= np.pi - _CUT_MARGIN
+        if past.any():
+            raise CutLocusError(
+                f"SO2: rotation angle {t[np.argmax(past)]:.8f} within 1e-6 of pi")
+        return t[:, None]
+
+    def inverse_matrices(self, matrices):
+        return np.swapaxes(matrices, 1, 2)
+
     def adjoint_matrix(self, matrix):
         return _EYE1
 
@@ -262,6 +372,19 @@ class _SO3(MatrixGroup):
     def inverse_matrix(self, matrix):
         return matrix.T
 
+    def exp_matrices(self, vectors):
+        v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        x, y, z = v.T
+        a, b = _per_row(_exp_coefficients, np.sqrt(x * x + y * y + z * z), 2)
+        return _stacked(_rotation(x, y, z, a, b), len(v), 3)
+
+    def log_vectors(self, matrices):
+        w, _ = _so3_log(_columns(matrices), _log_angles)
+        return np.stack(w, axis=1)
+
+    def inverse_matrices(self, matrices):
+        return np.swapaxes(matrices, 1, 2)
+
     def adjoint_matrix(self, matrix):
         return matrix
 
@@ -296,32 +419,32 @@ class _SE3(MatrixGroup):
         # Rotation by Rodrigues; translation V v = v + b K v + c K^2 v with
         # c = (t - sin t)/t^3.
         x, y, z, *v = np.asarray(vector, dtype=float).reshape(6).tolist()
-        theta = math.sqrt(x * x + y * y + z * z)
-        a, b = _exp_coefficients(theta)
-        if theta < _SMALL_ANGLE:
-            c = 1.0 / 6.0 - theta**2 / 120.0
-        else:
-            c = (theta - math.sin(theta)) / theta**3
-        return _se3_matrix(x, y, z, v, a, b, b, c)
+        a, b, c = _se3_exp_coefficients(math.sqrt(x * x + y * y + z * z))
+        return np.array(_se3_entries(x, y, z, v, a, b, b, c)).reshape(4, 4)
 
     def log_vector(self, matrix):
-        # V^-1 p = p - K p / 2 + c2 K^2 p.
         r = matrix.tolist()
         w, theta = _so3_log(r)
-        p0, p1, p2 = r[0][3], r[1][3], r[2][3]
-        c2 = _dexpinv_c2(theta)
-        k0, k1, k2 = k = _cross(w, (p0, p1, p2))
-        kk0, kk1, kk2 = _cross(w, k)
-        return np.array([*w, p0 - 0.5 * k0 + c2 * kk0, p1 - 0.5 * k1 + c2 * kk1,
-                         p2 - 0.5 * k2 + c2 * kk2])
+        return np.array(_se3_log_coordinates(w, (r[0][3], r[1][3], r[2][3]),
+                                             _dexpinv_c2(theta)))
 
     def inverse_matrix(self, matrix):
-        # (R, p)^-1 = (R^T, -R^T p).
-        (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2), _ = matrix.tolist()
-        return np.array([r00, r10, r20, -(r00 * p0 + r10 * p1 + r20 * p2),
-                         r01, r11, r21, -(r01 * p0 + r11 * p1 + r21 * p2),
-                         r02, r12, r22, -(r02 * p0 + r12 * p1 + r22 * p2),
-                         0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
+        return np.array(_se3_inverse_entries(matrix.tolist())).reshape(4, 4)
+
+    def exp_matrices(self, vectors):
+        v = np.asarray(vectors, dtype=float).reshape(-1, 6)
+        x, y, z, *u = v.T
+        a, b, c = _per_row(_se3_exp_coefficients, np.sqrt(x * x + y * y + z * z), 3)
+        return _stacked(_se3_entries(x, y, z, u, a, b, b, c), len(v), 4)
+
+    def log_vectors(self, matrices):
+        r = _columns(matrices)
+        w, theta = _so3_log(r, _log_angles)
+        (c2,) = _per_row(_dexpinv_c2, theta, 1)
+        return np.stack(_se3_log_coordinates(w, (r[0][3], r[1][3], r[2][3]), c2), axis=1)
+
+    def inverse_matrices(self, matrices):
+        return _stacked(_se3_inverse_entries(_columns(matrices)), len(matrices), 4)
 
     def adjoint_matrix(self, matrix):
         # Ad_g (omega, v) = (R omega, p x R omega + R v); column j of hat(p) R
@@ -343,7 +466,7 @@ class _SE3(MatrixGroup):
         # The SO(3) Cayley rotation; translation (I - K/2)^-1 v = v + d (K v/2 + K^2 v/4).
         x, y, z, *v = np.asarray(vector, dtype=float).reshape(6).tolist()
         d = 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
-        return _se3_matrix(x, y, z, v, d, 0.5 * d, 0.5 * d, 0.25 * d)
+        return np.array(_se3_entries(x, y, z, v, d, 0.5 * d, 0.5 * d, 0.25 * d)).reshape(4, 4)
 
     def _check_structure(self, m, tol):
         _check_rotation(m[:3, :3], tol, self.name)
@@ -383,6 +506,18 @@ class _Translation(MatrixGroup):
     def inverse_matrix(self, matrix):
         # I + hat(v) inverts to I - hat(v).
         return 2.0 * self._eye - matrix
+
+    def exp_matrices(self, vectors):
+        v = np.asarray(vectors, dtype=float).reshape(-1, self.dim)
+        hats = np.zeros((len(v), self.matrix_size, self.matrix_size))
+        hats[:, :-1, -1] = v
+        return self._eye + hats
+
+    def log_vectors(self, matrices):
+        return np.array(matrices[:, :-1, -1])
+
+    def inverse_matrices(self, matrices):
+        return 2.0 * self._eye - matrices
 
     def adjoint_matrix(self, matrix):
         return self._ad

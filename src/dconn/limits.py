@@ -19,14 +19,21 @@ import numpy as np
 from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from .connection import (
+    VALIDITY_RADIUS,
     DiscreteConnection,
+    _check_distance,
+    _form_product,
     eval_form,
-    form_matrix,
     horizontal_component,
     vertical_component,
 )
-from .errors import BasepointMismatchError, DegenerateFitError, GroupMismatchError
-from .lie_group import GroupElement, _norm
+from .errors import (
+    BasepointMismatchError,
+    DegenerateFitError,
+    GroupMismatchError,
+    ShapeMismatchError,
+)
+from .lie_group import GroupElement, _norms
 
 DEFAULT_H_LIST = (1.0e-2, 5.0e-3, 2.5e-3)
 # Below this error magnitude a log-log fit measures rounding noise, not order.
@@ -211,35 +218,64 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     conjugation-invariant norm of exact(q, q_h) candidate(q, q_h)^-1 with
     q_h = chart_curve(v, h).  The fitted slope of log max-error versus
     log h minus one is the reported order.
+
+    The samples run h-major, (h, v) in sweep order.  Their arithmetic is
+    stacked: the chart-curve endpoints, one domain check, both forms, the
+    errors and their logs and norms are each one array operation over the
+    whole sweep.  The local representations stay per pair: each sample
+    calls exact.local_rep, then candidate.local_rep.  A failing sample
+    raises what the sample-by-sample loop raises: a failure in a local
+    representation or a log wins over the out-of-domain failure of a later
+    sample, and the first failing sample's failure wins.
     """
     hs = _validate_h_list(h_list)
     if hs[0] / hs[-1] < 10.0:
         raise ValueError("h_list must span at least one decade")
     if not directions:
         raise ValueError("directions must hold at least one unit tangent")
-    group = q.fiber.group
+    group, x0 = q.fiber.group, q.shape
     for v in directions:
         n = np.linalg.norm(v.coordinates())
         if abs(n - 1.0) > 1.0e-8:
             raise ValueError(f"directions must be unit vectors (norm {n:.6f})")
         if v.base.fiber.group is not group:
             raise GroupMismatchError("directions must be based in the group of q")
+        if v.base.shape.coords.size != x0.coords.size:
+            raise ShapeMismatchError("directions must be based in the shape space of q")
     if candidate.bundle.group is not group or exact.bundle.group is not group:
         raise GroupMismatchError("both connections must act in the group of q")
-    # Every sample pairs q with a point of its chart curve: invert q's fiber
-    # once, and keep the samples on bare matrices, in the same products as
-    # chart_curve, eval_form and conj_invariant_norm.
-    x0, g0inv = q.shape, group.inverse_matrix(q.fiber.matrix)
-    rows = []
-    for h in hs:
-        row = []
-        for v in directions:
-            x1 = ShapePoint(v.base.shape.coords + h * v.shape_velocity)
-            g1 = v.base.fiber.matrix @ group.exp_matrix(h * v.fiber_velocity)
-            err = (form_matrix(exact, x0, x1, g1, g0inv)
-                   @ group.inverse_matrix(form_matrix(candidate, x0, x1, g1, g0inv)))
-            row.append(_norm(group.log_vector(err)))
-        rows.append(tuple(row))
+    dims = (candidate.bundle.shape_dim, exact.bundle.shape_dim, x0.coords.size)
+    if len(set(dims)) > 1:
+        raise ShapeMismatchError(
+            "shape dimensions differ: candidate {}, exact {}, q {}".format(*dims))
+    # Sample (h, v) ends at (x + h xdot, g exp(h eta)) from v's base point (x, g).
+    k, total = group.matrix_size, len(hs) * len(directions)
+    steps = np.array(hs)[:, None, None]
+    bases = [v.base for v in directions]
+    x1s = (np.array([b.shape.coords for b in bases])
+           + steps * np.array([v.shape_velocity for v in directions])).reshape(total, x0.coords.size)
+    etas = (steps * np.array([v.fiber_velocity for v in directions])).reshape(total, group.dim)
+    g1s = (np.array([b.fiber.matrix for b in bases])
+           @ group.exp_matrices(etas).reshape(len(hs), len(bases), k, k)).reshape(total, 1, k, k)
+    distances = _norms(x1s - x0.coords)
+    inside = distances <= VALIDITY_RADIUS
+    reps, failure = [], None
+    try:
+        for x in x1s[:total if inside.all() else int(np.argmin(inside))]:
+            x1 = ShapePoint(x)
+            reps.append(exact.local_rep(x0, x1).matrix)
+            reps.append(candidate.local_rep(x0, x1).matrix)
+    except Exception as exc:  # raised below, after the logs of the samples before it
+        failure = exc
+    done = len(reps) // 2
+    forms = _form_product(g1s[:done], np.array(reps[:2 * done]).reshape(done, 2, k, k),
+                          group.inverse_matrix(q.fiber.matrix))
+    errors = _norms(group.log_vectors(forms[:, 0] @ group.inverse_matrices(forms[:, 1])))
+    if failure is not None:
+        raise failure
+    if done < total:
+        _check_distance(float(distances[done]))
+    rows = [tuple(row) for row in errors.reshape(len(hs), len(directions)).tolist()]
     max_errors = tuple(max(row) for row in rows)
     if all(e < ERROR_FLOOR for e in max_errors):
         return OrderEstimate(math.inf, math.inf, tuple(hs), max_errors, tuple(rows), True)

@@ -557,3 +557,93 @@ def test_newton_stall_is_a_domain_failure(tmp_path, capsys, monkeypatch):
     assert main(["decompose", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "stalled" in captured.err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"candidate": "trivial", "shape_dim": 5, "reference": "exponentiated:so3_mechanical"},
+     "shape dimensions differ: candidate 5, exact 2, q 2"),
+    ({"candidate": "cayley:so3_mechanical", "reference": "mechanical:so3_pure"},
+     "shape dimensions differ: candidate 2, exact 0, q 0"),
+])
+def test_order_across_shape_dimensions_is_a_domain_failure(tmp_path, capsys, data, message):
+    cfg = write_config(tmp_path, "o.json", data)
+    assert message in _assert_one_line_domain_failure(capsys, "order", cfg)
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} reached before the size check")
+    return refuse
+
+
+@pytest.mark.parametrize("command, data, field", [
+    ("decompose", {"connection": "trivial", "shape_dim": 10**12}, "shape_dim"),
+    ("order", {"candidate": "trivial", "reference": "trivial", "shape_dim": 10**12},
+     "shape_dim"),
+    ("order", {"candidate": "cayley:so3_mechanical",
+               "reference": "exponentiated:so3_mechanical", "directions": 10**7}, "directions"),
+    ("order", {"candidate": "cayley:so3_mechanical",
+               "reference": "exponentiated:so3_mechanical",
+               "h_sweep": {"start": 1e-1, "stop": 1e-3, "count": 10**12}}, "h_sweep.count"),
+])
+def test_sizes_above_their_caps_are_refused_before_allocation(tmp_path, capsys, monkeypatch,
+                                                              command, data, field):
+    import dconn.cli
+
+    for name in ("default_pair", "unit_directions"):
+        monkeypatch.setattr(dconn.cli, name, _refuse(name))
+    monkeypatch.setattr(np, "geomspace", _refuse("np.geomspace"))
+    cfg = write_config(tmp_path, "c.json", data)
+    line = _assert_one_line_domain_failure(capsys, command, cfg)
+    assert f"'{field}' must be at most" in line
+
+
+_ORDER = {"candidate": "cayley:so3_mechanical", "reference": "exponentiated:so3_mechanical",
+          "directions": 4}
+_PAIR = {"first": {"shape": [0.1, 0.2], "fiber": rot_z(0.3)},
+         "second": {"shape": [0.15, 0.1], "fiber": rot_z(0.5)}}
+
+
+def _with(base, path, value):
+    data = json.loads(json.dumps(base))
+    node = data
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("command, data, field", [
+    ("order", _with(_ORDER, ["h_sweep", "start"], "0.1"), "h_sweep.start"),
+    ("order", _with(_ORDER, ["h_sweep", "start"], True), "h_sweep.start"),
+    ("order", _with(_ORDER, ["h_sweep", "stop"], "1e-3"), "h_sweep.stop"),
+    ("order", _with(_ORDER, ["h_sweep", "stop"], False), "h_sweep.stop"),
+    ("holonomy", {"latitude": {"colatitude_deg": "60"}}, "latitude.colatitude_deg"),
+    ("holonomy", {"latitude": {"colatitude_deg": True}}, "latitude.colatitude_deg"),
+    ("decompose", _with({"connection": "exponentiated:so3_mechanical", "pair": _PAIR},
+                        ["pair", "first", "shape"], ["0.1", "0.2"]), "pair.first.shape"),
+    ("decompose", _with({"connection": "exponentiated:so3_mechanical", "pair": _PAIR},
+                        ["pair", "second", "shape"], [True, 0.3]), "pair.second.shape"),
+    ("decompose", _with({"connection": "exponentiated:so3_mechanical", "pair": _PAIR},
+                        ["pair", "first", "fiber"],
+                        [[1, 0, 0], [0, 1, "0"], [0, 0, 1]]), "pair.first.fiber"),
+    ("decompose", _with({"connection": "exponentiated:so3_mechanical", "pair": _PAIR},
+                        ["pair", "second", "fiber"],
+                        [[True, 0, 0], [0, 1, 0], [0, 0, 1]]), "pair.second.fiber"),
+    ("order", _with(_ORDER, ["base_point"], {"shape": ["0.1", 0.2], "fiber": rot_z(0.3)}),
+     "base_point.shape"),
+    ("order", _with(_ORDER, ["base_point"], {"shape": [0.1, 0.2], "fiber": [[1, 0, 0],
+                                                                           [0, 1, 0],
+                                                                           [0, 0, None]]}),
+     "base_point.fiber"),
+])
+def test_numbers_that_are_not_json_numbers_are_domain_failures(tmp_path, capsys, command,
+                                                               data, field):
+    if command == "holonomy":
+        n, tris, lengths = cone(5)
+        mesh = tmp_path / "cone.json"
+        write_complex_json(mesh, n, tris, lengths)
+        data = {"mesh": str(mesh), **data}
+    cfg = write_config(tmp_path, "c.json", data)
+    line = _assert_one_line_domain_failure(capsys, command, cfg)
+    assert f"config field '{field}' must" in line

@@ -1,5 +1,6 @@
 """Continuous limits, induced forms, variations and order-of-accuracy sweeps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,14 +9,17 @@ import pytest
 from dconn import bundle as bd
 from dconn import lie_group as lg
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
-from dconn.connection import eval_form, trivial_connection
+from dconn.connection import DiscreteConnection, eval_form, form_matrix, trivial_connection
 from dconn.errors import (
     BasepointMismatchError,
+    CutLocusError,
     DegenerateFitError,
     GroupMismatchError,
     OutOfDomainError,
+    ShapeMismatchError,
+    SolverDivergedError,
 )
-from dconn.lie_group import SO3, translation_group
+from dconn.lie_group import SO3, _norm, translation_group
 from dconn.limits import (
     TangentVector,
     cayley_connection,
@@ -33,8 +37,10 @@ from dconn.limits import (
 )
 from dconn.presets import (
     CONTINUOUS_FIXTURES,
+    LAGRANGIAN_FIXTURES,
     abelian_mechanical,
     default_pair,
+    resolve_connection,
     so3_mechanical,
 )
 
@@ -348,6 +354,127 @@ def test_order_errors_are_those_of_eval_form(fixture, build):
              for p in (PairElement(q, chart_curve(v, h)) for v in dirs)] for h in hs]
     got = estimate_order(candidate, exact, q, dirs, hs).errors
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def per_sample_errors(candidate, exact, q, directions, hs):
+    """The errors of an order sweep, one sample at a time.
+
+    This is the loop estimate_order ran before its arithmetic was stacked,
+    kept as the oracle of the stacked sweep: per sample, the chart-curve
+    endpoint, both forms with their domain checks, the error and its norm.
+    """
+    group = q.fiber.group
+    x0, g0inv = q.shape, group.inverse_matrix(q.fiber.matrix)
+    rows = []
+    for h in hs:
+        row = []
+        for v in directions:
+            x1 = ShapePoint(v.base.shape.coords + h * v.shape_velocity)
+            g1 = v.base.fiber.matrix @ group.exp_matrix(h * v.fiber_velocity)
+            err = (form_matrix(exact, x0, x1, g1, g0inv)
+                   @ group.inverse_matrix(form_matrix(candidate, x0, x1, g1, g0inv)))
+            row.append(_norm(group.log_vector(err)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _cli_order_pairs():
+    """Every (candidate, reference) pair of CLI families that share a group and shape dimension."""
+    families = [("trivial", "SO3", 2), ("trivial", "SE3", 2), ("trivial", "T1", 1),
+                ("euler_poincare", "SO3", 0)]
+    families += [(f"{kind}:{f}", "SO3", 2) for kind in ("exponentiated", "cayley",
+                                                          "forward_difference")
+                 for f in CONTINUOUS_FIXTURES]
+    families += [(f"mechanical:{f}", "SO3", 2) for f in LAGRANGIAN_FIXTURES]
+    conns = {f"{name}/{group}": resolve_connection(name, group, dim)
+             for name, group, dim in families}
+    return [(a, b) for a in conns for b in conns
+            if (conns[a].bundle.group, conns[a].bundle.shape_dim)
+            == (conns[b].bundle.group, conns[b].bundle.shape_dim)], conns
+
+
+CLI_ORDER_PAIRS, CLI_CONNECTIONS = _cli_order_pairs()
+
+
+@pytest.mark.parametrize("candidate, reference", CLI_ORDER_PAIRS)
+def test_stacked_sweep_matches_the_per_sample_loop(candidate, reference):
+    # Bound: equal bit for bit, errors and fit alike.
+    cand, exact = CLI_CONNECTIONS[candidate], CLI_CONNECTIONS[reference]
+    q = default_pair(exact.bundle).first
+    dirs = unit_directions(exact.bundle, q, count=4)
+    hs = [1e-1, 3e-2, 1e-2]
+    want = per_sample_errors(cand, exact, q, dirs, hs)
+    try:
+        got = estimate_order(cand, exact, q, dirs, hs)
+    except DegenerateFitError:
+        maxima = [max(row) for row in want]
+        assert min(maxima) < 1e-13 <= max(maxima)
+        return
+    assert got.errors == want
+    assert got.max_errors == tuple(max(row) for row in want)
+
+
+def _trap(name, cut_at, fail_at, calls):
+    """An SO(3) connection over the plane whose local representation is e up to
+    chart distance cut_at, a rotation within 1e-7 of pi beyond it, and a
+    Newton failure beyond fail_at; it records each call."""
+    half_turn = lg.exp(SO3, [0.0, 0.0, math.pi - 1e-7])
+
+    def rep(x0, x1):
+        calls.append((name, x1.coords.tobytes()))
+        d = bd.chart_distance(x0, x1)
+        if d > fail_at:
+            raise SolverDivergedError(f"{name} stalled at distance {d:.6f}")
+        return half_turn if d > cut_at else lg.identity(SO3)
+
+    return DiscreteConnection(Bundle(SO3, 2), rep)
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except (OutOfDomainError, CutLocusError, SolverDivergedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_failing_sweeps_raise_what_the_per_sample_loop_raises():
+    # Over a grid of failure distances the first failing sample decides, as
+    # in the per-sample loop: an out-of-domain sample (h = 0.7 moves some
+    # directions past the radius), a log at the cut locus or a stalled solve
+    # in either connection's local representation.
+    q = Bundle(SO3, 2).point([0.1, -0.15], lg.exp(SO3, [0.2, -0.1, 0.3]).matrix)
+    dirs = unit_directions(Bundle(SO3, 2), q, count=8)
+    inf = math.inf
+    seen = set()
+    grid = itertools.product(([0.7, 0.2, 0.05], [0.45, 0.1, 0.03]), (inf, 0.3, 0.02),
+                             (inf, 0.4, 0.1), (inf, 0.35, 0.05))
+    for hs, cut_at, exact_fails, candidate_fails in grid:
+        calls = {"oracle": [], "stacked": []}
+        run = {}
+        for mode in calls:
+            exact = _trap("exact", inf, exact_fails, calls[mode])
+            cand = _trap("candidate", cut_at, candidate_fails, calls[mode])
+            sweep = per_sample_errors if mode == "oracle" else (
+                lambda *a: estimate_order(*a).errors)
+            run[mode] = _outcome(lambda: sweep(cand, exact, q, dirs, hs))
+        assert run["stacked"] == run["oracle"]
+        if run["oracle"][0] == "ok":
+            # Each sample calls exact.local_rep, then candidate.local_rep.
+            assert calls["stacked"] == calls["oracle"]
+        kind, detail = run["oracle"]
+        seen.add(f"{kind}:{detail.split()[0]}" if kind == "SolverDivergedError" else kind)
+    assert seen == {"ok", "OutOfDomainError", "CutLocusError", "SolverDivergedError:exact",
+                    "SolverDivergedError:candidate"}
+
+
+def test_sweep_with_mismatched_shape_dimensions_is_rejected(order_setup):
+    a, exact, q, dirs, hs = order_setup
+    wide = trivial_connection(Bundle(SO3, 5))
+    with pytest.raises(ShapeMismatchError, match="candidate 5, exact 2, q 2"):
+        estimate_order(wide, exact, q, dirs, hs)
+    q5 = wide.bundle.point(np.zeros(5), np.eye(3))
+    with pytest.raises(ShapeMismatchError, match="shape space of q"):
+        estimate_order(wide, wide, q5, dirs, hs)
 
 
 # -- variations -------------------------------------------------------------------------

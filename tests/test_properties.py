@@ -6,6 +6,7 @@ Hypothesis runs derandomized, so every run draws the same examples.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,71 @@ def test_log_rejects_rotations_near_the_cut_locus(group, gap, coords):
     xi[_rotation_slots(group)] = (math.pi - gap) * unit
     with pytest.raises(CutLocusError, match="within 1e-6 of pi"):
         group.log_vector(group.exp_matrix(xi))
+
+
+@st.composite
+def algebra_stacks(draw):
+    """(group, xis): up to 12 algebra vectors of one group, each rotation angle
+    log-uniform in [1e-10, 3]."""
+    group = draw(st.sampled_from([SO2, SO3, SE3, translation_group(2)]))
+    rows = draw(st.lists(st.tuples(st.floats(-10.0, math.log10(3.0)),
+                                   st.lists(st.floats(-3.0, 3.0), min_size=group.dim,
+                                            max_size=group.dim)),
+                         min_size=1, max_size=12))
+    xis = np.array([coords for _, coords in rows], dtype=float).reshape(len(rows), group.dim)
+    slots = _rotation_slots(group)
+    for xi, (log_angle, _) in zip(xis, rows):
+        axis = xi[slots]
+        if axis.size:
+            norm = np.linalg.norm(axis)
+            unit = axis / norm if norm > 0.0 else np.eye(axis.size)[0]
+            xi[slots] = 10.0 ** log_angle * unit
+    return group, xis
+
+
+@KERNEL_PROPERTY
+@given(algebra_stacks())
+def test_batched_kernels_equal_the_scalar_kernels_row_by_row(sample):
+    # Bit for bit: the batched kernels run the scalar kernels' coefficient
+    # helpers and their products in the same order.
+    group, xis = sample
+    exps = group.exp_matrices(xis)
+    assert exps.shape == (len(xis), group.matrix_size, group.matrix_size)
+    assert np.array_equal(exps, np.array([group.exp_matrix(xi) for xi in xis]))
+    # Products of two exps reach every angle up to the cut, away from the axes.
+    moved = exps @ group.exp_matrices(xis[::-1] / 3.0)
+    inverses = group.inverse_matrices(moved)
+    assert np.array_equal(inverses, np.array([group.inverse_matrix(m) for m in moved]))
+    try:
+        logs = [group.log_vector(m) for m in moved]
+    except CutLocusError as exc:
+        with pytest.raises(CutLocusError, match=re.escape(str(exc))):
+            group.log_vectors(moved)
+    else:
+        batched = group.log_vectors(moved)
+        assert batched.shape == (len(moved), group.dim)
+        assert np.array_equal(batched, np.array(logs))
+
+
+@PROPERTY
+@given(st.sampled_from([SO2, SO3, SE3]), st.lists(st.floats(0.0, 0.99e-6), min_size=1,
+                                                 max_size=4),
+       st.integers(0, 5), st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_batched_log_rejects_the_first_rotation_near_the_cut_locus(group, gaps, lead, coords):
+    # ``lead`` rotations inside the domain come first; the first one within
+    # 1e-6 of pi names its angle, as the scalar log of that matrix does.
+    xi = np.array(coords[:group.dim])
+    axis = xi[_rotation_slots(group)]
+    norm = np.linalg.norm(axis)
+    unit = axis / norm if norm > 1e-3 else np.eye(axis.size)[0]
+    xis = np.tile(xi, (lead + len(gaps), 1))
+    xis[:, _rotation_slots(group)] = np.outer([0.5] * lead + [math.pi - g for g in gaps], unit)
+    matrices = group.exp_matrices(xis)
+    with pytest.raises(CutLocusError) as scalar:
+        group.log_vector(matrices[lead])
+    with pytest.raises(CutLocusError, match="within 1e-6 of pi") as batched:
+        group.log_vectors(matrices)
+    assert str(batched.value) == str(scalar.value)
 
 
 @st.composite
