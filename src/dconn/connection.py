@@ -52,22 +52,18 @@ VALIDITY_RADIUS = 0.5
 class DiscreteConnection:
     """A discrete connection, stored via its local representation.
 
-    ``local_rep(x0, x1)`` must return a group element with
-    ``local_rep(x, x) = e``; it is only trusted for shape pairs within
-    VALIDITY_RADIUS of each other.
+    ``local_rep(x0, x1)`` must return A(x0, x1) as a read-only matrix of
+    ``bundle.group``, the identity matrix when x0 = x1; it is only trusted
+    for shape pairs within VALIDITY_RADIUS of each other.
     """
 
     bundle: Bundle
-    local_rep: Callable[[ShapePoint, ShapePoint], GroupElement]
+    local_rep: Callable[[ShapePoint, ShapePoint], np.ndarray]
 
 
 def trivial_connection(bundle: Bundle) -> DiscreteConnection:
     """The connection whose local representation is identically e."""
-
-    def rep(x0: ShapePoint, x1: ShapePoint) -> GroupElement:
-        return lg.identity(bundle.group)
-
-    return DiscreteConnection(bundle, rep)
+    return DiscreteConnection(bundle, lambda x0, x1: bundle.group.identity_matrix())
 
 
 def _check_distance(d: float) -> None:
@@ -80,19 +76,19 @@ def _check_distance(d: float) -> None:
         )
 
 
+def _checked_rep(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
+    """A(x0, x1), once (x0, x1) is known to lie within VALIDITY_RADIUS."""
+    _check_distance(chart_distance(x0, x1))
+    return c.local_rep(x0, x1)
+
+
 def eval_form(c: DiscreteConnection, p: PairElement) -> GroupElement:
     """The connection form g1 A(x0, x1) g0^-1 on a bundle pair."""
-    return form_given_inverse(c, p.first, p.second, lg.inverse(p.first.fiber))
-
-
-def form_given_inverse(c: DiscreteConnection, q0: BundlePoint, q1: BundlePoint,
-                       g0inv: GroupElement) -> GroupElement:
-    """eval_form on (q0, q1), given g0inv = g0^-1, for callers that pair one q0 with many q1."""
-    group = c.bundle.group
-    if q1.fiber.group is not group or g0inv.group is not group:
+    group, g0, g1 = c.bundle.group, p.first.fiber, p.second.fiber
+    if g0.group is not group or g1.group is not group:
         raise GroupMismatchError(f"form: fibers must lie in the connection's group {group.name}")
-    return GroupElement(group, form_matrix(c, q0.shape, q1.shape, q1.fiber.matrix, g0inv.matrix),
-                        True)
+    w = form_matrix(c, p.first.shape, p.second.shape, g1.matrix, group.inverse_matrix(g0.matrix))
+    return GroupElement(group, w, True)
 
 
 def form_matrix(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint, g1: np.ndarray,
@@ -101,8 +97,7 @@ def form_matrix(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint, g1: np.nd
 
     Raises OutOfDomainError when (x0, x1) lies outside VALIDITY_RADIUS.
     """
-    _check_distance(chart_distance(x0, x1))
-    return _form_product(g1, c.local_rep(x0, x1).matrix, g0inv)
+    return _form_product(g1, _checked_rep(c, x0, x1), g0inv)
 
 
 def _form_product(g1: np.ndarray, a: np.ndarray, g0inv: np.ndarray) -> np.ndarray:
@@ -138,10 +133,11 @@ def horizontal_lift(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint,
     """
     if chart_distance(project(q), x0) > BASE_TOL:
         raise BasepointMismatchError("lift base point q does not sit over x0")
-    _check_distance(chart_distance(x0, x1))
-    a = c.local_rep(x0, x1)
-    end = BundlePoint(x1, lg.compose(q.fiber, lg.inverse(a)))
-    return PairElement(q, end)
+    group = c.bundle.group
+    if q.fiber.group is not group:
+        raise GroupMismatchError(f"lift: {q.fiber.group.name} vs {group.name}")
+    a_inv = group.inverse_matrix(_checked_rep(c, x0, x1))
+    return PairElement(q, BundlePoint(x1, GroupElement(group, q.fiber.matrix @ a_inv, True)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,14 +256,11 @@ def assemble_chain(
     for a in adjoints:
         if chart_distance(a.base, x0) > BASE_TOL:
             raise BasepointMismatchError("adjoint part is not based at the chain start")
-    group = c.bundle.group
-    horizontal = [BundlePoint(x0, lg.identity(group))]
-    for i in range(len(adjoints)):
-        lift = horizontal_lift(c, shapes[i], shapes[i + 1], horizontal[-1])
-        horizontal.append(lift.second)
-    out = [horizontal[0]]
-    accum = lg.identity(group)
-    for i, a in enumerate(adjoints):
+    accum = lg.identity(c.bundle.group)
+    lifted = BundlePoint(x0, accum)
+    out = [lifted]
+    for x, y, a in zip(shapes, shapes[1:], adjoints):
+        lifted = horizontal_lift(c, x, y, lifted).second
         accum = lg.compose(a.group_part, accum)
-        out.append(act(accum, horizontal[i + 1]))
+        out.append(act(accum, lifted))
     return out

@@ -33,7 +33,7 @@ from .errors import (
     GroupMismatchError,
     ShapeMismatchError,
 )
-from .lie_group import GroupElement, _norms
+from .lie_group import GroupElement, _frozen, _norms
 
 DEFAULT_H_LIST = (1.0e-2, 5.0e-3, 2.5e-3)
 # Below this error magnitude a log-log fit measures rounding noise, not order.
@@ -143,31 +143,31 @@ def induced_continuous(c: DiscreteConnection, v: TangentVector,
     return derivative_at_zero(sample, h_list)
 
 
-def _local_rep(a: ContinuousConnection, to_group,
-               at_far_end: bool = False) -> Callable[[ShapePoint, ShapePoint], GroupElement]:
-    """to_group of the one-form on the chart log of ((x0, e), (x1, e)).
+def _local_rep(a: ContinuousConnection, kernel: Callable[[np.ndarray], np.ndarray],
+               at_far_end: bool = False) -> Callable[[ShapePoint, ShapePoint], np.ndarray]:
+    """``kernel`` of the one-form on the chart log of ((x0, e), (x1, e)), read-only.
 
     That chart log is the tangent (x1 - x0, 0) at (x0, e), where the one-form
     is a(x0)(x1 - x0); with ``at_far_end`` the coefficient is taken at x1.
+    ``kernel`` is the bundle group's ``exp_matrix`` or ``cayley_matrix``.
     """
-    group = a.bundle.group
 
-    def rep(x0: ShapePoint, x1: ShapePoint) -> GroupElement:
+    def rep(x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
         x = x1 if at_far_end else x0
         step = np.asarray(a.coefficient(x.coords), dtype=float) @ (x1.coords - x0.coords)
-        return to_group(group, step)
+        return _frozen(kernel(step))
 
     return rep
 
 
 def exponentiated_connection(a: ContinuousConnection) -> DiscreteConnection:
     """The discrete connection exp(one_form(chart_pair_log)), stored via its local rep."""
-    return DiscreteConnection(a.bundle, _local_rep(a, lg.exp))
+    return DiscreteConnection(a.bundle, _local_rep(a, a.bundle.group.exp_matrix))
 
 
 def cayley_connection(a: ContinuousConnection) -> DiscreteConnection:
     """Second-order Cayley counterpart of exponentiated_connection."""
-    return DiscreteConnection(a.bundle, _local_rep(a, lg.cayley))
+    return DiscreteConnection(a.bundle, _local_rep(a, a.bundle.group.cayley_matrix))
 
 
 def endpoint_connection(a: ContinuousConnection) -> DiscreteConnection:
@@ -176,7 +176,8 @@ def endpoint_connection(a: ContinuousConnection) -> DiscreteConnection:
     A literal forward-difference exponential I + hat(...) leaves the group,
     so the one-sided first-order scheme shifts the evaluation point instead.
     """
-    return DiscreteConnection(a.bundle, _local_rep(a, lg.exp, at_far_end=True))
+    return DiscreteConnection(a.bundle,
+                              _local_rep(a, a.bundle.group.exp_matrix, at_far_end=True))
 
 
 def unit_directions(bundle: Bundle, q: BundlePoint, count: int = 32,
@@ -263,8 +264,8 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     try:
         for x in x1s[:total if inside.all() else int(np.argmin(inside))]:
             x1 = ShapePoint(x)
-            reps.append(exact.local_rep(x0, x1).matrix)
-            reps.append(candidate.local_rep(x0, x1).matrix)
+            reps.append(exact.local_rep(x0, x1))
+            reps.append(candidate.local_rep(x0, x1))
     except Exception as exc:  # raised below, after the logs of the samples before it
         failure = exc
     done = len(reps) // 2

@@ -227,18 +227,17 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement
 def mechanical_discrete_connection(L: DiscreteLagrangian) -> DiscreteConnection:
     """Wrap the mechanical connection of L as a stored discrete connection.
 
-    Each value costs a Newton solve, so the local representation keeps every
-    value it has solved, keyed by the shape pair.
+    Each value costs a Newton solve, so the local representation keeps the
+    read-only matrix of every value it has solved, keyed by the shape pair.
     """
-    group = L.bundle.group
-    solved: dict[tuple[bytes, bytes], GroupElement] = {}
+    solved: dict[tuple[bytes, bytes], np.ndarray] = {}
 
-    def rep(x0: ShapePoint, x1: ShapePoint) -> GroupElement:
+    def rep(x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
         key = (x0.coords.tobytes(), x1.coords.tobytes())
         if key not in solved:
-            e = lg.identity(group)
+            e = lg.identity(L.bundle.group)
             p = PairElement(BundlePoint(x0, e), BundlePoint(x1, e))
-            solved[key] = mechanical_connection(L, p)
+            solved[key] = mechanical_connection(L, p).matrix
         return solved[key]
 
     return DiscreteConnection(L.bundle, rep)

@@ -25,6 +25,8 @@ from .errors import BoundaryHingeError, MeshFormatError
 from .levi_civita import MetricComplex, _edge_key
 
 JSON_FORMAT_NAME = "dconn-complex"
+# Largest vertex count a dconn-complex may declare (a level-8 icosphere has 655 362).
+MAX_VERTICES = 10_000_000
 
 
 # -- OFF -----------------------------------------------------------------
@@ -89,6 +91,8 @@ def dict_to_complex(data: dict) -> MetricComplex:
     try:
         vertex_count, triangles, edges = data["vertices"], data["triangles"], data["edge_lengths"]
         _require_integers([vertex_count], "the vertex count")
+        if vertex_count > MAX_VERTICES:
+            raise MeshFormatError(f"'vertices' must be at most {MAX_VERTICES}, got {vertex_count}")
         _require_integers((i for t in triangles for i in t), "triangle indices")
         _require_integers((i for a, b, _ in edges for i in (a, b)), "edge_lengths ends")
         lengths = _edge_length_table(edges)

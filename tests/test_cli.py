@@ -585,6 +585,9 @@ def _refuse(name):
     ("order", {"candidate": "cayley:so3_mechanical",
                "reference": "exponentiated:so3_mechanical",
                "h_sweep": {"start": 1e-1, "stop": 1e-3, "count": 10**12}}, "h_sweep.count"),
+    *(("curvature", {"mesh": {"format": "dconn-complex", "vertices": n, "triangles": [[0, 1, 2]],
+                              "edge_lengths": [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]}},
+       "vertices") for n in (meshes.MAX_VERTICES + 1, 10**14)),
 ])
 def test_sizes_above_their_caps_are_refused_before_allocation(tmp_path, capsys, monkeypatch,
                                                               command, data, field):
@@ -593,6 +596,11 @@ def test_sizes_above_their_caps_are_refused_before_allocation(tmp_path, capsys, 
     for name in ("default_pair", "unit_directions"):
         monkeypatch.setattr(dconn.cli, name, _refuse(name))
     monkeypatch.setattr(np, "geomspace", _refuse("np.geomspace"))
+    monkeypatch.setattr(np, "bincount", _refuse("np.bincount"))
+    if "mesh" in data:  # a dconn-complex, written to the file the config names
+        mesh = tmp_path / "mesh.json"
+        mesh.write_text(json.dumps(data["mesh"]))
+        data = {**data, "mesh": str(mesh)}
     cfg = write_config(tmp_path, "c.json", data)
     line = _assert_one_line_domain_failure(capsys, command, cfg)
     assert f"'{field}' must be at most" in line

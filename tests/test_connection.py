@@ -26,6 +26,7 @@ from dconn.connection import (
 )
 from dconn.errors import (
     BasepointMismatchError,
+    GroupMismatchError,
     LengthMismatchError,
     OutOfDomainError,
     ShapeMismatchError,
@@ -110,7 +111,7 @@ def test_local_rep_recovered_from_form(conn):
         w = eval_form(conn, p)
         back = lg.compose(lg.inverse(p.second.fiber), lg.compose(w, p.first.fiber))
         a = conn.local_rep(p.first.shape, p.second.shape)
-        assert matrices_close(back, a, tol=1e-11)
+        assert float(np.max(np.abs(back.matrix - a))) < 1e-11
 
 
 # -- splitting ------------------------------------------------------------------
@@ -209,6 +210,16 @@ def test_lift_rejects_distant_target():
     q = c.bundle.point([0.0, 0.0], np.eye(3))
     with pytest.raises(OutOfDomainError):
         horizontal_lift(c, q.shape, ShapePoint(np.array([2.0, 0.0])), q)
+
+
+@pytest.mark.parametrize("c", [trivial_connection(Bundle(SO3, 2)),
+                               exponentiated_connection(so3_mechanical())],
+                         ids=["trivial", "exponentiated"])
+def test_lift_rejects_a_fiber_of_another_group(c):
+    # T2 and SO(3) both use 3x3 matrices; only the group tag tells them apart.
+    q = Bundle(translation_group(2), 2).point([0.0, 0.0], np.eye(3))
+    with pytest.raises(GroupMismatchError, match="T2 vs SO3"):
+        horizontal_lift(c, q.shape, ShapePoint(np.array([0.1, 0.0])), q)
 
 
 # -- quotients ----------------------------------------------------------------------
@@ -434,4 +445,4 @@ def test_mechanical_local_rep_closed_form():
         x1 = x0 + 0.2 * rng.standard_normal(2)
         a = c.local_rep(ShapePoint(x0), ShapePoint(x1))
         want = lg.exp(SO3, coupling_so3(x0) @ (x1 - x0))
-        assert matrices_close(a, want, tol=1e-10)
+        assert float(np.max(np.abs(a - want.matrix))) < 1e-10

@@ -213,7 +213,7 @@ def test_exponentiated_connection_abelian_closed_form():
         x1 = x0 + 0.3 * rng.standard_normal(1)
         a = c.local_rep(ShapePoint(x0), ShapePoint(x1))
         # Translation part integrates the frozen coefficient at x0.
-        assert abs(a.matrix[0, 1] - 0.4 * math.cos(x0[0]) * (x1[0] - x0[0])) < 1e-14
+        assert abs(a[0, 1] - 0.4 * math.cos(x0[0]) * (x1[0] - x0[0])) < 1e-14
 
 
 @pytest.mark.parametrize("fixture", sorted(CONTINUOUS_FIXTURES))
@@ -234,7 +234,7 @@ def test_local_reps_are_the_one_form_on_the_shape_step(fixture):
             x1 = ShapePoint(x0.coords + 0.2 * rng.standard_normal(b.shape_dim))
             base = BundlePoint(x1 if at_far_end else x0, e)
             v = TangentVector(base, x1.coords - x0.coords, np.zeros(b.group.dim))
-            assert np.array_equal(c.local_rep(x0, x1).matrix, to_group(b.group, a.one_form(v)).matrix)
+            assert np.array_equal(c.local_rep(x0, x1), to_group(b.group, a.one_form(v)).matrix)
 
 
 def test_cayley_discretization_identity_and_group_membership():
@@ -418,14 +418,14 @@ def _trap(name, cut_at, fail_at, calls):
     """An SO(3) connection over the plane whose local representation is e up to
     chart distance cut_at, a rotation within 1e-7 of pi beyond it, and a
     Newton failure beyond fail_at; it records each call."""
-    half_turn = lg.exp(SO3, [0.0, 0.0, math.pi - 1e-7])
+    half_turn = lg.exp(SO3, [0.0, 0.0, math.pi - 1e-7]).matrix
 
     def rep(x0, x1):
         calls.append((name, x1.coords.tobytes()))
         d = bd.chart_distance(x0, x1)
         if d > fail_at:
             raise SolverDivergedError(f"{name} stalled at distance {d:.6f}")
-        return half_turn if d > cut_at else lg.identity(SO3)
+        return half_turn if d > cut_at else SO3.identity_matrix()
 
     return DiscreteConnection(Bundle(SO3, 2), rep)
 

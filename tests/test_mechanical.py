@@ -346,4 +346,4 @@ def test_mechanical_discrete_connection_matches_pointwise_solve():
         via_rep = c.local_rep(x0, x1)
         via_solve = mechanical_connection(
             L, PairElement(BundlePoint(x0, e), BundlePoint(x1, e)))
-        assert np.max(np.abs(via_rep.matrix - via_solve.matrix)) < 1e-12
+        assert np.max(np.abs(via_rep - via_solve.matrix)) < 1e-12

@@ -1,6 +1,7 @@
 """Property tests of the Levi-Civita transport over generated meshes, of
-the discrete Euler-Lagrange flow over the Lagrangian fixtures and of the
-quotient splitting over the connection families.
+the discrete Euler-Lagrange flow over the Lagrangian fixtures, of the
+quotient splitting over the connection families and of the local
+representation of every CLI connection family.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dconn import lie_group as lg
-from dconn.bundle import Bundle, BundlePoint, PairElement, act
+from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint, act
 from dconn.connection import (
     AdjointBundleElement,
     assemble_chain,
@@ -39,7 +40,7 @@ from dconn.lie_group import SE3, SO2, SO3, translation_group
 from dconn.limits import exponentiated_connection
 from dconn.mechanical import del_step, del_trajectory, mechanical_discrete_connection
 from dconn.meshes import icosphere, latitude_loop
-from dconn.presets import CONTINUOUS_FIXTURES, LAGRANGIAN_FIXTURES
+from dconn.presets import CONTINUOUS_FIXTURES, LAGRANGIAN_FIXTURES, resolve_connection
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -317,3 +318,33 @@ def test_quotient_splitting_is_the_two_point_chain_splitting(sample):
     y0, y1, again = decompose_quotient(c, assemble_quotient(c, x0, x1, moved))
     assert np.array_equal(y0.coords, x0.coords) and np.array_equal(y1.coords, x1.coords)
     assert np.max(np.abs(again.group_part.matrix - g.matrix)) < 1e-10
+
+
+# (family, group) of every connection family the CLI resolves.
+CLI_FAMILIES = [
+    *(("trivial", g) for g in ("SO2", "SO3", "SE3", "T1")),
+    ("euler_poincare", "SO3"),
+    *((f"{kind}:{f}", "SO3") for kind in ("exponentiated", "cayley", "forward_difference")
+      for f in sorted(CONTINUOUS_FIXTURES)),
+    *((f"mechanical:{f}", "SO3") for f in sorted(LAGRANGIAN_FIXTURES)),
+]
+
+
+@pytest.mark.parametrize("family, group", CLI_FAMILIES)
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.45))
+def test_local_reps_are_read_only_matrices_of_the_bundle_group(family, group, seed, distance):
+    # local_rep(x0, x1) is A(x0, x1) as a bare matrix, and A(x, x) is exactly e.
+    c = resolve_connection(family, group)
+    b = c.bundle
+    rng = np.random.default_rng(seed)
+    x0 = ShapePoint(0.2 * rng.standard_normal(b.shape_dim))
+    step = rng.standard_normal(b.shape_dim)
+    if b.shape_dim:
+        step *= distance / np.linalg.norm(step)
+    x1 = ShapePoint(x0.coords + step)
+    for a in (c.local_rep(x0, x1), c.local_rep(x1, x0)):
+        assert type(a) is np.ndarray and not a.flags.writeable
+        b.group.check_matrix(a)
+    for x in (x0, x1):
+        assert np.array_equal(c.local_rep(x, x), b.group.identity_matrix())

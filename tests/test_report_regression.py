@@ -1,21 +1,49 @@
-"""CLI curvature and holonomy reports against reports recorded earlier.
+"""CLI reports against reports recorded earlier.
 
 ``report_regression.json`` holds the parsed reports of a fixed set of
 meshes, recorded before transport and curvature became sums of edge
-angles.  The comparison is insensitive to roundoff: ``per_vertex`` is read
-as a vertex -> norm map, angles are compared on the circle, and every
-number must agree within 1e-12.
+angles.  ``fiber_regression.json`` holds fiber-side reports with no mesh:
+``decompose`` on six connection families, ``order`` sweeps on four
+candidate/reference pairs and the end of two discrete Euler-Lagrange
+trajectories, recorded before local representations became bare matrices.
+The comparison is insensitive to roundoff: ``per_vertex`` is read as a
+vertex -> norm map, angles are compared on the circle, and every number
+must agree within 1e-12.
 """
 
 import json
 import math
 from pathlib import Path
 
+import numpy as np
+
+from dconn.bundle import PairElement
 from dconn.cli import main
+from dconn.mechanical import del_trajectory, discrete_momentum
 from dconn.meshes import cone, flat_grid, icosphere, torus_grid, write_complex_json, write_off
+from dconn.presets import LAGRANGIAN_FIXTURES, default_pair
 
 RECORDED = Path(__file__).resolve().parent / "report_regression.json"
+FIBER_RECORDED = Path(__file__).resolve().parent / "fiber_regression.json"
 TOL = 1.0e-12
+
+# The connection families, order pairs and trajectories of the fiber-reports benchmark workload.
+DECOMPOSE_FAMILIES = (
+    ("trivial", "SO3", 2),
+    ("exponentiated:so3_mechanical", "SO3", 2),
+    ("cayley:se3_mechanical", "SE3", 2),
+    ("mechanical:so3_pure", "SO3", 0),
+    ("mechanical:so3_coupled", "SO3", 2),
+    ("mechanical:se3_coupled", "SE3", 2),
+)
+ORDER_PAIRS = (
+    ("cayley:so3_mechanical", "exponentiated:so3_mechanical"),
+    ("cayley:se3_mechanical", "exponentiated:se3_mechanical"),
+    ("forward_difference:se3_mechanical", "exponentiated:se3_mechanical"),
+    ("cayley:abelian", "exponentiated:abelian"),
+)
+DEL_FIXTURES = ("so3_coupled", "se3_coupled")
+DEL_STEPS = 10
 
 
 def _cases():
@@ -61,6 +89,38 @@ def reports(directory: Path, capsys) -> dict:
     return out
 
 
+def fiber_reports(directory: Path, capsys) -> dict:
+    """decompose at the default pair, 4-direction order sweeps and 10-step DEL runs.
+
+    {label: {"exit": code, "report": parsed}}; a DEL report holds the final
+    point and the largest drift of the discrete momentum from its first value.
+    """
+    configs = {f"decompose/{family}/{group}": ("decompose", {
+        "connection": family, "group": group, "shape_dim": dim})
+        for family, group, dim in DECOMPOSE_FAMILIES}
+    configs.update({f"order/{cand}/{ref}": ("order", {
+        "candidate": cand, "reference": ref, "directions": 4}) for cand, ref in ORDER_PAIRS})
+    out = {}
+    for i, (label, (command, data)) in enumerate(configs.items()):
+        cfg = directory / f"fiber-{i}.json"
+        cfg.write_text(json.dumps(data))
+        code = main([command, "--config", str(cfg)])
+        text = capsys.readouterr().out
+        out[label] = {"exit": code, "report": json.loads(text) if text else None}
+    for fixture in DEL_FIXTURES:
+        L = LAGRANGIAN_FIXTURES[fixture]()
+        start = default_pair(L.bundle)
+        path = del_trajectory(L, start.first, start.second, DEL_STEPS)
+        momenta = [discrete_momentum(L, PairElement(u, v)).covector
+                   for u, v in zip(path, path[1:])]
+        out[f"del/{fixture}"] = {"exit": 0, "report": {
+            "final": {"shape": path[-1].shape.coords.tolist(),
+                      "fiber": path[-1].fiber.matrix.tolist()},
+            "momentum_drift": max(float(np.max(np.abs(m - momenta[0]))) for m in momenta),
+        }}
+    return out
+
+
 def _circle_gap(a: float, b: float) -> float:
     d = (a - b) % (2.0 * math.pi)
     return min(d, 2.0 * math.pi - d)
@@ -94,11 +154,18 @@ def _assert_per_vertex(new, old, where: str) -> None:
     assert [v for v, _ in new] == sorted(new_map, key=lambda v: (-new_map[v], v)), where
 
 
-def test_reports_match_the_recorded_ones(tmp_path, capsys):
-    recorded = json.loads(RECORDED.read_text())
-    current = reports(tmp_path, capsys)
+def _assert_matches_recorded(current: dict, recorded_file: Path) -> None:
+    recorded = json.loads(recorded_file.read_text())
     assert set(current) == set(recorded)
     for label, old in recorded.items():
         new = current[label]
         assert new["exit"] == old["exit"], label
         _assert_close(new["report"], old["report"], label)
+
+
+def test_reports_match_the_recorded_ones(tmp_path, capsys):
+    _assert_matches_recorded(reports(tmp_path, capsys), RECORDED)
+
+
+def test_fiber_reports_match_the_recorded_ones(tmp_path, capsys):
+    _assert_matches_recorded(fiber_reports(tmp_path, capsys), FIBER_RECORDED)
