@@ -14,10 +14,11 @@ MeshFormatError: past it the curvature angle at a vertex and the vertex's
 angle defect drift apart, by 3e-10 at 1e-12 and by up to pi at 1e-15.
 
 Frames.  Each triangle has one orthonormal frame, the Cholesky frame of its
-chart metric (the frame ``face_normal`` reports in); local edge k -> k + 1
-points at 0, pi - corner_angles[t, 1] and corner_angles[t, 0] - pi in it.
-Hinged flat across an interior edge, the frame of the edge's lower-index
-coface turns into the higher one's by the directions' difference plus pi.
+chart metric, read off the corner angles: local edge k -> k + 1 points at
+0, pi - corner_angles[t, 1] and corner_angles[t, 0] - pi in it, and its
+outward normal (``face_normal``) is that direction turned by -pi/2.  Hinged
+flat across an interior edge, the frame of the edge's lower-index coface
+turns into the higher one's by the directions' difference plus pi.
 The gauge is one angle per triangle, ``frame_angles[t]``, the rotation from
 its frame into the developed plane: 0 at the lowest simplex index of each
 connected component, and chosen along a breadth-first spanning tree of the
@@ -30,9 +31,10 @@ and curvature and holonomy are independent of this gauge choice.
 Adjacency.  One edge table, built with the complex, answers every adjacency query.
 
 Curvature.  SO(2) is abelian, so a transport adds the signed edge angles it
-crosses.  The curvature at an interior vertex is the transport around the
-dual loop of its star, in the direction the face orientations induce; its
-angle is the angle defect mod 2 pi.  A star that is not a single closed fan
+crosses: + leaving an edge's lower-index coface, - leaving the higher one.
+The curvature at an interior vertex is the transport around the dual loop
+of its star, in the direction the face orientations induce; its angle is
+the angle defect mod 2 pi.  A star that is not a single closed fan
 is rejected with MeshFormatError.
 """
 
@@ -45,7 +47,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import lie_group as lg
 from .errors import (
     BoundaryFaceError,
     BoundaryHingeError,
@@ -56,8 +57,6 @@ from .errors import (
 )
 from .lie_group import SO2, GroupElement
 
-# Chart positions of a triangle's three vertices.
-_CHART = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # Shared-edge lengths must agree across adjacent triangles to this tolerance.
 CONSISTENCY_TOL = 1.0e-10
 # Triangles whose smallest corner angle has a smaller squared sine are rejected.
@@ -221,9 +220,7 @@ class MetricComplex:
         """Frame angles along a breadth-first spanning tree, and every edge's
         transport angle."""
         m = len(self.triangles)
-        # Direction of local edge k -> k + 1 in each triangle's Cholesky frame.
-        a0, a1 = self.corner_angles[:, 0], self.corner_angles[:, 1]
-        dirs = np.stack([np.zeros(m), np.pi - a1, a0 - np.pi], axis=1)
+        dirs = _edge_directions(self.corner_angles)
         # Rotation from the lower coface's frame to the higher one's across
         # each interior edge; the cofaces traverse it in opposite directions.
         (lo, hi), (i, j) = self.edge_faces.T, self.edge_local.T
@@ -275,6 +272,12 @@ class MetricComplex:
 # -- per-simplex geometry ----------------------------------------------------
 
 
+def _edge_directions(corner_angles: np.ndarray) -> np.ndarray:
+    """Direction of local edge k -> k + 1 in each triangle's frame, from its corner angles."""
+    a0, a1 = corner_angles[..., 0], corner_angles[..., 1]
+    return np.stack([np.zeros_like(a0), np.pi - a1, a0 - np.pi], axis=-1)
+
+
 def corner_angle(K: MetricComplex, t: int, v: int) -> float:
     """Interior angle of triangle t at vertex v, measured in t's metric."""
     tri = K.triangles[t].tolist()
@@ -293,22 +296,16 @@ def angle_defect(K: MetricComplex, v: int) -> float:
 def face_normal(K: MetricComplex, t: int, face: tuple[int, int]) -> np.ndarray:
     """Unit outward normal of an edge in triangle t's metric-orthonormal frame.
 
-    The frame is the Cholesky factor of the chart metric: coordinates
-    y = L^T u have Euclidean inner products equal to metric ones, so the
-    returned 2-vector is metric-orthogonal to the edge and has unit length.
+    The triangle runs counterclockwise in its frame, so the outward normal
+    is the direction of the edge, as the triangle traverses it, turned by
+    -pi/2.
     """
     tri = K.triangles[t].tolist()
     if face[0] not in tri or face[1] not in tri or face[0] == face[1]:
         raise NotAFacetError(f"edge {face} is not a facet of triangle {t}")
-    lt = np.linalg.cholesky(K.chart_metrics[t]).T
     i, j = tri.index(face[0]), tri.index(face[1])
-    y_edge = lt @ (_CHART[j] - _CHART[i])
-    y_opp = lt @ (_CHART[3 - i - j] - _CHART[i])
-    n = np.array([-y_edge[1], y_edge[0]])
-    n /= np.linalg.norm(n)
-    if n @ y_opp > 0.0:
-        n = -n
-    return n
+    phi = _edge_directions(K.corner_angles[t])[i if j == (i + 1) % 3 else j]
+    return np.array([np.sin(phi), -np.cos(phi)])
 
 
 # -- the connection ----------------------------------------------------------
@@ -328,12 +325,6 @@ def _interior_edge(K: MetricComplex, face: tuple[int, int]) -> int:
     if K.edge_faces[e, 1] < 0:
         raise BoundaryFaceError(f"edge {face} lies on the boundary")
     return e
-
-
-def connection_element(K: MetricComplex, face: tuple[int, int]) -> GroupElement:
-    """Connection element across an interior edge, oriented from the
-    lower-index coface to the higher-index one."""
-    return _rotation(K.transport_angles[_interior_edge(K, face)])
 
 
 def _shared_edges(K: MetricComplex, sources, targets) -> np.ndarray:
@@ -360,20 +351,23 @@ class DualOneForm:
     angles: np.ndarray = field(repr=False)
 
     def value(self, face: tuple[int, int], source: int, target: int) -> GroupElement:
-        e = _interior_edge(self.complex, face)
-        if sorted((source, target)) != self.complex.edge_faces[e].tolist():
+        K = self.complex
+        e = _interior_edge(K, face)
+        if sorted((source, target)) != K.edge_faces[e].tolist():
             raise NotAdjacentError(f"edge {face} does not join triangles {source} and {target}")
-        return _rotation(self.angles[e] if source < target else -self.angles[e])
-
-    def transport(self, source: int, target: int) -> GroupElement:
-        """Transport across the lowest-keyed interior edge the two triangles share."""
-        (e,) = _shared_edges(self.complex, [source], [target])
-        return self.value(tuple(self.complex.edges[e].tolist()), source, target)
+        return _rotation(_crossings(K, self, e, source))
 
 
 def connection_form(K: MetricComplex) -> DualOneForm:
     """The Levi-Civita dual one-form: one rotation angle per interior edge."""
     return DualOneForm(K, K.transport_angles)
+
+
+def _crossings(K: MetricComplex, A: DualOneForm, edges, sources) -> np.ndarray:
+    """Signed angle of crossing each interior edge out of its coface in
+    ``sources``: + from the lower-index coface, - from the higher one."""
+    theta = A.angles[edges]
+    return np.where(K.edge_faces[edges, 0] == sources, theta, -theta)
 
 
 def _turns(K: MetricComplex, A: DualOneForm, corners: np.ndarray) -> np.ndarray:
@@ -383,8 +377,7 @@ def _turns(K: MetricComplex, A: DualOneForm, corners: np.ndarray) -> np.ndarray:
     direction the face orientations induce, so a fan adds up to +defect.
     """
     t, k = np.divmod(corners, 3)
-    e = K.face_edges[t, (k + 2) % 3]
-    return np.where(K.edge_faces[e, 0] == t, A.angles[e], -A.angles[e])
+    return _crossings(K, A, K.face_edges[t, (k + 2) % 3], t)
 
 
 def _check_fans(K: MetricComplex, vertices: np.ndarray) -> None:
@@ -412,19 +405,6 @@ def _curvature_angles(K: MetricComplex, A: DualOneForm) -> tuple[np.ndarray, np.
     return interior, sums[interior]
 
 
-@dataclass(frozen=True, eq=False)
-class DualTwoForm:
-    """Curvature elements per interior hinge."""
-
-    complex: MetricComplex
-    values: dict[int, GroupElement] = field(repr=False)
-
-
-def curvature_form(K: MetricComplex, A: DualOneForm) -> DualTwoForm:
-    vertices, angles = _curvature_angles(K, A)
-    return DualTwoForm(K, dict(zip(vertices.tolist(), map(_rotation, angles.tolist()))))
-
-
 def holonomy(K: MetricComplex, A: DualOneForm, loop: Sequence[int]) -> GroupElement:
     """Transport around a closed dual path of triangle indices.
 
@@ -440,17 +420,16 @@ def holonomy(K: MetricComplex, A: DualOneForm, loop: Sequence[int]) -> GroupElem
     if outside.size:
         raise NotAdjacentError(f"triangle {outside[0]} is not in the complex")
     sources, targets = loop[:-1], loop[1:]
-    theta = A.angles[_shared_edges(K, sources, targets)]
-    return _rotation(np.where(sources < targets, theta, -theta).sum())
+    return _rotation(_crossings(K, A, _shared_edges(K, sources, targets), sources).sum())
 
 
 def quality_report(K: MetricComplex, A: DualOneForm) -> dict[int, float]:
     """Curvature norm per interior hinge, sorted descending (ties by index)."""
     vertices, angles = _curvature_angles(K, A)
-    norms = np.abs(np.arctan2(np.sin(angles), np.cos(angles)))  # as lg.log reads them
+    norms = np.abs(np.arctan2(np.sin(angles), np.cos(angles)))  # as SO2.log_vector reads them
     order = np.lexsort((vertices, -norms))
-    if order.size:  # lg.log rejects the cut locus; the largest norm is nearest it
-        lg.conj_invariant_norm(_rotation(angles[order[0]]))
+    if order.size:  # log_vector rejects the cut locus; the largest norm is nearest it
+        SO2.log_vector(SO2.exp_matrix(angles[order[0]]))
     return dict(zip(vertices[order].tolist(), norms[order].tolist()))
 
 

@@ -164,6 +164,32 @@ def lengths_from_embedding(vertices: np.ndarray, triangles: np.ndarray) -> dict:
 # -- generators ------------------------------------------------------------
 
 
+def _outward(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orient each face of a closed surface around the origin outward, in place."""
+    for f in faces:
+        a, b, c = verts[f]
+        if np.dot(np.cross(b - a, c - a), a + b + c) < 0.0:
+            f[1], f[2] = f[2], f[1]
+    return verts, faces
+
+
+def _square_cells(n: int, m: int, vid) -> tuple[np.ndarray, dict]:
+    """Triangles (a, b, c) and (a, c, d) of each unit cell of an n x m grid.
+
+    ``vid(i, j)`` numbers the corners; sides have length 1 and the diagonal
+    a -> c has length sqrt(2).
+    """
+    tris, lengths = [], {}
+    for j in range(m):
+        for i in range(n):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+            for e in ((a, b), (b, c), (c, d), (d, a)):
+                lengths[_edge_key(*e)] = 1.0
+            lengths[_edge_key(a, c)] = math.sqrt(2.0)
+    return np.array(tris, dtype=int), lengths
+
+
 def icosahedron() -> tuple[np.ndarray, np.ndarray]:
     """Unit icosahedron with outward-oriented faces."""
     phi = (1.0 + math.sqrt(5.0)) / 2.0
@@ -183,11 +209,7 @@ def icosahedron() -> tuple[np.ndarray, np.ndarray]:
         ],
         dtype=int,
     )
-    for f in faces:
-        a, b, c = verts[f]
-        if np.dot(np.cross(b - a, c - a), a + b + c) < 0.0:
-            f[1], f[2] = f[2], f[1]
-    return verts, faces
+    return _outward(verts, faces)
 
 
 def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,17 +239,8 @@ def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 def flat_grid(nx: int, ny: int) -> tuple[int, np.ndarray, dict]:
     """A unit-square grid split into triangles, as an abstract complex."""
-    def vid(i: int, j: int) -> int:
-        return i + (nx + 1) * j
-
-    verts = np.array([(i, j) for j in range(ny + 1) for i in range(nx + 1)], dtype=float)
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    tris = np.array(tris, dtype=int)
-    return len(verts), tris, lengths_from_embedding(np.column_stack([verts, np.zeros(len(verts))]), tris)
+    tris, lengths = _square_cells(nx, ny, lambda i, j: i + (nx + 1) * j)
+    return (nx + 1) * (ny + 1), tris, lengths
 
 
 def cone(k: int, side: float = 1.0) -> tuple[int, np.ndarray, dict]:
@@ -249,24 +262,7 @@ def torus_grid(n: int, m: int) -> tuple[int, np.ndarray, dict]:
     """A flat n x m torus from a unit grid with wraparound (abstract complex)."""
     if n < 3 or m < 3:
         raise ValueError("torus grid needs n, m >= 3")
-
-    def vid(i: int, j: int) -> int:
-        return (i % n) + n * (j % m)
-
-    tris = []
-    for j in range(m):
-        for i in range(n):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    tris = np.array(tris, dtype=int)
-    lengths = {}
-    root2 = math.sqrt(2.0)
-    for a, b, c in tris:
-        for i, j in ((a, b), (b, c), (c, a)):
-            lengths[_edge_key(int(i), int(j))] = 1.0
-    for j in range(m):
-        for i in range(n):
-            lengths[_edge_key(vid(i, j), vid(i + 1, j + 1))] = root2
+    tris, lengths = _square_cells(n, m, lambda i, j: (i % n) + n * (j % m))
     return n * m, tris, lengths
 
 
@@ -276,11 +272,7 @@ def tetrahedron() -> tuple[np.ndarray, np.ndarray]:
         [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)]
     )
     faces = np.array([(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)], dtype=int)
-    for f in faces:
-        a, b, c = verts[f]
-        if np.dot(np.cross(b - a, c - a), (a + b + c)) < 0.0:
-            f[1], f[2] = f[2], f[1]
-    return verts, faces
+    return _outward(verts, faces)
 
 
 # -- latitude loops on embedded meshes -------------------------------------

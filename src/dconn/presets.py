@@ -398,9 +398,12 @@ LAGRANGIAN_FIXTURES = {
 
 
 def default_base_point(bundle: Bundle) -> BundlePoint:
-    """A fixed, mildly generic base point used by CLI defaults and tests."""
+    """A fixed, mildly generic base point used by CLI defaults and tests.
+
+    The fiber seeds have six entries and repeat cyclically past them.
+    """
     coords = 0.1 * np.array([(-1.0) ** i * (1.0 + 0.5 * i) for i in range(bundle.shape_dim)])
-    seed = np.array([1.0, -0.5, 0.25, 0.75, -0.25, 0.5][: bundle.group.dim])
+    seed = np.resize([1.0, -0.5, 0.25, 0.75, -0.25, 0.5], bundle.group.dim)
     fiber = lg.exp(bundle.group, 0.15 * seed)
     return bundle.point(coords, fiber)
 
@@ -410,7 +413,7 @@ def default_pair(bundle: Bundle, separation: float = 0.2) -> PairElement:
     coords = q0.shape.coords + separation * np.array(
         [1.0 / (1.0 + i) for i in range(bundle.shape_dim)]
     )
-    seed = np.array([-0.5, 1.0, 0.5, -0.25, 0.75, 0.25][: bundle.group.dim])
+    seed = np.resize([-0.5, 1.0, 0.5, -0.25, 0.75, 0.25], bundle.group.dim)
     fiber = lg.compose(q0.fiber, lg.exp(bundle.group, 0.2 * seed))
     return PairElement(q0, BundlePoint(ShapePoint(coords), fiber))
 

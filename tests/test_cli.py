@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dconn import lie_group as lg
+from dconn.bundle import Bundle
 from dconn.cli import main
 from dconn.connection import horizontal_component, vertical_component
 from dconn import meshes
@@ -77,6 +79,24 @@ def test_decompose_default_pair_and_mechanical(tmp_path, capsys):
         assert report["reconstruction_residual"] < tol
         ver = report["vertical"]
         assert ver["first"]["shape"] == ver["second"]["shape"]
+
+
+def test_decompose_default_pair_of_a_translation_group_past_six(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"connection": "trivial", "group": "T7"})
+    code, report = run(capsys, ["decompose", "--config", cfg])
+    assert code == 0
+    assert report["reconstruction_residual"] < 1e-12
+
+
+def test_default_pairs_up_to_dimension_six_slice_the_fiber_seeds():
+    # The six-entry seeds repeat only past dimension six.
+    for name in ("SO2", "SO3", "SE3", *(f"T{n}" for n in range(1, 7))):
+        group = lg.group_by_name(name)
+        first = lg.exp(group, 0.15 * np.array([1.0, -0.5, 0.25, 0.75, -0.25, 0.5][: group.dim]))
+        step = lg.exp(group, 0.2 * np.array([-0.5, 1.0, 0.5, -0.25, 0.75, 0.25][: group.dim]))
+        pair = default_pair(Bundle(group, 2))
+        assert np.array_equal(pair.first.fiber.matrix, first.matrix), name
+        assert np.array_equal(pair.second.fiber.matrix, lg.compose(first, step).matrix), name
 
 
 def test_decompose_components_match_the_library(tmp_path, capsys):
@@ -588,6 +608,7 @@ def _refuse(name):
     *(("curvature", {"mesh": {"format": "dconn-complex", "vertices": n, "triangles": [[0, 1, 2]],
                               "edge_lengths": [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]}},
        "vertices") for n in (meshes.MAX_VERTICES + 1, 10**14)),
+    ("decompose", {"connection": "trivial", "group": "T3000"}, "group"),
 ])
 def test_sizes_above_their_caps_are_refused_before_allocation(tmp_path, capsys, monkeypatch,
                                                               command, data, field):
@@ -597,6 +618,7 @@ def test_sizes_above_their_caps_are_refused_before_allocation(tmp_path, capsys, 
         monkeypatch.setattr(dconn.cli, name, _refuse(name))
     monkeypatch.setattr(np, "geomspace", _refuse("np.geomspace"))
     monkeypatch.setattr(np, "bincount", _refuse("np.bincount"))
+    monkeypatch.setattr(lg, "translation_group", _refuse("translation_group"))
     if "mesh" in data:  # a dconn-complex, written to the file the config names
         mesh = tmp_path / "mesh.json"
         mesh.write_text(json.dumps(data["mesh"]))

@@ -14,15 +14,12 @@ from dconn.errors import (
     NotClosedError,
 )
 from dconn.levi_civita import (
-    _CHART,
     SLIVER_SIN2,
     MetricComplex,
     angle_defect,
-    connection_element,
     connection_form,
     corner_angle,
     curvature,
-    curvature_form,
     face_normal,
     holonomy,
     quality_report,
@@ -37,6 +34,10 @@ from dconn.meshes import (
     tetrahedron,
     torus_grid,
 )
+
+
+# Chart positions of a triangle's three vertices.
+CHART = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def rot(theta: float) -> np.ndarray:
@@ -73,7 +74,7 @@ def developed_edge(K: MetricComplex, t: int, edge) -> np.ndarray:
     """An edge vector of triangle t, turned from its Cholesky frame into the developed plane."""
     i, j = local_indices(K, t, edge)
     lt = np.linalg.cholesky(K.chart_metrics[t]).T
-    return rot(K.frame_angles[t]) @ lt @ (_CHART[j] - _CHART[i])
+    return rot(K.frame_angles[t]) @ lt @ (CHART[j] - CHART[i])
 
 
 def developed_outward_normal(K: MetricComplex, t: int, edge) -> np.ndarray:
@@ -112,7 +113,7 @@ def test_face_normals_are_unit_and_metric_orthogonal():
             edge = (int(tri[k]), int(tri[(k + 1) % 3]))
             n = face_normal(K, t, edge)
             assert abs(np.linalg.norm(n) - 1.0) < 1e-12
-            y_edge = lt @ (_CHART[(k + 1) % 3] - _CHART[k])
+            y_edge = lt @ (CHART[(k + 1) % 3] - CHART[k])
             assert abs(n @ y_edge) < 1e-12
 
 
@@ -192,22 +193,6 @@ def test_dual_one_form_reversal_inverts():
         assert np.max(np.abs(forward @ backward - np.eye(2))) < 1e-14
 
 
-def test_connection_element_agrees_with_form():
-    K = MetricComplex.from_embedding(*icosahedron())
-    A = connection_form(K)
-    for key, lo, hi in hinges(K)[:10]:
-        assert np.max(np.abs(connection_element(K, key).matrix
-                             - A.value(key, lo, hi).matrix)) < 1e-15
-
-
-def test_connection_element_rejects_boundary_and_foreign_edges():
-    K = build(flat_grid(2, 2))
-    with pytest.raises(BoundaryFaceError):
-        connection_element(K, boundary_edge(K))
-    with pytest.raises(NotAFacetError):
-        connection_element(K, (0, K.vertex_count - 1))
-
-
 def test_dual_one_form_guards_arguments():
     K = build(flat_grid(2, 2))
     A = connection_form(K)
@@ -219,7 +204,7 @@ def test_dual_one_form_guards_arguments():
     with pytest.raises(NotAFacetError):
         A.value((0, K.vertex_count - 1), t0, t1)
     with pytest.raises(NotAdjacentError):
-        A.transport(t0, t0)
+        holonomy(K, A, [t0, t0])
 
 
 # -- curvature ---------------------------------------------------------------------
@@ -227,11 +212,11 @@ def test_dual_one_form_guards_arguments():
 
 def test_flat_grid_curvature_vanishes():
     K = build(flat_grid(3, 3))
-    A = connection_form(K)
-    F = curvature_form(K, A)
-    assert F.values
-    for v, g in F.values.items():
-        assert np.max(np.abs(g.matrix - np.eye(2))) < 1e-12
+    report = quality_report(K, connection_form(K))
+    assert set(report) == {v for v in range(K.vertex_count) if K.is_interior_vertex(v)}
+    assert report
+    for v, norm in report.items():
+        assert norm < 1e-12
         assert abs(angle_defect(K, v)) < 1e-12
 
 
@@ -395,8 +380,7 @@ def test_non_manifold_vertex_is_rejected():
     K = MetricComplex.from_embedding(*two_tetrahedra_sharing_a_vertex())
     assert K.is_closed()
     A = connection_form(K)
-    for query in (lambda: curvature(K, A, 0), lambda: quality_report(K, A),
-                  lambda: curvature_form(K, A)):
+    for query in (lambda: curvature(K, A, 0), lambda: quality_report(K, A)):
         with pytest.raises(MeshFormatError, match="star of vertex 0 is not a single closed fan"):
             query()
     # Every other vertex has an ordinary closed fan.

@@ -32,8 +32,9 @@ from dconn.levi_civita import (
     angle_defect,
     connection_form,
     curvature,
-    curvature_form,
+    face_normal,
     holonomy,
+    quality_report,
     total_defect,
 )
 from dconn.lie_group import SE3, SO2, SO3, translation_group
@@ -206,14 +207,40 @@ def test_gauss_bonnet_on_perturbed_spheres(sphere):
     _, verts, faces = sphere
     K = MetricComplex.from_embedding(verts, faces)
     assert abs(total_defect(K) - 4.0 * math.pi) < 1e-9
-    # Each vertex's curvature angle, alone and in the all-vertex form, is its defect.
+    # Each vertex's curvature angle is its defect, and the all-vertex report
+    # holds the defect's norm on the circle.
     A = connection_form(K)
-    F = curvature_form(K, A)
-    assert set(F.values) == set(range(K.vertex_count))
+    report = quality_report(K, A)
+    assert set(report) == set(range(K.vertex_count))
     for v in range(K.vertex_count):
         defect = angle_defect(K, v)
         assert angle_gap(rotation_angle(curvature(K, A, v).matrix), defect) < 1e-10
-        assert angle_gap(rotation_angle(F.values[v].matrix), defect) < 1e-10
+        assert abs(report[v] - angle_gap(defect, 0.0)) < 1e-10
+
+
+# Chart positions of a triangle's three vertices.
+CHART = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def cholesky_normal(K: MetricComplex, t: int, face) -> np.ndarray:
+    """Outward unit normal of an edge of triangle t, in the Cholesky frame of its chart metric."""
+    tri = K.triangles[t].tolist()
+    i, j = tri.index(face[0]), tri.index(face[1])
+    lt = np.linalg.cholesky(K.chart_metrics[t]).T
+    y_edge = lt @ (CHART[j] - CHART[i])
+    n = np.array([-y_edge[1], y_edge[0]]) / np.linalg.norm(y_edge)
+    return -n if n @ (lt @ (CHART[3 - i - j] - CHART[i])) > 0.0 else n
+
+
+@PROPERTY
+@given(perturbed_spheres())
+def test_face_normals_match_the_cholesky_construction(sphere):
+    _, verts, faces = sphere
+    K = MetricComplex.from_embedding(verts, faces)
+    for t, tri in enumerate(K.triangles.tolist()):
+        for k in range(3):
+            for face in ((tri[k], tri[k - 1]), (tri[k - 1], tri[k])):
+                assert np.max(np.abs(face_normal(K, t, face) - cholesky_normal(K, t, face))) < 1e-13
 
 
 @PROPERTY

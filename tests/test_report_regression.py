@@ -2,7 +2,8 @@
 
 ``report_regression.json`` holds the parsed reports of a fixed set of
 meshes, recorded before transport and curvature became sums of edge
-angles.  ``fiber_regression.json`` holds fiber-side reports with no mesh:
+angles; the explicit-loop holonomy cases were recorded later, before the
+signed edge crossing became one helper.  ``fiber_regression.json`` holds fiber-side reports with no mesh:
 ``decompose`` on six connection families, ``order`` sweeps on four
 candidate/reference pairs and the end of two discrete Euler-Lagrange
 trajectories, recorded before local representations became bare matrices.
@@ -44,6 +45,9 @@ ORDER_PAIRS = (
 )
 DEL_FIXTURES = ("so3_coupled", "se3_coupled")
 DEL_STEPS = 10
+# The latitude loop of the level-2 icosphere at colatitude 30 degrees.
+SPHERE2_LOOP = [96, 99, 97, 108, 111, 109, 106, 107, 104, 240, 243, 241, 252, 255, 253, 250,
+                251, 248, 96]
 
 
 def _cases():
@@ -58,16 +62,20 @@ def _cases():
         ("cone5", abstract(cone(5)), "cone5.json",
          [("curvature", {}), ("holonomy", {"around_vertex": 0})]),
         ("cone7", abstract(cone(7, 1.3)), "cone7.json",
-         [("curvature", {}), ("holonomy", {"around_vertex": 0})]),
+         [("curvature", {}), ("holonomy", {"around_vertex": 0}),
+          ("holonomy", {"loop": [0, 1, 2, 3, 4, 5, 6, 0]})]),
         # Apex defect pi: the curvature norm sits on the SO(2) cut locus.
         ("cone3", abstract(cone(3)), "cone3.json", [("curvature", {})]),
         ("grid4x3", abstract(flat_grid(4, 3)), "grid4x3.json",
          [("curvature", {}), ("holonomy", {"around_vertex": 6}),
           ("holonomy", {"around_vertex": 0})]),
+        # The loop runs once around the torus through the first row of cells.
         ("torus5x4", abstract(torus_grid(5, 4)), "torus5x4.json",
-         [("curvature", {}), ("holonomy", {"around_vertex": 7})]),
+         [("curvature", {}), ("holonomy", {"around_vertex": 7}),
+          ("holonomy", {"loop": [0, 3, 2, 5, 4, 7, 6, 9, 8, 1, 0]})]),
         ("sphere2", embedded, "sphere2.off",
-         [("curvature", {}), ("holonomy", {"latitude": {"colatitude_deg": 50.0}})]),
+         [("curvature", {}), ("holonomy", {"latitude": {"colatitude_deg": 50.0}}),
+          ("holonomy", {"loop": SPHERE2_LOOP})]),
     ]
 
 
