@@ -37,9 +37,8 @@ _EXIT_PARSE = 3
 # Caps on the config fields that size what a command builds, checked before
 # anything of that size is allocated.  The fixtures have at most 2 shape
 # coordinates; the benchmark sweeps 32 directions over 7 step sizes.  A group
-# tag Tn builds dense (n + 1) x (n + 1) matrices.
+# tag Tn is capped by lie_group.MAX_TRANSLATION_DIM.
 MAX_SHAPE_DIM = 1000
-MAX_TRANSLATION_DIM = 1000
 MAX_DIRECTIONS = 4096
 MAX_H_COUNT = 256
 
@@ -112,10 +111,10 @@ def _build_connection(cfg: dict, key: str = "connection") -> DiscreteConnection:
         raise DconnError(f"config field {key!r} must name a connection family")
     shape_dim = _bounded(cfg.get("shape_dim", 2), "shape_dim", MAX_SHAPE_DIM)
     group = cfg.get("group", "SO3")
-    if (isinstance(group, str) and group[:1] == "T" and group[1:].isdigit()
-            and int(group[1:]) > MAX_TRANSLATION_DIM):
-        raise DconnError(f"config field 'group' must be at most T{MAX_TRANSLATION_DIM}, "
-                         f"got {group!r}")
+    try:
+        lg.group_by_name(group)
+    except ValueError as exc:
+        raise DconnError(f"config field 'group' {exc}") from exc
     return resolve_connection(family, group, shape_dim)
 
 

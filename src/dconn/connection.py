@@ -55,10 +55,17 @@ class DiscreteConnection:
     ``local_rep(x0, x1)`` must return A(x0, x1) as a read-only matrix of
     ``bundle.group``, the identity matrix when x0 = x1; it is only trusted
     for shape pairs within VALIDITY_RADIUS of each other.
+
+    ``local_reps(x0, x1s)``, when given, is the same map over the rows of an
+    (n, shape_dim) array of endpoints: an (n, k, k) read-only stack whose
+    row i equals ``local_rep(x0, ShapePoint(x1s[i]))`` bit for bit.  The
+    continuous families have one; order sweeps use it to take all their
+    local representations in one call.
     """
 
     bundle: Bundle
     local_rep: Callable[[ShapePoint, ShapePoint], np.ndarray]
+    local_reps: Callable[[ShapePoint, np.ndarray], np.ndarray] | None = None
 
 
 def trivial_connection(bundle: Bundle) -> DiscreteConnection:

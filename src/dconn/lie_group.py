@@ -17,10 +17,10 @@ small angles, (1 - cos t)/t^2 and the t^2-order coefficient of SE(3)'s V^-1,
 are evaluated in half angles, so exp and log keep roundoff accuracy there.
 
 Beside the scalar kernels sit batched ones over stacks (``exp_matrices``,
-``log_vectors``, ``inverse_matrices``).  They are the same closed forms: the
-entry formulas are shared and run on (n,) arrays of entries, and the angle
-coefficients come from the scalar helpers row by row, so every row equals
-the scalar kernel's result bit for bit.
+``cayley_matrices``, ``log_vectors``, ``inverse_matrices``).  They are the
+same closed forms: the entry formulas are shared and run on (n,) arrays of
+entries, and the angle coefficients come from the scalar helpers row by
+row, so every row equals the scalar kernel's result bit for bit.
 
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
@@ -33,6 +33,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -150,6 +151,25 @@ def _se3_entries(x, y, z, v, a, b, p, q) -> tuple:
             0.0, 0.0, 0.0, 1.0)
 
 
+def _cayley_scale(x, y, z):
+    """d = 1/(1 + |w|^2/4) of the SO(3) and SE(3) Cayley maps, for w = (x, y, z).
+
+    The arguments are floats, or (n,) arrays for n maps at once.
+    """
+    return 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
+
+
+def _so2_cayley(t):
+    """cos and sin of the SO(2) Cayley rotation by 2 atan(t/2).
+
+    They are (1 - t^2/4)/(1 + t^2/4) and t/(1 + t^2/4), for a float t or an
+    (n,) array of them.
+    """
+    q = 0.25 * t * t
+    d = 1.0 / (1.0 + q)
+    return (1.0 - q) * d, t * d
+
+
 def _log_angle(c: float) -> tuple[float, float]:
     """The angle t of a rotation with (tr R - 1)/2 = c, and t/sin(t).
 
@@ -240,6 +260,10 @@ class MatrixGroup:
         """exp_matrix of each row of an (n, dim) array, as an (n, k, k) stack."""
         raise NotImplementedError
 
+    def cayley_matrices(self, vectors: np.ndarray) -> np.ndarray:
+        """cayley_matrix of each row of an (n, dim) array, as an (n, k, k) stack."""
+        raise NotImplementedError
+
     def log_vectors(self, matrices: np.ndarray) -> np.ndarray:
         """log_vector of each matrix of an (n, k, k) stack, as an (n, dim) array.
 
@@ -328,12 +352,14 @@ class _SO2(MatrixGroup):
         return _EYE1
 
     def cayley_matrix(self, vector):
-        # The rotation by 2 atan(t/2): cos = (1 - t^2/4)/(1 + t^2/4), sin = t/(1 + t^2/4).
         (t,) = np.asarray(vector, dtype=float).reshape(1).tolist()
-        q = 0.25 * t * t
-        d = 1.0 / (1.0 + q)
-        c, s = (1.0 - q) * d, t * d
+        c, s = _so2_cayley(t)
         return np.array([[c, -s], [s, c]])
+
+    def cayley_matrices(self, vectors):
+        t = np.asarray(vectors, dtype=float).reshape(-1)
+        c, s = _so2_cayley(t)
+        return _stacked((c, -s, s, c), len(t), 2)
 
     def _check_structure(self, m, tol):
         _check_rotation(m, tol, self.name)
@@ -391,8 +417,14 @@ class _SO3(MatrixGroup):
     def cayley_matrix(self, vector):
         # I + d (K + K^2/2) with d = 1/(1 + |w|^2/4).
         x, y, z = np.asarray(vector, dtype=float).reshape(3).tolist()
-        d = 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
+        d = _cayley_scale(x, y, z)
         return np.array(_rotation(x, y, z, d, 0.5 * d)).reshape(3, 3)
+
+    def cayley_matrices(self, vectors):
+        v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        x, y, z = v.T
+        d = _cayley_scale(x, y, z)
+        return _stacked(_rotation(x, y, z, d, 0.5 * d), len(v), 3)
 
     def _check_structure(self, m, tol):
         _check_rotation(m, tol, self.name)
@@ -465,8 +497,14 @@ class _SE3(MatrixGroup):
     def cayley_matrix(self, vector):
         # The SO(3) Cayley rotation; translation (I - K/2)^-1 v = v + d (K v/2 + K^2 v/4).
         x, y, z, *v = np.asarray(vector, dtype=float).reshape(6).tolist()
-        d = 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
+        d = _cayley_scale(x, y, z)
         return np.array(_se3_entries(x, y, z, v, d, 0.5 * d, 0.5 * d, 0.25 * d)).reshape(4, 4)
+
+    def cayley_matrices(self, vectors):
+        v = np.asarray(vectors, dtype=float).reshape(-1, 6)
+        x, y, z, *u = v.T
+        d = _cayley_scale(x, y, z)
+        return _stacked(_se3_entries(x, y, z, u, d, 0.5 * d, 0.5 * d, 0.25 * d), len(v), 4)
 
     def _check_structure(self, m, tol):
         _check_rotation(m[:3, :3], tol, self.name)
@@ -526,6 +564,9 @@ class _Translation(MatrixGroup):
         # (I - hat(v)/2)^-1 = I + hat(v)/2 by nilpotency, so Cayley is exp.
         return self.exp_matrix(vector)
 
+    def cayley_matrices(self, vectors):
+        return self.exp_matrices(vectors)
+
     def _check_structure(self, m, tol):
         n = self.dim
         err = np.max(np.abs(m[:n, :n] - self._eye[:n, :n]))
@@ -549,17 +590,30 @@ def translation_group(n: int) -> MatrixGroup:
 
 
 _NAMED = {"SO2": SO2, "SO3": SO3, "SE3": SE3}
+# The largest n a Tn tag may name: R^n is built as dense (n + 1) x (n + 1) matrices.
+MAX_TRANSLATION_DIM = 1000
+# n >= 1 in ASCII digits ([0-9], unlike str.isdigit, takes no other script's digits).
+_TRANSLATION_TAG = re.compile(r"T0*([1-9][0-9]*)")
 
 
 def group_by_name(name: str) -> MatrixGroup:
-    """Look up a group by tag: SO2, SO3, SE3, or Tn for R^n."""
+    """Look up a group by tag: SO2, SO3, SE3, or Tn for R^n, 1 <= n <= MAX_TRANSLATION_DIM.
+
+    n is compared with the cap on its digits, before int() reads them.  A
+    bad tag raises ValueError with a message that says what the tag must be,
+    phrased to follow the name of the field that held it.
+    """
     if not isinstance(name, str):
-        raise ValueError(f"group tag must be a string, got {name!r}")
+        raise ValueError(f"must be a group tag string, got {name!r}")
     if name in _NAMED:
         return _NAMED[name]
-    if name.startswith("T") and name[1:].isdigit():
-        return translation_group(int(name[1:]))
-    raise ValueError(f"unknown group tag {name!r}")
+    match = _TRANSLATION_TAG.fullmatch(name)
+    if match is None:
+        raise ValueError(f"must name SO2, SO3, SE3 or Tn with n >= 1, got {name!r}")
+    digits = match[1]
+    if len(digits) > len(str(MAX_TRANSLATION_DIM)) or int(digits) > MAX_TRANSLATION_DIM:
+        raise ValueError(f"must be at most T{MAX_TRANSLATION_DIM}, got {name!r}")
+    return translation_group(int(digits))
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,30 +144,54 @@ def induced_continuous(c: DiscreteConnection, v: TangentVector,
 
 
 def _local_rep(a: ContinuousConnection, kernel: Callable[[np.ndarray], np.ndarray],
-               at_far_end: bool = False) -> Callable[[ShapePoint, ShapePoint], np.ndarray]:
-    """``kernel`` of the one-form on the chart log of ((x0, e), (x1, e)), read-only.
+               kernels: Callable[[np.ndarray], np.ndarray],
+               at_far_end: bool = False) -> tuple[Callable, Callable]:
+    """The per-pair and the stacked local representation of a discretized one-form.
 
-    That chart log is the tangent (x1 - x0, 0) at (x0, e), where the one-form
-    is a(x0)(x1 - x0); with ``at_far_end`` the coefficient is taken at x1.
-    ``kernel`` is the bundle group's ``exp_matrix`` or ``cayley_matrix``.
+    A(x0, x1) is ``kernel`` of the one-form on the chart log of
+    ((x0, e), (x1, e)).  That chart log is the tangent (x1 - x0, 0) at
+    (x0, e), where the one-form is a(x0)(x1 - x0); with ``at_far_end`` the
+    coefficient is taken at x1.  ``kernel`` is the bundle group's
+    ``exp_matrix`` or ``cayley_matrix``, and ``kernels`` its batched twin.
+
+    The stacked rep takes x0 and an (n, shape_dim) array of endpoints and
+    returns the n matrices as one read-only stack: a(x0) is evaluated once
+    (a(x1) once per row at the far end) and the batched kernel runs once.
+    Both reps take their steps from ``steps``, where each row's
+    a(x)(x1 - x0) is its own matrix-vector product, so a stacked row equals
+    the per-pair rep bit for bit.  The per-pair rep keeps the scalar
+    kernel, which costs a fraction of a one-row batched call.
     """
 
-    def rep(x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
-        x = x1 if at_far_end else x0
-        step = np.asarray(a.coefficient(x.coords), dtype=float) @ (x1.coords - x0.coords)
-        return _frozen(kernel(step))
+    def steps(x0: ShapePoint, x1s: np.ndarray) -> np.ndarray:
+        dx = x1s - x0.coords
+        if at_far_end:
+            # The reshape keeps an empty stack of coefficients three-dimensional.
+            coefficient = np.array([a.coefficient(x) for x in x1s], dtype=float).reshape(
+                len(x1s), a.bundle.group.dim, x0.coords.size)
+        else:
+            coefficient = np.asarray(a.coefficient(x0.coords), dtype=float)
+        return np.matmul(coefficient, dx[:, :, None])[:, :, 0]
 
-    return rep
+    def rep(x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
+        return _frozen(kernel(steps(x0, x1.coords[None])[0]))
+
+    def reps(x0: ShapePoint, x1s: np.ndarray) -> np.ndarray:
+        return _frozen(kernels(steps(x0, x1s)))
+
+    return rep, reps
 
 
 def exponentiated_connection(a: ContinuousConnection) -> DiscreteConnection:
     """The discrete connection exp(one_form(chart_pair_log)), stored via its local rep."""
-    return DiscreteConnection(a.bundle, _local_rep(a, a.bundle.group.exp_matrix))
+    return DiscreteConnection(a.bundle, *_local_rep(a, a.bundle.group.exp_matrix,
+                                                     a.bundle.group.exp_matrices))
 
 
 def cayley_connection(a: ContinuousConnection) -> DiscreteConnection:
     """Second-order Cayley counterpart of exponentiated_connection."""
-    return DiscreteConnection(a.bundle, _local_rep(a, a.bundle.group.cayley_matrix))
+    return DiscreteConnection(a.bundle, *_local_rep(a, a.bundle.group.cayley_matrix,
+                                                     a.bundle.group.cayley_matrices))
 
 
 def endpoint_connection(a: ContinuousConnection) -> DiscreteConnection:
@@ -177,7 +201,8 @@ def endpoint_connection(a: ContinuousConnection) -> DiscreteConnection:
     so the one-sided first-order scheme shifts the evaluation point instead.
     """
     return DiscreteConnection(a.bundle,
-                              _local_rep(a, a.bundle.group.exp_matrix, at_far_end=True))
+                              *_local_rep(a, a.bundle.group.exp_matrix,
+                                          a.bundle.group.exp_matrices, at_far_end=True))
 
 
 def unit_directions(bundle: Bundle, q: BundlePoint, count: int = 32,
@@ -210,6 +235,32 @@ class OrderEstimate:
     exact_match: bool = False
 
 
+def _sweep_reps(exact: DiscreteConnection, candidate: DiscreteConnection, x0: ShapePoint,
+                x1s: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+    """exact's and candidate's A(x0, x1) for each row x1 of x1s, as an (n, 2, k, k) stack.
+
+    The stack stops before the first sample whose representation raised;
+    that failure is returned with it.  A failed stacked call is retaken pair
+    by pair, so the failure and the samples before it are the loop's.
+    """
+    if exact.local_reps is not None and candidate.local_reps is not None:
+        try:
+            return np.stack([exact.local_reps(x0, x1s), candidate.local_reps(x0, x1s)], 1), None
+        except Exception:  # retaken below, where the first failing sample raises first
+            pass
+    k = exact.bundle.group.matrix_size
+    reps, failure = [], None
+    try:
+        for x in x1s:
+            x1 = ShapePoint(x)
+            reps.append(exact.local_rep(x0, x1))
+            reps.append(candidate.local_rep(x0, x1))
+    except Exception as exc:  # raised by the caller, after the logs of the samples before it
+        failure = exc
+    done = len(reps) // 2
+    return np.array(reps[:2 * done]).reshape(done, 2, k, k), failure
+
+
 def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
                    q: BundlePoint, directions: Sequence[TangentVector],
                    h_list: Sequence[float]) -> OrderEstimate:
@@ -223,11 +274,13 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     The samples run h-major, (h, v) in sweep order.  Their arithmetic is
     stacked: the chart-curve endpoints, one domain check, both forms, the
     errors and their logs and norms are each one array operation over the
-    whole sweep.  The local representations stay per pair: each sample
-    calls exact.local_rep, then candidate.local_rep.  A failing sample
-    raises what the sample-by-sample loop raises: a failure in a local
-    representation or a log wins over the out-of-domain failure of a later
-    sample, and the first failing sample's failure wins.
+    whole sweep.  When both connections have a stacked local representation
+    (``local_reps``), the in-domain samples take their representations in
+    two calls, one per connection; otherwise, or when a stacked call fails,
+    each sample calls exact.local_rep, then candidate.local_rep.  A failing
+    sample raises what the sample-by-sample loop raises: a failure in a
+    local representation or a log wins over the out-of-domain failure of a
+    later sample, and the first failing sample's failure wins.
     """
     hs = _validate_h_list(h_list)
     if hs[0] / hs[-1] < 10.0:
@@ -260,17 +313,10 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
            @ group.exp_matrices(etas).reshape(len(hs), len(bases), k, k)).reshape(total, 1, k, k)
     distances = _norms(x1s - x0.coords)
     inside = distances <= VALIDITY_RADIUS
-    reps, failure = [], None
-    try:
-        for x in x1s[:total if inside.all() else int(np.argmin(inside))]:
-            x1 = ShapePoint(x)
-            reps.append(exact.local_rep(x0, x1))
-            reps.append(candidate.local_rep(x0, x1))
-    except Exception as exc:  # raised below, after the logs of the samples before it
-        failure = exc
-    done = len(reps) // 2
-    forms = _form_product(g1s[:done], np.array(reps[:2 * done]).reshape(done, 2, k, k),
-                          group.inverse_matrix(q.fiber.matrix))
+    reps, failure = _sweep_reps(exact, candidate, x0,
+                                x1s[:total if inside.all() else int(np.argmin(inside))])
+    done = len(reps)
+    forms = _form_product(g1s[:done], reps, group.inverse_matrix(q.fiber.matrix))
     errors = _norms(group.log_vectors(forms[:, 0] @ group.inverse_matrices(forms[:, 1])))
     if failure is not None:
         raise failure

@@ -628,6 +628,23 @@ def test_sizes_above_their_caps_are_refused_before_allocation(tmp_path, capsys, 
     assert f"'{field}' must be at most" in line
 
 
+@pytest.mark.parametrize("family", ["trivial", "cayley:so3_mechanical"])
+@pytest.mark.parametrize("group, message", [
+    ("T" + "9" * 5000, "must be at most T1000"),
+    ("T²", "must name SO2, SO3, SE3 or Tn"),
+    ("T0", "must name SO2, SO3, SE3 or Tn"),
+    ("SU2", "must name SO2, SO3, SE3 or Tn"),
+])
+def test_group_tags_are_parsed_once_on_ascii_digits(tmp_path, capsys, monkeypatch, family,
+                                                    group, message):
+    # A tag past Python's int-string limit, or with digits of another script,
+    # names the field; no translation group is built for a refused tag.
+    monkeypatch.setattr(lg, "translation_group", _refuse("translation_group"))
+    cfg = write_config(tmp_path, "d.json", {"connection": family, "group": group})
+    line = _assert_one_line_domain_failure(capsys, "decompose", cfg)
+    assert f"config field 'group' {message}" in line
+
+
 _ORDER = {"candidate": "cayley:so3_mechanical", "reference": "exponentiated:so3_mechanical",
           "directions": 4}
 _PAIR = {"first": {"shape": [0.1, 0.2], "fiber": rot_z(0.3)},

@@ -287,6 +287,7 @@ def test_group_lookup():
     assert lg.group_by_name("SO3") is SO3
     assert lg.group_by_name("T4").dim == 4
     assert lg.group_by_name("T4") is lg.group_by_name("T4")
+    assert lg.group_by_name("T004") is lg.group_by_name("T4")
     with pytest.raises(ValueError):
         lg.group_by_name("SU2")
 

@@ -1,5 +1,6 @@
 """Continuous limits, induced forms, variations and order-of-accuracy sweeps."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,7 +10,13 @@ import pytest
 from dconn import bundle as bd
 from dconn import lie_group as lg
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
-from dconn.connection import DiscreteConnection, eval_form, form_matrix, trivial_connection
+from dconn.connection import (
+    VALIDITY_RADIUS,
+    DiscreteConnection,
+    eval_form,
+    form_matrix,
+    trivial_connection,
+)
 from dconn.errors import (
     BasepointMismatchError,
     CutLocusError,
@@ -21,6 +28,7 @@ from dconn.errors import (
 )
 from dconn.lie_group import SO3, _norm, translation_group
 from dconn.limits import (
+    ContinuousConnection,
     TangentVector,
     cayley_connection,
     chart_curve,
@@ -465,6 +473,91 @@ def test_failing_sweeps_raise_what_the_per_sample_loop_raises():
         seen.add(f"{kind}:{detail.split()[0]}" if kind == "SolverDivergedError" else kind)
     assert seen == {"ok", "OutOfDomainError", "CutLocusError", "SolverDivergedError:exact",
                     "SolverDivergedError:candidate"}
+
+
+CONTINUOUS_BUILDS = pytest.mark.parametrize(
+    "build", [exponentiated_connection, cayley_connection, endpoint_connection],
+    ids=["exponentiated", "cayley", "forward_difference"])
+
+
+@pytest.mark.parametrize("fixture", ["so3_mechanical", "se3_mechanical", "abelian"])
+@CONTINUOUS_BUILDS
+def test_continuous_sweeps_take_one_stacked_call_per_connection(fixture, build):
+    a = CONTINUOUS_FIXTURES[fixture]()
+    calls = []
+
+    def counted(c, name):
+        def per_pair(x0, x1):
+            calls.append(f"{name}.local_rep")
+            return c.local_rep(x0, x1)
+
+        def stacked(x0, x1s):
+            calls.append(f"{name}.local_reps({len(x1s)})")
+            return c.local_reps(x0, x1s)
+
+        return dataclasses.replace(c, local_rep=per_pair, local_reps=stacked)
+
+    q = default_pair(a.bundle).first
+    dirs = unit_directions(a.bundle, q, count=8)
+    estimate_order(counted(build(a), "candidate"), counted(exponentiated_connection(a), "exact"),
+                   q, dirs, [1e-1, 3e-2, 1e-2])
+    assert calls == ["exact.local_reps(24)", "candidate.local_reps(24)"]
+
+
+@pytest.mark.parametrize("fixture", ["so3_mechanical", "se3_mechanical", "abelian"])
+@CONTINUOUS_BUILDS
+def test_continuous_sweep_leaving_the_domain_raises_the_per_sample_error(fixture, build):
+    # At h = 0.9 the directions' shape steps straddle VALIDITY_RADIUS: the
+    # stacked reps cover the in-domain prefix, and the first sample past the
+    # radius names its distance as the per-sample loop does.
+    a = CONTINUOUS_FIXTURES[fixture]()
+    exact, candidate = exponentiated_connection(a), build(a)
+    q = default_pair(a.bundle).first
+    dirs = unit_directions(a.bundle, q, count=16)
+    hs = [0.9, 0.1, 0.01]
+    inside = [0.9 * np.linalg.norm(v.shape_velocity) <= VALIDITY_RADIUS for v in dirs]
+    assert inside[0] and not all(inside)
+    with pytest.raises(OutOfDomainError) as oracle:
+        per_sample_errors(candidate, exact, q, dirs, hs)
+    with pytest.raises(OutOfDomainError) as stacked:
+        estimate_order(candidate, exact, q, dirs, hs)
+    assert str(stacked.value) == str(oracle.value)
+
+
+def _trap_field(x0, cut_at, fail_at):
+    """An SO(3) coefficient field over the plane for the far-end scheme: zero
+    up to chart distance cut_at from x0, a step to a rotation within 1e-7 of
+    pi beyond it, and a Newton failure beyond fail_at."""
+
+    def coefficient(x):
+        dx = x - x0
+        d = _norm(dx)
+        if d > fail_at:
+            raise SolverDivergedError(f"coefficient stalled at distance {d:.6f}")
+        if d <= cut_at:
+            return np.zeros((3, 2))
+        return np.outer([0.0, 0.0, math.pi - 1e-7], dx) / (dx @ dx)
+
+    return ContinuousConnection(Bundle(SO3, 2), coefficient)
+
+
+def test_failing_stacked_reps_raise_what_the_per_sample_loop_raises():
+    # A stacked rep that raises is retaken pair by pair, so a log at the cut
+    # locus in an earlier sample still wins over a later coefficient failure.
+    q = Bundle(SO3, 2).point([0.1, -0.15], lg.exp(SO3, [0.2, -0.1, 0.3]).matrix)
+    dirs = unit_directions(Bundle(SO3, 2), q, count=8)
+    exact = exponentiated_connection(ContinuousConnection(Bundle(SO3, 2),
+                                                          lambda x: np.zeros((3, 2))))
+    inf = math.inf
+    seen = set()
+    grid = itertools.product(([0.7, 0.2, 0.05], [0.45, 0.1, 0.03]), (inf, 0.3, 0.02),
+                             (inf, 0.35, 0.05))
+    for hs, cut_at, fail_at in grid:
+        cand = endpoint_connection(_trap_field(q.shape.coords, cut_at, fail_at))
+        oracle = _outcome(lambda: per_sample_errors(cand, exact, q, dirs, hs))
+        assert _outcome(lambda: estimate_order(cand, exact, q, dirs, hs).errors) == oracle
+        seen.add(oracle[0])
+    assert seen == {"ok", "OutOfDomainError", "CutLocusError", "SolverDivergedError"}
 
 
 def test_sweep_with_mismatched_shape_dimensions_is_rejected(order_setup):

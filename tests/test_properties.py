@@ -154,6 +154,9 @@ def test_batched_kernels_equal_the_scalar_kernels_row_by_row(sample):
     exps = group.exp_matrices(xis)
     assert exps.shape == (len(xis), group.matrix_size, group.matrix_size)
     assert np.array_equal(exps, np.array([group.exp_matrix(xi) for xi in xis]))
+    cayleys = group.cayley_matrices(xis)
+    assert cayleys.shape == exps.shape
+    assert cayleys.tobytes() == np.array([group.cayley_matrix(xi) for xi in xis]).tobytes()
     # Products of two exps reach every angle up to the cut, away from the axes.
     moved = exps @ group.exp_matrices(xis[::-1] / 3.0)
     inverses = group.inverse_matrices(moved)
@@ -375,3 +378,26 @@ def test_local_reps_are_read_only_matrices_of_the_bundle_group(family, group, se
         b.group.check_matrix(a)
     for x in (x0, x1):
         assert np.array_equal(c.local_rep(x, x), b.group.identity_matrix())
+
+
+@pytest.mark.parametrize("family", [f"{kind}:{f}"
+                                    for kind in ("exponentiated", "cayley", "forward_difference")
+                                    for f in ("so3_mechanical", "se3_mechanical", "abelian")])
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_stacked_local_reps_equal_the_per_pair_reps_row_by_row(family, seed, distances):
+    # Bit for bit, the empty stack included: local_reps(x0, x1s)[i] is
+    # local_rep(x0, x1s[i]).
+    c = resolve_connection(family)
+    b, n = c.bundle, len(distances)
+    rng = np.random.default_rng(seed)
+    x0 = ShapePoint(0.2 * rng.standard_normal(b.shape_dim))
+    steps = rng.standard_normal((n, b.shape_dim))
+    steps *= np.array(distances).reshape(n, 1) / np.linalg.norm(steps, axis=1, keepdims=True)
+    x1s = x0.coords + steps
+    stacked = c.local_reps(x0, x1s)
+    k = b.group.matrix_size
+    assert stacked.shape == (n, k, k) and not stacked.flags.writeable
+    per_pair = np.array([c.local_rep(x0, ShapePoint(x)) for x in x1s]).reshape(n, k, k)
+    assert stacked.tobytes() == per_pair.tobytes()
+    assert c.local_reps(x0, x1s[:0]).shape == (0, k, k)
