@@ -28,7 +28,7 @@ from .connection import (
 )
 from .errors import DconnError, DegenerateFitError
 from .limits import estimate_order, unit_directions
-from .presets import default_pair, resolve_connection
+from .presets import default_base_point, default_pair, resolve_connection
 
 _EXIT_OK = 0
 _EXIT_DOMAIN = 2
@@ -181,8 +181,8 @@ def cmd_order(cfg: dict) -> dict:
     if "base_point" in cfg:
         q = _parse_point(reference, cfg["base_point"], "base_point")
     else:
-        q = default_pair(reference.bundle).first
-    directions = unit_directions(reference.bundle, q, n_directions, seed)
+        q = default_base_point(reference.bundle)
+    directions = unit_directions(reference.bundle, n_directions, seed)
     report = {
         "command": "order",
         "candidate": cfg["candidate"],

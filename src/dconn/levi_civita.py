@@ -366,6 +366,8 @@ def connection_form(K: MetricComplex) -> DualOneForm:
 def _crossings(K: MetricComplex, A: DualOneForm, edges, sources) -> np.ndarray:
     """Signed angle of crossing each interior edge out of its coface in
     ``sources``: + from the lower-index coface, - from the higher one."""
+    if A.complex is not K:
+        raise MeshFormatError("connection form belongs to another complex")
     theta = A.angles[edges]
     return np.where(K.edge_faces[edges, 0] == sources, theta, -theta)
 

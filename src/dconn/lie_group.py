@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -579,14 +580,16 @@ SO2 = _SO2()
 SO3 = _SO3()
 SE3 = _SE3()
 
-_TRANSLATION_CACHE: dict[int, _Translation] = {}
+# Weak, so an R^n nothing holds any more frees its dense (n + 1) x (n + 1) matrices.
+_TRANSLATION_CACHE: weakref.WeakValueDictionary[int, _Translation] = weakref.WeakValueDictionary()
 
 
 def translation_group(n: int) -> MatrixGroup:
-    """The additive group R^n (one instance per n, so instances compare by identity)."""
-    if n not in _TRANSLATION_CACHE:
-        _TRANSLATION_CACHE[n] = _Translation(n)
-    return _TRANSLATION_CACHE[n]
+    """The additive group R^n (one live instance per n, so instances compare by identity)."""
+    group = _TRANSLATION_CACHE.get(n)
+    if group is None:
+        group = _TRANSLATION_CACHE[n] = _Translation(n)
+    return group
 
 
 _NAMED = {"SO2": SO2, "SO3": SO3, "SE3": SE3}

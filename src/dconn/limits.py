@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lie_group as lg
-from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
+from .bundle import Bundle, BundlePoint, PairElement, ShapePoint, points_match
 from .connection import (
     VALIDITY_RADIUS,
     DiscreteConnection,
@@ -205,17 +205,12 @@ def endpoint_connection(a: ContinuousConnection) -> DiscreteConnection:
                                           a.bundle.group.exp_matrices, at_far_end=True))
 
 
-def unit_directions(bundle: Bundle, q: BundlePoint, count: int = 32,
-                    seed: int = 7) -> list[TangentVector]:
-    """Deterministic unit tangent directions at q (seeded PCG sphere sample)."""
+def unit_directions(bundle: Bundle, count: int = 32, seed: int = 7) -> np.ndarray:
+    """Deterministic unit tangents (seeded PCG sphere sample) as a read-only
+    (count, shape_dim + group.dim) array: shape velocity, then fiber velocity."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    dim = bundle.shape_dim + bundle.group.dim
-    out = []
-    for _ in range(count):
-        raw = rng.standard_normal(dim)
-        raw /= np.linalg.norm(raw)
-        out.append(TangentVector(q, raw[: bundle.shape_dim], raw[bundle.shape_dim:]))
-    return out
+    raw = rng.standard_normal((count, bundle.shape_dim + bundle.group.dim))
+    return _frozen(raw / _norms(raw)[:, None])
 
 
 @dataclass(frozen=True)
@@ -262,19 +257,21 @@ def _sweep_reps(exact: DiscreteConnection, candidate: DiscreteConnection, x0: Sh
 
 
 def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
-                   q: BundlePoint, directions: Sequence[TangentVector],
+                   q: BundlePoint, directions: np.ndarray,
                    h_list: Sequence[float]) -> OrderEstimate:
     """Fit the analytic order of a candidate connection against a reference.
 
-    For each step size h and unit direction v the error is the
+    ``directions`` holds unit tangent directions at q, one per row: shape
+    velocity, then fiber velocity, as ``unit_directions`` draws them.  For
+    each step size h and direction v = (xdot, eta) the error is the
     conjugation-invariant norm of exact(q, q_h) candidate(q, q_h)^-1 with
-    q_h = chart_curve(v, h).  The fitted slope of log max-error versus
-    log h minus one is the reported order.
+    q_h = (x + h xdot, g exp(h eta)) for q = (x, g).  The fitted slope of
+    log max-error versus log h minus one is the reported order.
 
     The samples run h-major, (h, v) in sweep order.  Their arithmetic is
-    stacked: the chart-curve endpoints, one domain check, both forms, the
-    errors and their logs and norms are each one array operation over the
-    whole sweep.  When both connections have a stacked local representation
+    stacked: the endpoints, one domain check, both forms, the errors and
+    their logs and norms are each one array operation over the whole
+    sweep.  When both connections have a stacked local representation
     (``local_reps``), the in-domain samples take their representations in
     two calls, one per connection; otherwise, or when a stacked call fails,
     each sample calls exact.local_rep, then candidate.local_rep.  A failing
@@ -285,32 +282,29 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     hs = _validate_h_list(h_list)
     if hs[0] / hs[-1] < 10.0:
         raise ValueError("h_list must span at least one decade")
-    if not directions:
+    d = np.asarray(directions, dtype=float)
+    if d.size == 0:
         raise ValueError("directions must hold at least one unit tangent")
     group, x0 = q.fiber.group, q.shape
-    for v in directions:
-        n = np.linalg.norm(v.coordinates())
-        if abs(n - 1.0) > 1.0e-8:
-            raise ValueError(f"directions must be unit vectors (norm {n:.6f})")
-        if v.base.fiber.group is not group:
-            raise GroupMismatchError("directions must be based in the group of q")
-        if v.base.shape.coords.size != x0.coords.size:
-            raise ShapeMismatchError("directions must be based in the shape space of q")
+    s = x0.coords.size
+    if d.ndim != 2 or d.shape[1] != s + group.dim:
+        raise ShapeMismatchError(f"directions need {s + group.dim} columns at q (shape {s}, "
+                                 f"fiber {group.dim}), got an array of shape {d.shape}")
+    norms = _norms(d)
+    bad = ~(np.abs(norms - 1.0) <= 1.0e-8)  # NaN fails too
+    if bad.any():
+        raise ValueError(f"directions must be unit vectors (norm {norms[np.argmax(bad)]:.6f})")
     if candidate.bundle.group is not group or exact.bundle.group is not group:
         raise GroupMismatchError("both connections must act in the group of q")
-    dims = (candidate.bundle.shape_dim, exact.bundle.shape_dim, x0.coords.size)
+    dims = (candidate.bundle.shape_dim, exact.bundle.shape_dim, s)
     if len(set(dims)) > 1:
         raise ShapeMismatchError(
             "shape dimensions differ: candidate {}, exact {}, q {}".format(*dims))
-    # Sample (h, v) ends at (x + h xdot, g exp(h eta)) from v's base point (x, g).
-    k, total = group.matrix_size, len(hs) * len(directions)
+    total = len(hs) * len(d)
     steps = np.array(hs)[:, None, None]
-    bases = [v.base for v in directions]
-    x1s = (np.array([b.shape.coords for b in bases])
-           + steps * np.array([v.shape_velocity for v in directions])).reshape(total, x0.coords.size)
-    etas = (steps * np.array([v.fiber_velocity for v in directions])).reshape(total, group.dim)
-    g1s = (np.array([b.fiber.matrix for b in bases])
-           @ group.exp_matrices(etas).reshape(len(hs), len(bases), k, k)).reshape(total, 1, k, k)
+    x1s = (x0.coords + steps * d[:, :s]).reshape(total, s)
+    etas = (steps * d[:, s:]).reshape(total, group.dim)
+    g1s = (q.fiber.matrix @ group.exp_matrices(etas))[:, None]
     distances = _norms(x1s - x0.coords)
     inside = distances <= VALIDITY_RADIUS
     reps, failure = _sweep_reps(exact, candidate, x0,
@@ -322,7 +316,7 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
         raise failure
     if done < total:
         _check_distance(float(distances[done]))
-    rows = [tuple(row) for row in errors.reshape(len(hs), len(directions)).tolist()]
+    rows = [tuple(row) for row in errors.reshape(len(hs), len(d)).tolist()]
     max_errors = tuple(max(row) for row in rows)
     if all(e < ERROR_FLOOR for e in max_errors):
         return OrderEstimate(math.inf, math.inf, tuple(hs), max_errors, tuple(rows), True)
@@ -335,15 +329,13 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
 
 
 def _require_based_at(v: TangentVector, q: BundlePoint) -> None:
-    from .bundle import points_match
-
     if not points_match(v.base, q):
         raise BasepointMismatchError("curve velocity must be based at p.second")
 
 
 def _endpoint_variation(component: Callable[[DiscreteConnection, PairElement], PairElement],
                         c: DiscreteConnection, p: PairElement, curve_velocity: TangentVector,
-                        h_list: Sequence[float], shape_velocity: np.ndarray) -> TangentVector:
+                        shape_velocity: np.ndarray) -> TangentVector:
     """Derivative of eps -> component(q0, q1^eps).second along the chart curve at q1.
 
     The fiber velocity is left-trivialized at component(p).second; the shape
@@ -359,27 +351,27 @@ def _endpoint_variation(component: Callable[[DiscreteConnection, PairElement], P
     def sample(t: float) -> np.ndarray:
         return lg.log(lg.compose(g0inv, endpoint(t)))
 
-    eta = derivative_at_zero(sample, h_list)
+    eta = derivative_at_zero(sample)
     return TangentVector(component(c, p).second, shape_velocity, eta)
 
 
-def vertical_variation(c: DiscreteConnection, p: PairElement, curve_velocity: TangentVector,
-                       h_list: Sequence[float] = DEFAULT_H_LIST) -> TangentVector:
+def vertical_variation(c: DiscreteConnection, p: PairElement,
+                       curve_velocity: TangentVector) -> TangentVector:
     """Derivative of eps -> ver(q0, q1^eps).second along the chart curve at q1.
 
     The vertical endpoint moves only in the fiber over pi(q0); the result is
     its left-trivialized velocity at ver(p).second.
     """
-    return _endpoint_variation(vertical_component, c, p, curve_velocity, h_list,
+    return _endpoint_variation(vertical_component, c, p, curve_velocity,
                                np.zeros_like(p.first.shape.coords))
 
 
-def horizontal_variation(c: DiscreteConnection, p: PairElement, curve_velocity: TangentVector,
-                         h_list: Sequence[float] = DEFAULT_H_LIST) -> TangentVector:
+def horizontal_variation(c: DiscreteConnection, p: PairElement,
+                         curve_velocity: TangentVector) -> TangentVector:
     """Derivative of eps -> hor(q0, q1^eps).second along the chart curve at q1.
 
     The horizontal endpoint follows the shape curve of the variation; its
     fiber velocity comes from the local representation alone.
     """
-    return _endpoint_variation(horizontal_component, c, p, curve_velocity, h_list,
+    return _endpoint_variation(horizontal_component, c, p, curve_velocity,
                                np.array(curve_velocity.shape_velocity))

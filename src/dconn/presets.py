@@ -408,9 +408,9 @@ def default_base_point(bundle: Bundle) -> BundlePoint:
     return bundle.point(coords, fiber)
 
 
-def default_pair(bundle: Bundle, separation: float = 0.2) -> PairElement:
+def default_pair(bundle: Bundle) -> PairElement:
     q0 = default_base_point(bundle)
-    coords = q0.shape.coords + separation * np.array(
+    coords = q0.shape.coords + 0.2 * np.array(
         [1.0 / (1.0 + i) for i in range(bundle.shape_dim)]
     )
     seed = np.resize([-0.5, 1.0, 0.5, -0.25, 0.75, 0.25], bundle.group.dim)

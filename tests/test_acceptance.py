@@ -320,7 +320,7 @@ def test_acceptance_5_order_estimation():
     a = so3_mechanical()
     exact = exponentiated_connection(a)
     q = default_base_point(a.bundle)
-    directions = unit_directions(a.bundle, q, count=16)
+    directions = unit_directions(a.bundle, count=16)
     hs = list(np.geomspace(1e-1, 1e-3, 7))
     second = estimate_order(cayley_connection(a), exact, q, directions, hs)
     first = estimate_order(endpoint_connection(a), exact, q, directions, hs)

@@ -320,6 +320,17 @@ def test_holonomy_rejects_open_or_broken_paths():
             holonomy(K, A, [outside])
 
 
+@pytest.mark.parametrize("query", [
+    lambda K, A: quality_report(K, A),
+    lambda K, A: curvature(K, A, 0),
+    lambda K, A: holonomy(K, A, [0, 1, 2, 3, 4, 0]),
+], ids=["quality_report", "curvature", "holonomy"])
+def test_connection_form_of_another_complex_is_refused(query):
+    grid = build(flat_grid(4, 4))
+    with pytest.raises(MeshFormatError, match="connection form belongs to another complex"):
+        query(build(cone(5)), connection_form(grid))
+
+
 # -- reports and invariants -----------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Group arithmetic checks against series and brute-force matrix oracles."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,15 @@ def test_group_lookup():
     assert lg.group_by_name("T004") is lg.group_by_name("T4")
     with pytest.raises(ValueError):
         lg.group_by_name("SU2")
+
+
+def test_translation_groups_are_freed_once_nothing_holds_them():
+    assert translation_group(7) is translation_group(7)
+    group = lg.group_by_name("T200")
+    assert lg._TRANSLATION_CACHE.get(200) is group
+    del group
+    gc.collect()
+    assert 200 not in lg._TRANSLATION_CACHE
 
 
 def test_check_matrix_rejects_junk():

@@ -261,15 +261,29 @@ def test_cayley_discretization_identity_and_group_membership():
 
 def test_unit_directions_deterministic_and_unit():
     b = Bundle(SO3, 2)
-    q = b.point([0.1, -0.2], np.eye(3))
-    one = unit_directions(b, q, count=12, seed=3)
-    two = unit_directions(b, q, count=12, seed=3)
-    other = unit_directions(b, q, count=12, seed=4)
+    one = unit_directions(b, count=12, seed=3)
+    two = unit_directions(b, count=12, seed=3)
+    other = unit_directions(b, count=12, seed=4)
     assert len(one) == 12
     for v1, v2 in zip(one, two):
-        assert np.array_equal(v1.coordinates(), v2.coordinates())
-        assert abs(np.linalg.norm(v1.coordinates()) - 1.0) < 1e-12
-    assert not np.array_equal(one[0].coordinates(), other[0].coordinates())
+        assert np.array_equal(v1, v2)
+        assert abs(np.linalg.norm(v1) - 1.0) < 1e-12
+    assert not np.array_equal(one[0], other[0])
+
+
+@pytest.mark.parametrize("group, shape_dim", [(SO3, 2), (lg.SE3, 3), (T1, 1)],
+                         ids=["SO3", "SE3", "T1"])
+def test_unit_directions_are_the_per_row_draw(group, shape_dim):
+    # Oracle: one standard-normal draw per row, divided by np.linalg.norm.
+    b = Bundle(group, shape_dim)
+    for count, seed in itertools.product((0, 1, 5, 32), (0, 7, 123)):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        width = shape_dim + group.dim
+        rows = [rng.standard_normal(width) for _ in range(count)]
+        want = np.array([r / np.linalg.norm(r) for r in rows]).reshape(count, width)
+        got = unit_directions(b, count, seed)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
 
 
 # -- order estimation ------------------------------------------------------------------
@@ -280,7 +294,7 @@ def order_setup():
     a = so3_mechanical()
     exact = exponentiated_connection(a)
     q = a.bundle.point([0.1, -0.15], np.eye(3))
-    dirs = unit_directions(a.bundle, q, count=16)
+    dirs = unit_directions(a.bundle, count=16)
     hs = list(np.geomspace(1e-1, 1e-3, 7))
     return a, exact, q, dirs, hs
 
@@ -318,8 +332,7 @@ def test_order_estimate_input_validation(order_setup):
     a, exact, q, dirs, hs = order_setup
     with pytest.raises(ValueError):
         estimate_order(cayley_connection(a), exact, q, dirs, [1e-2, 5e-3])
-    stretched = [TangentVector(q, 2.0 * v.shape_velocity, 2.0 * v.fiber_velocity)
-                 for v in dirs]
+    stretched = 2.0 * dirs
     with pytest.raises(ValueError):
         estimate_order(cayley_connection(a), exact, q, stretched, hs)
     with pytest.raises(ValueError, match="directions"):
@@ -333,7 +346,7 @@ def test_sweep_across_groups_is_rejected(order_setup):
     with pytest.raises(GroupMismatchError):
         estimate_order(t2, exact, q, dirs, hs)
     q_t2 = t2.bundle.point(q.shape.coords, np.eye(3))
-    with pytest.raises(GroupMismatchError):
+    with pytest.raises(ShapeMismatchError):
         estimate_order(t2, t2, q_t2, dirs, hs)
     with pytest.raises(GroupMismatchError):
         eval_form(t2, PairElement(q, q))
@@ -355,11 +368,13 @@ def test_order_errors_are_those_of_eval_form(fixture, build):
     a = CONTINUOUS_FIXTURES[fixture]()
     exact, candidate = exponentiated_connection(a), build(a)
     q = default_pair(a.bundle).first
-    dirs = unit_directions(a.bundle, q, count=8)
+    dirs = unit_directions(a.bundle, count=8)
+    s = a.bundle.shape_dim
     hs = [1e-1, 3e-2, 1e-2]
     want = [[lg.conj_invariant_norm(lg.compose(eval_form(exact, p),
                                                lg.inverse(eval_form(candidate, p))))
-             for p in (PairElement(q, chart_curve(v, h)) for v in dirs)] for h in hs]
+             for p in (PairElement(q, chart_curve(TangentVector(q, d[:s], d[s:]), h))
+                       for d in dirs)] for h in hs]
     got = estimate_order(candidate, exact, q, dirs, hs).errors
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -373,12 +388,13 @@ def per_sample_errors(candidate, exact, q, directions, hs):
     """
     group = q.fiber.group
     x0, g0inv = q.shape, group.inverse_matrix(q.fiber.matrix)
+    s = x0.coords.size
     rows = []
     for h in hs:
         row = []
-        for v in directions:
-            x1 = ShapePoint(v.base.shape.coords + h * v.shape_velocity)
-            g1 = v.base.fiber.matrix @ group.exp_matrix(h * v.fiber_velocity)
+        for d in directions:
+            x1 = ShapePoint(x0.coords + h * d[:s])
+            g1 = q.fiber.matrix @ group.exp_matrix(h * d[s:])
             err = (form_matrix(exact, x0, x1, g1, g0inv)
                    @ group.inverse_matrix(form_matrix(candidate, x0, x1, g1, g0inv)))
             row.append(_norm(group.log_vector(err)))
@@ -409,7 +425,7 @@ def test_stacked_sweep_matches_the_per_sample_loop(candidate, reference):
     # Bound: equal bit for bit, errors and fit alike.
     cand, exact = CLI_CONNECTIONS[candidate], CLI_CONNECTIONS[reference]
     q = default_pair(exact.bundle).first
-    dirs = unit_directions(exact.bundle, q, count=4)
+    dirs = unit_directions(exact.bundle, count=4)
     hs = [1e-1, 3e-2, 1e-2]
     want = per_sample_errors(cand, exact, q, dirs, hs)
     try:
@@ -451,7 +467,7 @@ def test_failing_sweeps_raise_what_the_per_sample_loop_raises():
     # directions past the radius), a log at the cut locus or a stalled solve
     # in either connection's local representation.
     q = Bundle(SO3, 2).point([0.1, -0.15], lg.exp(SO3, [0.2, -0.1, 0.3]).matrix)
-    dirs = unit_directions(Bundle(SO3, 2), q, count=8)
+    dirs = unit_directions(Bundle(SO3, 2), count=8)
     inf = math.inf
     seen = set()
     grid = itertools.product(([0.7, 0.2, 0.05], [0.45, 0.1, 0.03]), (inf, 0.3, 0.02),
@@ -498,7 +514,7 @@ def test_continuous_sweeps_take_one_stacked_call_per_connection(fixture, build):
         return dataclasses.replace(c, local_rep=per_pair, local_reps=stacked)
 
     q = default_pair(a.bundle).first
-    dirs = unit_directions(a.bundle, q, count=8)
+    dirs = unit_directions(a.bundle, count=8)
     estimate_order(counted(build(a), "candidate"), counted(exponentiated_connection(a), "exact"),
                    q, dirs, [1e-1, 3e-2, 1e-2])
     assert calls == ["exact.local_reps(24)", "candidate.local_reps(24)"]
@@ -513,9 +529,9 @@ def test_continuous_sweep_leaving_the_domain_raises_the_per_sample_error(fixture
     a = CONTINUOUS_FIXTURES[fixture]()
     exact, candidate = exponentiated_connection(a), build(a)
     q = default_pair(a.bundle).first
-    dirs = unit_directions(a.bundle, q, count=16)
+    dirs = unit_directions(a.bundle, count=16)
     hs = [0.9, 0.1, 0.01]
-    inside = [0.9 * np.linalg.norm(v.shape_velocity) <= VALIDITY_RADIUS for v in dirs]
+    inside = [0.9 * np.linalg.norm(d[:a.bundle.shape_dim]) <= VALIDITY_RADIUS for d in dirs]
     assert inside[0] and not all(inside)
     with pytest.raises(OutOfDomainError) as oracle:
         per_sample_errors(candidate, exact, q, dirs, hs)
@@ -545,7 +561,7 @@ def test_failing_stacked_reps_raise_what_the_per_sample_loop_raises():
     # A stacked rep that raises is retaken pair by pair, so a log at the cut
     # locus in an earlier sample still wins over a later coefficient failure.
     q = Bundle(SO3, 2).point([0.1, -0.15], lg.exp(SO3, [0.2, -0.1, 0.3]).matrix)
-    dirs = unit_directions(Bundle(SO3, 2), q, count=8)
+    dirs = unit_directions(Bundle(SO3, 2), count=8)
     exact = exponentiated_connection(ContinuousConnection(Bundle(SO3, 2),
                                                           lambda x: np.zeros((3, 2))))
     inf = math.inf
@@ -566,8 +582,27 @@ def test_sweep_with_mismatched_shape_dimensions_is_rejected(order_setup):
     with pytest.raises(ShapeMismatchError, match="candidate 5, exact 2, q 2"):
         estimate_order(wide, exact, q, dirs, hs)
     q5 = wide.bundle.point(np.zeros(5), np.eye(3))
-    with pytest.raises(ShapeMismatchError, match="shape space of q"):
+    with pytest.raises(ShapeMismatchError, match=r"need 8 columns at q .* shape \(16, 5\)"):
         estimate_order(wide, wide, q5, dirs, hs)
+
+
+def test_sweep_directions_must_be_rows_of_tangent_coordinates(order_setup):
+    a, exact, q, dirs, hs = order_setup
+    for bad in (dirs[0], dirs[:, :4], np.hstack([dirs, dirs[:, :1]]), dirs[None]):
+        with pytest.raises(ShapeMismatchError, match="need 5 columns"):
+            estimate_order(cayley_connection(a), exact, q, bad, hs)
+
+
+@pytest.mark.parametrize("part", [slice(0, 2), slice(2, 5)], ids=["shape", "fiber"])
+@pytest.mark.parametrize("value", [np.nan, 2.0], ids=["nan", "norm2"])
+def test_sweep_directions_must_be_unit_rows(order_setup, part, value):
+    # A NaN row's norm is NaN, which no tolerance may let through.
+    a, exact, q, dirs, hs = order_setup
+    bad = np.array(dirs)
+    bad[3] = 0.0
+    bad[3, part.start] = value
+    with pytest.raises(ValueError, match=rf"directions must be unit vectors \(norm {value:.6f}\)"):
+        estimate_order(cayley_connection(a), exact, q, bad, hs)
 
 
 # -- variations -------------------------------------------------------------------------
