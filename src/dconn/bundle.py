@@ -102,6 +102,17 @@ def discrete_generator(q: BundlePoint, g: GroupElement) -> PairElement:
     return PairElement(q, act(g, q))
 
 
+def shift(q: BundlePoint, z: np.ndarray) -> BundlePoint:
+    """The chart move (x + z_shape, g exp(z_fiber)) of q = (x, g), unchecked.
+
+    The chart curve through q with velocity v is t -> shift(q, t * v).
+    """
+    d = q.shape.coords.size
+    group = q.fiber.group
+    fiber = GroupElement(group, q.fiber.matrix @ group.exp_matrix(z[d:]), True)
+    return BundlePoint(ShapePoint(q.shape.coords + z[:d]), fiber)
+
+
 def points_match(a: BundlePoint, b: BundlePoint, tol: float = BASE_TOL) -> bool:
     if a.fiber.group is not b.fiber.group:
         return False

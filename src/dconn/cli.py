@@ -67,18 +67,27 @@ def _load_config(path: str) -> dict:
 
 
 def _integer(value, name: str) -> int:
-    """A config value that must be a JSON integer; floats are not truncated."""
+    """A config value that must be a non-negative JSON integer; floats are not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DconnError(f"config field {name!r} must be an integer, got {value!r}")
+    if value < 0:
+        raise DconnError(f"config field {name!r} must be at least 0, got {value}")
     return value
 
 
 def _bounded(value, name: str, cap: int) -> int:
-    """A config value that must be a JSON integer no larger than cap."""
+    """A config value that must be a JSON integer from 0 to cap."""
     n = _integer(value, name)
     if n > cap:
         raise DconnError(f"config field {name!r} must be at most {cap}, got {n}")
     return n
+
+
+def _object(value, name: str) -> dict:
+    """A config value that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise DconnError(f"config field {name!r} must be an object, got {value!r}")
+    return value
 
 
 def _is_number(x) -> bool:
@@ -118,13 +127,17 @@ def _build_connection(cfg: dict, key: str = "connection") -> DiscreteConnection:
     return resolve_connection(family, group, shape_dim)
 
 
-def _parse_point(conn: DiscreteConnection, data: dict, name: str) -> BundlePoint:
+def _parse_point(conn: DiscreteConnection, data, name: str) -> BundlePoint:
+    data = _object(data, name)
     try:
-        coords = _numbers(data["shape"], f"{name}.shape")
-        fiber = _numbers(data["fiber"], f"{name}.fiber")
+        coords = _numbers(data.get("shape"), f"{name}.shape")
+        fiber = _numbers(data.get("fiber"), f"{name}.fiber")
         conn.bundle.group.check_matrix(fiber)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DconnError(f"bad bundle point in config: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DconnError(f"bad bundle point in config field {name!r}: {exc}") from exc
+    if coords.size != conn.bundle.shape_dim:
+        raise DconnError(f"config field '{name}.shape' must hold {conn.bundle.shape_dim} "
+                         f"numbers, got {coords.size}")
     return conn.bundle.point(coords, lg.element(conn.bundle.group, fiber))
 
 
@@ -132,9 +145,10 @@ def _parse_pair(conn: DiscreteConnection, cfg: dict) -> PairElement:
     data = cfg.get("pair")
     if data is None:
         return default_pair(conn.bundle)
+    data = _object(data, "pair")
     return PairElement(
-        _parse_point(conn, data["first"], "pair.first"),
-        _parse_point(conn, data["second"], "pair.second"),
+        _parse_point(conn, data.get("first"), "pair.first"),
+        _parse_point(conn, data.get("second"), "pair.second"),
     )
 
 
@@ -166,9 +180,7 @@ def cmd_decompose(cfg: dict) -> dict:
 def cmd_order(cfg: dict) -> dict:
     candidate = _build_connection(cfg, "candidate")
     reference = _build_connection(cfg, "reference")
-    sweep = cfg.get("h_sweep", {})
-    if not isinstance(sweep, dict):
-        raise DconnError("config field 'h_sweep' must be an object")
+    sweep = _object(cfg.get("h_sweep", {}), "h_sweep")
     start = _number(sweep.get("start", 1.0e-1), "h_sweep.start")
     stop = _number(sweep.get("stop", 1.0e-3), "h_sweep.stop")
     count = _bounded(sweep.get("count", 7), "h_sweep.count", MAX_H_COUNT)
@@ -245,7 +257,10 @@ def cmd_holonomy(cfg: dict) -> dict:
     A = lc.connection_form(K)
     enclosed_curvature = None
     if "loop" in cfg:
-        loop = [_integer(t, "loop") for t in cfg["loop"]]
+        loop = cfg["loop"]
+        if not isinstance(loop, list):
+            raise DconnError(f"config field 'loop' must be a list of triangles, got {loop!r}")
+        loop = [_integer(t, "loop") for t in loop]
         h = lc.holonomy(K, A, loop)
         loop_length = len(loop) - 1
         loop_source = "explicit"
@@ -256,8 +271,8 @@ def cmd_holonomy(cfg: dict) -> dict:
         enclosed_curvature = lc.angle_defect(K, v)
         loop_source = "around_vertex"
     elif "latitude" in cfg:
-        colat = math.radians(_number(cfg["latitude"]["colatitude_deg"],
-                                     "latitude.colatitude_deg"))
+        latitude = _object(cfg["latitude"], "latitude")
+        colat = math.radians(_number(latitude.get("colatitude_deg"), "latitude.colatitude_deg"))
         loop, enclosed = meshes.latitude_loop(K, colat)
         h = lc.holonomy(K, A, loop)
         loop_length = len(loop) - 1

@@ -217,11 +217,11 @@ def extended_compose(c: DiscreteConnection, p: PairElement, r: PairElement) -> P
     return PairElement(p.first, act(w, r.second))
 
 
-def higher_order_form(c: DiscreteConnection, qs: Sequence[BundlePoint], k: int) -> list[GroupElement]:
-    """Connection form of a (k+1)-point chain: one value per consecutive pair."""
-    if len(qs) != k + 1:
-        raise LengthMismatchError(f"chain of order {k} needs {k + 1} points, got {len(qs)}")
-    return [eval_form(c, PairElement(qs[i], qs[i + 1])) for i in range(k)]
+def higher_order_form(c: DiscreteConnection, qs: Sequence[BundlePoint]) -> list[GroupElement]:
+    """Connection form of a chain of k + 1 >= 2 points: one value per consecutive pair."""
+    if len(qs) < 2:
+        raise LengthMismatchError(f"chain needs at least two points, got {len(qs)}")
+    return [eval_form(c, PairElement(qs[i], qs[i + 1])) for i in range(len(qs) - 1)]
 
 
 def canonical_chain(qs: Sequence[BundlePoint]) -> list[BundlePoint]:
@@ -238,9 +238,7 @@ def decompose_chain(
     The l-th adjoint part is [q0, form(q_l, q_{l+1})]; all parts share the
     base point of the chain.
     """
-    if len(qs) < 2:
-        raise LengthMismatchError("chain needs at least two points")
-    forms = higher_order_form(c, qs, len(qs) - 1)
+    forms = higher_order_form(c, qs)
     return [project(q) for q in qs], [adjoint_element(qs[0], w) for w in forms]
 
 

@@ -1,11 +1,12 @@
 """Continuous limits of discrete connections and order-of-accuracy tools.
 
-Tangent vectors are stored in trivialized coordinates: a shape velocity in
-the chart plus a left-trivialized fiber velocity eta (the group curve is
-g exp(t eta)).  Derivatives are taken along the straight chart line with a
-one-parameter subgroup in the fiber; a 4th-order central stencil plus one
-Richardson extrapolation level keeps the finite differencing well inside
-the stated tolerances.
+A tangent at q = (x, g) is a float array of shape_dim + group.dim
+coordinates, the shape velocity xdot then the left-trivialized fiber
+velocity eta, and every function here takes q beside it.  Derivatives are
+taken along its chart curve t -> bundle.shift(q, t v) = (x + t xdot,
+g exp(t eta)); a 4th-order central stencil plus one Richardson
+extrapolation level keeps the finite differencing well inside the stated
+tolerances.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lie_group as lg
-from .bundle import Bundle, BundlePoint, PairElement, ShapePoint, points_match
+from .bundle import Bundle, BundlePoint, PairElement, ShapePoint, shift
 from .connection import (
     VALIDITY_RADIUS,
     DiscreteConnection,
@@ -27,65 +28,55 @@ from .connection import (
     horizontal_component,
     vertical_component,
 )
-from .errors import (
-    BasepointMismatchError,
-    DegenerateFitError,
-    GroupMismatchError,
-    ShapeMismatchError,
-)
-from .lie_group import GroupElement, _frozen, _norms
+from .errors import DegenerateFitError, GroupMismatchError, ShapeMismatchError
+from .lie_group import _frozen, _norms
 
 DEFAULT_H_LIST = (1.0e-2, 5.0e-3, 2.5e-3)
 # Below this error magnitude a log-log fit measures rounding noise, not order.
 ERROR_FLOOR = 1.0e-13
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A trivialized tangent vector (shape velocity, left-trivialized fiber velocity).
+def _tangents(q: BundlePoint, v, ndim: int, *connections) -> np.ndarray:
+    """v as a float array of ``ndim`` axes whose last axis holds tangents at q.
 
-    The fiber velocity is kept as a read-only copy of its algebra coordinates.
+    Raises ShapeMismatchError unless that axis has q's shape_dim + group.dim
+    entries; for each of ``connections``, GroupMismatchError when it acts in
+    another group than q's fiber, ShapeMismatchError when its shape
+    dimension is not q's.
     """
+    d = np.asarray(v, dtype=float)
+    group, s = q.fiber.group, q.shape.coords.size
+    if d.ndim != ndim or d.shape[-1] != s + group.dim:
+        raise ShapeMismatchError(f"tangents need {s + group.dim} columns at q (shape {s}, "
+                                 f"fiber {group.dim}), got an array of shape {d.shape}")
+    for c in connections:
+        if c.bundle.group is not group:
+            raise GroupMismatchError(
+                f"connection group {c.bundle.group.name} != group of q {group.name}")
+        if c.bundle.shape_dim != s:
+            raise ShapeMismatchError(f"shape dimensions differ: connection "
+                                     f"{c.bundle.shape_dim}, q {s}")
+    return d
 
-    base: BundlePoint
-    shape_velocity: np.ndarray
-    fiber_velocity: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.shape_velocity, dtype=float).reshape(self.base.shape.coords.shape)
-        object.__setattr__(self, "shape_velocity", v)
-        eta = np.array(self.fiber_velocity, dtype=float).reshape(self.base.fiber.group.dim)
-        eta.flags.writeable = False
-        object.__setattr__(self, "fiber_velocity", eta)
-
-    def coordinates(self) -> np.ndarray:
-        return np.concatenate([self.shape_velocity, self.fiber_velocity])
-
-
-def vertical_tangent(q: BundlePoint, xi) -> TangentVector:
-    """The infinitesimal generator xi_Q(q): zero shape velocity, eta = Ad_{g^-1} xi."""
+def vertical_tangent(q: BundlePoint, xi) -> np.ndarray:
+    """The infinitesimal generator xi_Q(q) at q: zero shape velocity, eta = Ad_{g^-1} xi."""
     eta = lg.adjoint(lg.inverse(q.fiber), xi)
-    return TangentVector(q, np.zeros_like(q.shape.coords), eta)
+    return _frozen(np.concatenate([np.zeros_like(q.shape.coords), eta]))
 
 
-def chart_curve(v: TangentVector, t: float) -> BundlePoint:
-    """The curve (x + t xdot, g exp(t eta)) through v.base with velocity v."""
-    x = ShapePoint(v.base.shape.coords + t * v.shape_velocity)
-    step = lg.exp(v.base.fiber.group, t * v.fiber_velocity)
-    return BundlePoint(x, lg.compose(v.base.fiber, step))
-
-
-def chart_pair_log(p: PairElement) -> TangentVector:
-    """Inverse of chart_curve at t=1: chart difference plus fiber log.
+def chart_pair_log(p: PairElement) -> np.ndarray:
+    """The tangent at p.first whose chart curve reaches p.second at t = 1:
+    the chart difference, then the fiber log of g0^-1 g1.
 
     This is the Riemannian log of the product of the flat chart metric with
-    a bi-invariant (or left-invariant) group metric; it satisfies
-    chart_curve(vertical lift of xi) = exp(xi) . q, the compatibility needed
-    by the exponentiated discretization (``exponentiated_connection``).
+    a bi-invariant (or left-invariant) group metric; the chart curve of the
+    vertical tangent of xi reaches exp(xi) . q at t = 1, the compatibility
+    needed by the exponentiated discretization (``exponentiated_connection``).
     """
     dx = p.second.shape.coords - p.first.shape.coords
     rel = lg.compose(lg.inverse(p.first.fiber), p.second.fiber)
-    return TangentVector(p.first, dx, lg.log(rel))
+    return _frozen(np.concatenate([dx, lg.log(rel)]))
 
 
 @dataclass(frozen=True)
@@ -99,9 +90,12 @@ class ContinuousConnection:
     bundle: Bundle
     coefficient: Callable[[np.ndarray], np.ndarray]
 
-    def one_form(self, v: TangentVector) -> np.ndarray:
-        a = np.asarray(self.coefficient(v.base.shape.coords), dtype=float)
-        return lg.adjoint(v.base.fiber, v.fiber_velocity + a @ v.shape_velocity)
+    def one_form(self, q: BundlePoint, v) -> np.ndarray:
+        """The one-form on the tangent v = (xdot, eta) at q = (x, g)."""
+        v = _tangents(q, v, 1, self)
+        s = q.shape.coords.size
+        a = np.asarray(self.coefficient(q.shape.coords), dtype=float)
+        return lg.adjoint(q.fiber, v[s:] + a @ v[:s])
 
 
 def _validate_h_list(h_list: Sequence[float]) -> list[float]:
@@ -127,18 +121,18 @@ def derivative_at_zero(sample: Callable[[float], np.ndarray],
     return (r**4 * estimates[-1] - estimates[-2]) / (r**4 - 1.0)
 
 
-def induced_continuous(c: DiscreteConnection, v: TangentVector,
+def induced_continuous(c: DiscreteConnection, q: BundlePoint, v,
                        h_list: Sequence[float] = DEFAULT_H_LIST) -> np.ndarray:
-    """The derivative of t -> log form(q, q(t)) at t = 0 along the chart curve.
+    """The derivative of t -> log form(q, shift(q, t v)) at t = 0, for a tangent v at q.
 
     Recovers the continuous connection underlying a consistent discrete one;
     on a vertical tangent xi_Q(q) the result is xi exactly up to stencil
     error, thanks to the splitting property.
     """
-    q0 = v.base
+    v = _tangents(q, v, 1, c)
 
     def sample(t: float) -> np.ndarray:
-        return lg.log(eval_form(c, PairElement(q0, chart_curve(v, t))))
+        return lg.log(eval_form(c, PairElement(q, shift(q, t * v))))
 
     return derivative_at_zero(sample, h_list)
 
@@ -287,19 +281,15 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
         raise ValueError("directions must hold at least one unit tangent")
     group, x0 = q.fiber.group, q.shape
     s = x0.coords.size
-    if d.ndim != 2 or d.shape[1] != s + group.dim:
-        raise ShapeMismatchError(f"directions need {s + group.dim} columns at q (shape {s}, "
-                                 f"fiber {group.dim}), got an array of shape {d.shape}")
-    norms = _norms(d)
-    bad = ~(np.abs(norms - 1.0) <= 1.0e-8)  # NaN fails too
-    if bad.any():
-        raise ValueError(f"directions must be unit vectors (norm {norms[np.argmax(bad)]:.6f})")
-    if candidate.bundle.group is not group or exact.bundle.group is not group:
-        raise GroupMismatchError("both connections must act in the group of q")
     dims = (candidate.bundle.shape_dim, exact.bundle.shape_dim, s)
     if len(set(dims)) > 1:
         raise ShapeMismatchError(
             "shape dimensions differ: candidate {}, exact {}, q {}".format(*dims))
+    d = _tangents(q, d, 2, candidate, exact)
+    norms = _norms(d)
+    bad = ~(np.abs(norms - 1.0) <= 1.0e-8)  # NaN fails too
+    if bad.any():
+        raise ValueError(f"directions must be unit vectors (norm {norms[np.argmax(bad)]:.6f})")
     total = len(hs) * len(d)
     steps = np.array(hs)[:, None, None]
     x1s = (x0.coords + steps * d[:, :s]).reshape(total, s)
@@ -328,50 +318,41 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     return OrderEstimate(float(slope) - 1.0, float(slope), tuple(hs), max_errors, tuple(rows))
 
 
-def _require_based_at(v: TangentVector, q: BundlePoint) -> None:
-    if not points_match(v.base, q):
-        raise BasepointMismatchError("curve velocity must be based at p.second")
-
-
 def _endpoint_variation(component: Callable[[DiscreteConnection, PairElement], PairElement],
-                        c: DiscreteConnection, p: PairElement, curve_velocity: TangentVector,
-                        shape_velocity: np.ndarray) -> TangentVector:
-    """Derivative of eps -> component(q0, q1^eps).second along the chart curve at q1.
-
-    The fiber velocity is left-trivialized at component(p).second; the shape
-    velocity is the caller's.
+                        c: DiscreteConnection, p: PairElement, v,
+                        moves_shape: bool) -> np.ndarray:
+    """Derivative of t -> component(q0, shift(q1, t v)).second at t = 0, for v at q1,
+    as a tangent at component(p).second: v's shape velocity if ``moves_shape``, else 0.
     """
-    _require_based_at(curve_velocity, p.second)
+    v = _tangents(p.second, v, 1, c)
 
-    def endpoint(t: float) -> GroupElement:
-        return component(c, PairElement(p.first, chart_curve(curve_velocity, t))).second.fiber
+    def endpoint(t: float) -> lg.GroupElement:
+        return component(c, PairElement(p.first, shift(p.second, t * v))).second.fiber
 
     g0inv = lg.inverse(endpoint(0.0))
 
     def sample(t: float) -> np.ndarray:
         return lg.log(lg.compose(g0inv, endpoint(t)))
 
-    eta = derivative_at_zero(sample)
-    return TangentVector(component(c, p).second, shape_velocity, eta)
+    s = p.second.shape.coords.size
+    shape_velocity = v[:s] if moves_shape else np.zeros(s)
+    return _frozen(np.concatenate([shape_velocity, derivative_at_zero(sample)]))
 
 
-def vertical_variation(c: DiscreteConnection, p: PairElement,
-                       curve_velocity: TangentVector) -> TangentVector:
-    """Derivative of eps -> ver(q0, q1^eps).second along the chart curve at q1.
+def vertical_variation(c: DiscreteConnection, p: PairElement, v) -> np.ndarray:
+    """Derivative of t -> ver(q0, shift(q1, t v)).second at t = 0, for a tangent v at q1.
 
     The vertical endpoint moves only in the fiber over pi(q0); the result is
-    its left-trivialized velocity at ver(p).second.
+    its velocity at ver(p).second, with zero shape velocity.
     """
-    return _endpoint_variation(vertical_component, c, p, curve_velocity,
-                               np.zeros_like(p.first.shape.coords))
+    return _endpoint_variation(vertical_component, c, p, v, False)
 
 
-def horizontal_variation(c: DiscreteConnection, p: PairElement,
-                         curve_velocity: TangentVector) -> TangentVector:
-    """Derivative of eps -> hor(q0, q1^eps).second along the chart curve at q1.
+def horizontal_variation(c: DiscreteConnection, p: PairElement, v) -> np.ndarray:
+    """Derivative of t -> hor(q0, shift(q1, t v)).second at t = 0, for a tangent v at q1.
 
-    The horizontal endpoint follows the shape curve of the variation; its
-    fiber velocity comes from the local representation alone.
+    The horizontal endpoint follows the shape curve of the variation, so the
+    result at hor(p).second keeps v's shape velocity; its fiber velocity
+    comes from the local representation alone.
     """
-    return _endpoint_variation(horizontal_component, c, p, curve_velocity,
-                               np.array(curve_velocity.shape_velocity))
+    return _endpoint_variation(horizontal_component, c, p, v, True)

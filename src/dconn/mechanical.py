@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import lie_group as lg
-from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
+from .bundle import Bundle, BundlePoint, PairElement, ShapePoint, shift
 from .connection import DiscreteConnection
 from .errors import CutLocusError, NonDegenerateError, SolverDivergedError
 from .lie_group import GroupElement
@@ -34,14 +34,6 @@ RCOND_FLOOR = 1.0e-10
 # 6-point central difference: nodes +-1h, +-2h, +-3h, error O(h^6).
 _FD_NODES = (3.0, 2.0, 1.0, -1.0, -2.0, -3.0)
 _FD_WEIGHTS = (1.0 / 60.0, -9.0 / 60.0, 45.0 / 60.0, -45.0 / 60.0, 9.0 / 60.0, -1.0 / 60.0)
-
-
-def shift(q: BundlePoint, z: np.ndarray) -> BundlePoint:
-    """The trivialized move (x + z_shape, g exp(z_fiber)) of q by coordinates z."""
-    d = q.shape.coords.size
-    group = q.fiber.group
-    fiber = GroupElement(group, q.fiber.matrix @ group.exp_matrix(z[d:]), True)
-    return BundlePoint(ShapePoint(q.shape.coords + z[:d]), fiber)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from dconn.limits import (
     endpoint_connection,
     estimate_order,
     exponentiated_connection,
-    TangentVector,
     induced_continuous,
     unit_directions,
     vertical_tangent,
@@ -288,13 +287,13 @@ def test_acceptance_4_continuous_limit_recovery():
     for _ in range(5):
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
-        directions.append(TangentVector(q, u, 0.3 * rng.standard_normal(3)))
+        directions.append(np.concatenate([u, 0.3 * rng.standard_normal(3)]))
     hs = np.geomspace(1e-1, 2e-2, 5)
     errors = []
     for h in hs:
         step = max(
-            float(np.max(np.abs(induced_continuous(c, v, h_list=[h])
-                                - a.one_form(v))))
+            float(np.max(np.abs(induced_continuous(c, q, v, h_list=[h])
+                                - a.one_form(q, v))))
             for v in directions
         )
         errors.append(step)
@@ -303,7 +302,7 @@ def test_acceptance_4_continuous_limit_recovery():
     for _ in range(10):
         q2 = a.bundle.random_point(rng, shape_scale=0.1)
         xi = lg.random_algebra(SO3, rng, scale=0.5)
-        got = induced_continuous(c, vertical_tangent(q2, xi))
+        got = induced_continuous(c, q2, vertical_tangent(q2, xi))
         vertical_worst = max(vertical_worst,
                              float(np.max(np.abs(got - xi))))
     ok = slope >= 1.8 and errors[-1] < 1e-5 and vertical_worst < 1e-8

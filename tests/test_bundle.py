@@ -44,6 +44,19 @@ def test_shape_point_helpers():
         a.coords[0] = 9.0
 
 
+def test_shift_moves_single_coordinate():
+    b = Bundle(SO3, 2)
+    q = b.point([0.1, 0.2], np.eye(3))
+    moved = bd.shift(q, np.array([0.0, 0.05, 0.0, 0.0, 0.0]))
+    assert np.allclose(moved.shape.coords, [0.1, 0.25])
+    assert np.array_equal(moved.fiber.matrix, q.fiber.matrix)
+    spun = bd.shift(q, np.array([0.0, 0.0, 0.3, 0.0, 0.0]))
+    assert np.array_equal(spun.shape.coords, q.shape.coords)
+    want = lg.exp(SO3, [0.3, 0.0, 0.0])
+    assert np.max(np.abs(spun.fiber.matrix - want.matrix)) < 1e-15
+    assert bd.points_match(bd.shift(q, 0.0 * np.array([0.2, -0.1, 0.1, 0.3, -0.2])), q)
+
+
 def test_action_identity_and_associativity(bundle):
     rng = np.random.default_rng(1)
     e = lg.identity(bundle.group)

@@ -596,6 +596,18 @@ def _refuse(name):
     return refuse
 
 
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Every builder a command reaches after its size checks raises."""
+    import dconn.cli
+
+    for name in ("default_pair", "unit_directions"):
+        monkeypatch.setattr(dconn.cli, name, _refuse(name))
+    monkeypatch.setattr(np, "geomspace", _refuse("np.geomspace"))
+    monkeypatch.setattr(np, "bincount", _refuse("np.bincount"))
+    monkeypatch.setattr(lg, "translation_group", _refuse("translation_group"))
+
+
 @pytest.mark.parametrize("command, data, field", [
     ("decompose", {"connection": "trivial", "shape_dim": 10**12}, "shape_dim"),
     ("order", {"candidate": "trivial", "reference": "trivial", "shape_dim": 10**12},
@@ -610,15 +622,8 @@ def _refuse(name):
        "vertices") for n in (meshes.MAX_VERTICES + 1, 10**14)),
     ("decompose", {"connection": "trivial", "group": "T3000"}, "group"),
 ])
-def test_sizes_above_their_caps_are_refused_before_allocation(tmp_path, capsys, monkeypatch,
+def test_sizes_above_their_caps_are_refused_before_allocation(tmp_path, capsys, nothing_built,
                                                               command, data, field):
-    import dconn.cli
-
-    for name in ("default_pair", "unit_directions"):
-        monkeypatch.setattr(dconn.cli, name, _refuse(name))
-    monkeypatch.setattr(np, "geomspace", _refuse("np.geomspace"))
-    monkeypatch.setattr(np, "bincount", _refuse("np.bincount"))
-    monkeypatch.setattr(lg, "translation_group", _refuse("translation_group"))
     if "mesh" in data:  # a dconn-complex, written to the file the config names
         mesh = tmp_path / "mesh.json"
         mesh.write_text(json.dumps(data["mesh"]))
@@ -626,6 +631,20 @@ def test_sizes_above_their_caps_are_refused_before_allocation(tmp_path, capsys, 
     cfg = write_config(tmp_path, "c.json", data)
     line = _assert_one_line_domain_failure(capsys, command, cfg)
     assert f"'{field}' must be at most" in line
+
+
+@pytest.mark.parametrize("command, data, field", [
+    ("order", {"candidate": "trivial", "reference": "trivial", "directions": -1}, "directions"),
+    ("order", {"candidate": "trivial", "reference": "trivial", "h_sweep": {"count": -2}},
+     "h_sweep.count"),
+    ("order", {"candidate": "trivial", "reference": "trivial", "seed": -5}, "seed"),
+    ("order", {"candidate": "trivial", "reference": "trivial", "shape_dim": -3}, "shape_dim"),
+])
+def test_negative_counts_are_refused_naming_the_field(tmp_path, capsys, nothing_built, command,
+                                                      data, field):
+    cfg = write_config(tmp_path, "c.json", data)
+    line = _assert_one_line_domain_failure(capsys, command, cfg)
+    assert f"config field '{field}' must be at least 0, got -" in line
 
 
 @pytest.mark.parametrize("family", ["trivial", "cayley:so3_mechanical"])
@@ -694,3 +713,41 @@ def test_numbers_that_are_not_json_numbers_are_domain_failures(tmp_path, capsys,
     cfg = write_config(tmp_path, "c.json", data)
     line = _assert_one_line_domain_failure(capsys, command, cfg)
     assert f"config field '{field}' must" in line
+
+
+_EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("decompose", {"connection": "trivial",
+                   "pair": {"first": {"shape": [0.1], "fiber": _EYE3},
+                            "second": {"shape": [0.1, 0.2], "fiber": _EYE3}}},
+     "config field 'pair.first.shape' must hold 2 numbers, got 1"),
+    ("decompose", {"connection": "trivial",
+                   "pair": {"first": {"shape": [0.1, 0.2], "fiber": _EYE3},
+                            "second": {"shape": [0.1, 0.2, 0.3], "fiber": _EYE3}}},
+     "config field 'pair.second.shape' must hold 2 numbers, got 3"),
+    ("order", {"candidate": "euler_poincare", "reference": "euler_poincare",
+               "base_point": {"shape": [0.05, -0.1], "fiber": _EYE3}},
+     "config field 'base_point.shape' must hold 0 numbers, got 2"),
+    ("decompose", {"connection": "trivial", "pair": [1, 2]},
+     "config field 'pair' must be an object, got [1, 2]"),
+    ("decompose", {"connection": "trivial", "pair": {"first": 3, "second": 4}},
+     "config field 'pair.first' must be an object, got 3"),
+    ("decompose", {"connection": "trivial",
+                   "pair": {"first": {"shape": [0.1, 0.2], "fiber": _EYE3}}},
+     "config field 'pair.second' must be an object, got None"),
+    ("order", {"candidate": "trivial", "reference": "trivial", "base_point": [0.1, 0.2]},
+     "config field 'base_point' must be an object"),
+    ("holonomy", {"loop": 5}, "config field 'loop' must be a list of triangles, got 5"),
+    ("holonomy", {"latitude": 30}, "config field 'latitude' must be an object, got 30"),
+])
+def test_fields_of_the_wrong_form_are_domain_failures(tmp_path, capsys, command, data,
+                                                      message):
+    if command == "holonomy":
+        n, tris, lengths = cone(5)
+        mesh = tmp_path / "cone.json"
+        write_complex_json(mesh, n, tris, lengths)
+        data = {"mesh": str(mesh), **data}
+    cfg = write_config(tmp_path, "c.json", data)
+    assert message in _assert_one_line_domain_failure(capsys, command, cfg)

@@ -379,7 +379,7 @@ def _chain(conn, rng, k=3):
 def test_higher_order_form_first_order_matches_pair_form(conn):
     rng = np.random.default_rng(41)
     qs = _chain(conn, rng, k=1)
-    values = higher_order_form(conn, qs, 1)
+    values = higher_order_form(conn, qs)
     assert len(values) == 1
     assert matrices_close(values[0], eval_form(conn, PairElement(qs[0], qs[1])))
 
@@ -387,7 +387,8 @@ def test_higher_order_form_first_order_matches_pair_form(conn):
 def test_higher_order_form_constant_chain(conn):
     rng = np.random.default_rng(42)
     q = conn.bundle.random_point(rng, shape_scale=0.1)
-    values = higher_order_form(conn, [q, q, q, q], 3)
+    values = higher_order_form(conn, [q, q, q, q])
+    assert len(values) == 3
     for w in values:
         assert matrices_close(w, lg.identity(conn.bundle.group), tol=1e-12)
 
@@ -397,18 +398,22 @@ def test_higher_order_form_equivariance(conn):
     rng = np.random.default_rng(43)
     qs = _chain(conn, rng, k=3)
     h = lg.random_element(conn.bundle.group, rng)
-    base = higher_order_form(conn, qs, 3)
-    moved = higher_order_form(conn, [bd.act(h, q) for q in qs], 3)
+    base = higher_order_form(conn, qs)
+    moved = higher_order_form(conn, [bd.act(h, q) for q in qs])
     for w0, w1 in zip(base, moved):
         conj = lg.compose(h, lg.compose(w0, lg.inverse(h)))
         assert matrices_close(w1, conj, tol=1e-11)
 
 
 def test_higher_order_form_length_check(conn):
+    # The chain fixes the order; a chain of one point has no pair to evaluate.
     rng = np.random.default_rng(44)
-    qs = _chain(conn, rng, k=2)
-    with pytest.raises(LengthMismatchError):
-        higher_order_form(conn, qs, 3)
+    q = conn.bundle.random_point(rng, shape_scale=0.1)
+    for chain in ([q], []):
+        with pytest.raises(LengthMismatchError, match="at least two points"):
+            higher_order_form(conn, chain)
+        with pytest.raises(LengthMismatchError, match="at least two points"):
+            decompose_chain(conn, chain)
 
 
 def test_chain_roundtrip(conn):

@@ -1,4 +1,8 @@
-"""Continuous limits, induced forms, variations and order-of-accuracy sweeps."""
+"""Continuous limits, induced forms, variations and order-of-accuracy sweeps.
+
+The tangent properties run under hypothesis, derandomized, so every run
+draws the same examples.
+"""
 
 import dataclasses
 import itertools
@@ -6,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dconn import bundle as bd
 from dconn import lie_group as lg
@@ -18,7 +24,6 @@ from dconn.connection import (
     trivial_connection,
 )
 from dconn.errors import (
-    BasepointMismatchError,
     CutLocusError,
     DegenerateFitError,
     GroupMismatchError,
@@ -26,12 +31,10 @@ from dconn.errors import (
     ShapeMismatchError,
     SolverDivergedError,
 )
-from dconn.lie_group import SO3, _norm, translation_group
+from dconn.lie_group import SE3, SO2, SO3, _norm, translation_group
 from dconn.limits import (
     ContinuousConnection,
-    TangentVector,
     cayley_connection,
-    chart_curve,
     chart_pair_log,
     derivative_at_zero,
     endpoint_connection,
@@ -55,42 +58,100 @@ from dconn.presets import (
 T1 = translation_group(1)
 
 
-# -- chart curves -------------------------------------------------------------
+# -- tangents at a base point ---------------------------------------------------
+
+TANGENT = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+GROUPS = (SO2, SO3, SE3, translation_group(3))
 
 
-def test_chart_curve_endpoints():
-    b = Bundle(SO3, 2)
-    rng = np.random.default_rng(50)
-    q = b.random_point(rng)
-    eta = np.array([0.1, 0.3, -0.2])
-    v = TangentVector(q, [0.2, -0.1], eta)
-    eta[0] = 9.0  # the fiber velocity is a read-only copy
-    assert v.fiber_velocity[0] == 0.1 and not v.fiber_velocity.flags.writeable
-    assert bd.points_match(chart_curve(v, 0.0), q)
-    far = chart_curve(v, 1.0)
-    assert np.max(np.abs(far.shape.coords - (q.shape.coords + v.shape_velocity))) < 1e-15
+def _coords(n, bound=1.0):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
 
 
-def test_chart_pair_log_inverts_chart_curve():
-    b = Bundle(SO3, 2)
-    rng = np.random.default_rng(51)
-    for _ in range(20):
-        q = b.random_point(rng)
-        v = TangentVector(q, rng.standard_normal(2), 0.5 * rng.standard_normal(3))
-        back = chart_pair_log(PairElement(q, chart_curve(v, 1.0)))
-        assert np.max(np.abs(back.shape_velocity - v.shape_velocity)) < 1e-12
-        assert np.max(np.abs(back.fiber_velocity - v.fiber_velocity)) < 1e-10
+def _point(draw, b):
+    # Fiber coordinates of at most 1 keep every rotation angle below pi.
+    return b.point(draw(_coords(b.shape_dim, 0.1)), lg.exp(b.group, draw(_coords(b.group.dim))))
 
 
-def test_vertical_tangent_generates_group_action():
-    # chart_curve of the generator of xi reaches exp(xi) . q at t = 1.
-    b = Bundle(SO3, 2)
-    rng = np.random.default_rng(52)
-    for _ in range(10):
-        q = b.random_point(rng)
-        xi = lg.random_algebra(SO3, rng, scale=0.5)
-        end = chart_curve(vertical_tangent(q, xi), 1.0)
-        assert bd.points_match(end, bd.act(lg.exp(SO3, xi), q), tol=1e-11)
+def _coefficient_form(b):
+    """A continuous connection on b whose coefficient field a(x) varies with both coordinates."""
+    k = np.arange(2 * b.group.dim, dtype=float).reshape(b.group.dim, 2)
+    return ContinuousConnection(b, lambda x: 0.2 * np.cos(k + x[0]) + 0.1 * x[1])
+
+
+@st.composite
+def tangents(draw, fiber_scale=0.5):
+    """A bundle over 2 shape coordinates, a point q of it and a tangent v at q."""
+    b = Bundle(draw(st.sampled_from(GROUPS)), 2)
+    q = _point(draw, b)
+    v = np.concatenate([draw(_coords(2)), draw(_coords(b.group.dim, fiber_scale))])
+    return b, q, v
+
+
+@st.composite
+def pairs(draw):
+    """A bundle, a pair p of it inside the validity radius and a tangent v at p.second."""
+    b, q1, v = draw(tangents())
+    return b, PairElement(_point(draw, b), q1), v
+
+
+@TANGENT
+@given(tangents())
+def test_chart_pair_log_inverts_shift(sample):
+    b, q, v = sample
+    back = chart_pair_log(PairElement(q, bd.shift(q, v)))
+    assert back.shape == v.shape and not back.flags.writeable
+    assert np.max(np.abs(back[:2] - v[:2])) < 1e-12
+    assert np.max(np.abs(back[2:] - v[2:])) < 1e-10
+
+
+@TANGENT
+@given(tangents())
+def test_vertical_tangent_generates_group_action(sample):
+    # The chart curve of the generator of xi reaches exp(xi) . q at t = 1.
+    b, q, v = sample
+    xi = v[2:]
+    gen = vertical_tangent(q, xi)
+    assert not gen.flags.writeable and np.array_equal(gen[:2], np.zeros(2))
+    assert bd.points_match(bd.shift(q, gen), bd.act(lg.exp(b.group, xi), q), tol=1e-11)
+
+
+def _tangent_call(call, a, c, p, v):
+    if call == "one_form":
+        return a.one_form(p.second, v)
+    if call == "induced":
+        return induced_continuous(c, p.second, v)
+    variation = vertical_variation if call == "vertical" else horizontal_variation
+    return variation(c, p, v)
+
+
+@pytest.mark.parametrize("call", ["one_form", "induced", "vertical", "horizontal"])
+def test_tangent_of_another_width_is_refused(call):
+    a = so3_mechanical()
+    c = exponentiated_connection(a)
+    p = default_pair(a.bundle)
+    for bad in (np.zeros(3), np.zeros(6), np.zeros((1, 5)), 0.0):
+        with pytest.raises(ShapeMismatchError, match="need 5 columns at q"):
+            _tangent_call(call, a, c, p, bad)
+
+
+@pytest.mark.parametrize("call", ["one_form", "induced", "vertical", "horizontal"])
+def test_tangent_in_another_group_is_refused(call):
+    # T3 and SO(3) share dimension 3, so the tangent's width cannot tell them apart.
+    a = so3_mechanical()
+    c = exponentiated_connection(a)
+    t3 = default_pair(Bundle(translation_group(3), 2))
+    with pytest.raises(GroupMismatchError, match="connection group SO3 != group of q T3"):
+        _tangent_call(call, a, c, t3, np.zeros(5))
+
+
+@pytest.mark.parametrize("call", ["one_form", "induced", "vertical", "horizontal"])
+def test_tangent_over_another_shape_dimension_is_refused(call):
+    a = so3_mechanical()
+    c = exponentiated_connection(a)
+    p = default_pair(Bundle(SO3, 3))
+    with pytest.raises(ShapeMismatchError, match="shape dimensions differ: connection 2, q 3"):
+        _tangent_call(call, a, c, p, np.zeros(6))
 
 
 # -- scalar differentiation ----------------------------------------------------
@@ -129,66 +190,50 @@ def test_derivative_rejects_bad_h_lists():
 # -- induced continuous forms ----------------------------------------------------
 
 
-def test_induced_form_of_trivial_connection():
+@TANGENT
+@given(tangents())
+def test_induced_form_of_trivial_connection(sample):
     # form(q, q exp(t eta)) = g exp(t eta) g^-1, so the induced value is Ad_g eta.
-    b = Bundle(SO3, 2)
-    c = trivial_connection(b)
-    rng = np.random.default_rng(53)
-    for _ in range(10):
-        q = b.random_point(rng)
-        v = TangentVector(q, rng.standard_normal(2), 0.5 * rng.standard_normal(3))
-        got = induced_continuous(c, v)
-        want = lg.adjoint(q.fiber, v.fiber_velocity)
-        assert np.max(np.abs(got - want)) < 1e-9
+    b, q, v = sample
+    got = induced_continuous(trivial_connection(b), q, v)
+    assert np.max(np.abs(got - lg.adjoint(q.fiber, v[2:]))) < 1e-9
 
 
-def test_induced_form_recovers_vertical_generator():
-    fixtures = [
-        trivial_connection(Bundle(SO3, 2)),
-        exponentiated_connection(so3_mechanical()),
-    ]
-    rng = np.random.default_rng(54)
-    for c in fixtures:
-        for _ in range(10):
-            q = c.bundle.random_point(rng, shape_scale=0.1)
-            xi = lg.random_algebra(SO3, rng, scale=0.5)
-            got = induced_continuous(c, vertical_tangent(q, xi))
-            assert np.max(np.abs(got - xi)) < 1e-8
+@TANGENT
+@given(tangents(), st.sampled_from(["trivial", "exponentiated"]))
+def test_induced_form_recovers_vertical_generator(sample, kind):
+    b, q, v = sample
+    c = (trivial_connection(b) if kind == "trivial"
+         else exponentiated_connection(_coefficient_form(b)))
+    got = induced_continuous(c, q, vertical_tangent(q, v[2:]))
+    assert np.max(np.abs(got - v[2:])) < 1e-8
 
 
-def test_induced_form_zero_on_zero_tangent():
-    c = exponentiated_connection(so3_mechanical())
-    rng = np.random.default_rng(55)
-    q = c.bundle.random_point(rng, shape_scale=0.1)
-    v = TangentVector(q, np.zeros(2), np.zeros(3))
-    assert np.max(np.abs(induced_continuous(c, v))) < 1e-14
+@TANGENT
+@given(tangents())
+def test_induced_form_zero_on_zero_tangent(sample):
+    b, q, v = sample
+    c = exponentiated_connection(_coefficient_form(b))
+    assert np.max(np.abs(induced_continuous(c, q, np.zeros_like(v)))) < 1e-14
 
 
-def test_induced_form_recovers_continuous_one_form():
+@TANGENT
+@given(tangents(fiber_scale=0.3))
+def test_induced_form_recovers_continuous_one_form(sample):
     # Round trip: discretize exactly, then differentiate back.
-    a = so3_mechanical()
-    c = exponentiated_connection(a)
-    rng = np.random.default_rng(56)
-    for _ in range(10):
-        q = a.bundle.random_point(rng, shape_scale=0.1)
-        v = TangentVector(q, rng.standard_normal(2), 0.3 * rng.standard_normal(3))
-        got = induced_continuous(c, v)
-        want = a.one_form(v)
-        assert np.max(np.abs(got - want)) < 1e-7
+    b, q, v = sample
+    a = _coefficient_form(b)
+    got = induced_continuous(exponentiated_connection(a), q, v)
+    assert np.max(np.abs(got - a.one_form(q, v))) < 1e-7
 
 
-def test_induced_form_abelian_closed_form():
+@TANGENT
+@given(st.floats(-0.3, 0.3), st.floats(-1.0, 1.0), _coords(1), _coords(1))
+def test_induced_form_abelian_closed_form(x, fiber, u, eta):
     a = abelian_mechanical()
-    c = exponentiated_connection(a)
-    rng = np.random.default_rng(57)
-    for _ in range(10):
-        x = 0.3 * rng.standard_normal(1)
-        q = a.bundle.point(x, lg.random_element(T1, rng))
-        u = rng.standard_normal(1)
-        eta = rng.standard_normal(1)
-        got = induced_continuous(c, TangentVector(q, u, eta))
-        want = eta[0] + 0.4 * math.cos(x[0]) * u[0]
-        assert abs(got[0] - want) < 1e-9
+    q = a.bundle.point([x], lg.exp(T1, [fiber]))
+    got = induced_continuous(exponentiated_connection(a), q, np.concatenate([u, eta]))
+    assert abs(got[0] - (eta[0] + 0.4 * math.cos(x) * u[0])) < 1e-9
 
 
 # -- exact and Cayley discretizations ----------------------------------------------
@@ -241,8 +286,9 @@ def test_local_reps_are_the_one_form_on_the_shape_step(fixture):
             x0 = ShapePoint(0.3 * rng.standard_normal(b.shape_dim))
             x1 = ShapePoint(x0.coords + 0.2 * rng.standard_normal(b.shape_dim))
             base = BundlePoint(x1 if at_far_end else x0, e)
-            v = TangentVector(base, x1.coords - x0.coords, np.zeros(b.group.dim))
-            assert np.array_equal(c.local_rep(x0, x1), to_group(b.group, a.one_form(v)).matrix)
+            v = np.concatenate([x1.coords - x0.coords, np.zeros(b.group.dim)])
+            assert np.array_equal(c.local_rep(x0, x1),
+                                  to_group(b.group, a.one_form(base, v)).matrix)
 
 
 def test_cayley_discretization_identity_and_group_membership():
@@ -373,8 +419,7 @@ def test_order_errors_are_those_of_eval_form(fixture, build):
     hs = [1e-1, 3e-2, 1e-2]
     want = [[lg.conj_invariant_norm(lg.compose(eval_form(exact, p),
                                                lg.inverse(eval_form(candidate, p))))
-             for p in (PairElement(q, chart_curve(TangentVector(q, d[:s], d[s:]), h))
-                       for d in dirs)] for h in hs]
+             for p in (PairElement(q, bd.shift(q, h * d)) for d in dirs)] for h in hs]
     got = estimate_order(candidate, exact, q, dirs, hs).errors
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -608,58 +653,41 @@ def test_sweep_directions_must_be_unit_rows(order_setup, part, value):
 # -- variations -------------------------------------------------------------------------
 
 
-def test_variations_of_stationary_curve_vanish():
-    c = exponentiated_connection(so3_mechanical())
-    rng = np.random.default_rng(62)
-    p = PairElement(c.bundle.random_point(rng, shape_scale=0.1),
-                    c.bundle.random_point(rng, shape_scale=0.1))
-    frozen = TangentVector(p.second, np.zeros(2), np.zeros(3))
-    assert np.max(np.abs(vertical_variation(c, p, frozen).coordinates())) < 1e-12
+@TANGENT
+@given(pairs())
+def test_variations_of_stationary_curve_vanish(sample):
+    b, p, v = sample
+    c = exponentiated_connection(_coefficient_form(b))
+    frozen = np.zeros_like(v)
+    assert np.max(np.abs(vertical_variation(c, p, frozen))) < 1e-12
     hvar = horizontal_variation(c, p, frozen)
-    assert np.max(np.abs(hvar.fiber_velocity)) < 1e-12
-    assert np.max(np.abs(hvar.shape_velocity)) == 0.0
+    assert np.max(np.abs(hvar[2:])) < 1e-12
+    assert np.max(np.abs(hvar[:2])) == 0.0
 
 
-def test_variations_of_trivial_connection_split_coordinates():
+@TANGENT
+@given(pairs())
+def test_variations_of_trivial_connection_split_coordinates(sample):
     # ver end fiber is g1 itself, hor end fiber stays g0: the variation
     # velocity lands entirely in one factor.
-    c = trivial_connection(Bundle(SO3, 2))
-    rng = np.random.default_rng(63)
-    for _ in range(5):
-        p = PairElement(c.bundle.random_point(rng, shape_scale=0.1),
-                        c.bundle.random_point(rng, shape_scale=0.1))
-        u = rng.standard_normal(2)
-        eta = 0.5 * rng.standard_normal(3)
-        v = TangentVector(p.second, u, eta)
-        ver = vertical_variation(c, p, v)
-        assert np.max(np.abs(ver.shape_velocity)) == 0.0
-        assert np.max(np.abs(ver.fiber_velocity - eta)) < 1e-9
-        hor = horizontal_variation(c, p, v)
-        assert np.array_equal(hor.shape_velocity, u)
-        assert np.max(np.abs(hor.fiber_velocity)) < 1e-9
+    b, p, v = sample
+    c = trivial_connection(b)
+    ver = vertical_variation(c, p, v)
+    assert not ver.flags.writeable and ver.shape == v.shape
+    assert np.max(np.abs(ver[:2])) == 0.0
+    assert np.max(np.abs(ver[2:] - v[2:])) < 1e-9
+    hor = horizontal_variation(c, p, v)
+    assert np.array_equal(hor[:2], v[:2])
+    assert np.max(np.abs(hor[2:])) < 1e-9
 
 
-def test_vertical_curve_has_no_horizontal_fiber_motion():
+@TANGENT
+@given(pairs())
+def test_vertical_curve_has_no_horizontal_fiber_motion(sample):
     # Vary the endpoint purely vertically: the horizontal part of the pair
     # keeps its fiber, only the connection value moves.
-    c = exponentiated_connection(so3_mechanical())
-    rng = np.random.default_rng(64)
-    p = PairElement(c.bundle.random_point(rng, shape_scale=0.1),
-                    c.bundle.random_point(rng, shape_scale=0.1))
-    xi = lg.random_algebra(SO3, rng)
-    v = vertical_tangent(p.second, xi)
-    hor = horizontal_variation(c, p, v)
-    assert np.max(np.abs(hor.shape_velocity)) == 0.0
-    assert np.max(np.abs(hor.fiber_velocity)) < 1e-9
-
-
-def test_variations_reject_misbased_velocity():
-    c = trivial_connection(Bundle(SO3, 2))
-    rng = np.random.default_rng(65)
-    p = PairElement(c.bundle.random_point(rng, shape_scale=0.1),
-                    c.bundle.random_point(rng, shape_scale=0.1))
-    stray = TangentVector(p.first, np.zeros(2), np.zeros(3))
-    with pytest.raises(BasepointMismatchError):
-        vertical_variation(c, p, stray)
-    with pytest.raises(BasepointMismatchError):
-        horizontal_variation(c, p, stray)
+    b, p, v = sample
+    c = exponentiated_connection(_coefficient_form(b))
+    hor = horizontal_variation(c, p, vertical_tangent(p.second, v[2:]))
+    assert np.max(np.abs(hor[:2])) == 0.0
+    assert np.max(np.abs(hor[2:])) < 1e-9

@@ -17,7 +17,6 @@ from dconn.mechanical import (
     fiber_derivative,
     mechanical_connection,
     mechanical_discrete_connection,
-    shift,
 )
 from dconn.presets import (
     FREE_PARTICLE_STEP,
@@ -48,18 +47,6 @@ def sample_pair(L, rng, scale=0.3) -> PairElement:
 
 
 # -- slot derivatives -----------------------------------------------------------
-
-
-def test_shift_moves_single_coordinate():
-    b = Bundle(SO3, 2)
-    q = b.point([0.1, 0.2], np.eye(3))
-    moved = shift(q, np.array([0.0, 0.05, 0.0, 0.0, 0.0]))
-    assert np.allclose(moved.shape.coords, [0.1, 0.25])
-    assert np.array_equal(moved.fiber.matrix, q.fiber.matrix)
-    spun = shift(q, np.array([0.0, 0.0, 0.3, 0.0, 0.0]))
-    assert np.array_equal(spun.shape.coords, q.shape.coords)
-    want = lg.exp(SO3, [0.3, 0.0, 0.0])
-    assert np.max(np.abs(spun.fiber.matrix - want.matrix)) < 1e-15
 
 
 def test_analytic_slot_derivatives_match_finite_differences(lagrangian):
