@@ -7,6 +7,12 @@ components with left-trivialized algebra velocities (curves g exp(t delta)).
 From the first-slot derivative come the discrete momentum map, the discrete
 Euler-Lagrange step and, for group-invariant Lagrangians, the discrete
 mechanical connection.
+
+Slot derivatives a Lagrangian leaves out are ``limits.derivative_at_zero``
+along the chart curves t -> bundle.shift(q, t e_i).  Both solvers share one
+Newton loop that moves its iterate by ``bundle.shift``.  Every public
+function refuses points outside the Lagrangian's bundle before it evaluates
+the Lagrangian (GroupMismatchError, ShapeMismatchError).
 """
 
 from __future__ import annotations
@@ -19,21 +25,27 @@ import numpy as np
 from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint, shift
 from .connection import DiscreteConnection
-from .errors import CutLocusError, NonDegenerateError, SolverDivergedError
+from .errors import (
+    CutLocusError,
+    GroupMismatchError,
+    NonDegenerateError,
+    ShapeMismatchError,
+    SolverDivergedError,
+)
 from .lie_group import GroupElement
+from .limits import derivative_at_zero
 
-# Relative step for the 6-point central-difference fallback.
-FD_STEP = 1.0e-5
-# Step of the central-difference fallback for d12.
-JAC_FD_STEP = 1.0e-6
 NEWTON_TOL = 1.0e-12
 NEWTON_MAX_ITER = 50
 # Reciprocal condition number below which the momentum Jacobian counts as singular.
 RCOND_FLOOR = 1.0e-10
 
-# 6-point central difference: nodes +-1h, +-2h, +-3h, error O(h^6).
-_FD_NODES = (3.0, 2.0, 1.0, -1.0, -2.0, -3.0)
-_FD_WEIGHTS = (1.0 / 60.0, -9.0 / 60.0, 45.0 / 60.0, -45.0 / 60.0, 9.0 / 60.0, -1.0 / 60.0)
+
+def _chart_derivative(f: Callable[[BundlePoint], np.ndarray], q: BundlePoint) -> np.ndarray:
+    """The derivatives of f along the chart curves t -> shift(q, t e_i), i on the last axis."""
+    dim = q.shape.coords.size + q.fiber.group.dim
+    return np.stack([derivative_at_zero(lambda t, e=e: f(shift(q, t * e)))
+                     for e in np.eye(dim)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -41,18 +53,16 @@ class DiscreteLagrangian:
     """A discrete Lagrangian with optional analytic slot derivatives.
 
     ``d1``/``d2`` return covector arrays of length shape_dim + algebra dim.
-    When omitted they fall back to 6-point central differences of ``value``
-    with relative step FD_STEP; the fallback is accurate to roughly 1e-10,
-    which is fine for derivative checks but too noisy for the default
-    Newton residual tolerance, so analytic derivatives are preferred for
-    time stepping.
-
     ``d12(q0, q1)`` is the square Jacobian of ``d1(q0, q1)`` under the
     trivialized moves ``shift(q1, z)`` = (x1 + z_shape, g1 exp(z_fiber)),
     column j for coordinate z_j.  Both Newton solvers take their Jacobian
-    from it; when omitted it falls back to central differences of
-    ``d1_eval`` with step JAC_FD_STEP.  The solvers evaluate ``d1`` and
-    ``d12`` of one iterate at the same point objects.
+    from it and evaluate ``d1`` and ``d12`` of one iterate at the same
+    point objects.
+
+    An omitted ``d1``/``d2`` is the chart-curve derivative of ``value`` in
+    its slot (accurate to about 1e-12), an omitted ``d12`` that of
+    ``d1_eval``; they cost 64 (shape_dim + dim)^2 calls of ``value`` per
+    Newton iteration, so analytic derivatives are preferred.
     """
 
     bundle: Bundle
@@ -61,40 +71,46 @@ class DiscreteLagrangian:
     d2: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
     d12: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
 
-    def _fd_slot(self, q0: BundlePoint, q1: BundlePoint, slot: int) -> np.ndarray:
-        dim = self.bundle.shape_dim + self.bundle.group.dim
-        h = FD_STEP * max(1.0, abs(q0.shape.coords).max(initial=0.0),
-                          abs(q1.shape.coords).max(initial=0.0))
-        out = np.zeros(dim)
-        for i, step in enumerate(h * np.eye(dim)):
-            acc = 0.0
-            for node, w in zip(_FD_NODES, _FD_WEIGHTS):
-                if slot == 0:
-                    acc += w * self.value(shift(q0, node * step), q1)
-                else:
-                    acc += w * self.value(q0, shift(q1, node * step))
-            out[i] = acc / h
-        return out
-
     def d1_eval(self, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         if self.d1 is not None:
             return np.asarray(self.d1(q0, q1), dtype=float)
-        return self._fd_slot(q0, q1, 0)
+        return _chart_derivative(lambda q: self.value(q, q1), q0)
 
     def d2_eval(self, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         if self.d2 is not None:
             return np.asarray(self.d2(q0, q1), dtype=float)
-        return self._fd_slot(q0, q1, 1)
+        return _chart_derivative(lambda q: self.value(q0, q), q1)
 
     def d12_eval(self, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         if self.d12 is not None:
             return np.asarray(self.d12(q0, q1), dtype=float)
-        dim = self.bundle.shape_dim + self.bundle.group.dim
-        jac = np.empty((dim, dim))
-        for j, step in enumerate(JAC_FD_STEP * np.eye(dim)):
-            jac[:, j] = (self.d1_eval(q0, shift(q1, step))
-                         - self.d1_eval(q0, shift(q1, -step))) / (2 * JAC_FD_STEP)
-        return jac
+        return _chart_derivative(lambda q: self.d1_eval(q0, q), q1)
+
+
+def _check_points(L: DiscreteLagrangian, *qs: BundlePoint) -> None:
+    group, d = L.bundle.group, L.bundle.shape_dim
+    for q in qs:
+        if q.fiber.group is not group:
+            raise GroupMismatchError(
+                f"point group {q.fiber.group.name} != Lagrangian group {group.name}")
+        if q.shape.coords.size != d:
+            raise ShapeMismatchError(
+                f"shape dimensions differ: Lagrangian {d}, point {q.shape.coords.size}")
+
+
+def _newton(q: BundlePoint, residual: Callable[[BundlePoint], np.ndarray],
+            step: Callable[[BundlePoint, np.ndarray], np.ndarray], what: str) -> BundlePoint:
+    """Move q to shift(q, step(q, residual(q))) until max |residual(q)| < NEWTON_TOL;
+    SolverDivergedError naming ``what`` after NEWTON_MAX_ITER iterations."""
+    for _ in range(NEWTON_MAX_ITER):
+        res = residual(q)
+        if np.max(np.abs(res)) < NEWTON_TOL:
+            return q
+        q = shift(q, step(q, res))
+    raise SolverDivergedError(
+        f"{what} Newton stalled at residual {np.max(np.abs(residual(q))):.3e} "
+        f"after {NEWTON_MAX_ITER} iterations"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +130,7 @@ def discrete_momentum(L: DiscreteLagrangian, p: PairElement) -> MomentumValue:
     xi_Q(q0) has trivialized coordinates (0, Ad_{g0^-1} xi), so only the
     fiber block of D1 L enters.
     """
+    _check_points(L, p.first, p.second)
     group = L.bundle.group
     d1_fiber = L.d1_eval(p.first, p.second)[L.bundle.shape_dim:]
     ad_inv = group.adjoint_matrix(group.inverse_matrix(p.first.fiber.matrix))
@@ -122,6 +139,7 @@ def discrete_momentum(L: DiscreteLagrangian, p: PairElement) -> MomentumValue:
 
 def fiber_derivative(L: DiscreteLagrangian, p: PairElement) -> tuple[BundlePoint, np.ndarray]:
     """The discrete fiber derivative (q0, -D1 L(q0, q1))."""
+    _check_points(L, p.first, p.second)
     return p.first, -L.d1_eval(p.first, p.second)
 
 
@@ -129,11 +147,12 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> BundleP
     """Solve the discrete Euler-Lagrange equation D2 L(q0,q1) + D1 L(q1,q2) = 0.
 
     Newton iteration in trivialized coordinates around the chart
-    extrapolation (2 x1 - x0, g1 (g0^-1 g1)); raises SolverDivergedError if
-    the residual does not fall below NEWTON_TOL within NEWTON_MAX_ITER
-    iterations.  Each iterate is one point object, so a Lagrangian that
-    shares work between d1 and d12 at one pair can reuse it.
+    extrapolation (2 x1 - x0, g1 (g0^-1 g1)); raises SolverDivergedError
+    on a singular Newton system or a stall.  Each iterate is one point
+    object, so a Lagrangian that shares work between d1 and d12 at one pair
+    can reuse it.
     """
+    _check_points(L, q0, q1)
     rhs = L.d2_eval(q0, q1)
     seed_coords = 2.0 * q1.shape.coords - q0.shape.coords
     # Extrapolate the fiber through the exp chart, not by a bare product:
@@ -148,30 +167,24 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> BundleP
         seed_fiber = g1 @ group.exp_matrix(group.log_vector(rel_matrix))
     except CutLocusError:
         seed_fiber = g1 @ rel_matrix
-    q2 = BundlePoint(ShapePoint(seed_coords), GroupElement(group, seed_fiber, True))
+    seed = BundlePoint(ShapePoint(seed_coords), GroupElement(group, seed_fiber, True))
 
     def residual(q: BundlePoint) -> np.ndarray:
         return rhs + L.d1_eval(q1, q)
 
-    for _ in range(NEWTON_MAX_ITER):
-        res = residual(q2)
-        if np.max(np.abs(res)) < NEWTON_TOL:
-            return q2
+    def step(q: BundlePoint, res: np.ndarray) -> np.ndarray:
         try:
-            delta = np.linalg.solve(L.d12_eval(q1, q2), -res)
+            return np.linalg.solve(L.d12_eval(q1, q), -res)
         except np.linalg.LinAlgError as exc:
             raise SolverDivergedError(f"singular Newton system: {exc}") from exc
-        q2 = shift(q2, delta)
-    res = np.max(np.abs(residual(q2)))
-    raise SolverDivergedError(
-        f"discrete Euler-Lagrange Newton stalled at residual {res:.3e} "
-        f"after {NEWTON_MAX_ITER} iterations"
-    )
+
+    return _newton(seed, residual, step, "discrete Euler-Lagrange")
 
 
 def del_trajectory(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
                    steps: int) -> list[BundlePoint]:
     """The discrete trajectory q0, q1, ..., q_{steps+1}: ``steps`` del_step solves."""
+    _check_points(L, q0, q1)
     path = [q0, q1]
     for _ in range(steps):
         path.append(del_step(L, path[-2], path[-1]))
@@ -181,39 +194,36 @@ def del_trajectory(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
 def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement:
     """The discrete mechanical connection value for a G-invariant Lagrangian.
 
-    Solves J(x0, g0, x1, g) = 0 for g near g0 by Newton iteration in the
-    exponential chart and returns g1 g^-1, within NEWTON_TOL and
-    NEWTON_MAX_ITER as in del_step.  Raises NonDegenerateError when the
-    momentum Jacobian in g is singular beyond RCOND_FLOOR conditioning.
+    Solves J(x0, g0, x1, g) = 0 for g near g0 by Newton iteration on the
+    fiber of (x1, g) (chart moves with a zero shape part) and returns
+    g1 g^-1, within NEWTON_TOL and NEWTON_MAX_ITER as in del_step.  Raises
+    NonDegenerateError when the momentum Jacobian in g is singular beyond
+    RCOND_FLOOR conditioning.
     """
+    _check_points(L, p.first, p.second)
     group = L.bundle.group
     d = L.bundle.shape_dim
-    x1 = p.second.shape
-    # The second slot (x1, g), g starting at g0; one point object per iterate.
-    q1 = BundlePoint(x1, p.first.fiber)
-    # J = -Ad_{g0^-1}^T D1 L(q0, (x1, g)) as in discrete_momentum, and g exp(z)
-    # moves only the fiber of the second slot.
+    # J = -Ad_{g0^-1}^T D1 L(q0, (x1, g)) as in discrete_momentum.
     ad_inv_t = group.adjoint_matrix(group.inverse_matrix(p.first.fiber.matrix)).T
 
     def momentum(q: BundlePoint) -> np.ndarray:
         return -(ad_inv_t @ L.d1_eval(p.first, q)[d:])
 
-    for _ in range(NEWTON_MAX_ITER):
-        res = momentum(q1)
-        if np.max(np.abs(res)) < NEWTON_TOL:
-            return GroupElement(
-                group, p.second.fiber.matrix @ group.inverse_matrix(q1.fiber.matrix), True)
-        jac = -(ad_inv_t @ L.d12_eval(p.first, q1)[d:, d:])
+    def step(q: BundlePoint, res: np.ndarray) -> np.ndarray:
+        jac = -(ad_inv_t @ L.d12_eval(p.first, q)[d:, d:])
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= RCOND_FLOOR * sv[0] or sv[0] == 0.0:
             raise NonDegenerateError(
                 f"momentum Jacobian is singular (rcond {sv[-1] / sv[0] if sv[0] else 0.0:.2e})"
             )
-        step = group.exp_matrix(np.linalg.solve(jac, -res))
-        q1 = BundlePoint(x1, GroupElement(group, q1.fiber.matrix @ step, True))
-    raise SolverDivergedError(
-        f"mechanical connection Newton stalled at residual {np.max(np.abs(momentum(q1))):.3e}"
-    )
+        z = np.zeros(d + group.dim)
+        z[d:] = np.linalg.solve(jac, -res)
+        return z
+
+    # The second slot (x1, g), g starting at g0.
+    q = _newton(BundlePoint(p.second.shape, p.first.fiber), momentum, step,
+                "mechanical connection")
+    return GroupElement(group, p.second.fiber.matrix @ group.inverse_matrix(q.fiber.matrix), True)
 
 
 def mechanical_discrete_connection(L: DiscreteLagrangian) -> DiscreteConnection:

@@ -1,14 +1,25 @@
-"""Discrete Lagrangians, momentum maps, time stepping, mechanical connections."""
+"""Discrete Lagrangians, momentum maps, time stepping, mechanical connections.
+
+The sampled properties run under hypothesis, derandomized, so every run
+draws the same examples.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dconn import lie_group as lg
 from dconn import mechanical
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from dconn.connection import eval_form
-from dconn.errors import NonDegenerateError, SolverDivergedError
-from dconn.lie_group import SO3, translation_group
+from dconn.errors import (
+    GroupMismatchError,
+    NonDegenerateError,
+    ShapeMismatchError,
+    SolverDivergedError,
+)
+from dconn.lie_group import SE3, SO3, translation_group
 from dconn.mechanical import (
     DiscreteLagrangian,
     del_step,
@@ -21,6 +32,7 @@ from dconn.mechanical import (
 from dconn.presets import (
     FREE_PARTICLE_STEP,
     coupling_so3,
+    default_pair,
     free_particle,
     se3_coupled,
     so3_coupled,
@@ -40,56 +52,90 @@ def lagrangian(request):
     return FIXTURES[request.param]()
 
 
-def sample_pair(L, rng, scale=0.3) -> PairElement:
-    b = L.bundle
-    return PairElement(b.random_point(rng, shape_scale=scale, fiber_scale=scale),
-                       b.random_point(rng, shape_scale=scale, fiber_scale=scale))
+MECHANICS = settings(derandomize=True, max_examples=10, deadline=None, database=None)
+
+
+def _coords(n, bound):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
+
+
+def algebra(group, bound=1.5):
+    """Algebra coordinates within ``bound``; 1.5 keeps every rotation angle below pi."""
+    return _coords(group.dim, bound)
+
+
+def elements(group, bound=1.5):
+    return algebra(group, bound).map(lambda xi: lg.exp(group, xi))
+
+
+def points(b, shape=0.6, fiber=0.6):
+    """Points of b with shape coordinates within ``shape``, fiber log within ``fiber``."""
+    return st.builds(b.point, _coords(b.shape_dim, shape), elements(b.group, fiber))
+
+
+def pairs(b, shape=0.6, fiber=0.6):
+    return st.builds(PairElement, points(b, shape, fiber), points(b, shape, fiber))
+
+
+def short_pairs(b, step=0.3, fiber=0.6):
+    """Pairs whose shape step has coordinates within ``step``."""
+    def build(q0, dx, g1):
+        return PairElement(q0, BundlePoint(ShapePoint(q0.shape.coords + dx), g1))
+
+    return st.builds(build, points(b, 0.4, fiber), _coords(b.shape_dim, step),
+                     elements(b.group, fiber))
 
 
 # -- slot derivatives -----------------------------------------------------------
 
 
-def test_analytic_slot_derivatives_match_finite_differences(lagrangian):
-    # Rebuild the fixture without derivatives to force the FD fallback.
+@MECHANICS
+@given(data=st.data())
+def test_analytic_slot_derivatives_match_finite_differences(lagrangian, data):
+    # Rebuild the fixture without derivatives to force the chart-curve fallback.
     fallback = DiscreteLagrangian(lagrangian.bundle, lagrangian.value)
-    rng = np.random.default_rng(70)
-    for _ in range(5):
-        p = sample_pair(lagrangian, rng)
-        a1 = lagrangian.d1_eval(p.first, p.second)
-        a2 = lagrangian.d2_eval(p.first, p.second)
-        f1 = fallback.d1_eval(p.first, p.second)
-        f2 = fallback.d2_eval(p.first, p.second)
-        assert np.max(np.abs(a1 - f1)) < 1e-7
-        assert np.max(np.abs(a2 - f2)) < 1e-7
+    p = data.draw(pairs(lagrangian.bundle))
+    a1 = lagrangian.d1_eval(p.first, p.second)
+    a2 = lagrangian.d2_eval(p.first, p.second)
+    f1 = fallback.d1_eval(p.first, p.second)
+    f2 = fallback.d2_eval(p.first, p.second)
+    assert np.max(np.abs(a1 - f1)) < 1e-9
+    assert np.max(np.abs(a2 - f2)) < 1e-9
 
 
-def test_analytic_d12_matches_differences_of_d1(lagrangian):
-    # Without d12, d12_eval falls back to central differences of d1.
-    fallback = DiscreteLagrangian(lagrangian.bundle, lagrangian.value, lagrangian.d1,
-                                  lagrangian.d2)
-    group = lagrangian.bundle.group
-    rng = np.random.default_rng(74)
-    pairs = [sample_pair(lagrangian, rng) for _ in range(5)]
+def _d12_gap(L, p) -> float:
+    # Without d12, d12_eval falls back to chart-curve derivatives of d1.
+    fallback = DiscreteLagrangian(L.bundle, L.value, L.d1, L.d2)
+    exact = L.d12_eval(p.first, p.second)
+    approx = fallback.d12_eval(p.first, p.second)
+    assert exact.shape == approx.shape
+    return np.max(np.abs(exact - approx)) / max(1.0, np.max(np.abs(approx)))
+
+
+@MECHANICS
+@given(data=st.data())
+def test_analytic_d12_matches_differences_of_d1(lagrangian, data):
+    assert _d12_gap(lagrangian, data.draw(pairs(lagrangian.bundle))) < 1e-9
+
+
+@pytest.mark.parametrize("angle", [5e-5, 0.0])
+def test_analytic_d12_matches_differences_of_d1_at_tiny_angles(lagrangian, angle):
     # Relative rotation angles below the 1e-4 switch to the dexpinv series.
-    q0, x1 = pairs[0].first, pairs[0].second.shape
-    for angle in (5e-5, 0.0):
-        tiny = lg.exp(group, angle * np.eye(group.dim)[0])
-        pairs.append(PairElement(q0, BundlePoint(x1, lg.compose(q0.fiber, tiny))))
-    for p in pairs:
-        exact = lagrangian.d12_eval(p.first, p.second)
-        approx = fallback.d12_eval(p.first, p.second)
-        assert exact.shape == approx.shape
-        assert np.max(np.abs(exact - approx)) < 1e-7 * max(1.0, np.max(np.abs(approx)))
+    q0 = default_pair(lagrangian.bundle).first
+    tiny = lg.exp(lagrangian.bundle.group, angle * np.eye(lagrangian.bundle.group.dim)[0])
+    x1 = ShapePoint(q0.shape.coords + 0.1)
+    assert _d12_gap(lagrangian, PairElement(q0, BundlePoint(x1, lg.compose(q0.fiber, tiny)))) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["so3_coupled", "se3_coupled", "so3_pure"])
-def test_slot_derivatives_answer_the_pair_asked_for(name):
+@MECHANICS
+@given(data=st.data())
+def test_slot_derivatives_answer_the_pair_asked_for(name, data):
     # The coupled fixtures share their pieces between calls at one pair.
     # Interleaved calls over two pairs, an equal copy of a point and the
     # swapped pair must each give what a fresh fixture gives for that call.
     L = FIXTURES[name]()
-    rng = np.random.default_rng(76)
-    p, r = sample_pair(L, rng), sample_pair(L, rng)
+    p, r = data.draw(pairs(L.bundle)), data.draw(pairs(L.bundle))
     twin = BundlePoint(ShapePoint(p.second.shape.coords),
                        lg.element(L.bundle.group, p.second.fiber.matrix))
     calls = [
@@ -105,32 +151,31 @@ def test_slot_derivatives_answer_the_pair_asked_for(name):
         assert np.array_equal(got, getattr(FIXTURES[name](), slot)(q0, q1)), (slot, q0, q1)
 
 
-def test_value_is_group_invariant(lagrangian):
-    rng = np.random.default_rng(71)
+@MECHANICS
+@given(data=st.data())
+def test_value_is_group_invariant(lagrangian, data):
     from dconn.bundle import act
 
-    for _ in range(10):
-        p = sample_pair(lagrangian, rng)
-        base = lagrangian.value(p.first, p.second)
-        h = lg.random_element(lagrangian.bundle.group, rng)
-        moved = lagrangian.value(act(h, p.first), act(h, p.second))
-        assert abs(moved - base) < 1e-11 * max(1.0, abs(base))
+    p = data.draw(pairs(lagrangian.bundle))
+    h = data.draw(elements(lagrangian.bundle.group))
+    base = lagrangian.value(p.first, p.second)
+    moved = lagrangian.value(act(h, p.first), act(h, p.second))
+    assert abs(moved - base) < 1e-11 * max(1.0, abs(base))
 
 
-def test_invariance_identity_on_slot_derivatives(lagrangian):
+@MECHANICS
+@given(data=st.data())
+def test_invariance_identity_on_slot_derivatives(lagrangian, data):
     # d/dt L(exp(t xi) q0, exp(t xi) q1) = 0 pairs the fiber blocks of D1, D2
     # with the trivialized generator coordinates Ad_{g^-1} xi.
-    rng = np.random.default_rng(72)
     d = lagrangian.bundle.shape_dim
-    group = lagrangian.bundle.group
-    for _ in range(10):
-        p = sample_pair(lagrangian, rng)
-        xi = lg.random_algebra(group, rng)
-        d1f = lagrangian.d1_eval(p.first, p.second)[d:]
-        d2f = lagrangian.d2_eval(p.first, p.second)[d:]
-        total = (d1f @ lg.adjoint(lg.inverse(p.first.fiber), xi)
-                 + d2f @ lg.adjoint(lg.inverse(p.second.fiber), xi))
-        assert abs(total) < 1e-8
+    p = data.draw(pairs(lagrangian.bundle))
+    xi = data.draw(algebra(lagrangian.bundle.group))
+    d1f = lagrangian.d1_eval(p.first, p.second)[d:]
+    d2f = lagrangian.d2_eval(p.first, p.second)[d:]
+    total = (d1f @ lg.adjoint(lg.inverse(p.first.fiber), xi)
+             + d2f @ lg.adjoint(lg.inverse(p.second.fiber), xi))
+    assert abs(total) < 1e-8
 
 
 # -- momentum -------------------------------------------------------------------
@@ -148,19 +193,17 @@ def test_free_particle_momentum_is_vertical_velocity():
     assert np.max(np.abs(flat.covector)) == 0.0
 
 
-def test_momentum_agrees_with_fiber_derivative_pairing(lagrangian):
-    rng = np.random.default_rng(73)
+@MECHANICS
+@given(data=st.data())
+def test_momentum_agrees_with_fiber_derivative_pairing(lagrangian, data):
     d = lagrangian.bundle.shape_dim
-    group = lagrangian.bundle.group
-    for _ in range(5):
-        p = sample_pair(lagrangian, rng)
-        base, covector = fiber_derivative(lagrangian, p)
-        assert base is p.first
-        mom = discrete_momentum(lagrangian, p)
-        for _ in range(3):
-            xi = lg.random_algebra(group, rng)
-            eta = lg.adjoint(lg.inverse(p.first.fiber), xi)
-            assert mom.pair(xi) == pytest.approx(covector[d:] @ eta, abs=1e-10)
+    p = data.draw(pairs(lagrangian.bundle))
+    xi = data.draw(algebra(lagrangian.bundle.group))
+    base, covector = fiber_derivative(lagrangian, p)
+    assert base is p.first
+    mom = discrete_momentum(lagrangian, p)
+    eta = lg.adjoint(lg.inverse(p.first.fiber), xi)
+    assert mom.pair(xi) == pytest.approx(covector[d:] @ eta, abs=1e-10)
 
 
 # -- time stepping ----------------------------------------------------------------
@@ -176,9 +219,10 @@ def test_free_particle_step_is_linear_extrapolation():
     assert abs(q2.fiber.matrix[0, 1] - 0.4) < 1e-10
 
 
-def test_del_step_fixes_equilibria(lagrangian):
-    rng = np.random.default_rng(74)
-    q = lagrangian.bundle.random_point(rng, shape_scale=0.2)
+@MECHANICS
+@given(data=st.data())
+def test_del_step_fixes_equilibria(lagrangian, data):
+    q = data.draw(points(lagrangian.bundle, 0.4, 1.5))
     q2 = del_step(lagrangian, q, q)
     assert np.linalg.norm(q2.shape.coords - q.shape.coords) < 1e-9
     assert np.max(np.abs(q2.fiber.matrix - q.fiber.matrix)) < 1e-9
@@ -203,13 +247,61 @@ def test_momentum_is_conserved_along_trajectories():
         assert drift < tol
 
 
+def point_gap(a: BundlePoint, b: BundlePoint) -> float:
+    return max(float(np.max(np.abs(a.shape.coords - b.shape.coords), initial=0.0)),
+               float(np.max(np.abs(a.fiber.matrix - b.fiber.matrix))))
+
+
+@pytest.mark.parametrize("name", ["so3_coupled", "se3_coupled", "so3_pure"])
+def test_value_only_lagrangian_steps_like_the_analytic_one(name):
+    # Every slot derivative and the Newton Jacobian come from chart-curve
+    # derivatives of the value alone.
+    L = FIXTURES[name]()
+    p = default_pair(L.bundle)
+    got = del_step(DiscreteLagrangian(L.bundle, L.value), p.first, p.second)
+    assert point_gap(got, del_step(L, p.first, p.second)) < 1e-12
+
+
+def test_value_only_lagrangian_solves_the_mechanical_connection():
+    L = so3_coupled()
+    p = default_pair(L.bundle)
+    got = mechanical_connection(DiscreteLagrangian(L.bundle, L.value), p)
+    assert np.max(np.abs(got.matrix - mechanical_connection(L, p).matrix)) < 1e-12
+
+
+def test_singular_newton_system_is_a_divergence():
+    # Fiber T^2 with no shape: D1 L = (1 - delta0, 1) has a constant second
+    # entry, so that entry of the residual D2 L(q0, q1) + D1 L(q1, q2) stays at
+    # 1 while the Jacobian of d1 in q2, taken by the chart-curve fallback, has
+    # a zero column.
+    b = Bundle(translation_group(2), 0)
+
+    def delta0(q0: BundlePoint, q1: BundlePoint) -> float:
+        return float(q1.fiber.matrix[0, 2] - q0.fiber.matrix[0, 2])
+
+    def value(q0, q1):
+        return 0.5 * (delta0(q0, q1) - 1.0) ** 2 + q0.fiber.matrix[1, 2]
+
+    def d1(q0, q1):
+        return np.array([-(delta0(q0, q1) - 1.0), 1.0])
+
+    def d2(q0, q1):
+        return np.array([delta0(q0, q1) - 1.0, 0.0])
+
+    L = DiscreteLagrangian(b, value, d1, d2)
+    q0 = b.point(np.zeros(0), np.eye(3))
+    q1 = b.point(np.zeros(0), [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SolverDivergedError, match="singular Newton system"):
+        del_step(L, q0, q1)
+
+
 def test_del_step_reports_divergence(monkeypatch):
     monkeypatch.setattr(mechanical, "NEWTON_MAX_ITER", 1)
     L = so3_coupled()
     b = L.bundle
     q0 = b.point([0.0, 0.0], np.eye(3))
     q1 = b.point([0.6, -0.4], lg.exp(SO3, [0.9, 0.7, -0.8]))
-    with pytest.raises(SolverDivergedError):
+    with pytest.raises(SolverDivergedError, match="stalled at residual .* after 1 iterations"):
         del_step(L, q0, q1)
 
 
@@ -219,8 +311,49 @@ def test_mechanical_connection_reports_a_stall(monkeypatch):
     b = L.bundle
     p = PairElement(b.point([0.0, 0.0], np.eye(3)),
                     b.point([0.6, -0.4], lg.exp(SO3, [0.9, 0.7, -0.8])))
-    with pytest.raises(SolverDivergedError, match="stalled"):
+    with pytest.raises(SolverDivergedError, match="stalled at residual .* after 1 iterations"):
         mechanical_connection(L, p)
+
+
+# -- points outside the Lagrangian's bundle -------------------------------------------
+
+
+def _refuse(*args):
+    raise AssertionError("the Lagrangian was evaluated before the point check")
+
+
+# A Lagrangian on so3_coupled's bundle that fails on any evaluation, so a
+# refusal shows the check ran before any solve.
+REFUSING = DiscreteLagrangian(Bundle(SO3, 2), _refuse, _refuse, _refuse, _refuse)
+CALLS = {
+    "del_step": lambda L, q0, q1: del_step(L, q0, q1),
+    "del_trajectory": lambda L, q0, q1: del_trajectory(L, q0, q1, 3),
+    "discrete_momentum": lambda L, q0, q1: discrete_momentum(L, PairElement(q0, q1)),
+    "fiber_derivative": lambda L, q0, q1: fiber_derivative(L, PairElement(q0, q1)),
+    "mechanical_connection": lambda L, q0, q1: mechanical_connection(L, PairElement(q0, q1)),
+}
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_points_of_another_group_are_refused(call):
+    good = REFUSING.bundle.point([0.1, -0.2], np.eye(3))
+    for group in (SE3, translation_group(3)):
+        bad = Bundle(group, 2).point([0.1, -0.2], lg.identity(group))
+        for q0, q1 in ((good, bad), (bad, good)):
+            with pytest.raises(GroupMismatchError,
+                               match=f"point group {group.name} != Lagrangian group SO3"):
+                CALLS[call](REFUSING, q0, q1)
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_points_of_another_shape_dimension_are_refused(call):
+    good = REFUSING.bundle.point([0.1, -0.2], np.eye(3))
+    for n in (3, 0):
+        bad = Bundle(SO3, n).point(np.full(n, 0.1), np.eye(3))
+        for q0, q1 in ((good, bad), (bad, good)):
+            with pytest.raises(ShapeMismatchError,
+                               match=f"shape dimensions differ: Lagrangian 2, point {n}"):
+                CALLS[call](REFUSING, q0, q1)
 
 
 # -- mechanical connections ----------------------------------------------------------
@@ -235,44 +368,35 @@ def test_mechanical_connection_abelian_difference():
     assert abs(w.matrix[0, 1] - 0.6) < 1e-12
 
 
-def test_mechanical_connection_pure_group_word():
-    L = so3_pure()
-    b = L.bundle
-    rng = np.random.default_rng(75)
-    for _ in range(10):
-        g0 = lg.random_element(SO3, rng)
-        g1 = lg.random_element(SO3, rng)
-        p = PairElement(b.point(np.zeros(0), g0), b.point(np.zeros(0), g1))
-        w = mechanical_connection(L, p)
-        assert np.max(np.abs(w.matrix - g1.matrix @ g0.matrix.T)) < 1e-13
+@MECHANICS
+@given(pairs(so3_pure().bundle, 0.0, 1.5))
+def test_mechanical_connection_pure_group_word(p):
+    w = mechanical_connection(so3_pure(), p)
+    assert np.max(np.abs(w.matrix - p.second.fiber.matrix @ p.first.fiber.matrix.T)) < 1e-13
 
 
-def test_mechanical_connection_coupled_closed_form():
+@MECHANICS
+@given(pairs(so3_coupled().bundle, 0.4, 0.4))
+def test_mechanical_connection_coupled_closed_form(p):
     # Zero momentum solves in closed form; the value is g1 exp(C(x0) dx) g0^-1.
-    L = so3_coupled()
-    b = L.bundle
-    rng = np.random.default_rng(76)
-    for _ in range(10):
-        p = sample_pair(L, rng, scale=0.2)
-        w = mechanical_connection(L, p)
-        dx = p.second.shape.coords - p.first.shape.coords
-        a = lg.exp(SO3, coupling_so3(p.first.shape.coords) @ dx)
-        want = lg.compose(p.second.fiber, lg.compose(a, lg.inverse(p.first.fiber)))
-        assert np.max(np.abs(w.matrix - want.matrix)) < 1e-10
+    w = mechanical_connection(so3_coupled(), p)
+    dx = p.second.shape.coords - p.first.shape.coords
+    a = lg.exp(SO3, coupling_so3(p.first.shape.coords) @ dx)
+    want = lg.compose(p.second.fiber, lg.compose(a, lg.inverse(p.first.fiber)))
+    assert np.max(np.abs(w.matrix - want.matrix)) < 1e-10
 
 
-def test_horizontal_pairs_carry_zero_momentum():
+@MECHANICS
+@given(data=st.data())
+def test_horizontal_pairs_carry_zero_momentum(data):
     from dconn.connection import horizontal_component
 
     for make in (so3_coupled, se3_coupled):
         L = make()
-        c = mechanical_discrete_connection(L)
-        rng = np.random.default_rng(77)
-        for _ in range(5):
-            p = sample_pair(L, rng, scale=0.15)
-            hor = horizontal_component(c, p)
-            mom = discrete_momentum(L, hor)
-            assert np.max(np.abs(mom.covector)) < 1e-9
+        p = data.draw(short_pairs(L.bundle, fiber=0.3))
+        hor = horizontal_component(mechanical_discrete_connection(L), p)
+        mom = discrete_momentum(L, hor)
+        assert np.max(np.abs(mom.covector)) < 1e-9
 
 
 def test_degenerate_lagrangian_is_detected():
@@ -299,7 +423,9 @@ def test_degenerate_lagrangian_is_detected():
         mechanical_connection(L, p)
 
 
-def test_mechanical_discrete_connection_solves_each_shape_pair_once(monkeypatch):
+@MECHANICS
+@given(g0=elements(SO3), g1=elements(SO3))
+def test_mechanical_discrete_connection_solves_each_shape_pair_once(g0, g1):
     solves = []
 
     def counting(L, p):
@@ -307,14 +433,13 @@ def test_mechanical_discrete_connection_solves_each_shape_pair_once(monkeypatch)
         return mechanical_connection(L, p)
 
     c = mechanical_discrete_connection(so3_coupled())
-    monkeypatch.setattr(mechanical, "mechanical_connection", counting)
-    rng = np.random.default_rng(79)
     x0, x1 = [0.1, -0.2], [0.25, -0.1]
     p = PairElement(c.bundle.point(x0, np.eye(3)), c.bundle.point(x1, np.eye(3)))
-    first, second = eval_form(c, p), eval_form(c, p)
-    moved = PairElement(c.bundle.point(x0, lg.random_element(SO3, rng)),
-                        c.bundle.point(x1, lg.random_element(SO3, rng)))
-    w = eval_form(c, moved)
+    moved = PairElement(c.bundle.point(x0, g0), c.bundle.point(x1, g1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanical, "mechanical_connection", counting)
+        first, second = eval_form(c, p), eval_form(c, p)
+        w = eval_form(c, moved)
     assert len(solves) == 1
     assert np.array_equal(first.matrix, second.matrix)
     # The one solved local representation serves every pair over (x0, x1).
@@ -322,15 +447,10 @@ def test_mechanical_discrete_connection_solves_each_shape_pair_once(monkeypatch)
     assert np.array_equal(w.matrix, want.matrix)
 
 
-def test_mechanical_discrete_connection_matches_pointwise_solve():
+@MECHANICS
+@given(short_pairs(so3_coupled().bundle, fiber=0.0))
+def test_mechanical_discrete_connection_matches_pointwise_solve(p):
     L = so3_coupled()
-    c = mechanical_discrete_connection(L)
-    rng = np.random.default_rng(78)
-    for _ in range(5):
-        x0 = ShapePoint(0.2 * rng.standard_normal(2))
-        x1 = ShapePoint(x0.coords + 0.2 * rng.standard_normal(2))
-        e = lg.identity(SO3)
-        via_rep = c.local_rep(x0, x1)
-        via_solve = mechanical_connection(
-            L, PairElement(BundlePoint(x0, e), BundlePoint(x1, e)))
-        assert np.max(np.abs(via_rep - via_solve.matrix)) < 1e-12
+    via_rep = mechanical_discrete_connection(L).local_rep(p.first.shape, p.second.shape)
+    via_solve = mechanical_connection(L, p)
+    assert np.max(np.abs(via_rep - via_solve.matrix)) < 1e-12
