@@ -83,8 +83,18 @@ def _check_distance(d: float) -> None:
         )
 
 
+def _check_shapes(c: DiscreteConnection, *xs: ShapePoint) -> None:
+    """Raise ShapeMismatchError unless every x has the connection's shape dimension."""
+    for x in xs:
+        if x.coords.size != c.bundle.shape_dim:
+            raise ShapeMismatchError(f"shape dimensions differ: connection "
+                                     f"{c.bundle.shape_dim}, point {x.coords.size}")
+
+
 def _checked_rep(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
-    """A(x0, x1), once (x0, x1) is known to lie within VALIDITY_RADIUS."""
+    """A(x0, x1), once x0 and x1 are known to be points of c's shape space
+    within VALIDITY_RADIUS of each other."""
+    _check_shapes(c, x0, x1)
     _check_distance(chart_distance(x0, x1))
     return c.local_rep(x0, x1)
 
@@ -102,7 +112,8 @@ def form_matrix(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint, g1: np.nd
                 g0inv: np.ndarray) -> np.ndarray:
     """The form g1 A(x0, x1) g0^-1 on bare matrices of the connection's group.
 
-    Raises OutOfDomainError when (x0, x1) lies outside VALIDITY_RADIUS.
+    Raises ShapeMismatchError when x0 or x1 has another shape dimension than
+    the connection, OutOfDomainError when (x0, x1) lies outside VALIDITY_RADIUS.
     """
     return _form_product(g1, _checked_rep(c, x0, x1), g0inv)
 
@@ -138,6 +149,7 @@ def horizontal_lift(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint,
 
     In the trivialization the lift is (q, (x1, g0 A(x0, x1)^-1)).
     """
+    _check_shapes(c, q.shape, x0)
     if chart_distance(project(q), x0) > BASE_TOL:
         raise BasepointMismatchError("lift base point q does not sit over x0")
     group = c.bundle.group

@@ -83,7 +83,8 @@ def chart_pair_log(p: PairElement) -> np.ndarray:
 class ContinuousConnection:
     """The principal connection with local form Ad_g(eta + a(x) xdot).
 
-    ``coefficient(x)`` returns the (algebra dim x shape dim) matrix a(x).
+    ``coefficient`` maps shape points (..., shape_dim) to their matrices a(x),
+    (..., group.dim, shape_dim), each row bit for bit as if it came alone.
     Verticality and equivariance hold for any smooth coefficient field.
     """
 
@@ -94,8 +95,19 @@ class ContinuousConnection:
         """The one-form on the tangent v = (xdot, eta) at q = (x, g)."""
         v = _tangents(q, v, 1, self)
         s = q.shape.coords.size
-        a = np.asarray(self.coefficient(q.shape.coords), dtype=float)
-        return lg.adjoint(q.fiber, v[s:] + a @ v[:s])
+        return lg.adjoint(q.fiber, v[s:] + _coefficients(self, q.shape.coords) @ v[:s])
+
+
+def _coefficients(a: ContinuousConnection, x: np.ndarray) -> np.ndarray:
+    """a's field on the point or stack x as a C-contiguous float array (np.matmul rounds a
+    non-contiguous one differently); ShapeMismatchError on a shape other than
+    x.shape[:-1] + (group.dim, shape_dim), as a point-wise field gives on a stack."""
+    out = np.ascontiguousarray(a.coefficient(x), dtype=float)
+    want = x.shape[:-1] + (a.bundle.group.dim, a.bundle.shape_dim)
+    if out.shape != want:
+        raise ShapeMismatchError(f"coefficient field on points of shape {x.shape} returned "
+                                 f"shape {out.shape}, not {want}")
+    return out
 
 
 def _validate_h_list(h_list: Sequence[float]) -> list[float]:
@@ -150,23 +162,17 @@ def _local_rep(a: ContinuousConnection, kernel: Callable[[np.ndarray], np.ndarra
     ``exp_matrix`` or ``cayley_matrix``, and ``kernels`` its batched twin.
 
     The stacked rep takes x0 and an (n, shape_dim) array of endpoints and
-    returns the n matrices as one read-only stack: a(x0) is evaluated once
-    (a(x1) once per row at the far end) and the batched kernel runs once.
-    Both reps take their steps from ``steps``, where each row's
-    a(x)(x1 - x0) is its own matrix-vector product, so a stacked row equals
-    the per-pair rep bit for bit.  The per-pair rep keeps the scalar
-    kernel, which costs a fraction of a one-row batched call.
+    returns the n matrices as one read-only stack, from one coefficient call
+    (at x0, or on all the endpoints at the far end) and one batched kernel call.
+    Both reps take their steps from ``steps``, where each row's a(x)(x1 - x0)
+    is its own matrix-vector product, so a stacked row equals the per-pair
+    rep bit for bit.  The per-pair rep keeps the scalar kernel, which costs
+    a fraction of a one-row batched call.
     """
 
     def steps(x0: ShapePoint, x1s: np.ndarray) -> np.ndarray:
-        dx = x1s - x0.coords
-        if at_far_end:
-            # The reshape keeps an empty stack of coefficients three-dimensional.
-            coefficient = np.array([a.coefficient(x) for x in x1s], dtype=float).reshape(
-                len(x1s), a.bundle.group.dim, x0.coords.size)
-        else:
-            coefficient = np.asarray(a.coefficient(x0.coords), dtype=float)
-        return np.matmul(coefficient, dx[:, :, None])[:, :, 0]
+        coefficient = _coefficients(a, x1s if at_far_end else x0.coords)
+        return np.matmul(coefficient, (x1s - x0.coords)[:, :, None])[:, :, 0]
 
     def rep(x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
         return _frozen(kernel(steps(x0, x1.coords[None])[0]))

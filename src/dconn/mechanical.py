@@ -41,11 +41,13 @@ NEWTON_MAX_ITER = 50
 RCOND_FLOOR = 1.0e-10
 
 
-def _chart_derivative(f: Callable[[BundlePoint], np.ndarray], q: BundlePoint) -> np.ndarray:
-    """The derivatives of f along the chart curves t -> shift(q, t e_i), i on the last axis."""
+def _chart_derivative(f: Callable[[BundlePoint], np.ndarray], q: BundlePoint,
+                      first: int = 0) -> np.ndarray:
+    """The derivatives of f along the chart curves t -> shift(q, t e_i), i >= first
+    on the last axis."""
     dim = q.shape.coords.size + q.fiber.group.dim
     return np.stack([derivative_at_zero(lambda t, e=e: f(shift(q, t * e)))
-                     for e in np.eye(dim)], axis=-1)
+                     for e in np.eye(dim)[first:]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,9 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement
 
     Solves J(x0, g0, x1, g) = 0 for g near g0 by Newton iteration on the
     fiber of (x1, g) (chart moves with a zero shape part) and returns
-    g1 g^-1, within NEWTON_TOL and NEWTON_MAX_ITER as in del_step.  Raises
+    g1 g^-1, within NEWTON_TOL and NEWTON_MAX_ITER as in del_step.  Only
+    the fiber block of d12 enters; without an analytic d12 only that block
+    is differentiated, along the fiber directions.  Raises
     NonDegenerateError when the momentum Jacobian in g is singular beyond
     RCOND_FLOOR conditioning.
     """
@@ -209,8 +213,14 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement
     def momentum(q: BundlePoint) -> np.ndarray:
         return -(ad_inv_t @ L.d1_eval(p.first, q)[d:])
 
+    def fiber_jacobian(q: BundlePoint) -> np.ndarray:
+        if L.d12 is not None:
+            return L.d12_eval(p.first, q)[d:, d:]
+        # The fallback's fiber block alone: the stencil is elementwise, so its bits are the same.
+        return _chart_derivative(lambda r: L.d1_eval(p.first, r)[d:], q, d)
+
     def step(q: BundlePoint, res: np.ndarray) -> np.ndarray:
-        jac = -(ad_inv_t @ L.d12_eval(p.first, q)[d:, d:])
+        jac = -(ad_inv_t @ fiber_jacobian(q))
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= RCOND_FLOOR * sv[0] or sv[0] == 0.0:
             raise NonDegenerateError(

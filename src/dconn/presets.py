@@ -2,9 +2,9 @@
 
 The continuous fixtures are genuine mechanical connections: each is the
 shape form Ad_g(eta + a(x) xdot) of a kinetic metric whose locked inertia
-is the identity and whose coupling block is a(x).  The Lagrangian
-fixtures carry analytic slot derivatives so Newton residuals can reach
-1e-12.
+is the identity and whose coupling block is a(x), a numpy expression over
+a stack of shape points.  The Lagrangian fixtures carry analytic slot
+derivatives so Newton residuals can reach 1e-12.
 
 Apart from the closed-form ``free_particle``, the Lagrangian fixtures are
 one coupled form, built by ``_coupled``:
@@ -80,34 +80,25 @@ def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
 # -- continuous mechanical fixtures -----------------------------------------
 
 
-def _so3_shape_coefficient(x: np.ndarray) -> np.ndarray:
-    s, t = x.tolist()
-    return 0.3 * np.array(
-        [
-            [math.sin(s), math.cos(t)],
-            [math.cos(s), math.sin(t)],
-            [math.sin(s + t), math.cos(s - t)],
-        ]
-    )
+# The field's entries, row by row, in the table of sin and cos of s, t, s + t and s - t:
+# [[sin s, cos t], [cos s, sin t], [sin(s + t), cos(s - t)], [cos(s + t), sin(s - t)],
+#  [sin(s - t), cos(s + t)], [cos s, sin(s + t)]].
+_SE3_ENTRIES = np.array([0, 5, 4, 1, 2, 7, 6, 3, 3, 6, 4, 2])
 
 
 def _se3_shape_coefficient(x: np.ndarray) -> np.ndarray:
-    s, t = x.tolist()
-    return 0.3 * np.array(
-        [
-            [math.sin(s), math.cos(t)],
-            [math.cos(s), math.sin(t)],
-            [math.sin(s + t), math.cos(s - t)],
-            [math.cos(s + t), math.sin(s - t)],
-            [math.sin(s - t), math.cos(s + t)],
-            [math.cos(s), math.sin(s + t)],
-        ]
-    )
+    s, t = x[..., :1], x[..., 1:]
+    angles = np.concatenate([x, s + t, s - t], axis=-1)
+    table = np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+    return 0.3 * table.take(_SE3_ENTRIES, axis=-1).reshape(x.shape[:-1] + (6, 2))
+
+
+def _so3_shape_coefficient(x: np.ndarray) -> np.ndarray:
+    return _se3_shape_coefficient(x)[..., :3, :]  # the first three rows
 
 
 def _abelian_shape_coefficient(x: np.ndarray) -> np.ndarray:
-    (s,) = x.tolist()
-    return np.array([[0.4 * math.cos(s)]])
+    return 0.4 * np.cos(x)[..., None]
 
 
 def so3_mechanical() -> ContinuousConnection:

@@ -76,7 +76,8 @@ def _point(draw, b):
 def _coefficient_form(b):
     """A continuous connection on b whose coefficient field a(x) varies with both coordinates."""
     k = np.arange(2 * b.group.dim, dtype=float).reshape(b.group.dim, 2)
-    return ContinuousConnection(b, lambda x: 0.2 * np.cos(k + x[0]) + 0.1 * x[1])
+    return ContinuousConnection(b, lambda x: 0.2 * np.cos(k + x[..., :1, None])
+                                + 0.1 * x[..., 1:, None])
 
 
 @st.composite
@@ -289,6 +290,72 @@ def test_local_reps_are_the_one_form_on_the_shape_step(fixture):
             v = np.concatenate([x1.coords - x0.coords, np.zeros(b.group.dim)])
             assert np.array_equal(c.local_rep(x0, x1),
                                   to_group(b.group, a.one_form(base, v)).matrix)
+
+
+# -- coefficient fields on stacks ---------------------------------------------------
+
+
+CONTINUOUS_BUILDS = pytest.mark.parametrize(
+    "build", [exponentiated_connection, cayley_connection, endpoint_connection],
+    ids=["exponentiated", "cayley", "forward_difference"])
+
+
+@pytest.mark.parametrize("fixture", sorted(CONTINUOUS_FIXTURES))
+@TANGENT
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_preset_fields_on_a_stack_are_their_values_row_by_row(fixture, seed, n):
+    # Bit for bit, the empty stack included: coefficient(xs)[i] is coefficient(xs[i]),
+    # and a stack of any leading shape is the flat stack reshaped.
+    a = CONTINUOUS_FIXTURES[fixture]()
+    s, d = a.bundle.shape_dim, a.bundle.group.dim
+    xs = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, s))
+    stacked = a.coefficient(xs)
+    assert stacked.shape == (n, d, s)
+    for x, row in zip(xs, stacked):
+        assert a.coefficient(x).tobytes() == row.tobytes()
+    if n % 2 == 0:
+        square = a.coefficient(xs.reshape(2, n // 2, s))
+        assert square.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("fixture", sorted(CONTINUOUS_FIXTURES))
+@CONTINUOUS_BUILDS
+def test_a_field_returning_a_non_contiguous_stack_gives_the_contiguous_reps(fixture, build):
+    # The same values as every other column of a wider array: np.matmul on such
+    # a view can round differently, so the reps take the field's result as one
+    # C-contiguous stack.
+    a = CONTINUOUS_FIXTURES[fixture]()
+
+    def strided(x):
+        return np.repeat(a.coefficient(x), 2, axis=-1)[..., ::2]
+
+    assert not strided(np.zeros((4, a.bundle.shape_dim))).flags.c_contiguous
+    rng = np.random.default_rng(63)
+    x0 = ShapePoint(0.2 * rng.standard_normal(a.bundle.shape_dim))
+    x1s = x0.coords + 0.2 * rng.standard_normal((224, a.bundle.shape_dim))
+    plain, viewed = build(a), build(dataclasses.replace(a, coefficient=strided))
+    assert viewed.local_reps(x0, x1s).tobytes() == plain.local_reps(x0, x1s).tobytes()
+    for x in x1s[:8]:
+        assert viewed.local_rep(x0, ShapePoint(x)).tobytes() == \
+            plain.local_rep(x0, ShapePoint(x)).tobytes()
+
+
+def test_a_point_wise_field_is_refused_on_the_forward_difference_paths():
+    # On a stack of endpoints, k + x[0] broadcasts to one (3, 2) matrix instead
+    # of one per endpoint; the per-pair rep hands the field a stack of one.
+    k = np.arange(6.0).reshape(3, 2)
+    c = endpoint_connection(ContinuousConnection(Bundle(SO3, 2), lambda x: 0.1 * (k + x[0])))
+    x0 = ShapePoint([0.1, -0.2])
+    x1s = x0.coords + np.array([[0.05, 0.0], [0.0, 0.05]])
+    with pytest.raises(ShapeMismatchError, match=r"points of shape \(1, 2\) returned shape "
+                                                 r"\(3, 2\), not \(1, 3, 2\)"):
+        c.local_rep(x0, ShapePoint(x1s[0]))
+    with pytest.raises(ShapeMismatchError, match=r"returned shape \(3, 2\), not \(2, 3, 2\)"):
+        c.local_reps(x0, x1s)
+    q = Bundle(SO3, 2).point(x0.coords, np.eye(3))
+    with pytest.raises(ShapeMismatchError):
+        estimate_order(c, exponentiated_connection(so3_mechanical()), q,
+                       unit_directions(c.bundle, 4), [1e-1, 1e-2])
 
 
 def test_cayley_discretization_identity_and_group_membership():
@@ -536,11 +603,6 @@ def test_failing_sweeps_raise_what_the_per_sample_loop_raises():
                     "SolverDivergedError:candidate"}
 
 
-CONTINUOUS_BUILDS = pytest.mark.parametrize(
-    "build", [exponentiated_connection, cayley_connection, endpoint_connection],
-    ids=["exponentiated", "cayley", "forward_difference"])
-
-
 @pytest.mark.parametrize("fixture", ["so3_mechanical", "se3_mechanical", "abelian"])
 @CONTINUOUS_BUILDS
 def test_continuous_sweeps_take_one_stacked_call_per_connection(fixture, build):
@@ -588,16 +650,17 @@ def test_continuous_sweep_leaving_the_domain_raises_the_per_sample_error(fixture
 def _trap_field(x0, cut_at, fail_at):
     """An SO(3) coefficient field over the plane for the far-end scheme: zero
     up to chart distance cut_at from x0, a step to a rotation within 1e-7 of
-    pi beyond it, and a Newton failure beyond fail_at."""
+    pi beyond it, and a Newton failure beyond fail_at, at the stack's first
+    point that far out."""
 
     def coefficient(x):
         dx = x - x0
-        d = _norm(dx)
-        if d > fail_at:
-            raise SolverDivergedError(f"coefficient stalled at distance {d:.6f}")
-        if d <= cut_at:
-            return np.zeros((3, 2))
-        return np.outer([0.0, 0.0, math.pi - 1e-7], dx) / (dx @ dx)
+        d2 = np.sum(dx * dx, axis=-1)[..., None, None]
+        d = np.sqrt(d2)
+        if np.any(d > fail_at):
+            raise SolverDivergedError(f"coefficient stalled at distance {d[d > fail_at][0]:.6f}")
+        turn = np.array([[0.0], [0.0], [math.pi - 1e-7]]) * dx[..., None, :]
+        return np.divide(turn, d2, out=np.zeros_like(turn), where=d > cut_at)
 
     return ContinuousConnection(Bundle(SO3, 2), coefficient)
 
@@ -607,8 +670,8 @@ def test_failing_stacked_reps_raise_what_the_per_sample_loop_raises():
     # locus in an earlier sample still wins over a later coefficient failure.
     q = Bundle(SO3, 2).point([0.1, -0.15], lg.exp(SO3, [0.2, -0.1, 0.3]).matrix)
     dirs = unit_directions(Bundle(SO3, 2), count=8)
-    exact = exponentiated_connection(ContinuousConnection(Bundle(SO3, 2),
-                                                          lambda x: np.zeros((3, 2))))
+    exact = exponentiated_connection(ContinuousConnection(
+        Bundle(SO3, 2), lambda x: np.zeros(x.shape[:-1] + (3, 2))))
     inf = math.inf
     seen = set()
     grid = itertools.product(([0.7, 0.2, 0.05], [0.45, 0.1, 0.03]), (inf, 0.3, 0.02),

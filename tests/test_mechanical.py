@@ -4,6 +4,8 @@ The sampled properties run under hypothesis, derandomized, so every run
 draws the same examples.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,34 @@ def test_value_only_lagrangian_solves_the_mechanical_connection():
     p = default_pair(L.bundle)
     got = mechanical_connection(DiscreteLagrangian(L.bundle, L.value), p)
     assert np.max(np.abs(got.matrix - mechanical_connection(L, p).matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("slots", ["value", "value and d1"])
+def test_mechanical_connection_differentiates_only_the_fiber_block(monkeypatch, slots):
+    # Without d12 only the fiber block of d1_eval is differentiated, along the
+    # fiber directions: 8 dim instead of 8 (shape_dim + dim) d1_eval calls per
+    # Jacobian.  The solve keeps the bits of the square chart-curve Jacobian.
+    L = so3_coupled()
+    d, dim = L.bundle.shape_dim, L.bundle.group.dim
+    p = default_pair(L.bundle)
+    lean = DiscreteLagrangian(L.bundle, L.value, *([L.d1] if slots != "value" else []))
+    square = dataclasses.replace(lean, d12=lambda q0, q1: mechanical._chart_derivative(
+        lambda q: lean.d1_eval(q0, q), q1))
+    calls = []
+    d1_eval = DiscreteLagrangian.d1_eval
+    monkeypatch.setattr(DiscreteLagrangian, "d1_eval",
+                        lambda self, q0, q1: calls.append(1) or d1_eval(self, q0, q1))
+    counts, got = {}, {}
+    for name, lagrangian in (("lean", lean), ("square", square)):
+        calls.clear()
+        got[name] = mechanical_connection(lagrangian, p).matrix.tobytes()
+        counts[name] = len(calls)
+    assert got["lean"] == got["square"]
+    # One residual and one Jacobian per Newton step, and the converged residual.
+    steps = (counts["square"] - 1) // (1 + 8 * (d + dim))
+    assert steps >= 1
+    assert counts["square"] == 1 + steps * (1 + 8 * (d + dim))
+    assert counts["lean"] == 1 + steps * (1 + 8 * dim)
 
 
 def test_singular_newton_system_is_a_divergence():

@@ -23,10 +23,13 @@ from dconn.connection import (
     canonical_chain,
     decompose_chain,
     decompose_quotient,
+    eval_form,
+    form_matrix,
+    horizontal_lift,
     quotient_pair,
     trivial_connection,
 )
-from dconn.errors import CutLocusError
+from dconn.errors import CutLocusError, ShapeMismatchError
 from dconn.levi_civita import (
     MetricComplex,
     angle_defect,
@@ -378,6 +381,27 @@ def test_local_reps_are_read_only_matrices_of_the_bundle_group(family, group, se
         b.group.check_matrix(a)
     for x in (x0, x1):
         assert np.array_equal(c.local_rep(x, x), b.group.identity_matrix())
+
+
+@pytest.mark.parametrize("family, group", CLI_FAMILIES)
+def test_forms_and_lifts_refuse_points_of_another_shape_dimension(family, group):
+    # A point with one coordinate too many is refused before any local
+    # representation sees it, the lift's base point included.
+    c = resolve_connection(family, group)
+    b = c.bundle
+    s = b.shape_dim
+    e = lg.identity(b.group)
+    good, wide = ShapePoint(np.full(s, 0.1)), ShapePoint(np.full(s + 1, 0.1))
+    message = f"shape dimensions differ: connection {s}, point {s + 1}"
+    for x0, x1 in ((wide, good), (good, wide), (wide, wide)):
+        with pytest.raises(ShapeMismatchError, match=message):
+            eval_form(c, PairElement(BundlePoint(x0, e), BundlePoint(x1, e)))
+        with pytest.raises(ShapeMismatchError, match=message):
+            form_matrix(c, x0, x1, e.matrix, e.matrix)
+        with pytest.raises(ShapeMismatchError, match=message):
+            horizontal_lift(c, x0, x1, BundlePoint(x0, e))
+    with pytest.raises(ShapeMismatchError, match=message):
+        horizontal_lift(c, good, good, BundlePoint(wide, e))
 
 
 @pytest.mark.parametrize("family", [f"{kind}:{f}"
