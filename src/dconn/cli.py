@@ -131,6 +131,8 @@ def _parse_point(conn: DiscreteConnection, data, name: str) -> BundlePoint:
     data = _object(data, name)
     try:
         coords = _numbers(data.get("shape"), f"{name}.shape")
+        if not np.isfinite(coords).all():
+            raise ValueError("shape coordinates are not finite")
         fiber = _numbers(data.get("fiber"), f"{name}.fiber")
         conn.bundle.group.check_matrix(fiber)
     except (TypeError, ValueError) as exc:

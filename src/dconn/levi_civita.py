@@ -3,7 +3,7 @@
 A MetricComplex is an oriented triangle complex where every triangle
 carries a constant positive-definite metric, given in the triangle's own
 affine chart (basis v1-v0, v2-v0).  Metrics may come from per-triangle
-Gram matrices, from per-edge lengths, or from an embedding.
+Gram matrices, from [a, b, length] edge-length rows, or from an embedding.
 
 Geometry tables.  Building a complex validates its metrics and tabulates
 them once: ``lengths[t, k]`` (local edge k -> k+1) and
@@ -63,10 +63,6 @@ CONSISTENCY_TOL = 1.0e-10
 SLIVER_SIN2 = 1.0e-12
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def _triangle_array(triangles, vertex_count: int) -> np.ndarray:
     tris = np.asarray(triangles, dtype=int)
     if tris.ndim != 2 or tris.shape[1] != 3:
@@ -93,25 +89,53 @@ class MetricComplex:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_edge_lengths(cls, vertex_count: int, triangles, lengths: dict) -> "MetricComplex":
-        """Build from {(i, j): length} with i < j (abstract complex)."""
-        tris = _triangle_array(triangles, vertex_count)
-        try:
-            gathered = [
-                (lengths[_edge_key(a, b)], lengths[_edge_key(a, c)], lengths[_edge_key(b, c)])
-                for a, b, c in tris.tolist()
-            ]
-        except KeyError as exc:
-            raise MeshFormatError(f"missing edge length for {exc}") from exc
-        # float_power squares with libm pow, as ``**`` on a Python float does.
-        s01, s02, s12 = np.float_power(np.array(gathered, dtype=float).reshape(-1, 3).T, 2)
+    def from_edge_lengths(cls, vertex_count: int, triangles, edge_lengths) -> "MetricComplex":
+        """Build from (E, 3) rows [a, b, length] (abstract complex): ends are vertex
+        indices, lengths positive and finite with a finite square, and each
+        triangle edge is listed, in either orientation, repeating only with its length."""
+        n = int(vertex_count)
+        tris = _triangle_array(triangles, n)
+        rows = np.asarray(edge_lengths, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise MeshFormatError("edge lengths must be an (E, 3) array of [a, b, length] rows")
+        ends, lengths = rows[:, :2], rows[:, 2]
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            squares = np.float_power(lengths, 2)  # libm pow, as ``**`` on a Python float
+        is_index = (ends >= 0) & (ends < n) & (ends == np.floor(ends))
+        stray = ~(is_index[:, 0] & is_index[:, 1])
+        bad = np.flatnonzero(stray | ~((lengths > 0) & np.isfinite(squares)))
+        if bad.size:
+            a, b, length = np.asarray(edge_lengths[bad[0]], dtype=object).tolist()  # as given
+            if stray[bad[0]]:
+                raise MeshFormatError(f"edge ({a}, {b}) ends must be vertex indices below {n}")
+            what = "has no finite square" if 0 < length < math.inf else "is not positive and finite"
+            raise MeshFormatError(f"edge ({int(a)}, {int(b)}) length {length!r} {what}")
+        # Edge keys lo * n + hi, as in _build_adjacency; a stable sort puts repeats side by side.
+        keys = np.sort(ends.astype(np.int64), axis=1) @ [n, 1]
+        order = np.argsort(keys, kind="stable")
+        keys, listed = keys[order], lengths[order]
+        clash = np.flatnonzero((keys[1:] == keys[:-1]) & (listed[1:] != listed[:-1]))
+        if clash.size:
+            j = clash[0]
+            raise MeshFormatError(f"edge {divmod(int(keys[j]), n)} is listed with lengths "
+                                  f"{listed[j]} and {listed[j + 1]}")
+        # Each triangle's edges (0, 1), (0, 2) and (1, 2), found past a sentinel end key.
+        wanted = np.sort(tris[:, [[0, 1], [0, 2], [1, 2]]], axis=2) @ [n, 1]
+        at = np.searchsorted(keys, wanted)
+        missing = wanted[np.append(keys, n * n)[at] != wanted]
+        if missing.size:
+            raise MeshFormatError(f"missing edge length for {divmod(int(missing[0]), n)}")
+        s01, s02, s12 = squares[order[at]].T
         g01 = 0.5 * (s01 + s02 - s12)
-        return cls(vertex_count, tris, np.array([[s01, g01], [g01, s02]]).transpose(2, 0, 1))
+        return cls(n, tris, np.array([[s01, g01], [g01, s02]]).transpose(2, 0, 1))
 
     @classmethod
     def from_embedding(cls, vertices, triangles) -> "MetricComplex":
         """Build from vertex coordinates (2D or 3D); metrics are the pulled-back Grams."""
         verts = np.asarray(vertices, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(verts).all(axis=-1))
+        if bad.size:
+            raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
         tris = _triangle_array(triangles, len(verts))
         e = verts[tris[:, 1:]] - verts[tris[:, :1]]  # rows v1 - v0 and v2 - v0
         return cls(len(verts), tris, e @ e.transpose(0, 2, 1), embedding=verts)
@@ -121,6 +145,9 @@ class MetricComplex:
     def _tabulate_metrics(self) -> None:
         """Validate the metrics and fill the geometry tables."""
         g = self.chart_metrics
+        bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
+        if bad.size:
+            raise MeshFormatError(f"metric of triangle {bad[0]} is not finite")
         g00, g01, g10, g11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
         dets = np.linalg.det(g)
         # d^T g d for the chart vectors d of local edges 0->1, 1->2 and 2->0.
@@ -317,7 +344,7 @@ def _rotation(theta: float) -> GroupElement:
 
 def _interior_edge(K: MetricComplex, face: tuple[int, int]) -> int:
     """Edge id of an interior edge, looked up in the sorted edge table."""
-    a, b = _edge_key(*face)
+    a, b = sorted(face)
     lo, hi = np.searchsorted(K.edges[:, 0], [a, a + 1])
     e = int(lo + np.searchsorted(K.edges[lo:hi, 1], b))
     if e == hi or K.edges[e, 1] != b:

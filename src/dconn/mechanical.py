@@ -115,6 +115,16 @@ def _newton(q: BundlePoint, residual: Callable[[BundlePoint], np.ndarray],
     )
 
 
+def _d1_fiber(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+    """The fiber block of D1 L(q0, q1); without an analytic d1, ``value`` is
+    differentiated along the fiber directions only (the stencil is elementwise,
+    so the bits are those of d1_eval's block)."""
+    d = L.bundle.shape_dim
+    if L.d1 is not None:
+        return L.d1_eval(q0, q1)[d:]
+    return _chart_derivative(lambda q: L.value(q, q1), q0, d)
+
+
 @dataclass(frozen=True, eq=False)
 class MomentumValue:
     """A momentum covector in the dual algebra basis."""
@@ -134,9 +144,8 @@ def discrete_momentum(L: DiscreteLagrangian, p: PairElement) -> MomentumValue:
     """
     _check_points(L, p.first, p.second)
     group = L.bundle.group
-    d1_fiber = L.d1_eval(p.first, p.second)[L.bundle.shape_dim:]
     ad_inv = group.adjoint_matrix(group.inverse_matrix(p.first.fiber.matrix))
-    return MomentumValue(group, -(ad_inv.T @ d1_fiber))
+    return MomentumValue(group, -(ad_inv.T @ _d1_fiber(L, p.first, p.second)))
 
 
 def fiber_derivative(L: DiscreteLagrangian, p: PairElement) -> tuple[BundlePoint, np.ndarray]:
@@ -199,8 +208,8 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement
     Solves J(x0, g0, x1, g) = 0 for g near g0 by Newton iteration on the
     fiber of (x1, g) (chart moves with a zero shape part) and returns
     g1 g^-1, within NEWTON_TOL and NEWTON_MAX_ITER as in del_step.  Only
-    the fiber block of d12 enters; without an analytic d12 only that block
-    is differentiated, along the fiber directions.  Raises
+    the fiber blocks of d1 and d12 enter; a block without an analytic slot
+    derivative is differentiated along the fiber directions only.  Raises
     NonDegenerateError when the momentum Jacobian in g is singular beyond
     RCOND_FLOOR conditioning.
     """
@@ -211,13 +220,13 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement
     ad_inv_t = group.adjoint_matrix(group.inverse_matrix(p.first.fiber.matrix)).T
 
     def momentum(q: BundlePoint) -> np.ndarray:
-        return -(ad_inv_t @ L.d1_eval(p.first, q)[d:])
+        return -(ad_inv_t @ _d1_fiber(L, p.first, q))
 
     def fiber_jacobian(q: BundlePoint) -> np.ndarray:
         if L.d12 is not None:
             return L.d12_eval(p.first, q)[d:, d:]
         # The fallback's fiber block alone: the stencil is elementwise, so its bits are the same.
-        return _chart_derivative(lambda r: L.d1_eval(p.first, r)[d:], q, d)
+        return _chart_derivative(lambda r: _d1_fiber(L, p.first, r), q, d)
 
     def step(q: BundlePoint, res: np.ndarray) -> np.ndarray:
         jac = -(ad_inv_t @ fiber_jacobian(q))

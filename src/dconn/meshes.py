@@ -5,12 +5,14 @@ Two interchange formats are supported:
 * OFF triangle meshes (embedded in R^3; metrics pulled back from the
   embedding);
 * a JSON abstract-complex format with keys ``format``, ``vertices``
-  (count), ``triangles`` and ``edge_lengths``; serialization is canonical
-  so a load/save round trip is bit-exact.
+  (count), ``triangles`` and ``edge_lengths``, the [a, b, length] rows that
+  ``MetricComplex.from_edge_lengths`` takes; serialization is canonical so a
+  load/save round trip is bit-exact.
 
 Generators cover the standard test surfaces: subdivided icospheres, flat
 grids, cones of equilateral triangles, flat tori and the regular
-tetrahedron boundary.
+tetrahedron boundary, built by index arithmetic; the abstract ones return
+(vertex count, triangles, edge-length rows), one sorted row per edge, a < b.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundaryHingeError, MeshFormatError
-from .levi_civita import MetricComplex, _edge_key
+from .levi_civita import MetricComplex
 
 JSON_FORMAT_NAME = "dconn-complex"
 # Largest vertex count a dconn-complex may declare (a level-8 icosphere has 655 362).
@@ -70,12 +72,13 @@ def write_off(path, vertices: np.ndarray, triangles: np.ndarray) -> None:
 # -- JSON abstract complexes ----------------------------------------------
 
 
-def complex_to_dict(vertex_count: int, triangles, lengths: dict) -> dict:
+def complex_to_dict(vertex_count: int, triangles, edge_lengths) -> dict:
     return {
         "format": JSON_FORMAT_NAME,
         "vertices": int(vertex_count),
-        "triangles": [[int(i) for i in t] for t in triangles],
-        "edge_lengths": [[a, b, float(l)] for (a, b), l in sorted(lengths.items())],
+        "triangles": np.asarray(triangles, dtype=int).tolist(),
+        "edge_lengths": [[int(a), int(b), l]
+                         for a, b, l in np.asarray(edge_lengths, dtype=float).tolist()],
     }
 
 
@@ -95,42 +98,17 @@ def dict_to_complex(data: dict) -> MetricComplex:
             raise MeshFormatError(f"'vertices' must be at most {MAX_VERTICES}, got {vertex_count}")
         _require_integers((i for t in triangles for i in t), "triangle indices")
         _require_integers((i for a, b, _ in edges for i in (a, b)), "edge_lengths ends")
-        lengths = _edge_length_table(edges)
-        return MetricComplex.from_edge_lengths(
-            vertex_count, np.array(triangles, dtype=int), lengths
-        )
+        row = next((e for e in edges if type(e[2]) not in (int, float)), None)
+        if row is not None:  # float() would read true as 1.0 and "1.5" as 1.5
+            a, b, length = row
+            raise MeshFormatError(f"edge ({a}, {b}) length {length!r} is not a JSON number")
+        return MetricComplex.from_edge_lengths(vertex_count, triangles, edges)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MeshFormatError(f"malformed complex dictionary ({exc})") from exc
 
 
-def _edge_length_table(edges) -> dict:
-    """{edge key: length} from the [a, b, length] rows of ``edge_lengths``.
-
-    Lengths must be positive, finite JSON numbers, checked a column at a
-    time; an edge may repeat, in either orientation, only with its length.
-    """
-    lengths = {_edge_key(a, b): l for a, b, l in edges}
-    repeats = len(lengths) < len(edges)
-    # Without repeats the table holds every row's length, in row order.
-    column = [l for _, _, l in edges] if repeats else list(lengths.values())
-    if not set(map(type, column)) <= {int, float}:
-        a, b, l = next(e for e in edges if type(e[2]) not in (int, float))
-        raise MeshFormatError(f"edge ({a}, {b}) length {l!r} is not a JSON number")
-    values = np.array(column, dtype=float)
-    good = np.isfinite(values) & (values > 0.0)
-    if not good.all():
-        a, b, l = edges[int(np.argmin(good))]
-        raise MeshFormatError(f"edge ({a}, {b}) length {l!r} is not positive and finite")
-    if repeats:
-        for a, b, l in edges:
-            key = _edge_key(a, b)
-            if lengths[key] != l:
-                raise MeshFormatError(f"edge {key} is listed with lengths {l!r} and {lengths[key]!r}")
-    return lengths
-
-
-def write_complex_json(path, vertex_count: int, triangles, lengths: dict) -> None:
-    data = complex_to_dict(vertex_count, triangles, lengths)
+def write_complex_json(path, vertex_count: int, triangles, edge_lengths) -> None:
+    data = complex_to_dict(vertex_count, triangles, edge_lengths)
     Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
@@ -152,13 +130,28 @@ def read_mesh(path) -> MetricComplex:
     raise MeshFormatError(f"{path}: unknown mesh format {suffix!r}")
 
 
-def lengths_from_embedding(vertices: np.ndarray, triangles: np.ndarray) -> dict:
+def _half_edges(faces: np.ndarray) -> np.ndarray:
+    """(3 F, 2) vertex pairs ab, bc, ca of each face, face by face."""
+    return np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Row by row the bits of np.linalg.norm of one vector: matmul takes the same BLAS dot."""
+    return np.sqrt(vectors[:, None, :] @ vectors[:, :, None]).reshape(-1)
+
+
+def _edge_rows(pairs: np.ndarray, lengths) -> np.ndarray:
+    """Sorted [a, b, length] rows, a < b, of the distinct edges among vertex pairs."""
+    base = pairs.max(initial=0) + 1
+    keys, first = np.unique(np.sort(pairs, axis=1) @ [base, 1], return_index=True)
+    return np.column_stack([*np.divmod(keys, base), np.broadcast_to(lengths, len(pairs))[first]])
+
+
+def lengths_from_embedding(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Edge-length rows of an embedded mesh."""
     verts = np.asarray(vertices, dtype=float)
-    lengths = {}
-    for a, b, c in np.asarray(triangles, dtype=int):
-        for i, j in ((a, b), (b, c), (c, a)):
-            lengths[_edge_key(int(i), int(j))] = float(np.linalg.norm(verts[j] - verts[i]))
-    return lengths
+    pairs = _half_edges(np.asarray(triangles, dtype=int))
+    return _edge_rows(pairs, _norms(verts[pairs[:, 1]] - verts[pairs[:, 0]]))
 
 
 # -- generators ------------------------------------------------------------
@@ -166,28 +159,21 @@ def lengths_from_embedding(vertices: np.ndarray, triangles: np.ndarray) -> dict:
 
 def _outward(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orient each face of a closed surface around the origin outward, in place."""
-    for f in faces:
-        a, b, c = verts[f]
-        if np.dot(np.cross(b - a, c - a), a + b + c) < 0.0:
-            f[1], f[2] = f[2], f[1]
+    a, b, c = verts[faces].transpose(1, 0, 2)
+    inward = (np.cross(b - a, c - a) * (a + b + c)).sum(axis=1) < 0.0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
     return verts, faces
 
 
-def _square_cells(n: int, m: int, vid) -> tuple[np.ndarray, dict]:
-    """Triangles (a, b, c) and (a, c, d) of each unit cell of an n x m grid.
-
-    ``vid(i, j)`` numbers the corners; sides have length 1 and the diagonal
-    a -> c has length sqrt(2).
-    """
-    tris, lengths = [], {}
-    for j in range(m):
-        for i in range(n):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            tris += [(a, b, c), (a, c, d)]
-            for e in ((a, b), (b, c), (c, d), (d, a)):
-                lengths[_edge_key(*e)] = 1.0
-            lengths[_edge_key(a, c)] = math.sqrt(2.0)
-    return np.array(tris, dtype=int), lengths
+def _square_cells(n: int, m: int, vid) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles (a, b, c) and (a, c, d) of each unit cell of an n x m grid, row by
+    row, and their edge-length rows.  ``vid(i, j)`` numbers the corners; sides
+    have length 1 and the diagonal a -> c has length sqrt(2)."""
+    j, i = np.divmod(np.arange(n * m), n)
+    a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    pairs = np.stack([a, b, b, c, c, d, d, a, a, c], axis=1).reshape(-1, 2)
+    return tris, _edge_rows(pairs, np.tile([1.0, 1.0, 1.0, 1.0, math.sqrt(2.0)], n * m))
 
 
 def icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -213,57 +199,43 @@ def icosahedron() -> tuple[np.ndarray, np.ndarray]:
 
 
 def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Icosahedron subdivided ``level`` times, projected to the unit sphere."""
+    """Icosahedron subdivided ``level`` times, projected to the unit sphere; each
+    level numbers the edge midpoints in the order the faces' edges ab, bc, ca reach them."""
     verts, faces = icosahedron()
-    verts = [v for v in verts]
-    midpoint: dict[tuple[int, int], int] = {}
-
-    def mid(i: int, j: int) -> int:
-        key = _edge_key(i, j)
-        if key not in midpoint:
-            p = verts[i] + verts[j]
-            p /= np.linalg.norm(p)
-            midpoint[key] = len(verts)
-            verts.append(p)
-        return midpoint[key]
-
     for _ in range(level):
-        midpoint.clear()
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = np.array(new_faces, dtype=int)
-    return np.array(verts), faces
+        pairs = _half_edges(faces)
+        keys = np.sort(pairs, axis=1) @ [len(verts), 1]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        mids = len(verts) + np.argsort(np.argsort(first))[inverse].reshape(-1, 3)
+        p = verts[pairs[np.sort(first)]].sum(axis=1)
+        verts = np.concatenate([verts, p / _norms(p)[:, None]])
+        (a, b, c), (ab, bc, ca) = faces.T, mids.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return verts, faces
 
 
-def flat_grid(nx: int, ny: int) -> tuple[int, np.ndarray, dict]:
+def flat_grid(nx: int, ny: int) -> tuple[int, np.ndarray, np.ndarray]:
     """A unit-square grid split into triangles, as an abstract complex."""
-    tris, lengths = _square_cells(nx, ny, lambda i, j: i + (nx + 1) * j)
-    return (nx + 1) * (ny + 1), tris, lengths
+    return (nx + 1) * (ny + 1), *_square_cells(nx, ny, lambda i, j: i + (nx + 1) * j)
 
 
-def cone(k: int, side: float = 1.0) -> tuple[int, np.ndarray, dict]:
+def cone(k: int, side: float = 1.0) -> tuple[int, np.ndarray, np.ndarray]:
     """k equilateral triangles fanned around an apex (abstract complex).
 
     The apex (vertex 0) is interior with angle defect 2 pi - k pi / 3.
     """
     if k < 3:
         raise ValueError("cone needs at least three triangles")
-    tris = np.array([(0, i, i % k + 1) for i in range(1, k + 1)], dtype=int)
-    lengths = {}
-    for i in range(1, k + 1):
-        lengths[_edge_key(0, i)] = side
-        lengths[_edge_key(i, i % k + 1)] = side
-    return k + 1, tris, lengths
+    ring = np.arange(1, k + 1)
+    tris = np.stack([np.zeros_like(ring), ring, ring % k + 1], axis=1)
+    return k + 1, tris, _edge_rows(np.concatenate([tris[:, :2], tris[:, 1:]]), float(side))
 
 
-def torus_grid(n: int, m: int) -> tuple[int, np.ndarray, dict]:
+def torus_grid(n: int, m: int) -> tuple[int, np.ndarray, np.ndarray]:
     """A flat n x m torus from a unit grid with wraparound (abstract complex)."""
     if n < 3 or m < 3:
         raise ValueError("torus grid needs n, m >= 3")
-    tris, lengths = _square_cells(n, m, lambda i, j: (i % n) + n * (j % m))
-    return n * m, tris, lengths
+    return n * m, *_square_cells(n, m, lambda i, j: (i % n) + n * (j % m))
 
 
 def tetrahedron() -> tuple[np.ndarray, np.ndarray]:

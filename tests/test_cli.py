@@ -267,7 +267,7 @@ def test_holonomy_around_degree_two_vertex(tmp_path, capsys):
     # share two edges, and the loop around vertex 0 crosses both.
     mesh = tmp_path / "pillow.json"
     write_complex_json(mesh, 3, [[0, 1, 2], [0, 2, 1]],
-                       {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+                       [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]])
     cfg = write_config(tmp_path, "h.json", {"mesh": str(mesh), "around_vertex": 0})
     code, report = run(capsys, ["holonomy", "--config", cfg])
     assert code == 0
@@ -569,6 +569,25 @@ def test_complex_with_a_bad_edge_length_is_a_domain_failure(tmp_path, capsys, le
     assert message in _assert_one_line_domain_failure(capsys, "curvature", cfg)
 
 
+def test_cone_too_large_to_square_is_a_domain_failure(tmp_path, capsys):
+    # Its squared sides once overflowed: three RuntimeWarnings, then "metric of
+    # triangle 0 is not positive definite".
+    mesh = tmp_path / "cone.json"
+    write_complex_json(mesh, *cone(5, 1e200))
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    line = _assert_one_line_domain_failure(capsys, "curvature", cfg)
+    assert "edge (0, 1) length 1e+200 has no finite square" in line
+
+
+@pytest.mark.parametrize("coordinate", ["inf", "nan"])
+def test_off_with_a_non_finite_coordinate_is_a_domain_failure(tmp_path, capsys, coordinate):
+    mesh = tmp_path / "triangle.off"
+    mesh.write_text(f"OFF\n3 1 0\n0 0 0\n1 {coordinate} 0\n0 1 0\n3 0 1 2\n")
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    line = _assert_one_line_domain_failure(capsys, "curvature", cfg)
+    assert "vertex 1 has a non-finite coordinate" in line
+
+
 def test_newton_stall_is_a_domain_failure(tmp_path, capsys, monkeypatch):
     from dconn import mechanical
 
@@ -739,6 +758,11 @@ _EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
      "config field 'pair.second' must be an object, got None"),
     ("order", {"candidate": "trivial", "reference": "trivial", "base_point": [0.1, 0.2]},
      "config field 'base_point' must be an object"),
+    ("order", {**_ORDER, "base_point": {"shape": [math.inf, 0.0], "fiber": _EYE3}},
+     "bad bundle point in config field 'base_point': shape coordinates are not finite"),
+    ("decompose", _with({"connection": "exponentiated:so3_mechanical", "pair": _PAIR},
+                        ["pair", "second", "shape"], [0.1, -math.inf]),
+     "bad bundle point in config field 'pair.second': shape coordinates are not finite"),
     ("holonomy", {"loop": 5}, "config field 'loop' must be a list of triangles, got 5"),
     ("holonomy", {"latitude": 30}, "config field 'latitude' must be an object, got 30"),
 ])

@@ -1,6 +1,7 @@
 """Triangle frames, discrete Levi-Civita transport, curvature, holonomy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def developed_outward_normal(K: MetricComplex, t: int, edge) -> np.ndarray:
 
 
 def test_corner_angles_of_right_triangle():
-    K = MetricComplex.from_edge_lengths(3, [(0, 1, 2)], {(0, 1): 3.0, (0, 2): 4.0, (1, 2): 5.0})
+    K = MetricComplex.from_edge_lengths(3, [(0, 1, 2)], [[0, 1, 3.0], [0, 2, 4.0], [1, 2, 5.0]])
     assert corner_angle(K, 0, 0) == pytest.approx(math.pi / 2, abs=1e-12)
     assert corner_angle(K, 0, 1) == pytest.approx(math.atan2(4.0, 3.0), abs=1e-12)
     assert corner_angle(K, 0, 2) == pytest.approx(math.atan2(3.0, 4.0), abs=1e-12)
@@ -148,7 +149,7 @@ def test_transport_matches_developments_across_every_hinge():
         build(cone(5)),
         # Two triangles sharing all three edges.
         MetricComplex.from_edge_lengths(3, [(0, 1, 2), (0, 2, 1)],
-                                        {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}),
+                                        [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]),
     ]
     for K in cases:
         A = connection_form(K)
@@ -366,8 +367,7 @@ def test_quality_report_tie_breaks_by_index():
     # Two identical disjoint cones produce bitwise-equal curvature norms.
     v5, t5, l5 = cone(5)
     tris = np.concatenate([t5, t5 + v5])
-    lengths = dict(l5)
-    lengths.update({(a + v5, b + v5): l for (a, b), l in l5.items()})
+    lengths = np.concatenate([l5, l5 + [v5, v5, 0.0]])
     K = MetricComplex.from_edge_lengths(2 * v5, tris, lengths)
     report = quality_report(K, connection_form(K))
     assert list(report) == [0, v5]
@@ -459,20 +459,20 @@ def test_rejects_inconsistent_orientations():
     with pytest.raises(MeshFormatError):
         MetricComplex.from_edge_lengths(
             4, [(0, 1, 2), (0, 1, 3)],
-            {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 1.0})
+            [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0], [0, 3, 1.0], [1, 3, 1.0]])
     # A fin: a third triangle on edge (0, 1) always repeats a directed edge.
     fin = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
     with pytest.raises(MeshFormatError, match="more than two triangles"):
-        MetricComplex.from_edge_lengths(5, fin, {key: 1.0 for key in (
-            (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4))})
+        MetricComplex.from_edge_lengths(5, fin, [[a, b, 1.0] for a, b in (
+            (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4))])
 
 
 def test_rejects_degenerate_triangles_and_bad_indices():
     with pytest.raises(MeshFormatError):
-        MetricComplex.from_edge_lengths(3, [(0, 1, 1)], {(0, 1): 1.0, (1, 1): 1.0})
+        MetricComplex.from_edge_lengths(3, [(0, 1, 1)], [[0, 1, 1.0], [1, 1, 1.0]])
     with pytest.raises(MeshFormatError):
         MetricComplex.from_edge_lengths(3, [(0, 1, 5)],
-                                        {(0, 1): 1.0, (0, 5): 1.0, (1, 5): 1.0})
+                                        [[0, 1, 1.0], [0, 5, 1.0], [1, 5, 1.0]])
 
 
 def test_rejects_sliver_triangles():
@@ -494,11 +494,43 @@ def test_rejects_sliver_triangles():
 
 def test_rejects_missing_and_impossible_lengths():
     with pytest.raises(MeshFormatError):
-        MetricComplex.from_edge_lengths(3, [(0, 1, 2)], {(0, 1): 1.0, (0, 2): 1.0})
+        MetricComplex.from_edge_lengths(3, [(0, 1, 2)], [[0, 1, 1.0], [0, 2, 1.0]])
     # Triangle inequality violation makes the Gram matrix indefinite.
     with pytest.raises(MeshFormatError):
         MetricComplex.from_edge_lengths(3, [(0, 1, 2)],
-                                        {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 3.0})
+                                        [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 3.0]])
+
+
+UNIT_ROWS = [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (UNIT_ROWS + [[0, 1, -1.0]], "edge (0, 1) length -1.0 is not positive and finite"),
+    ([[0, 1, -1.0]] + UNIT_ROWS[1:], "edge (0, 1) length -1.0 is not positive and finite"),
+    (UNIT_ROWS[:2] + [[2, 1, math.inf]], "edge (2, 1) length inf is not positive and finite"),
+    (UNIT_ROWS[:2] + [[1, 2, math.nan]], "edge (1, 2) length nan is not positive and finite"),
+    ([[a, b, 1e200] for a, b, _ in UNIT_ROWS], "edge (0, 1) length 1e+200 has no finite square"),
+    (UNIT_ROWS + [[1, 0, 1.5]], "edge (0, 1) is listed with lengths 1.0 and 1.5"),
+    (UNIT_ROWS[:2], "missing edge length for (1, 2)"),
+    (UNIT_ROWS + [[0, 3, 1.0]], "edge (0, 3) ends must be vertex indices below 3"),
+    (UNIT_ROWS + [[-1, 2, 1.0]], "edge (-1, 2) ends must be vertex indices below 3"),
+    (UNIT_ROWS + [[0.5, 2, 1.0]], "edge (0.5, 2) ends must be vertex indices below 3"),
+    (UNIT_ROWS + [[math.nan, 2, 1.0]], "edge (nan, 2) ends must be vertex indices below 3"),
+    ([[0, 1]], "must be an (E, 3) array of [a, b, length] rows"),
+])
+def test_rejects_bad_edge_length_rows_naming_the_edge(rows, message):
+    # -1.0 once squared to a valid metric, and inf, nan and 1e200 reached the
+    # determinant with RuntimeWarnings.
+    with pytest.raises(MeshFormatError, match=re.escape(message)):
+        MetricComplex.from_edge_lengths(3, [(0, 1, 2)], rows)
+
+
+def test_rejects_non_finite_coordinates_and_metrics():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(MeshFormatError, match="vertex 2 has a non-finite coordinate"):
+            MetricComplex.from_embedding([[0.0, 0.0], [1.0, 0.0], [0.0, bad]], [(0, 1, 2)])
+        with pytest.raises(MeshFormatError, match="metric of triangle 1 is not finite"):
+            MetricComplex(4, [(0, 1, 2), (1, 0, 3)], [np.eye(2), [[1.0, bad], [bad, 1.0]]])
 
 
 def test_rejects_inconsistent_shared_edge_lengths():

@@ -272,20 +272,26 @@ def test_value_only_lagrangian_solves_the_mechanical_connection():
 
 
 @pytest.mark.parametrize("slots", ["value", "value and d1"])
-def test_mechanical_connection_differentiates_only_the_fiber_block(monkeypatch, slots):
-    # Without d12 only the fiber block of d1_eval is differentiated, along the
-    # fiber directions: 8 dim instead of 8 (shape_dim + dim) d1_eval calls per
-    # Jacobian.  The solve keeps the bits of the square chart-curve Jacobian.
+def test_mechanical_connection_differentiates_only_the_fiber_block(slots):
+    # Without d12 only the fiber block of D1 L is differentiated, along the
+    # fiber directions: 8 dim instead of 8 (shape_dim + dim) blocks per
+    # Jacobian.  Without d1 a block costs 8 dim value calls, where the whole
+    # D1 L costs 8 (shape_dim + dim).  The solve keeps the bits of the square
+    # chart-curve Jacobian.
     L = so3_coupled()
     d, dim = L.bundle.shape_dim, L.bundle.group.dim
     p = default_pair(L.bundle)
-    lean = DiscreteLagrangian(L.bundle, L.value, *([L.d1] if slots != "value" else []))
+    calls = []
+
+    def counted(f):
+        return lambda q0, q1: calls.append(1) or f(q0, q1)
+
+    lean = (DiscreteLagrangian(L.bundle, counted(L.value)) if slots == "value"
+            else DiscreteLagrangian(L.bundle, L.value, counted(L.d1)))
     square = dataclasses.replace(lean, d12=lambda q0, q1: mechanical._chart_derivative(
         lambda q: lean.d1_eval(q0, q), q1))
-    calls = []
-    d1_eval = DiscreteLagrangian.d1_eval
-    monkeypatch.setattr(DiscreteLagrangian, "d1_eval",
-                        lambda self, q0, q1: calls.append(1) or d1_eval(self, q0, q1))
+    # Counted calls per fiber block of D1 L and per whole D1 L.
+    block, whole = (8 * dim, 8 * (d + dim)) if slots == "value" else (1, 1)
     counts, got = {}, {}
     for name, lagrangian in (("lean", lean), ("square", square)):
         calls.clear()
@@ -293,10 +299,27 @@ def test_mechanical_connection_differentiates_only_the_fiber_block(monkeypatch, 
         counts[name] = len(calls)
     assert got["lean"] == got["square"]
     # One residual and one Jacobian per Newton step, and the converged residual.
-    steps = (counts["square"] - 1) // (1 + 8 * (d + dim))
+    steps = (counts["square"] - block) // (block + 8 * (d + dim) * whole)
     assert steps >= 1
-    assert counts["square"] == 1 + steps * (1 + 8 * (d + dim))
-    assert counts["lean"] == 1 + steps * (1 + 8 * dim)
+    assert counts["square"] == block + steps * (block + 8 * (d + dim) * whole)
+    assert counts["lean"] == block + steps * (block + 8 * dim * block)
+
+
+def test_value_only_lagrangian_differentiates_value_along_the_fiber_only():
+    # 8 value calls per fiber direction for a fiber block of D1 L, where the
+    # whole D1 L takes 8 (shape_dim + dim) = 40; the stencil is elementwise,
+    # so the block keeps the whole D1 L's bits.
+    L = so3_coupled()
+    p = default_pair(L.bundle)
+    calls = []
+    lean = DiscreteLagrangian(L.bundle, lambda q0, q1: calls.append(1) or L.value(q0, q1))
+    momentum = discrete_momentum(lean, p).covector
+    assert len(calls) == 24
+    whole = DiscreteLagrangian(L.bundle, L.value, lean.d1_eval)
+    assert momentum.tobytes() == discrete_momentum(whole, p).covector.tobytes()
+    calls.clear()
+    mechanical_connection(lean, p)
+    assert len(calls) == 624
 
 
 def test_singular_newton_system_is_a_divergence():

@@ -6,7 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dconn import meshes
 from dconn.cli import main
 from dconn.errors import MeshFormatError
 from dconn.levi_civita import MetricComplex
@@ -62,7 +65,7 @@ def test_flat_grid_structure():
     n, tris, lengths = flat_grid(3, 2)
     assert n == 12
     assert len(tris) == 12
-    values = sorted(set(round(l, 12) for l in lengths.values()))
+    values = sorted(set(round(l, 12) for l in lengths[:, 2]))
     assert values == [1.0, round(math.sqrt(2.0), 12)]
     K = MetricComplex.from_edge_lengths(n, tris, lengths)
     assert K.euler_characteristic() == 1
@@ -72,7 +75,7 @@ def test_cone_structure_and_validation():
     n, tris, lengths = cone(4, side=2.0)
     assert n == 5
     assert len(tris) == 4
-    assert all(l == 2.0 for l in lengths.values())
+    assert all(l == 2.0 for l in lengths[:, 2])
     with pytest.raises(ValueError):
         cone(2)
 
@@ -104,9 +107,144 @@ def test_tetrahedron_is_closed_and_regular():
 def test_lengths_from_embedding_matches_distances():
     verts, faces = icosahedron()
     lengths = lengths_from_embedding(verts, faces)
-    for (a, b), l in lengths.items():
+    assert len(lengths) == 30
+    for a, b, l in lengths.tolist():
         assert a < b
-        assert l == pytest.approx(np.linalg.norm(verts[a] - verts[b]), abs=1e-15)
+        assert l == pytest.approx(np.linalg.norm(verts[int(a)] - verts[int(b)]), abs=1e-15)
+
+
+# -- reference generators: per-cell loops over an edge-length dict ---------------------
+
+
+def _key(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def _rows(lengths: dict) -> np.ndarray:
+    return np.array([[a, b, l] for (a, b), l in sorted(lengths.items())], dtype=float)
+
+
+def reference_outward(verts, faces):
+    for f in faces:
+        a, b, c = verts[f]
+        if np.dot(np.cross(b - a, c - a), a + b + c) < 0.0:
+            f[1], f[2] = f[2], f[1]
+    return verts, faces
+
+
+def reference_icosphere(level):
+    verts, faces = icosahedron()
+    verts = [v for v in verts]
+    midpoint = {}
+
+    def mid(i, j):
+        key = _key(i, j)
+        if key not in midpoint:
+            p = verts[i] + verts[j]
+            p /= np.linalg.norm(p)
+            midpoint[key] = len(verts)
+            verts.append(p)
+        return midpoint[key]
+
+    for _ in range(level):
+        midpoint.clear()
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = np.array(new_faces, dtype=int)
+    return np.array(verts), faces
+
+
+def reference_square_cells(n, m, vid):
+    tris, lengths = [], {}
+    for j in range(m):
+        for i in range(n):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+            for e in ((a, b), (b, c), (c, d), (d, a)):
+                lengths[_key(*e)] = 1.0
+            lengths[_key(a, c)] = math.sqrt(2.0)
+    return np.array(tris, dtype=int), _rows(lengths)
+
+
+def reference_cone(k, side=1.0):
+    tris = np.array([(0, i, i % k + 1) for i in range(1, k + 1)], dtype=int)
+    lengths = {}
+    for i in range(1, k + 1):
+        lengths[_key(0, i)] = side
+        lengths[_key(i, i % k + 1)] = side
+    return k + 1, tris, _rows(lengths)
+
+
+def reference_lengths_from_embedding(verts, triangles):
+    lengths = {}
+    for a, b, c in triangles:
+        for i, j in ((a, b), (b, c), (c, a)):
+            lengths[_key(int(i), int(j))] = float(np.linalg.norm(verts[j] - verts[i]))
+    return _rows(lengths)
+
+
+def assert_identical(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("generator", [icosahedron, tetrahedron])
+def test_outward_matches_the_reference_loop(generator):
+    verts, faces = generator()
+    flipped = faces.copy()
+    flipped[::2] = flipped[::2][:, [0, 2, 1]]
+    assert_identical(meshes._outward(verts, flipped.copy()), (verts, faces))
+    assert_identical(reference_outward(verts, flipped.copy()), (verts, faces))
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_icosphere_matches_the_reference_loop(level):
+    assert_identical(icosphere(level), reference_icosphere(level))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 2), (4, 3), (7, 5)])
+def test_flat_grid_matches_the_reference_loop(n, m):
+    tris, rows = reference_square_cells(n, m, lambda i, j: i + (n + 1) * j)
+    assert_identical(flat_grid(n, m), ((n + 1) * (m + 1), tris, rows))
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 3), (5, 4), (24, 24)])
+def test_torus_grid_matches_the_reference_loop(n, m):
+    tris, rows = reference_square_cells(n, m, lambda i, j: (i % n) + n * (j % m))
+    assert_identical(torus_grid(n, m), (n * m, tris, rows))
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_cone_matches_the_reference_loop(k):
+    assert_identical(cone(k), reference_cone(k))
+    assert_identical(cone(k, 1.3), reference_cone(k, 1.3))
+
+
+def test_lengths_from_embedding_matches_the_reference_loop():
+    verts, faces = icosphere(2)
+    assert_identical(lengths_from_embedding(verts, faces),
+                     reference_lengths_from_embedding(verts, faces))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_row_order_orientation_and_repeats_leave_the_metrics_alone(data):
+    n, tris, rows = data.draw(st.sampled_from([cone(5, 1.3), flat_grid(3, 2), torus_grid(3, 4)]))
+    edges = {tuple(e) for e in rows[:, :2].astype(int).tolist()}
+    repeats = rows[data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=6))]
+    unused = {_key(a, b): [a, b, l] for a, b, l in data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(0.1, 10.0)), max_size=4))
+        if _key(a, b) not in edges}
+    listed = np.concatenate([rows, repeats, np.reshape(list(unused.values()), (-1, 3))])
+    listed = listed[data.draw(st.permutations(range(len(listed))))]
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed))))
+    listed[flip, :2] = listed[flip][:, 1::-1]
+    got = MetricComplex.from_edge_lengths(n, tris, listed).chart_metrics
+    assert got.tobytes() == MetricComplex.from_edge_lengths(n, tris, rows).chart_metrics.tobytes()
 
 
 # -- JSON format --------------------------------------------------------------------
@@ -121,8 +259,7 @@ def test_json_round_trip_is_byte_exact(tmp_path):
     # Parse, rebuild, re-serialize: identical bytes.
     K = read_complex_json(path)
     again = tmp_path / "torus2.json"
-    rebuilt_lengths = {tuple(key): float(K.lengths[t, k]) for key, t, k in
-                       zip(K.edges.tolist(), K.edge_faces[:, 0], K.edge_local[:, 0])}
+    rebuilt_lengths = np.column_stack([K.edges, K.lengths[K.edge_faces[:, 0], K.edge_local[:, 0]]])
     write_complex_json(again, K.vertex_count, K.triangles, rebuilt_lengths)
     assert again.read_text() == raw
 
