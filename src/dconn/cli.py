@@ -278,9 +278,7 @@ def cmd_holonomy(cfg: dict) -> dict:
         loop, enclosed = meshes.latitude_loop(K, colat)
         h = lc.holonomy(K, A, loop)
         loop_length = len(loop) - 1
-        enclosed_curvature = float(
-            sum(lc.angle_defect(K, v) for v in enclosed)
-        )
+        enclosed_curvature = sum(K.angle_defects[enclosed].tolist())
         loop_source = "latitude"
     else:
         raise DconnError("holonomy config needs 'loop', 'around_vertex', or 'latitude'")

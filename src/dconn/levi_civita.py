@@ -126,7 +126,7 @@ class MetricComplex:
         if missing.size:
             raise MeshFormatError(f"missing edge length for {divmod(int(missing[0]), n)}")
         s01, s02, s12 = squares[order[at]].T
-        g01 = 0.5 * (s01 + s02 - s12)
+        g01 = 0.5 * s01 + 0.5 * s02 - 0.5 * s12  # exact halves: s01 + s02 may overflow
         return cls(n, tris, np.array([[s01, g01], [g01, s02]]).transpose(2, 0, 1))
 
     @classmethod
@@ -137,8 +137,10 @@ class MetricComplex:
         if bad.size:
             raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
         tris = _triangle_array(triangles, len(verts))
-        e = verts[tris[:, 1:]] - verts[tris[:, :1]]  # rows v1 - v0 and v2 - v0
-        return cls(len(verts), tris, e @ e.transpose(0, 2, 1), embedding=verts)
+        with np.errstate(over="ignore"):  # a metric too large for a float is refused on build
+            e = verts[tris[:, 1:]] - verts[tris[:, :1]]  # rows v1 - v0 and v2 - v0
+            gram = e @ e.transpose(0, 2, 1)
+        return cls(len(verts), tris, gram, embedding=verts)
 
     # -- validation ---------------------------------------------------------
 
@@ -149,20 +151,25 @@ class MetricComplex:
         if bad.size:
             raise MeshFormatError(f"metric of triangle {bad[0]} is not finite")
         g00, g01, g10, g11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
-        dets = np.linalg.det(g)
-        # d^T g d for the chart vectors d of local edges 0->1, 1->2 and 2->0.
-        squared = np.stack([g00, (g00 - g10) + (g11 - g01), g11], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0, are refused below
+            dets = np.linalg.det(g)
+            # d^T g d for the chart vectors d of local edges 0->1, 1->2 and 2->0.
+            squared = np.stack([g00, (g00 - g10) + (g11 - g01), g11], axis=1)
+            # The smallest angle lies between the two longest edges, so its sin^2
+            # is det over the product of their squared lengths.
+            longest = np.sort(squared, axis=1)[:, 1:].prod(axis=1)
         asymmetric = np.abs(g01 - g10) > 1.0e-12 * np.maximum(1.0, np.abs(g01))
+        huge = ~(np.isfinite(dets) & np.isfinite(longest))
         indefinite = ~((g00 > 0) & (dets > 0))
-        # The smallest angle lies between the two longest edges, so its sin^2
-        # is det over the product of their squared lengths.
-        longest = np.sort(squared, axis=1)[:, 1:].prod(axis=1)
         sliver = dets < SLIVER_SIN2 * longest
-        bad = np.flatnonzero(asymmetric | indefinite | sliver)
+        bad = np.flatnonzero(asymmetric | huge | indefinite | sliver)
         if bad.size:
             t = int(bad[0])
             if asymmetric[t]:
                 raise MeshFormatError(f"metric of triangle {t} is not symmetric")
+            if huge[t]:
+                raise MeshFormatError(f"metric of triangle {t} is too large: its determinant "
+                                      f"or longest-edge product is not finite")
             if indefinite[t]:
                 raise MeshFormatError(f"metric of triangle {t} is not positive definite")
             raise MeshFormatError(
@@ -455,10 +462,8 @@ def holonomy(K: MetricComplex, A: DualOneForm, loop: Sequence[int]) -> GroupElem
 def quality_report(K: MetricComplex, A: DualOneForm) -> dict[int, float]:
     """Curvature norm per interior hinge, sorted descending (ties by index)."""
     vertices, angles = _curvature_angles(K, A)
-    norms = np.abs(np.arctan2(np.sin(angles), np.cos(angles)))  # as SO2.log_vector reads them
+    norms = np.abs(SO2.log_vectors(SO2.exp_matrices(angles))[:, 0])  # refuses the cut locus
     order = np.lexsort((vertices, -norms))
-    if order.size:  # log_vector rejects the cut locus; the largest norm is nearest it
-        SO2.log_vector(SO2.exp_matrix(angles[order[0]]))
     return dict(zip(vertices[order].tolist(), norms[order].tolist()))
 
 

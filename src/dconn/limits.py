@@ -231,30 +231,11 @@ class OrderEstimate:
     exact_match: bool = False
 
 
-def _sweep_reps(exact: DiscreteConnection, candidate: DiscreteConnection, x0: ShapePoint,
-                x1s: np.ndarray) -> tuple[np.ndarray, Exception | None]:
-    """exact's and candidate's A(x0, x1) for each row x1 of x1s, as an (n, 2, k, k) stack.
-
-    The stack stops before the first sample whose representation raised;
-    that failure is returned with it.  A failed stacked call is retaken pair
-    by pair, so the failure and the samples before it are the loop's.
-    """
-    if exact.local_reps is not None and candidate.local_reps is not None:
-        try:
-            return np.stack([exact.local_reps(x0, x1s), candidate.local_reps(x0, x1s)], 1), None
-        except Exception:  # retaken below, where the first failing sample raises first
-            pass
-    k = exact.bundle.group.matrix_size
-    reps, failure = [], None
-    try:
-        for x in x1s:
-            x1 = ShapePoint(x)
-            reps.append(exact.local_rep(x0, x1))
-            reps.append(candidate.local_rep(x0, x1))
-    except Exception as exc:  # raised by the caller, after the logs of the samples before it
-        failure = exc
-    done = len(reps) // 2
-    return np.array(reps[:2 * done]).reshape(done, 2, k, k), failure
+def _reps(c: DiscreteConnection, x0: ShapePoint, x1s: np.ndarray) -> np.ndarray:
+    """c's A(x0, x1) for each row x1 of x1s, as one (n, k, k) stack."""
+    if c.local_reps is not None:
+        return c.local_reps(x0, x1s)
+    return np.array([c.local_rep(x0, ShapePoint(x)) for x in x1s])
 
 
 def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
@@ -269,16 +250,15 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     q_h = (x + h xdot, g exp(h eta)) for q = (x, g).  The fitted slope of
     log max-error versus log h minus one is the reported order.
 
-    The samples run h-major, (h, v) in sweep order.  Their arithmetic is
-    stacked: the endpoints, one domain check, both forms, the errors and
-    their logs and norms are each one array operation over the whole
-    sweep.  When both connections have a stacked local representation
-    (``local_reps``), the in-domain samples take their representations in
-    two calls, one per connection; otherwise, or when a stacked call fails,
-    each sample calls exact.local_rep, then candidate.local_rep.  A failing
-    sample raises what the sample-by-sample loop raises: a failure in a
-    local representation or a log wins over the out-of-domain failure of a
-    later sample, and the first failing sample's failure wins.
+    The samples run h-major, (h, v) in sweep order.  The sweep checks before
+    it computes: one domain check over the whole sweep raises for the first
+    sample past VALIDITY_RADIUS before any local representation is taken.
+    Then each stage is one array operation over the sweep: the endpoints,
+    each connection's local representations (one ``local_reps`` call, or
+    ``local_rep`` sample by sample when it has none), both forms, the errors
+    and their logs and norms.  So a failing sweep raises the domain check's
+    OutOfDomainError, else exact's first failing sample, else candidate's,
+    else the error log's CutLocusError for its first sample past the cut.
     """
     hs = _validate_h_list(h_list)
     if hs[0] / hs[-1] < 10.0:
@@ -287,6 +267,8 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     if d.size == 0:
         raise ValueError("directions must hold at least one unit tangent")
     group, x0 = q.fiber.group, q.shape
+    if not np.isfinite(x0.coords).all():
+        raise ValueError(f"base point shape coordinates must be finite, got {x0.coords.tolist()}")
     s = x0.coords.size
     dims = (candidate.bundle.shape_dim, exact.bundle.shape_dim, s)
     if len(set(dims)) > 1:
@@ -300,19 +282,15 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     total = len(hs) * len(d)
     steps = np.array(hs)[:, None, None]
     x1s = (x0.coords + steps * d[:, :s]).reshape(total, s)
+    distances = _norms(x1s - x0.coords)
+    outside = ~(distances <= VALIDITY_RADIUS)  # NaN is outside too
+    if outside.any():
+        _check_distance(float(distances[np.argmax(outside)]))
     etas = (steps * d[:, s:]).reshape(total, group.dim)
     g1s = (q.fiber.matrix @ group.exp_matrices(etas))[:, None]
-    distances = _norms(x1s - x0.coords)
-    inside = distances <= VALIDITY_RADIUS
-    reps, failure = _sweep_reps(exact, candidate, x0,
-                                x1s[:total if inside.all() else int(np.argmin(inside))])
-    done = len(reps)
-    forms = _form_product(g1s[:done], reps, group.inverse_matrix(q.fiber.matrix))
+    reps = np.stack([_reps(exact, x0, x1s), _reps(candidate, x0, x1s)], 1)
+    forms = _form_product(g1s, reps, group.inverse_matrix(q.fiber.matrix))
     errors = _norms(group.log_vectors(forms[:, 0] @ group.inverse_matrices(forms[:, 1])))
-    if failure is not None:
-        raise failure
-    if done < total:
-        _check_distance(float(distances[done]))
     rows = [tuple(row) for row in errors.reshape(len(hs), len(d)).tolist()]
     max_errors = tuple(max(row) for row in rows)
     if all(e < ERROR_FLOOR for e in max_errors):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import BoundaryHingeError, MeshFormatError
 from .levi_civita import MetricComplex
+from .lie_group import _norms
 
 JSON_FORMAT_NAME = "dconn-complex"
 # Largest vertex count a dconn-complex may declare (a level-8 icosphere has 655 362).
@@ -133,11 +134,6 @@ def read_mesh(path) -> MetricComplex:
 def _half_edges(faces: np.ndarray) -> np.ndarray:
     """(3 F, 2) vertex pairs ab, bc, ca of each face, face by face."""
     return np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
-
-
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    """Row by row the bits of np.linalg.norm of one vector: matmul takes the same BLAS dot."""
-    return np.sqrt(vectors[:, None, :] @ vectors[:, :, None]).reshape(-1)
 
 
 def _edge_rows(pairs: np.ndarray, lengths) -> np.ndarray:

@@ -462,6 +462,26 @@ def test_sweep_past_the_validity_radius_is_a_domain_failure(tmp_path, capsys):
     assert captured.out == "" and "exceeds validity radius" in captured.err
 
 
+def test_sweep_past_the_radius_is_refused_before_any_solve(tmp_path, capsys, monkeypatch):
+    # The per-pair candidate once solved its in-domain prefix (4 Newton solves)
+    # before the first sample past the radius raised.
+    from dconn import mechanical
+
+    solves = []
+    solve = mechanical.mechanical_connection
+    monkeypatch.setattr(mechanical, "mechanical_connection",
+                        lambda *args: solves.append(args) or solve(*args))
+    cfg = write_config(tmp_path, "o.json", {
+        "candidate": "mechanical:so3_coupled",
+        "reference": "exponentiated:so3_mechanical",
+        "h_sweep": {"start": 0.9, "stop": 0.01, "count": 4},
+        "directions": 6,
+    })
+    line = _assert_one_line_domain_failure(capsys, "order", cfg)
+    assert line == "dconn: shape pair distance 0.7362 exceeds validity radius 0.5"
+    assert solves == []
+
+
 def test_group_tag_that_is_not_a_string_is_a_domain_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json", {"connection": "trivial", "group": 7})
     assert main(["decompose", "--config", cfg]) == 2
@@ -577,6 +597,27 @@ def test_cone_too_large_to_square_is_a_domain_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
     line = _assert_one_line_domain_failure(capsys, "curvature", cfg)
     assert "edge (0, 1) length 1e+200 has no finite square" in line
+
+
+@pytest.mark.parametrize("side", [1e100, 1e154])
+def test_cone_too_large_for_its_determinant_is_a_domain_failure(tmp_path, capsys, side):
+    # At 1e100 the determinant and the longest-edge product once overflowed: two
+    # RuntimeWarnings, then exit 0 with the apex at 1.5708 for pi/3.  At 1e154
+    # the halving of g01 came after s01 + s02, which overflowed.
+    mesh = tmp_path / "cone.json"
+    write_complex_json(mesh, *cone(5, side))
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    line = _assert_one_line_domain_failure(capsys, "curvature", cfg)
+    assert "metric of triangle 0 is too large" in line
+
+
+def test_off_too_large_for_its_gram_product_is_a_domain_failure(tmp_path, capsys):
+    # The Gram product once warned of its overflow before this refusal.
+    mesh = tmp_path / "triangle.off"
+    mesh.write_text("OFF\n3 1 0\n0 0 0\n1e200 0 0\n0 1 0\n3 0 1 2\n")
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    line = _assert_one_line_domain_failure(capsys, "curvature", cfg)
+    assert "metric of triangle 0 is not finite" in line
 
 
 @pytest.mark.parametrize("coordinate", ["inf", "nan"])

@@ -533,6 +533,16 @@ def test_rejects_non_finite_coordinates_and_metrics():
             MetricComplex(4, [(0, 1, 2), (1, 0, 3)], [np.eye(2), [[1.0, bad], [bad, 1.0]]])
 
 
+@pytest.mark.parametrize("metric", [[[1e200, 5e199], [5e199, 1e200]],
+                                    [[0.0, -1e308], [-1e308, 0.0]]],
+                         ids=["equilateral", "inf_times_zero"])
+def test_rejects_metrics_too_large_for_their_determinant(metric):
+    # Finite metrics whose determinant or longest-edge product is not: the
+    # equilateral one once read every corner as pi/2, the other warned of inf * 0.
+    with pytest.raises(MeshFormatError, match="metric of triangle 1 is too large"):
+        MetricComplex(4, [(0, 1, 2), (1, 0, 3)], [np.eye(2), metric])
+
+
 def test_rejects_inconsistent_shared_edge_lengths():
     metrics = np.array([np.eye(2), 4.0 * np.eye(2)])
     with pytest.raises(MeshFormatError):

@@ -4,6 +4,7 @@ The tangent properties run under hypothesis, derandomized, so every run
 draws the same examples.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -19,6 +20,7 @@ from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from dconn.connection import (
     VALIDITY_RADIUS,
     DiscreteConnection,
+    _check_distance,
     eval_form,
     form_matrix,
     trivial_connection,
@@ -573,34 +575,55 @@ def _outcome(fn):
         return type(exc).__name__, str(exc)
 
 
-def test_failing_sweeps_raise_what_the_per_sample_loop_raises():
-    # Over a grid of failure distances the first failing sample decides, as
-    # in the per-sample loop: an out-of-domain sample (h = 0.7 moves some
-    # directions past the radius), a log at the cut locus or a stalled solve
-    # in either connection's local representation.
+def check_then_compute_errors(candidate, exact, q, directions, hs):
+    """The errors of an order sweep that checks, then computes, one sample at a time.
+
+    Kept as the oracle of a sweep's refusals: every sample's chart distance
+    is checked before any local representation is taken; then exact's
+    representations of all samples, in sweep order, then candidate's; then
+    per_sample_errors, whose first log past the cut raises.
+    """
+    x0, s = q.shape, q.shape.coords.size
+    ends = [ShapePoint(x0.coords + h * d[:s]) for h in hs for d in directions]
+    for x1 in ends:
+        _check_distance(bd.chart_distance(x0, x1))
+    for c in (exact, candidate):
+        for x1 in ends:
+            c.local_rep(x0, x1)
+    return per_sample_errors(candidate, exact, q, directions, hs)
+
+
+def test_failing_sweeps_check_then_compute():
+    # Over a grid of failure distances a sweep refuses, in this order: a
+    # sample past the radius (h = 0.7 moves some directions out), before any
+    # local representation; exact's first stalled solve; candidate's first
+    # stalled solve; a log at the cut locus.
     q = Bundle(SO3, 2).point([0.1, -0.15], lg.exp(SO3, [0.2, -0.1, 0.3]).matrix)
     dirs = unit_directions(Bundle(SO3, 2), count=8)
     inf = math.inf
-    seen = set()
+    seen = collections.Counter()
     grid = itertools.product(([0.7, 0.2, 0.05], [0.45, 0.1, 0.03]), (inf, 0.3, 0.02),
                              (inf, 0.4, 0.1), (inf, 0.35, 0.05))
     for hs, cut_at, exact_fails, candidate_fails in grid:
-        calls = {"oracle": [], "stacked": []}
-        run = {}
-        for mode in calls:
-            exact = _trap("exact", inf, exact_fails, calls[mode])
-            cand = _trap("candidate", cut_at, candidate_fails, calls[mode])
-            sweep = per_sample_errors if mode == "oracle" else (
-                lambda *a: estimate_order(*a).errors)
-            run[mode] = _outcome(lambda: sweep(cand, exact, q, dirs, hs))
-        assert run["stacked"] == run["oracle"]
-        if run["oracle"][0] == "ok":
-            # Each sample calls exact.local_rep, then candidate.local_rep.
-            assert calls["stacked"] == calls["oracle"]
-        kind, detail = run["oracle"]
-        seen.add(f"{kind}:{detail.split()[0]}" if kind == "SolverDivergedError" else kind)
-    assert seen == {"ok", "OutOfDomainError", "CutLocusError", "SolverDivergedError:exact",
-                    "SolverDivergedError:candidate"}
+        calls = {"oracle": [], "sweep": []}
+        traps = {mode: (_trap("candidate", cut_at, candidate_fails, calls[mode]),
+                        _trap("exact", inf, exact_fails, calls[mode])) for mode in calls}
+        oracle = _outcome(lambda: check_then_compute_errors(*traps["oracle"], q, dirs, hs))
+        got = _outcome(lambda: estimate_order(*traps["sweep"], q, dirs, hs).errors)
+        assert got == oracle
+        ends = [(q.shape.coords + h * d[:2]).tobytes() for h in hs for d in dirs]
+        every = [("exact", x) for x in ends] + [("candidate", x) for x in ends]
+        kind, detail = oracle
+        kind = f"{kind}:{detail.split()[0]}" if kind == "SolverDivergedError" else kind
+        taken = calls["sweep"]
+        assert taken == every[:len(taken)]
+        if kind == "OutOfDomainError":
+            assert taken == []
+        elif kind in ("ok", "CutLocusError"):
+            assert taken == every
+        seen[kind] += 1
+    assert seen == {"ok": 1, "OutOfDomainError": 27, "SolverDivergedError:exact": 18,
+                    "SolverDivergedError:candidate": 6, "CutLocusError": 2}
 
 
 @pytest.mark.parametrize("fixture", ["so3_mechanical", "se3_mechanical", "abelian"])
@@ -665,23 +688,25 @@ def _trap_field(x0, cut_at, fail_at):
     return ContinuousConnection(Bundle(SO3, 2), coefficient)
 
 
-def test_failing_stacked_reps_raise_what_the_per_sample_loop_raises():
-    # A stacked rep that raises is retaken pair by pair, so a log at the cut
-    # locus in an earlier sample still wins over a later coefficient failure.
+def test_failing_stacked_reps_check_then_compute():
+    # A stacked rep that raises names the first failing sample in sweep
+    # order, as its per-pair rep does; a sweep that leaves the domain takes
+    # no rep, and a log at the cut locus raises only once every rep is taken.
     q = Bundle(SO3, 2).point([0.1, -0.15], lg.exp(SO3, [0.2, -0.1, 0.3]).matrix)
     dirs = unit_directions(Bundle(SO3, 2), count=8)
     exact = exponentiated_connection(ContinuousConnection(
         Bundle(SO3, 2), lambda x: np.zeros(x.shape[:-1] + (3, 2))))
     inf = math.inf
-    seen = set()
+    seen = collections.Counter()
     grid = itertools.product(([0.7, 0.2, 0.05], [0.45, 0.1, 0.03]), (inf, 0.3, 0.02),
                              (inf, 0.35, 0.05))
     for hs, cut_at, fail_at in grid:
         cand = endpoint_connection(_trap_field(q.shape.coords, cut_at, fail_at))
-        oracle = _outcome(lambda: per_sample_errors(cand, exact, q, dirs, hs))
+        oracle = _outcome(lambda: check_then_compute_errors(cand, exact, q, dirs, hs))
         assert _outcome(lambda: estimate_order(cand, exact, q, dirs, hs).errors) == oracle
-        seen.add(oracle[0])
-    assert seen == {"ok", "OutOfDomainError", "CutLocusError", "SolverDivergedError"}
+        seen[oracle[0]] += 1
+    assert seen == {"ok": 1, "OutOfDomainError": 9, "CutLocusError": 2,
+                    "SolverDivergedError": 6}
 
 
 def test_sweep_with_mismatched_shape_dimensions_is_rejected(order_setup):
@@ -711,6 +736,17 @@ def test_sweep_directions_must_be_unit_rows(order_setup, part, value):
     bad[3, part.start] = value
     with pytest.raises(ValueError, match=rf"directions must be unit vectors \(norm {value:.6f}\)"):
         estimate_order(cayley_connection(a), exact, q, bad, hs)
+
+
+@pytest.mark.parametrize("coordinate", [math.inf, math.nan], ids=["inf", "nan"])
+def test_sweep_from_a_non_finite_base_point_is_rejected(order_setup, coordinate):
+    # An infinite one was once subtracted from itself before any check: a
+    # RuntimeWarning (an error under this suite's filter), then "shape pair
+    # distance nan is not finite".
+    a, exact, q, dirs, hs = order_setup
+    far = BundlePoint(ShapePoint([coordinate, 0.0]), q.fiber)
+    with pytest.raises(ValueError, match="base point shape coordinates must be finite"):
+        estimate_order(cayley_connection(a), exact, far, dirs, hs)
 
 
 # -- variations -------------------------------------------------------------------------
