@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie_group as lg
-from .errors import BasepointMismatchError, GroupMismatchError, NotVerticalError
+from .errors import BasepointMismatchError, GroupMismatchError, NotVerticalError, ShapeMismatchError
 from .lie_group import GroupElement, MatrixGroup, _norm, _readonly
 
 # Chart distance below which two points count as the same base point.
@@ -64,17 +64,28 @@ class Bundle:
         if self.shape_dim < 0:
             raise ValueError(f"shape_dim must be non-negative, got {self.shape_dim}")
 
-    def point(self, coords, fiber) -> BundlePoint:
-        x = ShapePoint(np.asarray(coords, dtype=float).reshape(self.shape_dim))
-        if isinstance(fiber, GroupElement):
-            if fiber.group is not self.group:
+    def check(self, *points: BundlePoint) -> None:
+        """Raise GroupMismatchError unless each point's fiber lies in this bundle's
+        group, then ShapeMismatchError unless its shape has shape_dim coordinates."""
+        for q in points:
+            if q.fiber.group is not self.group:
                 raise GroupMismatchError(
-                    f"fiber group {fiber.group.name} != bundle group {self.group.name}"
-                )
-            g = fiber
-        else:
-            g = GroupElement(self.group, fiber)
-        return BundlePoint(x, g)
+                    f"point group {q.fiber.group.name} != bundle group {self.group.name}")
+            self.check_shapes(q.shape)
+
+    def check_shapes(self, *xs: ShapePoint) -> None:
+        """Raise ShapeMismatchError unless each x has shape_dim coordinates."""
+        for x in xs:
+            if x.coords.size != self.shape_dim:
+                raise ShapeMismatchError(f"shape dimensions differ: bundle {self.shape_dim}, "
+                                         f"point {x.coords.size}")
+
+    def point(self, coords, fiber) -> BundlePoint:
+        x = ShapePoint(np.asarray(coords, dtype=float).reshape(-1))
+        g = fiber if isinstance(fiber, GroupElement) else GroupElement(self.group, fiber)
+        q = BundlePoint(x, g)
+        self.check(q)
+        return q
 
     def random_point(self, rng: np.random.Generator, shape_scale: float = 1.0,
                      fiber_scale: float = 1.0) -> BundlePoint:
@@ -114,7 +125,8 @@ def shift(q: BundlePoint, z: np.ndarray) -> BundlePoint:
 
 
 def points_match(a: BundlePoint, b: BundlePoint, tol: float = BASE_TOL) -> bool:
-    if a.fiber.group is not b.fiber.group:
+    """Whether a and b are points of one bundle within tol of each other."""
+    if a.fiber.group is not b.fiber.group or a.shape.coords.size != b.shape.coords.size:
         return False
     if chart_distance(a.shape, b.shape) > tol:
         return False
@@ -125,9 +137,12 @@ def vertical_compose(v: PairElement, p: PairElement) -> PairElement:
     """Compose a vertical pair v = i_{q0}(g) with p = (q0, q1), giving (q0, g q1).
 
     The group element is recovered from v as g = g1' g0'^-1, where g0', g1'
-    are the fibers of v.  Raises NotVerticalError if v is not vertical and
-    BasepointMismatchError if v is not based at p.first.
+    are the fibers of v.  Raises GroupMismatchError or ShapeMismatchError
+    if v.second, p.first or p.second is not a point of v.first's bundle,
+    NotVerticalError if v is not vertical and BasepointMismatchError if v is
+    not based at p.first.
     """
+    Bundle(v.first.fiber.group, v.first.shape.coords.size).check(v.second, p.first, p.second)
     if chart_distance(v.first.shape, v.second.shape) > BASE_TOL:
         raise NotVerticalError(
             f"pair spans distinct base points (chart distance "

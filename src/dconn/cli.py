@@ -27,7 +27,7 @@ from .connection import (
     vertical_from_form,
 )
 from .errors import DconnError, DegenerateFitError
-from .limits import estimate_order, unit_directions
+from .limits import _validate_h_list, estimate_order, unit_directions
 from .presets import default_base_point, default_pair, resolve_connection
 
 _EXIT_OK = 0
@@ -188,9 +188,7 @@ def cmd_order(cfg: dict) -> dict:
     count = _bounded(sweep.get("count", 7), "h_sweep.count", MAX_H_COUNT)
     n_directions = _bounded(cfg.get("directions", 32), "directions", MAX_DIRECTIONS)
     seed = _integer(cfg.get("seed", 7), "seed")
-    # np.geomspace warns on non-finite ends and refuses a zero one.
-    if not all(0.0 < h < math.inf for h in (start, stop)):
-        raise ValueError("h_list must be finite, positive and strictly decreasing")
+    _validate_h_list((start, stop))  # np.geomspace warns on non-finite ends, refuses a zero one
     h_list = [float(h) for h in np.geomspace(start, stop, count)]
     if "base_point" in cfg:
         q = _parse_point(reference, cfg["base_point"], "base_point")

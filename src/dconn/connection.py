@@ -37,7 +37,6 @@ from .bundle import (
 )
 from .errors import (
     BasepointMismatchError,
-    GroupMismatchError,
     LengthMismatchError,
     OutOfDomainError,
     ShapeMismatchError,
@@ -83,29 +82,19 @@ def _check_distance(d: float) -> None:
         )
 
 
-def _check_shapes(c: DiscreteConnection, *xs: ShapePoint) -> None:
-    """Raise ShapeMismatchError unless every x has the connection's shape dimension."""
-    for x in xs:
-        if x.coords.size != c.bundle.shape_dim:
-            raise ShapeMismatchError(f"shape dimensions differ: connection "
-                                     f"{c.bundle.shape_dim}, point {x.coords.size}")
-
-
 def _checked_rep(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
-    """A(x0, x1), once x0 and x1 are known to be points of c's shape space
-    within VALIDITY_RADIUS of each other."""
-    _check_shapes(c, x0, x1)
+    """A(x0, x1) for points x0 and x1 of c's shape space (the caller checks
+    their shapes), once they are within VALIDITY_RADIUS of each other."""
     _check_distance(chart_distance(x0, x1))
     return c.local_rep(x0, x1)
 
 
 def eval_form(c: DiscreteConnection, p: PairElement) -> GroupElement:
-    """The connection form g1 A(x0, x1) g0^-1 on a bundle pair."""
-    group, g0, g1 = c.bundle.group, p.first.fiber, p.second.fiber
-    if g0.group is not group or g1.group is not group:
-        raise GroupMismatchError(f"form: fibers must lie in the connection's group {group.name}")
-    w = form_matrix(c, p.first.shape, p.second.shape, g1.matrix, group.inverse_matrix(g0.matrix))
-    return GroupElement(group, w, True)
+    """The connection form g1 A(x0, x1) g0^-1 on a pair of c's bundle."""
+    c.bundle.check(p.first, p.second)
+    group, g1, g0 = c.bundle.group, p.second.fiber, p.first.fiber
+    a = _checked_rep(c, p.first.shape, p.second.shape)
+    return GroupElement(group, _form_product(g1.matrix, a, group.inverse_matrix(g0.matrix)), True)
 
 
 def form_matrix(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint, g1: np.ndarray,
@@ -115,6 +104,7 @@ def form_matrix(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint, g1: np.nd
     Raises ShapeMismatchError when x0 or x1 has another shape dimension than
     the connection, OutOfDomainError when (x0, x1) lies outside VALIDITY_RADIUS.
     """
+    c.bundle.check_shapes(x0, x1)
     return _form_product(g1, _checked_rep(c, x0, x1), g0inv)
 
 
@@ -149,12 +139,11 @@ def horizontal_lift(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint,
 
     In the trivialization the lift is (q, (x1, g0 A(x0, x1)^-1)).
     """
-    _check_shapes(c, q.shape, x0)
+    c.bundle.check(q)
+    c.bundle.check_shapes(x0, x1)
     if chart_distance(project(q), x0) > BASE_TOL:
         raise BasepointMismatchError("lift base point q does not sit over x0")
     group = c.bundle.group
-    if q.fiber.group is not group:
-        raise GroupMismatchError(f"lift: {q.fiber.group.name} vs {group.name}")
     a_inv = group.inverse_matrix(_checked_rep(c, x0, x1))
     return PairElement(q, BundlePoint(x1, GroupElement(group, q.fiber.matrix @ a_inv, True)))
 
@@ -220,6 +209,7 @@ def extended_compose(c: DiscreteConnection, p: PairElement, r: PairElement) -> P
     For p = (q0, q1) and r = (r0, r1) with pi(q1) = pi(r0), the composite is
     (q0, form(r0, q1) r1).  It is associative and G-equivariant.
     """
+    c.bundle.check(p.first, p.second, r.first, r.second)
     d = chart_distance(p.second.shape, r.first.shape)
     if d > BASE_TOL:
         raise ShapeMismatchError(
@@ -269,6 +259,9 @@ def assemble_chain(
         raise LengthMismatchError(
             f"{len(shapes)} shape points need {len(shapes) - 1} adjoint parts, got {len(adjoints)}"
         )
+    # An adjoint part's base and group part stand where a point's shape and fiber do.
+    c.bundle.check(*(BundlePoint(a.base, a.group_part) for a in adjoints))
+    c.bundle.check_shapes(*shapes)
     x0 = shapes[0]
     for a in adjoints:
         if chart_distance(a.base, x0) > BASE_TOL:

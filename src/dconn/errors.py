@@ -12,7 +12,8 @@ class DconnError(Exception):
 
 
 class GroupMismatchError(DconnError):
-    """Operands belong to different matrix groups."""
+    """Operands belong to different matrix groups: a point of another group than
+    its bundle's (``Bundle.check``), or group elements that cannot be composed."""
 
 
 class CutLocusError(DconnError):
@@ -32,7 +33,10 @@ class OutOfDomainError(DconnError):
 
 
 class ShapeMismatchError(DconnError):
-    """Composition requires matching shape points and they differ."""
+    """Shapes that must agree do not: a point of another shape dimension than its
+    bundle's (``Bundle.check``, ``Bundle.check_shapes``), connections of different
+    shape dimensions, a tangent or coefficient of the wrong width, or pairs whose
+    middle shape points differ in extended composition."""
 
 
 class LengthMismatchError(DconnError):

@@ -11,7 +11,10 @@ them once: ``lengths[t, k]`` (local edge k -> k+1) and
 Every length and angle query reads these arrays.  A triangle whose
 smallest corner angle has sin^2 below SLIVER_SIN2 = 1e-12 is rejected with
 MeshFormatError: past it the curvature angle at a vertex and the vertex's
-angle defect drift apart, by 3e-10 at 1e-12 and by up to pi at 1e-15.
+angle defect drift apart, by 3e-10 at 1e-12 and by up to pi at 1e-15.  So
+is one too small for that test, where SLIVER_SIN2 times the product of its
+two longest squared sides is below the smallest normal float: a subnormal
+determinant moves the apex defect of a cone of side 1e-80 by 1.2e-5.
 
 Frames.  Each triangle has one orthonormal frame, the Cholesky frame of its
 chart metric, read off the corner angles: local edge k -> k + 1 points at
@@ -160,9 +163,13 @@ class MetricComplex:
             longest = np.sort(squared, axis=1)[:, 1:].prod(axis=1)
         asymmetric = np.abs(g01 - g10) > 1.0e-12 * np.maximum(1.0, np.abs(g01))
         huge = ~(np.isfinite(dets) & np.isfinite(longest))
+        # A semidefinite metric passes the sliver test with det >= SLIVER_SIN2 * longest,
+        # which must be a normal float for det to be one.
+        semidefinite = (dets >= 0) & (squared >= 0).all(axis=1)
+        tiny = semidefinite & (SLIVER_SIN2 * longest < np.finfo(float).tiny)
         indefinite = ~((g00 > 0) & (dets > 0))
         sliver = dets < SLIVER_SIN2 * longest
-        bad = np.flatnonzero(asymmetric | huge | indefinite | sliver)
+        bad = np.flatnonzero(asymmetric | huge | tiny | indefinite | sliver)
         if bad.size:
             t = int(bad[0])
             if asymmetric[t]:
@@ -170,6 +177,9 @@ class MetricComplex:
             if huge[t]:
                 raise MeshFormatError(f"metric of triangle {t} is too large: its determinant "
                                       f"or longest-edge product is not finite")
+            if tiny[t]:
+                raise MeshFormatError(f"metric of triangle {t} is too small: {SLIVER_SIN2:g} "
+                                      f"times its longest-edge product is not a normal float")
             if indefinite[t]:
                 raise MeshFormatError(f"metric of triangle {t} is not positive definite")
             raise MeshFormatError(

@@ -28,10 +28,10 @@ from .connection import (
     horizontal_component,
     vertical_component,
 )
-from .errors import DegenerateFitError, GroupMismatchError, ShapeMismatchError
+from .errors import DegenerateFitError, ShapeMismatchError
 from .lie_group import _frozen, _norms
 
-DEFAULT_H_LIST = (1.0e-2, 5.0e-3, 2.5e-3)
+DEFAULT_H_LIST = (5.0e-3, 2.5e-3)
 # Below this error magnitude a log-log fit measures rounding noise, not order.
 ERROR_FLOOR = 1.0e-13
 
@@ -40,9 +40,8 @@ def _tangents(q: BundlePoint, v, ndim: int, *connections) -> np.ndarray:
     """v as a float array of ``ndim`` axes whose last axis holds tangents at q.
 
     Raises ShapeMismatchError unless that axis has q's shape_dim + group.dim
-    entries; for each of ``connections``, GroupMismatchError when it acts in
-    another group than q's fiber, ShapeMismatchError when its shape
-    dimension is not q's.
+    entries, then ``Bundle.check``'s error unless q is a point of the bundle
+    of each of ``connections``.
     """
     d = np.asarray(v, dtype=float)
     group, s = q.fiber.group, q.shape.coords.size
@@ -50,12 +49,7 @@ def _tangents(q: BundlePoint, v, ndim: int, *connections) -> np.ndarray:
         raise ShapeMismatchError(f"tangents need {s + group.dim} columns at q (shape {s}, "
                                  f"fiber {group.dim}), got an array of shape {d.shape}")
     for c in connections:
-        if c.bundle.group is not group:
-            raise GroupMismatchError(
-                f"connection group {c.bundle.group.name} != group of q {group.name}")
-        if c.bundle.shape_dim != s:
-            raise ShapeMismatchError(f"shape dimensions differ: connection "
-                                     f"{c.bundle.shape_dim}, q {s}")
+        c.bundle.check(q)
     return d
 
 

@@ -12,7 +12,7 @@ Slot derivatives a Lagrangian leaves out are ``limits.derivative_at_zero``
 along the chart curves t -> bundle.shift(q, t e_i).  Both solvers share one
 Newton loop that moves its iterate by ``bundle.shift``.  Every public
 function refuses points outside the Lagrangian's bundle before it evaluates
-the Lagrangian (GroupMismatchError, ShapeMismatchError).
+the Lagrangian (``Bundle.check``).
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ import numpy as np
 from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint, shift
 from .connection import DiscreteConnection
-from .errors import (
-    CutLocusError,
-    GroupMismatchError,
-    NonDegenerateError,
-    ShapeMismatchError,
-    SolverDivergedError,
-)
+from .errors import CutLocusError, NonDegenerateError, SolverDivergedError
 from .lie_group import GroupElement
 from .limits import derivative_at_zero
 
@@ -89,17 +83,6 @@ class DiscreteLagrangian:
         return _chart_derivative(lambda q: self.d1_eval(q0, q), q1)
 
 
-def _check_points(L: DiscreteLagrangian, *qs: BundlePoint) -> None:
-    group, d = L.bundle.group, L.bundle.shape_dim
-    for q in qs:
-        if q.fiber.group is not group:
-            raise GroupMismatchError(
-                f"point group {q.fiber.group.name} != Lagrangian group {group.name}")
-        if q.shape.coords.size != d:
-            raise ShapeMismatchError(
-                f"shape dimensions differ: Lagrangian {d}, point {q.shape.coords.size}")
-
-
 def _newton(q: BundlePoint, residual: Callable[[BundlePoint], np.ndarray],
             step: Callable[[BundlePoint, np.ndarray], np.ndarray], what: str) -> BundlePoint:
     """Move q to shift(q, step(q, residual(q))) until max |residual(q)| < NEWTON_TOL;
@@ -142,7 +125,7 @@ def discrete_momentum(L: DiscreteLagrangian, p: PairElement) -> MomentumValue:
     xi_Q(q0) has trivialized coordinates (0, Ad_{g0^-1} xi), so only the
     fiber block of D1 L enters.
     """
-    _check_points(L, p.first, p.second)
+    L.bundle.check(p.first, p.second)
     group = L.bundle.group
     ad_inv = group.adjoint_matrix(group.inverse_matrix(p.first.fiber.matrix))
     return MomentumValue(group, -(ad_inv.T @ _d1_fiber(L, p.first, p.second)))
@@ -150,7 +133,7 @@ def discrete_momentum(L: DiscreteLagrangian, p: PairElement) -> MomentumValue:
 
 def fiber_derivative(L: DiscreteLagrangian, p: PairElement) -> tuple[BundlePoint, np.ndarray]:
     """The discrete fiber derivative (q0, -D1 L(q0, q1))."""
-    _check_points(L, p.first, p.second)
+    L.bundle.check(p.first, p.second)
     return p.first, -L.d1_eval(p.first, p.second)
 
 
@@ -163,7 +146,7 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> BundleP
     object, so a Lagrangian that shares work between d1 and d12 at one pair
     can reuse it.
     """
-    _check_points(L, q0, q1)
+    L.bundle.check(q0, q1)
     rhs = L.d2_eval(q0, q1)
     seed_coords = 2.0 * q1.shape.coords - q0.shape.coords
     # Extrapolate the fiber through the exp chart, not by a bare product:
@@ -195,7 +178,7 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> BundleP
 def del_trajectory(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
                    steps: int) -> list[BundlePoint]:
     """The discrete trajectory q0, q1, ..., q_{steps+1}: ``steps`` del_step solves."""
-    _check_points(L, q0, q1)
+    L.bundle.check(q0, q1)
     path = [q0, q1]
     for _ in range(steps):
         path.append(del_step(L, path[-2], path[-1]))
@@ -213,7 +196,7 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement
     NonDegenerateError when the momentum Jacobian in g is singular beyond
     RCOND_FLOOR conditioning.
     """
-    _check_points(L, p.first, p.second)
+    L.bundle.check(p.first, p.second)
     group = L.bundle.group
     d = L.bundle.shape_dim
     # J = -Ad_{g0^-1}^T D1 L(q0, (x1, g)) as in discrete_momentum.

@@ -611,6 +611,15 @@ def test_cone_too_large_for_its_determinant_is_a_domain_failure(tmp_path, capsys
     assert "metric of triangle 0 is too large" in line
 
 
+def test_cone_too_small_for_the_sliver_test_is_a_domain_failure(tmp_path, capsys):
+    # Its determinant once underflowed to 0: "metric of triangle 0 is not positive definite".
+    mesh = tmp_path / "cone.json"
+    write_complex_json(mesh, *cone(5, 1e-100))
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    line = _assert_one_line_domain_failure(capsys, "curvature", cfg)
+    assert "metric of triangle 0 is too small" in line
+
+
 def test_off_too_large_for_its_gram_product_is_a_domain_failure(tmp_path, capsys):
     # The Gram product once warned of its overflow before this refusal.
     mesh = tmp_path / "triangle.off"

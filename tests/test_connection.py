@@ -218,8 +218,53 @@ def test_lift_rejects_distant_target():
 def test_lift_rejects_a_fiber_of_another_group(c):
     # T2 and SO(3) both use 3x3 matrices; only the group tag tells them apart.
     q = Bundle(translation_group(2), 2).point([0.0, 0.0], np.eye(3))
-    with pytest.raises(GroupMismatchError, match="T2 vs SO3"):
+    with pytest.raises(GroupMismatchError, match="point group T2 != bundle group SO3"):
         horizontal_lift(c, q.shape, ShapePoint(np.array([0.1, 0.0])), q)
+
+
+# A point of another group or shape dimension than Bundle(SO3, 2), the error it
+# raises and the start of its message.  T2 shares SO(3)'s 3x3 matrices.
+FOREIGN = {"group": (Bundle(translation_group(2), 2), GroupMismatchError, "point group"),
+           "shape_dim": (Bundle(SO3, 3), ShapeMismatchError, "shape dimensions differ: bundle")}
+
+
+def _foreign_calls(entry, c, q, bad):
+    """Calls of ``entry`` on c's bundle, each with bad in place of one of its points."""
+    if entry == "Bundle.point":
+        return [lambda: c.bundle.point(bad.shape.coords, bad.fiber)]
+    if entry == "assemble_chain":
+        a = cn.AdjointBundleElement(q.shape, q.fiber)
+        calls = [lambda: assemble_chain(c, [q.shape, q.shape],
+                                        [cn.AdjointBundleElement(bad.shape, bad.fiber)])]
+        if bad.shape.coords.size != q.shape.coords.size:  # a bare shape point has no group
+            calls += [lambda xs=xs: assemble_chain(c, xs, [a])
+                      for xs in ([bad.shape, q.shape], [q.shape, bad.shape])]
+        return calls
+    compose = bd.vertical_compose
+    if entry == "extended_compose":
+        def compose(p, r):
+            return extended_compose(c, p, r)
+    slots = [[bad if j == i else q for j in range(4)] for i in range(4)]
+    return [lambda s=s: compose(PairElement(*s[:2]), PairElement(*s[2:])) for s in slots]
+
+
+@pytest.mark.parametrize("kind", FOREIGN)
+@pytest.mark.parametrize("entry", ["extended_compose", "vertical_compose", "assemble_chain",
+                                   "Bundle.point", "points_match"])
+def test_entry_points_refuse_a_point_of_another_bundle(entry, kind):
+    # On another shape dimension each once failed in numpy ("operands could not
+    # be broadcast", "cannot reshape"); extended_compose once returned a pair
+    # whose first point was a T2 point.
+    foreign, error, message = FOREIGN[kind]
+    c = trivial_connection(Bundle(SO3, 2))
+    q = c.bundle.point([0.1, -0.2], lg.exp(SO3, [0.3, 0.0, -0.1]))
+    bad = foreign.point(np.full(foreign.shape_dim, 0.1), lg.identity(foreign.group))
+    if entry == "points_match":
+        assert not bd.points_match(q, bad) and not bd.points_match(bad, q)
+        return
+    for call in _foreign_calls(entry, c, q, bad):
+        with pytest.raises(error, match=message):
+            call()
 
 
 # -- quotients ----------------------------------------------------------------------

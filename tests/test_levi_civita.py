@@ -543,6 +543,20 @@ def test_rejects_metrics_too_large_for_their_determinant(metric):
         MetricComplex(4, [(0, 1, 2), (1, 0, 3)], [np.eye(2), metric])
 
 
+@pytest.mark.parametrize("side", [1e-80, 1e-100, 1e-170])
+def test_rejects_metrics_too_small_for_the_sliver_test(side):
+    # At 1e-80 the subnormal determinant once moved the apex defect 1.2e-5 off
+    # pi/3; at 1e-100 it underflowed to 0 and read "not positive definite", as
+    # did the all-zero metric of 1e-170's squared sides.
+    with pytest.raises(MeshFormatError, match="metric of triangle 0 is too small"):
+        MetricComplex.from_edge_lengths(*cone(5, side))
+    K = MetricComplex.from_edge_lengths(*cone(5, 1e-70))
+    assert K.angle_defects[0] == pytest.approx(math.pi / 3, abs=1e-12)
+    # A degenerate triangle of ordinary size still fails as one.
+    with pytest.raises(MeshFormatError, match="metric of triangle 1 is not positive definite"):
+        MetricComplex(4, [(0, 1, 2), (1, 0, 3)], [np.eye(2), np.ones((2, 2))])
+
+
 def test_rejects_inconsistent_shared_edge_lengths():
     metrics = np.array([np.eye(2), 4.0 * np.eye(2)])
     with pytest.raises(MeshFormatError):

@@ -144,7 +144,7 @@ def test_tangent_in_another_group_is_refused(call):
     a = so3_mechanical()
     c = exponentiated_connection(a)
     t3 = default_pair(Bundle(translation_group(3), 2))
-    with pytest.raises(GroupMismatchError, match="connection group SO3 != group of q T3"):
+    with pytest.raises(GroupMismatchError, match="point group T3 != bundle group SO3"):
         _tangent_call(call, a, c, t3, np.zeros(5))
 
 
@@ -153,7 +153,7 @@ def test_tangent_over_another_shape_dimension_is_refused(call):
     a = so3_mechanical()
     c = exponentiated_connection(a)
     p = default_pair(Bundle(SO3, 3))
-    with pytest.raises(ShapeMismatchError, match="shape dimensions differ: connection 2, q 3"):
+    with pytest.raises(ShapeMismatchError, match="shape dimensions differ: bundle 2, point 3"):
         _tangent_call(call, a, c, p, np.zeros(6))
 
 

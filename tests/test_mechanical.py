@@ -394,7 +394,7 @@ def test_points_of_another_group_are_refused(call):
         bad = Bundle(group, 2).point([0.1, -0.2], lg.identity(group))
         for q0, q1 in ((good, bad), (bad, good)):
             with pytest.raises(GroupMismatchError,
-                               match=f"point group {group.name} != Lagrangian group SO3"):
+                               match=f"point group {group.name} != bundle group SO3"):
                 CALLS[call](REFUSING, q0, q1)
 
 
@@ -405,7 +405,7 @@ def test_points_of_another_shape_dimension_are_refused(call):
         bad = Bundle(SO3, n).point(np.full(n, 0.1), np.eye(3))
         for q0, q1 in ((good, bad), (bad, good)):
             with pytest.raises(ShapeMismatchError,
-                               match=f"shape dimensions differ: Lagrangian 2, point {n}"):
+                               match=f"shape dimensions differ: bundle 2, point {n}"):
                 CALLS[call](REFUSING, q0, q1)
 
 

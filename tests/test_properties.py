@@ -392,7 +392,7 @@ def test_forms_and_lifts_refuse_points_of_another_shape_dimension(family, group)
     s = b.shape_dim
     e = lg.identity(b.group)
     good, wide = ShapePoint(np.full(s, 0.1)), ShapePoint(np.full(s + 1, 0.1))
-    message = f"shape dimensions differ: connection {s}, point {s + 1}"
+    message = f"shape dimensions differ: bundle {s}, point {s + 1}"
     for x0, x1 in ((wide, good), (good, wide), (wide, wide)):
         with pytest.raises(ShapeMismatchError, match=message):
             eval_form(c, PairElement(BundlePoint(x0, e), BundlePoint(x1, e)))
