@@ -26,12 +26,20 @@ The gauge is one angle per triangle, ``frame_angles[t]``, the rotation from
 its frame into the developed plane: 0 at the lowest simplex index of each
 connected component, and chosen along a breadth-first spanning tree of the
 dual graph so that every tree edge carries exactly the identity.  The
-transport angle of an interior edge, ``transport_angles[e]``, is that turn
-plus the frame angles' difference, wrapped into (-pi, pi]; boundary edges
-hold NaN.  Every flat complex carries the identity on all interior edges,
-and curvature and holonomy are independent of this gauge choice.
+search visits each triangle's neighbours in increasing index order, by
+edge id between two edges to one neighbour, from one integer sort of the
+keys neighbour * E + edge.  The transport angle of an interior edge,
+``transport_angles[e]``, is that turn plus the frame angles' difference,
+wrapped into (-pi, pi]; boundary edges hold NaN.  Every flat complex
+carries the identity on all interior edges, and curvature and holonomy are
+independent of this gauge choice.
 
-Adjacency.  One edge table, built with the complex, answers every adjacency query.
+Adjacency.  One edge table, built with the complex, answers every adjacency
+query.  It comes from one stable sort of the half-edges' undirected keys
+lo * n + hi: each edge is a run of one half-edge (boundary) or two
+(interior), the lower triangle's first.  A run of three, or two halves
+running the same way, is refused, naming the smallest directed edge that
+repeats.
 
 Curvature.  SO(2) is abelian, so a transport adds the signed edge angles it
 crosses: + leaving an edge's lower-index coface, - leaving the higher one.
@@ -44,7 +52,6 @@ is rejected with MeshFormatError.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -114,7 +121,8 @@ class MetricComplex:
             what = "has no finite square" if 0 < length < math.inf else "is not positive and finite"
             raise MeshFormatError(f"edge ({int(a)}, {int(b)}) length {length!r} {what}")
         # Edge keys lo * n + hi, as in _build_adjacency; a stable sort puts repeats side by side.
-        keys = np.sort(ends.astype(np.int64), axis=1) @ [n, 1]
+        a, b = ends.astype(np.int64).T
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
         order = np.argsort(keys, kind="stable")
         keys, listed = keys[order], lengths[order]
         clash = np.flatnonzero((keys[1:] == keys[:-1]) & (listed[1:] != listed[:-1]))
@@ -123,7 +131,8 @@ class MetricComplex:
             raise MeshFormatError(f"edge {divmod(int(keys[j]), n)} is listed with lengths "
                                   f"{listed[j]} and {listed[j + 1]}")
         # Each triangle's edges (0, 1), (0, 2) and (1, 2), found past a sentinel end key.
-        wanted = np.sort(tris[:, [[0, 1], [0, 2], [1, 2]]], axis=2) @ [n, 1]
+        tails, heads = tris[:, [0, 0, 1]], tris[:, [1, 2, 2]]
+        wanted = np.minimum(tails, heads) * n + np.maximum(tails, heads)
         at = np.searchsorted(keys, wanted)
         missing = wanted[np.append(keys, n * n)[at] != wanted]
         if missing.size:
@@ -157,10 +166,12 @@ class MetricComplex:
         with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0, are refused below
             dets = np.linalg.det(g)
             # d^T g d for the chart vectors d of local edges 0->1, 1->2 and 2->0.
-            squared = np.stack([g00, (g00 - g10) + (g11 - g01), g11], axis=1)
+            middle = (g00 - g10) + (g11 - g01)
+            squared = np.stack([g00, middle, g11], axis=1)
             # The smallest angle lies between the two longest edges, so its sin^2
-            # is det over the product of their squared lengths.
-            longest = np.sort(squared, axis=1)[:, 1:].prod(axis=1)
+            # is det over the product of their squared lengths (NaN if one is).
+            top, low = np.maximum(g00, middle), np.minimum(g00, middle)
+            longest = np.maximum(low, np.minimum(top, g11)) * np.maximum(top, g11)
         asymmetric = np.abs(g01 - g10) > 1.0e-12 * np.maximum(1.0, np.abs(g01))
         huge = ~(np.isfinite(dets) & np.isfinite(longest))
         # A semidefinite metric passes the sliver test with det >= SLIVER_SIN2 * longest,
@@ -198,7 +209,7 @@ class MetricComplex:
         self.angle_defects = 2.0 * np.pi - angle_sums
         # Both cofaces of an edge must give it the same length.
         inner = self.edge_faces[:, 1] >= 0
-        l0, l1 = self.lengths[self.edge_faces[inner], self.edge_local[inner]].T
+        l0, l1 = self.lengths.ravel()[(3 * self.edge_faces + self.edge_local)[inner]].T
         bad = np.flatnonzero(np.abs(l0 - l1) > CONSISTENCY_TOL * np.maximum(1.0, l0))
         if bad.size:
             i = bad[0]
@@ -220,39 +231,47 @@ class MetricComplex:
         around each interior vertex.
         """
         tris, n = self.triangles, self.vertex_count
-        tails, heads = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+        tails, heads = tris.ravel(), tris[:, [1, 2, 0]].ravel()
         h = np.arange(tails.size)
         if (tails == heads).any():
             raise MeshFormatError(f"triangle {h[tails == heads][0] // 3} has repeated vertices")
-        directed, uses = np.unique(tails * n + heads, return_counts=True)
-        if (uses > 1).any():
+        # One stable sort of the undirected keys lo * n + hi: each edge is a
+        # run of its half-edges in increasing order, the lower triangle's first.
+        keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        ids, seconds = np.cumsum(first) - 1, np.flatnonzero(~first)
+        lower, upper = order[seconds - 1], order[seconds]
+        # A run of three, or two halves running the same way, repeats a directed edge.
+        if (keys[2:] == keys[:-2]).any() or (tails[lower] == tails[upper]).any():
+            directed, uses = np.unique(tails * n + heads, return_counts=True)
             raise MeshFormatError(
                 f"directed edge {divmod(int(directed[uses > 1][0]), n)} appears twice; "
                 "orientations are inconsistent or the edge has more than two triangles"
             )
-        # So every edge has one or two half-edges; np.unique returns the
-        # first, in the lower triangle, and the maximum is the other one.
-        keys, lower, halves = np.unique(
-            np.minimum(tails, heads) * n + np.maximum(tails, heads),
-            return_index=True, return_inverse=True,
-        )
-        upper = np.full(keys.size, -1)
-        np.maximum.at(upper, halves, h)
-        pairs = np.stack([lower, np.where(upper > lower, upper, -1)], axis=1)
-        self.edges = np.stack(np.divmod(keys, n), axis=1)
+        halves, twin = np.empty_like(h), np.full(h.size, -1)  # twin -1 on the boundary
+        halves[order] = ids
+        twin[lower], twin[upper] = upper, lower
+        pairs = np.full((keys.size - seconds.size, 2), -1)
+        pairs[:, 0] = order[first]
+        pairs[ids[seconds], 1] = upper
+        self.edges = np.stack(np.divmod(keys[first], n), axis=1)
         self.face_edges = halves.reshape(tris.shape)
-        self.edge_faces, self.edge_local = np.where(pairs >= 0, np.divmod(pairs, 3), -1)
+        self.edge_faces, self.edge_local = np.divmod(pairs, 3)  # floor: face -1 stays -1
+        self.edge_local[pairs < 0] = -1
         degrees = np.bincount(tails, minlength=n)
         self.star_ptr = np.concatenate([[0], np.cumsum(degrees)])
         self.star_corners = np.argsort(tails, kind="stable")
-        on_boundary = np.bincount(self.edges[pairs[:, 1] < 0].ravel(), minlength=n) > 0
+        on_boundary = np.zeros(n, dtype=bool)
+        on_boundary[tails[twin < 0]] = on_boundary[heads[twin < 0]] = True
         self.interior_vertices = (degrees > 0) & ~on_boundary
         # Around an interior vertex, corner h steps to the twin of the
         # half-edge entering it, 3 t + (k + 2) % 3: a permutation of the
         # vertex's corners with one cycle per closed fan.  Pointer jumping
         # labels each corner with the smallest corner on its cycle.
-        twin = pairs[halves].sum(axis=1) - h  # -1 on the boundary
-        step = twin[h - h % 3 + (h + 2) % 3]
+        step = twin.reshape(tris.shape)[:, [2, 0, 1]].ravel()
         step, label, span = np.where(step >= 0, step, h), h, 1
         while span < degrees.max(initial=0):
             label, step, span = np.minimum(label, label[step]), step[step], 2 * span
@@ -269,28 +288,31 @@ class MetricComplex:
         # each interior edge; the cofaces traverse it in opposite directions.
         (lo, hi), (i, j) = self.edge_faces.T, self.edge_local.T
         cross = np.where(hi >= 0, dirs[hi, j] + np.pi - dirs[lo, i], np.nan)
-        # Each triangle's (neighbour, edge) across its local edges, by
-        # neighbour and edge id; neighbour -1 across the boundary.
-        fe = self.face_edges
-        faces = self.edge_faces[fe]
-        nbr = np.where(faces[..., 0] == np.arange(m)[:, None], faces[..., 1], faces[..., 0])
-        steps = np.stack([nbr, fe], 2)
-        steps = np.take_along_axis(steps, np.lexsort((fe, nbr), axis=1)[..., None], 1).tolist()
+        # Each triangle's steps across its local edges as keys neighbour * E +
+        # edge, sorted by neighbour, then edge.  The neighbour is the edge's
+        # coface sum less the triangle: -1 across the boundary, where the key
+        # is negative.
+        fe, n_edges = self.face_edges, len(self.edges)
+        nbr = (lo + hi)[fe] - np.arange(m)[:, None]
+        steps = np.sort(nbr * n_edges + fe, axis=1).tolist()
         crosses, psi, visited, tree = cross.tolist(), [0.0] * m, [False] * m, []
+        remainder, tau = math.remainder, math.tau
         for root in range(m):
             if visited[root]:
                 continue
             visited[root] = True
-            queue = deque([root])
-            while queue:
-                t = queue.popleft()
-                for t_next, e in steps[t]:
-                    if t_next < 0 or visited[t_next]:
+            queue = [root]
+            for t in queue:  # breadth first: the queue grows as it is walked
+                for key in steps[t]:
+                    if key < 0:
+                        continue
+                    t_next, e = divmod(key, n_edges)
+                    if visited[t_next]:
                         continue
                     # Makes the tree edge's cross + psi_hi - psi_lo zero; the
                     # remainder keeps psi, and so its roundoff, within [-pi, pi].
                     turn = -crosses[e] if t < t_next else crosses[e]
-                    psi[t_next] = math.remainder(psi[t] + turn, math.tau)
+                    psi[t_next] = remainder(psi[t] + turn, tau)
                     visited[t_next] = True
                     tree.append(e)
                     queue.append(t_next)

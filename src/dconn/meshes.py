@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
+from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -36,29 +38,38 @@ MAX_VERTICES = 10_000_000
 
 
 def read_off(path) -> MetricComplex:
-    """Read an OFF triangle mesh; metrics come from the embedding."""
-    lines = []
-    for raw in Path(path).read_text().splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    if not lines or lines[0] != "OFF":
+    """Read an OFF triangle mesh; metrics come from the embedding.
+
+    After ``#`` comments and blank lines, the file must hold the header, the
+    declared vertex lines and the declared face lines, and nothing more.
+    """
+    split = (line.split("#", 1)[0].split() for line in Path(path).read_text().splitlines())
+    lines = list(filter(None, split))
+    if not lines or lines[0] != ["OFF"]:
         raise MeshFormatError(f"{path}: missing OFF header")
     try:
-        nv, nf, _ = (int(tok) for tok in lines[1].split())
-        rows = lines[2:]
-        verts = np.array([[float(tok) for tok in rows[i].split()] for i in range(nv)])
+        nv, nf, _ = map(int, lines[1])
+        body = lines[2:]
+        verts = np.array([list(map(float, body[i])) for i in range(nv)])
         faces = []
         for i in range(nf):
-            toks = rows[nv + i].split()
+            toks = body[nv + i]
             if int(toks[0]) != 3:
                 raise MeshFormatError(f"{path}: face {i} is not a triangle")
-            faces.append([int(t) for t in toks[1:4]])
+            faces.append(list(map(int, toks[1:4])))
     except (IndexError, ValueError) as exc:
         raise MeshFormatError(f"{path}: malformed OFF file ({exc})") from exc
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise MeshFormatError(f"{path}: need vertices of three coordinates each")
-    return MetricComplex.from_embedding(verts, np.array(faces, dtype=int))
+    if len(set(map(len, faces))) > 1:  # rows of unequal length do not stack
+        i = next(i for i, face in enumerate(faces) if len(face) < 3)
+        raise MeshFormatError(f"{path}: face {i} has fewer than three vertex indices")
+    K = MetricComplex.from_embedding(verts, np.array(faces, dtype=int))
+    # Refused last, so that a file with another fault keeps that fault's message.
+    if len(body) > nv + nf:
+        raise MeshFormatError(f"{path}: {len(body) - nv - nf} line(s) after the {nv} vertices "
+                              f"and {nf} faces the header declares")
+    return K
 
 
 def write_off(path, vertices: np.ndarray, triangles: np.ndarray) -> None:
@@ -84,8 +95,9 @@ def complex_to_dict(vertex_count: int, triangles, edge_lengths) -> dict:
 
 
 def _require_integers(values, what: str) -> None:
-    # JSON integers only: int() would truncate a float index silently.
-    if not all(type(v) is int for v in values):
+    # JSON integers only: int() would truncate a float index silently.  The
+    # scan stops at the first value of another type (bool included).
+    if not all(map(is_, map(type, values), repeat(int))):
         raise MeshFormatError(f"{what} must be JSON integers")
 
 
@@ -97,7 +109,7 @@ def dict_to_complex(data: dict) -> MetricComplex:
         _require_integers([vertex_count], "the vertex count")
         if vertex_count > MAX_VERTICES:
             raise MeshFormatError(f"'vertices' must be at most {MAX_VERTICES}, got {vertex_count}")
-        _require_integers((i for t in triangles for i in t), "triangle indices")
+        _require_integers(chain.from_iterable(triangles), "triangle indices")
         _require_integers((i for a, b, _ in edges for i in (a, b)), "edge_lengths ends")
         row = next((e for e in edges if type(e[2]) not in (int, float)), None)
         if row is not None:  # float() would read true as 1.0 and "1.5" as 1.5

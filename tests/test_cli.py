@@ -638,6 +638,20 @@ def test_off_with_a_non_finite_coordinate_is_a_domain_failure(tmp_path, capsys, 
     assert "vertex 1 has a non-finite coordinate" in line
 
 
+@pytest.mark.parametrize("body, message", [
+    # A short face line once crashed into numpy: "invalid config: ValueError(...)".
+    ("3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 1 3\n", "face 1 has fewer than three vertex indices"),
+    # Faces past the declared count were dropped, and the report covered part of the mesh.
+    ("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 1\n", "1 line(s) after the 3 vertices"),
+])
+def test_off_short_or_extra_face_line_is_a_domain_failure(tmp_path, capsys, body, message):
+    mesh = tmp_path / "triangle.off"
+    mesh.write_text("OFF\n" + body)
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    line = _assert_one_line_domain_failure(capsys, "curvature", cfg)
+    assert f"{mesh}: {message}" in line
+
+
 def test_newton_stall_is_a_domain_failure(tmp_path, capsys, monkeypatch):
     from dconn import mechanical
 

@@ -70,9 +70,10 @@ def _coords(n, bound=1.0):
     return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
 
 
-def _point(draw, b):
+def _point(draw, b, shape_bound=0.1):
     # Fiber coordinates of at most 1 keep every rotation angle below pi.
-    return b.point(draw(_coords(b.shape_dim, 0.1)), lg.exp(b.group, draw(_coords(b.group.dim))))
+    return b.point(draw(_coords(b.shape_dim, shape_bound)),
+                   lg.exp(b.group, draw(_coords(b.group.dim))))
 
 
 def _coefficient_form(b):
@@ -242,56 +243,55 @@ def test_induced_form_abelian_closed_form(x, fiber, u, eta):
 # -- exact and Cayley discretizations ----------------------------------------------
 
 
-def test_exact_discretization_on_diagonal():
+@TANGENT
+@given(st.data())
+def test_exact_discretization_on_diagonal(data):
     c = exponentiated_connection(so3_mechanical())
-    rng = np.random.default_rng(58)
-    q = c.bundle.random_point(rng)
+    q = _point(data.draw, c.bundle, shape_bound=2.0)
     w = eval_form(c, PairElement(q, q))
     assert np.max(np.abs(w.matrix - np.eye(3))) < 1e-15
 
 
-def test_exact_discretization_on_vertical_pairs():
+@TANGENT
+@given(st.data())
+def test_exact_discretization_on_vertical_pairs(data):
     # exp(xi) . q over the same base point maps back to exp(xi).
     c = exponentiated_connection(so3_mechanical())
-    rng = np.random.default_rng(59)
-    for _ in range(10):
-        q = c.bundle.random_point(rng, shape_scale=0.1)
-        xi = lg.random_algebra(SO3, rng, scale=0.6)
-        w = eval_form(c, PairElement(q, bd.act(lg.exp(SO3, xi), q)))
-        assert np.max(np.abs(w.matrix - lg.exp(SO3, xi).matrix)) < 1e-11
+    q = _point(data.draw, c.bundle, shape_bound=0.3)
+    xi = data.draw(_coords(3))
+    w = eval_form(c, PairElement(q, bd.act(lg.exp(SO3, xi), q)))
+    assert np.max(np.abs(w.matrix - lg.exp(SO3, xi).matrix)) < 1e-11
 
 
-def test_exponentiated_connection_abelian_closed_form():
+@TANGENT
+@given(_coords(1), _coords(1))
+def test_exponentiated_connection_abelian_closed_form(x0, step):
     c = exponentiated_connection(abelian_mechanical())
-    rng = np.random.default_rng(60)
-    for _ in range(10):
-        x0 = 0.3 * rng.standard_normal(1)
-        x1 = x0 + 0.3 * rng.standard_normal(1)
-        a = c.local_rep(ShapePoint(x0), ShapePoint(x1))
-        # Translation part integrates the frozen coefficient at x0.
-        assert abs(a[0, 1] - 0.4 * math.cos(x0[0]) * (x1[0] - x0[0])) < 1e-14
+    x1 = x0 + step
+    a = c.local_rep(ShapePoint(x0), ShapePoint(x1))
+    # Translation part integrates the frozen coefficient at x0.
+    assert abs(a[0, 1] - 0.4 * math.cos(x0[0]) * (x1[0] - x0[0])) < 1e-14
 
 
 @pytest.mark.parametrize("fixture", sorted(CONTINUOUS_FIXTURES))
-def test_local_reps_are_the_one_form_on_the_shape_step(fixture):
+@TANGENT
+@given(st.data())
+def test_local_reps_are_the_one_form_on_the_shape_step(fixture, data):
     # Each discretization maps the one-form on the tangent (x1 - x0, 0) at
     # (x, e) to the group: exp at x0, Cayley at x0, exp at x1.
     a = CONTINUOUS_FIXTURES[fixture]()
     b = a.bundle
     e = lg.identity(b.group)
-    rng = np.random.default_rng(62)
+    x0 = ShapePoint(data.draw(_coords(b.shape_dim)))
+    x1 = ShapePoint(x0.coords + data.draw(_coords(b.shape_dim, 0.5)))
     schemes = ((exponentiated_connection, lg.exp, False),
                (cayley_connection, lg.cayley, False),
                (endpoint_connection, lg.exp, True))
     for build, to_group, at_far_end in schemes:
-        c = build(a)
-        for _ in range(5):
-            x0 = ShapePoint(0.3 * rng.standard_normal(b.shape_dim))
-            x1 = ShapePoint(x0.coords + 0.2 * rng.standard_normal(b.shape_dim))
-            base = BundlePoint(x1 if at_far_end else x0, e)
-            v = np.concatenate([x1.coords - x0.coords, np.zeros(b.group.dim)])
-            assert np.array_equal(c.local_rep(x0, x1),
-                                  to_group(b.group, a.one_form(base, v)).matrix)
+        base = BundlePoint(x1 if at_far_end else x0, e)
+        v = np.concatenate([x1.coords - x0.coords, np.zeros(b.group.dim)])
+        assert np.array_equal(build(a).local_rep(x0, x1),
+                              to_group(b.group, a.one_form(base, v)).matrix)
 
 
 # -- coefficient fields on stacks ---------------------------------------------------
@@ -360,15 +360,14 @@ def test_a_point_wise_field_is_refused_on_the_forward_difference_paths():
                        unit_directions(c.bundle, 4), [1e-1, 1e-2])
 
 
-def test_cayley_discretization_identity_and_group_membership():
+@TANGENT
+@given(st.data())
+def test_cayley_discretization_identity_and_group_membership(data):
     c = cayley_connection(so3_mechanical())
-    rng = np.random.default_rng(61)
-    q = c.bundle.random_point(rng)
+    q = _point(data.draw, c.bundle, shape_bound=2.0)
     assert np.max(np.abs(eval_form(c, PairElement(q, q)).matrix - np.eye(3))) < 1e-15
-    for _ in range(5):
-        p = PairElement(c.bundle.random_point(rng, shape_scale=0.1),
-                        c.bundle.random_point(rng, shape_scale=0.1))
-        SO3.check_matrix(eval_form(c, p).matrix, tol=1e-12)
+    p = PairElement(_point(data.draw, c.bundle), _point(data.draw, c.bundle))
+    SO3.check_matrix(eval_form(c, p).matrix, tol=1e-12)
 
 
 # -- direction sampling --------------------------------------------------------------

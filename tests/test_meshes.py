@@ -391,6 +391,33 @@ def test_off_rejects_malformed_files(tmp_path):
     assert main(["curvature", "--config", str(config)]) == 2
 
 
+def test_off_rejects_a_short_face_line_by_index(tmp_path):
+    # After a good face, "3 1 3" once reached np.array as a ragged row and
+    # raised numpy's ValueError.
+    short = tmp_path / "s.off"
+    short.write_text("OFF\n4 3 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 1 3\n3 2 1 3\n")
+    with pytest.raises(MeshFormatError, match=re.escape(
+            f"{short}: face 1 has fewer than three vertex indices")):
+        read_off(short)
+    # A face line may carry more than three indices (colours, say); only the first three count.
+    coloured = tmp_path / "c.off"
+    coloured.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 255 0 0\n")
+    assert np.array_equal(read_off(coloured).triangles, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("tail, extra", [("3 0 2 1\n", 1), ("0 0 1\n# a comment\n7\n", 2)])
+def test_off_rejects_content_after_the_declared_blocks(tmp_path, tail, extra):
+    # An undercounted header once read part of the mesh and said nothing.
+    path = tmp_path / "t.off"
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n" + tail)
+    with pytest.raises(MeshFormatError, match=re.escape(
+            f"{path}: {extra} line(s) after the 3 vertices and 1 faces the header declares")):
+        read_off(path)
+    # Comments and blank lines after the faces are not content.
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\n# the end\n")
+    assert read_off(path).triangles.shape == (1, 3)
+
+
 def test_read_mesh_dispatch(tmp_path):
     n, tris, lengths = cone(5)
     jpath = tmp_path / "cone.json"
