@@ -8,13 +8,14 @@ Gram matrices, from [a, b, length] edge-length rows, or from an embedding.
 Geometry tables.  Building a complex validates its metrics and tabulates
 them once: ``lengths[t, k]`` (local edge k -> k+1) and
 ``corner_angles[t, k]`` per triangle, ``angle_defects[v]`` per vertex.
-Every length and angle query reads these arrays.  A triangle whose
-smallest corner angle has sin^2 below SLIVER_SIN2 = 1e-12 is rejected with
+Every length and angle query reads these arrays.  They are computed on each
+metric scaled by 4^-k, exactly, so that its largest entry lies in [0.5, 2):
+a power-of-two scaling changes only the lengths.  A triangle whose smallest
+corner angle has sin^2 below SLIVER_SIN2 = 1e-12 is rejected with
 MeshFormatError: past it the curvature angle at a vertex and the vertex's
-angle defect drift apart, by 3e-10 at 1e-12 and by up to pi at 1e-15.  So
-is one too small for that test, where SLIVER_SIN2 times the product of its
-two longest squared sides is below the smallest normal float: a subnormal
-determinant moves the apex defect of a cone of side 1e-80 by 1.2e-5.
+angle defect drift apart, by 3e-10 at 1e-12 and by up to pi at 1e-15.  So is
+a metric whose largest entry is not a normal float, as it has lost bits of
+its shape: a cone of side 1e-158 would read its apex defect 1.4e-7 off.
 
 Frames.  Each triangle has one orthonormal frame, the Cholesky frame of its
 chart metric, read off the corner angles: local edge k -> k + 1 points at
@@ -74,7 +75,10 @@ SLIVER_SIN2 = 1.0e-12
 
 
 def _triangle_array(triangles, vertex_count: int) -> np.ndarray:
-    tris = np.asarray(triangles, dtype=int)
+    try:
+        tris = np.asarray(triangles, dtype=int)
+    except OverflowError:  # an index beyond int64 is out of range too
+        raise MeshFormatError("triangle vertex index out of range") from None
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshFormatError("triangles must be an (m, 3) index array")
     if tris.size and (tris.min() < 0 or tris.max() >= vertex_count):
@@ -162,42 +166,37 @@ class MetricComplex:
         bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
         if bad.size:
             raise MeshFormatError(f"metric of triangle {bad[0]} is not finite")
+        # Tests run on each metric scaled by 4^-k (exact) to put its largest entry in [0.5, 2).
+        largest = np.abs(g).max(axis=(1, 2))
+        k = np.frexp(largest)[1] >> 1
+        g = np.ldexp(g, -2 * k[:, None, None])
         g00, g01, g10, g11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0, are refused below
-            dets = np.linalg.det(g)
-            # d^T g d for the chart vectors d of local edges 0->1, 1->2 and 2->0.
-            middle = (g00 - g10) + (g11 - g01)
-            squared = np.stack([g00, middle, g11], axis=1)
-            # The smallest angle lies between the two longest edges, so its sin^2
-            # is det over the product of their squared lengths (NaN if one is).
-            top, low = np.maximum(g00, middle), np.minimum(g00, middle)
-            longest = np.maximum(low, np.minimum(top, g11)) * np.maximum(top, g11)
-        asymmetric = np.abs(g01 - g10) > 1.0e-12 * np.maximum(1.0, np.abs(g01))
-        huge = ~(np.isfinite(dets) & np.isfinite(longest))
-        # A semidefinite metric passes the sliver test with det >= SLIVER_SIN2 * longest,
-        # which must be a normal float for det to be one.
-        semidefinite = (dets >= 0) & (squared >= 0).all(axis=1)
-        tiny = semidefinite & (SLIVER_SIN2 * longest < np.finfo(float).tiny)
-        indefinite = ~((g00 > 0) & (dets > 0))
+        dets = g00 * g11 - g01 * g10
+        # d^T g d for the chart vectors d of local edges 0->1, 1->2 and 2->0.
+        middle = (g00 - g10) + (g11 - g01)
+        squared = np.stack([g00, middle, g11], axis=1)
+        # The smallest angle lies between the two longest edges, so its sin^2
+        # is det over the product of their squared lengths.
+        top, low = np.maximum(g00, middle), np.minimum(g00, middle)
+        longest = np.maximum(low, np.minimum(top, g11)) * np.maximum(top, g11)
+        asymmetric = np.abs(g01 - g10) > 1.0e-12
+        tiny = largest < np.finfo(float).tiny
+        # A collinear det rounds to either side of 0; only one clearly below is indefinite.
         sliver = dets < SLIVER_SIN2 * longest
-        bad = np.flatnonzero(asymmetric | huge | tiny | indefinite | sliver)
+        indefinite = (g00 <= 0) | (dets < -SLIVER_SIN2 * longest)
+        bad = np.flatnonzero(asymmetric | tiny | sliver | indefinite)
         if bad.size:
             t = int(bad[0])
             if asymmetric[t]:
                 raise MeshFormatError(f"metric of triangle {t} is not symmetric")
-            if huge[t]:
-                raise MeshFormatError(f"metric of triangle {t} is too large: its determinant "
-                                      f"or longest-edge product is not finite")
             if tiny[t]:
-                raise MeshFormatError(f"metric of triangle {t} is too small: {SLIVER_SIN2:g} "
-                                      f"times its longest-edge product is not a normal float")
+                raise MeshFormatError(f"metric of triangle {t} is too small: "
+                                      f"its largest entry is not a normal float")
             if indefinite[t]:
                 raise MeshFormatError(f"metric of triangle {t} is not positive definite")
-            raise MeshFormatError(
-                f"triangle {t} is a sliver: sin^2 of its smallest angle is "
-                f"{dets[t] / longest[t]:.3g}, below {SLIVER_SIN2:g}"
-            )
-        self.lengths = np.sqrt(squared)
+            raise MeshFormatError(f"triangle {t} is a sliver: sin^2 of its smallest angle is "
+                                  f"{dets[t] / longest[t]:.3g}, below {SLIVER_SIN2:g}")
+        self.lengths = np.ldexp(np.sqrt(squared), k[:, None])
         # Each corner's edge vectors have chart cross product 1, so the sine
         # part is sqrt(det); the cosine parts are u^T g w.
         cos = np.stack([g01, g00 - g10, g11 - g10], axis=1)
@@ -207,10 +206,11 @@ class MetricComplex:
             self.triangles.ravel(), self.corner_angles.ravel(), minlength=self.vertex_count
         )
         self.angle_defects = 2.0 * np.pi - angle_sums
-        # Both cofaces of an edge must give it the same length.
+        # Both cofaces of an edge must give it one length, to CONSISTENCY_TOL times the larger 2^k.
         inner = self.edge_faces[:, 1] >= 0
         l0, l1 = self.lengths.ravel()[(3 * self.edge_faces + self.edge_local)[inner]].T
-        bad = np.flatnonzero(np.abs(l0 - l1) > CONSISTENCY_TOL * np.maximum(1.0, l0))
+        tol = np.ldexp(CONSISTENCY_TOL, k[self.edge_faces[inner]].max(axis=1))
+        bad = np.flatnonzero(np.abs(l0 - l1) > tol)
         if bad.size:
             i = bad[0]
             raise MeshFormatError(f"edge {tuple(self.edges[inner][i].tolist())} has "
@@ -479,15 +479,15 @@ def holonomy(K: MetricComplex, A: DualOneForm, loop: Sequence[int]) -> GroupElem
     The path must be explicitly closed (first == last, or a single simplex).
     Each step crosses the lowest-keyed edge its two triangles share.
     """
-    loop = np.array([int(t) for t in loop], dtype=int)
-    if not loop.size:
+    loop, m = [int(t) for t in loop], len(K.triangles)
+    if not loop:
         raise NotClosedError("empty loop")
     if loop[0] != loop[-1]:
         raise NotClosedError("loop must start and end at the same simplex")
-    outside = loop[(loop < 0) | (loop >= len(K.triangles))]
-    if outside.size:
+    outside = [t for t in loop if not 0 <= t < m]
+    if outside:
         raise NotAdjacentError(f"triangle {outside[0]} is not in the complex")
-    sources, targets = loop[:-1], loop[1:]
+    sources, targets = np.array(loop[:-1], dtype=int), np.array(loop[1:], dtype=int)
     return _rotation(_crossings(K, A, _shared_edges(K, sources, targets), sources).sum())
 
 

@@ -64,7 +64,7 @@ def read_off(path) -> MetricComplex:
     if len(set(map(len, faces))) > 1:  # rows of unequal length do not stack
         i = next(i for i, face in enumerate(faces) if len(face) < 3)
         raise MeshFormatError(f"{path}: face {i} has fewer than three vertex indices")
-    K = MetricComplex.from_embedding(verts, np.array(faces, dtype=int))
+    K = MetricComplex.from_embedding(verts, faces)
     # Refused last, so that a file with another fault keeps that fault's message.
     if len(body) > nv + nf:
         raise MeshFormatError(f"{path}: {len(body) - nv - nf} line(s) after the {nv} vertices "

@@ -559,6 +559,28 @@ def _assert_one_line_domain_failure(capsys, command, cfg):
     return lines[0]
 
 
+@pytest.mark.parametrize("where", ["off", "json", "loop"])
+def test_index_beyond_int64_is_a_domain_failure(tmp_path, capsys, where):
+    # Each once printed "invalid config: OverflowError(...)" or "malformed
+    # complex dictionary (...)", naming no field.
+    big, command, spec = 10**20, "curvature", {}
+    if where == "off":
+        mesh = tmp_path / "triangle.off"
+        mesh.write_text(f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {big}\n")
+    else:
+        mesh = tmp_path / "cone.json"
+        data = meshes.complex_to_dict(*cone(5))
+        if where == "json":
+            data["triangles"][0][2] = big
+        else:
+            command, spec = "holonomy", {"loop": [0, big, 0]}
+        mesh.write_text(json.dumps(data))
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh), **spec})
+    line = _assert_one_line_domain_failure(capsys, command, cfg)
+    want = f"triangle {big} is not in the complex" if where == "loop" else "index out of range"
+    assert want in line
+
+
 def test_sweep_start_too_large_for_a_float_is_a_domain_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, "o.json", {
         "candidate": "cayley:so3_mechanical", "reference": "exponentiated:so3_mechanical",
@@ -599,25 +621,28 @@ def test_cone_too_large_to_square_is_a_domain_failure(tmp_path, capsys):
     assert "edge (0, 1) length 1e+200 has no finite square" in line
 
 
-@pytest.mark.parametrize("side", [1e100, 1e154])
-def test_cone_too_large_for_its_determinant_is_a_domain_failure(tmp_path, capsys, side):
-    # At 1e100 the determinant and the longest-edge product once overflowed: two
-    # RuntimeWarnings, then exit 0 with the apex at 1.5708 for pi/3.  At 1e154
-    # the halving of g01 came after s01 + s02, which overflowed.
+@pytest.mark.parametrize("side", [1e-100, 1e100, 1e154])
+def test_cone_of_extreme_side_reports_its_apex(tmp_path, capsys, side):
+    # At 1e-100 the determinant once underflowed to 0: "not positive definite".
+    # At 1e100 it overflowed: two RuntimeWarnings, then exit 0 with the apex at
+    # 1.5708 for pi/3.  Later 1e-100 read "too small" and 1e100 and 1e154 "too
+    # large"; each metric is now judged at its own scale.
+    mesh = tmp_path / "cone.json"
+    write_complex_json(mesh, *cone(5, side))
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    code, report = run(capsys, ["curvature", "--config", cfg])
+    assert code == 0
+    assert report["per_vertex"] == [[0, pytest.approx(math.pi / 3, abs=1e-12)]]
+
+
+@pytest.mark.parametrize("side", [1e-160, 1e-170])
+def test_cone_whose_metric_is_not_a_normal_float_is_a_domain_failure(tmp_path, capsys, side):
+    # Sides of 1e-160 square to a subnormal, and of 1e-170 to 0.
     mesh = tmp_path / "cone.json"
     write_complex_json(mesh, *cone(5, side))
     cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
     line = _assert_one_line_domain_failure(capsys, "curvature", cfg)
-    assert "metric of triangle 0 is too large" in line
-
-
-def test_cone_too_small_for_the_sliver_test_is_a_domain_failure(tmp_path, capsys):
-    # Its determinant once underflowed to 0: "metric of triangle 0 is not positive definite".
-    mesh = tmp_path / "cone.json"
-    write_complex_json(mesh, *cone(5, 1e-100))
-    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
-    line = _assert_one_line_domain_failure(capsys, "curvature", cfg)
-    assert "metric of triangle 0 is too small" in line
+    assert "metric of triangle 0 is too small: its largest entry is not a normal float" in line
 
 
 def test_off_too_large_for_its_gram_product_is_a_domain_failure(tmp_path, capsys):

@@ -314,8 +314,9 @@ def test_holonomy_rejects_open_or_broken_paths():
         holonomy(K, A, [0, 1, 2])
     with pytest.raises(NotAdjacentError):
         holonomy(K, A, [0, 2, 0])
-    for outside in (-1, len(K.triangles)):
-        with pytest.raises(NotAdjacentError):
+    # 10**20 once reached numpy and raised its OverflowError.
+    for outside in (-1, len(K.triangles), 10**20):
+        with pytest.raises(NotAdjacentError, match=f"triangle {outside} is not in the complex"):
             holonomy(K, A, [0, outside, 0])
         with pytest.raises(NotAdjacentError, match="not in the complex"):
             holonomy(K, A, [outside])
@@ -533,43 +534,85 @@ def test_rejects_non_finite_coordinates_and_metrics():
             MetricComplex(4, [(0, 1, 2), (1, 0, 3)], [np.eye(2), [[1.0, bad], [bad, 1.0]]])
 
 
-@pytest.mark.parametrize("metric", [[[1e200, 5e199], [5e199, 1e200]],
-                                    [[0.0, -1e308], [-1e308, 0.0]]],
+@pytest.mark.parametrize("metric, angle", [([[1e200, 5e199], [5e199, 1e200]], math.pi / 3),
+                                           ([[0.0, -1e308], [-1e308, 0.0]], None)],
                          ids=["equilateral", "inf_times_zero"])
-def test_rejects_metrics_too_large_for_their_determinant(metric):
-    # Finite metrics whose determinant or longest-edge product is not: the
-    # equilateral one once read every corner as pi/2, the other warned of inf * 0.
-    with pytest.raises(MeshFormatError, match="metric of triangle 1 is too large"):
-        MetricComplex(4, [(0, 1, 2), (1, 0, 3)], [np.eye(2), metric])
+def test_judges_large_metrics_at_their_own_scale(metric, angle):
+    # Both once read "too large": the equilateral metric's determinant overflowed,
+    # and the other's longest-edge product was inf * 0.
+    if angle is None:
+        with pytest.raises(MeshFormatError, match="metric of triangle 0 is not positive definite"):
+            MetricComplex(3, [(0, 1, 2)], [metric])
+    else:
+        K = MetricComplex(3, [(0, 1, 2)], [metric])
+        assert np.max(np.abs(K.corner_angles - angle)) <= 2e-15
 
 
-@pytest.mark.parametrize("side", [1e-80, 1e-100, 1e-170])
-def test_rejects_metrics_too_small_for_the_sliver_test(side):
-    # At 1e-80 the subnormal determinant once moved the apex defect 1.2e-5 off
-    # pi/3; at 1e-100 it underflowed to 0 and read "not positive definite", as
-    # did the all-zero metric of 1e-170's squared sides.
-    with pytest.raises(MeshFormatError, match="metric of triangle 0 is too small"):
+@pytest.mark.parametrize("side", [1e-80, 1e-100, 1e-150, 1e100, 1e154])
+def test_cones_of_every_normal_scale_build(side):
+    # 1e-80 to 1e-150 once read "too small": a subnormal determinant moved the
+    # apex defect of 1e-80 by 1.2e-5, and at 1e-100 it underflowed to 0.
+    # 1e100 and 1e154 read "too large": their determinant overflowed.
+    K = MetricComplex.from_edge_lengths(*cone(5, side))
+    assert abs(K.angle_defects[0] - math.pi / 3) <= 2e-15
+
+
+@pytest.mark.parametrize("side", [1e-160, 1e-170])
+def test_rejects_metrics_whose_largest_entry_is_not_a_normal_float(side):
+    # 1e-160 squares to the subnormal 1e-320, 1e-170 to 0: the metric no longer
+    # holds the triangle's shape.
+    with pytest.raises(MeshFormatError, match="metric of triangle 0 is too small: "
+                                              "its largest entry is not a normal float"):
         MetricComplex.from_edge_lengths(*cone(5, side))
-    K = MetricComplex.from_edge_lengths(*cone(5, 1e-70))
-    assert K.angle_defects[0] == pytest.approx(math.pi / 3, abs=1e-12)
-    # A degenerate triangle of ordinary size still fails as one.
-    with pytest.raises(MeshFormatError, match="metric of triangle 1 is not positive definite"):
+    # A collinear triangle of ordinary size, whose determinant is 0, is a sliver.
+    with pytest.raises(MeshFormatError, match="triangle 1 is a sliver: sin.2 of its smallest "
+                                              "angle is 0, below 1e-12"):
         MetricComplex(4, [(0, 1, 2), (1, 0, 3)], [np.eye(2), np.ones((2, 2))])
 
 
+def _disjoint(complexes):
+    """Side-by-side copies of abstract complexes, as one abstract complex."""
+    n, tris, rows = 0, [], []
+    for count, t, r in complexes:
+        tris.append(t + n)
+        rows.append(r + [n, n, 0.0])
+        n += count
+    return n, np.concatenate(tris), np.concatenate(rows)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_power_of_two_scales_keep_every_corner_angle(k):
+    # Sides 2^j square exactly for every j in [-511, 511], so the scaled
+    # metrics are the unit cone's and so are their angles, bit for bit.
+    scales = range(-511, 512)
+    K = MetricComplex.from_edge_lengths(*_disjoint(cone(k, 2.0**j) for j in scales))
+    unit = MetricComplex.from_edge_lengths(*cone(k))
+    angles = K.corner_angles.reshape(len(scales), k, 3)
+    assert (angles == unit.corner_angles).all()
+    assert (K.angle_defects.reshape(len(scales), k + 1) == unit.angle_defects).all()
+    with pytest.raises(MeshFormatError, match="too small"):
+        MetricComplex.from_edge_lengths(*cone(k, 2.0**-512))
+
+
 def test_rejects_inconsistent_shared_edge_lengths():
-    metrics = np.array([np.eye(2), 4.0 * np.eye(2)])
-    with pytest.raises(MeshFormatError):
-        MetricComplex(4, [(0, 1, 2), (1, 0, 3)], metrics)
+    # At 1e-20 the lengths 1e-10 and 2e-10 once passed under a tolerance floored at 1e-10.
+    for scale in (1.0, 1e-20):
+        metrics = scale * np.array([np.eye(2), 4.0 * np.eye(2)])
+        a, b = math.sqrt(scale), 2.0 * math.sqrt(scale)
+        with pytest.raises(MeshFormatError, match=re.escape(f"edge (0, 1) has inconsistent "
+                                                            f"lengths {a!r} vs {b!r}")):
+            MetricComplex(4, [(0, 1, 2), (1, 0, 3)], metrics)
 
 
 def test_rejects_asymmetric_and_indefinite_metrics():
-    bad_sym = np.array([[[1.0, 0.5], [-0.5, 1.0]]])
-    with pytest.raises(MeshFormatError):
-        MetricComplex(3, [(0, 1, 2)], bad_sym)
-    indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]])
-    with pytest.raises(MeshFormatError):
-        MetricComplex(3, [(0, 1, 2)], indefinite)
+    # At 1e-20 the asymmetric metric once passed under a tolerance floored at 1e-12.
+    for scale in (1.0, 1e-20):
+        bad_sym = scale * np.array([[[1.0, 0.5], [0.1, 1.0]]])
+        with pytest.raises(MeshFormatError, match="metric of triangle 0 is not symmetric"):
+            MetricComplex(3, [(0, 1, 2)], bad_sym)
+        indefinite = scale * np.array([[[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(MeshFormatError, match="metric of triangle 0 is not positive definite"):
+            MetricComplex(3, [(0, 1, 2)], indefinite)
 
 
 def test_rejects_bad_shapes():

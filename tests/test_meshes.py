@@ -318,6 +318,14 @@ def test_json_rejects_lengths_that_are_not_positive_finite_numbers(bad, message)
         dict_to_complex(data)
 
 
+def test_json_rejects_a_triangle_index_beyond_int64():
+    # It once reached numpy: "malformed complex dictionary (Python int too large ...)".
+    data = complex_to_dict(*cone(5))
+    data["triangles"][0][2] = 10**20
+    with pytest.raises(MeshFormatError, match="^triangle vertex index out of range$"):
+        dict_to_complex(data)
+
+
 def test_json_rejects_a_length_too_large_for_a_float():
     data = complex_to_dict(*cone(5))
     data["edge_lengths"][0][2] = 10**400
@@ -403,6 +411,14 @@ def test_off_rejects_a_short_face_line_by_index(tmp_path):
     coloured = tmp_path / "c.off"
     coloured.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 255 0 0\n")
     assert np.array_equal(read_off(coloured).triangles, [[0, 1, 2]])
+
+
+def test_off_rejects_a_face_index_beyond_int64(tmp_path):
+    # It once escaped as numpy's OverflowError, which named neither file nor face.
+    big = tmp_path / "b.off"
+    big.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n")
+    with pytest.raises(MeshFormatError, match="^triangle vertex index out of range$"):
+        read_off(big)
 
 
 @pytest.mark.parametrize("tail, extra", [("3 0 2 1\n", 1), ("0 0 1\n# a comment\n7\n", 2)])

@@ -43,7 +43,7 @@ from dconn.levi_civita import (
 from dconn.lie_group import SE3, SO2, SO3, translation_group
 from dconn.limits import exponentiated_connection
 from dconn.mechanical import del_step, del_trajectory, mechanical_discrete_connection
-from dconn.meshes import icosphere, latitude_loop
+from dconn.meshes import cone, flat_grid, icosphere, latitude_loop, torus_grid
 from dconn.presets import CONTINUOUS_FIXTURES, LAGRANGIAN_FIXTURES, resolve_connection
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -270,6 +270,55 @@ def test_curvature_and_holonomy_do_not_depend_on_the_gauge(sphere, seed):
     h = holonomy(K, A, loop)
     h_shuffled = holonomy(S, B, [int(new_index[t]) for t in loop])
     assert angle_gap(rotation_angle(h.matrix), rotation_angle(h_shuffled.matrix)) < 1e-12
+
+
+@st.composite
+def scalable_meshes(draw):
+    """("rows", abstract complex) of a cone, grid or torus, or ("coordinates",
+    vertices, faces) of a perturbed icosphere."""
+    kind = draw(st.sampled_from(["cone", "grid", "torus", "sphere"]))
+    if kind == "sphere":
+        _, verts, faces = draw(perturbed_spheres())
+        return "coordinates", verts, faces
+    if kind == "cone":
+        return "rows", cone(draw(st.integers(3, 12)))
+    sides = st.integers(1 if kind == "grid" else 3, 6)
+    return "rows", (flat_grid if kind == "grid" else torus_grid)(draw(sides), draw(sides))
+
+
+def scaled(mesh, factor: float) -> MetricComplex:
+    """The complex with every edge length or vertex coordinate times ``factor``."""
+    if mesh[0] == "coordinates":
+        return MetricComplex.from_embedding(factor * mesh[1], mesh[2])
+    n, tris, rows = mesh[1]
+    return MetricComplex.from_edge_lengths(n, tris, rows * [1.0, 1.0, factor])
+
+
+ANGLE_TABLES = ("corner_angles", "angle_defects", "frame_angles", "transport_angles")
+
+
+@PROPERTY
+@given(scalable_meshes(), st.integers(-500, 500))
+def test_power_of_two_scaling_leaves_every_angle_bit_identical(mesh, j):
+    # The metrics scale by 4^j exactly, and each is normalized by a power of
+    # four before any test or angle, so nothing but the lengths can tell.
+    K, L = scaled(mesh, 1.0), scaled(mesh, 2.0**j)
+    for name in ANGLE_TABLES:
+        assert np.array_equal(getattr(L, name), getattr(K, name), equal_nan=True), name
+    assert np.array_equal(L.lengths, np.ldexp(K.lengths, j))
+
+
+@PROPERTY
+@given(scalable_meshes(), st.floats(-150.0, 150.0))
+def test_any_scaling_moves_angles_by_rounding_only(mesh, exponent):
+    # Scaling by 10^exponent rounds every length or coordinate once.  Over
+    # 3 000 draws the largest changes (mod 2 pi) were 8.9e-16 in a corner
+    # angle, 3.6e-15 in a defect, 7.1e-15 in a frame angle and 1.1e-14 in a
+    # transport angle.
+    K, L = scaled(mesh, 1.0), scaled(mesh, 10.0**exponent)
+    for name, bound in zip(ANGLE_TABLES, (2e-15, 8e-15, 1.5e-14, 2e-14)):
+        gap = np.remainder(getattr(L, name) - getattr(K, name) + math.pi, math.tau) - math.pi
+        assert np.nanmax(np.abs(gap), initial=0.0) <= bound, name
 
 
 @st.composite
