@@ -14,7 +14,9 @@ The package provides:
   mechanical connections (``dconn.mechanical``);
 * SO(2)-valued parallel transport, curvature and holonomy on triangulated
   surfaces with per-triangle constant metrics (``dconn.levi_civita``);
-* a deterministic JSON-reporting command line tool (``dconn.cli``).
+* a deterministic JSON-reporting command line tool (``dconn.cli``), whose
+  reports and complex files one canonical JSON writer writes
+  (``dconn.canonical``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Command-line front end: decomposition, order estimation, curvature, holonomy.
 
 Every command reads a JSON config (--config) and emits a JSON report on
-stdout or to --out.  Reports are deterministic: keys sorted, two-space
-indent, a trailing newline, no timestamps or machine fields.  Exit codes:
+stdout or to --out, the same bytes either way.  Reports are deterministic:
+``canonical.json_bytes`` writes them as json.dumps(report, sort_keys=True,
+indent=2) plus a newline, with no timestamps or machine fields.  Exit codes:
 0 success, 2 domain or validation failure, 3 unreadable input.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import canonical
 from . import levi_civita as lc
 from . import lie_group as lg
 from . import meshes
@@ -43,20 +45,13 @@ MAX_DIRECTIONS = 4096
 MAX_H_COUNT = 256
 
 
-def _plain(x):
-    # json writes np.float64 (a float subclass) itself; arrays, np.bool_ and
-    # np.integer become Python lists, bools and ints.
-    if isinstance(x, (np.ndarray, np.generic)):
-        return x.tolist()
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
-
-
 def _dump_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, default=_plain) + "\n"
+    data = canonical.json_bytes(report)
     if out_path:
-        Path(out_path).write_text(text)
+        Path(out_path).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
 
 
 def _load_config(path: str) -> dict:

@@ -18,9 +18,11 @@ are evaluated in half angles, so exp and log keep roundoff accuracy there.
 
 Beside the scalar kernels sit batched ones over stacks (``exp_matrices``,
 ``cayley_matrices``, ``log_vectors``, ``inverse_matrices``).  They are the
-same closed forms: the entry formulas are shared and run on (n,) arrays of
-entries, and the angle coefficients come from the scalar helpers row by
-row, so every row equals the scalar kernel's result bit for bit.
+same closed forms: the entry formulas and the angle coefficients are each
+written once and run on floats or on (n,) arrays of entries.  On arrays,
+every sin, tan, acos and power is libm's, mapped over the rows in one
+C-level loop, and each series branch is a mask over safe values, so every
+row equals the scalar kernel's result bit for bit with no Python per row.
 
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
@@ -36,6 +38,8 @@ import math
 import re
 import weakref
 from dataclasses import InitVar, dataclass
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,17 +77,6 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
-def _per_row(f, values: np.ndarray, width: int) -> np.ndarray:
-    """The scalar helper f, which returns ``width`` floats, on each entry of ``values``.
-
-    Returns a (width, n) array.  The scalar kernels' coefficient helpers run
-    row by row, branches and all, so each row carries the scalar kernel's
-    bits: numpy's vectorized tan, arccos and power can differ from libm's in
-    the last place.  f raises for the first bad row.
-    """
-    return np.array([f(t) for t in values.tolist()], dtype=float).reshape(len(values), width).T
-
-
 def _stacked(entries, n: int, k: int) -> np.ndarray:
     """n k x k matrices from k*k row-major entries, each an (n,) array or a constant."""
     out = np.empty((n, k * k))
@@ -92,37 +85,64 @@ def _stacked(entries, n: int, k: int) -> np.ndarray:
     return out.reshape(n, k, k)
 
 
-def _exp_coefficients(theta: float) -> tuple[float, float]:
-    """a = sin(t)/t and b = (1 - cos t)/t^2 of Rodrigues' formula at t = theta.
+def _libm(f):
+    """libm's f on each entry of an (n,) array, in one C-level loop."""
+    return lambda x: np.fromiter(map(f, x.tolist()), float, len(x))
+
+
+def _libm_pow(x: np.ndarray, y: float) -> np.ndarray:
+    return np.fromiter(map(math.pow, x.tolist(), repeat(y)), float, len(x))
+
+
+# The arithmetic that the angle coefficients need beyond + - * /, on one float
+# (_FLOATS) or on an (n,) array of them (_ROWS).  Both take every
+# transcendental and power from libm: numpy's own sin, arccos, tan and power
+# differ from libm's in the last place on a share of inputs, and so would the
+# batched kernels' rows from the scalar kernels.  On rows a branch is a mask,
+# and both sides are evaluated on safe values.
+_FLOATS = SimpleNamespace(sin=math.sin, tan=math.tan, acos=math.acos, pow=math.pow,
+                          fmin=min, fmax=max, any=bool,
+                          where=lambda mask, x, y: x if mask else y)
+_ROWS = SimpleNamespace(sin=_libm(math.sin), tan=_libm(math.tan), acos=_libm(math.acos),
+                        pow=_libm_pow, fmin=np.fmin, fmax=np.fmax, any=np.ndarray.any,
+                        where=np.where)
+
+
+def _split(theta, bound: float, m):
+    """(small, t, s) for a branch at ``bound``: the mask theta < bound, the
+    angle for the closed form (1 where small) and for the series (0 elsewhere)."""
+    small = theta < bound
+    return small, m.where(small, 1.0, theta), m.where(small, theta, 0.0)
+
+
+def _exp_coefficients(theta, m=_FLOATS, se3: bool = False) -> tuple:
+    """a = sin(t)/t and b = (1 - cos t)/t^2 of Rodrigues' formula at t = theta,
+    and with ``se3`` c = (t - sin t)/t^3 of SE(3)'s V matrix.
 
     b is evaluated as (sin(t/2)/(t/2))^2 / 2, which keeps its digits where
-    1 - cos t cancels.
+    1 - cos t cancels.  theta is a float, or an (n,) array with m = _ROWS.
     """
-    if theta < _SMALL_ANGLE:
-        # Second-order Taylor series.
-        return 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0
-    half = 0.5 * theta
-    sinc_half = math.sin(half) / half
-    return math.sin(theta) / theta, 0.5 * sinc_half * sinc_half
+    small, t, s = _split(theta, _SMALL_ANGLE, m)
+    half = 0.5 * t
+    sin_t, sinc_half, s2 = m.sin(t), m.sin(half) / half, m.pow(s, 2.0)
+    # Second-order Taylor series below _SMALL_ANGLE.
+    a = m.where(small, 1.0 - s2 / 6.0, sin_t / t)
+    b = m.where(small, 0.5 - s2 / 24.0, 0.5 * sinc_half * sinc_half)
+    if not se3:
+        return a, b
+    return a, b, m.where(small, 1.0 / 6.0 - s2 / 120.0, (t - sin_t) / m.pow(t, 3.0))
 
 
-def _se3_exp_coefficients(theta: float) -> tuple[float, float, float]:
-    """a and b of _exp_coefficients, and c = (t - sin t)/t^3 of SE(3)'s V matrix."""
-    a, b = _exp_coefficients(theta)
-    if theta < _SMALL_ANGLE:
-        return a, b, 1.0 / 6.0 - theta**2 / 120.0
-    return a, b, (theta - math.sin(theta)) / theta**3
-
-
-def _dexpinv_c2(theta: float) -> float:
+def _dexpinv_c2(theta, m=_FLOATS):
     """c2(t) = (1 - (t/2) cot(t/2)) / t^2, the hat(w)^2 coefficient of dexp^-1.
 
-    It is also the hat(w)^2 coefficient of SE(3)'s V^-1.
+    It is also the hat(w)^2 coefficient of SE(3)'s V^-1.  theta is a float,
+    or an (n,) array with m = _ROWS.
     """
-    if theta < _DEXPINV_SERIES:
-        return 1.0 / 12.0 + theta**2 / 720.0
-    half = theta / 2.0
-    return (1.0 - half / math.tan(half)) / theta**2
+    small, t, s = _split(theta, _DEXPINV_SERIES, m)
+    half = t / 2.0
+    return m.where(small, 1.0 / 12.0 + m.pow(s, 2.0) / 720.0,
+                   (1.0 - half / m.tan(half)) / m.pow(t, 2.0))
 
 
 def _rotation(x: float, y: float, z: float, a: float, b: float) -> tuple[float, ...]:
@@ -171,30 +191,31 @@ def _so2_cayley(t):
     return (1.0 - q) * d, t * d
 
 
-def _log_angle(c: float) -> tuple[float, float]:
+def _log_angle(c, m=_FLOATS) -> tuple:
     """The angle t of a rotation with (tr R - 1)/2 = c, and t/sin(t).
 
-    Raises CutLocusError within _CUT_MARGIN of pi.
+    c is a float, or an (n,) array with m = _ROWS.  Raises CutLocusError
+    within _CUT_MARGIN of pi, for the first such angle; a NaN c clamps to -1,
+    a half-turn.
     """
-    theta = math.acos(min(1.0, max(-1.0, c)))
-    if theta >= math.pi - _CUT_MARGIN:
-        raise CutLocusError(f"SO3: rotation angle {theta:.8f} within 1e-6 of pi")
+    theta = m.acos(m.fmin(1.0, m.fmax(-1.0, c)))
+    past = theta >= math.pi - _CUT_MARGIN
+    if m.any(past):
+        first = np.ravel(theta)[np.argmax(past)]
+        raise CutLocusError(f"SO3: rotation angle {first:.8f} within 1e-6 of pi")
+    small, t, s = _split(theta, _SMALL_ANGLE, m)
     # sin(t)/t inverse to second order at small angles.
-    return theta, 1.0 + theta**2 / 6.0 if theta < _SMALL_ANGLE else theta / math.sin(theta)
+    return theta, m.where(small, 1.0 + m.pow(s, 2.0) / 6.0, t / m.sin(t))
 
 
-def _log_angles(c: np.ndarray) -> np.ndarray:
-    return _per_row(_log_angle, c, 2)
-
-
-def _so3_log(r, log_angle=_log_angle) -> tuple[tuple, float]:
+def _so3_log(r, m=_FLOATS) -> tuple[tuple, float]:
     """Principal log and rotation angle of the rotation block of a matrix's rows r.
 
-    r holds floats; with ``log_angle=_log_angles`` it holds (n,) arrays, and
-    the result is n logs and angles.
+    r holds floats; with m = _ROWS it holds (n,) arrays, and the result is n
+    logs and angles.
     """
     c = (r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0
-    theta, f = log_angle(c)
+    theta, f = _log_angle(c, m)
     # The skew part is sin(theta) times the axis.
     w = (0.5 * (r[2][1] - r[1][2]) * f, 0.5 * (r[0][2] - r[2][0]) * f,
          0.5 * (r[1][0] - r[0][1]) * f)
@@ -367,7 +388,7 @@ class _SO2(MatrixGroup):
 
 
 def _so3_hat(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.array((0.0, -z, y, z, 0.0, -x, -y, x, 0.0)).reshape(3, 3)
 
 
 def _norm(w: np.ndarray) -> float:
@@ -402,11 +423,11 @@ class _SO3(MatrixGroup):
     def exp_matrices(self, vectors):
         v = np.asarray(vectors, dtype=float).reshape(-1, 3)
         x, y, z = v.T
-        a, b = _per_row(_exp_coefficients, np.sqrt(x * x + y * y + z * z), 2)
+        a, b = _exp_coefficients(np.sqrt(x * x + y * y + z * z), _ROWS)
         return _stacked(_rotation(x, y, z, a, b), len(v), 3)
 
     def log_vectors(self, matrices):
-        w, _ = _so3_log(_columns(matrices), _log_angles)
+        w, _ = _so3_log(_columns(matrices), _ROWS)
         return np.stack(w, axis=1)
 
     def inverse_matrices(self, matrices):
@@ -452,7 +473,7 @@ class _SE3(MatrixGroup):
         # Rotation by Rodrigues; translation V v = v + b K v + c K^2 v with
         # c = (t - sin t)/t^3.
         x, y, z, *v = np.asarray(vector, dtype=float).reshape(6).tolist()
-        a, b, c = _se3_exp_coefficients(math.sqrt(x * x + y * y + z * z))
+        a, b, c = _exp_coefficients(math.sqrt(x * x + y * y + z * z), se3=True)
         return np.array(_se3_entries(x, y, z, v, a, b, b, c)).reshape(4, 4)
 
     def log_vector(self, matrix):
@@ -467,13 +488,13 @@ class _SE3(MatrixGroup):
     def exp_matrices(self, vectors):
         v = np.asarray(vectors, dtype=float).reshape(-1, 6)
         x, y, z, *u = v.T
-        a, b, c = _per_row(_se3_exp_coefficients, np.sqrt(x * x + y * y + z * z), 3)
+        a, b, c = _exp_coefficients(np.sqrt(x * x + y * y + z * z), _ROWS, True)
         return _stacked(_se3_entries(x, y, z, u, a, b, b, c), len(v), 4)
 
     def log_vectors(self, matrices):
         r = _columns(matrices)
-        w, theta = _so3_log(r, _log_angles)
-        (c2,) = _per_row(_dexpinv_c2, theta, 1)
+        w, theta = _so3_log(r, _ROWS)
+        c2 = _dexpinv_c2(theta, _ROWS)
         return np.stack(_se3_log_coordinates(w, (r[0][3], r[1][3], r[2][3]), c2), axis=1)
 
     def inverse_matrices(self, matrices):

@@ -89,7 +89,7 @@ def _newton(q: BundlePoint, residual: Callable[[BundlePoint], np.ndarray],
     SolverDivergedError naming ``what`` after NEWTON_MAX_ITER iterations."""
     for _ in range(NEWTON_MAX_ITER):
         res = residual(q)
-        if np.max(np.abs(res)) < NEWTON_TOL:
+        if abs(res).max() < NEWTON_TOL:
             return q
         q = shift(q, step(q, res))
     raise SolverDivergedError(

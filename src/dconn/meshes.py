@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import canonical
 from .errors import BoundaryHingeError, MeshFormatError
 from .levi_civita import MetricComplex
 from .lie_group import _norms
@@ -122,7 +123,7 @@ def dict_to_complex(data: dict) -> MetricComplex:
 
 def write_complex_json(path, vertex_count: int, triangles, edge_lengths) -> None:
     data = complex_to_dict(vertex_count, triangles, edge_lengths)
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    Path(path).write_bytes(canonical.json_bytes(data))
 
 
 def read_complex_json(path) -> MetricComplex:

@@ -16,8 +16,8 @@ the zero-momentum equation solvable in closed form for cross-checks.  Only
 the displacement chart phi differs: the logarithm on SO(3) (``so3_coupled``,
 and ``so3_pure`` with no shape), ``se3_extract`` on SE(3) (``se3_coupled``).
 A chart supplies phi(m) of m = g0^-1 g1; the Jacobians P1 and P2 of phi under
-g0 exp(t delta) and g1 exp(t delta); and the Jacobian of P1^T w under
-g1 exp(t delta) with w held fixed.
+g0 exp(t delta) and g1 exp(t delta), both from one call per Newton iterate;
+and the Jacobian of P1^T w under g1 exp(t delta) with w held fixed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from .connection import DiscreteConnection, trivial_connection
 from .errors import DconnError
-from .lie_group import SE3, SO3, _dexpinv_c2, group_by_name, translation_group
+from .lie_group import SE3, SO3, _dexpinv_c2, _norm, group_by_name, translation_group
 from .limits import (
     ContinuousConnection,
     cayley_connection,
@@ -51,9 +51,17 @@ def dexpinv_so3(vec: np.ndarray) -> np.ndarray:
     I - hat(lam)/2 + c2 hat(lam)^2 with c2 = (1 - (t/2) cot(t/2)) / t^2.
     For g(t) = exp(lam) exp(t delta) the map is dexpinv_so3(-lam).
     """
-    v = np.asarray(vec, dtype=float).reshape(3)
-    w = SO3.hat(v)
-    return SO3.identity_matrix() - 0.5 * w + _dexpinv_c2(float(np.linalg.norm(v))) * (w @ w)
+    return -_log_chart_jacobians(np.asarray(vec, dtype=float).reshape(3))[0]
+
+
+def _log_chart_jacobians(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-dexpinv_so3(lam) and dexpinv_so3(-lam), bit for bit, from one hat(lam),
+    one hat(lam)^2 and one c2: -(I - L/2 + c2 L^2) and I + L/2 + c2 L^2 for L = hat(lam)."""
+    w = SO3.hat(lam)
+    half = 0.5 * w
+    square = _dexpinv_c2(_norm(lam)) * (w @ w)
+    eye = SO3.identity_matrix()
+    return -(eye - half + square), eye + half + square
 
 
 def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -209,13 +217,12 @@ def free_particle() -> DiscreteLagrangian:
 class _Chart(NamedTuple):
     """A displacement chart, called with m = g0^-1 g1 and lam = phi(m).
 
-    ``d1(m, lam)`` is P1, ``d2(m, lam)`` is P2 and ``d1_derivative(m, lam, w, P2)``
-    is the Jacobian of P1^T w, all as in the module docstring.
+    ``jacobians(m, lam)`` is (P1, P2) and ``d1_derivative(m, lam, w, P2)`` is
+    the Jacobian of P1^T w, all as in the module docstring.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jacobians: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     d1_derivative: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -238,6 +245,7 @@ def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
     k = COUPLED_KAPPA / h
     d = bundle.shape_dim
     group = bundle.group
+    eye_h = np.eye(d) / h
     last: list = [None, None, None]  # q0, q1 and their pieces
 
     def pieces(q0: BundlePoint, q1: BundlePoint) -> tuple:
@@ -250,7 +258,7 @@ def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
             # Row j is column j of B.
             bt = np.array([cj @ dx - c[:, j] for j, cj in enumerate(partials)])
             last[:] = q0, q1, (m, lam, dx, c, lam + c @ dx, bt.reshape(d, c.shape[0]),
-                               chart.d1(m, lam), chart.d2(m, lam))
+                               *chart.jacobians(m, lam))
         return last[2]
 
     def value(q0: BundlePoint, q1: BundlePoint) -> float:
@@ -271,7 +279,7 @@ def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
         m, lam, _, c, w, bt, p1, p2 = pieces(q0, q1)
         g = np.array([cj.T @ w for cj in partials])
         jac = np.empty((d + w.size, d + w.size))
-        jac[:d, :d] = k * (bt @ c + g) - np.eye(d) / h
+        jac[:d, :d] = k * (bt @ c + g) - eye_h
         jac[:d, d:] = k * (bt @ p2)
         jac[d:, :d] = k * (p1.T @ c)
         jac[d:, d:] = k * (p1.T @ p2 + chart.d1_derivative(m, lam, w, p2))
@@ -285,8 +293,7 @@ def _so3_chart() -> _Chart:
     # g1 exp(t delta) with dexpinv(-lam) delta.
     return _Chart(
         SO3.log_vector,
-        lambda m, lam: -dexpinv_so3(lam),
-        lambda m, lam: dexpinv_so3(-lam),
+        lambda m, lam: _log_chart_jacobians(lam),
         lambda m, lam, w, p2: -(_dexpinv_transpose_derivative(lam, w) @ p2),
     )
 
@@ -317,11 +324,7 @@ def se3_extract_d2(m: np.ndarray) -> np.ndarray:
     se3_extract is linear, so column i is se3_extract(M hat(e_i)); the
     columns assemble to [[(tr(R) I - R^T)/2, 0], [0, R]].
     """
-    r = m[:3, :3]
-    out = np.zeros((6, 6))
-    out[:3, :3] = (np.trace(r) * SO3.identity_matrix() - r.T) / 2.0
-    out[3:, 3:] = r
-    return out
+    return _se3_extract_jacobians(m)[1]
 
 
 def se3_extract_d1(m: np.ndarray) -> np.ndarray:
@@ -330,12 +333,20 @@ def se3_extract_d1(m: np.ndarray) -> np.ndarray:
     Column i is se3_extract(-hat(e_i) M); the columns assemble to
     [[(R - tr(R) I)/2, 0], [hat(p), -I]].
     """
+    return _se3_extract_jacobians(m)[0]
+
+
+def _se3_extract_jacobians(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(se3_extract_d1(m), se3_extract_d2(m)), from one read of R and its trace."""
     r = m[:3, :3]
-    out = np.zeros((6, 6))
-    out[:3, :3] = (r - np.trace(r) * SO3.identity_matrix()) / 2.0
-    out[3:, :3] = SO3.hat(m[:3, 3])
-    out[3:, 3:] = -SO3.identity_matrix()
-    return out
+    trace_eye = np.trace(r) * SO3.identity_matrix()
+    d1, d2 = np.zeros((6, 6)), np.zeros((6, 6))
+    d1[:3, :3] = (r - trace_eye) / 2.0
+    d1[3:, :3] = SO3.hat(m[:3, 3])
+    d1[3:, 3:] = -SO3.identity_matrix()
+    d2[:3, :3] = (trace_eye - r.T) / 2.0
+    d2[3:, 3:] = r
+    return d1, d2
 
 
 def _se3_extract_d1_derivative(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -361,8 +372,7 @@ def se3_coupled() -> DiscreteLagrangian:
     """
     chart = _Chart(
         se3_extract,
-        lambda m, lam: se3_extract_d1(m),
-        lambda m, lam: se3_extract_d2(m),
+        lambda m, lam: _se3_extract_jacobians(m),
         lambda m, lam, w, p2: _se3_extract_d1_derivative(m, w),
     )
     return _coupled(Bundle(SE3, 2), coupling_se3, (_SE3_C1, _SE3_C2), chart)

@@ -1,15 +1,57 @@
-"""Group arithmetic checks against series and brute-force matrix oracles."""
+"""Group arithmetic checks against series and brute-force matrix oracles.
+
+The sampled checks run under hypothesis, derandomized, so every run draws
+the same examples.
+"""
 
 import gc
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dconn import lie_group as lg
 from dconn.errors import CutLocusError, GroupMismatchError
 from dconn.lie_group import SE3, SO2, SO3, translation_group
 
 ALL_GROUPS = [SO2, SO3, SE3, translation_group(2)]
+GROUPS = st.sampled_from(ALL_GROUPS)
+SAMPLED = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+# Rotation angles anywhere below the cut locus at pi, and crowded next to it.
+ANGLES = st.one_of(st.floats(0.0, 3.0), st.floats(-4.0, -1.0).map(lambda e: math.pi - 10.0 ** e))
+# The same for checks through the log, down to pi - 0.03: at pi - d the log's
+# angle carries an error near 1e-16/d, which t/sin(t) turns into a relative
+# error near 1e-16/d^2 (6.7e-10 at d = 1e-3, 2.4e-11 in a conjugate's norm at
+# d = 1e-2).
+LOG_ANGLES = st.one_of(st.floats(0.0, 3.0),
+                       st.floats(-1.5, -1.0).map(lambda e: math.pi - 10.0 ** e))
+# Rotation angles from the Taylor branches below 1e-8 up to 1e-2.
+SMALL_ANGLES = st.floats(-10.0, -2.0).map(lambda e: 10.0 ** e)
+
+
+def _rotation_slots(group) -> slice:
+    return {SO2: slice(0, 1), SO3: slice(0, 3), SE3: slice(0, 3)}.get(group, slice(0, 0))
+
+
+@st.composite
+def algebra(draw, group, angles=ANGLES, bound=3.0):
+    """Coordinates of group within ``bound``, the rotation part (SO2, SO3, SE3)
+    turned to an angle drawn from ``angles`` about its own axis."""
+    xi = np.array(draw(st.lists(st.floats(-bound, bound), min_size=group.dim,
+                                max_size=group.dim)))
+    axis = xi[_rotation_slots(group)]
+    if axis.size:
+        norm = np.linalg.norm(axis)
+        unit = axis / norm if norm > 0.0 else np.eye(axis.size)[0]
+        xi[_rotation_slots(group)] = draw(angles) * unit
+    return xi
+
+
+def elements(group, angles=ANGLES, bound=3.0):
+    return algebra(group, angles, bound).map(lambda xi: lg.exp(group, xi))
 
 
 def rot_z(theta: float) -> np.ndarray:
@@ -43,13 +85,13 @@ def test_exp_z_axis_is_planar_rotation():
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
-def test_exp_matches_power_series(group):
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        xi = lg.random_algebra(group, rng)
-        xi = xi / max(1.0, np.linalg.norm(xi))
-        expected = series_exp(group.hat(xi))
-        assert np.max(np.abs(lg.exp(group, xi).matrix - expected)) < 1e-10
+@SAMPLED
+@given(data=st.data())
+def test_exp_matches_power_series(group, data):
+    xi = data.draw(algebra(group))
+    xi = xi / max(1.0, np.linalg.norm(xi))
+    expected = series_exp(group.hat(xi))
+    assert np.max(np.abs(lg.exp(group, xi).matrix - expected)) < 1e-10
 
 
 def test_exp_small_angle_branch():
@@ -69,24 +111,21 @@ def test_compose_planar_angles_add():
     assert np.max(np.abs(lg.compose(a, b).matrix - rot_z(np.radians(80.0)))) < 1e-14
 
 
-def test_compose_identity_and_raw_product():
-    rng = np.random.default_rng(3)
-    e = lg.identity(SO3)
-    for _ in range(50):
-        a = lg.random_element(SO3, rng)
-        b = lg.random_element(SO3, rng)
-        assert np.array_equal(lg.compose(a, e).matrix, a.matrix)
-        assert np.array_equal(lg.compose(a, b).matrix, a.matrix @ b.matrix)
+@SAMPLED
+@given(data=st.data(), group=GROUPS)
+def test_compose_identity_and_raw_product(data, group):
+    a, b = data.draw(elements(group)), data.draw(elements(group))
+    assert np.array_equal(lg.compose(a, lg.identity(group)).matrix, a.matrix)
+    assert np.array_equal(lg.compose(a, b).matrix, a.matrix @ b.matrix)
 
 
-def test_compose_associative():
-    rng = np.random.default_rng(4)
-    for group in ALL_GROUPS:
-        for _ in range(20):
-            a, b, c = (lg.random_element(group, rng) for _ in range(3))
-            left = lg.compose(lg.compose(a, b), c)
-            right = lg.compose(a, lg.compose(b, c))
-            assert np.max(np.abs(left.matrix - right.matrix)) < 1e-12
+@SAMPLED
+@given(data=st.data(), group=GROUPS)
+def test_compose_associative(data, group):
+    a, b, c = (data.draw(elements(group)) for _ in range(3))
+    left = lg.compose(lg.compose(a, b), c)
+    right = lg.compose(a, lg.compose(b, c))
+    assert np.max(np.abs(left.matrix - right.matrix)) < 1e-12
 
 
 def test_compose_group_mismatch():
@@ -102,25 +141,24 @@ def test_inverse_planar_and_identity():
     assert np.array_equal(lg.inverse(e).matrix, e.matrix)
 
 
-def test_inverse_se3_block_formula():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        g = lg.random_element(SE3, rng)
-        r, p = g.matrix[:3, :3], g.matrix[:3, 3]
-        inv = lg.inverse(g)
-        assert np.max(np.abs(inv.matrix[:3, :3] - r.T)) < 1e-14
-        assert np.max(np.abs(inv.matrix[:3, 3] + r.T @ p)) < 1e-14
-        prod = lg.compose(g, inv)
-        assert np.max(np.abs(prod.matrix - np.eye(4))) < 1e-12
+@SAMPLED
+@given(elements(SE3))
+def test_inverse_se3_block_formula(g):
+    r, p = g.matrix[:3, :3], g.matrix[:3, 3]
+    inv = lg.inverse(g)
+    assert np.max(np.abs(inv.matrix[:3, :3] - r.T)) < 1e-14
+    assert np.max(np.abs(inv.matrix[:3, 3] + r.T @ p)) < 1e-14
+    prod = lg.compose(g, inv)
+    assert np.max(np.abs(prod.matrix - np.eye(4))) < 1e-12
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
-def test_inverse_roundtrip(group):
-    rng = np.random.default_rng(6)
-    for _ in range(25):
-        g = lg.random_element(group, rng)
-        prod = lg.compose(g, lg.inverse(g))
-        assert np.max(np.abs(prod.matrix - np.eye(group.matrix_size))) < 1e-12
+@SAMPLED
+@given(data=st.data())
+def test_inverse_roundtrip(group, data):
+    g = data.draw(elements(group))
+    prod = lg.compose(g, lg.inverse(g))
+    assert np.max(np.abs(prod.matrix - np.eye(group.matrix_size))) < 1e-12
 
 
 # -- log -----------------------------------------------------------------------
@@ -134,19 +172,18 @@ def test_log_identity_and_planar():
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
-def test_exp_log_roundtrip(group):
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        g = lg.random_element(group, rng, scale=0.8)
-        back = lg.exp(group, lg.log(g))
-        assert np.max(np.abs(back.matrix - g.matrix)) < 1e-10
+@SAMPLED
+@given(data=st.data())
+def test_exp_log_roundtrip(group, data):
+    g = data.draw(elements(group, LOG_ANGLES))
+    back = lg.exp(group, lg.log(g))
+    assert np.max(np.abs(back.matrix - g.matrix)) < 1e-10
 
 
-def test_log_near_identity_tight():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        g = lg.random_element(SO3, rng, scale=1e-3)
-        assert np.max(np.abs(lg.exp(SO3, lg.log(g)).matrix - g.matrix)) < 1e-12
+@SAMPLED
+@given(elements(SO3, SMALL_ANGLES))
+def test_log_near_identity_tight(g):
+    assert np.max(np.abs(lg.exp(SO3, lg.log(g)).matrix - g.matrix)) < 1e-12
 
 
 def half_turn_vector(group, angle: float) -> list:
@@ -170,14 +207,13 @@ def test_log_rejects_cut_locus(group):
 # -- cayley ---------------------------------------------------------------------
 
 
-def test_cayley_zero_and_group_membership():
-    rng = np.random.default_rng(9)
-    for group in ALL_GROUPS:
-        assert np.array_equal(lg.cayley(group, np.zeros(group.dim)).matrix,
-                              np.eye(group.matrix_size))
-        for _ in range(10):
-            c = lg.cayley(group, lg.random_algebra(group, rng))
-            group.check_matrix(c.matrix, tol=1e-10)
+@SAMPLED
+@given(data=st.data(), group=GROUPS)
+def test_cayley_zero_and_group_membership(data, group):
+    assert np.array_equal(lg.cayley(group, np.zeros(group.dim)).matrix,
+                          np.eye(group.matrix_size))
+    c = lg.cayley(group, data.draw(algebra(group)))
+    group.check_matrix(c.matrix, tol=1e-10)
 
 
 def test_cayley_third_order_agreement_with_exp():
@@ -194,46 +230,41 @@ def test_cayley_third_order_agreement_with_exp():
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
-def test_hat_vee_roundtrip(group):
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        v = rng.standard_normal(group.dim)
-        assert np.max(np.abs(group.vee(group.hat(v)) - v)) < 1e-14
+@SAMPLED
+@given(data=st.data())
+def test_hat_vee_roundtrip(group, data):
+    v = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=group.dim,
+                                    max_size=group.dim)))
+    assert np.max(np.abs(group.vee(group.hat(v)) - v)) < 1e-14
 
 
-def test_adjoint_identity_and_rotation_oracle():
-    rng = np.random.default_rng(12)
-    xi = lg.random_algebra(SO3, rng)
+@SAMPLED
+@given(algebra(SO3), elements(SO3), algebra(SO3))
+def test_adjoint_identity_and_rotation_oracle(xi, r, w):
     assert np.max(np.abs(lg.adjoint(lg.identity(SO3), xi) - xi)) < 1e-15
-    for _ in range(30):
-        r = lg.random_element(SO3, rng)
-        w = lg.random_algebra(SO3, rng)
-        # On SO(3) the adjoint action is the rotation itself.
-        assert np.max(np.abs(lg.adjoint(r, w) - r.matrix @ w)) < 1e-12
+    # On SO(3) the adjoint action is the rotation itself.
+    assert np.max(np.abs(lg.adjoint(r, w) - r.matrix @ w)) < 1e-12
 
 
 @pytest.mark.parametrize("group", [SO3, SE3], ids=lambda g: g.name)
-def test_adjoint_respects_bracket(group):
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        g = lg.random_element(group, rng)
-        xi = lg.random_algebra(group, rng)
-        chi = lg.random_algebra(group, rng)
-        lhs = lg.adjoint(g, lg.bracket(group, xi, chi))
-        rhs = lg.bracket(group, lg.adjoint(g, xi), lg.adjoint(g, chi))
-        assert np.max(np.abs(lhs - rhs)) < 1e-11
+@SAMPLED
+@given(data=st.data())
+def test_adjoint_respects_bracket(group, data):
+    g = data.draw(elements(group))
+    xi, chi = data.draw(algebra(group)), data.draw(algebra(group))
+    lhs = lg.adjoint(g, lg.bracket(group, xi, chi))
+    rhs = lg.bracket(group, lg.adjoint(g, xi), lg.adjoint(g, chi))
+    assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
-def test_adjoint_matches_matrix_conjugation():
-    rng = np.random.default_rng(14)
-    for group in ALL_GROUPS:
-        for _ in range(15):
-            g = lg.random_element(group, rng)
-            xi = lg.random_algebra(group, rng)
-            conj = g.matrix @ group.hat(xi) @ lg.inverse(g).matrix
-            assert np.max(np.abs(group.hat(lg.adjoint(g, xi)) - conj)) < 1e-11
-            closed_form = lg.adjoint_matrix(g) @ xi
-            assert np.max(np.abs(closed_form - group.vee(conj))) < 1e-11
+@SAMPLED
+@given(data=st.data(), group=GROUPS)
+def test_adjoint_matches_matrix_conjugation(data, group):
+    g, xi = data.draw(elements(group)), data.draw(algebra(group))
+    conj = g.matrix @ group.hat(xi) @ lg.inverse(g).matrix
+    assert np.max(np.abs(group.hat(lg.adjoint(g, xi)) - conj)) < 1e-11
+    closed_form = lg.adjoint_matrix(g) @ xi
+    assert np.max(np.abs(closed_form - group.vee(conj))) < 1e-11
 
 
 # -- conjugation-invariant norm ----------------------------------------------------
@@ -247,37 +278,34 @@ def test_norm_identity_and_planar_angle():
 
 
 @pytest.mark.parametrize("group", [SO2, SO3, translation_group(3)], ids=lambda g: g.name)
-def test_norm_invariant_under_conjugation(group):
-    rng = np.random.default_rng(15)
-    g = lg.random_element(group, rng, scale=0.6)
-    n = lg.conj_invariant_norm(g)
-    for _ in range(100):
-        h = lg.random_element(group, rng)
-        conj = lg.compose(h, lg.compose(g, lg.inverse(h)))
-        assert abs(lg.conj_invariant_norm(conj) - n) < 1e-11
+@SAMPLED
+@given(data=st.data())
+def test_norm_invariant_under_conjugation(group, data):
+    g, h = data.draw(elements(group, LOG_ANGLES)), data.draw(elements(group))
+    conj = lg.compose(h, lg.compose(g, lg.inverse(h)))
+    assert abs(lg.conj_invariant_norm(conj) - lg.conj_invariant_norm(g)) < 1e-11
 
 
-def test_norm_se3_invariant_under_rotations():
+@SAMPLED
+@given(elements(SE3, LOG_ANGLES), algebra(SO3))
+def test_norm_se3_invariant_under_rotations(g, w):
     # The se(3) coordinate norm is preserved by conjugation with rotations
     # (no fully bi-invariant nondegenerate norm exists on SE(3)).
-    rng = np.random.default_rng(16)
-    g = lg.random_element(SE3, rng, scale=0.5)
-    n = lg.conj_invariant_norm(g)
-    for _ in range(50):
-        w = rng.standard_normal(3)
-        h = lg.exp(SE3, np.concatenate([w, np.zeros(3)]))
-        conj = lg.compose(h, lg.compose(g, lg.inverse(h)))
-        assert abs(lg.conj_invariant_norm(conj) - n) < 1e-11
+    h = lg.exp(SE3, np.concatenate([w, np.zeros(3)]))
+    conj = lg.compose(h, lg.compose(g, lg.inverse(h)))
+    assert abs(lg.conj_invariant_norm(conj) - lg.conj_invariant_norm(g)) < 1e-11
 
 
 # -- long products ------------------------------------------------------------------
 
 
-def test_thousand_fold_composition_stays_orthonormal():
-    rng = np.random.default_rng(17)
+@settings(SAMPLED, max_examples=10)
+@given(st.lists(elements(SO3), min_size=1, max_size=10))
+def test_thousand_fold_composition_stays_orthonormal(word):
+    # 1000 factors: the drawn word, repeated.
     acc = lg.identity(SO3)
-    for _ in range(1000):
-        acc = lg.compose(acc, lg.random_element(SO3, rng, scale=0.3))
+    for i in range(1000):
+        acc = lg.compose(acc, word[i % len(word)])
     drift = np.max(np.abs(acc.matrix.T @ acc.matrix - np.eye(3)))
     assert drift < 1e-9
 
@@ -314,24 +342,29 @@ def test_check_matrix_rejects_junk():
         SE3.check_matrix(bad)
 
 
-def test_elements_are_immutable():
-    g = lg.identity(SO3)
-    with pytest.raises(ValueError):
-        g.matrix[0, 0] = 2.0
-    xi = lg.random_algebra(SO3, np.random.default_rng(16))
+@SAMPLED
+@given(st.integers(0, 2**32 - 1), GROUPS)
+def test_elements_are_immutable(seed, group):
+    # random_algebra and random_element take a numpy Generator; hypothesis draws its seed.
+    g = lg.random_element(group, np.random.default_rng(seed))
+    for matrix in (lg.identity(group).matrix, g.matrix):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 2.0
+    xi = lg.random_algebra(group, np.random.default_rng(seed))
     with pytest.raises(ValueError):
         xi[0] = 3.0
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
-def test_kernel_outputs_are_read_only(group):
-    rng = np.random.default_rng(15)
-    g, h = lg.random_element(group, rng), lg.random_element(group, rng)
-    xi, eta = lg.random_algebra(group, rng, 0.5), lg.random_algebra(group, rng, 0.5)
+@SAMPLED
+@given(data=st.data())
+def test_kernel_outputs_are_read_only(group, data):
+    g, h = data.draw(elements(group)), data.draw(elements(group))
+    xi, eta = data.draw(algebra(group, bound=1.5)), data.draw(algebra(group, bound=1.5))
     arrays = [
         lg.identity(group).matrix, lg.compose(g, h).matrix, lg.inverse(g).matrix,
         lg.exp(group, xi).matrix, lg.cayley(group, xi).matrix, lg.log(g),
-        lg.adjoint(g, xi), lg.bracket(group, xi, eta), xi, lg.adjoint_matrix(g),
+        lg.adjoint(g, xi), lg.bracket(group, xi, eta), lg.adjoint_matrix(g),
     ]
     for a in arrays:
         assert not a.flags.writeable

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dconn import lie_group as lg
-from dconn import mechanical
+from dconn import mechanical, presets
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from dconn.connection import eval_form
 from dconn.errors import (
@@ -35,8 +35,11 @@ from dconn.presets import (
     FREE_PARTICLE_STEP,
     coupling_so3,
     default_pair,
+    dexpinv_so3,
     free_particle,
     se3_coupled,
+    se3_extract_d1,
+    se3_extract_d2,
     so3_coupled,
     so3_pure,
 )
@@ -507,3 +510,58 @@ def test_mechanical_discrete_connection_matches_pointwise_solve(p):
     via_rep = mechanical_discrete_connection(L).local_rep(p.first.shape, p.second.shape)
     via_solve = mechanical_connection(L, p)
     assert np.max(np.abs(via_rep - via_solve.matrix)) < 1e-12
+
+
+# -- the displacement charts' Jacobians ----------------------------------------------
+
+
+def reference_dexpinv(v):
+    # I - L/2 + c2 L^2, written out for L = hat(v).
+    w = SO3.hat(v)
+    return np.eye(3) - 0.5 * w + lg._dexpinv_c2(float(np.linalg.norm(v))) * (w @ w)
+
+
+def reference_extract_d1(m):
+    r = m[:3, :3]
+    out = np.zeros((6, 6))
+    out[:3, :3] = (r - np.trace(r) * np.eye(3)) / 2.0
+    out[3:, :3] = SO3.hat(m[:3, 3])
+    out[3:, 3:] = -np.eye(3)
+    return out
+
+
+def reference_extract_d2(m):
+    r = m[:3, :3]
+    out = np.zeros((6, 6))
+    out[:3, :3] = (np.trace(r) * np.eye(3) - r.T) / 2.0
+    out[3:, 3:] = r
+    return out
+
+
+@st.composite
+def rotation_vectors(draw):
+    """so(3) vectors of length log-uniform in [1e-9, 2.5] (a third of them below
+    the dexp^-1 series switch at 1e-4), and the zero vector."""
+    u = draw(_coords(3, 1.0))
+    norm = np.linalg.norm(u)
+    return u if norm == 0.0 else u * (10.0 ** draw(st.floats(-9.0, 0.4)) / norm)
+
+
+CHARTS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+@CHARTS
+@given(rotation_vectors())
+def test_log_chart_jacobians_are_the_two_dexpinv_calls_bit_for_bit(lam):
+    p1, p2 = presets._log_chart_jacobians(lam)
+    assert p1.tobytes() == (-dexpinv_so3(lam)).tobytes() == (-reference_dexpinv(lam)).tobytes()
+    assert p2.tobytes() == dexpinv_so3(-lam).tobytes() == reference_dexpinv(-lam).tobytes()
+
+
+@CHARTS
+@given(algebra(SE3, 2.0))
+def test_extract_chart_jacobians_are_the_two_extract_derivatives_bit_for_bit(xi):
+    m = lg.exp(SE3, xi).matrix
+    d1, d2 = presets._se3_extract_jacobians(m)
+    assert d1.tobytes() == se3_extract_d1(m).tobytes() == reference_extract_d1(m).tobytes()
+    assert d2.tobytes() == se3_extract_d2(m).tobytes() == reference_extract_d2(m).tobytes()

@@ -128,31 +128,41 @@ def test_log_rejects_rotations_near_the_cut_locus(group, gap, coords):
         group.log_vector(group.exp_matrix(xi))
 
 
+# The angles at the two series switches and their float neighbours, where the
+# batched kernels' masks and the scalar kernels' branches must agree.
+SWITCH_ANGLES = [float(x) for switch in (lg._SMALL_ANGLE, lg._DEXPINV_SERIES)
+                 for x in (np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0))]
+STACK_ANGLES = st.one_of(st.floats(-10.0, math.log10(3.0)).map(lambda e: 10.0 ** e),
+                         st.sampled_from(SWITCH_ANGLES))
+
+
 @st.composite
 def algebra_stacks(draw):
     """(group, xis): up to 12 algebra vectors of one group, each rotation angle
-    log-uniform in [1e-10, 3]."""
+    log-uniform in [1e-10, 3] or next to a series switch.  A rotation about
+    a coordinate axis has exactly its drawn angle."""
     group = draw(st.sampled_from([SO2, SO3, SE3, translation_group(2)]))
-    rows = draw(st.lists(st.tuples(st.floats(-10.0, math.log10(3.0)),
+    rows = draw(st.lists(st.tuples(STACK_ANGLES, st.booleans(),
                                    st.lists(st.floats(-3.0, 3.0), min_size=group.dim,
                                             max_size=group.dim)),
                          min_size=1, max_size=12))
-    xis = np.array([coords for _, coords in rows], dtype=float).reshape(len(rows), group.dim)
+    xis = np.array([coords for _, _, coords in rows], dtype=float).reshape(len(rows), group.dim)
     slots = _rotation_slots(group)
-    for xi, (log_angle, _) in zip(xis, rows):
+    for xi, (angle, on_axis, _) in zip(xis, rows):
         axis = xi[slots]
         if axis.size:
             norm = np.linalg.norm(axis)
-            unit = axis / norm if norm > 0.0 else np.eye(axis.size)[0]
-            xi[slots] = 10.0 ** log_angle * unit
+            unit = axis / norm if norm > 0.0 and not on_axis else np.eye(axis.size)[0]
+            xi[slots] = angle * unit
     return group, xis
 
 
 @KERNEL_PROPERTY
-@given(algebra_stacks())
-def test_batched_kernels_equal_the_scalar_kernels_row_by_row(sample):
-    # Bit for bit: the batched kernels run the scalar kernels' coefficient
-    # helpers and their products in the same order.
+@given(algebra_stacks(), st.integers(0, 12), st.booleans())
+def test_batched_kernels_equal_the_scalar_kernels_row_by_row(sample, nan_at, with_nan):
+    # Bit for bit: the batched kernels evaluate the scalar kernels'
+    # coefficient formulas, with the same libm functions, and their products
+    # in the same order.
     group, xis = sample
     exps = group.exp_matrices(xis)
     assert exps.shape == (len(xis), group.matrix_size, group.matrix_size)
@@ -164,6 +174,9 @@ def test_batched_kernels_equal_the_scalar_kernels_row_by_row(sample):
     moved = exps @ group.exp_matrices(xis[::-1] / 3.0)
     inverses = group.inverse_matrices(moved)
     assert np.array_equal(inverses, np.array([group.inverse_matrix(m) for m in moved]))
+    if with_nan and group in (SO3, SE3):
+        # A NaN rotation clamps to a half-turn in both logs.
+        moved = np.insert(moved, nan_at % (len(moved) + 1), np.nan, axis=0)
     try:
         logs = [group.log_vector(m) for m in moved]
     except CutLocusError as exc:
@@ -173,6 +186,21 @@ def test_batched_kernels_equal_the_scalar_kernels_row_by_row(sample):
         batched = group.log_vectors(moved)
         assert batched.shape == (len(moved), group.dim)
         assert np.array_equal(batched, np.array(logs))
+
+
+@KERNEL_PROPERTY
+@given(st.lists(STACK_ANGLES, min_size=1, max_size=32))
+def test_angle_coefficients_on_rows_equal_them_on_floats(angles):
+    # The exact switch neighbours reach the coefficients here; a log's angle
+    # comes out of acos and cannot be aimed at them.  numpy's tan, arccos and
+    # power differ from libm's in the last place on a share of these angles.
+    theta = np.array(angles)
+    for coefficients, x in ((lambda t, m: lg._exp_coefficients(t, m, True), theta),
+                            (lambda t, m: (lg._dexpinv_c2(t, m),), theta),
+                            (lg._log_angle, np.cos(theta))):
+        rows = np.array(coefficients(x, lg._ROWS))
+        floats = np.array([coefficients(t, lg._FLOATS) for t in x.tolist()]).T
+        assert rows.tobytes() == floats.tobytes()
 
 
 @PROPERTY
