@@ -1,4 +1,4 @@
-"""Canonical JSON: the one writer of the CLI reports and the dconn-complex files.
+"""Canonical JSON, and the one file reader and writer of the CLI and the mesh formats.
 
 ``json_bytes(value)`` is ``json.dumps(value, sort_keys=True, indent=2)``
 plus a newline, as ASCII bytes, with numpy arrays and scalars written as
@@ -7,11 +7,18 @@ step per value, whenever it indents; this writer joins each list of floats
 with ``float.__repr__`` in one C-level call, and writes strings with json's
 ``encode_basestring_ascii`` and non-finite floats as json does (NaN,
 Infinity, -Infinity), so the bytes are the same.
+
+``read_text(path)`` reads a file as bytes and decodes them as UTF-8, strictly:
+a byte order mark stays in the text, and bytes that are not UTF-8 raise
+UnicodeDecodeError.  ``write_file(path, data)`` creates or truncates the file,
+with mode 0o666 less the umask as ``Path.write_bytes`` gives it, and writes
+the bytes with ``os.write`` until all are written.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -21,6 +28,23 @@ def json_bytes(value) -> bytes:
     """The bytes of ``json.dumps(value, sort_keys=True, indent=2) + "\\n"``,
     numpy values written as their ``tolist()``."""
     return (_text(value, "\n") + "\n").encode("ascii")
+
+
+def read_text(path) -> str:
+    """The file at path, decoded as UTF-8."""
+    with open(path, "rb", buffering=0) as f:
+        return f.readall().decode()
+
+
+def write_file(path, data: bytes) -> None:
+    """Replace the contents of the file at path, or create it, with data."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # os.write may take fewer bytes than it is given
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _float(x: float) -> str:

@@ -3,8 +3,12 @@
 Every command reads a JSON config (--config) and emits a JSON report on
 stdout or to --out, the same bytes either way.  Reports are deterministic:
 ``canonical.json_bytes`` writes them as json.dumps(report, sort_keys=True,
-indent=2) plus a newline, with no timestamps or machine fields.  Exit codes:
-0 success, 2 domain or validation failure, 3 unreadable input.
+indent=2) plus a newline, with no timestamps or machine fields.  Config and
+mesh files are read as bytes and decoded as UTF-8, so a byte order mark or a
+UTF-16 file is refused; ``canonical.write_file`` creates or truncates --out.
+Exit codes: 0 success; 2 a domain or validation failure, a mesh file that is
+not UTF-8 or not valid JSON included; 3 a config that is not UTF-8 JSON, or a
+file that cannot be opened, read or written.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -48,14 +51,14 @@ MAX_H_COUNT = 256
 def _dump_report(report: dict, out_path: str | None) -> None:
     data = canonical.json_bytes(report)
     if out_path:
-        Path(out_path).write_bytes(data)
+        canonical.write_file(out_path, data)
     else:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
 
 
 def _load_config(path: str) -> dict:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(canonical.read_text(path))
     if not isinstance(data, dict):
         raise DconnError("config root must be a JSON object")
     return data
@@ -321,7 +324,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         report = _DISPATCH[args.command](cfg)
         _dump_report(report, args.out)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"dconn: cannot parse input: {exc}", file=sys.stderr)
         return _EXIT_PARSE
     except OSError as exc:

@@ -291,7 +291,7 @@ class MetricComplex:
         # Each triangle's steps across its local edges as keys neighbour * E +
         # edge, sorted by neighbour, then edge.  The neighbour is the edge's
         # coface sum less the triangle: -1 across the boundary, where the key
-        # is negative.
+        # is negative and so is key // E.
         fe, n_edges = self.face_edges, len(self.edges)
         nbr = (lo + hi)[fe] - np.arange(m)[:, None]
         steps = np.sort(nbr * n_edges + fe, axis=1).tolist()
@@ -304,11 +304,10 @@ class MetricComplex:
             queue = [root]
             for t in queue:  # breadth first: the queue grows as it is walked
                 for key in steps[t]:
-                    if key < 0:
+                    t_next = key // n_edges
+                    if t_next < 0 or visited[t_next]:
                         continue
-                    t_next, e = divmod(key, n_edges)
-                    if visited[t_next]:
-                        continue
+                    e = key - t_next * n_edges
                     # Makes the tree edge's cross + psi_hi - psi_lo zero; the
                     # remainder keeps psi, and so its roundoff, within [-pi, pi].
                     turn = -crosses[e] if t < t_next else crosses[e]

@@ -346,7 +346,7 @@ class _SO2(MatrixGroup):
 
     def log_vector(self, matrix):
         t = np.arctan2(matrix[1, 0], matrix[0, 0])
-        if abs(t) >= np.pi - _CUT_MARGIN:
+        if not abs(t) < np.pi - _CUT_MARGIN:  # a NaN angle is refused too
             raise CutLocusError(f"SO2: rotation angle {t:.8f} within 1e-6 of pi")
         return np.array([t])
 
@@ -361,10 +361,10 @@ class _SO2(MatrixGroup):
 
     def log_vectors(self, matrices):
         t = np.arctan2(matrices[:, 1, 0], matrices[:, 0, 0])
-        past = np.abs(t) >= np.pi - _CUT_MARGIN
-        if past.any():
+        inside = np.abs(t) < np.pi - _CUT_MARGIN  # false for a NaN angle
+        if not inside.all():
             raise CutLocusError(
-                f"SO2: rotation angle {t[np.argmax(past)]:.8f} within 1e-6 of pi")
+                f"SO2: rotation angle {t[np.argmin(inside)]:.8f} within 1e-6 of pi")
         return t[:, None]
 
     def inverse_matrices(self, matrices):

@@ -9,6 +9,12 @@ Two interchange formats are supported:
   ``MetricComplex.from_edge_lengths`` takes; serialization is canonical so a
   load/save round trip is bit-exact.
 
+Both are read as bytes decoded as UTF-8 (``canonical.read_text``), and a
+file that is not UTF-8 is a MeshFormatError naming it; both are written by
+``canonical.write_file``.  ``dict_to_complex`` checks each JSON type of a
+complex once, by C-level passes over whole tables, and hands
+``MetricComplex.from_edge_lengths`` one array per table.
+
 Generators cover the standard test surfaces: subdivided icospheres, flat
 grids, cones of equilateral triangles, flat tori and the regular
 tetrahedron boundary, built by index arithmetic; the abstract ones return
@@ -19,8 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, repeat
-from operator import is_
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +49,7 @@ def read_off(path) -> MetricComplex:
     After ``#`` comments and blank lines, the file must hold the header, the
     declared vertex lines and the declared face lines, and nothing more.
     """
-    split = (line.split("#", 1)[0].split() for line in Path(path).read_text().splitlines())
+    split = (line.split("#", 1)[0].split() for line in _read_text(path).splitlines())
     lines = list(filter(None, split))
     if not lines or lines[0] != ["OFF"]:
         raise MeshFormatError(f"{path}: missing OFF header")
@@ -79,7 +84,7 @@ def write_off(path, vertices: np.ndarray, triangles: np.ndarray) -> None:
         out.append(" ".join(repr(float(c)) for c in v))
     for t in np.asarray(triangles, dtype=int):
         out.append("3 " + " ".join(str(int(i)) for i in t))
-    Path(path).write_text("\n".join(out) + "\n")
+    canonical.write_file(path, ("\n".join(out) + "\n").encode())
 
 
 # -- JSON abstract complexes ----------------------------------------------
@@ -95,40 +100,75 @@ def complex_to_dict(vertex_count: int, triangles, edge_lengths) -> dict:
     }
 
 
-def _require_integers(values, what: str) -> None:
-    # JSON integers only: int() would truncate a float index silently.  The
-    # scan stops at the first value of another type (bool included).
-    if not all(map(is_, map(type, values), repeat(int))):
-        raise MeshFormatError(f"{what} must be JSON integers")
+def _triangle_table(triangles):
+    """The triangles as an (m, 3) object array of their JSON integers.
+
+    A table whose rows are not all of three entries is returned as given, for
+    ``MetricComplex.from_edge_lengths`` to refuse by its shape.
+    """
+    flat = list(chain.from_iterable(triangles))  # a row that is not iterable raises TypeError
+    # JSON integers only: int() would truncate a float index silently (bool is not int).
+    if not set(map(type, flat)) <= {int}:
+        raise MeshFormatError("triangle indices must be JSON integers")
+    if set(map(len, triangles)) != {3}:
+        return triangles
+    return np.array(flat, dtype=object).reshape(-1, 3)
+
+
+def _edge_table(edges):
+    """The [a, b, length] rows as an (E, 3) object array of their JSON values, so
+    that a refusal can spell a row as given.  An empty table is returned as given."""
+    try:
+        widths = set(map(len, edges))
+    except TypeError:  # a row, or the table, that has no length
+        widths = None
+    if widths != {3}:
+        for _a, _b, _length in edges:  # the first row that is not three values raises
+            pass
+        return edges
+    a, b, lengths = zip(*edges)
+    if not set(map(type, a + b)) <= {int}:
+        raise MeshFormatError("edge_lengths ends must be JSON integers")
+    # float() would read true as 1.0 and "1.5" as 1.5.
+    if not set(map(type, lengths)) <= {int, float}:
+        i = next(i for i, x in enumerate(lengths) if type(x) not in (int, float))
+        raise MeshFormatError(f"edge ({a[i]}, {b[i]}) length {lengths[i]!r} is not a JSON number")
+    return np.array((a, b, lengths), dtype=object).T
 
 
 def dict_to_complex(data: dict) -> MetricComplex:
+    """Build a complex from a dconn-complex dictionary; ``MetricComplex.from_edge_lengths``
+    converts and checks the values of its tables.  Every refusal is a MeshFormatError."""
     if data.get("format") != JSON_FORMAT_NAME:
         raise MeshFormatError(f"unknown complex format {data.get('format')!r}")
     try:
         vertex_count, triangles, edges = data["vertices"], data["triangles"], data["edge_lengths"]
-        _require_integers([vertex_count], "the vertex count")
+        if type(vertex_count) is not int:
+            raise MeshFormatError("the vertex count must be JSON integers")
         if vertex_count > MAX_VERTICES:
             raise MeshFormatError(f"'vertices' must be at most {MAX_VERTICES}, got {vertex_count}")
-        _require_integers(chain.from_iterable(triangles), "triangle indices")
-        _require_integers((i for a, b, _ in edges for i in (a, b)), "edge_lengths ends")
-        row = next((e for e in edges if type(e[2]) not in (int, float)), None)
-        if row is not None:  # float() would read true as 1.0 and "1.5" as 1.5
-            a, b, length = row
-            raise MeshFormatError(f"edge ({a}, {b}) length {length!r} is not a JSON number")
-        return MetricComplex.from_edge_lengths(vertex_count, triangles, edges)
+        tris = _triangle_table(triangles)
+        return MetricComplex.from_edge_lengths(vertex_count, tris, _edge_table(edges))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MeshFormatError(f"malformed complex dictionary ({exc})") from exc
 
 
 def write_complex_json(path, vertex_count: int, triangles, edge_lengths) -> None:
     data = complex_to_dict(vertex_count, triangles, edge_lengths)
-    Path(path).write_bytes(canonical.json_bytes(data))
+    canonical.write_file(path, canonical.json_bytes(data))
+
+
+def _read_text(path) -> str:
+    """A mesh file's text; bytes that are not UTF-8 are refused, naming the file."""
+    try:
+        return canonical.read_text(path)
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def read_complex_json(path) -> MetricComplex:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MeshFormatError(f"{path}: invalid JSON ({exc})") from exc
     return dict_to_complex(data)

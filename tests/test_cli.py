@@ -356,6 +356,71 @@ def test_missing_mesh_file_is_a_parse_failure(tmp_path, capsys):
     assert main(["curvature", "--config", cfg]) == 3
 
 
+# A config in each encoding that is not plain UTF-8 JSON text.
+NOT_UTF8 = {
+    "latin-1": '{"connection": "trivial", "note": "café"}'.encode("latin-1"),
+    "utf-16": '{"connection": "trivial"}'.encode("utf-16"),
+    "utf-8 with a byte order mark": '{"connection": "trivial"}'.encode("utf-8-sig"),
+}
+
+
+@pytest.mark.parametrize("encoding", NOT_UTF8)
+def test_config_that_is_not_utf8_json_is_a_parse_failure(tmp_path, capsys, encoding):
+    # A latin-1 config once exited 2 with "invalid config: UnicodeDecodeError(...)".
+    path = tmp_path / "c.json"
+    path.write_bytes(NOT_UTF8[encoding])
+    assert main(["decompose", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("dconn: cannot parse input: ")
+
+
+@pytest.mark.parametrize("suffix", [".json", ".off"])
+@pytest.mark.parametrize("encoding", ["latin-1", "utf-16"])
+def test_mesh_file_that_is_not_utf8_is_a_domain_failure_naming_it(tmp_path, capsys, suffix,
+                                                                  encoding):
+    mesh = tmp_path / f"m{suffix}"
+    if suffix == ".json":
+        write_complex_json(mesh, *cone(5))
+    else:
+        write_off(mesh, *icosphere(0))
+    # A comment in an OFF file or an unknown key in a complex is ignored once read.
+    text = mesh.read_text()
+    text = (text.replace("{", '{"note": "café",', 1) if suffix == ".json"
+            else "# café\n" + text)
+    mesh.write_bytes(text.encode(encoding))
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    assert main(["curvature", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"dconn: {mesh}: not UTF-8 text (")
+    mesh.write_bytes(text.encode("utf-8"))
+    assert main(["curvature", "--config", cfg]) == 0
+
+
+def test_invalid_json_mesh_file_is_a_domain_failure_naming_it(tmp_path, capsys):
+    mesh = tmp_path / "m.json"
+    mesh.write_text("{oops")
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    assert main(["curvature", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"dconn: {mesh}: invalid JSON (")
+
+
+def test_out_replaces_a_longer_file_with_exactly_the_report(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"connection": "trivial"})
+    assert main(["decompose", "--config", cfg]) == 0
+    report = capsys.readouterr().out.encode()
+    out = tmp_path / "r.json"
+    out.write_bytes(b"x" * (3 * len(report)))
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == report
+
+
+def test_out_is_created_with_the_mode_path_write_bytes_gives(tmp_path):
+    # Both create the file with 0o666 less the process umask.
+    cfg = write_config(tmp_path, "d.json", {"connection": "trivial"})
+    out, reference = tmp_path / "r.json", tmp_path / "reference.json"
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
+    reference.write_bytes(b"{}")
+    assert out.stat().st_mode == reference.stat().st_mode
+
+
 def test_unknown_mesh_suffix_is_a_domain_failure(tmp_path, capsys):
     stray = tmp_path / "mesh.obj"
     stray.write_text("v 0 0 0\n")

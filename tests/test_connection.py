@@ -1,7 +1,16 @@
-"""Discrete connections: splitting, lifts, quotients, chains, composition."""
+"""Discrete connections: splitting, lifts, quotients, chains, composition.
+
+The sampled identities run under hypothesis over the ``conn`` fixture's
+connections, on SO(2), SO(3), SE(3) and translation fibers, derandomized, so
+every run draws the same examples.
+"""
+
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dconn import bundle as bd
 from dconn import connection as cn
@@ -31,18 +40,28 @@ from dconn.errors import (
     OutOfDomainError,
     ShapeMismatchError,
 )
-from dconn.lie_group import SE3, SO3, translation_group
+from dconn.lie_group import SE3, SO2, SO3, translation_group
 from dconn.mechanical import mechanical_discrete_connection
 from dconn.limits import exponentiated_connection
-from dconn.presets import so3_coupled, so3_mechanical
+from dconn.presets import abelian_mechanical, so3_coupled, so3_mechanical
+
+SAMPLED = settings(derandomize=True, max_examples=10, deadline=None, database=None)
+# Shape coordinates within SHAPE_BOUND put two points at most 0.495 apart on
+# two coordinates, next to VALIDITY_RADIUS (0.5), and CHAIN_BOUND keeps the
+# links of a chain at most 0.4 apart.
+SHAPE_BOUND = 0.175
+CHAIN_BOUND = 0.14
 
 
 def _fixtures():
     return {
+        "trivial_so2": trivial_connection(Bundle(SO2, 2)),
         "trivial_so3": trivial_connection(Bundle(SO3, 2)),
         "trivial_se3": trivial_connection(Bundle(SE3, 2)),
+        "trivial_t2": trivial_connection(Bundle(translation_group(2), 2)),
         "pure_group": trivial_connection(Bundle(SO3, 0)),
         "exponentiated": exponentiated_connection(so3_mechanical()),
+        "abelian": exponentiated_connection(abelian_mechanical()),
         "mechanical": mechanical_discrete_connection(so3_coupled()),
     }
 
@@ -52,11 +71,32 @@ def conn(request):
     return _fixtures()[request.param]
 
 
-def sample_pair(conn, rng) -> PairElement:
-    # Shape scale keeps every pair inside the validity radius.
-    b = conn.bundle
-    return PairElement(b.random_point(rng, shape_scale=0.1),
-                       b.random_point(rng, shape_scale=0.1))
+# Each strategy is built once per bundle or group: building one costs as much as drawing from it.
+@cache
+def _coords(n, bound):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
+
+
+@cache
+def elements(group, bound=3.0):
+    """exp of algebra coordinates within bound: SO(3) and SE(3) rotations of
+    every angle, the cut locus at pi included, and SO(2) ones up to 3."""
+    return _coords(group.dim, bound).map(lambda xi: lg.exp(group, xi))
+
+
+@cache
+def shapes(b, bound=SHAPE_BOUND):
+    return _coords(b.shape_dim, bound).map(ShapePoint)
+
+
+@cache
+def points(b, bound=SHAPE_BOUND):
+    return st.builds(b.point, _coords(b.shape_dim, bound), elements(b.group))
+
+
+@cache
+def pairs(b):
+    return st.builds(PairElement, points(b), points(b))
 
 
 def matrices_close(a, b, tol=1e-12) -> bool:
@@ -66,33 +106,33 @@ def matrices_close(a, b, tol=1e-12) -> bool:
 # -- form ----------------------------------------------------------------------
 
 
-def test_form_is_identity_on_diagonal(conn):
-    rng = np.random.default_rng(20)
-    for _ in range(10):
-        q = conn.bundle.random_point(rng, shape_scale=0.1)
-        w = eval_form(conn, PairElement(q, q))
-        assert matrices_close(w, lg.identity(conn.bundle.group))
+@SAMPLED
+@given(data=st.data())
+def test_form_is_identity_on_diagonal(conn, data):
+    q = data.draw(points(conn.bundle))
+    w = eval_form(conn, PairElement(q, q))
+    assert matrices_close(w, lg.identity(conn.bundle.group))
 
 
-def test_form_recovers_generator_word(conn):
+@SAMPLED
+@given(data=st.data())
+def test_form_recovers_generator_word(conn, data):
     # form(i_q(g)) = g.
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        q = conn.bundle.random_point(rng, shape_scale=0.1)
-        g = lg.random_element(conn.bundle.group, rng)
-        w = eval_form(conn, bd.discrete_generator(q, g))
-        assert matrices_close(w, g)
+    q = data.draw(points(conn.bundle))
+    g = data.draw(elements(conn.bundle.group))
+    w = eval_form(conn, bd.discrete_generator(q, g))
+    assert matrices_close(w, g)
 
 
-def test_form_equivariance(conn):
+@SAMPLED
+@given(data=st.data())
+def test_form_equivariance(conn, data):
     # form(h . p) = h form(p) h^-1.
-    rng = np.random.default_rng(22)
-    for _ in range(10):
-        p = sample_pair(conn, rng)
-        h = lg.random_element(conn.bundle.group, rng)
-        lhs = eval_form(conn, bd.act_pair(h, p))
-        rhs = lg.compose(h, lg.compose(eval_form(conn, p), lg.inverse(h)))
-        assert matrices_close(lhs, rhs, tol=1e-11)
+    p = data.draw(pairs(conn.bundle))
+    h = data.draw(elements(conn.bundle.group))
+    lhs = eval_form(conn, bd.act_pair(h, p))
+    rhs = lg.compose(h, lg.compose(eval_form(conn, p), lg.inverse(h)))
+    assert matrices_close(lhs, rhs, tol=1e-11)
 
 
 def test_form_rejects_distant_pairs():
@@ -103,99 +143,99 @@ def test_form_rejects_distant_pairs():
         eval_form(c, far)
 
 
-def test_local_rep_recovered_from_form(conn):
+@SAMPLED
+@given(data=st.data())
+def test_local_rep_recovered_from_form(conn, data):
     # A(x0, x1) = g1^-1 form(p) g0.
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        p = sample_pair(conn, rng)
-        w = eval_form(conn, p)
-        back = lg.compose(lg.inverse(p.second.fiber), lg.compose(w, p.first.fiber))
-        a = conn.local_rep(p.first.shape, p.second.shape)
-        assert float(np.max(np.abs(back.matrix - a))) < 1e-11
+    p = data.draw(pairs(conn.bundle))
+    w = eval_form(conn, p)
+    back = lg.compose(lg.inverse(p.second.fiber), lg.compose(w, p.first.fiber))
+    a = conn.local_rep(p.first.shape, p.second.shape)
+    assert float(np.max(np.abs(back.matrix - a))) < 1e-11
 
 
 # -- splitting ------------------------------------------------------------------
 
 
-def test_vertical_plus_horizontal_recomposes(conn):
-    rng = np.random.default_rng(24)
-    for _ in range(10):
-        p = sample_pair(conn, rng)
-        ver = vertical_component(conn, p)
-        hor = horizontal_component(conn, p)
-        back = bd.vertical_compose(ver, hor)
-        assert bd.points_match(back.first, p.first, tol=1e-12)
-        assert bd.points_match(back.second, p.second, tol=1e-11)
+@SAMPLED
+@given(data=st.data())
+def test_vertical_plus_horizontal_recomposes(conn, data):
+    p = data.draw(pairs(conn.bundle))
+    ver = vertical_component(conn, p)
+    hor = horizontal_component(conn, p)
+    back = bd.vertical_compose(ver, hor)
+    assert bd.points_match(back.first, p.first, tol=1e-12)
+    assert bd.points_match(back.second, p.second, tol=1e-11)
 
 
-def test_horizontal_is_idempotent(conn):
-    rng = np.random.default_rng(25)
-    for _ in range(10):
-        p = sample_pair(conn, rng)
-        h1 = horizontal_component(conn, p)
-        h2 = horizontal_component(conn, h1)
-        assert bd.points_match(h2.second, h1.second, tol=1e-11)
-        w = eval_form(conn, h1)
-        assert matrices_close(w, lg.identity(conn.bundle.group), tol=1e-11)
+@SAMPLED
+@given(data=st.data())
+def test_horizontal_is_idempotent(conn, data):
+    p = data.draw(pairs(conn.bundle))
+    h1 = horizontal_component(conn, p)
+    h2 = horizontal_component(conn, h1)
+    assert bd.points_match(h2.second, h1.second, tol=1e-11)
+    w = eval_form(conn, h1)
+    assert matrices_close(w, lg.identity(conn.bundle.group), tol=1e-11)
 
 
-def test_vertical_fixes_vertical_pairs(conn):
-    rng = np.random.default_rng(26)
-    for _ in range(10):
-        q = conn.bundle.random_point(rng, shape_scale=0.1)
-        g = lg.random_element(conn.bundle.group, rng)
-        p = bd.discrete_generator(q, g)
-        again = vertical_component(conn, p)
-        assert bd.points_match(again.second, p.second, tol=1e-11)
+@SAMPLED
+@given(data=st.data())
+def test_vertical_fixes_vertical_pairs(conn, data):
+    q = data.draw(points(conn.bundle))
+    g = data.draw(elements(conn.bundle.group))
+    p = bd.discrete_generator(q, g)
+    again = vertical_component(conn, p)
+    assert bd.points_match(again.second, p.second, tol=1e-11)
 
 
-def test_trivial_abelian_horizontal_formula():
+@SAMPLED
+@given(p=pairs(Bundle(translation_group(2), 2)))
+def test_trivial_abelian_horizontal_formula(p):
     # For the trivial connection hor(p) carries the first fiber across.
     c = trivial_connection(Bundle(translation_group(2), 2))
-    rng = np.random.default_rng(27)
-    for _ in range(10):
-        p = sample_pair(c, rng)
-        hor = horizontal_component(c, p)
-        assert np.array_equal(hor.second.shape.coords, p.second.shape.coords)
-        assert matrices_close(hor.second.fiber, p.first.fiber)
+    hor = horizontal_component(c, p)
+    assert np.array_equal(hor.second.shape.coords, p.second.shape.coords)
+    assert matrices_close(hor.second.fiber, p.first.fiber)
 
 
 # -- horizontal lift ---------------------------------------------------------------
 
 
-def test_lift_matches_horizontal_component(conn):
-    rng = np.random.default_rng(28)
-    for _ in range(10):
-        p = sample_pair(conn, rng)
-        lift = horizontal_lift(conn, p.first.shape, p.second.shape, p.first)
-        hor = horizontal_component(conn, p)
-        assert bd.points_match(lift.second, hor.second, tol=1e-11)
+@SAMPLED
+@given(data=st.data())
+def test_lift_matches_horizontal_component(conn, data):
+    p = data.draw(pairs(conn.bundle))
+    lift = horizontal_lift(conn, p.first.shape, p.second.shape, p.first)
+    hor = horizontal_component(conn, p)
+    assert bd.points_match(lift.second, hor.second, tol=1e-11)
 
 
-def test_lift_of_diagonal_is_stationary(conn):
-    rng = np.random.default_rng(29)
-    q = conn.bundle.random_point(rng, shape_scale=0.1)
+@SAMPLED
+@given(data=st.data())
+def test_lift_of_diagonal_is_stationary(conn, data):
+    q = data.draw(points(conn.bundle))
     lift = horizontal_lift(conn, q.shape, q.shape, q)
     assert bd.points_match(lift.second, q, tol=1e-12)
 
 
-def test_lift_is_horizontal(conn):
-    rng = np.random.default_rng(30)
-    for _ in range(10):
-        p = sample_pair(conn, rng)
-        lift = horizontal_lift(conn, p.first.shape, p.second.shape, p.first)
-        w = eval_form(conn, lift)
-        assert matrices_close(w, lg.identity(conn.bundle.group), tol=1e-11)
+@SAMPLED
+@given(data=st.data())
+def test_lift_is_horizontal(conn, data):
+    p = data.draw(pairs(conn.bundle))
+    lift = horizontal_lift(conn, p.first.shape, p.second.shape, p.first)
+    w = eval_form(conn, lift)
+    assert matrices_close(w, lg.identity(conn.bundle.group), tol=1e-11)
 
 
-def test_lift_equivariance(conn):
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        p = sample_pair(conn, rng)
-        h = lg.random_element(conn.bundle.group, rng)
-        lifted_then_moved = bd.act_pair(h, horizontal_lift(conn, p.first.shape, p.second.shape, p.first))
-        moved_then_lifted = horizontal_lift(conn, p.first.shape, p.second.shape, bd.act(h, p.first))
-        assert bd.points_match(lifted_then_moved.second, moved_then_lifted.second, tol=1e-11)
+@SAMPLED
+@given(data=st.data())
+def test_lift_equivariance(conn, data):
+    p = data.draw(pairs(conn.bundle))
+    h = data.draw(elements(conn.bundle.group))
+    lifted_then_moved = bd.act_pair(h, horizontal_lift(conn, p.first.shape, p.second.shape, p.first))
+    moved_then_lifted = horizontal_lift(conn, p.first.shape, p.second.shape, bd.act(h, p.first))
+    assert bd.points_match(lifted_then_moved.second, moved_then_lifted.second, tol=1e-11)
 
 
 def test_lift_rejects_wrong_base():
@@ -270,57 +310,57 @@ def test_entry_points_refuse_a_point_of_another_bundle(entry, kind):
 # -- quotients ----------------------------------------------------------------------
 
 
-def test_splitting_form_inverts_generator(conn):
+@SAMPLED
+@given(data=st.data())
+def test_splitting_form_inverts_generator(conn, data):
     # The splitting form sends [i_q(g)] to the adjoint class of (q, g).
-    rng = np.random.default_rng(32)
-    for _ in range(10):
-        q = conn.bundle.random_point(rng, shape_scale=0.1)
-        g = lg.random_element(conn.bundle.group, rng)
-        got = splitting_form(conn, quotient_pair(bd.discrete_generator(q, g)))
-        want = adjoint_element(q, g)
-        assert np.linalg.norm(got.base.coords - want.base.coords) < 1e-12
-        assert matrices_close(got.group_part, want.group_part, tol=1e-11)
+    q = data.draw(points(conn.bundle))
+    g = data.draw(elements(conn.bundle.group))
+    got = splitting_form(conn, quotient_pair(bd.discrete_generator(q, g)))
+    want = adjoint_element(q, g)
+    assert np.linalg.norm(got.base.coords - want.base.coords) < 1e-12
+    assert matrices_close(got.group_part, want.group_part, tol=1e-11)
 
 
-def test_splitting_form_orbit_independence(conn):
-    rng = np.random.default_rng(33)
-    p = sample_pair(conn, rng)
+@SAMPLED
+@given(data=st.data())
+def test_splitting_form_orbit_independence(conn, data):
+    p = data.draw(pairs(conn.bundle))
+    h = data.draw(elements(conn.bundle.group))
     ref = splitting_form(conn, quotient_pair(p))
-    for _ in range(10):
-        h = lg.random_element(conn.bundle.group, rng)
-        moved = splitting_form(conn, quotient_pair(bd.act_pair(h, p)))
-        assert matrices_close(moved.group_part, ref.group_part, tol=1e-11)
+    moved = splitting_form(conn, quotient_pair(bd.act_pair(h, p)))
+    assert matrices_close(moved.group_part, ref.group_part, tol=1e-11)
 
 
-def test_splitting_form_diagonal_is_identity(conn):
-    rng = np.random.default_rng(34)
-    q = conn.bundle.random_point(rng, shape_scale=0.1)
+@SAMPLED
+@given(data=st.data())
+def test_splitting_form_diagonal_is_identity(conn, data):
+    q = data.draw(points(conn.bundle))
     a = splitting_form(conn, quotient_pair(PairElement(q, q)))
     assert matrices_close(a.group_part, lg.identity(conn.bundle.group), tol=1e-12)
 
 
-def test_quotient_decompose_assemble_roundtrip(conn):
-    rng = np.random.default_rng(35)
-    for _ in range(20):
-        qp = quotient_pair(sample_pair(conn, rng))
-        x0, x1, a = decompose_quotient(conn, qp)
-        back = assemble_quotient(conn, x0, x1, a)
-        assert bd.points_match(back.representative.first, qp.representative.first, tol=1e-11)
-        assert bd.points_match(back.representative.second, qp.representative.second, tol=1e-11)
+@SAMPLED
+@given(data=st.data())
+def test_quotient_decompose_assemble_roundtrip(conn, data):
+    qp = quotient_pair(data.draw(pairs(conn.bundle)))
+    x0, x1, a = decompose_quotient(conn, qp)
+    back = assemble_quotient(conn, x0, x1, a)
+    assert bd.points_match(back.representative.first, qp.representative.first, tol=1e-11)
+    assert bd.points_match(back.representative.second, qp.representative.second, tol=1e-11)
 
 
-def test_quotient_assemble_decompose_roundtrip(conn):
-    rng = np.random.default_rng(36)
+@SAMPLED
+@given(data=st.data())
+def test_quotient_assemble_decompose_roundtrip(conn, data):
     group = conn.bundle.group
-    for _ in range(20):
-        x0 = ShapePoint(0.1 * rng.standard_normal(conn.bundle.shape_dim))
-        x1 = ShapePoint(x0.coords + 0.1 * rng.standard_normal(conn.bundle.shape_dim))
-        a = adjoint_element(BundlePoint(x0, lg.identity(group)), lg.random_element(group, rng))
-        qp = assemble_quotient(conn, x0, x1, a)
-        y0, y1, b = decompose_quotient(conn, qp)
-        assert np.linalg.norm(y0.coords - x0.coords) < 1e-12
-        assert np.linalg.norm(y1.coords - x1.coords) < 1e-12
-        assert matrices_close(b.group_part, a.group_part, tol=1e-11)
+    x0, x1 = data.draw(shapes(conn.bundle)), data.draw(shapes(conn.bundle))
+    a = adjoint_element(BundlePoint(x0, lg.identity(group)), data.draw(elements(group)))
+    qp = assemble_quotient(conn, x0, x1, a)
+    y0, y1, b = decompose_quotient(conn, qp)
+    assert np.linalg.norm(y0.coords - x0.coords) < 1e-12
+    assert np.linalg.norm(y1.coords - x1.coords) < 1e-12
+    assert matrices_close(b.group_part, a.group_part, tol=1e-11)
 
 
 def test_assemble_quotient_rejects_misbased_adjoint():
@@ -352,57 +392,57 @@ def test_pure_group_reduction_example():
 # -- extended composition -------------------------------------------------------------
 
 
-def _composable_triple(conn, rng):
-    b = conn.bundle
-    xs = [ShapePoint(0.1 * rng.standard_normal(b.shape_dim)) for _ in range(4)]
-    fibers = [lg.random_element(b.group, rng) for _ in range(6)]
-    p = PairElement(BundlePoint(xs[0], fibers[0]), BundlePoint(xs[1], fibers[1]))
-    r = PairElement(BundlePoint(xs[1], fibers[2]), BundlePoint(xs[2], fibers[3]))
-    s = PairElement(BundlePoint(xs[2], fibers[4]), BundlePoint(xs[3], fibers[5]))
-    return p, r, s
+@cache
+@st.composite
+def composable_triples(draw, b):
+    """Pairs p, r, s whose shapes chain: p ends where r starts, r where s starts."""
+    xs = [draw(shapes(b)) for _ in range(4)]
+    fibers = [draw(elements(b.group)) for _ in range(6)]
+    return tuple(PairElement(BundlePoint(xs[i], fibers[2 * i]), BundlePoint(xs[i + 1], fibers[2 * i + 1]))
+                 for i in range(3))
 
 
-def test_extended_compose_reduces_to_groupoid(conn):
+@SAMPLED
+@given(data=st.data())
+def test_extended_compose_reduces_to_groupoid(conn, data):
     # When the middle bundle points agree exactly, composition just chains.
-    rng = np.random.default_rng(37)
-    p, r, _ = _composable_triple(conn, rng)
+    p, r, _ = data.draw(composable_triples(conn.bundle))
     joined = PairElement(p.second, r.second)
     out = extended_compose(conn, p, joined)
     assert bd.points_match(out.first, p.first)
     assert bd.points_match(out.second, r.second, tol=1e-12)
 
 
-def test_extended_compose_vertical_consistency(conn):
+@SAMPLED
+@given(data=st.data())
+def test_extended_compose_vertical_consistency(conn, data):
     # Composing with a vertical pair agrees with vertical composition.
-    rng = np.random.default_rng(38)
-    q = conn.bundle.random_point(rng, shape_scale=0.1)
-    q1 = conn.bundle.random_point(rng, shape_scale=0.1)
-    g = lg.random_element(conn.bundle.group, rng)
-    v = bd.discrete_generator(q, g)
+    q, q1 = data.draw(pairs(conn.bundle)).first, data.draw(points(conn.bundle))
+    v = bd.discrete_generator(q, data.draw(elements(conn.bundle.group)))
     p = PairElement(q, q1)
     via_extended = extended_compose(conn, v, p)
     via_vertical = bd.vertical_compose(v, p)
     assert bd.points_match(via_extended.second, via_vertical.second, tol=1e-12)
 
 
-def test_extended_compose_associative(conn):
-    rng = np.random.default_rng(39)
-    for _ in range(10):
-        p, r, s = _composable_triple(conn, rng)
-        left = extended_compose(conn, extended_compose(conn, p, r), s)
-        right = extended_compose(conn, p, extended_compose(conn, r, s))
-        assert bd.points_match(left.first, right.first)
-        assert bd.points_match(left.second, right.second, tol=1e-10)
+@SAMPLED
+@given(data=st.data())
+def test_extended_compose_associative(conn, data):
+    p, r, s = data.draw(composable_triples(conn.bundle))
+    left = extended_compose(conn, extended_compose(conn, p, r), s)
+    right = extended_compose(conn, p, extended_compose(conn, r, s))
+    assert bd.points_match(left.first, right.first)
+    assert bd.points_match(left.second, right.second, tol=1e-10)
 
 
-def test_extended_compose_equivariance(conn):
-    rng = np.random.default_rng(40)
-    for _ in range(10):
-        p, r, _ = _composable_triple(conn, rng)
-        h = lg.random_element(conn.bundle.group, rng)
-        moved = extended_compose(conn, bd.act_pair(h, p), bd.act_pair(h, r))
-        expect = bd.act_pair(h, extended_compose(conn, p, r))
-        assert bd.points_match(moved.second, expect.second, tol=1e-10)
+@SAMPLED
+@given(data=st.data())
+def test_extended_compose_equivariance(conn, data):
+    p, r, _ = data.draw(composable_triples(conn.bundle))
+    h = data.draw(elements(conn.bundle.group))
+    moved = extended_compose(conn, bd.act_pair(h, p), bd.act_pair(h, r))
+    expect = bd.act_pair(h, extended_compose(conn, p, r))
+    assert bd.points_match(moved.second, expect.second, tol=1e-10)
 
 
 def test_extended_compose_rejects_mismatched_middle():
@@ -417,32 +457,37 @@ def test_extended_compose_rejects_mismatched_middle():
 # -- chains ---------------------------------------------------------------------------
 
 
-def _chain(conn, rng, k=3):
-    return [conn.bundle.random_point(rng, shape_scale=0.08) for _ in range(k + 1)]
+@cache
+def chains(b, k=3):
+    """Chains of k + 1 points, each link within CHAIN_BOUND's reach."""
+    return st.lists(points(b, CHAIN_BOUND), min_size=k + 1, max_size=k + 1)
 
 
-def test_higher_order_form_first_order_matches_pair_form(conn):
-    rng = np.random.default_rng(41)
-    qs = _chain(conn, rng, k=1)
+@SAMPLED
+@given(data=st.data())
+def test_higher_order_form_first_order_matches_pair_form(conn, data):
+    qs = data.draw(chains(conn.bundle, k=1))
     values = higher_order_form(conn, qs)
     assert len(values) == 1
     assert matrices_close(values[0], eval_form(conn, PairElement(qs[0], qs[1])))
 
 
-def test_higher_order_form_constant_chain(conn):
-    rng = np.random.default_rng(42)
-    q = conn.bundle.random_point(rng, shape_scale=0.1)
+@SAMPLED
+@given(data=st.data())
+def test_higher_order_form_constant_chain(conn, data):
+    q = data.draw(points(conn.bundle))
     values = higher_order_form(conn, [q, q, q, q])
     assert len(values) == 3
     for w in values:
         assert matrices_close(w, lg.identity(conn.bundle.group), tol=1e-12)
 
 
-def test_higher_order_form_equivariance(conn):
+@SAMPLED
+@given(data=st.data())
+def test_higher_order_form_equivariance(conn, data):
     # Each entry conjugates under the diagonal action.
-    rng = np.random.default_rng(43)
-    qs = _chain(conn, rng, k=3)
-    h = lg.random_element(conn.bundle.group, rng)
+    qs = data.draw(chains(conn.bundle))
+    h = data.draw(elements(conn.bundle.group))
     base = higher_order_form(conn, qs)
     moved = higher_order_form(conn, [bd.act(h, q) for q in qs])
     for w0, w1 in zip(base, moved):
@@ -452,8 +497,7 @@ def test_higher_order_form_equivariance(conn):
 
 def test_higher_order_form_length_check(conn):
     # The chain fixes the order; a chain of one point has no pair to evaluate.
-    rng = np.random.default_rng(44)
-    q = conn.bundle.random_point(rng, shape_scale=0.1)
+    q = conn.bundle.point(np.full(conn.bundle.shape_dim, 0.1), lg.identity(conn.bundle.group))
     for chain in ([q], []):
         with pytest.raises(LengthMismatchError, match="at least two points"):
             higher_order_form(conn, chain)
@@ -461,38 +505,37 @@ def test_higher_order_form_length_check(conn):
             decompose_chain(conn, chain)
 
 
-def test_chain_roundtrip(conn):
-    rng = np.random.default_rng(45)
-    for _ in range(5):
-        qs = _chain(conn, rng, k=3)
-        shapes, adjoints = decompose_chain(conn, qs)
-        rebuilt = assemble_chain(conn, shapes, adjoints)
-        canon = canonical_chain(qs)
-        assert len(rebuilt) == len(canon)
-        for a, b in zip(rebuilt, canon):
-            assert bd.points_match(a, b, tol=1e-10)
+@SAMPLED
+@given(data=st.data())
+def test_chain_roundtrip(conn, data):
+    qs = data.draw(chains(conn.bundle))
+    xs, adjoints = decompose_chain(conn, qs)
+    rebuilt = assemble_chain(conn, xs, adjoints)
+    canon = canonical_chain(qs)
+    assert len(rebuilt) == len(canon)
+    for a, b in zip(rebuilt, canon):
+        assert bd.points_match(a, b, tol=1e-10)
 
 
-def test_chain_assemble_length_and_base_checks(conn):
-    rng = np.random.default_rng(46)
-    qs = _chain(conn, rng, k=2)
-    shapes, adjoints = decompose_chain(conn, qs)
+@SAMPLED
+@given(data=st.data())
+def test_chain_assemble_length_and_base_checks(conn, data):
+    qs = data.draw(chains(conn.bundle, k=2))
+    xs, adjoints = decompose_chain(conn, qs)
     with pytest.raises(LengthMismatchError):
-        assemble_chain(conn, shapes, adjoints[:-1])
+        assemble_chain(conn, xs, adjoints[:-1])
     with pytest.raises(LengthMismatchError):
         decompose_chain(conn, qs[:1])
 
 
-def test_mechanical_local_rep_closed_form():
+@SAMPLED
+@given(x0=_coords(2, 0.35), step=_coords(2, 0.35))
+def test_mechanical_local_rep_closed_form(x0, step):
     # The coupled-rotation fixture solves the zero-momentum equation in
-    # closed form: A(x0, x1) = exp(C(x0) (x1 - x0)).
+    # closed form: A(x0, x1) = exp(C(x0) (x1 - x0)).  Steps reach 0.495.
     from dconn.presets import coupling_so3
 
     c = mechanical_discrete_connection(so3_coupled())
-    rng = np.random.default_rng(47)
-    for _ in range(5):
-        x0 = 0.2 * rng.standard_normal(2)
-        x1 = x0 + 0.2 * rng.standard_normal(2)
-        a = c.local_rep(ShapePoint(x0), ShapePoint(x1))
-        want = lg.exp(SO3, coupling_so3(x0) @ (x1 - x0))
-        assert float(np.max(np.abs(a - want.matrix))) < 1e-10
+    a = c.local_rep(ShapePoint(x0), ShapePoint(x0 + step))
+    want = lg.exp(SO3, coupling_so3(x0) @ step)
+    assert float(np.max(np.abs(a - want.matrix))) < 1e-10

@@ -204,6 +204,16 @@ def test_log_rejects_cut_locus(group):
     assert np.linalg.norm(lg.log(ok)) == pytest.approx(np.pi - 1e-3, abs=1e-9)
 
 
+@pytest.mark.parametrize("group", [SO2, SO3, SE3], ids=lambda g: g.name)
+def test_log_refuses_a_nan_matrix(group):
+    # The SO(2) kernels once returned NaN: abs(nan) >= pi - margin is false.
+    nan = np.full((group.matrix_size, group.matrix_size), np.nan)
+    with pytest.raises(CutLocusError):
+        group.log_vector(nan)
+    with pytest.raises(CutLocusError):
+        group.log_vectors(np.stack([np.eye(group.matrix_size), nan]))
+
+
 # -- cayley ---------------------------------------------------------------------
 
 

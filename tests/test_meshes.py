@@ -345,6 +345,54 @@ def test_json_rejects_conflicting_duplicate_edges():
             dict_to_complex(conflicting)
 
 
+_RAGGED = "malformed complex dictionary (setting an array element with a sequence."
+_SHAPE_REFUSALS = {
+    # field, a function of the valid table, and the message, whole or (ending in ".") its start
+    "triangle rows of 2": ("triangles", lambda t: [r[:2] for r in t],
+                           "triangles must be an (m, 3) index array"),
+    "triangle rows of 4": ("triangles", lambda t: [r + [0] for r in t],
+                           "triangles must be an (m, 3) index array"),
+    "a triangle row of 2": ("triangles", lambda t: t[:2] + [t[2][:2]] + t[3:], _RAGGED),
+    "a triangle row of 4": ("triangles", lambda t: [t[0] + [4]] + t[1:], _RAGGED),
+    "triangles as a string": ("triangles", lambda t: "0 1 2",
+                              "triangle indices must be JSON integers"),
+    "triangles as an empty object": ("triangles", lambda t: {}, "malformed complex dictionary "
+                                     "(int() argument must be a string, a bytes-like object "
+                                     "or a real number, not 'dict')"),
+    "triangles as an object": ("triangles", lambda t: {"0": [0, 1, 2]},
+                               "triangle indices must be JSON integers"),
+    "no triangles": ("triangles", lambda t: [], "triangles must be an (m, 3) index array"),
+    "edge rows of 2": ("edge_lengths", lambda e: [r[:2] for r in e], "malformed complex "
+                       "dictionary (not enough values to unpack (expected 3, got 2))"),
+    "edge rows of 4": ("edge_lengths", lambda e: [r + [1] for r in e], "malformed complex "
+                       "dictionary (too many values to unpack (expected 3))"),
+    "an edge row of 2": ("edge_lengths", lambda e: e[:3] + [e[3][:2]] + e[4:], "malformed "
+                         "complex dictionary (not enough values to unpack (expected 3, got 2))"),
+    "edge lengths as a string": ("edge_lengths", lambda e: "0 1 1.0", "malformed complex "
+                                 "dictionary (not enough values to unpack (expected 3, got 1))"),
+    "edge lengths as an empty object": ("edge_lengths", lambda e: {}, "malformed complex "
+                                        "dictionary (float() argument must be a string or a "
+                                        "real number, not 'dict')"),
+    "edge lengths as an object": ("edge_lengths", lambda e: {"0": [0, 1, 1.0]}, "malformed "
+                                  "complex dictionary (not enough values to unpack "
+                                  "(expected 3, got 1))"),
+    "no edge lengths": ("edge_lengths", lambda e: [],
+                        "edge lengths must be an (E, 3) array of [a, b, length] rows"),
+}
+
+
+@pytest.mark.parametrize("case", _SHAPE_REFUSALS)
+def test_json_refuses_tables_of_the_wrong_shape(case):
+    # Each refusal keeps its message; numpy's own ragged-array message is
+    # matched by its start only.
+    field, change, message = _SHAPE_REFUSALS[case]
+    data = complex_to_dict(*cone(5))
+    data[field] = change(data[field])
+    pattern = re.escape(message) + ("" if message.endswith(".") else "$")
+    with pytest.raises(MeshFormatError, match="^" + pattern):
+        dict_to_complex(data)
+
+
 # -- OFF format -----------------------------------------------------------------------
 
 
