@@ -3,9 +3,12 @@
 ``json_bytes(value)`` is ``json.dumps(value, sort_keys=True, indent=2)``
 plus a newline, as ASCII bytes, with numpy arrays and scalars written as
 their ``tolist()``.  json's own encoder runs in pure Python, one generator
-step per value, whenever it indents; this writer joins each list of floats
-with ``float.__repr__`` in one C-level call, and writes strings with json's
-``encode_basestring_ascii`` and non-finite floats as json does (NaN,
+step per value, whenever it indents.  This writer writes a list of exact
+ints and finite floats, or a list of equal-width rows of them (curvature
+``per_vertex``, matrices, ``dconn-complex`` tables, error tables), in one
+pass: one ``map(repr, ...)`` over the flattened cells and one join of a row
+template.  Anything else goes value by value, with strings written by json's
+``encode_basestring_ascii`` and non-finite floats as json writes them (NaN,
 Infinity, -Infinity), so the bytes are the same.
 
 ``read_text(path)`` reads a file as bytes and decodes them as UTF-8, strictly:
@@ -19,9 +22,15 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+
+
+# The exact types a number table may hold: bool and numpy scalars go value by value.
+_NUMBERS = {int, float}
+_ROWS = {list, tuple}
 
 
 def json_bytes(value) -> bytes:
@@ -84,16 +93,10 @@ def _text(o, nl: str) -> str:
         if not o:
             return "[]"
         inner = nl + "  "
-        sep = "," + inner
-        if type(o[0]) is float:
-            try:
-                run = sep.join(map(float.__repr__, o))
-            except TypeError:  # an entry that is not a float
-                run = None
-            # Finite floats only: json spells nan and inf differently.
-            if run is not None and "n" not in run:
-                return f"[{inner}{run}{nl}]"
-        return f"[{inner}{sep.join([_text(v, inner) for v in o])}{nl}]"
+        table = _table(o, inner)
+        if table is None:
+            table = f",{inner}".join([_text(v, inner) for v in o])
+        return f"[{inner}{table}{nl}]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -103,3 +106,25 @@ def _text(o, nl: str) -> str:
     if isinstance(o, (np.ndarray, np.generic)):
         return _text(o.tolist(), nl)
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
+def _table(o, inner: str) -> str | None:
+    """The entries of a list of numbers, or of equal-width rows of numbers, each
+    on a line starting with inner; None for any other list.
+
+    Numbers are exact ints and finite floats: repr writes them as json does.
+    """
+    kinds = set(map(type, o))
+    if kinds <= _NUMBERS:
+        text = f",{inner}".join(map(repr, o))
+    elif kinds <= _ROWS:
+        widths = set(map(len, o))
+        cells = list(chain.from_iterable(o))
+        if len(widths) != 1 or not cells or not set(map(type, cells)) <= _NUMBERS:
+            return None
+        row = f",{inner}  ".join(["%s"] * len(o[0]))
+        text = f",{inner}".join([f"[{inner}  {row}{inner}]"] * len(o)) % tuple(map(repr, cells))
+    else:
+        return None
+    # json spells nan and inf as NaN and Infinity: such a list goes value by value.
+    return None if "n" in text else text

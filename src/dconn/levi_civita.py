@@ -5,6 +5,14 @@ carries a constant positive-definite metric, given in the triangle's own
 affine chart (basis v1-v0, v2-v0).  Metrics may come from per-triangle
 Gram matrices, from [a, b, length] edge-length rows, or from an embedding.
 
+Construction.  Each constructor converts and range-checks its triangles
+once and hands the checked tables to one build: the edge table, the metric
+checks and geometry tables, then the frames.  Every step but the frame
+search runs a fixed number of numpy calls over whole tables.
+``from_edge_lengths`` refuses, by its row, a length that
+is not positive and finite or whose square is not a finite nonzero float
+(1e200 "has no finite square", 1e-300 "has no nonzero square").
+
 Geometry tables.  Building a complex validates its metrics and tabulates
 them once: ``lengths[t, k]`` (local edge k -> k+1) and
 ``corner_angles[t, k]`` per triangle, ``angle_defects[v]`` per vertex.
@@ -53,6 +61,7 @@ is rejected with MeshFormatError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -90,22 +99,39 @@ class MetricComplex:
     """An oriented triangle complex with constant per-triangle metrics."""
 
     def __init__(self, vertex_count: int, triangles, chart_metrics, embedding=None):
-        self.vertex_count = int(vertex_count)
-        self.triangles = _triangle_array(triangles, self.vertex_count)
-        self.chart_metrics = np.asarray(chart_metrics, dtype=float)
-        self.embedding = None if embedding is None else np.asarray(embedding, dtype=float)
-        if self.chart_metrics.shape != (len(self.triangles), 2, 2):
+        n = int(vertex_count)
+        tris = _triangle_array(triangles, n)
+        metrics = np.asarray(chart_metrics, dtype=float)
+        embedding = None if embedding is None else np.asarray(embedding, dtype=float)
+        if metrics.shape != (len(tris), 2, 2):
             raise MeshFormatError("need one 2x2 chart metric per triangle")
+        self._build(n, tris, metrics, embedding)
+
+    def _build(self, vertex_count: int, triangles: np.ndarray, chart_metrics: np.ndarray,
+               embedding) -> None:
+        """Validate and tabulate checked (m, 3) int triangles and (m, 2, 2) float metrics."""
+        self.vertex_count = vertex_count
+        self.triangles = triangles
+        self.chart_metrics = chart_metrics
+        self.embedding = embedding
         self._build_adjacency()
         self._tabulate_metrics()
         self._frames()
+
+    @classmethod
+    def _built(cls, vertex_count: int, triangles: np.ndarray, chart_metrics: np.ndarray,
+               embedding=None) -> "MetricComplex":
+        """A complex from tables a constructor has converted and range-checked."""
+        K = cls.__new__(cls)
+        K._build(vertex_count, triangles, chart_metrics, embedding)
+        return K
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_edge_lengths(cls, vertex_count: int, triangles, edge_lengths) -> "MetricComplex":
         """Build from (E, 3) rows [a, b, length] (abstract complex): ends are vertex
-        indices, lengths positive and finite with a finite square, and each
+        indices, lengths positive and finite with a finite nonzero square, and each
         triangle edge is listed, in either orientation, repeating only with its length."""
         n = int(vertex_count)
         tris = _triangle_array(triangles, n)
@@ -117,33 +143,38 @@ class MetricComplex:
             squares = np.float_power(lengths, 2)  # libm pow, as ``**`` on a Python float
         is_index = (ends >= 0) & (ends < n) & (ends == np.floor(ends))
         stray = ~(is_index[:, 0] & is_index[:, 1])
-        bad = np.flatnonzero(stray | ~((lengths > 0) & np.isfinite(squares)))
+        bad = (stray | ~((lengths > 0) & (squares > 0) & (squares < math.inf))).nonzero()[0]
         if bad.size:
             a, b, length = np.asarray(edge_lengths[bad[0]], dtype=object).tolist()  # as given
             if stray[bad[0]]:
                 raise MeshFormatError(f"edge ({a}, {b}) ends must be vertex indices below {n}")
-            what = "has no finite square" if 0 < length < math.inf else "is not positive and finite"
+            if not 0 < length < math.inf:
+                what = "is not positive and finite"
+            elif squares[bad[0]]:  # inf
+                what = "has no finite square"
+            else:  # underflowed to 0
+                what = "has no nonzero square"
             raise MeshFormatError(f"edge ({int(a)}, {int(b)}) length {length!r} {what}")
         # Edge keys lo * n + hi, as in _build_adjacency; a stable sort puts repeats side by side.
         a, b = ends.astype(np.int64).T
         keys = np.minimum(a, b) * n + np.maximum(a, b)
-        order = np.argsort(keys, kind="stable")
+        order = keys.argsort(kind="stable")
         keys, listed = keys[order], lengths[order]
-        clash = np.flatnonzero((keys[1:] == keys[:-1]) & (listed[1:] != listed[:-1]))
+        clash = ((keys[1:] == keys[:-1]) & (listed[1:] != listed[:-1])).nonzero()[0]
         if clash.size:
             j = clash[0]
             raise MeshFormatError(f"edge {divmod(int(keys[j]), n)} is listed with lengths "
                                   f"{listed[j]} and {listed[j + 1]}")
         # Each triangle's edges (0, 1), (0, 2) and (1, 2), found past a sentinel end key.
-        tails, heads = tris[:, [0, 0, 1]], tris[:, [1, 2, 2]]
+        tails, heads = tris.take([0, 0, 1], axis=1), tris.take([1, 2, 2], axis=1)
         wanted = np.minimum(tails, heads) * n + np.maximum(tails, heads)
-        at = np.searchsorted(keys, wanted)
-        missing = wanted[np.append(keys, n * n)[at] != wanted]
+        at = keys.searchsorted(wanted)
+        missing = wanted[np.concatenate((keys, [n * n]))[at] != wanted]
         if missing.size:
             raise MeshFormatError(f"missing edge length for {divmod(int(missing[0]), n)}")
         s01, s02, s12 = squares[order[at]].T
         g01 = 0.5 * s01 + 0.5 * s02 - 0.5 * s12  # exact halves: s01 + s02 may overflow
-        return cls(n, tris, np.array([[s01, g01], [g01, s02]]).transpose(2, 0, 1))
+        return cls._built(n, tris, np.array([[s01, g01], [g01, s02]]).transpose(2, 0, 1))
 
     @classmethod
     def from_embedding(cls, vertices, triangles) -> "MetricComplex":
@@ -156,35 +187,33 @@ class MetricComplex:
         with np.errstate(over="ignore"):  # a metric too large for a float is refused on build
             e = verts[tris[:, 1:]] - verts[tris[:, :1]]  # rows v1 - v0 and v2 - v0
             gram = e @ e.transpose(0, 2, 1)
-        return cls(len(verts), tris, gram, embedding=verts)
+        return cls._built(len(verts), tris, gram, verts)
 
     # -- validation ---------------------------------------------------------
 
     def _tabulate_metrics(self) -> None:
         """Validate the metrics and fill the geometry tables."""
         g = self.chart_metrics
-        bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
+        # Tests run on each metric scaled by 4^-k (exact) to put its largest entry in [0.5, 2).
+        largest = np.abs(g).max(axis=(1, 2))  # NaN if an entry is NaN
+        bad = (~(largest < math.inf)).nonzero()[0]
         if bad.size:
             raise MeshFormatError(f"metric of triangle {bad[0]} is not finite")
-        # Tests run on each metric scaled by 4^-k (exact) to put its largest entry in [0.5, 2).
-        largest = np.abs(g).max(axis=(1, 2))
         k = np.frexp(largest)[1] >> 1
-        g = np.ldexp(g, -2 * k[:, None, None])
-        g00, g01, g10, g11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
+        g00, g01, g10, g11 = np.ldexp(g.reshape(-1, 4), -2 * k[:, None]).T
         dets = g00 * g11 - g01 * g10
         # d^T g d for the chart vectors d of local edges 0->1, 1->2 and 2->0.
         middle = (g00 - g10) + (g11 - g01)
-        squared = np.stack([g00, middle, g11], axis=1)
         # The smallest angle lies between the two longest edges, so its sin^2
         # is det over the product of their squared lengths.
         top, low = np.maximum(g00, middle), np.minimum(g00, middle)
         longest = np.maximum(low, np.minimum(top, g11)) * np.maximum(top, g11)
         asymmetric = np.abs(g01 - g10) > 1.0e-12
-        tiny = largest < np.finfo(float).tiny
+        tiny = largest < sys.float_info.min
         # A collinear det rounds to either side of 0; only one clearly below is indefinite.
         sliver = dets < SLIVER_SIN2 * longest
         indefinite = (g00 <= 0) | (dets < -SLIVER_SIN2 * longest)
-        bad = np.flatnonzero(asymmetric | tiny | sliver | indefinite)
+        bad = (asymmetric | tiny | sliver | indefinite).nonzero()[0]
         if bad.size:
             t = int(bad[0])
             if asymmetric[t]:
@@ -196,11 +225,12 @@ class MetricComplex:
                 raise MeshFormatError(f"metric of triangle {t} is not positive definite")
             raise MeshFormatError(f"triangle {t} is a sliver: sin^2 of its smallest angle is "
                                   f"{dets[t] / longest[t]:.3g}, below {SLIVER_SIN2:g}")
-        self.lengths = np.ldexp(np.sqrt(squared), k[:, None])
+        # Tables are built edge-major, (3, m), and read through their transposes.
+        self.lengths = np.ldexp(np.sqrt(np.array([g00, middle, g11])), k).T
         # Each corner's edge vectors have chart cross product 1, so the sine
         # part is sqrt(det); the cosine parts are u^T g w.
-        cos = np.stack([g01, g00 - g10, g11 - g10], axis=1)
-        self.corner_angles = np.arctan2(np.sqrt(dets)[:, None], cos)
+        cos = np.array([g01, g00 - g10, g11 - g10])
+        self.corner_angles = np.arctan2(np.sqrt(dets), cos).T
         # bincount adds each vertex's corners in increasing triangle order.
         angle_sums = np.bincount(
             self.triangles.ravel(), self.corner_angles.ravel(), minlength=self.vertex_count
@@ -208,9 +238,10 @@ class MetricComplex:
         self.angle_defects = 2.0 * np.pi - angle_sums
         # Both cofaces of an edge must give it one length, to CONSISTENCY_TOL times the larger 2^k.
         inner = self.edge_faces[:, 1] >= 0
-        l0, l1 = self.lengths.ravel()[(3 * self.edge_faces + self.edge_local)[inner]].T
-        tol = np.ldexp(CONSISTENCY_TOL, k[self.edge_faces[inner]].max(axis=1))
-        bad = np.flatnonzero(np.abs(l0 - l1) > tol)
+        (f0, f1), (k0, k1) = self.edge_faces[inner].T, self.edge_local[inner].T
+        l0, l1 = self.lengths[f0, k0], self.lengths[f1, k1]
+        tol = np.ldexp(CONSISTENCY_TOL, np.maximum(k[f0], k[f1]))
+        bad = (np.abs(l0 - l1) > tol).nonzero()[0]
         if bad.size:
             i = bad[0]
             raise MeshFormatError(f"edge {tuple(self.edges[inner][i].tolist())} has "
@@ -231,21 +262,24 @@ class MetricComplex:
         around each interior vertex.
         """
         tris, n = self.triangles, self.vertex_count
-        tails, heads = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+        tails, heads = tris.ravel(), tris.take([1, 2, 0], axis=1).ravel()
         h = np.arange(tails.size)
-        if (tails == heads).any():
-            raise MeshFormatError(f"triangle {h[tails == heads][0] // 3} has repeated vertices")
+        repeated = (tails == heads).nonzero()[0]
+        if repeated.size:
+            raise MeshFormatError(f"triangle {repeated[0] // 3} has repeated vertices")
         # One stable sort of the undirected keys lo * n + hi: each edge is a
         # run of its half-edges in increasing order, the lower triangle's first.
-        keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
-        order = np.argsort(keys, kind="stable")
+        lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+        keys = lo * n + hi
+        order = keys.argsort(kind="stable")
         keys = keys[order]
         first = np.ones(keys.size, dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
-        ids, seconds = np.cumsum(first) - 1, np.flatnonzero(~first)
+        ids, seconds = first.cumsum() - 1, (~first).nonzero()[0]
         lower, upper = order[seconds - 1], order[seconds]
         # A run of three, or two halves running the same way, repeats a directed edge.
-        if (keys[2:] == keys[:-2]).any() or (tails[lower] == tails[upper]).any():
+        if (np.count_nonzero(keys[2:] == keys[:-2])
+                or np.count_nonzero(tails[lower] == tails[upper])):
             directed, uses = np.unique(tails * n + heads, return_counts=True)
             raise MeshFormatError(
                 f"directed edge {divmod(int(directed[uses > 1][0]), n)} appears twice; "
@@ -255,15 +289,16 @@ class MetricComplex:
         halves[order] = ids
         twin[lower], twin[upper] = upper, lower
         pairs = np.full((keys.size - seconds.size, 2), -1)
-        pairs[:, 0] = order[first]
+        firsts = order[first]
+        pairs[:, 0] = firsts
         pairs[ids[seconds], 1] = upper
-        self.edges = np.stack(np.divmod(keys[first], n), axis=1)
+        self.edges = np.array((lo[firsts], hi[firsts])).T
         self.face_edges = halves.reshape(tris.shape)
         self.edge_faces, self.edge_local = np.divmod(pairs, 3)  # floor: face -1 stays -1
         self.edge_local[pairs < 0] = -1
         degrees = np.bincount(tails, minlength=n)
-        self.star_ptr = np.concatenate([[0], np.cumsum(degrees)])
-        self.star_corners = np.argsort(tails, kind="stable")
+        self.star_ptr = np.concatenate(([0], degrees.cumsum()))
+        self.star_corners = tails.argsort(kind="stable")
         on_boundary = np.zeros(n, dtype=bool)
         on_boundary[tails[twin < 0]] = on_boundary[heads[twin < 0]] = True
         self.interior_vertices = (degrees > 0) & ~on_boundary
@@ -271,9 +306,9 @@ class MetricComplex:
         # half-edge entering it, 3 t + (k + 2) % 3: a permutation of the
         # vertex's corners with one cycle per closed fan.  Pointer jumping
         # labels each corner with the smallest corner on its cycle.
-        step = twin.reshape(tris.shape)[:, [2, 0, 1]].ravel()
-        step, label, span = np.where(step >= 0, step, h), h, 1
-        while span < degrees.max(initial=0):
+        step = twin.reshape(tris.shape).take([2, 0, 1], axis=1).ravel()
+        step, label, span, longest = np.where(step >= 0, step, h), h, 1, degrees.max(initial=0)
+        while span < longest:
             label, step, span = np.minimum(label, label[step]), step[step], 2 * span
         self.star_fans = np.bincount(tails[label == h], minlength=n)
 

@@ -11,9 +11,12 @@ Two interchange formats are supported:
 
 Both are read as bytes decoded as UTF-8 (``canonical.read_text``), and a
 file that is not UTF-8 is a MeshFormatError naming it; both are written by
-``canonical.write_file``.  ``dict_to_complex`` checks each JSON type of a
-complex once, by C-level passes over whole tables, and hands
-``MetricComplex.from_edge_lengths`` one array per table.
+``canonical.write_file``.  Neither reader runs Python code per line or per
+row: ``read_off`` converts each block of tokens with one ``float`` or
+``int`` pass, and ``dict_to_complex`` checks each JSON type of a complex
+once, by C-level passes over whole tables, and hands
+``MetricComplex.from_edge_lengths`` an int triangle array and a float edge
+table (kept as given where a refusal would spell one of its values).
 
 Generators cover the standard test surfaces: subdivided icospheres, flat
 grids, cones of equilateral triangles, flat tori and the regular
@@ -25,7 +28,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +43,8 @@ from .lie_group import _norms
 JSON_FORMAT_NAME = "dconn-complex"
 # Largest vertex count a dconn-complex may declare (a level-8 icosphere has 655 362).
 MAX_VERTICES = 10_000_000
+# An OFF comment, from # to the end of its line: the line ends are str.splitlines'.
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 # -- OFF -----------------------------------------------------------------
@@ -48,29 +55,44 @@ def read_off(path) -> MetricComplex:
 
     After ``#`` comments and blank lines, the file must hold the header, the
     declared vertex lines and the declared face lines, and nothing more.
+    Each block is read by C-level ``float`` and ``int`` passes over its
+    tokens, and checked block by block: vertex numbers, vertex line widths,
+    face sizes, face indices, then the missing lines.
     """
-    split = (line.split("#", 1)[0].split() for line in _read_text(path).splitlines())
-    lines = list(filter(None, split))
+    text = _COMMENT.sub("", _read_text(path))
+    lines = list(filter(None, map(str.split, text.splitlines())))
     if not lines or lines[0] != ["OFF"]:
         raise MeshFormatError(f"{path}: missing OFF header")
     try:
         nv, nf, _ = map(int, lines[1])
         body = lines[2:]
-        verts = np.array([list(map(float, body[i])) for i in range(nv)])
-        faces = []
-        for i in range(nf):
-            toks = body[nv + i]
-            if int(toks[0]) != 3:
-                raise MeshFormatError(f"{path}: face {i} is not a triangle")
-            faces.append(list(map(int, toks[1:4])))
+        start = max(nv, 0)
+        rows, face_rows = body[:start], body[start:start + max(nf, 0)]
+        coords = list(map(float, chain.from_iterable(rows)))
+        if len(rows) < nv:
+            raise IndexError("list index out of range")
+        widths = set(map(len, rows))
+        if len(widths) > 1:
+            np.array(rows)  # raises numpy's ValueError for lines of unequal length
+        sizes = list(map(int, map(itemgetter(0), face_rows)))
+        if sizes.count(3) != len(sizes):
+            i = next(i for i, size in enumerate(sizes) if size != 3)
+            raise MeshFormatError(f"{path}: face {i} is not a triangle")
+        # Only a face line's first three indices count; more may follow (colours, say).
+        faces = list(map(itemgetter(slice(1, 4)), face_rows))
+        indices = list(map(int, chain.from_iterable(faces)))
+        if len(face_rows) < nf:
+            raise IndexError("list index out of range")
     except (IndexError, ValueError) as exc:
         raise MeshFormatError(f"{path}: malformed OFF file ({exc})") from exc
-    if verts.ndim != 2 or verts.shape[1] != 3:
+    if widths != {3}:
         raise MeshFormatError(f"{path}: need vertices of three coordinates each")
-    if len(set(map(len, faces))) > 1:  # rows of unequal length do not stack
+    face_widths = set(map(len, faces))
+    if len(face_widths) > 1:
         i = next(i for i, face in enumerate(faces) if len(face) < 3)
         raise MeshFormatError(f"{path}: face {i} has fewer than three vertex indices")
-    K = MetricComplex.from_embedding(verts, faces)
+    tris = _index_table(indices) if face_widths == {3} else indices
+    K = MetricComplex.from_embedding(np.array(coords).reshape(-1, 3), tris)
     # Refused last, so that a file with another fault keeps that fault's message.
     if len(body) > nv + nf:
         raise MeshFormatError(f"{path}: {len(body) - nv - nf} line(s) after the {nv} vertices "
@@ -100,8 +122,17 @@ def complex_to_dict(vertex_count: int, triangles, edge_lengths) -> dict:
     }
 
 
+def _index_table(flat: list):
+    """A flat list of vertex indices as an (m, 3) int array, or the list itself if
+    an index does not fit int64, for the complex to refuse as out of range."""
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        return flat
+
+
 def _triangle_table(triangles):
-    """The triangles as an (m, 3) object array of their JSON integers.
+    """The triangles as an (m, 3) int array.
 
     A table whose rows are not all of three entries is returned as given, for
     ``MetricComplex.from_edge_lengths`` to refuse by its shape.
@@ -112,12 +143,14 @@ def _triangle_table(triangles):
         raise MeshFormatError("triangle indices must be JSON integers")
     if set(map(len, triangles)) != {3}:
         return triangles
-    return np.array(flat, dtype=object).reshape(-1, 3)
+    return _index_table(flat)
 
 
-def _edge_table(edges):
-    """The [a, b, length] rows as an (E, 3) object array of their JSON values, so
-    that a refusal can spell a row as given.  An empty table is returned as given."""
+def _edge_table(edges, vertex_count: int):
+    """The [a, b, length] rows as an (E, 3) float array, or as an object array of
+    their JSON values when a refusal may spell one of them: a float spells as
+    given only a float length of a row whose ends are vertex indices.  An empty
+    table is returned as given."""
     try:
         widths = set(map(len, edges))
     except TypeError:  # a row, or the table, that has no length
@@ -127,18 +160,27 @@ def _edge_table(edges):
             pass
         return edges
     a, b, lengths = zip(*edges)
-    if not set(map(type, a + b)) <= {int}:
+    ends = a + b
+    if not set(map(type, ends)) <= {int}:
         raise MeshFormatError("edge_lengths ends must be JSON integers")
     # float() would read true as 1.0 and "1.5" as 1.5.
-    if not set(map(type, lengths)) <= {int, float}:
+    kinds = set(map(type, lengths))
+    if not kinds <= {int, float}:
         i = next(i for i, x in enumerate(lengths) if type(x) not in (int, float))
         raise MeshFormatError(f"edge ({a[i]}, {b[i]}) length {lengths[i]!r} is not a JSON number")
+    if kinds == {float}:
+        try:
+            index = np.array(ends, dtype=np.int64)
+        except OverflowError:  # an end beyond int64
+            index = None
+        if index is not None and index.min() >= 0 and index.max() < vertex_count:
+            return np.concatenate((index, lengths)).reshape(3, -1).T
     return np.array((a, b, lengths), dtype=object).T
 
 
 def dict_to_complex(data: dict) -> MetricComplex:
     """Build a complex from a dconn-complex dictionary; ``MetricComplex.from_edge_lengths``
-    converts and checks the values of its tables.  Every refusal is a MeshFormatError."""
+    checks the values of its tables.  Every refusal is a MeshFormatError."""
     if data.get("format") != JSON_FORMAT_NAME:
         raise MeshFormatError(f"unknown complex format {data.get('format')!r}")
     try:
@@ -148,7 +190,8 @@ def dict_to_complex(data: dict) -> MetricComplex:
         if vertex_count > MAX_VERTICES:
             raise MeshFormatError(f"'vertices' must be at most {MAX_VERTICES}, got {vertex_count}")
         tris = _triangle_table(triangles)
-        return MetricComplex.from_edge_lengths(vertex_count, tris, _edge_table(edges))
+        return MetricComplex.from_edge_lengths(vertex_count, tris,
+                                               _edge_table(edges, vertex_count))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MeshFormatError(f"malformed complex dictionary ({exc})") from exc
 

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,6 +59,54 @@ def test_writer_bytes_equal_json_dumps(value):
     assert json_bytes(value) == reference(value)
 
 
+# Row tables: equal-width rows of exact ints and finite floats take the
+# writer's one-pass path; any other entry sends the table value by value.
+NUMBERS = st.one_of(st.integers(-2**70, 2**70), st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 1e16, -1e16, 10**30]))
+ODD_ENTRIES = st.one_of(st.sampled_from([True, False, None, "1.5", math.nan, math.inf, -math.inf,
+                                         np.float64(0.5), np.int64(3)]),
+                        st.lists(NUMBERS, max_size=2), NUMBERS.map(lambda x: np.array([x])))
+
+
+@st.composite
+def row_tables(draw):
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(NUMBERS, min_size=width, max_size=width), max_size=6))
+    if rows and draw(st.booleans()):  # one odd entry, or one row of another width
+        i = draw(st.integers(0, len(rows) - 1))
+        if width and draw(st.booleans()):
+            rows[i][draw(st.integers(0, width - 1))] = draw(ODD_ENTRIES)
+        else:
+            rows[i] = draw(st.lists(NUMBERS, max_size=5))
+    return draw(st.sampled_from([rows, [tuple(row) for row in rows], {"table": rows}]))
+
+
+ROW_TABLES = [
+    [[0, 1.5], [2, -0.0], [3, 5e-324]],  # curvature per_vertex rows
+    [[1.0, 2.0], [3.0, 4.0]],  # a matrix
+    [[0, 1, 2], [1, 2, 3]],  # triangles
+    [[0, 1, 1e16], [2, 10**30, 0.1]],  # edge rows, a big int
+    [[], []], [[1.0], []], [[1.0, 2.0], [3.0]],  # empty and ragged rows
+    [[1.0, math.nan], [1.0, 2.0]], [[math.inf, 1.0]], [[-math.inf]],
+    [[True, 1.0]], [[None, 1.0]], [["a", 1.0]], [[[1.0], 2.0]], [[1.0, {"a": 1}]],
+    [[np.float64(1.5), 2.0]], [[np.array([1.0]), 2.0]], [np.array([1.0, 2.0]), [3.0, 4.0]],
+    np.arange(6.0).reshape(3, 2), np.arange(6).reshape(2, 3),
+    [(1, 2.5), [3, 4.5]], [[1, 2], {"a": 1}], [{1: 2.0}, {3: 4.0}], [1, 2.5, 10**20, -0.0],
+]
+
+
+@pytest.mark.parametrize("table", ROW_TABLES, ids=range(len(ROW_TABLES)))
+def test_writer_bytes_equal_json_dumps_on_row_tables(table):
+    assert json_bytes(table) == reference(table)
+    assert json_bytes({"rows": table, "n": 1}) == reference({"rows": table, "n": 1})
+
+
+@WRITER_PROPERTY
+@given(row_tables())
+def test_writer_bytes_equal_json_dumps_on_drawn_row_tables(table):
+    assert json_bytes(table) == reference(table)
+
+
 @WRITER_PROPERTY
 @given(st.dictionaries(st.one_of(TEXT, FLOATS, st.integers(-2**70, 2**70), st.booleans(),
                                  st.none()), st.integers(), max_size=1))
@@ -68,7 +117,9 @@ def test_writer_spells_non_string_keys_as_json_does(value):
 
 def test_writer_refuses_what_json_refuses():
     for value, message in ((object(), "object is not JSON serializable"),
-                           ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple")):
+                           ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),
+                           ([[1, 2.0], [3, object()]], "object is not JSON serializable"),
+                           ([[1.0, {1, 2}]], "set is not JSON serializable")):
         for write in (json_bytes, reference):
             try:
                 write(value)

@@ -559,10 +559,11 @@ def test_cones_of_every_normal_scale_build(side):
 
 @pytest.mark.parametrize("side", [1e-160, 1e-170])
 def test_rejects_metrics_whose_largest_entry_is_not_a_normal_float(side):
-    # 1e-160 squares to the subnormal 1e-320, 1e-170 to 0: the metric no longer
-    # holds the triangle's shape.
-    with pytest.raises(MeshFormatError, match="metric of triangle 0 is too small: "
-                                              "its largest entry is not a normal float"):
+    # 1e-160 squares to the subnormal 1e-320: the metric no longer holds the
+    # triangle's shape.  1e-170 squares to 0, and its first edge is refused by name.
+    message = ("metric of triangle 0 is too small: its largest entry is not a normal float"
+               if side**2 else "edge (0, 1) length 1e-170 has no nonzero square")
+    with pytest.raises(MeshFormatError, match="^" + re.escape(message) + "$"):
         MetricComplex.from_edge_lengths(*cone(5, side))
     # A collinear triangle of ordinary size, whose determinant is 0, is a sliver.
     with pytest.raises(MeshFormatError, match="triangle 1 is a sliver: sin.2 of its smallest "

@@ -318,6 +318,26 @@ def test_json_rejects_lengths_that_are_not_positive_finite_numbers(bad, message)
         dict_to_complex(data)
 
 
+@pytest.mark.parametrize("end", [6, -1, 2**53 + 1, 10**20])
+def test_json_spells_a_stray_end_as_given(end):
+    data = complex_to_dict(*cone(5))
+    data["edge_lengths"][2][1] = end
+    a = data["edge_lengths"][2][0]
+    with pytest.raises(MeshFormatError, match=re.escape(
+            f"edge ({a}, {end}) ends must be vertex indices below 6")):
+        dict_to_complex(data)
+
+
+def test_json_names_a_length_whose_square_underflows():
+    # Its square once reached the metric as 0 and the triangle was refused as
+    # "not positive definite"; 1e-160 squares to a subnormal, which is not 0.
+    data = complex_to_dict(*cone(5))
+    data["edge_lengths"][0][2] = 1e-300
+    with pytest.raises(MeshFormatError,
+                       match=r"^edge \(0, 1\) length 1e-300 has no nonzero square$"):
+        dict_to_complex(data)
+
+
 def test_json_rejects_a_triangle_index_beyond_int64():
     # It once reached numpy: "malformed complex dictionary (Python int too large ...)".
     data = complex_to_dict(*cone(5))
@@ -445,6 +465,86 @@ def test_off_rejects_malformed_files(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"mesh": str(empty)}))
     assert main(["curvature", "--config", str(config)]) == 2
+
+
+_TRIANGLE = "3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+_OFF_REFUSALS = {
+    # the file's text, and the message after "<path>: ", whole or (ending in ".") its start
+    "an empty file": ("", "missing OFF header"),
+    "another header": ("FOO\n" + _TRIANGLE + "3 0 1 2\n", "missing OFF header"),
+    "counts on the header line": ("OFF 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+                                  "missing OFF header"),
+    "no counts": ("OFF\n# nothing\n", "malformed OFF file (list index out of range)"),
+    "two counts": ("OFF\n3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "malformed OFF file "
+                   "(not enough values to unpack (expected 3, got 2))"),
+    "four counts": ("OFF\n3 1 0 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+                    "malformed OFF file (too many values to unpack (expected 3))"),
+    "a count that is not an integer": ("OFF\n3 1.0 0\n", "malformed OFF file "
+                                       "(invalid literal for int() with base 10: '1.0')"),
+    "a vertex line of 2": ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n",
+                           "malformed OFF file (setting an array element with a sequence."),
+    "a vertex line of 4": ("OFF\n3 1 0\n0 0 0\n1 0 0 1\n0 1 0\n3 0 1 2\n",
+                           "malformed OFF file (setting an array element with a sequence."),
+    "vertex lines of 2": ("OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 2\n",
+                          "need vertices of three coordinates each"),
+    "no vertices": ("OFF\n0 0 0\n", "need vertices of three coordinates each"),
+    "a coordinate that is not a number": ("OFF\n" + _TRIANGLE.replace("1 0 0", "1 x 0") +
+                                          "3 0 1 2\n", "malformed OFF file "
+                                          "(could not convert string to float: 'x')"),
+    "a non-finite coordinate": ("OFF\n" + _TRIANGLE.replace("1 0 0", "1 nan 0") + "3 0 1 2\n",
+                                "vertex 1 has a non-finite coordinate"),
+    "a missing vertex line": ("OFF\n5 1 0\n0 0 0\n",
+                              "malformed OFF file (list index out of range)"),
+    "missing vertex lines, one short": ("OFF\n5 0 0\n0 0 0\n1 0\n",
+                                        "malformed OFF file (list index out of range)"),
+    "a quad": ("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n",
+               "face 0 is not a triangle"),
+    "a face size that is not an integer": ("OFF\n" + _TRIANGLE + "3.0 0 1 2\n", "malformed OFF "
+                                           "file (invalid literal for int() with base 10: '3.0')"),
+    "an index that is not an integer": ("OFF\n" + _TRIANGLE + "3 0 1 2.0\n", "malformed OFF "
+                                        "file (invalid literal for int() with base 10: '2.0')"),
+    "a short face line after a good one": ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 1 2\n",
+                                           "face 1 has fewer than three vertex indices"),
+    "short face lines only": ("OFF\n" + _TRIANGLE + "3 0 1\n",
+                              "triangles must be an (m, 3) index array"),
+    "an index out of range": ("OFF\n" + _TRIANGLE + "3 0 1 5\n",
+                              "triangle vertex index out of range"),
+    "a missing face line": ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+                            "malformed OFF file (list index out of range)"),
+    "a line after the faces": ("OFF\n" + _TRIANGLE + "3 0 1 2\n3 0 2 1\n",
+                               "1 line(s) after the 3 vertices and 1 faces the header declares"),
+}
+
+
+@pytest.mark.parametrize("case", _OFF_REFUSALS)
+def test_off_refusals_name_the_fault(tmp_path, case):
+    # Each refusal keeps its message; numpy's own ragged-array message is
+    # matched by its start only.
+    text, message = _OFF_REFUSALS[case]
+    path = tmp_path / "m.off"
+    path.write_bytes(text.encode())
+    names_file = not message.startswith(("vertex ", "triangle"))
+    pattern = "^" + re.escape(f"{path}: " * names_file + message)
+    with pytest.raises(MeshFormatError, match=pattern + ("" if message.endswith(".") else "$")):
+        read_off(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_off_reads_through_comments_blank_lines_and_any_line_end(tmp_path, newline):
+    verts, faces = tetrahedron()
+    plain = tmp_path / "plain.off"
+    write_off(plain, verts, faces)
+    lines = plain.read_text().splitlines()
+    # Comments on their own lines, after the header and after numbers; blank
+    # and whitespace-only lines; a comment that ends at the line end.
+    noisy_lines = ["# a comment", lines[0] + "  # the header", "", lines[1] + "#counts", "   \t"]
+    noisy_lines += [line + " # a vertex" if i % 2 else line for i, line in enumerate(lines[2:6])]
+    noisy_lines += ["#"] + lines[6:] + ["", "# the end"]
+    noisy = tmp_path / "noisy.off"
+    noisy.write_bytes(newline.join(noisy_lines).encode())
+    K, want = read_off(noisy), read_off(plain)
+    assert np.array_equal(K.embedding, want.embedding)
+    assert np.array_equal(K.triangles, want.triangles)
 
 
 def test_off_rejects_a_short_face_line_by_index(tmp_path):

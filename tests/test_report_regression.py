@@ -9,7 +9,9 @@ candidate/reference pairs and the end of two discrete Euler-Lagrange
 trajectories, recorded before local representations became bare matrices.
 The comparison is insensitive to roundoff: ``per_vertex`` is read as a
 vertex -> norm map, angles are compared on the circle, and every number
-must agree within 1e-12.
+must agree within 1e-12.  The bytes are not: every report and every
+``dconn-complex`` file the cases write must be canonical JSON, as json
+itself writes it.
 """
 
 import json
@@ -79,18 +81,28 @@ def _cases():
     ]
 
 
+def canonical(text: str):
+    """The parsed JSON of a report or a dconn-complex file, whose text must be what
+    json.dumps(..., sort_keys=True, indent=2) writes, plus a newline."""
+    parsed = json.loads(text)
+    assert text == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
+    return parsed
+
+
 def reports(directory: Path, capsys) -> dict:
     """Run every case's CLI commands; {label: {"exit": code, "report": parsed}}."""
     out = {}
     for name, write, filename, commands in _cases():
         mesh = directory / filename
         write(mesh)
+        if filename.endswith(".json"):
+            canonical(mesh.read_text())
         for i, (command, extra) in enumerate(commands):
             cfg = directory / f"{name}-{i}.json"
             cfg.write_text(json.dumps({"mesh": str(mesh), **extra}))
             code = main([command, "--config", str(cfg)])
             text = capsys.readouterr().out
-            report = json.loads(text) if text else None
+            report = canonical(text) if text else None
             if report is not None:
                 report["mesh"] = filename
             out[f"{name}/{command}/{i}"] = {"exit": code, "report": report}
@@ -114,7 +126,7 @@ def fiber_reports(directory: Path, capsys) -> dict:
         cfg.write_text(json.dumps(data))
         code = main([command, "--config", str(cfg)])
         text = capsys.readouterr().out
-        out[label] = {"exit": code, "report": json.loads(text) if text else None}
+        out[label] = {"exit": code, "report": canonical(text) if text else None}
     for fixture in DEL_FIXTURES:
         L = LAGRANGIAN_FIXTURES[fixture]()
         start = default_pair(L.bundle)
