@@ -1,22 +1,29 @@
 """Command-line front end: decomposition, order estimation, curvature, holonomy.
 
+The command line is ``dconn COMMAND --config PATH [--out PATH]``: the two
+options in either order, each as ``--name VALUE`` or ``--name=VALUE``, and
+neither given twice nor abbreviated; a VALUE that begins with ``-`` takes the
+``=`` form.  ``-h`` or ``--help`` prints the usage.  ``main`` reads it with
+one pass over the arguments and returns, rather than raises, its exit code.
+
 Every command reads a JSON config (--config) and emits a JSON report on
 stdout or to --out, the same bytes either way.  Reports are deterministic:
 ``canonical.json_bytes`` writes them as json.dumps(report, sort_keys=True,
 indent=2) plus a newline, with no timestamps or machine fields.  Config and
 mesh files are read as bytes and decoded as UTF-8, so a byte order mark or a
 UTF-16 file is refused; ``canonical.write_file`` creates or truncates --out.
-Exit codes: 0 success; 2 a domain or validation failure, a mesh file that is
-not UTF-8 or not valid JSON included; 3 a config that is not UTF-8 JSON, or a
-file that cannot be opened, read or written.
+Exit codes: 0 success or help; 2 a command line outside the grammar (the
+usage and the reason on stderr), or a domain or validation failure, a mesh
+file that is not UTF-8 or not valid JSON included; 3 a config that is not
+UTF-8 JSON, or a file that cannot be opened, read or written.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -88,27 +95,30 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _is_number(x) -> bool:
-    # JSON numbers decode to exactly int or float; bool is an int subclass.
-    return type(x) in (int, float)
+# JSON numbers decode to exactly int or float; bool is an int subclass.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _number(value, name: str) -> float:
     """A config value that must be a JSON number; strings and booleans are refused."""
-    if not _is_number(value):
+    if type(value) not in _NUMBER_TYPES:
         raise DconnError(f"config field {name!r} must be a number, got {value!r}")
     return float(value)
 
 
 def _numbers(value, name: str) -> np.ndarray:
-    """A config number or nested list whose entries must all be JSON numbers."""
-    stack = [value]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, list):
-            stack.extend(x)
-        elif not _is_number(x):
-            raise DconnError(f"config field {name!r} must hold numbers, got {x!r}")
+    """A config number or nested list whose entries must all be JSON numbers.
+
+    The entries are flattened one nesting level at a time, in order, and each
+    level's types are read by one C-level pass, so Python runs once per row,
+    not once per number.  A refusal names the last entry that is not a number.
+    """
+    flat = [value]
+    while not (kinds := set(map(type, flat))) <= _NUMBER_TYPES:
+        if list not in kinds:
+            bad = next(x for x in reversed(flat) if type(x) not in _NUMBER_TYPES)
+            raise DconnError(f"config field {name!r} must hold numbers, got {bad!r}")
+        flat = list(chain.from_iterable(x if type(x) is list else (x,) for x in flat))
     return np.asarray(value, dtype=float)
 
 
@@ -301,30 +311,63 @@ _DISPATCH = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dconn",
-        description="Discrete connection reports: decomposition, order, curvature, holonomy.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _DISPATCH.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", help="write the report here instead of stdout")
-    return parser
+_USAGE = f"usage: dconn {{{','.join(_DISPATCH)}}} --config PATH [--out PATH]"
+_HELP = f"""{_USAGE}
+
+Discrete connection reports: decomposition, order, curvature, holonomy.
+
+  --config PATH  JSON config path
+  --out PATH     write the report here instead of stdout
+"""
+_OPTIONS = ("--config", "--out")
 
 
-# Built once per process: construction costs more than parsing one command line.
-_PARSER = _build_parser()
+class _UsageError(Exception):
+    """A command line outside ``dconn COMMAND --config PATH [--out PATH]``."""
+
+
+def _read_command_line(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The command and its options, by name, from one pass over argv."""
+    if not argv:
+        raise _UsageError("missing command")
+    command, *rest = argv
+    if command not in _DISPATCH:
+        raise _UsageError(f"unknown command {command!r}")
+    options = {}
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in _OPTIONS:
+            raise _UsageError(f"unrecognized argument {token!r}")
+        if name in options:
+            raise _UsageError(f"{name} given twice")
+        if not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                raise _UsageError(f"{name} needs a value")
+        options[name] = value
+    if "--config" not in options:
+        raise _UsageError("missing --config")
+    return command, options
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:
+        print(_HELP, end="")
+        return _EXIT_OK
     try:
-        cfg = _load_config(args.config)
-        report = _DISPATCH[args.command](cfg)
-        _dump_report(report, args.out)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        command, options = _read_command_line(argv)
+    except _UsageError as exc:
+        print(f"{_USAGE}\ndconn: {exc}", file=sys.stderr)
+        return _EXIT_DOMAIN
+    try:
+        cfg = _load_config(options["--config"])
+        report = _DISPATCH[command](cfg)
+        _dump_report(report, options.get("--out"))
+    # json.loads recurses once per nesting level, so a deep enough config exhausts the stack.
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"dconn: cannot parse input: {exc}", file=sys.stderr)
         return _EXIT_PARSE
     except OSError as exc:

@@ -39,6 +39,7 @@ import re
 import weakref
 from dataclasses import InitVar, dataclass
 from itertools import repeat
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -320,10 +321,19 @@ class MatrixGroup:
 
 
 def _check_rotation(r: np.ndarray, tol: float, name: str) -> None:
-    err = np.max(np.abs(r.T @ r - np.eye(r.shape[0])))
+    err = abs(r.T @ r - np.eye(len(r))).max()
     if err > tol:
         raise ValueError(f"{name}: rotation block not orthonormal (error {err:.2e})")
-    if np.linalg.det(r) < 0.0:
+    # Closed-form 2x2 or 3x3 determinant: a near-orthonormal block's is near +-1,
+    # so its sign is LAPACK's.
+    rows = r.tolist()
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    else:
+        a, b, c = rows
+        det = sum(map(mul, a, _cross(b, c)))
+    if det < 0.0:
         raise ValueError(f"{name}: rotation block has negative determinant")
 
 
@@ -530,8 +540,7 @@ class _SE3(MatrixGroup):
 
     def _check_structure(self, m, tol):
         _check_rotation(m[:3, :3], tol, self.name)
-        bottom = np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))
-        if np.max(bottom) > tol:
+        if abs(m[3] - self._eye[3]).max() > tol:
             raise ValueError(f"{self.name}: bottom row is not (0,0,0,1)")
 
 
@@ -591,8 +600,8 @@ class _Translation(MatrixGroup):
 
     def _check_structure(self, m, tol):
         n = self.dim
-        err = np.max(np.abs(m[:n, :n] - self._eye[:n, :n]))
-        bottom = np.max(np.abs(m[n] - self._eye[n]))
+        err = abs(m[:n, :n] - self._eye[:n, :n]).max()
+        bottom = abs(m[n] - self._eye[n]).max()
         if max(err, bottom) > tol:
             raise ValueError(f"{self.name}: not a homogeneous translation matrix")
 

@@ -65,9 +65,10 @@ def read_off(path) -> MetricComplex:
         raise MeshFormatError(f"{path}: missing OFF header")
     try:
         nv, nf, _ = map(int, lines[1])
+        if nv < 0 or nf < 0:
+            raise MeshFormatError(f"{path}: OFF header declares a negative vertex/face count")
         body = lines[2:]
-        start = max(nv, 0)
-        rows, face_rows = body[:start], body[start:start + max(nf, 0)]
+        rows, face_rows = body[:nv], body[nv:nv + nf]
         coords = list(map(float, chain.from_iterable(rows)))
         if len(rows) < nv:
             raise IndexError("list index out of range")
@@ -212,7 +213,8 @@ def _read_text(path) -> str:
 def read_complex_json(path) -> MetricComplex:
     try:
         data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    # json.loads recurses once per nesting level, so a deep enough file exhausts the stack.
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MeshFormatError(f"{path}: invalid JSON ({exc})") from exc
     return dict_to_complex(data)
 

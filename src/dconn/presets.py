@@ -69,7 +69,7 @@ def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     dexpinv_so3(lam)^T w = w + lam x w / 2 + c2(|lam|) lam x (lam x w).
     """
-    theta = float(np.linalg.norm(lam))
+    theta = _norm(lam)
     c2 = _dexpinv_c2(theta)
     # c2'(t) / t; the closed form cancels 1/t^4-sized terms, so small angles use the series.
     if theta < 1.0e-2:
@@ -81,8 +81,8 @@ def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     lw = float(lam @ w)
     triple = lam * lw - w * float(lam @ lam)  # lam x (lam x w)
     return (-0.5 * SO3.hat(w)
-            + c2 * (lw * SO3.identity_matrix() + np.outer(lam, w) - 2.0 * np.outer(w, lam))
-            + dc2 * np.outer(triple, lam))
+            + c2 * (lw * SO3.identity_matrix() + lam[:, None] * w - 2.0 * (w[:, None] * lam))
+            + dc2 * (triple[:, None] * lam))
 
 
 # -- continuous mechanical fixtures -----------------------------------------
@@ -359,7 +359,7 @@ def _se3_extract_d1_derivative(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     r = m[:3, :3]
     omega, v = w[:3], w[3:]
     out = np.zeros((6, 6))
-    out[:3, :3] = (np.outer(omega, SO3.vee(r - r.T)) + SO3.hat(r.T @ omega)) / 2.0
+    out[:3, :3] = (omega[:, None] * SO3.vee(r - r.T) + SO3.hat(r.T @ omega)) / 2.0
     out[:3, 3:] = SO3.hat(v) @ r
     return out
 

@@ -402,6 +402,88 @@ def test_invalid_json_mesh_file_is_a_domain_failure_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"dconn: {mesh}: invalid JSON (")
 
 
+# Deep enough that json.loads runs out of stack (it recurses once per level).
+DEEP_JSON = "[" * 100_000
+
+
+def test_deeply_nested_config_is_a_parse_failure(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(DEEP_JSON)
+    assert main(["decompose", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("dconn: cannot parse input: ")
+
+
+def test_deeply_nested_mesh_file_is_a_domain_failure_naming_it(tmp_path, capsys):
+    mesh = tmp_path / "m.json"
+    mesh.write_text(DEEP_JSON)
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+    assert main(["curvature", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"dconn: {mesh}: invalid JSON (")
+
+
+# -- the command line ------------------------------------------------------------
+
+USAGE = "usage: dconn {decompose,order,curvature,holonomy} --config PATH [--out PATH]"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ([], "missing command"),
+    (["--config", "c.json"], "unknown command '--config'"),
+    (["decomp", "--config", "c.json"], "unknown command 'decomp'"),
+    (["decompose"], "missing --config"),
+    (["decompose", "--out", "r.json"], "missing --config"),
+    (["decompose", "--config"], "--config needs a value"),
+    (["decompose", "--config", "c.json", "--out"], "--out needs a value"),
+    (["decompose", "--config", "--out", "r.json"], "--config needs a value"),
+    (["decompose", "--config", "c.json", "--verbose"], "unrecognized argument '--verbose'"),
+    (["decompose", "--config", "c.json", "extra"], "unrecognized argument 'extra'"),
+    (["decompose", "--conf", "c.json"], "unrecognized argument '--conf'"),
+    (["decompose", "--config=c.json", "--config", "d.json"], "--config given twice"),
+    (["decompose", "--config", "c.json", "--out=a", "--out=b"], "--out given twice"),
+])
+def test_command_lines_outside_the_grammar_return_2(capsys, argv, reason):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{USAGE}\ndconn: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["order", "--help"],
+                                  ["order", "--config", "c.json", "-h"]])
+def test_help_prints_the_usage_and_returns_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(USAGE + "\n") and captured.err == ""
+
+
+def test_options_in_either_order_and_either_form(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"connection": "euler_poincare"})
+    out = tmp_path / "r.json"
+    expected = None
+    for argv in (["--config", cfg], [f"--config={cfg}"], ["--out", str(out), "--config", cfg],
+                 [f"--out={out}", f"--config={cfg}"]):
+        assert main(["decompose", *argv]) == 0
+        report = capsys.readouterr().out.encode() or out.read_bytes()
+        assert report == (expected := expected or report)
+    # A value that begins with "-" takes the "=" form.
+    dashed = tmp_path / "-d.json"
+    dashed.write_text(Path(cfg).read_text())
+    assert main(["decompose", f"--config={dashed}"]) == 0
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_main_without_argv_reads_the_process_arguments(tmp_path, capsys, monkeypatch):
+    # The console script dconn = "dconn.cli:main" calls main() with no arguments.
+    cfg = write_config(tmp_path, "d.json", {"connection": "euler_poincare"})
+    monkeypatch.setattr("sys.argv", ["dconn", "decompose", "--config", cfg])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "decompose"
+    monkeypatch.setattr("sys.argv", ["dconn", "decompose"])
+    assert main() == 2
+    assert capsys.readouterr().err == f"{USAGE}\ndconn: missing --config\n"
+
+
 def test_out_replaces_a_longer_file_with_exactly_the_report(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json", {"connection": "trivial"})
     assert main(["decompose", "--config", cfg]) == 0
@@ -918,6 +1000,16 @@ _EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ("decompose", _with({"connection": "exponentiated:so3_mechanical", "pair": _PAIR},
                         ["pair", "second", "shape"], [0.1, -math.inf]),
      "bad bundle point in config field 'pair.second': shape coordinates are not finite"),
+    # With several entries that are not numbers, the refusal names the last.
+    ("decompose", _with({"connection": "exponentiated:so3_mechanical", "pair": _PAIR},
+                        ["pair", "first", "fiber"], [[1, "a", 0], [0, 1, "b"], [0, 0, 1]]),
+     "config field 'pair.first.fiber' must hold numbers, got 'b'"),
+    ("decompose", _with({"connection": "exponentiated:so3_mechanical", "pair": _PAIR},
+                        ["pair", "first", "fiber"], [["a", 0, 0], 1, [[None]]]),
+     "config field 'pair.first.fiber' must hold numbers, got None"),
+    ("decompose", _with({"connection": "exponentiated:so3_mechanical", "pair": _PAIR},
+                        ["pair", "first", "fiber"], [[1, 0, 0], [0, 1], [0, 0, 1]]),
+     "bad bundle point in config field 'pair.first': setting an array element"),
     ("holonomy", {"loop": 5}, "config field 'loop' must be a list of triangles, got 5"),
     ("holonomy", {"latitude": 30}, "config field 'latitude' must be an object, got 30"),
 ])

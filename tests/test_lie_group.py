@@ -352,6 +352,21 @@ def test_check_matrix_rejects_junk():
         SE3.check_matrix(bad)
 
 
+@pytest.mark.parametrize("group", [SO2, SO3, SE3], ids=lambda g: g.name)
+@SAMPLED
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2))
+def test_check_matrix_refuses_exactly_the_reflections(group, seed, row):
+    # The closed-form determinant's sign is LAPACK's on every near-orthonormal block.
+    m = np.array(lg.random_element(group, np.random.default_rng(seed)).matrix)
+    group.check_matrix(m)
+    k = 3 if group is SE3 else group.matrix_size
+    m[row % k, :k] *= -1.0
+    assert np.linalg.det(m[:k, :k]) < 0.0
+    with pytest.raises(ValueError, match=f"^{group.name}: rotation block has negative "
+                                         "determinant$"):
+        group.check_matrix(m)
+
+
 @SAMPLED
 @given(st.integers(0, 2**32 - 1), GROUPS)
 def test_elements_are_immutable(seed, group):

@@ -479,6 +479,10 @@ _OFF_REFUSALS = {
                    "(not enough values to unpack (expected 3, got 2))"),
     "four counts": ("OFF\n3 1 0 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
                     "malformed OFF file (too many values to unpack (expected 3))"),
+    "a negative vertex count": ("OFF\n-1 4 0\n",
+                                "OFF header declares a negative vertex/face count"),
+    "a negative face count": ("OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n",
+                              "OFF header declares a negative vertex/face count"),
     "a count that is not an integer": ("OFF\n3 1.0 0\n", "malformed OFF file "
                                        "(invalid literal for int() with base 10: '1.0')"),
     "a vertex line of 2": ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n",
