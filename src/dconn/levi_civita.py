@@ -7,8 +7,8 @@ Gram matrices, from [a, b, length] edge-length rows, or from an embedding.
 
 Construction.  Each constructor converts and range-checks its triangles
 once and hands the checked tables to one build: the edge table, the metric
-checks and geometry tables, then the frames.  Every step but the frame
-search runs a fixed number of numpy calls over whole tables.
+checks and geometry tables, then the transport angles.  Every step runs a
+fixed number of numpy calls over whole tables.
 ``from_edge_lengths`` refuses, by its row, a length that
 is not positive and finite or whose square is not a finite nonzero float
 (1e200 "has no finite square", 1e-300 "has no nonzero square").
@@ -28,20 +28,15 @@ its shape: a cone of side 1e-158 would read its apex defect 1.4e-7 off.
 Frames.  Each triangle has one orthonormal frame, the Cholesky frame of its
 chart metric, read off the corner angles: local edge k -> k + 1 points at
 0, pi - corner_angles[t, 1] and corner_angles[t, 0] - pi in it, and its
-outward normal (``face_normal``) is that direction turned by -pi/2.  Hinged
-flat across an interior edge, the frame of the edge's lower-index coface
-turns into the higher one's by the directions' difference plus pi.
-The gauge is one angle per triangle, ``frame_angles[t]``, the rotation from
-its frame into the developed plane: 0 at the lowest simplex index of each
-connected component, and chosen along a breadth-first spanning tree of the
-dual graph so that every tree edge carries exactly the identity.  The
-search visits each triangle's neighbours in increasing index order, by
-edge id between two edges to one neighbour, from one integer sort of the
-keys neighbour * E + edge.  The transport angle of an interior edge,
-``transport_angles[e]``, is that turn plus the frame angles' difference,
-wrapped into (-pi, pi]; boundary edges hold NaN.  Every flat complex
-carries the identity on all interior edges, and curvature and holonomy are
-independent of this gauge choice.
+outward normal (``face_normal``) is that direction turned by -pi/2.  There
+is no global gauge: as in LMW's discrete Levi-Civita connection, each dual
+edge carries the rotation between its two cofaces' own frames.  Hinged flat
+across an interior edge, the frame of the edge's lower-index coface turns
+into the higher one's by the difference of the edge's directions in the
+two, plus pi.  That turn, wrapped into (-pi, pi], is the edge's transport
+angle, ``transport_angles[e]``; it depends only on the edge's two cofaces,
+and boundary edges hold NaN.  Curvature and holonomy add these angles
+around closed dual loops, so they read the same in any choice of frames.
 
 Adjacency.  One edge table, built with the complex, answers every adjacency
 query.  It comes from one stable sort of the half-edges' undirected keys
@@ -116,7 +111,7 @@ class MetricComplex:
         self.embedding = embedding
         self._build_adjacency()
         self._tabulate_metrics()
-        self._frames()
+        self._transport()
 
     @classmethod
     def _built(cls, vertex_count: int, triangles: np.ndarray, chart_metrics: np.ndarray,
@@ -312,48 +307,16 @@ class MetricComplex:
             label, step, span = np.minimum(label, label[step]), step[step], 2 * span
         self.star_fans = np.bincount(tails[label == h], minlength=n)
 
-    # -- frames -------------------------------------------------------------
+    # -- transport ----------------------------------------------------------
 
-    def _frames(self) -> None:
-        """Frame angles along a breadth-first spanning tree, and every edge's
-        transport angle."""
-        m = len(self.triangles)
+    def _transport(self) -> None:
+        """Every edge's transport angle, between its two cofaces' own frames."""
         dirs = _edge_directions(self.corner_angles)
         # Rotation from the lower coface's frame to the higher one's across
         # each interior edge; the cofaces traverse it in opposite directions.
         (lo, hi), (i, j) = self.edge_faces.T, self.edge_local.T
-        cross = np.where(hi >= 0, dirs[hi, j] + np.pi - dirs[lo, i], np.nan)
-        # Each triangle's steps across its local edges as keys neighbour * E +
-        # edge, sorted by neighbour, then edge.  The neighbour is the edge's
-        # coface sum less the triangle: -1 across the boundary, where the key
-        # is negative and so is key // E.
-        fe, n_edges = self.face_edges, len(self.edges)
-        nbr = (lo + hi)[fe] - np.arange(m)[:, None]
-        steps = np.sort(nbr * n_edges + fe, axis=1).tolist()
-        crosses, psi, visited, tree = cross.tolist(), [0.0] * m, [False] * m, []
-        remainder, tau = math.remainder, math.tau
-        for root in range(m):
-            if visited[root]:
-                continue
-            visited[root] = True
-            queue = [root]
-            for t in queue:  # breadth first: the queue grows as it is walked
-                for key in steps[t]:
-                    t_next = key // n_edges
-                    if t_next < 0 or visited[t_next]:
-                        continue
-                    e = key - t_next * n_edges
-                    # Makes the tree edge's cross + psi_hi - psi_lo zero; the
-                    # remainder keeps psi, and so its roundoff, within [-pi, pi].
-                    turn = -crosses[e] if t < t_next else crosses[e]
-                    psi[t_next] = remainder(psi[t] + turn, tau)
-                    visited[t_next] = True
-                    tree.append(e)
-                    queue.append(t_next)
-        self.frame_angles = np.array(psi)
-        theta = cross + self.frame_angles[hi] - self.frame_angles[lo]
+        theta = np.where(hi >= 0, dirs[hi, j] + np.pi - dirs[lo, i], np.nan)
         theta -= math.tau * np.ceil((theta - np.pi) / math.tau)  # into (-pi, pi]
-        theta[tree] = 0.0
         theta.flags.writeable = False
         self.transport_angles = theta
 

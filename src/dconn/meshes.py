@@ -182,6 +182,8 @@ def _edge_table(edges, vertex_count: int):
 def dict_to_complex(data: dict) -> MetricComplex:
     """Build a complex from a dconn-complex dictionary; ``MetricComplex.from_edge_lengths``
     checks the values of its tables.  Every refusal is a MeshFormatError."""
+    if not isinstance(data, dict):
+        raise MeshFormatError(f"a dconn-complex must be a JSON object, not {type(data).__name__}")
     if data.get("format") != JSON_FORMAT_NAME:
         raise MeshFormatError(f"unknown complex format {data.get('format')!r}")
     try:
@@ -356,7 +358,7 @@ def latitude_loop(K: MetricComplex, colatitude: float) -> tuple[list[int], list[
         raise MeshFormatError("latitude loops need a 3D embedded complex")
     z_cut = math.cos(colatitude)
     above = K.embedding[:, 2] > z_cut
-    enclosed = [int(v) for v in np.flatnonzero(above)]
+    enclosed = np.flatnonzero(above).tolist()
     if not enclosed or len(enclosed) == K.vertex_count:
         raise BoundaryHingeError("latitude circle does not separate the mesh")
 
@@ -387,7 +389,7 @@ def latitude_loop(K: MetricComplex, colatitude: float) -> tuple[list[int], list[
     loop.append(start)
 
     # Orient the walk counterclockwise as seen from +z.
-    centers = np.array([K.embedding[K.triangles[t]].mean(axis=0) for t in loop[:-1]])
+    centers = K.embedding[K.triangles[loop[:-1]]].mean(axis=1)
     angles = np.arctan2(centers[:, 1], centers[:, 0])
     winding = np.angle(np.exp(1j * np.diff(np.concatenate([angles, angles[:1]])))).sum()
     if winding < 0.0:

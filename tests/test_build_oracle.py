@@ -1,20 +1,18 @@
-"""The edge table, the frames and the metric checks of a MetricComplex
-against reference builds.
+"""The edge table, the transport angles and the metric checks of a
+MetricComplex against reference builds.
 
-``reference_adjacency`` and ``reference_frames`` are the earlier, per-step
+``reference_adjacency`` and ``reference_transport`` are per-step
 constructions of the same tables: two ``np.unique`` calls and a
-``np.maximum.at`` for the edge table, a lexsort of (neighbour, edge) pairs
-and a ``deque`` for the breadth-first search.  The complex must match them
-array for array, and refuse what they refuse with the same message, on
-meshes whose vertex labels, triangle order and vertex rotations are all
-drawn.  ``reference_metric_check`` is the earlier, unit-scale validation of
+``np.maximum.at`` for the edge table, and a Python loop over the edges for
+the transport angles.  The complex must match them array for array, and
+refuse what they refuse with the same message, on meshes whose vertex
+labels, triangle order and vertex rotations are all drawn.  ``reference_metric_check`` is the earlier, unit-scale validation of
 the chart metrics; the complex must take the same decision on metrics of
 normal magnitude.  Hypothesis runs derandomized, so every run draws the
 same examples.
 """
 
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dconn.errors import MeshFormatError
-from dconn.levi_civita import CONSISTENCY_TOL, SLIVER_SIN2, MetricComplex, _edge_directions
+from dconn.levi_civita import CONSISTENCY_TOL, SLIVER_SIN2, MetricComplex
 from dconn.meshes import cone, flat_grid, icosphere, lengths_from_embedding, torus_grid
 
 ORACLE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -68,38 +66,22 @@ def reference_adjacency(tris: np.ndarray, n: int) -> dict:
     }
 
 
-def reference_frames(K: MetricComplex) -> tuple[np.ndarray, np.ndarray]:
-    """Frame and transport angles from a lexsorted step table and a deque."""
-    m = len(K.triangles)
-    dirs = _edge_directions(K.corner_angles)
-    (lo, hi), (i, j) = K.edge_faces.T, K.edge_local.T
-    cross = np.where(hi >= 0, dirs[hi, j] + np.pi - dirs[lo, i], np.nan)
-    fe = K.face_edges
-    faces = K.edge_faces[fe]
-    nbr = np.where(faces[..., 0] == np.arange(m)[:, None], faces[..., 1], faces[..., 0])
-    steps = np.stack([nbr, fe], 2)
-    steps = np.take_along_axis(steps, np.lexsort((fe, nbr), axis=1)[..., None], 1).tolist()
-    crosses, psi, visited, tree = cross.tolist(), [0.0] * m, [False] * m, []
-    for root in range(m):
-        if visited[root]:
+def reference_transport(K: MetricComplex) -> np.ndarray:
+    """Transport angles edge by edge, from the corner angles of its cofaces."""
+    corners = K.corner_angles.tolist()
+
+    def direction(t: int, k: int) -> float:
+        a0, a1, _ = corners[t]
+        return (0.0, math.pi - a1, a0 - math.pi)[k]
+
+    theta = []
+    for (lo, hi), (i, j) in zip(K.edge_faces.tolist(), K.edge_local.tolist()):
+        if hi < 0:
+            theta.append(math.nan)
             continue
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            t = queue.popleft()
-            for t_next, e in steps[t]:
-                if t_next < 0 or visited[t_next]:
-                    continue
-                turn = -crosses[e] if t < t_next else crosses[e]
-                psi[t_next] = math.remainder(psi[t] + turn, math.tau)
-                visited[t_next] = True
-                tree.append(e)
-                queue.append(t_next)
-    frame_angles = np.array(psi)
-    theta = cross + frame_angles[hi] - frame_angles[lo]
-    theta -= math.tau * np.ceil((theta - np.pi) / math.tau)
-    theta[tree] = 0.0
-    return frame_angles, theta
+        turn = direction(hi, j) + math.pi - direction(lo, i)
+        theta.append(turn - math.tau * math.ceil((turn - math.pi) / math.tau))
+    return np.array(theta)
 
 
 def _sphere(level: int):
@@ -135,14 +117,12 @@ def shuffled(draw, components=st.integers(1, 2)):
 
 @ORACLE
 @given(shuffled())
-def test_tables_and_frames_match_the_reference_build(parts):
+def test_tables_and_transport_match_the_reference_build(parts):
     K = MetricComplex.from_edge_lengths(*parts)
     want = reference_adjacency(K.triangles, K.vertex_count)
     for name in TABLES:
         assert np.array_equal(getattr(K, name), want[name]), name
-    frame_angles, transport_angles = reference_frames(K)
-    assert np.array_equal(K.frame_angles, frame_angles)
-    assert np.array_equal(K.transport_angles, transport_angles, equal_nan=True)
+    assert np.array_equal(K.transport_angles, reference_transport(K), equal_nan=True)
 
 
 def _refusal(build) -> str:

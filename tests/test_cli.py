@@ -402,6 +402,19 @@ def test_invalid_json_mesh_file_is_a_domain_failure_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"dconn: {mesh}: invalid JSON (")
 
 
+
+@pytest.mark.parametrize("root, kind", [("[1, 2]", "list"), ('"mesh"', "str"), ("7", "int")])
+@pytest.mark.parametrize("command, extra", [("curvature", {}), ("holonomy", {"around_vertex": 0})])
+def test_mesh_file_whose_root_is_not_an_object_is_a_domain_failure(tmp_path, capsys, root, kind,
+                                                                   command, extra):
+    mesh = tmp_path / "m.json"
+    mesh.write_text(root)
+    cfg = write_config(tmp_path, "c.json", {"mesh": str(mesh), **extra})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dconn: a dconn-complex must be a JSON object, not {kind}\n"
+
 # Deep enough that json.loads runs out of stack (it recurses once per level).
 DEEP_JSON = "[" * 100_000
 

@@ -41,11 +41,6 @@ from dconn.meshes import (
 CHART = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def rotation_angle(m: np.ndarray) -> float:
     return math.atan2(m[1, 0], m[0, 0])
 
@@ -71,15 +66,19 @@ def boundary_edge(K: MetricComplex) -> tuple[int, int]:
     return tuple(K.edges[np.flatnonzero(K.edge_faces[:, 1] < 0)[0]].tolist())
 
 
-def developed_edge(K: MetricComplex, t: int, edge) -> np.ndarray:
-    """An edge vector of triangle t, turned from its Cholesky frame into the developed plane."""
+def framed_edge(K: MetricComplex, t: int, edge) -> np.ndarray:
+    """An edge vector of triangle t in its Cholesky frame."""
     i, j = local_indices(K, t, edge)
     lt = np.linalg.cholesky(K.chart_metrics[t]).T
-    return rot(K.frame_angles[t]) @ lt @ (CHART[j] - CHART[i])
+    return lt @ (CHART[j] - CHART[i])
 
 
-def developed_outward_normal(K: MetricComplex, t: int, edge) -> np.ndarray:
-    return rot(K.frame_angles[t]) @ face_normal(K, t, edge)
+def torus_generators(n: int, m: int) -> list[list[int]]:
+    """Dual loops once around ``torus_grid(n, m)``: through its first row of
+    cells, and up its first column."""
+    row = [0] + [t for c in range(1, n) for t in (2 * c + 1, 2 * c)] + [1, 0]
+    column = [t for j in range(m) for t in (2 * n * j, 2 * n * j + 1)] + [0]
+    return [row, column]
 
 
 # -- per-simplex geometry ------------------------------------------------------
@@ -129,19 +128,25 @@ def test_face_normal_rejects_non_facets():
 # -- frames and the connection ----------------------------------------------
 
 
-def test_flat_grid_connection_is_identity():
-    K = build(flat_grid(3, 3))
-    A = connection_form(K)
-    interior = K.edge_faces[:, 1] >= 0
-    assert interior.any()
-    assert np.isnan(A.angles[~interior]).all()
-    for theta in A.angles[interior]:
-        assert abs(theta) < 1e-12
+def test_flat_grids_and_tori_have_no_curvature():
+    # Every interior star and both torus generators transport by the identity.
+    for K, loops in ((build(flat_grid(3, 3)), []), (build(flat_grid(4, 2)), []),
+                     (build(torus_grid(4, 4)), torus_generators(4, 4)),
+                     (build(torus_grid(5, 3)), torus_generators(5, 3))):
+        A = connection_form(K)
+        interior = K.edge_faces[:, 1] >= 0
+        assert interior.any()
+        assert np.isnan(A.angles[~interior]).all()
+        vertices = np.flatnonzero(K.interior_vertices).tolist()
+        assert vertices
+        for g in [curvature(K, A, v) for v in vertices] + [holonomy(K, A, l) for l in loops]:
+            assert np.max(np.abs(g.matrix - np.eye(2))) <= 1e-15
 
 
-def test_transport_matches_developments_across_every_hinge():
-    # Defining property of the frame gauge: the connection element carries
-    # lo-developed vectors to hi-developed vectors across the hinge.
+def test_transport_matches_frames_across_every_hinge():
+    # Defining property of the transport: the connection element carries
+    # the lower coface's frame into the higher one's, hinged flat across
+    # the edge, so it turns the shared edge vector of one into the other's.
     cases = [
         MetricComplex.from_embedding(*icosahedron()),
         build(flat_grid(3, 2)),
@@ -155,30 +160,19 @@ def test_transport_matches_developments_across_every_hinge():
         A = connection_form(K)
         for key, lo, hi in hinges(K):
             r = A.value(key, lo, hi).matrix
-            u_lo, u_hi = developed_edge(K, lo, key), developed_edge(K, hi, key)
+            u_lo, u_hi = framed_edge(K, lo, key), framed_edge(K, hi, key)
             assert np.max(np.abs(r @ u_lo - u_hi)) < 1e-10
-            n_lo = developed_outward_normal(K, lo, key)
-            n_hi = developed_outward_normal(K, hi, key)
+            n_lo, n_hi = face_normal(K, lo, key), face_normal(K, hi, key)
             assert np.max(np.abs(r @ n_lo + n_hi)) < 1e-10
 
 
-def test_spanning_tree_edges_carry_exact_identity():
-    # Frame angles are chosen so that every spanning-tree edge carries 0.0.
-    for K in (MetricComplex.from_embedding(*icosphere(1)),
-              build(flat_grid(3, 3)),
-              build(torus_grid(5, 4))):
-        angles = connection_form(K).angles
-        assert np.count_nonzero(angles == 0.0) >= len(K.triangles) - 1
-
-
-def test_disconnected_complex_has_one_tree_per_component():
-    # A tetrahedron and an icosahedron side by side: two spanning-tree roots.
+def test_disconnected_complex_curvature_reads_the_defects():
+    # A tetrahedron and an icosahedron side by side.
     tv, tf = tetrahedron()
     iv, i_f = icosahedron()
     K = MetricComplex.from_embedding(np.concatenate([tv, iv]), np.concatenate([tf, i_f + len(tv)]))
     assert K.euler_characteristic() == 4
     A = connection_form(K)
-    assert np.count_nonzero(A.angles == 0.0) >= len(K.triangles) - 2
     for v in range(K.vertex_count):
         gap = (rotation_angle(curvature(K, A, v).matrix) - angle_defect(K, v)) % (2.0 * math.pi)
         assert min(gap, 2.0 * math.pi - gap) < 1e-10
