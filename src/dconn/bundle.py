@@ -7,7 +7,7 @@ bundle points are the discrete analogue of tangent vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -21,12 +21,21 @@ BASE_TOL = 1.0e-10
 
 @dataclass(frozen=True, eq=False)
 class ShapePoint:
-    """A point of the shape space, as chart coordinates."""
+    """A point of the shape space, as chart coordinates.
+
+    The coordinates are copied into a read-only array.  The package's own
+    code passes ``_owned=True`` for a 1-D float array it has just computed and
+    shares with no caller, which is frozen in place instead of copied.
+    """
 
     coords: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _readonly(np.atleast_1d(self.coords)))
+    def __post_init__(self, _owned):
+        if _owned:
+            self.coords.flags.writeable = False
+        else:
+            object.__setattr__(self, "coords", _readonly(np.atleast_1d(self.coords)))
 
 
 def shape_point(*coords: float) -> ShapePoint:
@@ -121,7 +130,7 @@ def shift(q: BundlePoint, z: np.ndarray) -> BundlePoint:
     d = q.shape.coords.size
     group = q.fiber.group
     fiber = GroupElement(group, q.fiber.matrix @ group.exp_matrix(z[d:]), True)
-    return BundlePoint(ShapePoint(q.shape.coords + z[:d]), fiber)
+    return BundlePoint(ShapePoint(q.shape.coords + z[:d], True), fiber)
 
 
 def points_match(a: BundlePoint, b: BundlePoint, tol: float = BASE_TOL) -> bool:

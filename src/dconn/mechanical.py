@@ -161,7 +161,7 @@ def del_step(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> BundleP
         seed_fiber = g1 @ group.exp_matrix(group.log_vector(rel_matrix))
     except CutLocusError:
         seed_fiber = g1 @ rel_matrix
-    seed = BundlePoint(ShapePoint(seed_coords), GroupElement(group, seed_fiber, True))
+    seed = BundlePoint(ShapePoint(seed_coords, True), GroupElement(group, seed_fiber, True))
 
     def residual(q: BundlePoint) -> np.ndarray:
         return rhs + L.d1_eval(q1, q)

@@ -17,7 +17,8 @@ the displacement chart phi differs: the logarithm on SO(3) (``so3_coupled``,
 and ``so3_pure`` with no shape), ``se3_extract`` on SE(3) (``se3_coupled``).
 A chart supplies phi(m) of m = g0^-1 g1; the Jacobians P1 and P2 of phi under
 g0 exp(t delta) and g1 exp(t delta), both from one call per Newton iterate;
-and the Jacobian of P1^T w under g1 exp(t delta) with w held fixed.
+and the Jacobian of P1^T w under g1 exp(t delta) with w held fixed, a closed
+form on Python floats for both charts.
 """
 
 from __future__ import annotations
@@ -64,25 +65,56 @@ def _log_chart_jacobians(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -(eye - half + square), eye + half + square
 
 
+# Angle at which c2'(t)/t switches from its series to its closed form.  The
+# closed form cancels terms about 720/t^4 times its size, so its error grows as
+# 1/t^4 below the switch; at the switch six series terms are within 5e-13 of
+# c2'(t)/t and the closed form within 2.2e-12.
+_DC2_SERIES = 0.5
+
+
+def _dexpinv_c2_slope(theta: float, c2: float) -> float:
+    """c2'(t)/t at t = theta, given c2 = c2(theta).
+
+    The series is sum over n >= 2 of (2n - 2) |B_2n| t^(2n - 4) / (2n)!, with
+    B_2n the Bernoulli numbers.
+    """
+    if theta < _DC2_SERIES:
+        s = theta * theta
+        return 1.0 / 360.0 + s * (1.0 / 7560.0 + s * (1.0 / 201600.0 + s * (
+            1.0 / 5987520.0 + s * (691.0 / 130767436800.0 + s / 6227020800.0))))
+    half = theta / 2.0
+    df = (half / math.sin(half) ** 2 - 1.0 / math.tan(half)) / 2.0  # d/dt (1 - half cot half)
+    return (df - 2.0 * c2 * theta) / theta**3
+
+
 def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Jacobian in lam, for fixed w, of dexpinv_so3(lam)^T w.
 
-    dexpinv_so3(lam)^T w = w + lam x w / 2 + c2(|lam|) lam x (lam x w).
+    dexpinv_so3(lam)^T w = w + lam x w / 2 + c2(|lam|) lam x (lam x w), so the
+    Jacobian is -hat(w)/2 + c2 ((lam . w) I + lam w^T - 2 w lam^T)
+    + (c2'(t)/t) (lam x (lam x w)) lam^T, entry by entry on floats.
     """
-    theta = _norm(lam)
+    a0, a1, a2 = lam.tolist()
+    v0, v1, v2 = w.tolist()
+    # |lam| as _log_chart_jacobians takes it: the closed forms of c2 and its
+    # slope cancel, so a last-bit change in theta would move them far more.
+    sq = float(lam.dot(lam))
+    theta = math.sqrt(sq)
     c2 = _dexpinv_c2(theta)
-    # c2'(t) / t; the closed form cancels 1/t^4-sized terms, so small angles use the series.
-    if theta < 1.0e-2:
-        dc2 = 1.0 / 360.0 + theta**2 / 7560.0 + theta**4 / 201600.0
-    else:
-        half = theta / 2.0
-        df = (half / math.sin(half) ** 2 - 1.0 / math.tan(half)) / 2.0  # d/dt (1 - half cot half)
-        dc2 = (df - 2.0 * c2 * theta) / theta**3
-    lw = float(lam @ w)
-    triple = lam * lw - w * float(lam @ lam)  # lam x (lam x w)
-    return (-0.5 * SO3.hat(w)
-            + c2 * (lw * SO3.identity_matrix() + lam[:, None] * w - 2.0 * (w[:, None] * lam))
-            + dc2 * (triple[:, None] * lam))
+    dc2 = _dexpinv_c2_slope(theta, c2)
+    lw = a0 * v0 + a1 * v1 + a2 * v2
+    t0, t1, t2 = a0 * lw - v0 * sq, a1 * lw - v1 * sq, a2 * lw - v2 * sq  # lam x (lam x w)
+    return np.array((
+        c2 * (lw + a0 * v0 - 2.0 * (v0 * a0)) + dc2 * (t0 * a0),
+        0.5 * v2 + c2 * (a0 * v1 - 2.0 * (v0 * a1)) + dc2 * (t0 * a1),
+        -0.5 * v1 + c2 * (a0 * v2 - 2.0 * (v0 * a2)) + dc2 * (t0 * a2),
+        -0.5 * v2 + c2 * (a1 * v0 - 2.0 * (v1 * a0)) + dc2 * (t1 * a0),
+        c2 * (lw + a1 * v1 - 2.0 * (v1 * a1)) + dc2 * (t1 * a1),
+        0.5 * v0 + c2 * (a1 * v2 - 2.0 * (v1 * a2)) + dc2 * (t1 * a2),
+        0.5 * v1 + c2 * (a2 * v0 - 2.0 * (v2 * a0)) + dc2 * (t2 * a0),
+        -0.5 * v0 + c2 * (a2 * v1 - 2.0 * (v2 * a1)) + dc2 * (t2 * a1),
+        c2 * (lw + a2 * v2 - 2.0 * (v2 * a2)) + dc2 * (t2 * a2),
+    )).reshape(3, 3)
 
 
 # -- continuous mechanical fixtures -----------------------------------------
@@ -231,22 +263,27 @@ def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
     """The coupled Lagrangian |dx|^2/(2h) + kappa |phi(g0^-1 g1) + C(x0) dx|^2 / (2h).
 
     ``coupling(x)`` is C(x), linear in x with the coefficient matrices
-    ``partials``; ``chart`` is phi.  With w = phi + C dx the slot derivatives
-    are D1 = (-dx/h + (kappa/h) B^T w, (kappa/h) P1^T w) and
-    D2 = (dx/h + (kappa/h) C^T w, (kappa/h) P2^T w), where column j of B is
-    dC/dx_j dx - C[:, j], the x0_j-derivative of w.
+    ``partials``, stacked once into a (shape_dim, dim, shape_dim) array S with
+    S[j] = dC/dx_j; ``chart`` is phi.  With w = phi + C dx the slot derivatives
+    are D1 = (-dx/h + (kappa/h) B w, (kappa/h) P1^T w) and
+    D2 = (dx/h + (kappa/h) C^T w, (kappa/h) P2^T w), where row j of
+    B = S dx - C^T, dC/dx_j dx - C[:, j], is the x0_j-derivative of w.  Each
+    slot derivative fills one new (shape_dim + dim,) array.
 
-    The pieces m, phi(m), dx, C(x0), w, B and P1, P2 of one pair serve every
-    call at it: the last pair is kept and matched by the identity of its two
-    immutable points, which the Newton solvers hold for d1 and d12 of an
+    The pair table m, phi(m), dx, C(x0), w, B and P1, P2 of one pair serves
+    every call at it: the last pair is kept and matched by the identity of its
+    two immutable points, which the Newton solvers hold for d1 and d12 of an
     iterate (and del_step for d2 of the pair its last residual checked).
     """
     h = COUPLED_STEP
     k = COUPLED_KAPPA / h
     d = bundle.shape_dim
     group = bundle.group
+    n = group.dim
     eye_h = np.eye(d) / h
-    last: list = [None, None, None]  # q0, q1 and their pieces
+    stack = np.array(partials, dtype=float).reshape(d, n, d)
+    stack_t = stack.transpose(0, 2, 1)  # stack_t[j] = (dC/dx_j)^T
+    last: list = [None, None, None]  # q0, q1 and their pair table
 
     def pieces(q0: BundlePoint, q1: BundlePoint) -> tuple:
         if last[0] is not q0 or last[1] is not q1:
@@ -255,9 +292,7 @@ def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
             x0 = q0.shape.coords
             dx = q1.shape.coords - x0
             c = coupling(x0)
-            # Row j is column j of B.
-            bt = np.array([cj @ dx - c[:, j] for j, cj in enumerate(partials)])
-            last[:] = q0, q1, (m, lam, dx, c, lam + c @ dx, bt.reshape(d, c.shape[0]),
+            last[:] = q0, q1, (m, lam, dx, c, lam + c @ dx, stack @ dx - c.T,
                                *chart.jacobians(m, lam))
         return last[2]
 
@@ -266,21 +301,25 @@ def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
         return float(dx @ dx) / (2.0 * h) + COUPLED_KAPPA * float(w @ w) / (2.0 * h)
 
     def d1(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        _, _, dx, _, w, bt, p1, _ = pieces(q0, q1)
-        shape = -dx / h + k * np.array([w @ bj for bj in bt])
-        return np.concatenate([shape, k * (p1.T @ w)])
+        _, _, dx, _, w, b, p1, _ = pieces(q0, q1)
+        out = np.empty(d + n)
+        out[:d] = -dx / h + k * (b @ w)
+        out[d:] = k * (p1.T @ w)
+        return out
 
     def d2(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         _, _, dx, c, w, _, _, p2 = pieces(q0, q1)
-        return np.concatenate([dx / h + k * (c.T @ w), k * (p2.T @ w)])
+        out = np.empty(d + n)
+        out[:d] = dx / h + k * (c.T @ w)
+        out[d:] = k * (p2.T @ w)
+        return out
 
     def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         # Shape moves of q1 change w by C and leave P1 alone; fiber moves change w by P2.
-        m, lam, _, c, w, bt, p1, p2 = pieces(q0, q1)
-        g = np.array([cj.T @ w for cj in partials])
-        jac = np.empty((d + w.size, d + w.size))
-        jac[:d, :d] = k * (bt @ c + g) - eye_h
-        jac[:d, d:] = k * (bt @ p2)
+        m, lam, _, c, w, b, p1, p2 = pieces(q0, q1)
+        jac = np.empty((d + n, d + n))
+        jac[:d, :d] = k * (b @ c + stack_t @ w) - eye_h
+        jac[:d, d:] = k * (b @ p2)
         jac[d:, :d] = k * (p1.T @ c)
         jac[d:, d:] = k * (p1.T @ p2 + chart.d1_derivative(m, lam, w, p2))
         return jac
@@ -314,8 +353,8 @@ def se3_extract(m: np.ndarray) -> np.ndarray:
     A chart near the identity that avoids the matrix logarithm, so the slot
     derivatives of Lagrangians built on it stay elementary.
     """
-    r = m[:3, :3]
-    return np.concatenate([SO3.vee((r - r.T) / 2.0), m[:3, 3]])
+    (_, r01, r02, p0), (r10, _, r12, p1), (r20, r21, _, p2), _ = m.tolist()
+    return np.array(((r21 - r12) / 2.0, (r02 - r20) / 2.0, (r10 - r01) / 2.0, p0, p1, p2))
 
 
 def se3_extract_d2(m: np.ndarray) -> np.ndarray:
@@ -354,14 +393,24 @@ def _se3_extract_d1_derivative(m: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Column j is the w-pairing of se3_extract(-hat(e_i) M hat(e_j)) over i:
     [[(omega s^T + hat(R^T omega))/2, hat(v) R], [0, 0]] with w = (omega, v)
-    and s = vee(R - R^T).
+    and s = vee(R - R^T), entry by entry on floats.
     """
-    r = m[:3, :3]
-    omega, v = w[:3], w[3:]
-    out = np.zeros((6, 6))
-    out[:3, :3] = (omega[:, None] * SO3.vee(r - r.T) + SO3.hat(r.T @ omega)) / 2.0
-    out[:3, 3:] = SO3.hat(v) @ r
-    return out
+    (r00, r01, r02, _), (r10, r11, r12, _), (r20, r21, r22, _), _ = m.tolist()
+    o0, o1, o2, v0, v1, v2 = w.tolist()
+    s0, s1, s2 = r21 - r12, r02 - r20, r10 - r01
+    # u = R^T omega; the left block is (omega s^T + hat(u)) / 2.
+    u0 = o0 * r00 + o1 * r10 + o2 * r20
+    u1 = o0 * r01 + o1 * r11 + o2 * r21
+    u2 = o0 * r02 + o1 * r12 + o2 * r22
+    # hat(v) has rows (0, -v2, v1), (v2, 0, -v0), (-v1, v0, 0).
+    return np.array((
+        o0 * s0 / 2.0, (o0 * s1 - u2) / 2.0, (o0 * s2 + u1) / 2.0,
+        v1 * r20 - v2 * r10, v1 * r21 - v2 * r11, v1 * r22 - v2 * r12,
+        (o1 * s0 + u2) / 2.0, o1 * s1 / 2.0, (o1 * s2 - u0) / 2.0,
+        v2 * r00 - v0 * r20, v2 * r01 - v0 * r21, v2 * r02 - v0 * r22,
+        (o2 * s0 - u1) / 2.0, (o2 * s1 + u0) / 2.0, o2 * s2 / 2.0,
+        v0 * r10 - v1 * r00, v0 * r11 - v1 * r01, v0 * r12 - v1 * r02,
+    ) + (0.0,) * 18).reshape(6, 6)  # the bottom three rows are zero
 
 
 def se3_coupled() -> DiscreteLagrangian:

@@ -5,6 +5,8 @@ draws the same examples.
 """
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from dconn import lie_group as lg
 from dconn import mechanical, presets
-from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
+from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint, shift
 from dconn.connection import eval_form
 from dconn.errors import (
     GroupMismatchError,
@@ -250,6 +252,81 @@ def test_momentum_is_conserved_along_trajectories():
                   for a, b in zip(path, path[1:])]
         drift = max(np.max(np.abs(v - values[0])) for v in values)
         assert drift < tol
+
+
+# The DEL map F: (q0, q1) -> (q1, q2) preserves Omega_L = sum d^2 L / dz0_i dz1_j
+# dz0_i ^ dz1_j (Marsden and West, Acta Numerica 2001, section 1.3).  Both are
+# read in the product charts shift(q0, .) x shift(q1, .); Omega_L is a
+# coordinate 2-form there, so no correction term enters.  Omega_L comes from
+# ``value`` alone, so a d1 or d2 that is not the derivative of ``value``
+# breaks the identity.  Probed gaps are 3e-9 to 2e-8, with |Omega_L| near 10.
+SYMPLECTIC_GAP = 1e-6
+
+
+def chart_offset(q: BundlePoint, r: BundlePoint) -> np.ndarray:
+    """The z with shift(q, z) = r."""
+    g = q.fiber.group
+    rel = g.inverse_matrix(q.fiber.matrix) @ r.fiber.matrix
+    return np.concatenate([r.shape.coords - q.shape.coords, g.log_vector(rel)])
+
+
+def lagrangian_form(L, q0, q1, eps=1e-4) -> np.ndarray:
+    """Omega_L at (q0, q1): central differences of ``value`` in both charts."""
+    steps = eps * np.eye(q0.shape.coords.size + q0.fiber.group.dim)
+    return sum(s0 * s1 * np.array([[L.value(shift(q0, s0 * a), shift(q1, s1 * b)) for b in steps]
+                                   for a in steps])
+               for s0 in (1.0, -1.0) for s1 in (1.0, -1.0)) / (4.0 * eps * eps)
+
+
+def symplectic_gap(L, q0, q1, dirs, eps=1e-5) -> float:
+    """max |F*Omega_L - Omega_L| on the tangent vectors that are the rows of
+    ``dirs`` (z0 then z1), with the columns of dF by central differences."""
+    n = dirs.shape[1] // 2
+    q2 = del_step(L, q0, q1)
+    cols = []
+    for v in dirs:
+        ends = [chart_offset(q2, del_step(L, shift(q0, s * v[:n]), shift(q1, s * v[n:])))
+                for s in (eps, -eps)]
+        cols.append(np.concatenate([v[n:], (ends[0] - ends[1]) / (2.0 * eps)]))
+
+    def pairing(omega, vecs):
+        return vecs[:, :n] @ omega @ vecs[:, n:].T - vecs[:, n:] @ omega.T @ vecs[:, :n].T
+
+    return float(np.max(np.abs(pairing(lagrangian_form(L, q1, q2), np.array(cols))
+                               - pairing(lagrangian_form(L, q0, q1), dirs))))
+
+
+def near_default_pair(b, offset=0.02):
+    """default_pair moved by chart offsets within ``offset`` in each slot."""
+    n = b.shape_dim + b.group.dim
+    p = default_pair(b)
+    return st.builds(lambda z0, z1: (shift(p.first, z0), shift(p.second, z1)),
+                     _coords(n, offset), _coords(n, offset))
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+@settings(derandomize=True, max_examples=4, deadline=None, database=None)
+@given(data=st.data())
+def test_del_flow_is_symplectic(name, data):
+    L = FIXTURES[name]()
+    q0, q1 = data.draw(near_default_pair(L.bundle))
+    dirs = np.eye(2 * (L.bundle.shape_dim + L.bundle.group.dim))
+    assert symplectic_gap(L, q0, q1, dirs) < SYMPLECTIC_GAP
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+@settings(derandomize=True, max_examples=1, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_value_only_del_flow_is_symplectic(name, data, seed):
+    # A value-only step costs 0.1-0.3 s on the coupled fixtures, so two drawn
+    # tangent directions stand in for the whole Jacobian.
+    L = FIXTURES[name]()
+    lean = DiscreteLagrangian(L.bundle, L.value)
+    q0, q1 = data.draw(near_default_pair(L.bundle))
+    n = L.bundle.shape_dim + L.bundle.group.dim
+    dirs = np.random.default_rng(seed).standard_normal((2, 2 * n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    assert symplectic_gap(lean, q0, q1, dirs) < SYMPLECTIC_GAP
 
 
 def point_gap(a: BundlePoint, b: BundlePoint) -> float:
@@ -565,3 +642,160 @@ def test_extract_chart_jacobians_are_the_two_extract_derivatives_bit_for_bit(xi)
     d1, d2 = presets._se3_extract_jacobians(m)
     assert d1.tobytes() == se3_extract_d1(m).tobytes() == reference_extract_d1(m).tobytes()
     assert d2.tobytes() == se3_extract_d2(m).tobytes() == reference_extract_d2(m).tobytes()
+
+
+def reference_dexpinv_transpose_derivative(lam, w):
+    # The numpy formula the float kernel replaced, with c2'(t)/t taken from the
+    # module: its own accuracy is tested against the exact series below.
+    theta = lg._norm(lam)
+    c2 = lg._dexpinv_c2(theta)
+    dc2 = presets._dexpinv_c2_slope(theta, c2)
+    lw = float(lam @ w)
+    triple = lam * lw - w * float(lam @ lam)
+    return (-0.5 * SO3.hat(w)
+            + c2 * (lw * SO3.identity_matrix() + lam[:, None] * w - 2.0 * (w[:, None] * lam))
+            + dc2 * (triple[:, None] * lam))
+
+
+def reference_extract_d1_derivative(m, w):
+    r = m[:3, :3]
+    omega, v = w[:3], w[3:]
+    out = np.zeros((6, 6))
+    out[:3, :3] = (omega[:, None] * SO3.vee(r - r.T) + SO3.hat(r.T @ omega)) / 2.0
+    out[:3, 3:] = SO3.hat(v) @ r
+    return out
+
+
+def reference_extract(m):
+    r = m[:3, :3]
+    return np.concatenate([SO3.vee((r - r.T) / 2.0), m[:3, 3]])
+
+
+def ulps(got, want) -> float:
+    """max |got - want| in units in the last place of want's largest entry."""
+    return float(np.max(np.abs(got - want)) / np.spacing(np.max(np.abs(want))))
+
+
+@st.composite
+def switch_neighbours(draw):
+    """so(3) vectors within 8 ulps of a series switch: c2's at 1e-4 or its slope's at 0.5."""
+    u = draw(_coords(3, 1.0))
+    norm = np.linalg.norm(u)
+    u = np.array([1.0, 0.0, 0.0]) if norm == 0.0 else u / norm
+    switch = draw(st.sampled_from([lg._DEXPINV_SERIES, presets._DC2_SERIES]))
+    return u * switch * (1.0 + draw(st.integers(-8, 8)) * 2.0**-52)
+
+
+# The float kernels against the numpy formulas: at most 2 ulps of the largest
+# entry over 200 000 SO(3) and 100 000 SE(3) draws like the ones below.
+FLOAT_KERNEL_ULPS = 3.0
+
+
+@CHARTS
+@given(st.one_of(rotation_vectors(), switch_neighbours()), _coords(3, 2.0))
+def test_float_dexpinv_transpose_derivative_matches_the_numpy_formula(lam, w):
+    got = presets._dexpinv_transpose_derivative(lam, w)
+    assert ulps(got, reference_dexpinv_transpose_derivative(lam, w)) <= FLOAT_KERNEL_ULPS
+
+
+@CHARTS
+@given(algebra(SE3, 2.0), _coords(6, 2.0))
+def test_float_extract_d1_derivative_matches_the_numpy_formula(xi, w):
+    m = lg.exp(SE3, xi).matrix
+    got = presets._se3_extract_d1_derivative(m, w)
+    assert ulps(got, reference_extract_d1_derivative(m, w)) <= FLOAT_KERNEL_ULPS
+    assert np.array_equal(got[3:], np.zeros((3, 6)))
+    # The chart itself only halves differences, so its bits are the numpy formula's.
+    assert presets.se3_extract(m).tobytes() == reference_extract(m).tobytes()
+
+
+# |B_2n| for n = 2 .. 13; c2'(t)/t = sum over n >= 2 of (2n - 2) |B_2n| t^(2n-4) / (2n)!.
+BERNOULLI = [Fraction(1, 30), Fraction(1, 42), Fraction(1, 30), Fraction(5, 66),
+             Fraction(691, 2730), Fraction(7, 6), Fraction(3617, 510), Fraction(43867, 798),
+             Fraction(174611, 330), Fraction(854513, 138), Fraction(236364091, 2730),
+             Fraction(8553103, 6)]
+SLOPE_SERIES = [(2 * n - 2) * b / math.factorial(2 * n) for n, b in enumerate(BERNOULLI, start=2)]
+
+
+def exact_slope(t: float) -> float:
+    """c2'(t)/t from twelve terms of its series in exact arithmetic, rounded once.
+
+    For t <= 1 the omitted terms are below 1e-18 of the sum (their ratio
+    tends to (t / 2 pi)^2).
+    """
+    s = Fraction(t) ** 2
+    return float(sum(c * s**k for k, c in enumerate(SLOPE_SERIES)))
+
+
+@CHARTS
+@given(st.one_of(st.floats(0.0, 1.0),
+                 st.integers(-64, 64).map(lambda k: presets._DC2_SERIES * (1.0 + k * 2.0**-52))))
+def test_dexpinv_c2_slope_matches_its_exact_series(t):
+    # Six series terms hold it within 5e-13 below the switch; the closed form
+    # above it cancels terms 720/t^4 times its size, 2.2e-12 at the switch.
+    got = presets._dexpinv_c2_slope(t, lg._dexpinv_c2(t))
+    tol = 1e-12 if t < presets._DC2_SERIES else 3e-12
+    assert abs(got - exact_slope(t)) <= tol * exact_slope(t)
+
+
+# -- evaluations per Newton iterate ---------------------------------------------------
+
+
+def counted(name):
+    """The coupled fixture ``name`` with calls of its chart's phi (one per pair
+    table) and of each slot derivative counted."""
+    calls = {"phi": 0, "d1": 0, "d2": 0, "d12": 0}
+
+    def counting(key, f):
+        def wrapper(*args):
+            calls[key] += 1
+            return f(*args)
+        return wrapper
+
+    build = presets._coupled
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(presets, "_coupled", lambda bundle, coupling, partials, chart: build(
+            bundle, coupling, partials, chart._replace(phi=counting("phi", chart.phi))))
+        L = FIXTURES[name]()
+    slots = {key: counting(key, getattr(L, key)) for key in ("d1", "d2", "d12")}
+    return dataclasses.replace(L, **slots), calls
+
+
+def benchmark_pairs(b):
+    """Pairs like the starts of the benchmark's DEL trajectories: shape within
+    0.1, fiber log within 0.3, and a step within 0.05 in the shape and 0.03
+    in the fiber."""
+    def build(q0, dx, xi):
+        return PairElement(q0, BundlePoint(ShapePoint(q0.shape.coords + dx),
+                                           lg.compose(q0.fiber, lg.exp(b.group, xi))))
+
+    return st.builds(build, points(b, 0.1, 0.3), _coords(b.shape_dim, 0.05),
+                     algebra(b.group, 0.03))
+
+
+COUPLED = ["so3_coupled", "se3_coupled", "so3_pure"]
+
+
+@pytest.mark.parametrize("name", COUPLED)
+@MECHANICS
+@given(data=st.data())
+def test_del_trajectory_builds_one_pair_table_per_residual(name, data):
+    # d12 at an iterate reuses the table of its residual, and the next step's
+    # d2 that of the last residual, so only the first pair's d2 builds its own.
+    L, calls = counted(name)
+    p = data.draw(benchmark_pairs(L.bundle))
+    steps = 4
+    del_trajectory(L, p.first, p.second, steps)
+    assert calls["d2"] == steps
+    assert calls["d12"] == calls["d1"] - steps  # each step ends on one converged residual
+    assert calls["phi"] == calls["d1"] + 1
+
+
+@pytest.mark.parametrize("name", COUPLED)
+@MECHANICS
+@given(data=st.data())
+def test_mechanical_connection_builds_one_pair_table_per_residual(name, data):
+    L, calls = counted(name)
+    mechanical_connection(L, data.draw(benchmark_pairs(L.bundle)))
+    assert calls["d12"] == calls["d1"] - 1
+    assert calls["phi"] == calls["d1"]
