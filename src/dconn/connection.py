@@ -41,7 +41,7 @@ from .errors import (
     OutOfDomainError,
     ShapeMismatchError,
 )
-from .lie_group import GroupElement
+from .lie_group import GroupElement, _frozen
 
 # Chart distance up to which a local representation is trusted.
 VALIDITY_RADIUS = 0.5
@@ -55,21 +55,35 @@ class DiscreteConnection:
     ``bundle.group``, the identity matrix when x0 = x1; it is only trusted
     for shape pairs within VALIDITY_RADIUS of each other.
 
-    ``local_reps(x0, x1s)``, when given, is the same map over the rows of an
-    (n, shape_dim) array of endpoints: an (n, k, k) read-only stack whose
-    row i equals ``local_rep(x0, ShapePoint(x1s[i]))`` bit for bit.  The
-    continuous families have one; order sweeps use it to take all their
-    local representations in one call.
+    ``local_reps(x0s, x1s)``, when given, is the same map over the rows of two
+    coordinate arrays that broadcast, each (shape_dim,) or (n, shape_dim): an
+    (n, k, k) read-only stack whose row i equals ``local_rep`` on the i-th pair
+    bit for bit.  The continuous families and their adjoints have one; order
+    sweeps use it to take all their local representations in one call.
     """
 
     bundle: Bundle
     local_rep: Callable[[ShapePoint, ShapePoint], np.ndarray]
-    local_reps: Callable[[ShapePoint, np.ndarray], np.ndarray] | None = None
+    local_reps: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def trivial_connection(bundle: Bundle) -> DiscreteConnection:
     """The connection whose local representation is identically e."""
     return DiscreteConnection(bundle, lambda x0, x1: bundle.group.identity_matrix())
+
+
+def adjoint(c: DiscreteConnection) -> DiscreteConnection:
+    """A*(x0, x1) = A(x1, x0)^-1, a discrete connection with c's continuous limit;
+    stacked, from c's stacked rep with the endpoints as bases, when c is."""
+    inverse, inverses = c.bundle.group.inverse_matrix, c.bundle.group.inverse_matrices
+
+    def rep(x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
+        return _frozen(inverse(c.local_rep(x1, x0)))
+
+    def reps(x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:
+        return _frozen(inverses(c.local_reps(x1s, x0s)))
+
+    return DiscreteConnection(c.bundle, rep, None if c.local_reps is None else reps)
 
 
 def _check_distance(d: float) -> None:

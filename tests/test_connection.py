@@ -17,6 +17,7 @@ from dconn import connection as cn
 from dconn import lie_group as lg
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from dconn.connection import (
+    adjoint,
     adjoint_element,
     assemble_chain,
     assemble_quotient,
@@ -43,7 +44,7 @@ from dconn.errors import (
 from dconn.lie_group import SE3, SO2, SO3, translation_group
 from dconn.mechanical import mechanical_discrete_connection
 from dconn.limits import exponentiated_connection
-from dconn.presets import abelian_mechanical, so3_coupled, so3_mechanical
+from dconn.presets import abelian_mechanical, se3_mechanical, so3_coupled, so3_mechanical
 
 SAMPLED = settings(derandomize=True, max_examples=10, deadline=None, database=None)
 # Shape coordinates within SHAPE_BOUND put two points at most 0.495 apart on
@@ -63,6 +64,10 @@ def _fixtures():
         "exponentiated": exponentiated_connection(so3_mechanical()),
         "abelian": exponentiated_connection(abelian_mechanical()),
         "mechanical": mechanical_discrete_connection(so3_coupled()),
+        "adjoint_exponentiated": adjoint(exponentiated_connection(so3_mechanical())),
+        "adjoint_se3": adjoint(exponentiated_connection(se3_mechanical())),
+        # A mechanical connection has no stacked rep, so its adjoint takes the per-pair path.
+        "adjoint_mechanical": adjoint(mechanical_discrete_connection(so3_coupled())),
     }
 
 

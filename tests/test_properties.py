@@ -18,6 +18,7 @@ from dconn import lie_group as lg
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint, act
 from dconn.connection import (
     AdjointBundleElement,
+    adjoint,
     assemble_chain,
     assemble_quotient,
     canonical_chain,
@@ -41,7 +42,7 @@ from dconn.levi_civita import (
     total_defect,
 )
 from dconn.lie_group import SE3, SO2, SO3, translation_group
-from dconn.limits import exponentiated_connection
+from dconn.limits import exponentiated_connection, induced_continuous
 from dconn.mechanical import del_step, del_trajectory, mechanical_discrete_connection
 from dconn.meshes import cone, flat_grid, icosphere, latitude_loop, torus_grid
 from dconn.presets import CONTINUOUS_FIXTURES, LAGRANGIAN_FIXTURES, resolve_connection
@@ -495,24 +496,89 @@ def test_forms_and_lifts_refuse_points_of_another_shape_dimension(family, group)
         horizontal_lift(c, good, good, BundlePoint(wide, e))
 
 
+def _shape_pairs(b, seed, distances):
+    """Bases near 0 and endpoints at the given chart distances from them, as two
+    (n, shape_dim) arrays."""
+    n = len(distances)
+    rng = np.random.default_rng(seed)
+    x0s = 0.2 * rng.standard_normal((n, b.shape_dim))
+    steps = rng.standard_normal((n, b.shape_dim))
+    if b.shape_dim:
+        steps *= np.array(distances).reshape(n, 1) / np.linalg.norm(steps, axis=1, keepdims=True)
+    return x0s, x0s + steps
+
+
 @pytest.mark.parametrize("family", [f"{kind}:{f}"
                                     for kind in ("exponentiated", "cayley", "forward_difference")
                                     for f in ("so3_mechanical", "se3_mechanical", "abelian")])
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 1.0), max_size=12))
 def test_stacked_local_reps_equal_the_per_pair_reps_row_by_row(family, seed, distances):
-    # Bit for bit, the empty stack included: local_reps(x0, x1s)[i] is
-    # local_rep(x0, x1s[i]).
+    # Bit for bit, the empty stack included: local_reps(x0s, x1s)[i] is
+    # local_rep(x0s[i], x1s[i]), with per-row bases and with one base for all rows.
     c = resolve_connection(family)
     b, n = c.bundle, len(distances)
-    rng = np.random.default_rng(seed)
-    x0 = ShapePoint(0.2 * rng.standard_normal(b.shape_dim))
-    steps = rng.standard_normal((n, b.shape_dim))
-    steps *= np.array(distances).reshape(n, 1) / np.linalg.norm(steps, axis=1, keepdims=True)
-    x1s = x0.coords + steps
-    stacked = c.local_reps(x0, x1s)
+    x0s, x1s = _shape_pairs(b, seed, distances)
+    x0 = 0.2 * np.random.default_rng(seed + 1).standard_normal(b.shape_dim)
     k = b.group.matrix_size
-    assert stacked.shape == (n, k, k) and not stacked.flags.writeable
-    per_pair = np.array([c.local_rep(x0, ShapePoint(x)) for x in x1s]).reshape(n, k, k)
-    assert stacked.tobytes() == per_pair.tobytes()
-    assert c.local_reps(x0, x1s[:0]).shape == (0, k, k)
+    for bases, ends in ((x0s, x1s), (x0, x1s - x0s + x0)):
+        stacked = c.local_reps(bases, ends)
+        assert stacked.shape == (n, k, k) and not stacked.flags.writeable
+        per_pair = np.array([c.local_rep(ShapePoint(y0), ShapePoint(y1))
+                             for y0, y1 in zip(np.broadcast_to(bases, ends.shape), ends)])
+        assert stacked.tobytes() == per_pair.reshape(n, k, k).tobytes()
+    assert c.local_reps(x0, x1s[:0]).shape == c.local_reps(x0s[:0], x1s[:0]).shape == (0, k, k)
+
+
+def _equal_within(got, want, tol):
+    """Bit for bit when tol is 0, else every entry within tol."""
+    return got.tobytes() == want.tobytes() if tol == 0.0 else np.max(np.abs(got - want)) <= tol
+
+
+# Inverting an SE(3) rep twice rounds its translation: 2.8e-17 at most over
+# 50 pairs of each SE(3) family.  SO(n) inverses are transposes, Tn's exact.
+INVOLUTION_DRIFT = {"SE3": 1e-16}
+
+
+@pytest.mark.parametrize("family, group", CLI_FAMILIES)
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 0.45), min_size=1, max_size=6))
+def test_the_adjoint_of_the_adjoint_is_the_connection(family, group, seed, distances):
+    # A*(x0, x1) = A(x1, x0)^-1, per pair and, where c has one, stacked.
+    c = resolve_connection(family, group)
+    twice = adjoint(adjoint(c))
+    tol = INVOLUTION_DRIFT.get(c.bundle.group.name, 0.0)
+    x0s, x1s = _shape_pairs(c.bundle, seed, distances)
+    for x0, x1 in zip(map(ShapePoint, x0s), map(ShapePoint, x1s)):
+        got = twice.local_rep(x0, x1)
+        assert not got.flags.writeable and _equal_within(got, c.local_rep(x0, x1), tol)
+    assert (twice.local_reps is None) == (c.local_reps is None)
+    if c.local_reps is not None:
+        got = twice.local_reps(x0s, x1s)
+        assert not got.flags.writeable and _equal_within(got, c.local_reps(x0s, x1s), tol)
+
+
+@pytest.mark.parametrize("family, group", [(f, g) for f, g in CLI_FAMILIES if f in (
+    "trivial", "euler_poincare", "mechanical:free_particle", "mechanical:so3_pure")])
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 0.45), min_size=1, max_size=6))
+def test_trivial_and_free_particle_connections_are_self_adjoint(family, group, seed, distances):
+    # A(x1, x0)^-1 = A(x0, x1) exactly: these connections are reversible.  (Not
+    # bit for bit on SE(3): the inverse of e there has the translation -0.)
+    c = resolve_connection(family, group)
+    x0s, x1s = _shape_pairs(c.bundle, seed, distances)
+    for x0, x1 in zip(map(ShapePoint, x0s), map(ShapePoint, x1s)):
+        assert np.array_equal(adjoint(c).local_rep(x0, x1), c.local_rep(x0, x1))
+
+
+@pytest.mark.parametrize("family, group", CLI_FAMILIES)
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_the_adjoint_has_the_continuous_limit_of_the_connection(family, group, seed):
+    c = resolve_connection(family, group)
+    b = c.bundle
+    rng = np.random.default_rng(seed)
+    q = b.point(0.2 * rng.standard_normal(b.shape_dim), lg.random_element(b.group, rng, 0.5))
+    v = rng.standard_normal(b.shape_dim + b.group.dim)
+    got = induced_continuous(adjoint(c), q, v)
+    assert np.max(np.abs(got - induced_continuous(c, q, v))) < 1e-8
