@@ -738,6 +738,26 @@ def test_dexpinv_c2_slope_matches_its_exact_series(t):
     assert abs(got - exact_slope(t)) <= tol * exact_slope(t)
 
 
+# c2(t) = sum over n >= 1 of |B_2n| t^(2n-2) / (2n)!, with |B_2| = 1/6.
+C2_SERIES = [b / math.factorial(2 * n) for n, b in enumerate([Fraction(1, 6), *BERNOULLI], 1)]
+
+
+def exact_c2(t: float) -> float:
+    """c2(t) from thirteen terms of its series in exact arithmetic, rounded once."""
+    s = Fraction(t) ** 2
+    return float(sum(c * s**k for k, c in enumerate(C2_SERIES)))
+
+
+@CHARTS
+@given(st.one_of(st.floats(0.0, 1.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
+                 st.integers(-64, 64).map(lambda k: lg._DEXPINV_SERIES * (1.0 + k * 2.0**-52))))
+def test_dexpinv_c2_matches_its_exact_series_on_both_sides_of_the_switch(t):
+    # Eight series terms stay within rounding (1.7e-16) below the switch; the
+    # closed form above it cancels terms 12/t^2 times its size, 7.3e-15 at 0.5.
+    tol = 4e-16 if t < lg._DEXPINV_SERIES else 1e-14
+    assert abs(lg._dexpinv_c2(t) - exact_c2(t)) <= tol * exact_c2(t)
+
+
 # -- evaluations per Newton iterate ---------------------------------------------------
 
 
