@@ -144,10 +144,10 @@ def _dexpinv_c2(theta, m=_FLOATS):
     Bernoulli numbers.  theta is a float, or an (n,) array with m = _ROWS.
     """
     small, t, s = _split(theta, _DEXPINV_SERIES, m)
-    half, s = t / 2.0, s * s
-    series = 1.0 / 12.0 + s * (1.0 / 720.0 + s * (1.0 / 30240.0 + s * (1.0 / 1209600.0 + s * (
-        1.0 / 47900160.0 + s * (691.0 / 1307674368000.0 + s * (
-            1.0 / 74724249600.0 + s * (3617.0 / 10670622842880000.0)))))))
+    half, s2 = t / 2.0, s * s
+    series = 1.0 / 12.0 + s2 * (1.0 / 720.0 + s2 * (1.0 / 30240.0 + s2 * (1.0 / 1209600.0 + s2 * (
+        1.0 / 47900160.0 + s2 * (691.0 / 1307674368000.0 + s2 * (
+            1.0 / 74724249600.0 + s2 * (3617.0 / 10670622842880000.0)))))))
     return m.where(small, series, (1.0 - half / m.tan(half)) / m.pow(t, 2.0))
 
 
