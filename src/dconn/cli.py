@@ -12,6 +12,9 @@ stdout or to --out, the same bytes either way.  Reports are deterministic:
 indent=2) plus a newline, with no timestamps or machine fields.  Config and
 mesh files are read as bytes and decoded as UTF-8, so a byte order mark or a
 UTF-16 file is refused; ``canonical.write_file`` creates or truncates --out.
+Meshes are read through ``meshes.read_mesh``, so in-process commands run
+one after another on the same mesh file (same suffix, same text) share its
+build.
 Exit codes: 0 success or help; 2 a command line outside the grammar (the
 usage and the reason on stderr), or a domain or validation failure, a mesh
 file that is not UTF-8 or not valid JSON included; 3 a config that is not

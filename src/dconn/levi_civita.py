@@ -25,6 +25,11 @@ angle defect drift apart, by 3e-10 at 1e-12 and by up to pi at 1e-15.  So is
 a metric whose largest entry is not a normal float, as it has lost bits of
 its shape: a cone of side 1e-158 would read its apex defect 1.4e-7 off.
 
+Read-only tables.  Every array a complex holds is a read-only view, its
+triangles, metrics and embedding included: one complex may be shared by
+several callers (``meshes.read_mesh`` returns the same one for the same mesh
+text), and the arrays a caller hands a constructor stay writable.
+
 Frames.  Each triangle has one orthonormal frame, the Cholesky frame of its
 chart metric, read off the corner angles: local edge k -> k + 1 points at
 0, pi - corner_angles[t, 1] and corner_angles[t, 0] - pi in it, and its
@@ -112,6 +117,12 @@ class MetricComplex:
         self._build_adjacency()
         self._tabulate_metrics()
         self._transport()
+        # Read-only views: a complex may be shared, and the caller's own arrays stay writable.
+        for name, table in list(vars(self).items()):
+            if isinstance(table, np.ndarray):
+                view = table.view()
+                view.flags.writeable = False
+                setattr(self, name, view)
 
     @classmethod
     def _built(cls, vertex_count: int, triangles: np.ndarray, chart_metrics: np.ndarray,
@@ -317,7 +328,6 @@ class MetricComplex:
         (lo, hi), (i, j) = self.edge_faces.T, self.edge_local.T
         theta = np.where(hi >= 0, dirs[hi, j] + np.pi - dirs[lo, i], np.nan)
         theta -= math.tau * np.ceil((theta - np.pi) / math.tau)  # into (-pi, pi]
-        theta.flags.writeable = False
         self.transport_angles = theta
 
     # -- topology helpers ----------------------------------------------------

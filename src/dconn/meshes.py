@@ -18,6 +18,14 @@ once, by C-level passes over whole tables, and hands
 ``MetricComplex.from_edge_lengths`` an int triangle array and a float edge
 table (kept as given where a refusal would spell one of its values).
 
+``read_mesh`` shares one build between reads of the same mesh: it keeps one
+entry, the complex its last successful read built, keyed by the file's
+lower-cased suffix and its exact text, and a read with an equal key returns
+that complex, the same object, without parsing or building.  The file is
+read once per call, so the key and the complex come from the same bytes.  A
+read that raises is never kept.  ``read_off`` and ``read_complex_json``
+always build afresh.
+
 Generators cover the standard test surfaces: subdivided icospheres, flat
 grids, cones of equilateral triangles, flat tori and the regular
 tetrahedron boundary, built by index arithmetic; the abstract ones return
@@ -59,7 +67,12 @@ def read_off(path) -> MetricComplex:
     tokens, and checked block by block: vertex numbers, vertex line widths,
     face sizes, face indices, then the missing lines.
     """
-    text = _COMMENT.sub("", _read_text(path))
+    return _parse_off(path, _read_text(path))
+
+
+def _parse_off(path, text: str) -> MetricComplex:
+    """The complex of an OFF file's text; refusals name ``path``."""
+    text = _COMMENT.sub("", text)
     lines = list(filter(None, map(str.split, text.splitlines())))
     if not lines or lines[0] != ["OFF"]:
         raise MeshFormatError(f"{path}: missing OFF header")
@@ -213,22 +226,47 @@ def _read_text(path) -> str:
 
 
 def read_complex_json(path) -> MetricComplex:
+    return _parse_complex_json(path, _read_text(path))
+
+
+def _parse_complex_json(path, text: str) -> MetricComplex:
+    """The complex of a dconn-complex file's text; refusals name ``path``."""
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(text)
     # json.loads recurses once per nesting level, so a deep enough file exhausts the stack.
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MeshFormatError(f"{path}: invalid JSON ({exc})") from exc
     return dict_to_complex(data)
 
 
+_PARSERS = {".off": _parse_off, ".json": _parse_complex_json}
+# The last complex read_mesh built, as ((suffix, text), complex); None before the first.
+_last_read: tuple[tuple[str, str], MetricComplex] | None = None
+
+
 def read_mesh(path) -> MetricComplex:
-    """Dispatch on file suffix: .off or .json."""
+    """Dispatch on file suffix: .off or .json.
+
+    The file is read once, and its lower-cased suffix and exact text are the
+    key of a one-entry memo: a read whose key equals the last successful
+    read's returns that read's complex, the same object, from any path.  Any
+    other read builds the complex from the text it read and replaces the
+    entry.  A read that raises leaves the entry as it was, so every refusal
+    is raised again on each read.  The complex's tables are read-only, so
+    the callers that share it cannot change it.
+    """
+    global _last_read
     suffix = Path(path).suffix.lower()
-    if suffix == ".off":
-        return read_off(path)
-    if suffix == ".json":
-        return read_complex_json(path)
-    raise MeshFormatError(f"{path}: unknown mesh format {suffix!r}")
+    parse = _PARSERS.get(suffix)
+    if parse is None:
+        raise MeshFormatError(f"{path}: unknown mesh format {suffix!r}")
+    key = (suffix, _read_text(path))
+    last = _last_read
+    if last is not None and last[0] == key:
+        return last[1]
+    K = parse(path, key[1])
+    _last_read = key, K
+    return K
 
 
 def _half_edges(faces: np.ndarray) -> np.ndarray:

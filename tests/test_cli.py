@@ -329,6 +329,32 @@ def test_reports_are_byte_identical(tmp_path, capsys):
         json.loads((tmp_path / "r1.json").read_text()), sort_keys=True)
 
 
+def test_holonomy_after_curvature_of_the_same_mesh_is_unchanged(tmp_path, capsys):
+    # In one process a holonomy report shares the complex of the curvature
+    # report before it; read after another mesh, it builds afresh.  Cone 3's
+    # curvature fails on the SO(2) cut locus and leaves nothing behind.
+    other = tmp_path / "other.json"
+    write_complex_json(other, *flat_grid(2, 2))
+    sphere = tmp_path / "sphere.off"
+    write_off(sphere, *icosphere(1))
+    cases = [(tmp_path / f"cone{k}.json", cone(k), {"around_vertex": 0}, 2 if k == 3 else 0)
+             for k in (3, 5)]
+    cases.append((sphere, None, {"latitude": {"colatitude_deg": 60.0}}, 0))
+    for mesh, parts, loop, curvature_code in cases:
+        if parts is not None:
+            write_complex_json(mesh, *parts)
+        curvature = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
+        holonomy = write_config(tmp_path, "h.json", {"mesh": str(mesh), **loop})
+        assert main(["curvature", "--config", curvature]) == curvature_code
+        err = capsys.readouterr().err
+        assert ("of pi" in err) == (curvature_code == 2)
+        assert main(["holonomy", "--config", holonomy]) == 0
+        shared = capsys.readouterr().out
+        meshes.read_mesh(other)
+        assert main(["holonomy", "--config", holonomy]) == 0
+        assert capsys.readouterr().out == shared
+
+
 def test_stdout_report_is_canonical_json(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json", {"connection": "trivial"})
     assert main(["decompose", "--config", cfg]) == 0

@@ -166,6 +166,29 @@ def test_transport_matches_frames_across_every_hinge():
             assert np.max(np.abs(r @ n_lo + n_hi)) < 1e-10
 
 
+TABLES = {"triangles", "chart_metrics", "edges", "face_edges", "edge_faces", "edge_local",
+          "star_ptr", "star_corners", "interior_vertices", "star_fans", "lengths",
+          "corner_angles", "angle_defects", "transport_angles"}
+
+
+def test_complex_tables_are_read_only_and_the_callers_arrays_stay_writable():
+    verts, faces = icosahedron()
+    embedded = MetricComplex.from_embedding(verts, faces)
+    metrics = np.array(embedded.chart_metrics)
+    direct = MetricComplex(len(verts), faces, metrics)
+    for K, tables in ((embedded, TABLES | {"embedding"}), (direct, TABLES),
+                      (build(cone(5)), TABLES)):
+        arrays = {name: a for name, a in vars(K).items() if isinstance(a, np.ndarray)}
+        assert arrays.keys() == tables
+        for name, a in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+    # The constructors took these arrays as they were; they are still the caller's to write.
+    for own in (verts, faces, metrics):
+        assert own.flags.writeable
+        own[0] = own[0]
+
+
 def test_disconnected_complex_curvature_reads_the_defects():
     # A tetrahedron and an icosahedron side by side.
     tv, tf = tetrahedron()

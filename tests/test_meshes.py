@@ -599,3 +599,87 @@ def test_read_mesh_dispatch(tmp_path):
     stray.write_text("whatever")
     with pytest.raises(MeshFormatError):
         read_mesh(stray)
+    # The suffix is refused before the file is opened: a missing x.obj is no OSError.
+    with pytest.raises(MeshFormatError, match=r"x\.obj: unknown mesh format '\.obj'"):
+        read_mesh(tmp_path / "x.obj")
+
+
+def assert_same_complex(a: MetricComplex, b: MetricComplex) -> None:
+    assert vars(a).keys() == vars(b).keys()
+    for name, value in vars(a).items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(value, vars(b)[name], err_msg=name)
+        else:
+            assert value == vars(b)[name], name
+
+
+def test_read_mesh_returns_one_complex_per_suffix_and_text(tmp_path):
+    jpath, opath = tmp_path / "cone.json", tmp_path / "tet.off"
+    write_complex_json(jpath, *cone(5))
+    write_off(opath, *tetrahedron())
+    (tmp_path / "copy").mkdir()
+    for path, fresh in ((jpath, read_complex_json), (opath, read_off)):
+        K = read_mesh(path)
+        assert read_mesh(path) is K
+        # The same bytes at another path, under an upper-case suffix: the same complex.
+        other = tmp_path / "copy" / (path.stem + path.suffix.upper())
+        other.write_bytes(path.read_bytes())
+        assert read_mesh(other) is K
+        assert_same_complex(K, fresh(path))
+        assert fresh(path) is not K
+    # One entry: the OFF read replaced the JSON one.
+    again = read_mesh(jpath)
+    assert again is not K and read_mesh(jpath) is again
+    # The same text under the other suffix is parsed as that format.
+    swapped = tmp_path / "cone.off"
+    swapped.write_bytes(jpath.read_bytes())
+    with pytest.raises(MeshFormatError, match="missing OFF header"):
+        read_mesh(swapped)
+
+
+def test_read_mesh_rebuilds_a_rewritten_file(tmp_path):
+    jpath, opath = tmp_path / "mesh.json", tmp_path / "mesh.off"
+    for path, fresh, write, before, after in (
+            (jpath, read_complex_json, write_complex_json, cone(5), cone(6)),
+            (opath, read_off, write_off, tetrahedron(), icosahedron())):
+        write(path, *before)
+        old = read_mesh(path)
+        write(path, *after)
+        K = read_mesh(path)
+        assert K is not old and K.vertex_count != old.vertex_count
+        assert_same_complex(K, fresh(path))
+
+
+def test_read_mesh_never_keeps_a_refusal(tmp_path):
+    good = tmp_path / "good.json"
+    write_complex_json(good, *cone(5))
+    data = complex_to_dict(*cone(5))
+    data["edge_lengths"] = data["edge_lengths"][1:]
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps(data))
+    sliver = tmp_path / "sliver.off"
+    sliver.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n")
+    # The complex builds, then the trailing line is refused, naming the file.
+    trailing = tmp_path / "trailing.off"
+    write_off(trailing, *tetrahedron())
+    trailing.write_text(trailing.read_text() + "1 2 3\n")
+    K = read_mesh(good)
+    for bad, message in ((missing, r"missing edge length for \(0, 1\)"),
+                         (sliver, "triangle 0 is a sliver"),
+                         (trailing, rf"{re.escape(str(trailing))}: 1 line\(s\) after")):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(MeshFormatError, match=message) as refused:
+                read_mesh(bad)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        assert read_mesh(good) is K
+    # The same refused bytes at another path name that path.
+    moved = tmp_path / "moved.off"
+    moved.write_bytes(trailing.read_bytes())
+    with pytest.raises(MeshFormatError, match=rf"{re.escape(str(moved))}: 1 line"):
+        read_mesh(moved)
+    # A good file read after a refusal still builds.
+    other = tmp_path / "other.json"
+    write_complex_json(other, *cone(6))
+    assert read_mesh(other).vertex_count == 7
