@@ -337,12 +337,12 @@ def test_holonomy_after_curvature_of_the_same_mesh_is_unchanged(tmp_path, capsys
     write_complex_json(other, *flat_grid(2, 2))
     sphere = tmp_path / "sphere.off"
     write_off(sphere, *icosphere(1))
-    cases = [(tmp_path / f"cone{k}.json", cone(k), {"around_vertex": 0}, 2 if k == 3 else 0)
-             for k in (3, 5)]
-    cases.append((sphere, None, {"latitude": {"colatitude_deg": 60.0}}, 0))
-    for mesh, parts, loop, curvature_code in cases:
-        if parts is not None:
-            write_complex_json(mesh, *parts)
+    cases = [(sphere, {"latitude": {"colatitude_deg": 60.0}}, 0)]
+    for k in (3, 5):
+        mesh = tmp_path / f"cone{k}.json"
+        write_complex_json(mesh, *cone(k))
+        cases.append((mesh, {"around_vertex": 0}, 2 if k == 3 else 0))
+    for mesh, loop, curvature_code in cases:
         curvature = write_config(tmp_path, "c.json", {"mesh": str(mesh)})
         holonomy = write_config(tmp_path, "h.json", {"mesh": str(mesh), **loop})
         assert main(["curvature", "--config", curvature]) == curvature_code

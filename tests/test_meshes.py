@@ -625,8 +625,9 @@ def test_read_mesh_returns_one_complex_per_suffix_and_text(tmp_path):
         other = tmp_path / "copy" / (path.stem + path.suffix.upper())
         other.write_bytes(path.read_bytes())
         assert read_mesh(other) is K
-        assert_same_complex(K, fresh(path))
-        assert fresh(path) is not K
+        rebuilt = fresh(path)
+        assert rebuilt is not K
+        assert_same_complex(K, rebuilt)
     # One entry: the OFF read replaced the JSON one.
     again = read_mesh(jpath)
     assert again is not K and read_mesh(jpath) is again
