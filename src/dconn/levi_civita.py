@@ -75,7 +75,7 @@ from .errors import (
     NotAFacetError,
     NotClosedError,
 )
-from .lie_group import SO2, GroupElement
+from .lie_group import SO2, GroupElement, exp
 
 # Shared-edge lengths must agree across adjacent triangles to this tolerance.
 CONSISTENCY_TOL = 1.0e-10
@@ -384,10 +384,6 @@ def face_normal(K: MetricComplex, t: int, face: tuple[int, int]) -> np.ndarray:
 # -- the connection ----------------------------------------------------------
 
 
-def _rotation(theta: float) -> GroupElement:
-    return GroupElement(SO2, SO2.exp_matrix(theta), True)
-
-
 def _interior_edge(K: MetricComplex, face: tuple[int, int]) -> int:
     """Edge id of an interior edge, looked up in the sorted edge table."""
     a, b = sorted(face)
@@ -428,7 +424,7 @@ class DualOneForm:
         e = _interior_edge(K, face)
         if sorted((source, target)) != K.edge_faces[e].tolist():
             raise NotAdjacentError(f"edge {face} does not join triangles {source} and {target}")
-        return _rotation(_crossings(K, self, e, source))
+        return exp(SO2, _crossings(K, self, e, source))
 
 
 def connection_form(K: MetricComplex) -> DualOneForm:
@@ -468,7 +464,7 @@ def curvature(K: MetricComplex, A: DualOneForm, hinge: int) -> GroupElement:
         raise BoundaryHingeError(f"vertex {hinge} is not an interior vertex of the complex")
     _check_fans(K, np.array([hinge]))
     corners = K.star_corners[K.star_ptr[hinge]:K.star_ptr[hinge + 1]]
-    return _rotation(_turns(K, A, corners).sum())
+    return exp(SO2, _turns(K, A, corners).sum())
 
 
 def _curvature_angles(K: MetricComplex, A: DualOneForm) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +491,7 @@ def holonomy(K: MetricComplex, A: DualOneForm, loop: Sequence[int]) -> GroupElem
     if outside:
         raise NotAdjacentError(f"triangle {outside[0]} is not in the complex")
     sources, targets = np.array(loop[:-1], dtype=int), np.array(loop[1:], dtype=int)
-    return _rotation(_crossings(K, A, _shared_edges(K, sources, targets), sources).sum())
+    return exp(SO2, _crossings(K, A, _shared_edges(K, sources, targets), sources).sum())
 
 
 def quality_report(K: MetricComplex, A: DualOneForm) -> dict[int, float]:

@@ -8,21 +8,25 @@ float arrays of length ``group.dim``; the kernels return them read-only.
 
 Every group operation has one matrix kernel, a method of ``MatrixGroup``
 on bare arrays (``exp_matrix``, ``log_vector``, ``inverse_matrix``,
-``cayley_matrix``, ``adjoint_matrix``; the product is ``@``).  The
-module-level functions wrap them for ``GroupElement``s; hot loops elsewhere
-in the package call the kernels directly.  The SO(3) and SE(3) kernels are
-closed forms on Python floats: one ``tolist`` in, one array out.  No
-group's Cayley map solves a linear system.  Coefficients that cancel at
-small angles, (1 - cos t)/t^2 and the t^2-order coefficient of SE(3)'s V^-1,
-are evaluated in half angles, so exp and log keep roundoff accuracy there.
+``cayley_matrix``, ``adjoint_matrix``; the product is ``@``), and all but
+the adjoint have a batched twin over stacks (``exp_matrices``,
+``cayley_matrices``, ``log_vectors``, ``inverse_matrices``).  The
+module-level functions wrap the kernels for ``GroupElement``s; hot loops
+elsewhere in the package call the kernels directly.  No group's Cayley map
+solves a linear system.  Coefficients that cancel at small angles,
+(1 - cos t)/t^2 and the t^2-order coefficient of SE(3)'s V^-1, are
+evaluated in half angles, so exp and log keep roundoff accuracy there.
 
-Beside the scalar kernels sit batched ones over stacks (``exp_matrices``,
-``cayley_matrices``, ``log_vectors``, ``inverse_matrices``).  They are the
-same closed forms: the entry formulas and the angle coefficients are each
-written once and run on floats or on (n,) arrays of entries.  On arrays,
-every sin, tan, acos and power is libm's, mapped over the rows in one
-C-level loop, and each series branch is a mask over safe values, so every
-row equals the scalar kernel's result bit for bit with no Python per row.
+SO(2) and R^n write each kernel once, batched: ``MatrixGroup``'s
+per-element kernel is the one-row case of its twin.  SO(3) and SE(3)
+override the per-element kernels with closed forms on Python floats (one
+``tolist`` in, one array out), because Newton iterates and per-pair reps
+call them one element at a time.  Their batched twins are the same closed
+forms: the entry formulas and the angle coefficients are each written once
+and run on floats or on (n,) arrays of entries.  On arrays, every sin, tan,
+acos and power is libm's, mapped over the rows in one C-level loop, and
+each series branch is a mask over safe values, so every row equals the
+float kernel's result bit for bit with no Python per row.
 
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
@@ -30,6 +34,8 @@ Conventions:
     translation.  Elements are 4x4 homogeneous matrices.
   * Logarithms are principal: the rotation angle must stay strictly below
     pi, enforced with a 1e-6 safety margin (``CutLocusError`` otherwise).
+    Short of the margin the SO(3)/SE(3) log loses precision, about
+    1e-16/d^2 at angle pi - d, without raising.
 """
 
 from __future__ import annotations
@@ -101,7 +107,7 @@ def _libm_pow(x: np.ndarray, y: float) -> np.ndarray:
 # (_FLOATS) or on an (n,) array of them (_ROWS).  Both take every
 # transcendental and power from libm: numpy's own sin, arccos, tan and power
 # differ from libm's in the last place on a share of inputs, and so would the
-# batched kernels' rows from the scalar kernels.  On rows a branch is a mask,
+# batched kernels' rows from the float kernels.  On rows a branch is a mask,
 # and both sides are evaluated on safe values.
 _FLOATS = SimpleNamespace(sin=math.sin, tan=math.tan, acos=math.acos, pow=math.pow,
                           fmin=min, fmax=max, any=bool,
@@ -186,17 +192,6 @@ def _cayley_scale(x, y, z):
     return 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
 
 
-def _so2_cayley(t):
-    """cos and sin of the SO(2) Cayley rotation by 2 atan(t/2).
-
-    They are (1 - t^2/4)/(1 + t^2/4) and t/(1 + t^2/4), for a float t or an
-    (n,) array of them.
-    """
-    q = 0.25 * t * t
-    d = 1.0 / (1.0 + q)
-    return (1.0 - q) * d, t * d
-
-
 def _log_angle(c, m=_FLOATS) -> tuple:
     """The angle t of a rotation with (tr R - 1)/2 = c, and t/sin(t).
 
@@ -251,7 +246,14 @@ def _columns(matrices: np.ndarray) -> np.ndarray:
 
 
 class MatrixGroup:
-    """A matrix Lie group with a fixed algebra basis and closed-form kernels."""
+    """A matrix Lie group with a fixed algebra basis and closed-form kernels.
+
+    A group defines the batched kernels; the per-element ``exp_matrix``,
+    ``log_vector``, ``inverse_matrix`` and ``cayley_matrix`` default to
+    their one-row case, which SO(2) and R^n use.  SO(3) and SE(3) override
+    them with float closed forms whose results the batched rows equal bit
+    for bit.
+    """
 
     name: str
     dim: int
@@ -267,14 +269,16 @@ class MatrixGroup:
         raise NotImplementedError
 
     def exp_matrix(self, vector: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """The group exponential of algebra coordinates (ValueError on a wrong length)."""
+        return self.exp_matrices(np.asarray(vector, dtype=float).reshape(1, self.dim))[0]
 
     def log_vector(self, matrix: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """The principal log in algebra coordinates (CutLocusError past the cut)."""
+        return self.log_vectors(matrix[None])[0]
 
     def inverse_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """The inverse of a group matrix, from the group's block structure."""
-        raise NotImplementedError
+        return self.inverse_matrices(matrix[None])[0]
 
     def adjoint_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Ad_g in algebra coordinates, for the element g with this matrix."""
@@ -282,7 +286,7 @@ class MatrixGroup:
 
     def cayley_matrix(self, vector: np.ndarray) -> np.ndarray:
         """(I - xi/2)^-1 (I + xi/2) for xi = hat(vector), in closed form."""
-        raise NotImplementedError
+        return self.cayley_matrices(np.asarray(vector, dtype=float).reshape(1, self.dim))[0]
 
     def exp_matrices(self, vectors: np.ndarray) -> np.ndarray:
         """exp_matrix of each row of an (n, dim) array, as an (n, k, k) stack."""
@@ -354,21 +358,6 @@ class _SO2(MatrixGroup):
     def vee(self, matrix):
         return np.array([matrix[1, 0]])
 
-    def exp_matrix(self, vector):
-        (t,) = np.asarray(vector, dtype=float).reshape(1)
-        c, s = np.cos(t), np.sin(t)
-        return np.array([[c, -s], [s, c]])
-
-    def log_vector(self, matrix):
-        t = np.arctan2(matrix[1, 0], matrix[0, 0])
-        if not abs(t) < np.pi - _CUT_MARGIN:  # a NaN angle is refused too
-            raise CutLocusError(f"SO2: rotation angle {t:.8f} within 1e-6 of pi")
-        return np.array([t])
-
-    def inverse_matrix(self, matrix):
-        # A transposed view of a read-only matrix is itself read-only.
-        return matrix.T
-
     def exp_matrices(self, vectors):
         t = np.asarray(vectors, dtype=float).reshape(-1)
         c, s = np.cos(t), np.sin(t)
@@ -388,14 +377,12 @@ class _SO2(MatrixGroup):
     def adjoint_matrix(self, matrix):
         return _EYE1
 
-    def cayley_matrix(self, vector):
-        (t,) = np.asarray(vector, dtype=float).reshape(1).tolist()
-        c, s = _so2_cayley(t)
-        return np.array([[c, -s], [s, c]])
-
     def cayley_matrices(self, vectors):
+        # The rotation by 2 atan(t/2): cos (1 - t^2/4)/(1 + t^2/4), sin t/(1 + t^2/4).
         t = np.asarray(vectors, dtype=float).reshape(-1)
-        c, s = _so2_cayley(t)
+        q = 0.25 * t * t
+        d = 1.0 / (1.0 + q)
+        c, s = (1.0 - q) * d, t * d
         return _stacked((c, -s, s, c), len(t), 2)
 
     def _check_structure(self, m, tol):
@@ -570,17 +557,6 @@ class _Translation(MatrixGroup):
     def vee(self, matrix):
         return np.array(matrix[:-1, -1])
 
-    def exp_matrix(self, vector):
-        # hat(v) is nilpotent of index 2, so exp is I + hat(v).
-        return self._eye + self.hat(vector)
-
-    def log_vector(self, matrix):
-        return self.vee(matrix)
-
-    def inverse_matrix(self, matrix):
-        # I + hat(v) inverts to I - hat(v).
-        return 2.0 * self._eye - matrix
-
     def exp_matrices(self, vectors):
         v = np.asarray(vectors, dtype=float).reshape(-1, self.dim)
         hats = np.zeros((len(v), self.matrix_size, self.matrix_size))
@@ -595,10 +571,6 @@ class _Translation(MatrixGroup):
 
     def adjoint_matrix(self, matrix):
         return self._ad
-
-    def cayley_matrix(self, vector):
-        # (I - hat(v)/2)^-1 = I + hat(v)/2 by nilpotency, so Cayley is exp.
-        return self.exp_matrix(vector)
 
     def cayley_matrices(self, vectors):
         return self.exp_matrices(vectors)

@@ -160,7 +160,8 @@ def _local_rep(a: ContinuousConnection, kernel: Callable[[np.ndarray], np.ndarra
     and one batched kernel call.  Both reps take their steps from ``steps``,
     where each row's a(x0)(x1 - x0) is its own matrix-vector product, so a
     stacked row equals the per-pair rep bit for bit.  The per-pair rep keeps
-    the scalar kernel, which costs a fraction of a one-row batched call.
+    the per-element kernel, on SO(3)/SE(3) a float closed form that costs a
+    fraction of a one-row batched call.
     """
 
     def steps(x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:

@@ -357,26 +357,16 @@ def se3_extract(m: np.ndarray) -> np.ndarray:
     return np.array(((r21 - r12) / 2.0, (r02 - r20) / 2.0, (r10 - r01) / 2.0, p0, p1, p2))
 
 
-def se3_extract_d2(m: np.ndarray) -> np.ndarray:
-    """Derivative of se3_extract under M exp(t hat(delta)): columns over the basis.
-
-    se3_extract is linear, so column i is se3_extract(M hat(e_i)); the
-    columns assemble to [[(tr(R) I - R^T)/2, 0], [0, R]].
-    """
-    return _se3_extract_jacobians(m)[1]
-
-
-def se3_extract_d1(m: np.ndarray) -> np.ndarray:
-    """Derivative of se3_extract under exp(-t hat(delta)) M: columns over the basis.
-
-    Column i is se3_extract(-hat(e_i) M); the columns assemble to
-    [[(R - tr(R) I)/2, 0], [hat(p), -I]].
-    """
-    return _se3_extract_jacobians(m)[0]
-
-
 def _se3_extract_jacobians(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(se3_extract_d1(m), se3_extract_d2(m)), from one read of R and its trace."""
+    """(d1, d2): the derivatives of se3_extract under exp(-t hat(delta)) M and
+    under M exp(t hat(delta)), as columns over the basis, from one read of R
+    and its trace.
+
+    se3_extract is linear, so column i of d1 is se3_extract(-hat(e_i) M) and
+    of d2 se3_extract(M hat(e_i)); they assemble to
+    d1 = [[(R - tr(R) I)/2, 0], [hat(p), -I]] and
+    d2 = [[(tr(R) I - R^T)/2, 0], [0, R]].
+    """
     r = m[:3, :3]
     trace_eye = np.trace(r) * SO3.identity_matrix()
     d1, d2 = np.zeros((6, 6)), np.zeros((6, 6))
@@ -389,7 +379,8 @@ def _se3_extract_jacobians(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _se3_extract_d1_derivative(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Jacobian of se3_extract_d1(M)^T w under M exp(t hat(delta)), w held fixed.
+    """Jacobian of d1(M)^T w under M exp(t hat(delta)), w held fixed, with d1
+    the first of _se3_extract_jacobians(M).
 
     Column j is the w-pairing of se3_extract(-hat(e_i) M hat(e_j)) over i:
     [[(omega s^T + hat(R^T omega))/2, hat(v) R], [0, 0]] with w = (omega, v)

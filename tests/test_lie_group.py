@@ -102,6 +102,14 @@ def test_exp_small_angle_branch():
         assert np.max(np.abs(got - series_exp(group.hat(v)))) < 1e-15
 
 
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("kernel", ["exp_matrix", "cayley_matrix"])
+def test_per_element_kernels_refuse_a_stack_of_vectors(group, kernel):
+    # 2 dim coordinates would be two rows to the batched kernel, not one element.
+    with pytest.raises(ValueError):
+        getattr(group, kernel)(np.zeros(2 * group.dim))
+
+
 # -- compose / inverse --------------------------------------------------------
 
 

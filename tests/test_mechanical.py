@@ -40,8 +40,6 @@ from dconn.presets import (
     dexpinv_so3,
     free_particle,
     se3_coupled,
-    se3_extract_d1,
-    se3_extract_d2,
     so3_coupled,
     so3_pure,
 )
@@ -640,8 +638,8 @@ def test_log_chart_jacobians_are_the_two_dexpinv_calls_bit_for_bit(lam):
 def test_extract_chart_jacobians_are_the_two_extract_derivatives_bit_for_bit(xi):
     m = lg.exp(SE3, xi).matrix
     d1, d2 = presets._se3_extract_jacobians(m)
-    assert d1.tobytes() == se3_extract_d1(m).tobytes() == reference_extract_d1(m).tobytes()
-    assert d2.tobytes() == se3_extract_d2(m).tobytes() == reference_extract_d2(m).tobytes()
+    assert d1.tobytes() == reference_extract_d1(m).tobytes()
+    assert d2.tobytes() == reference_extract_d2(m).tobytes()
 
 
 def reference_dexpinv_transpose_derivative(lam, w):
