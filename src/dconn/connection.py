@@ -3,8 +3,8 @@
 A discrete connection assigns to nearby configuration pairs a group
 element splitting each pair into a vertical factor and a horizontal
 remainder.  It is stored through its local representation, a map
-A(x0, x1) on shape pairs with A(x, x) = e; the full form on bundle pairs
-is
+A(x0, x1) on shape pairs with A(x, x) = e, taken over a stack of pairs
+at once; the full form on bundle pairs is
 
     form((x0, g0), (x1, g1)) = g1 A(x0, x1) g0^-1,
 
@@ -51,39 +51,38 @@ VALIDITY_RADIUS = 0.5
 class DiscreteConnection:
     """A discrete connection, stored via its local representation.
 
-    ``local_rep(x0, x1)`` must return A(x0, x1) as a read-only matrix of
-    ``bundle.group``, the identity matrix when x0 = x1; it is only trusted
+    ``local_reps(x0s, x1s)`` is A over the rows of two coordinate arrays that
+    broadcast, each (shape_dim,) or (n, shape_dim): an (n, k, k) read-only
+    stack of matrices of ``bundle.group``, whose row i is A on the i-th pair
+    and the identity matrix where the pair's points agree.  A is only trusted
     for shape pairs within VALIDITY_RADIUS of each other.
-
-    ``local_reps(x0s, x1s)``, when given, is the same map over the rows of two
-    coordinate arrays that broadcast, each (shape_dim,) or (n, shape_dim): an
-    (n, k, k) read-only stack whose row i equals ``local_rep`` on the i-th pair
-    bit for bit.  The continuous families and their adjoints have one; order
-    sweeps use it to take all their local representations in one call.
     """
 
     bundle: Bundle
-    local_rep: Callable[[ShapePoint, ShapePoint], np.ndarray]
-    local_reps: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    local_reps: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def local_rep(self, x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
+        """A(x0, x1): the one-row case of ``local_reps``."""
+        return self.local_reps(x0.coords, x1.coords[None])[0]
+
+
+def _broadcast_rows(x0s: np.ndarray, x1s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The arguments of ``local_reps`` broadcast to two (n, shape_dim) arrays."""
+    return np.broadcast_arrays(np.atleast_2d(x0s), np.atleast_2d(x1s))
 
 
 def trivial_connection(bundle: Bundle) -> DiscreteConnection:
     """The connection whose local representation is identically e."""
-    return DiscreteConnection(bundle, lambda x0, x1: bundle.group.identity_matrix())
+    eye = bundle.group.identity_matrix()
+    return DiscreteConnection(bundle, lambda x0s, x1s: np.broadcast_to(
+        eye, (len(_broadcast_rows(x0s, x1s)[0]),) + eye.shape))
 
 
 def adjoint(c: DiscreteConnection) -> DiscreteConnection:
-    """A*(x0, x1) = A(x1, x0)^-1, a discrete connection with c's continuous limit;
-    stacked, from c's stacked rep with the endpoints as bases, when c is."""
-    inverse, inverses = c.bundle.group.inverse_matrix, c.bundle.group.inverse_matrices
-
-    def rep(x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
-        return _frozen(inverse(c.local_rep(x1, x0)))
-
-    def reps(x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:
-        return _frozen(inverses(c.local_reps(x1s, x0s)))
-
-    return DiscreteConnection(c.bundle, rep, None if c.local_reps is None else reps)
+    """A*(x0, x1) = A(x1, x0)^-1, a discrete connection with c's continuous limit,
+    from c's local representations with the endpoints as bases."""
+    inverses = c.bundle.group.inverse_matrices
+    return DiscreteConnection(c.bundle, lambda x0s, x1s: _frozen(inverses(c.local_reps(x1s, x0s))))
 
 
 def _check_distance(d: float) -> None:

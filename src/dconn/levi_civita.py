@@ -351,9 +351,16 @@ def _edge_directions(corner_angles: np.ndarray) -> np.ndarray:
     return np.stack([np.zeros_like(a0), np.pi - a1, a0 - np.pi], axis=-1)
 
 
+def _triangle(K: MetricComplex, t: int) -> list[int]:
+    """The vertices of triangle t; NotAFacetError unless 0 <= t < K's triangle count."""
+    if not 0 <= t < len(K.triangles):
+        raise NotAFacetError(f"triangle {t} is not in the complex")
+    return K.triangles[t].tolist()
+
+
 def corner_angle(K: MetricComplex, t: int, v: int) -> float:
     """Interior angle of triangle t at vertex v, measured in t's metric."""
-    tri = K.triangles[t].tolist()
+    tri = _triangle(K, t)
     if v not in tri:
         raise NotAFacetError(f"vertex {v} is not in triangle {t}")
     return float(K.corner_angles[t, tri.index(v)])
@@ -373,7 +380,7 @@ def face_normal(K: MetricComplex, t: int, face: tuple[int, int]) -> np.ndarray:
     is the direction of the edge, as the triangle traverses it, turned by
     -pi/2.
     """
-    tri = K.triangles[t].tolist()
+    tri = _triangle(K, t)
     if face[0] not in tri or face[1] not in tri or face[0] == face[1]:
         raise NotAFacetError(f"edge {face} is not a facet of triangle {t}")
     i, j = tri.index(face[0]), tri.index(face[1])

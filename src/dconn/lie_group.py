@@ -17,16 +17,16 @@ solves a linear system.  Coefficients that cancel at small angles,
 (1 - cos t)/t^2 and the t^2-order coefficient of SE(3)'s V^-1, are
 evaluated in half angles, so exp and log keep roundoff accuracy there.
 
-SO(2) and R^n write each kernel once, batched: ``MatrixGroup``'s
-per-element kernel is the one-row case of its twin.  SO(3) and SE(3)
-override the per-element kernels with closed forms on Python floats (one
-``tolist`` in, one array out), because Newton iterates and per-pair reps
-call them one element at a time.  Their batched twins are the same closed
-forms: the entry formulas and the angle coefficients are each written once
-and run on floats or on (n,) arrays of entries.  On arrays, every sin, tan,
-acos and power is libm's, mapped over the rows in one C-level loop, and
-each series branch is a mask over safe values, so every row equals the
-float kernel's result bit for bit with no Python per row.
+Each kernel is written once, batched: ``MatrixGroup``'s per-element
+kernel is the one-row case of its twin.  Only SO(3) and SE(3) keep exp,
+log and inverse also as closed forms on Python floats (one ``tolist`` in,
+one array out), because Newton iterates and ``bundle.shift`` call them one
+element at a time; Cayley has no float form.  Their batched twins are the
+same closed forms: the entry formulas and the angle coefficients are each
+written once and run on floats or on (n,) arrays of entries.  On arrays,
+every sin, tan, acos and power is libm's, mapped over the rows in one
+C-level loop, and each series branch is a mask over safe values, so every
+row equals the float kernel's result bit for bit with no Python per row.
 
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
@@ -185,10 +185,8 @@ def _se3_entries(x, y, z, v, a, b, p, q) -> tuple:
 
 
 def _cayley_scale(x, y, z):
-    """d = 1/(1 + |w|^2/4) of the SO(3) and SE(3) Cayley maps, for w = (x, y, z).
-
-    The arguments are floats, or (n,) arrays for n maps at once.
-    """
+    """d = 1/(1 + |w|^2/4) of the SO(3) and SE(3) Cayley maps, for the (n,)
+    arrays w = (x, y, z) of n maps."""
     return 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
 
 
@@ -250,9 +248,8 @@ class MatrixGroup:
 
     A group defines the batched kernels; the per-element ``exp_matrix``,
     ``log_vector``, ``inverse_matrix`` and ``cayley_matrix`` default to
-    their one-row case, which SO(2) and R^n use.  SO(3) and SE(3) override
-    them with float closed forms whose results the batched rows equal bit
-    for bit.
+    their one-row case.  SO(3) and SE(3) override exp, log and inverse with
+    float closed forms whose results the batched rows equal bit for bit.
     """
 
     name: str
@@ -438,13 +435,8 @@ class _SO3(MatrixGroup):
     def adjoint_matrix(self, matrix):
         return matrix
 
-    def cayley_matrix(self, vector):
-        # I + d (K + K^2/2) with d = 1/(1 + |w|^2/4).
-        x, y, z = np.asarray(vector, dtype=float).reshape(3).tolist()
-        d = _cayley_scale(x, y, z)
-        return np.array(_rotation(x, y, z, d, 0.5 * d)).reshape(3, 3)
-
     def cayley_matrices(self, vectors):
+        # I + d (K + K^2/2) with d = 1/(1 + |w|^2/4).
         v = np.asarray(vectors, dtype=float).reshape(-1, 3)
         x, y, z = v.T
         d = _cayley_scale(x, y, z)
@@ -518,13 +510,8 @@ class _SE3(MatrixGroup):
             m20, m21, m22, r20, r21, r22,
         ]).reshape(6, 6))
 
-    def cayley_matrix(self, vector):
-        # The SO(3) Cayley rotation; translation (I - K/2)^-1 v = v + d (K v/2 + K^2 v/4).
-        x, y, z, *v = np.asarray(vector, dtype=float).reshape(6).tolist()
-        d = _cayley_scale(x, y, z)
-        return np.array(_se3_entries(x, y, z, v, d, 0.5 * d, 0.5 * d, 0.25 * d)).reshape(4, 4)
-
     def cayley_matrices(self, vectors):
+        # The SO(3) Cayley rotation; translation (I - K/2)^-1 v = v + d (K v/2 + K^2 v/4).
         v = np.asarray(vectors, dtype=float).reshape(-1, 6)
         x, y, z, *u = v.T
         d = _cayley_scale(x, y, z)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lie_group as lg
-from .bundle import Bundle, BundlePoint, PairElement, ShapePoint, shift
+from .bundle import Bundle, BundlePoint, PairElement, shift
 from .connection import (
     VALIDITY_RADIUS,
     DiscreteConnection,
@@ -145,48 +145,34 @@ def induced_continuous(c: DiscreteConnection, q: BundlePoint, v,
     return derivative_at_zero(sample, h_list)
 
 
-def _local_rep(a: ContinuousConnection, kernel: Callable[[np.ndarray], np.ndarray],
-               kernels: Callable[[np.ndarray], np.ndarray]) -> tuple[Callable, Callable]:
-    """The per-pair and the stacked local representation of a discretized one-form.
+def _local_rep(a: ContinuousConnection, kernels: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """The local representation of a discretized one-form.
 
-    A(x0, x1) is ``kernel`` of the one-form on the chart log of
-    ((x0, e), (x1, e)).  That chart log is the tangent (x1 - x0, 0) at
-    (x0, e), where the one-form is a(x0)(x1 - x0).  ``kernel`` is the bundle
-    group's ``exp_matrix`` or ``cayley_matrix``, and ``kernels`` its batched twin.
-
-    The stacked rep takes bases and endpoints as coordinate arrays that
-    broadcast, each (shape_dim,) or (n, shape_dim), and returns the n
-    matrices as one read-only stack, from one coefficient call on the bases
-    and one batched kernel call.  Both reps take their steps from ``steps``,
-    where each row's a(x0)(x1 - x0) is its own matrix-vector product, so a
-    stacked row equals the per-pair rep bit for bit.  The per-pair rep keeps
-    the per-element kernel, on SO(3)/SE(3) a float closed form that costs a
-    fraction of a one-row batched call.
+    A(x0, x1) is the bundle group's ``exp_matrices`` or ``cayley_matrices``
+    (``kernels``) of the one-form on the chart log of ((x0, e), (x1, e)).
+    That chart log is the tangent (x1 - x0, 0) at (x0, e), where the one-form
+    is a(x0)(x1 - x0).  Bases and endpoints are coordinate arrays that
+    broadcast, each (shape_dim,) or (n, shape_dim); the n matrices come as
+    one read-only stack, from one coefficient call on the bases and one
+    kernel call.  Each row's a(x0)(x1 - x0) is its own matrix-vector
+    product, so a row does not depend on the others.
     """
 
-    def steps(x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:
-        return np.matmul(_coefficients(a, x0s), (x1s - x0s)[..., None])[..., 0]
-
-    def rep(x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
-        return _frozen(kernel(steps(x0.coords, x1.coords[None])[0]))
-
     def reps(x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:
-        return _frozen(kernels(steps(x0s, x1s)))
+        return _frozen(kernels(np.matmul(_coefficients(a, x0s), (x1s - x0s)[..., None])[..., 0]))
 
-    return rep, reps
+    return reps
 
 
 def exponentiated_connection(a: ContinuousConnection) -> DiscreteConnection:
     """The discrete connection exp(one_form(chart_pair_log)), stored via its local rep."""
-    return DiscreteConnection(a.bundle, *_local_rep(a, a.bundle.group.exp_matrix,
-                                                     a.bundle.group.exp_matrices))
+    return DiscreteConnection(a.bundle, _local_rep(a, a.bundle.group.exp_matrices))
 
 
 def cayley_connection(a: ContinuousConnection) -> DiscreteConnection:
     """Cayley counterpart of exponentiated_connection: first order, like it, against
     exact horizontal transport, and second order relative to exponentiated_connection."""
-    return DiscreteConnection(a.bundle, *_local_rep(a, a.bundle.group.cayley_matrix,
-                                                     a.bundle.group.cayley_matrices))
+    return DiscreteConnection(a.bundle, _local_rep(a, a.bundle.group.cayley_matrices))
 
 
 def endpoint_connection(a: ContinuousConnection) -> DiscreteConnection:
@@ -221,13 +207,6 @@ class OrderEstimate:
     exact_match: bool = False
 
 
-def _reps(c: DiscreteConnection, x0: ShapePoint, x1s: np.ndarray) -> np.ndarray:
-    """c's A(x0, x1) for each row x1 of x1s, as one (n, k, k) stack."""
-    if c.local_reps is not None:
-        return c.local_reps(x0.coords, x1s)
-    return np.array([c.local_rep(x0, ShapePoint(x)) for x in x1s])
-
-
 def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
                    q: BundlePoint, directions: np.ndarray,
                    h_list: Sequence[float]) -> OrderEstimate:
@@ -246,11 +225,11 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     it computes: one domain check over the whole sweep raises for the first
     sample past VALIDITY_RADIUS before any local representation is taken.
     Then each stage is one array operation over the sweep: the endpoints,
-    each connection's local representations (one ``local_reps`` call, or
-    ``local_rep`` sample by sample when it has none), both forms, the errors
-    and their logs and norms.  So a failing sweep raises the domain check's
-    OutOfDomainError, else exact's first failing sample, else candidate's,
-    else the error log's CutLocusError for its first sample past the cut.
+    each connection's local representations (one ``local_reps`` call each),
+    both forms, the errors and their logs and norms.  So a failing sweep
+    raises the domain check's OutOfDomainError, else exact's first failing
+    sample, else candidate's, else the error log's CutLocusError for its
+    first sample past the cut.
     """
     hs = _validate_h_list(h_list)
     if hs[0] / hs[-1] < 10.0:
@@ -280,7 +259,7 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
         _check_distance(float(distances[np.argmax(outside)]))
     etas = (steps * d[:, s:]).reshape(total, group.dim)
     g1s = (q.fiber.matrix @ group.exp_matrices(etas))[:, None]
-    reps = np.stack([_reps(exact, x0, x1s), _reps(candidate, x0, x1s)], 1)
+    reps = np.stack([exact.local_reps(x0.coords, x1s), candidate.local_reps(x0.coords, x1s)], 1)
     forms = _form_product(g1s, reps, group.inverse_matrix(q.fiber.matrix))
     errors = _norms(group.log_vectors(forms[:, 0] @ group.inverse_matrices(forms[:, 1])))
     rows = [tuple(row) for row in errors.reshape(len(hs), len(d)).tolist()]

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint, shift
-from .connection import DiscreteConnection
+from .connection import DiscreteConnection, _broadcast_rows
 from .errors import CutLocusError, NonDegenerateError, SolverDivergedError
-from .lie_group import GroupElement
+from .lie_group import GroupElement, _frozen
 from .limits import derivative_at_zero
 
 NEWTON_TOL = 1.0e-12
@@ -233,15 +233,25 @@ def mechanical_discrete_connection(L: DiscreteLagrangian) -> DiscreteConnection:
 
     Each value costs a Newton solve, so the local representation keeps the
     read-only matrix of every value it has solved, keyed by the shape pair.
+    A stack of pairs is solved row by row, in row order, so a failing stack
+    raises the error of its first failing row.
     """
     solved: dict[tuple[bytes, bytes], np.ndarray] = {}
 
-    def rep(x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
-        key = (x0.coords.tobytes(), x1.coords.tobytes())
+    def solve(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+        key = (x0.tobytes(), x1.tobytes())
         if key not in solved:
             e = lg.identity(L.bundle.group)
-            p = PairElement(BundlePoint(x0, e), BundlePoint(x1, e))
+            p = PairElement(BundlePoint(ShapePoint(x0), e), BundlePoint(ShapePoint(x1), e))
             solved[key] = mechanical_connection(L, p).matrix
         return solved[key]
 
-    return DiscreteConnection(L.bundle, rep)
+    def reps(x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:
+        x0s, x1s = _broadcast_rows(x0s, x1s)
+        k = L.bundle.group.matrix_size
+        out = np.empty((len(x0s), k, k))
+        for i, (x0, x1) in enumerate(zip(x0s, x1s)):
+            out[i] = solve(x0, x1)
+        return _frozen(out)
+
+    return DiscreteConnection(L.bundle, reps)

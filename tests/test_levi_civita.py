@@ -125,6 +125,17 @@ def test_face_normal_rejects_non_facets():
         face_normal(K, 0, outside)
 
 
+def test_triangle_indices_outside_the_complex_are_refused():
+    # -1 would wrap to the last triangle, F and beyond would leave the table.
+    K = build(cone(5))
+    f = len(K.triangles)
+    for t in (-1, f, f + 10):
+        with pytest.raises(NotAFacetError, match=f"triangle {t} is not in the complex"):
+            corner_angle(K, t, 0)
+        with pytest.raises(NotAFacetError, match=f"triangle {t} is not in the complex"):
+            face_normal(K, t, (0, 1))
+
+
 # -- frames and the connection ----------------------------------------------
 
 

@@ -355,17 +355,14 @@ def test_a_field_returning_a_non_contiguous_stack_gives_the_contiguous_reps(fixt
 
 def test_a_point_wise_field_is_refused_on_the_forward_difference_paths():
     # On a stack of bases, k + x[0] broadcasts to one (3, 2) matrix instead of
-    # one per base.  The per-pair rep hands the field one point, so there a
-    # point-wise field gives exp(a(x1)(x1 - x0)).
+    # one per base.  The per-pair rep hands the field its base as a one-row stack.
     k = np.arange(6.0).reshape(3, 2)
     a = ContinuousConnection(Bundle(SO3, 2), lambda x: 0.1 * (k + x[0]))
     c = endpoint_connection(a)
     x0 = ShapePoint([0.1, -0.2])
     x1s = x0.coords + np.array([[0.05, 0.0], [0.0, 0.05]])
-    x1 = ShapePoint(x1s[0])
-    assert np.array_equal(c.local_rep(x0, x1),
-                          SO3.inverse_matrix(SO3.exp_matrix(a.coefficient(x1.coords)
-                                                            @ (x0.coords - x1.coords))))
+    with pytest.raises(ShapeMismatchError, match=r"returned shape \(3, 2\), not \(1, 3, 2\)"):
+        c.local_rep(x0, ShapePoint(x1s[0]))
     with pytest.raises(ShapeMismatchError, match=r"returned shape \(3, 2\), not \(2, 3, 2\)"):
         c.local_reps(x0.coords, x1s)
     q = Bundle(SO3, 2).point(x0.coords, np.eye(3))
@@ -568,17 +565,20 @@ def test_stacked_sweep_matches_the_per_sample_loop(candidate, reference):
 def _trap(name, cut_at, fail_at, calls):
     """An SO(3) connection over the plane whose local representation is e up to
     chart distance cut_at, a rotation within 1e-7 of pi beyond it, and a
-    Newton failure beyond fail_at; it records each call."""
+    Newton failure beyond fail_at; it records each row it takes, in order."""
     half_turn = lg.exp(SO3, [0.0, 0.0, math.pi - 1e-7]).matrix
 
-    def rep(x0, x1):
-        calls.append((name, x1.coords.tobytes()))
-        d = bd.chart_distance(x0, x1)
-        if d > fail_at:
-            raise SolverDivergedError(f"{name} stalled at distance {d:.6f}")
-        return half_turn if d > cut_at else SO3.identity_matrix()
+    def reps(x0s, x1s):
+        out = []
+        for x0, x1 in zip(np.broadcast_to(x0s, x1s.shape), x1s):
+            calls.append((name, x1.tobytes()))
+            d = bd.chart_distance(ShapePoint(x0), ShapePoint(x1))
+            if d > fail_at:
+                raise SolverDivergedError(f"{name} stalled at distance {d:.6f}")
+            out.append(half_turn if d > cut_at else SO3.identity_matrix())
+        return np.array(out)
 
-    return DiscreteConnection(Bundle(SO3, 2), rep)
+    return DiscreteConnection(Bundle(SO3, 2), reps)
 
 
 def _outcome(fn):
@@ -639,26 +639,32 @@ def test_failing_sweeps_check_then_compute():
                     "SolverDivergedError:candidate": 6, "CutLocusError": 2}
 
 
-@pytest.mark.parametrize("fixture", ["so3_mechanical", "se3_mechanical", "abelian"])
-@CONTINUOUS_BUILDS
-def test_continuous_sweeps_take_one_stacked_call_per_connection(fixture, build):
+# Each continuous fixture's group, with the Lagrangian fixture on its bundle.
+SWEEP_BUNDLES = {"so3_mechanical": ("SO3", "so3_coupled"),
+                 "se3_mechanical": ("SE3", "se3_coupled"), "abelian": ("T1", "free_particle")}
+
+
+@pytest.mark.parametrize("fixture", sorted(SWEEP_BUNDLES))
+@pytest.mark.parametrize("kind", ["exponentiated", "cayley", "forward_difference", "trivial",
+                                  "mechanical"])
+def test_sweeps_take_one_stacked_call_per_connection(fixture, kind):
     a = CONTINUOUS_FIXTURES[fixture]()
+    group, lagrangian = SWEEP_BUNDLES[fixture]
+    family = {"trivial": "trivial",
+              "mechanical": f"mechanical:{lagrangian}"}.get(kind, f"{kind}:{fixture}")
     calls = []
 
     def counted(c, name):
-        def per_pair(x0, x1):
-            calls.append(f"{name}.local_rep")
-            return c.local_rep(x0, x1)
-
         def stacked(x0s, x1s):
             calls.append(f"{name}.local_reps({len(x1s)})")
             return c.local_reps(x0s, x1s)
 
-        return dataclasses.replace(c, local_rep=per_pair, local_reps=stacked)
+        return dataclasses.replace(c, local_reps=stacked)
 
     q = default_pair(a.bundle).first
     dirs = unit_directions(a.bundle, count=8)
-    estimate_order(counted(build(a), "candidate"), counted(exponentiated_connection(a), "exact"),
+    candidate = resolve_connection(family, group, a.bundle.shape_dim)
+    estimate_order(counted(candidate, "candidate"), counted(exponentiated_connection(a), "exact"),
                    q, dirs, [1e-1, 3e-2, 1e-2])
     assert calls == ["exact.local_reps(24)", "candidate.local_reps(24)"]
 

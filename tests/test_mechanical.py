@@ -578,6 +578,27 @@ def test_mechanical_discrete_connection_solves_each_shape_pair_once(g0, g1):
     assert np.array_equal(w.matrix, want.matrix)
 
 
+def test_a_failing_stack_raises_its_first_failing_row_after_solving_the_rows_before_it():
+    # Rows 2 and 3 both fail; row 2's error is raised and rows 3 and 4 are never solved.
+    tried = []
+
+    def failing(L, p):
+        x1 = p.second.shape.coords
+        tried.append(x1.tolist())
+        if x1[0] > 0.3:
+            raise SolverDivergedError(f"stalled at x1 = {x1[0]:.2f}")
+        return mechanical_connection(L, p)
+
+    c = mechanical_discrete_connection(so3_coupled())
+    x0 = np.array([0.1, -0.2])
+    x1s = x0 + np.array([[0.0, 0.1], [0.1, 0.0], [0.25, 0.0], [0.3, 0.0], [0.05, 0.0]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanical, "mechanical_connection", failing)
+        with pytest.raises(SolverDivergedError, match=r"stalled at x1 = 0\.35$"):
+            c.local_reps(x0, x1s)
+    assert tried == x1s[:3].tolist()
+
+
 @MECHANICS
 @given(short_pairs(so3_coupled().bundle, fiber=0.0))
 def test_mechanical_discrete_connection_matches_pointwise_solve(p):

@@ -8,6 +8,7 @@ Hypothesis runs derandomized, so every run draws the same examples.
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,7 +44,12 @@ from dconn.levi_civita import (
 )
 from dconn.lie_group import SE3, SO2, SO3, translation_group
 from dconn.limits import exponentiated_connection, induced_continuous
-from dconn.mechanical import del_step, del_trajectory, mechanical_discrete_connection
+from dconn.mechanical import (
+    del_step,
+    del_trajectory,
+    mechanical_connection,
+    mechanical_discrete_connection,
+)
 from dconn.meshes import cone, flat_grid, icosphere, latitude_loop, torus_grid
 from dconn.presets import CONTINUOUS_FIXTURES, LAGRANGIAN_FIXTURES, resolve_connection
 
@@ -508,25 +514,34 @@ def _shape_pairs(b, seed, distances):
     return x0s, x0s + steps
 
 
-@pytest.mark.parametrize("family", [f"{kind}:{f}"
-                                    for kind in ("exponentiated", "cayley", "forward_difference")
-                                    for f in ("so3_mechanical", "se3_mechanical", "abelian")])
+def _mechanical_solve(family, x0, x1):
+    """The mechanical connection's matrix on ((x0, e), (x1, e)), solved afresh."""
+    L = LAGRANGIAN_FIXTURES[family.partition(":")[2]]()
+    e = lg.identity(L.bundle.group)
+    return mechanical_connection(L, PairElement(BundlePoint(x0, e), BundlePoint(x1, e))).matrix
+
+
+@pytest.mark.parametrize("family, group", CLI_FAMILIES)
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 1.0), max_size=12))
-def test_stacked_local_reps_equal_the_per_pair_reps_row_by_row(family, seed, distances):
-    # Bit for bit, the empty stack included: local_reps(x0s, x1s)[i] is
-    # local_rep(x0s[i], x1s[i]), with per-row bases and with one base for all rows.
-    c = resolve_connection(family)
+def test_stacked_local_reps_equal_the_per_pair_reps_row_by_row(family, group, seed, distances):
+    # Bit for bit, the empty stack included: local_reps(x0s, x1s)[i] is A on
+    # (x0s[i], x1s[i]), with per-row bases and with one base for all rows.  A
+    # mechanical row is its own Newton solve; a mechanical stack stays within
+    # 0.45, where the solves converge.
+    c = resolve_connection(family, group)
+    mechanical = family.startswith("mechanical:")
+    per_pair = partial(_mechanical_solve, family) if mechanical else c.local_rep
     b, n = c.bundle, len(distances)
-    x0s, x1s = _shape_pairs(b, seed, distances)
+    x0s, x1s = _shape_pairs(b, seed, [0.45 * d for d in distances] if mechanical else distances)
     x0 = 0.2 * np.random.default_rng(seed + 1).standard_normal(b.shape_dim)
     k = b.group.matrix_size
     for bases, ends in ((x0s, x1s), (x0, x1s - x0s + x0)):
         stacked = c.local_reps(bases, ends)
         assert stacked.shape == (n, k, k) and not stacked.flags.writeable
-        per_pair = np.array([c.local_rep(ShapePoint(y0), ShapePoint(y1))
-                             for y0, y1 in zip(np.broadcast_to(bases, ends.shape), ends)])
-        assert stacked.tobytes() == per_pair.reshape(n, k, k).tobytes()
+        rows = np.array([per_pair(ShapePoint(y0), ShapePoint(y1))
+                         for y0, y1 in zip(np.broadcast_to(bases, ends.shape), ends)])
+        assert stacked.tobytes() == rows.reshape(n, k, k).tobytes()
     assert c.local_reps(x0, x1s[:0]).shape == c.local_reps(x0s[:0], x1s[:0]).shape == (0, k, k)
 
 
@@ -544,7 +559,7 @@ INVOLUTION_DRIFT = {"SE3": 1e-16}
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 0.45), min_size=1, max_size=6))
 def test_the_adjoint_of_the_adjoint_is_the_connection(family, group, seed, distances):
-    # A*(x0, x1) = A(x1, x0)^-1, per pair and, where c has one, stacked.
+    # A*(x0, x1) = A(x1, x0)^-1, per pair and stacked.
     c = resolve_connection(family, group)
     twice = adjoint(adjoint(c))
     tol = INVOLUTION_DRIFT.get(c.bundle.group.name, 0.0)
@@ -552,10 +567,8 @@ def test_the_adjoint_of_the_adjoint_is_the_connection(family, group, seed, dista
     for x0, x1 in zip(map(ShapePoint, x0s), map(ShapePoint, x1s)):
         got = twice.local_rep(x0, x1)
         assert not got.flags.writeable and _equal_within(got, c.local_rep(x0, x1), tol)
-    assert (twice.local_reps is None) == (c.local_reps is None)
-    if c.local_reps is not None:
-        got = twice.local_reps(x0s, x1s)
-        assert not got.flags.writeable and _equal_within(got, c.local_reps(x0s, x1s), tol)
+    got = twice.local_reps(x0s, x1s)
+    assert not got.flags.writeable and _equal_within(got, c.local_reps(x0s, x1s), tol)
 
 
 @pytest.mark.parametrize("family, group", [(f, g) for f, g in CLI_FAMILIES if f in (
