@@ -25,8 +25,10 @@ element at a time; Cayley has no float form.  Their batched twins are the
 same closed forms: the entry formulas and the angle coefficients are each
 written once and run on floats or on (n,) arrays of entries.  On arrays,
 every sin, tan, acos and power is libm's, mapped over the rows in one
-C-level loop, and each series branch is a mask over safe values, so every
-row equals the float kernel's result bit for bit with no Python per row.
+C-level loop.  On a float each series branch is a plain ``if`` that
+computes only the branch it takes; on arrays it is a mask over safe values,
+so every row equals the float kernel's result bit for bit with no Python
+per row.
 
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
@@ -34,8 +36,8 @@ Conventions:
     translation.  Elements are 4x4 homogeneous matrices.
   * Logarithms are principal: the rotation angle must stay strictly below
     pi, enforced with a 1e-6 safety margin (``CutLocusError`` otherwise).
-    Short of the margin the SO(3)/SE(3) log loses precision, about
-    1e-16/d^2 at angle pi - d, without raising.
+    Short of the margin the SO(3)/SE(3) log stays exact: past _LOG_PIVOT
+    it takes the angle from atan2 and the axis from the symmetric part.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ _CUT_MARGIN = 1.0e-6
 # closed form cancels terms about 12/t^2 times its size: 7.3e-15 of it at 0.5,
 # where eight series terms are within rounding.
 _DEXPINV_SERIES = 0.5
+# Angle past which the SO(3) log takes its angle from atan2 and its axis from
+# the symmetric part: acos(c) loses about 1e-16/d of the angle pi - d, and
+# t/sin(t) turns that into about 1e-16/d^2 of the log.
+_LOG_PIVOT = 2.0
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -103,25 +109,57 @@ def _libm_pow(x: np.ndarray, y: float) -> np.ndarray:
     return np.fromiter(map(math.pow, x.tolist(), repeat(y)), float, len(x))
 
 
+def _libm_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(y))
+
+
+def _float_branch(small, theta, series, closed, *args) -> tuple:
+    """series(theta) if small else closed(theta): on a float only the branch taken runs."""
+    return (series if small else closed)(theta, _FLOATS, *args)
+
+
+def _row_branch(small, theta, series, closed, *args) -> tuple:
+    """series(theta) on the rows where small, closed(theta) on the others.
+
+    Both run on every row, on safe values: the series at 0 where the closed
+    form is taken, the closed form at 1 where the series is.
+    """
+    below = series(np.where(small, theta, 0.0), _ROWS, *args)
+    above = closed(np.where(small, 1.0, theta), _ROWS, *args)
+    return tuple(map(np.where, repeat(small), below, above))
+
+
 # The arithmetic that the angle coefficients need beyond + - * /, on one float
 # (_FLOATS) or on an (n,) array of them (_ROWS).  Both take every
-# transcendental and power from libm: numpy's own sin, arccos, tan and power
-# differ from libm's in the last place on a share of inputs, and so would the
-# batched kernels' rows from the float kernels.  On rows a branch is a mask,
-# and both sides are evaluated on safe values.
-_FLOATS = SimpleNamespace(sin=math.sin, tan=math.tan, acos=math.acos, pow=math.pow,
-                          fmin=min, fmax=max, any=bool,
+# transcendental and power from libm: numpy's own sin, arccos, tan, arctan2
+# and power differ from libm's in the last place on a share of inputs, and so
+# would the batched kernels' rows from the float kernels.  ``branch`` takes a
+# series or a closed form by a mask: a plain ``if`` on a float, both sides on
+# safe values on rows.  ``where`` picks between two values the same way.
+_FLOATS = SimpleNamespace(sin=math.sin, tan=math.tan, acos=math.acos, atan2=math.atan2,
+                          pow=math.pow, sqrt=math.sqrt, copysign=math.copysign,
+                          fmin=min, fmax=max, any=bool, branch=_float_branch,
                           where=lambda mask, x, y: x if mask else y)
 _ROWS = SimpleNamespace(sin=_libm(math.sin), tan=_libm(math.tan), acos=_libm(math.acos),
-                        pow=_libm_pow, fmin=np.fmin, fmax=np.fmax, any=np.ndarray.any,
+                        atan2=_libm_atan2, pow=_libm_pow, sqrt=np.sqrt, copysign=np.copysign,
+                        fmin=np.fmin, fmax=np.fmax, any=np.ndarray.any, branch=_row_branch,
                         where=np.where)
 
 
-def _split(theta, bound: float, m):
-    """(small, t, s) for a branch at ``bound``: the mask theta < bound, the
-    angle for the closed form (1 where small) and for the series (0 elsewhere)."""
-    small = theta < bound
-    return small, m.where(small, 1.0, theta), m.where(small, theta, 0.0)
+def _exp_series(s, m, se3: bool) -> tuple:
+    # Second-order Taylor series below _SMALL_ANGLE.
+    s2 = m.pow(s, 2.0)
+    if not se3:
+        return 1.0 - s2 / 6.0, 0.5 - s2 / 24.0
+    return 1.0 - s2 / 6.0, 0.5 - s2 / 24.0, 1.0 / 6.0 - s2 / 120.0
+
+
+def _exp_closed(t, m, se3: bool) -> tuple:
+    half = 0.5 * t
+    sin_t, sinc_half = m.sin(t), m.sin(half) / half
+    if not se3:
+        return sin_t / t, 0.5 * sinc_half * sinc_half
+    return sin_t / t, 0.5 * sinc_half * sinc_half, (t - sin_t) / m.pow(t, 3.0)
 
 
 def _exp_coefficients(theta, m=_FLOATS, se3: bool = False) -> tuple:
@@ -131,15 +169,19 @@ def _exp_coefficients(theta, m=_FLOATS, se3: bool = False) -> tuple:
     b is evaluated as (sin(t/2)/(t/2))^2 / 2, which keeps its digits where
     1 - cos t cancels.  theta is a float, or an (n,) array with m = _ROWS.
     """
-    small, t, s = _split(theta, _SMALL_ANGLE, m)
-    half = 0.5 * t
-    sin_t, sinc_half, s2 = m.sin(t), m.sin(half) / half, m.pow(s, 2.0)
-    # Second-order Taylor series below _SMALL_ANGLE.
-    a = m.where(small, 1.0 - s2 / 6.0, sin_t / t)
-    b = m.where(small, 0.5 - s2 / 24.0, 0.5 * sinc_half * sinc_half)
-    if not se3:
-        return a, b
-    return a, b, m.where(small, 1.0 / 6.0 - s2 / 120.0, (t - sin_t) / m.pow(t, 3.0))
+    return m.branch(theta < _SMALL_ANGLE, theta, _exp_series, _exp_closed, se3)
+
+
+def _c2_series(s, m) -> tuple:
+    s2 = s * s
+    return (1.0 / 12.0 + s2 * (1.0 / 720.0 + s2 * (1.0 / 30240.0 + s2 * (1.0 / 1209600.0 + s2 * (
+        1.0 / 47900160.0 + s2 * (691.0 / 1307674368000.0 + s2 * (
+            1.0 / 74724249600.0 + s2 * (3617.0 / 10670622842880000.0))))))),)
+
+
+def _c2_closed(t, m) -> tuple:
+    half = t / 2.0
+    return ((1.0 - half / m.tan(half)) / m.pow(t, 2.0),)
 
 
 def _dexpinv_c2(theta, m=_FLOATS):
@@ -149,12 +191,7 @@ def _dexpinv_c2(theta, m=_FLOATS):
     is the series sum over n >= 1 of |B_2n| t^(2n - 2) / (2n)!, with B_2n the
     Bernoulli numbers.  theta is a float, or an (n,) array with m = _ROWS.
     """
-    small, t, s = _split(theta, _DEXPINV_SERIES, m)
-    half, s2 = t / 2.0, s * s
-    series = 1.0 / 12.0 + s2 * (1.0 / 720.0 + s2 * (1.0 / 30240.0 + s2 * (1.0 / 1209600.0 + s2 * (
-        1.0 / 47900160.0 + s2 * (691.0 / 1307674368000.0 + s2 * (
-            1.0 / 74724249600.0 + s2 * (3617.0 / 10670622842880000.0)))))))
-    return m.where(small, series, (1.0 - half / m.tan(half)) / m.pow(t, 2.0))
+    return m.branch(theta < _DEXPINV_SERIES, theta, _c2_series, _c2_closed)[0]
 
 
 def _rotation(x: float, y: float, z: float, a: float, b: float) -> tuple[float, ...]:
@@ -190,34 +227,73 @@ def _cayley_scale(x, y, z):
     return 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
 
 
+def _sinc_inverse_series(s, m) -> tuple:
+    # sin(t)/t inverse to second order at small angles.
+    return (1.0 + m.pow(s, 2.0) / 6.0,)
+
+
+def _sinc_inverse_closed(t, m) -> tuple:
+    return (t / m.sin(t),)
+
+
 def _log_angle(c, m=_FLOATS) -> tuple:
     """The angle t of a rotation with (tr R - 1)/2 = c, and t/sin(t).
 
     c is a float, or an (n,) array with m = _ROWS.  Raises CutLocusError
     within _CUT_MARGIN of pi, for the first such angle; a NaN c clamps to -1,
-    a half-turn.
+    a half-turn.  Past _LOG_PIVOT the angle is only the branch test of
+    _so3_log, which takes a better one.
     """
     theta = m.acos(m.fmin(1.0, m.fmax(-1.0, c)))
     past = theta >= math.pi - _CUT_MARGIN
     if m.any(past):
         first = np.ravel(theta)[np.argmax(past)]
         raise CutLocusError(f"SO3: rotation angle {first:.8f} within 1e-6 of pi")
-    small, t, s = _split(theta, _SMALL_ANGLE, m)
-    # sin(t)/t inverse to second order at small angles.
-    return theta, m.where(small, 1.0 + m.pow(s, 2.0) / 6.0, t / m.sin(t))
+    return theta, m.branch(theta < _SMALL_ANGLE, theta, _sinc_inverse_series,
+                           _sinc_inverse_closed)[0]
+
+
+def _near_pi_log(r, c, s, m) -> tuple:
+    """(omega, t) of a rotation past _LOG_PIVOT, from its rows r, its c = (tr R - 1)/2
+    and its skew part s = vee(R - R^T)/2 = sin(t) n.
+
+    t = atan2(|s|, c) keeps the digits that acos(c) loses near pi.  The axis
+    comes from the symmetric part, n n^T = E / (1 - c) with E = (R + R^T)/2 - c I:
+    the column k of E's largest diagonal entry is (1 - c) n_k n, signed by s_k
+    (Shepperd's pivoting, in axis form).
+    """
+    t = m.atan2(m.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]), c)
+    e00, e11, e22 = r[0][0] - c, r[1][1] - c, r[2][2] - c
+    e01, e02, e12 = (r[0][1] + r[1][0]) / 2.0, (r[0][2] + r[2][0]) / 2.0, (r[1][2] + r[2][1]) / 2.0
+    # The column, its diagonal entry and s_k, for k = 0, then 1 and 2 where
+    # theirs is larger (by comparisons alone, which treat NaN alike on floats and rows).
+    pick = (e00, e01, e02, e00, s[0])
+    for column in ((e01, e11, e12, e11, s[1]), (e02, e12, e22, e22, s[2])):
+        larger = column[3] > pick[3]
+        pick = tuple(m.where(larger, a, b) for a, b in zip(column, pick))
+    n0, n1, n2, diagonal, sign = pick
+    scale = m.copysign(t, sign) / m.sqrt(diagonal * (1.0 - c))
+    return (n0 * scale, n1 * scale, n2 * scale), t
 
 
 def _so3_log(r, m=_FLOATS) -> tuple[tuple, float]:
     """Principal log and rotation angle of the rotation block of a matrix's rows r.
 
     r holds floats; with m = _ROWS it holds (n,) arrays, and the result is n
-    logs and angles.
+    logs and angles.  Past _LOG_PIVOT both come from _near_pi_log, computed
+    on rows only when some row is past it.
     """
     c = (r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0
     theta, f = _log_angle(c, m)
     # The skew part is sin(theta) times the axis.
-    w = (0.5 * (r[2][1] - r[1][2]) * f, 0.5 * (r[0][2] - r[2][0]) * f,
-         0.5 * (r[1][0] - r[0][1]) * f)
+    s = (0.5 * (r[2][1] - r[1][2]), 0.5 * (r[0][2] - r[2][0]), 0.5 * (r[1][0] - r[0][1]))
+    w = (s[0] * f, s[1] * f, s[2] * f)
+    past = theta > _LOG_PIVOT
+    if m.any(past):
+        # Rows short of the pivot take the branch at c = -1, where it is finite.
+        near, t = _near_pi_log(r, m.where(past, c, -1.0), s, m)
+        w = tuple(m.where(past, a, b) for a, b in zip(near, w))
+        theta = m.where(past, t, theta)
     return w, theta
 
 

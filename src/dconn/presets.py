@@ -15,15 +15,17 @@ with dx = x1 - x0 and a coupling C linear in the shape point, which keeps
 the zero-momentum equation solvable in closed form for cross-checks.  Only
 the displacement chart phi differs: the logarithm on SO(3) (``so3_coupled``,
 and ``so3_pure`` with no shape), ``se3_extract`` on SE(3) (``se3_coupled``).
-A chart supplies phi(m) of m = g0^-1 g1; the Jacobians P1 and P2 of phi under
-g0 exp(t delta) and g1 exp(t delta), both from one call per Newton iterate;
-and the Jacobian of P1^T w under g1 exp(t delta) with w held fixed, a closed
-form on Python floats for both charts.
+A chart supplies, as entry formulas on Python floats: m = g0^-1 g1 and
+phi(m); P1^T w and P2^T w for the Jacobians P1 and P2 of phi under
+g0 exp(t delta) and g1 exp(t delta) (cross products for the logarithm, block
+forms for ``se3_extract``); and, for d12 alone, the entries of P1^T, P2^T and
+the Jacobian D of P1^T w under g1 exp(t delta) with w held fixed.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul, sub
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,7 +34,7 @@ from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from .connection import DiscreteConnection, trivial_connection
 from .errors import DconnError
-from .lie_group import SE3, SO3, _dexpinv_c2, _norm, group_by_name, translation_group
+from .lie_group import SE3, SO3, _dexpinv_c2, group_by_name, translation_group
 from .limits import (
     ContinuousConnection,
     cayley_connection,
@@ -55,14 +57,31 @@ def dexpinv_so3(vec: np.ndarray) -> np.ndarray:
     return -_log_chart_jacobians(np.asarray(vec, dtype=float).reshape(3))[0]
 
 
+def _log_chart_entries(lam, c2: float, square) -> tuple[tuple, tuple]:
+    """The row-major entries of -(I - L/2 + c2 L^2) and I + L/2 + c2 L^2 for
+    L = hat(lam), from the floats lam, c2 and the row-major entries of L^2.
+
+    Each entry adds as the matrix expressions do, (I -+ L/2) + c2 L^2, with
+    0.0 -+ an off-diagonal half of L, so its zeros keep their signs too.
+    """
+    x, y, z = lam
+    hx, hy, hz = 0.5 * x, 0.5 * y, 0.5 * z
+    s00, s01, s02, s10, s11, s12, s20, s21, s22 = [c2 * b for b in square]
+    return ((-(1.0 + s00), -((0.0 + hz) + s01), -((0.0 - hy) + s02),
+             -((0.0 - hz) + s10), -(1.0 + s11), -((0.0 + hx) + s12),
+             -((0.0 + hy) + s20), -((0.0 - hx) + s21), -(1.0 + s22)),
+            (1.0 + s00, (0.0 - hz) + s01, (0.0 + hy) + s02,
+             (0.0 + hz) + s10, 1.0 + s11, (0.0 - hx) + s12,
+             (0.0 - hy) + s20, (0.0 + hx) + s21, 1.0 + s22))
+
+
 def _log_chart_jacobians(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """-dexpinv_so3(lam) and dexpinv_so3(-lam), bit for bit, from one hat(lam),
     one hat(lam)^2 and one c2: -(I - L/2 + c2 L^2) and I + L/2 + c2 L^2 for L = hat(lam)."""
     w = SO3.hat(lam)
-    half = 0.5 * w
-    square = _dexpinv_c2(_norm(lam)) * (w @ w)
-    eye = SO3.identity_matrix()
-    return -(eye - half + square), eye + half + square
+    square = (w @ w).ravel().tolist()
+    p1, p2 = _log_chart_entries(lam.tolist(), _dexpinv_c2(lg._norm(lam)), square)
+    return np.array(p1).reshape(3, 3), np.array(p2).reshape(3, 3)
 
 
 # Angle at which c2'(t)/t switches from its series to its closed form.  The
@@ -87,24 +106,19 @@ def _dexpinv_c2_slope(theta: float, c2: float) -> float:
     return (df - 2.0 * c2 * theta) / theta**3
 
 
-def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Jacobian in lam, for fixed w, of dexpinv_so3(lam)^T w.
-
-    dexpinv_so3(lam)^T w = w + lam x w / 2 + c2(|lam|) lam x (lam x w), so the
-    Jacobian is -hat(w)/2 + c2 ((lam . w) I + lam w^T - 2 w lam^T)
-    + (c2'(t)/t) (lam x (lam x w)) lam^T, entry by entry on floats.
-    """
-    a0, a1, a2 = lam.tolist()
-    v0, v1, v2 = w.tolist()
-    # |lam| as _log_chart_jacobians takes it: the closed forms of c2 and its
-    # slope cancel, so a last-bit change in theta would move them far more.
-    sq = float(lam.dot(lam))
+def _dexpinv_transpose_entries(lam, w, sq: float) -> tuple:
+    """The row-major entries of _dexpinv_transpose_derivative, from the floats
+    lam and w and sq = lam . lam."""
+    a0, a1, a2 = lam
+    v0, v1, v2 = w
+    # c2 and its slope from one theta: their closed forms cancel, so a
+    # last-bit change in theta between them would move the sum far more.
     theta = math.sqrt(sq)
     c2 = _dexpinv_c2(theta)
     dc2 = _dexpinv_c2_slope(theta, c2)
     lw = a0 * v0 + a1 * v1 + a2 * v2
     t0, t1, t2 = a0 * lw - v0 * sq, a1 * lw - v1 * sq, a2 * lw - v2 * sq  # lam x (lam x w)
-    return np.array((
+    return (
         c2 * (lw + a0 * v0 - 2.0 * (v0 * a0)) + dc2 * (t0 * a0),
         0.5 * v2 + c2 * (a0 * v1 - 2.0 * (v0 * a1)) + dc2 * (t0 * a1),
         -0.5 * v1 + c2 * (a0 * v2 - 2.0 * (v0 * a2)) + dc2 * (t0 * a2),
@@ -114,7 +128,18 @@ def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         0.5 * v1 + c2 * (a2 * v0 - 2.0 * (v2 * a0)) + dc2 * (t2 * a0),
         -0.5 * v0 + c2 * (a2 * v1 - 2.0 * (v2 * a1)) + dc2 * (t2 * a1),
         c2 * (lw + a2 * v2 - 2.0 * (v2 * a2)) + dc2 * (t2 * a2),
-    )).reshape(3, 3)
+    )
+
+
+def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Jacobian in lam, for fixed w, of dexpinv_so3(lam)^T w.
+
+    dexpinv_so3(lam)^T w = w + lam x w / 2 + c2(|lam|) lam x (lam x w), so the
+    Jacobian is -hat(w)/2 + c2 ((lam . w) I + lam w^T - 2 w lam^T)
+    + (c2'(t)/t) (lam x (lam x w)) lam^T, entry by entry on floats.
+    """
+    entries = _dexpinv_transpose_entries(lam.tolist(), w.tolist(), float(lam.dot(lam)))
+    return np.array(entries).reshape(3, 3)
 
 
 # -- continuous mechanical fixtures -----------------------------------------
@@ -211,12 +236,6 @@ def coupling_so3(x: np.ndarray) -> np.ndarray:
     return _SO3_C0 + s * _SO3_C1 + t * _SO3_C2
 
 
-def coupling_se3(x: np.ndarray) -> np.ndarray:
-    """The 6x2 shape-to-motion coupling of the coupled rigid-motion Lagrangian."""
-    s, t = x.tolist()
-    return _SE3_C0 + s * _SE3_C1 + t * _SE3_C2
-
-
 def free_particle() -> DiscreteLagrangian:
     """Planar free particle; the fiber is the vertical translation coordinate.
 
@@ -247,94 +266,164 @@ def free_particle() -> DiscreteLagrangian:
 
 
 class _Chart(NamedTuple):
-    """A displacement chart, called with m = g0^-1 g1 and lam = phi(m).
+    """A displacement chart as entry formulas on Python floats.
 
-    ``jacobians(m, lam)`` is (P1, P2) and ``d1_derivative(m, lam, w, P2)`` is
-    the Jacobian of P1^T w, all as in the module docstring.
+    ``relative(a, b)`` is the rows of m = g0^-1 g1 from the rows a of g0 and b
+    of g1, and ``phi(m)`` the chart's coordinates lam = phi(m).  With w the
+    covector of the module docstring, ``transposes(m, lam, w)`` is
+    (P1^T w, P2^T w).  ``jacobians(m, lam, w)`` is the row-major entries of
+    P1^T, of P2^T and of the Jacobian D of P1^T w under g1 exp(t delta) with
+    w held fixed.
     """
 
-    phi: Callable[[np.ndarray], np.ndarray]
-    jacobians: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    d1_derivative: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    relative: Callable[[list, list], tuple]
+    phi: Callable[[tuple], tuple]
+    transposes: Callable[[tuple, tuple, list], tuple[tuple, tuple]]
+    jacobians: Callable[[tuple, tuple, list], tuple[tuple, tuple, tuple]]
 
 
-def _coupled(bundle: Bundle, coupling: Callable[[np.ndarray], np.ndarray],
-             partials: tuple[np.ndarray, ...], chart: _Chart) -> DiscreteLagrangian:
+def _coupled(bundle: Bundle, c0: np.ndarray, partials: tuple[np.ndarray, ...],
+             chart: _Chart) -> DiscreteLagrangian:
     """The coupled Lagrangian |dx|^2/(2h) + kappa |phi(g0^-1 g1) + C(x0) dx|^2 / (2h).
 
-    ``coupling(x)`` is C(x), linear in x with the coefficient matrices
-    ``partials``, stacked once into a (shape_dim, dim, shape_dim) array S with
-    S[j] = dC/dx_j; ``chart`` is phi.  With w = phi + C dx the slot derivatives
-    are D1 = (-dx/h + (kappa/h) B w, (kappa/h) P1^T w) and
+    C(x) = c0 + sum_j x_j S_j is linear in the shape point, with the
+    (dim, shape_dim) coefficient matrices S_j = ``partials[j]``; ``chart`` is
+    phi.  With w = phi + C dx the slot derivatives are
+    D1 = (-dx/h + (kappa/h) B w, (kappa/h) P1^T w) and
     D2 = (dx/h + (kappa/h) C^T w, (kappa/h) P2^T w), where row j of
-    B = S dx - C^T, dC/dx_j dx - C[:, j], is the x0_j-derivative of w.  Each
-    slot derivative fills one new (shape_dim + dim,) array.
+    B = S dx - C^T, S_j dx - C[:, j], is the x0_j-derivative of w.
 
-    The pair table m, phi(m), dx, C(x0), w, B and P1, P2 of one pair serves
-    every call at it: the last pair is kept and matched by the identity of its
-    two immutable points, which the Newton solvers hold for d1 and d12 of an
-    iterate (and del_step for d2 of the pair its last residual checked).
+    Everything but phi is bilinear in the shape pair.  With Q = [c0, S_0,
+    S_1, ...] and v = (dx, x0 (x) dx), C dx = Q v, so w and Q^T w (which holds
+    c0^T w and each S_j^T w) are the one product [lam, v] [[I, Q], [Q^T, Q^T Q]];
+    then C^T w = c0^T w + sum_j x0_j S_j^T w and (B w)_j = (S_j^T w) . dx - (C^T w)_j.
+    B and C(x0)^T are the one product [1, x0, dx] L, for a fixed L.
+
+    One pair table of Python floats serves every call at a pair: m, lam, x0,
+    dx, w, C^T w, Q^T w, P1^T w and P2^T w, read with one ``tolist`` per array
+    of the two points and of the product.  value, d1 and d2 each assemble one
+    new array from it.  d12 alone builds B, C(x0)^T and the chart's P1^T, P2^T
+    and D, in one array of the chart's entries and one product, and takes
+    [B; P1^T] [C, P2] as one matrix product.  The last pair is
+    kept and matched by the identity of its two immutable points, which the
+    Newton solvers hold for d1 and d12 of an iterate (and del_step for d2 of
+    the pair its last residual checked).
     """
     h = COUPLED_STEP
     k = COUPLED_KAPPA / h
     d = bundle.shape_dim
-    group = bundle.group
-    n = group.dim
-    eye_h = np.eye(d) / h
+    n = bundle.group.dim
+    c0 = np.asarray(c0, dtype=float).reshape(n, d)
     stack = np.array(partials, dtype=float).reshape(d, n, d)
-    stack_t = stack.transpose(0, 2, 1)  # stack_t[j] = (dC/dx_j)^T
+    q = np.concatenate([c0, *stack], axis=1)
+    bilinear = np.block([[np.eye(n), q], [q.T, q.T @ q]])
+    # Row 0 of L takes 1, rows 1 .. d take x0 and the last d take dx; the
+    # columns hold B, then C^T, row-major.
+    linear = np.zeros((1 + 2 * d, 2, d, n))
+    linear[0, 1], linear[1:d + 1, 1] = c0.T, stack.transpose(0, 2, 1)
+    linear[:, 0] = -linear[:, 1]
+    linear[d + 1:, 0] = stack.transpose(2, 0, 1)
+    linear = linear.reshape(1 + 2 * d, 2 * d * n)
+    slopes = [d + j * d for j in range(d)]  # where each S_j^T w starts in Q^T w
     last: list = [None, None, None]  # q0, q1 and their pair table
 
     def pieces(q0: BundlePoint, q1: BundlePoint) -> tuple:
         if last[0] is not q0 or last[1] is not q1:
-            m = group.inverse_matrix(q0.fiber.matrix) @ q1.fiber.matrix
+            m = chart.relative(q0.fiber.matrix.tolist(), q1.fiber.matrix.tolist())
             lam = chart.phi(m)
-            x0 = q0.shape.coords
-            dx = q1.shape.coords - x0
-            c = coupling(x0)
-            last[:] = q0, q1, (m, lam, dx, c, lam + c @ dx, stack @ dx - c.T,
-                               *chart.jacobians(m, lam))
+            x0 = q0.shape.coords.tolist()
+            dx = list(map(sub, q1.shape.coords.tolist(), x0))
+            wq = (np.array([*lam, *dx, *(x * e for x in x0 for e in dx)]) @ bilinear).tolist()
+            w, qw = wq[:n], wq[n:]
+            ctw = qw[:d]
+            for x, i in zip(x0, slopes):
+                ctw = [a + x * e for a, e in zip(ctw, qw[i:i + d])]
+            last[:] = q0, q1, (m, lam, x0, dx, w, ctw, qw, *chart.transposes(m, lam, w))
         return last[2]
 
     def value(q0: BundlePoint, q1: BundlePoint) -> float:
-        _, _, dx, _, w, _, _, _ = pieces(q0, q1)
-        return float(dx @ dx) / (2.0 * h) + COUPLED_KAPPA * float(w @ w) / (2.0 * h)
+        _, _, _, dx, w, _, _, _, _ = pieces(q0, q1)
+        return sum(map(mul, dx, dx)) / (2.0 * h) + COUPLED_KAPPA * sum(map(mul, w, w)) / (2.0 * h)
 
     def d1(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        _, _, dx, _, w, b, p1, _ = pieces(q0, q1)
-        out = np.empty(d + n)
-        out[:d] = -dx / h + k * (b @ w)
-        out[d:] = k * (p1.T @ w)
-        return out
+        _, _, _, dx, _, ctw, qw, p1w, _ = pieces(q0, q1)
+        return np.array([-x / h + k * (sum(map(mul, qw[i:i + d], dx)) - a)
+                         for x, a, i in zip(dx, ctw, slopes)] + [k * a for a in p1w])
 
     def d2(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        _, _, dx, c, w, _, _, p2 = pieces(q0, q1)
-        out = np.empty(d + n)
-        out[:d] = dx / h + k * (c.T @ w)
-        out[d:] = k * (p2.T @ w)
-        return out
+        _, _, _, dx, _, ctw, _, _, p2w = pieces(q0, q1)
+        return np.array([x / h + k * a for x, a in zip(dx, ctw)] + [k * a for a in p2w])
 
     def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        # Shape moves of q1 change w by C and leave P1 alone; fiber moves change w by P2.
-        m, lam, _, c, w, b, p1, p2 = pieces(q0, q1)
-        jac = np.empty((d + n, d + n))
-        jac[:d, :d] = k * (b @ c + stack_t @ w) - eye_h
-        jac[:d, d:] = k * (b @ p2)
-        jac[d:, :d] = k * (p1.T @ c)
-        jac[d:, d:] = k * (p1.T @ p2 + chart.d1_derivative(m, lam, w, p2))
+        # Shape moves of q1 change w by C and B w by S^T w; fiber moves change
+        # w by P2 and P1^T w by D: k ([B; P1^T] [C, P2] + [[S^T w - I/kappa, 0], [0, D]]).
+        m, lam, x0, dx, w, _, qw, _, _ = pieces(q0, q1)
+        p1_t, p2_t, second = chart.jacobians(m, lam, w)
+        shape = [qw[i + c] - (1.0 / COUPLED_KAPPA if c == r else 0.0)
+                 for r, i in enumerate(slopes) for c in range(d)]
+        blocks = np.array((*p1_t, *p2_t, *second, *shape))
+        # [B; P1^T] and [C^T; P2^T].
+        tables = np.concatenate([(np.array([1.0, *x0, *dx]) @ linear).reshape(2, d, n),
+                                 blocks[:2 * n * n].reshape(2, n, n)], axis=1)
+        jac = tables[0] @ tables[1].T
+        jac[d:, d:] += blocks[2 * n * n:3 * n * n].reshape(n, n)
+        jac[:d, :d] += blocks[3 * n * n:].reshape(d, d)
+        jac *= k
         return jac
 
     return DiscreteLagrangian(bundle, value, d1, d2, d12)
 
 
-def _so3_chart() -> _Chart:
-    # g0 exp(t delta) perturbs lam with derivative -dexpinv(lam) delta,
-    # g1 exp(t delta) with dexpinv(-lam) delta.
-    return _Chart(
-        SO3.log_vector,
-        lambda m, lam: _log_chart_jacobians(lam),
-        lambda m, lam, w, p2: -(_dexpinv_transpose_derivative(lam, w) @ p2),
-    )
+def _so3_relative(a: list, b: list) -> tuple:
+    """The rows of R0^T R1 from the rows a of R0 and b of R1."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return ((a00 * b00 + a10 * b10 + a20 * b20, a00 * b01 + a10 * b11 + a20 * b21,
+             a00 * b02 + a10 * b12 + a20 * b22),
+            (a01 * b00 + a11 * b10 + a21 * b20, a01 * b01 + a11 * b11 + a21 * b21,
+             a01 * b02 + a11 * b12 + a21 * b22),
+            (a02 * b00 + a12 * b10 + a22 * b20, a02 * b01 + a12 * b11 + a22 * b21,
+             a02 * b02 + a12 * b12 + a22 * b22))
+
+
+def _so3_transposes(m: tuple, lam: tuple, w: list) -> tuple[tuple, tuple]:
+    """P1^T w = -(w + lam x w / 2 + c2 lam x (lam x w)) and
+    P2^T w = w - lam x w / 2 + c2 lam x (lam x w), the transposes of
+    _log_chart_jacobians(lam) applied to w."""
+    a0, a1, a2 = lam
+    u0, u1, u2 = u = lg._cross(lam, w)
+    t0, t1, t2 = lg._cross(lam, u)
+    c2 = _dexpinv_c2(math.sqrt(a0 * a0 + a1 * a1 + a2 * a2))
+    w0, w1, w2 = w
+    return ((-(w0 + 0.5 * u0 + c2 * t0), -(w1 + 0.5 * u1 + c2 * t1), -(w2 + 0.5 * u2 + c2 * t2)),
+            (w0 - 0.5 * u0 + c2 * t0, w1 - 0.5 * u1 + c2 * t1, w2 - 0.5 * u2 + c2 * t2))
+
+
+def _so3_jacobians(m: tuple, lam: tuple, w: list) -> tuple[list, list, tuple]:
+    """P1^T, P2^T and D, row-major.
+
+    g0 exp(t delta) perturbs lam with derivative P1 = -dexpinv(lam) delta and
+    g1 exp(t delta) with P2 = dexpinv(-lam) delta = dexpinv(lam)^T delta, so
+    P1^T = -P2 and P2^T = -P1 entry for entry; D = -J P2 for J the Jacobian
+    of dexpinv(lam)^T w in lam.  L^2 = lam lam^T - |lam|^2 I.
+    """
+    x, y, z = lam
+    sq = x * x + y * y + z * z
+    square = (x * x - sq, x * y, x * z, y * x, y * y - sq, y * z, z * x, z * y, z * z - sq)
+    p1, p2 = _log_chart_entries(lam, _dexpinv_c2(math.sqrt(sq)), square)
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = _dexpinv_transpose_entries(lam, w, sq)
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = p2
+    return [-a for a in p2], [-a for a in p1], (
+        -(j00 * b00 + j01 * b10 + j02 * b20), -(j00 * b01 + j01 * b11 + j02 * b21),
+        -(j00 * b02 + j01 * b12 + j02 * b22),
+        -(j10 * b00 + j11 * b10 + j12 * b20), -(j10 * b01 + j11 * b11 + j12 * b21),
+        -(j10 * b02 + j11 * b12 + j12 * b22),
+        -(j20 * b00 + j21 * b10 + j22 * b20), -(j20 * b01 + j21 * b11 + j22 * b21),
+        -(j20 * b02 + j21 * b12 + j22 * b22))
+
+
+_SO3_CHART = _Chart(_so3_relative, lambda m: lg._so3_log(m)[0], _so3_transposes,
+                    _so3_jacobians)
 
 
 def so3_coupled() -> DiscreteLagrangian:
@@ -344,7 +433,13 @@ def so3_coupled() -> DiscreteLagrangian:
     zero-momentum equation solves in closed form: the discrete mechanical
     connection has local representation exp(C(x0) dx).
     """
-    return _coupled(Bundle(SO3, 2), coupling_so3, (_SO3_C1, _SO3_C2), _so3_chart())
+    return _coupled(Bundle(SO3, 2), _SO3_C0, (_SO3_C1, _SO3_C2), _SO3_CHART)
+
+
+def _se3_extract_entries(r) -> tuple:
+    """se3_extract of the matrix with rows r."""
+    (_, r01, r02, p0), (r10, _, r12, p1), (r20, r21, _, p2), _ = r
+    return ((r21 - r12) / 2.0, (r02 - r20) / 2.0, (r10 - r01) / 2.0, p0, p1, p2)
 
 
 def se3_extract(m: np.ndarray) -> np.ndarray:
@@ -353,55 +448,122 @@ def se3_extract(m: np.ndarray) -> np.ndarray:
     A chart near the identity that avoids the matrix logarithm, so the slot
     derivatives of Lagrangians built on it stay elementary.
     """
-    (_, r01, r02, p0), (r10, _, r12, p1), (r20, r21, _, p2), _ = m.tolist()
-    return np.array(((r21 - r12) / 2.0, (r02 - r20) / 2.0, (r10 - r01) / 2.0, p0, p1, p2))
+    return np.array(_se3_extract_entries(m.tolist()))
 
 
-def _se3_extract_jacobians(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _se3_relative(a: list, b: list) -> tuple:
+    """The rows of g0^-1 g1 = (R0^T R1, R0^T (p1 - p0)) from the rows a of g0 and b of g1."""
+    (a00, a01, a02, p0), (a10, a11, a12, p1), (a20, a21, a22, p2), _ = a
+    (b00, b01, b02, q0), (b10, b11, b12, q1), (b20, b21, b22, q2), _ = b
+    d0, d1, d2 = q0 - p0, q1 - p1, q2 - p2
+    return ((a00 * b00 + a10 * b10 + a20 * b20, a00 * b01 + a10 * b11 + a20 * b21,
+             a00 * b02 + a10 * b12 + a20 * b22, a00 * d0 + a10 * d1 + a20 * d2),
+            (a01 * b00 + a11 * b10 + a21 * b20, a01 * b01 + a11 * b11 + a21 * b21,
+             a01 * b02 + a11 * b12 + a21 * b22, a01 * d0 + a11 * d1 + a21 * d2),
+            (a02 * b00 + a12 * b10 + a22 * b20, a02 * b01 + a12 * b11 + a22 * b21,
+             a02 * b02 + a12 * b12 + a22 * b22, a02 * d0 + a12 * d1 + a22 * d2),
+            (0.0, 0.0, 0.0, 1.0))
+
+
+def _se3_extract_transposes(m: tuple, lam: tuple, w: list) -> tuple[tuple, tuple]:
+    """P1^T w and P2^T w for the two Jacobians of _se3_extract_jacobians, in
+    block form: with w = (omega, v) and p the translation of M,
+    P1^T w = ((R^T omega - tr(R) omega)/2 - p x v, -v) and
+    P2^T w = ((tr(R) omega - R omega)/2, R^T v)."""
+    (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2), _ = m
+    o0, o1, o2, v0, v1, v2 = w
+    tr = r00 + r11 + r22
+    k0, k1, k2 = lg._cross((p0, p1, p2), (v0, v1, v2))
+    return ((((o0 * r00 + o1 * r10 + o2 * r20) - tr * o0) / 2.0 - k0,
+             ((o0 * r01 + o1 * r11 + o2 * r21) - tr * o1) / 2.0 - k1,
+             ((o0 * r02 + o1 * r12 + o2 * r22) - tr * o2) / 2.0 - k2, -v0, -v1, -v2),
+            ((tr * o0 - (r00 * o0 + r01 * o1 + r02 * o2)) / 2.0,
+             (tr * o1 - (r10 * o0 + r11 * o1 + r12 * o2)) / 2.0,
+             (tr * o2 - (r20 * o0 + r21 * o1 + r22 * o2)) / 2.0,
+             v0 * r00 + v1 * r10 + v2 * r20, v0 * r01 + v1 * r11 + v2 * r21,
+             v0 * r02 + v1 * r12 + v2 * r22))
+
+
+def _se3_extract_jacobian_entries(m) -> tuple[tuple, tuple]:
+    """The entries of the two _se3_extract_jacobians(M), column by column,
+    from the rows of M: the row-major entries of d1^T and d2^T.
+
+    An off-diagonal entry of tr(R) I is tr(R) * 0.0, so every zero keeps the
+    sign it has in the matrix expressions.
+    """
+    (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2), _ = m
+    tr = r00 + r11 + r22
+    z = tr * 0.0
+    return ((
+        (r00 - tr) / 2.0, (r10 - z) / 2.0, (r20 - z) / 2.0, 0.0, p2, -p1,
+        (r01 - z) / 2.0, (r11 - tr) / 2.0, (r21 - z) / 2.0, -p2, 0.0, p0,
+        (r02 - z) / 2.0, (r12 - z) / 2.0, (r22 - tr) / 2.0, p1, -p0, 0.0,
+        0.0, 0.0, 0.0, -1.0, -0.0, -0.0,
+        0.0, 0.0, 0.0, -0.0, -1.0, -0.0,
+        0.0, 0.0, 0.0, -0.0, -0.0, -1.0,
+    ), (
+        (tr - r00) / 2.0, (z - r01) / 2.0, (z - r02) / 2.0, 0.0, 0.0, 0.0,
+        (z - r10) / 2.0, (tr - r11) / 2.0, (z - r12) / 2.0, 0.0, 0.0, 0.0,
+        (z - r20) / 2.0, (z - r21) / 2.0, (tr - r22) / 2.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, r00, r10, r20,
+        0.0, 0.0, 0.0, r01, r11, r21,
+        0.0, 0.0, 0.0, r02, r12, r22,
+    ))
+
+
+def _se3_extract_jacobians(m) -> tuple[np.ndarray, np.ndarray]:
     """(d1, d2): the derivatives of se3_extract under exp(-t hat(delta)) M and
-    under M exp(t hat(delta)), as columns over the basis, from one read of R
-    and its trace.
+    under M exp(t hat(delta)), as columns over the basis, from the rows of M
+    (a list or an array).
 
     se3_extract is linear, so column i of d1 is se3_extract(-hat(e_i) M) and
     of d2 se3_extract(M hat(e_i)); they assemble to
     d1 = [[(R - tr(R) I)/2, 0], [hat(p), -I]] and
     d2 = [[(tr(R) I - R^T)/2, 0], [0, R]].
     """
-    r = m[:3, :3]
-    trace_eye = np.trace(r) * SO3.identity_matrix()
-    d1, d2 = np.zeros((6, 6)), np.zeros((6, 6))
-    d1[:3, :3] = (r - trace_eye) / 2.0
-    d1[3:, :3] = SO3.hat(m[:3, 3])
-    d1[3:, 3:] = -SO3.identity_matrix()
-    d2[:3, :3] = (trace_eye - r.T) / 2.0
-    d2[3:, 3:] = r
-    return d1, d2
+    d1_t, d2_t = _se3_extract_jacobian_entries(m)
+    return np.array(d1_t).reshape(6, 6).T, np.array(d2_t).reshape(6, 6).T
 
 
-def _se3_extract_d1_derivative(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Jacobian of d1(M)^T w under M exp(t hat(delta)), w held fixed, with d1
-    the first of _se3_extract_jacobians(M).
+def _se3_extract_d1_entries(m, w) -> tuple:
+    """The row-major entries of _se3_extract_d1_derivative(M, w), from the rows
+    of M and a sequence of six floats w (lists or arrays).
 
     Column j is the w-pairing of se3_extract(-hat(e_i) M hat(e_j)) over i:
     [[(omega s^T + hat(R^T omega))/2, hat(v) R], [0, 0]] with w = (omega, v)
-    and s = vee(R - R^T), entry by entry on floats.
+    and s = vee(R - R^T).
     """
-    (r00, r01, r02, _), (r10, r11, r12, _), (r20, r21, r22, _), _ = m.tolist()
-    o0, o1, o2, v0, v1, v2 = w.tolist()
+    (r00, r01, r02, _), (r10, r11, r12, _), (r20, r21, r22, _), _ = m
+    o0, o1, o2, v0, v1, v2 = w
     s0, s1, s2 = r21 - r12, r02 - r20, r10 - r01
     # u = R^T omega; the left block is (omega s^T + hat(u)) / 2.
     u0 = o0 * r00 + o1 * r10 + o2 * r20
     u1 = o0 * r01 + o1 * r11 + o2 * r21
     u2 = o0 * r02 + o1 * r12 + o2 * r22
     # hat(v) has rows (0, -v2, v1), (v2, 0, -v0), (-v1, v0, 0).
-    return np.array((
+    return (
         o0 * s0 / 2.0, (o0 * s1 - u2) / 2.0, (o0 * s2 + u1) / 2.0,
         v1 * r20 - v2 * r10, v1 * r21 - v2 * r11, v1 * r22 - v2 * r12,
         (o1 * s0 + u2) / 2.0, o1 * s1 / 2.0, (o1 * s2 - u0) / 2.0,
         v2 * r00 - v0 * r20, v2 * r01 - v0 * r21, v2 * r02 - v0 * r22,
         (o2 * s0 - u1) / 2.0, (o2 * s1 + u0) / 2.0, o2 * s2 / 2.0,
         v0 * r10 - v1 * r00, v0 * r11 - v1 * r01, v0 * r12 - v1 * r02,
-    ) + (0.0,) * 18).reshape(6, 6)  # the bottom three rows are zero
+    ) + (0.0,) * 18  # the bottom three rows are zero
+
+
+def _se3_extract_d1_derivative(m, w) -> np.ndarray:
+    """Jacobian of d1(M)^T w under M exp(t hat(delta)), w held fixed, with d1
+    the first of _se3_extract_jacobians(M), entry by entry on floats."""
+    return np.array(_se3_extract_d1_entries(m, w)).reshape(6, 6)
+
+
+def _se3_jacobians(m: tuple, lam: tuple, w: list) -> tuple[tuple, tuple, tuple]:
+    """P1^T, P2^T and D, row-major."""
+    return (*_se3_extract_jacobian_entries(m), _se3_extract_d1_entries(m, w))
+
+
+_SE3_CHART = _Chart(_se3_relative, _se3_extract_entries, _se3_extract_transposes,
+                    _se3_jacobians)
 
 
 def se3_coupled() -> DiscreteLagrangian:
@@ -410,12 +572,7 @@ def se3_coupled() -> DiscreteLagrangian:
     Uses the linear extraction se3_extract in place of the logarithm, so the
     displacement chart degrades gracefully and the derivatives are exact.
     """
-    chart = _Chart(
-        se3_extract,
-        lambda m, lam: _se3_extract_jacobians(m),
-        lambda m, lam, w, p2: _se3_extract_d1_derivative(m, w),
-    )
-    return _coupled(Bundle(SE3, 2), coupling_se3, (_SE3_C1, _SE3_C2), chart)
+    return _coupled(Bundle(SE3, 2), _SE3_C0, (_SE3_C1, _SE3_C2), _SE3_CHART)
 
 
 def so3_pure() -> DiscreteLagrangian:
@@ -424,7 +581,7 @@ def so3_pure() -> DiscreteLagrangian:
     The coupled rotation Lagrangian with no shape; its discrete mechanical
     connection must coincide with g1 g0^-1.
     """
-    return _coupled(Bundle(SO3, 0), lambda x: np.zeros((3, 0)), (), _so3_chart())
+    return _coupled(Bundle(SO3, 0), np.zeros((3, 0)), (), _SO3_CHART)
 
 
 LAGRANGIAN_FIXTURES = {

@@ -22,12 +22,13 @@ SAMPLED = settings(derandomize=True, max_examples=30, deadline=None, database=No
 
 # Rotation angles anywhere below the cut locus at pi, and crowded next to it.
 ANGLES = st.one_of(st.floats(0.0, 3.0), st.floats(-4.0, -1.0).map(lambda e: math.pi - 10.0 ** e))
-# The same for checks through the log, down to pi - 0.03: at pi - d the log's
-# angle carries an error near 1e-16/d, which t/sin(t) turns into a relative
-# error near 1e-16/d^2 (6.7e-10 at d = 1e-3, 2.4e-11 in a conjugate's norm at
-# d = 1e-2).
+# The same for checks through the log, up to its cut margin: past 2 rad the
+# log takes its angle from atan2 and its axis from the symmetric part, so it
+# stays exact at pi - d for every d down to 1.1e-6.
 LOG_ANGLES = st.one_of(st.floats(0.0, 3.0),
-                       st.floats(-1.5, -1.0).map(lambda e: math.pi - 10.0 ** e))
+                       st.floats(math.log10(1.1e-6), -1.0).map(lambda e: math.pi - 10.0 ** e))
+# Distances d from pi, log-uniform in [1.1e-6, 0.03].
+CUT_DISTANCES = st.floats(math.log10(1.1e-6), math.log10(0.03)).map(lambda e: 10.0 ** e)
 # Rotation angles from the Taylor branches below 1e-8 up to 1e-2.
 SMALL_ANGLES = st.floats(-10.0, -2.0).map(lambda e: 10.0 ** e)
 
@@ -210,6 +211,51 @@ def test_log_rejects_cut_locus(group):
         lg.log(near)
     ok = lg.exp(group, half_turn_vector(group, np.pi - 1e-3))
     assert np.linalg.norm(lg.log(ok)) == pytest.approx(np.pi - 1e-3, abs=1e-9)
+
+
+@st.composite
+def near_half_turns(draw, group):
+    """Elements of SO(3) or SE(3) at angle pi - d about a drawn axis, d from
+    CUT_DISTANCES, with translation coordinates within 1."""
+    xi = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=group.dim, max_size=group.dim)))
+    axis = xi[:3]
+    norm = np.linalg.norm(axis)
+    xi[:3] = (math.pi - draw(CUT_DISTANCES)) * (axis / norm if norm > 0.0 else np.eye(3)[0])
+    return group.exp_matrix(xi)
+
+
+@pytest.mark.parametrize("group", [SO3, SE3], ids=lambda g: g.name)
+@settings(SAMPLED, max_examples=200)
+@given(data=st.data())
+def test_log_is_exact_up_to_its_cut_margin(group, data):
+    ms = np.stack([data.draw(near_half_turns(group)) for _ in range(4)])
+    scalar = np.stack([group.log_vector(m) for m in ms])
+    batched = group.log_vectors(ms)
+    assert batched.tobytes() == scalar.tobytes()
+    for logs in (scalar, batched):
+        assert np.max(np.abs(group.exp_matrices(logs) - ms)) <= 2e-15
+        assert np.max(np.abs(np.stack([group.exp_matrix(v) for v in logs]) - ms)) <= 2e-15
+
+
+@pytest.mark.parametrize("group", [SO3, SE3], ids=lambda g: g.name)
+@settings(SAMPLED, max_examples=50)
+@given(data=st.data(), angles=st.lists(st.one_of(st.floats(0.0, 3.0), CUT_DISTANCES.map(
+    lambda d: math.pi - d)), min_size=1, max_size=6), nan_row=st.integers(0, 6))
+def test_batched_logs_equal_the_scalar_logs_past_the_pivot_nan_rows_included(group, data, angles,
+                                                                            nan_row):
+    # A NaN off the diagonal leaves the angle finite, so the log returns NaN
+    # entries rather than refusing; rows short of the pivot, past it and NaN
+    # rows mix in one stack.  A NaN row has its NaNs in the same entries, but
+    # past the pivot the sign bit of a NaN may differ.
+    ms = np.stack([group.exp_matrix(data.draw(algebra(group, st.just(a), bound=1.0)))
+                   for a in angles])
+    bad = nan_row % len(ms)
+    ms[bad, 0, 1] = np.nan
+    want = np.stack([group.log_vector(m) for m in ms])
+    got = group.log_vectors(ms)
+    assert np.isnan(want[bad]).any()
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.delete(got, bad, axis=0).tobytes() == np.delete(want, bad, axis=0).tobytes()
 
 
 @pytest.mark.parametrize("group", [SO2, SO3, SE3], ids=lambda g: g.name)
