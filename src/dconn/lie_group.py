@@ -27,8 +27,8 @@ written once and run on floats or on (n,) arrays of entries.  On arrays,
 every sin, tan, acos and power is libm's, mapped over the rows in one
 C-level loop.  On a float each series branch is a plain ``if`` that
 computes only the branch it takes; on arrays it is a mask over safe values,
-so every row equals the float kernel's result bit for bit with no Python
-per row.
+computed only when the rows take both branches, so every row equals the
+float kernel's result bit for bit with no Python per row.
 
 Conventions:
   * so(3) uses the standard hat map, so ``exp`` is the Rodrigues formula.
@@ -121,9 +121,14 @@ def _float_branch(small, theta, series, closed, *args) -> tuple:
 def _row_branch(small, theta, series, closed, *args) -> tuple:
     """series(theta) on the rows where small, closed(theta) on the others.
 
-    Both run on every row, on safe values: the series at 0 where the closed
-    form is taken, the closed form at 1 where the series is.
+    When every row takes one branch, only that branch runs.  Otherwise both
+    run on every row, on safe values: the series at 0 where the closed form
+    is taken, the closed form at 1 where the series is.
     """
+    if not small.any():
+        return closed(theta, _ROWS, *args)
+    if small.all():
+        return series(theta, _ROWS, *args)
     below = series(np.where(small, theta, 0.0), _ROWS, *args)
     above = closed(np.where(small, 1.0, theta), _ROWS, *args)
     return tuple(map(np.where, repeat(small), below, above))
@@ -134,8 +139,9 @@ def _row_branch(small, theta, series, closed, *args) -> tuple:
 # transcendental and power from libm: numpy's own sin, arccos, tan, arctan2
 # and power differ from libm's in the last place on a share of inputs, and so
 # would the batched kernels' rows from the float kernels.  ``branch`` takes a
-# series or a closed form by a mask: a plain ``if`` on a float, both sides on
-# safe values on rows.  ``where`` picks between two values the same way.
+# series or a closed form by a mask: a plain ``if`` on a float, and on rows
+# the one side they all take, or both sides on safe values.  ``where`` picks
+# between two values by a mask.
 _FLOATS = SimpleNamespace(sin=math.sin, tan=math.tan, acos=math.acos, atan2=math.atan2,
                           pow=math.pow, sqrt=math.sqrt, copysign=math.copysign,
                           fmin=min, fmax=max, any=bool, branch=_float_branch,

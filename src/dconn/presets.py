@@ -25,6 +25,7 @@ the Jacobian D of P1^T w under g1 exp(t delta) with w held fixed.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import mul, sub
 from typing import Callable, NamedTuple
 
@@ -34,7 +35,7 @@ from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from .connection import DiscreteConnection, trivial_connection
 from .errors import DconnError
-from .lie_group import SE3, SO3, _dexpinv_c2, group_by_name, translation_group
+from .lie_group import SE3, SO3, _dexpinv_c2, _frozen, group_by_name, translation_group
 from .limits import (
     ContinuousConnection,
     cayley_connection,
@@ -294,36 +295,32 @@ def _coupled(bundle: Bundle, c0: np.ndarray, partials: tuple[np.ndarray, ...],
     B = S dx - C^T, S_j dx - C[:, j], is the x0_j-derivative of w.
 
     Everything but phi is bilinear in the shape pair.  With Q = [c0, S_0,
-    S_1, ...] and v = (dx, x0 (x) dx), C dx = Q v, so w and Q^T w (which holds
-    c0^T w and each S_j^T w) are the one product [lam, v] [[I, Q], [Q^T, Q^T Q]];
-    then C^T w = c0^T w + sum_j x0_j S_j^T w and (B w)_j = (S_j^T w) . dx - (C^T w)_j.
-    B and C(x0)^T are the one product [1, x0, dx] L, for a fixed L.
+    S_1, ...] and v = (dx, x0 (x) dx), C dx = Q v, so w = lam + Q v and Q^T w
+    (which holds c0^T w and each S_j^T w) are linear in (lam, v), and B and
+    C(x0)^T in (1, x0, dx): all four are the one product
+    [1, x0, lam, v] M, for a fixed M built once per coupling
+    (``_coupling_tables``).  Then C^T w = c0^T w + sum_j x0_j S_j^T w and
+    (B w)_j = (S_j^T w) . dx - (C^T w)_j.
 
-    One pair table of Python floats serves every call at a pair: m, lam, x0,
-    dx, w, C^T w, Q^T w, P1^T w and P2^T w, read with one ``tolist`` per array
-    of the two points and of the product.  value, d1 and d2 each assemble one
-    new array from it.  d12 alone builds B, C(x0)^T and the chart's P1^T, P2^T
-    and D, in one array of the chart's entries and one product, and takes
-    [B; P1^T] [C, P2] as one matrix product.  The last pair is
-    kept and matched by the identity of its two immutable points, which the
-    Newton solvers hold for d1 and d12 of an iterate (and del_step for d2 of
-    the pair its last residual checked).
+    One pair table of Python floats serves every call at a pair: m, lam, dx,
+    w, C^T w, Q^T w, B, C^T, P1^T w and P2^T w, read with one ``tolist`` per
+    array of the two points and of the product.  value, d1 and d2 each
+    assemble one new array from it.  d12 alone builds the chart's P1^T, P2^T
+    and D: one array of their entries and the table's B and C^T, laid out
+    by one ``take`` as the two factors of one matrix product,
+    [[B, S^T w - I/kappa, 0], [P1^T, 0, D]] [[C^T, I], [P2^T, I]]^T.  The
+    last pair is kept and matched by the identity of its two immutable
+    points, which the Newton solvers hold for d1 and d12 of an iterate (and
+    del_step for d2 of the pair its last residual checked).
     """
     h = COUPLED_STEP
     k = COUPLED_KAPPA / h
     d = bundle.shape_dim
     n = bundle.group.dim
-    c0 = np.asarray(c0, dtype=float).reshape(n, d)
-    stack = np.array(partials, dtype=float).reshape(d, n, d)
-    q = np.concatenate([c0, *stack], axis=1)
-    bilinear = np.block([[np.eye(n), q], [q.T, q.T @ q]])
-    # Row 0 of L takes 1, rows 1 .. d take x0 and the last d take dx; the
-    # columns hold B, then C^T, row-major.
-    linear = np.zeros((1 + 2 * d, 2, d, n))
-    linear[0, 1], linear[1:d + 1, 1] = c0.T, stack.transpose(0, 2, 1)
-    linear[:, 0] = -linear[:, 1]
-    linear[d + 1:, 0] = stack.transpose(2, 0, 1)
-    linear = linear.reshape(1 + 2 * d, 2 * d * n)
+    product, layout = _coupling_tables(np.asarray(c0, dtype=float).reshape(n, d),
+                                       np.array(partials, dtype=float).reshape(d, n, d))
+    sources = int(layout.max()) + 1  # the entries d12 lays out, 0 and 1 last
+    wide = n + d + d * d  # the product's columns of w and Q^T w
     slopes = [d + j * d for j in range(d)]  # where each S_j^T w starts in Q^T w
     last: list = [None, None, None]  # q0, q1 and their pair table
 
@@ -333,45 +330,82 @@ def _coupled(bundle: Bundle, c0: np.ndarray, partials: tuple[np.ndarray, ...],
             lam = chart.phi(m)
             x0 = q0.shape.coords.tolist()
             dx = list(map(sub, q1.shape.coords.tolist(), x0))
-            wq = (np.array([*lam, *dx, *(x * e for x in x0 for e in dx)]) @ bilinear).tolist()
-            w, qw = wq[:n], wq[n:]
-            ctw = qw[:d]
-            for x, i in zip(x0, slopes):
-                ctw = [a + x * e for a, e in zip(ctw, qw[i:i + d])]
-            last[:] = q0, q1, (m, lam, x0, dx, w, ctw, qw, *chart.transposes(m, lam, w))
+            row = np.array([1.0, *x0, *lam, *dx, *[x * e for x in x0 for e in dx]])
+            table = (row @ product).tolist()
+            w, qw, b_ct = table[:n], table[n:wide], table[wide:]
+            ctw = [sum(map(mul, (1.0, *x0), qw[j::d])) for j in range(d)]
+            last[:] = q0, q1, (m, lam, dx, w, ctw, qw, b_ct, *chart.transposes(m, lam, w))
         return last[2]
 
     def value(q0: BundlePoint, q1: BundlePoint) -> float:
-        _, _, _, dx, w, _, _, _, _ = pieces(q0, q1)
+        _, _, dx, w, _, _, _, _, _ = pieces(q0, q1)
         return sum(map(mul, dx, dx)) / (2.0 * h) + COUPLED_KAPPA * sum(map(mul, w, w)) / (2.0 * h)
 
     def d1(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        _, _, _, dx, _, ctw, qw, p1w, _ = pieces(q0, q1)
+        _, _, dx, _, ctw, qw, _, p1w, _ = pieces(q0, q1)
         return np.array([-x / h + k * (sum(map(mul, qw[i:i + d], dx)) - a)
                          for x, a, i in zip(dx, ctw, slopes)] + [k * a for a in p1w])
 
     def d2(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-        _, _, _, dx, _, ctw, _, _, p2w = pieces(q0, q1)
+        _, _, dx, _, ctw, _, _, _, p2w = pieces(q0, q1)
         return np.array([x / h + k * a for x, a in zip(dx, ctw)] + [k * a for a in p2w])
 
     def d12(q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         # Shape moves of q1 change w by C and B w by S^T w; fiber moves change
         # w by P2 and P1^T w by D: k ([B; P1^T] [C, P2] + [[S^T w - I/kappa, 0], [0, D]]).
-        m, lam, x0, dx, w, _, qw, _, _ = pieces(q0, q1)
-        p1_t, p2_t, second = chart.jacobians(m, lam, w)
+        m, lam, _, w, _, qw, b_ct, _, _ = pieces(q0, q1)
         shape = [qw[i + c] - (1.0 / COUPLED_KAPPA if c == r else 0.0)
                  for r, i in enumerate(slopes) for c in range(d)]
-        blocks = np.array((*p1_t, *p2_t, *second, *shape))
-        # [B; P1^T] and [C^T; P2^T].
-        tables = np.concatenate([(np.array([1.0, *x0, *dx]) @ linear).reshape(2, d, n),
-                                 blocks[:2 * n * n].reshape(2, n, n)], axis=1)
-        jac = tables[0] @ tables[1].T
-        jac[d:, d:] += blocks[2 * n * n:3 * n * n].reshape(n, n)
-        jac[:d, :d] += blocks[3 * n * n:].reshape(d, d)
+        factors = np.fromiter(chain(b_ct, *chart.jacobians(m, lam, w), shape, (0.0, 1.0)),
+                              float, sources).take(layout)
+        jac = factors[0] @ factors[1].T
         jac *= k
         return jac
 
     return DiscreteLagrangian(bundle, value, d1, d2, d12)
+
+
+# The fixed arrays of each coupling _coupled has built, keyed by its bytes; read-only,
+# since every Lagrangian of that coupling shares them.
+_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _coupling_tables(c0: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_coupled's fixed arrays for C(x) = c0 + sum_j x_j stack[j]: M, and d12's layout.
+
+    M's rows take 1, x0, lam, dx and x0 (x) dx; its columns give w, Q^T w,
+    then B and C(x0)^T row-major, so w and Q^T w are [lam, v] [[I, Q],
+    [Q^T, Q^T Q]].  d12's entries are B, C^T, P1^T, P2^T, D and the shape
+    block, each row-major, then 0 and 1; the layout picks from them the two
+    factors [[B, shape, 0], [P1^T, 0, D]] and [[C^T, I], [P2^T, I]], whose
+    product adds the shape block and D to [B; P1^T] [C, P2].
+    """
+    key = (c0.shape, c0.tobytes(), stack.tobytes())
+    if key not in _TABLES:
+        n, d = c0.shape
+        q = np.concatenate([c0, *stack], axis=1)
+        wide = n + d + d * d  # where B starts
+        product = np.zeros((1 + 2 * d + n + d * d, wide + 2 * d * n))
+        product[1 + d:, :wide] = np.block([[np.eye(n), q], [q.T, q.T @ q]])
+        # b_ct's rows take 1, x0 and dx; its columns hold B, then C^T, row-major.
+        b_ct = np.zeros((1 + 2 * d, 2, d, n))
+        b_ct[0, 1], b_ct[1:d + 1, 1] = c0.T, stack.transpose(0, 2, 1)
+        b_ct[:, 0] = -b_ct[:, 1]
+        b_ct[d + 1:, 0] = stack.transpose(2, 0, 1)
+        b_ct = b_ct.reshape(1 + 2 * d, 2 * d * n)
+        product[:1 + d, wide:], product[1 + d + n:1 + 2 * d + n, wide:] = b_ct[:1 + d], b_ct[1 + d:]
+        size = 2 * d * n + 3 * n * n + d * d
+        entries = np.arange(size)
+        b, ct = entries[:2 * d * n].reshape(2, d, n)
+        p1_t, p2_t, second = entries[2 * d * n:size - d * d].reshape(3, n, n)
+        zero, one = size, size + 1
+        layout = np.full((2, d + n, 2 * n + d), zero)
+        layout[0, :d, :n], layout[0, :d, n:n + d] = b, entries[size - d * d:].reshape(d, d)
+        layout[0, d:, :n], layout[0, d:, n + d:] = p1_t, second
+        layout[1, :d, :n], layout[1, d:, :n] = ct, p2_t
+        layout[1, :, n:] = np.where(np.eye(d + n, dtype=bool), one, zero)
+        _TABLES[key] = _frozen(product), _frozen(layout)
+    return _TABLES[key]
 
 
 def _so3_relative(a: list, b: list) -> tuple:

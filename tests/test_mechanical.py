@@ -826,8 +826,8 @@ def table_ulps(got, want) -> float:
 
 
 # The float pair table against reference_coupled: at most 12 table_ulps (the
-# value of so3_pure; 9 on so3_coupled, 7 on se3_coupled, 6, 7 and 5 for d1 and
-# under 5 for d12) over 100 000 draws per coupled fixture like the ones below.
+# value of so3_pure; 9 on so3_coupled, 7 on se3_coupled, 5 to 8 for d1 and d2
+# and at most 5 for d12) over 100 000 draws per coupled fixture like the ones below.
 FLOAT_TABLE_ULPS = 16.0
 
 
@@ -842,6 +842,16 @@ def test_float_pair_table_matches_the_numpy_formulas(name, data):
         got = np.asarray(getattr(L, slot)(p.first, p.second))
         assert got.shape == ref.shape
         assert table_ulps(got, ref) <= FLOAT_TABLE_ULPS, slot
+
+
+def test_coupled_fixtures_build_their_fixed_arrays_once_per_coupling():
+    # Each build of a fixture reuses the arrays of an equal coupling, so a
+    # fresh Lagrangian per trajectory or CLI report costs no table.
+    for c0, partials in COUPLINGS.values():
+        stack = np.array(partials, dtype=float).reshape(c0.shape[1], *c0.shape)
+        first = presets._coupling_tables(c0, stack)
+        assert presets._coupling_tables(c0.copy(), stack.copy()) is first
+        assert all(not a.flags.writeable for a in first)
 
 
 # -- evaluations per Newton iterate ---------------------------------------------------
