@@ -105,14 +105,9 @@ class MetricComplex:
         embedding = None if embedding is None else np.asarray(embedding, dtype=float)
         if metrics.shape != (len(tris), 2, 2):
             raise MeshFormatError("need one 2x2 chart metric per triangle")
-        self._build(n, tris, metrics, embedding)
-
-    def _build(self, vertex_count: int, triangles: np.ndarray, chart_metrics: np.ndarray,
-               embedding) -> None:
-        """Validate and tabulate checked (m, 3) int triangles and (m, 2, 2) float metrics."""
-        self.vertex_count = vertex_count
-        self.triangles = triangles
-        self.chart_metrics = chart_metrics
+        self.vertex_count = n
+        self.triangles = tris
+        self.chart_metrics = metrics
         self.embedding = embedding
         self._build_adjacency()
         self._tabulate_metrics()
@@ -123,14 +118,6 @@ class MetricComplex:
                 view = table.view()
                 view.flags.writeable = False
                 setattr(self, name, view)
-
-    @classmethod
-    def _built(cls, vertex_count: int, triangles: np.ndarray, chart_metrics: np.ndarray,
-               embedding=None) -> "MetricComplex":
-        """A complex from tables a constructor has converted and range-checked."""
-        K = cls.__new__(cls)
-        K._build(vertex_count, triangles, chart_metrics, embedding)
-        return K
 
     # -- construction -------------------------------------------------------
 
@@ -180,7 +167,7 @@ class MetricComplex:
             raise MeshFormatError(f"missing edge length for {divmod(int(missing[0]), n)}")
         s01, s02, s12 = squares[order[at]].T
         g01 = 0.5 * s01 + 0.5 * s02 - 0.5 * s12  # exact halves: s01 + s02 may overflow
-        return cls._built(n, tris, np.array([[s01, g01], [g01, s02]]).transpose(2, 0, 1))
+        return cls(n, tris, np.array([[s01, g01], [g01, s02]]).transpose(2, 0, 1))
 
     @classmethod
     def from_embedding(cls, vertices, triangles) -> "MetricComplex":
@@ -193,7 +180,7 @@ class MetricComplex:
         with np.errstate(over="ignore"):  # a metric too large for a float is refused on build
             e = verts[tris[:, 1:]] - verts[tris[:, :1]]  # rows v1 - v0 and v2 - v0
             gram = e @ e.transpose(0, 2, 1)
-        return cls._built(len(verts), tris, gram, verts)
+        return cls(len(verts), tris, gram, verts)
 
     # -- validation ---------------------------------------------------------
 

@@ -6,10 +6,13 @@ throughout the package: shape components pair with chart velocities, fiber
 components with left-trivialized algebra velocities (curves g exp(t delta)).
 From the first-slot derivative come the discrete momentum map, the discrete
 Euler-Lagrange step and, for group-invariant Lagrangians, the discrete
-mechanical connection.
+mechanical connection: one zero-momentum solve on the canonical pair
+((x0, e), (x1, g)) gives its local representation A(x0, x1), and its value
+on any pair over (x0, x1) is g1 A(x0, x1) g0^-1.
 
 Slot derivatives a Lagrangian leaves out are ``limits.derivative_at_zero``
-along the chart curves t -> bundle.shift(q, t e_i).  Both solvers share one
+along the chart curves t -> bundle.shift(q, t e_i), taken from a first
+coordinate on when only a trailing block is read.  Both solvers share one
 Newton loop that moves its iterate by ``bundle.shift``.  Every public
 function refuses points outside the Lagrangian's bundle before it evaluates
 the Lagrangian (``Bundle.check``).
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import lie_group as lg
 from .bundle import Bundle, BundlePoint, PairElement, ShapePoint, shift
-from .connection import DiscreteConnection, _broadcast_rows
+from .connection import DiscreteConnection, _broadcast_rows, _form_product
 from .errors import CutLocusError, NonDegenerateError, SolverDivergedError
 from .lie_group import GroupElement, _frozen
 from .limits import derivative_at_zero
@@ -67,20 +70,24 @@ class DiscreteLagrangian:
     d2: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
     d12: Callable[[BundlePoint, BundlePoint], np.ndarray] | None = None
 
-    def d1_eval(self, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+    def d1_eval(self, q0: BundlePoint, q1: BundlePoint, first: int = 0) -> np.ndarray:
+        """D1 L(q0, q1) from coordinate ``first`` on: an analytic d1 is sliced,
+        a missing one differentiated along those directions only (the stencil
+        is elementwise, so the block keeps the bits of the whole covector)."""
         if self.d1 is not None:
-            return np.asarray(self.d1(q0, q1), dtype=float)
-        return _chart_derivative(lambda q: self.value(q, q1), q0)
+            return np.asarray(self.d1(q0, q1), dtype=float)[first:]
+        return _chart_derivative(lambda q: self.value(q, q1), q0, first)
 
     def d2_eval(self, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
         if self.d2 is not None:
             return np.asarray(self.d2(q0, q1), dtype=float)
         return _chart_derivative(lambda q: self.value(q0, q), q1)
 
-    def d12_eval(self, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
+    def d12_eval(self, q0: BundlePoint, q1: BundlePoint, first: int = 0) -> np.ndarray:
+        """The block of d12 from row and column ``first`` on, as in d1_eval."""
         if self.d12 is not None:
-            return np.asarray(self.d12(q0, q1), dtype=float)
-        return _chart_derivative(lambda q: self.d1_eval(q0, q), q1)
+            return np.asarray(self.d12(q0, q1), dtype=float)[first:, first:]
+        return _chart_derivative(lambda q: self.d1_eval(q0, q, first), q1, first)
 
 
 def _newton(q: BundlePoint, residual: Callable[[BundlePoint], np.ndarray],
@@ -96,16 +103,6 @@ def _newton(q: BundlePoint, residual: Callable[[BundlePoint], np.ndarray],
         f"{what} Newton stalled at residual {np.max(np.abs(residual(q))):.3e} "
         f"after {NEWTON_MAX_ITER} iterations"
     )
-
-
-def _d1_fiber(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint) -> np.ndarray:
-    """The fiber block of D1 L(q0, q1); without an analytic d1, ``value`` is
-    differentiated along the fiber directions only (the stencil is elementwise,
-    so the bits are those of d1_eval's block)."""
-    d = L.bundle.shape_dim
-    if L.d1 is not None:
-        return L.d1_eval(q0, q1)[d:]
-    return _chart_derivative(lambda q: L.value(q, q1), q0, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +125,7 @@ def discrete_momentum(L: DiscreteLagrangian, p: PairElement) -> MomentumValue:
     L.bundle.check(p.first, p.second)
     group = L.bundle.group
     ad_inv = group.adjoint_matrix(group.inverse_matrix(p.first.fiber.matrix))
-    return MomentumValue(group, -(ad_inv.T @ _d1_fiber(L, p.first, p.second)))
+    return MomentumValue(group, -(ad_inv.T @ L.d1_eval(p.first, p.second, L.bundle.shape_dim)))
 
 
 def fiber_derivative(L: DiscreteLagrangian, p: PairElement) -> tuple[BundlePoint, np.ndarray]:
@@ -185,34 +182,22 @@ def del_trajectory(L: DiscreteLagrangian, q0: BundlePoint, q1: BundlePoint,
     return path
 
 
-def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement:
-    """The discrete mechanical connection value for a G-invariant Lagrangian.
+def _canonical_solve(L: DiscreteLagrangian, x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
+    """The local representation A(x0, x1) = g^-1 of the mechanical connection.
 
-    Solves J(x0, g0, x1, g) = 0 for g near g0 by Newton iteration on the
-    fiber of (x1, g) (chart moves with a zero shape part) and returns
-    g1 g^-1, within NEWTON_TOL and NEWTON_MAX_ITER as in del_step.  Only
-    the fiber blocks of d1 and d12 enter; a block without an analytic slot
-    derivative is differentiated along the fiber directions only.  Raises
-    NonDegenerateError when the momentum Jacobian in g is singular beyond
-    RCOND_FLOOR conditioning.
+    Drives the fiber block of D1 L((x0, e), (x1, g)), the momentum on the
+    canonical pair, to zero by Newton iteration from g = e (chart moves with
+    a zero shape part), within NEWTON_TOL and NEWTON_MAX_ITER as in
+    del_step.  Raises NonDegenerateError when the block's Jacobian in g is
+    singular beyond RCOND_FLOOR conditioning.
     """
-    L.bundle.check(p.first, p.second)
     group = L.bundle.group
     d = L.bundle.shape_dim
-    # J = -Ad_{g0^-1}^T D1 L(q0, (x1, g)) as in discrete_momentum.
-    ad_inv_t = group.adjoint_matrix(group.inverse_matrix(p.first.fiber.matrix)).T
-
-    def momentum(q: BundlePoint) -> np.ndarray:
-        return -(ad_inv_t @ _d1_fiber(L, p.first, q))
-
-    def fiber_jacobian(q: BundlePoint) -> np.ndarray:
-        if L.d12 is not None:
-            return L.d12_eval(p.first, q)[d:, d:]
-        # The fallback's fiber block alone: the stencil is elementwise, so its bits are the same.
-        return _chart_derivative(lambda r: _d1_fiber(L, p.first, r), q, d)
+    e = lg.identity(group)
+    q0 = BundlePoint(x0, e)
 
     def step(q: BundlePoint, res: np.ndarray) -> np.ndarray:
-        jac = -(ad_inv_t @ fiber_jacobian(q))
+        jac = L.d12_eval(q0, q, d)
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] <= RCOND_FLOOR * sv[0] or sv[0] == 0.0:
             raise NonDegenerateError(
@@ -222,17 +207,29 @@ def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement
         z[d:] = np.linalg.solve(jac, -res)
         return z
 
-    # The second slot (x1, g), g starting at g0.
-    q = _newton(BundlePoint(p.second.shape, p.first.fiber), momentum, step,
+    q = _newton(BundlePoint(x1, e), lambda q: L.d1_eval(q0, q, d), step,
                 "mechanical connection")
-    return GroupElement(group, p.second.fiber.matrix @ group.inverse_matrix(q.fiber.matrix), True)
+    return group.inverse_matrix(q.fiber.matrix)
+
+
+def mechanical_connection(L: DiscreteLagrangian, p: PairElement) -> GroupElement:
+    """The discrete mechanical connection value g1 A(x0, x1) g0^-1 for a
+    G-invariant Lagrangian.  A(x0, x1) comes from one zero-momentum solve on
+    the canonical pair ((x0, e), (x1, .)), so its tolerances and errors
+    (``_canonical_solve``) do not depend on g0."""
+    L.bundle.check(p.first, p.second)
+    group = L.bundle.group
+    a = _canonical_solve(L, p.first.shape, p.second.shape)
+    return GroupElement(group, _form_product(p.second.fiber.matrix, a,
+                                             group.inverse_matrix(p.first.fiber.matrix)), True)
 
 
 def mechanical_discrete_connection(L: DiscreteLagrangian) -> DiscreteConnection:
     """Wrap the mechanical connection of L as a stored discrete connection.
 
-    Each value costs a Newton solve, so the local representation keeps the
-    read-only matrix of every value it has solved, keyed by the shape pair.
+    Each local representation costs one canonical Newton solve, so the
+    connection keeps the matrix of every one it has solved, keyed by the
+    shape pair; a form on any pair over it is then g1 A(x0, x1) g0^-1.
     A stack of pairs is solved row by row, in row order, so a failing stack
     raises the error of its first failing row.
     """
@@ -241,9 +238,9 @@ def mechanical_discrete_connection(L: DiscreteLagrangian) -> DiscreteConnection:
     def solve(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
         key = (x0.tobytes(), x1.tobytes())
         if key not in solved:
-            e = lg.identity(L.bundle.group)
-            p = PairElement(BundlePoint(ShapePoint(x0), e), BundlePoint(ShapePoint(x1), e))
-            solved[key] = mechanical_connection(L, p).matrix
+            shapes = ShapePoint(x0), ShapePoint(x1)
+            L.bundle.check_shapes(*shapes)
+            solved[key] = _canonical_solve(L, *shapes)
         return solved[key]
 
     def reps(x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:

@@ -55,7 +55,10 @@ def dexpinv_so3(vec: np.ndarray) -> np.ndarray:
     I - hat(lam)/2 + c2 hat(lam)^2 with c2 = (1 - (t/2) cot(t/2)) / t^2.
     For g(t) = exp(lam) exp(t delta) the map is dexpinv_so3(-lam).
     """
-    return -_log_chart_jacobians(np.asarray(vec, dtype=float).reshape(3))[0]
+    lam = np.asarray(vec, dtype=float).reshape(3)
+    w = SO3.hat(lam)
+    p1, _ = _log_chart_entries(lam.tolist(), _dexpinv_c2(lg._norm(lam)), (w @ w).ravel().tolist())
+    return -np.array(p1).reshape(3, 3)
 
 
 def _log_chart_entries(lam, c2: float, square) -> tuple[tuple, tuple]:
@@ -74,15 +77,6 @@ def _log_chart_entries(lam, c2: float, square) -> tuple[tuple, tuple]:
             (1.0 + s00, (0.0 - hz) + s01, (0.0 + hy) + s02,
              (0.0 + hz) + s10, 1.0 + s11, (0.0 - hx) + s12,
              (0.0 - hy) + s20, (0.0 + hx) + s21, 1.0 + s22))
-
-
-def _log_chart_jacobians(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """-dexpinv_so3(lam) and dexpinv_so3(-lam), bit for bit, from one hat(lam),
-    one hat(lam)^2 and one c2: -(I - L/2 + c2 L^2) and I + L/2 + c2 L^2 for L = hat(lam)."""
-    w = SO3.hat(lam)
-    square = (w @ w).ravel().tolist()
-    p1, p2 = _log_chart_entries(lam.tolist(), _dexpinv_c2(lg._norm(lam)), square)
-    return np.array(p1).reshape(3, 3), np.array(p2).reshape(3, 3)
 
 
 # Angle at which c2'(t)/t switches from its series to its closed form.  The
@@ -108,8 +102,13 @@ def _dexpinv_c2_slope(theta: float, c2: float) -> float:
 
 
 def _dexpinv_transpose_entries(lam, w, sq: float) -> tuple:
-    """The row-major entries of _dexpinv_transpose_derivative, from the floats
-    lam and w and sq = lam . lam."""
+    """The row-major entries of the Jacobian in lam, for fixed w, of
+    dexpinv_so3(lam)^T w, from the floats lam and w and sq = lam . lam.
+
+    dexpinv_so3(lam)^T w = w + lam x w / 2 + c2(|lam|) lam x (lam x w), so the
+    Jacobian is -hat(w)/2 + c2 ((lam . w) I + lam w^T - 2 w lam^T)
+    + (c2'(t)/t) (lam x (lam x w)) lam^T.
+    """
     a0, a1, a2 = lam
     v0, v1, v2 = w
     # c2 and its slope from one theta: their closed forms cancel, so a
@@ -130,17 +129,6 @@ def _dexpinv_transpose_entries(lam, w, sq: float) -> tuple:
         -0.5 * v0 + c2 * (a2 * v1 - 2.0 * (v2 * a1)) + dc2 * (t2 * a1),
         c2 * (lw + a2 * v2 - 2.0 * (v2 * a2)) + dc2 * (t2 * a2),
     )
-
-
-def _dexpinv_transpose_derivative(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Jacobian in lam, for fixed w, of dexpinv_so3(lam)^T w.
-
-    dexpinv_so3(lam)^T w = w + lam x w / 2 + c2(|lam|) lam x (lam x w), so the
-    Jacobian is -hat(w)/2 + c2 ((lam . w) I + lam w^T - 2 w lam^T)
-    + (c2'(t)/t) (lam x (lam x w)) lam^T, entry by entry on floats.
-    """
-    entries = _dexpinv_transpose_entries(lam.tolist(), w.tolist(), float(lam.dot(lam)))
-    return np.array(entries).reshape(3, 3)
 
 
 # -- continuous mechanical fixtures -----------------------------------------
@@ -310,8 +298,10 @@ def _coupled(bundle: Bundle, c0: np.ndarray, partials: tuple[np.ndarray, ...],
     by one ``take`` as the two factors of one matrix product,
     [[B, S^T w - I/kappa, 0], [P1^T, 0, D]] [[C^T, I], [P2^T, I]]^T.  The
     last pair is kept and matched by the identity of its two immutable
-    points, which the Newton solvers hold for d1 and d12 of an iterate (and
-    del_step for d2 of the pair its last residual checked).
+    points: both Newton solvers take d1 and d12 of an iterate at the same
+    two objects (the mechanical solve keeps one canonical (x0, e) for its
+    whole solve and slices the fiber blocks), and del_step takes d2 of the
+    pair its last residual checked.
     """
     h = COUPLED_STEP
     k = COUPLED_KAPPA / h
@@ -423,7 +413,7 @@ def _so3_relative(a: list, b: list) -> tuple:
 def _so3_transposes(m: tuple, lam: tuple, w: list) -> tuple[tuple, tuple]:
     """P1^T w = -(w + lam x w / 2 + c2 lam x (lam x w)) and
     P2^T w = w - lam x w / 2 + c2 lam x (lam x w), the transposes of
-    _log_chart_jacobians(lam) applied to w."""
+    -dexpinv_so3(lam) and dexpinv_so3(-lam) applied to w."""
     a0, a1, a2 = lam
     u0, u1, u2 = u = lg._cross(lam, w)
     t0, t1, t2 = lg._cross(lam, u)
@@ -500,8 +490,8 @@ def _se3_relative(a: list, b: list) -> tuple:
 
 
 def _se3_extract_transposes(m: tuple, lam: tuple, w: list) -> tuple[tuple, tuple]:
-    """P1^T w and P2^T w for the two Jacobians of _se3_extract_jacobians, in
-    block form: with w = (omega, v) and p the translation of M,
+    """P1^T w and P2^T w for the two Jacobians of _se3_extract_jacobian_entries,
+    in block form: with w = (omega, v) and p the translation of M,
     P1^T w = ((R^T omega - tr(R) omega)/2 - p x v, -v) and
     P2^T w = ((tr(R) omega - R omega)/2, R^T v)."""
     (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2), _ = m
@@ -519,11 +509,16 @@ def _se3_extract_transposes(m: tuple, lam: tuple, w: list) -> tuple[tuple, tuple
 
 
 def _se3_extract_jacobian_entries(m) -> tuple[tuple, tuple]:
-    """The entries of the two _se3_extract_jacobians(M), column by column,
-    from the rows of M: the row-major entries of d1^T and d2^T.
+    """The row-major entries of d1^T and d2^T, from the rows of M, for d1 and
+    d2 the derivatives of se3_extract under exp(-t hat(delta)) M and under
+    M exp(t hat(delta)), as columns over the basis.
 
-    An off-diagonal entry of tr(R) I is tr(R) * 0.0, so every zero keeps the
-    sign it has in the matrix expressions.
+    se3_extract is linear, so column i of d1 is se3_extract(-hat(e_i) M) and
+    of d2 se3_extract(M hat(e_i)); they assemble to
+    d1 = [[(R - tr(R) I)/2, 0], [hat(p), -I]] and
+    d2 = [[(tr(R) I - R^T)/2, 0], [0, R]].  An off-diagonal entry of
+    tr(R) I is tr(R) * 0.0, so every zero keeps the sign it has in the
+    matrix expressions.
     """
     (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2), _ = m
     tr = r00 + r11 + r22
@@ -545,23 +540,10 @@ def _se3_extract_jacobian_entries(m) -> tuple[tuple, tuple]:
     ))
 
 
-def _se3_extract_jacobians(m) -> tuple[np.ndarray, np.ndarray]:
-    """(d1, d2): the derivatives of se3_extract under exp(-t hat(delta)) M and
-    under M exp(t hat(delta)), as columns over the basis, from the rows of M
-    (a list or an array).
-
-    se3_extract is linear, so column i of d1 is se3_extract(-hat(e_i) M) and
-    of d2 se3_extract(M hat(e_i)); they assemble to
-    d1 = [[(R - tr(R) I)/2, 0], [hat(p), -I]] and
-    d2 = [[(tr(R) I - R^T)/2, 0], [0, R]].
-    """
-    d1_t, d2_t = _se3_extract_jacobian_entries(m)
-    return np.array(d1_t).reshape(6, 6).T, np.array(d2_t).reshape(6, 6).T
-
-
 def _se3_extract_d1_entries(m, w) -> tuple:
-    """The row-major entries of _se3_extract_d1_derivative(M, w), from the rows
-    of M and a sequence of six floats w (lists or arrays).
+    """The row-major entries of the Jacobian of d1(M)^T w under M exp(t hat(delta)),
+    w held fixed, with d1 as in _se3_extract_jacobian_entries, from the rows
+    of M and six floats w.
 
     Column j is the w-pairing of se3_extract(-hat(e_i) M hat(e_j)) over i:
     [[(omega s^T + hat(R^T omega))/2, hat(v) R], [0, 0]] with w = (omega, v)
@@ -583,12 +565,6 @@ def _se3_extract_d1_entries(m, w) -> tuple:
         (o2 * s0 - u1) / 2.0, (o2 * s1 + u0) / 2.0, o2 * s2 / 2.0,
         v0 * r10 - v1 * r00, v0 * r11 - v1 * r01, v0 * r12 - v1 * r02,
     ) + (0.0,) * 18  # the bottom three rows are zero
-
-
-def _se3_extract_d1_derivative(m, w) -> np.ndarray:
-    """Jacobian of d1(M)^T w under M exp(t hat(delta)), w held fixed, with d1
-    the first of _se3_extract_jacobians(M), entry by entry on floats."""
-    return np.array(_se3_extract_d1_entries(m, w)).reshape(6, 6)
 
 
 def _se3_jacobians(m: tuple, lam: tuple, w: list) -> tuple[tuple, tuple, tuple]:

@@ -654,8 +654,8 @@ def test_sweep_past_the_radius_is_refused_before_any_solve(tmp_path, capsys, mon
     from dconn import mechanical
 
     solves = []
-    solve = mechanical.mechanical_connection
-    monkeypatch.setattr(mechanical, "mechanical_connection",
+    solve = mechanical._canonical_solve
+    monkeypatch.setattr(mechanical, "_canonical_solve",
                         lambda *args: solves.append(args) or solve(*args))
     cfg = write_config(tmp_path, "o.json", {
         "candidate": "mechanical:so3_coupled",

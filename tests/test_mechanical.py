@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dconn import lie_group as lg
 from dconn import mechanical, presets
-from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint, shift
+from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint, act_pair, shift
 from dconn.connection import eval_form
 from dconn.errors import (
     GroupMismatchError,
@@ -558,17 +558,18 @@ def test_degenerate_lagrangian_is_detected():
 @given(g0=elements(SO3), g1=elements(SO3))
 def test_mechanical_discrete_connection_solves_each_shape_pair_once(g0, g1):
     solves = []
+    solve = mechanical._canonical_solve
 
-    def counting(L, p):
-        solves.append(p)
-        return mechanical_connection(L, p)
+    def counting(L, x0, x1):
+        solves.append((x0, x1))
+        return solve(L, x0, x1)
 
     c = mechanical_discrete_connection(so3_coupled())
     x0, x1 = [0.1, -0.2], [0.25, -0.1]
     p = PairElement(c.bundle.point(x0, np.eye(3)), c.bundle.point(x1, np.eye(3)))
     moved = PairElement(c.bundle.point(x0, g0), c.bundle.point(x1, g1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mechanical, "mechanical_connection", counting)
+        mp.setattr(mechanical, "_canonical_solve", counting)
         first, second = eval_form(c, p), eval_form(c, p)
         w = eval_form(c, moved)
     assert len(solves) == 1
@@ -581,31 +582,59 @@ def test_mechanical_discrete_connection_solves_each_shape_pair_once(g0, g1):
 def test_a_failing_stack_raises_its_first_failing_row_after_solving_the_rows_before_it():
     # Rows 2 and 3 both fail; row 2's error is raised and rows 3 and 4 are never solved.
     tried = []
+    solve = mechanical._canonical_solve
 
-    def failing(L, p):
-        x1 = p.second.shape.coords
-        tried.append(x1.tolist())
-        if x1[0] > 0.3:
-            raise SolverDivergedError(f"stalled at x1 = {x1[0]:.2f}")
-        return mechanical_connection(L, p)
+    def failing(L, x0, x1):
+        tried.append(x1.coords.tolist())
+        if x1.coords[0] > 0.3:
+            raise SolverDivergedError(f"stalled at x1 = {x1.coords[0]:.2f}")
+        return solve(L, x0, x1)
 
     c = mechanical_discrete_connection(so3_coupled())
     x0 = np.array([0.1, -0.2])
     x1s = x0 + np.array([[0.0, 0.1], [0.1, 0.0], [0.25, 0.0], [0.3, 0.0], [0.05, 0.0]])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mechanical, "mechanical_connection", failing)
+        mp.setattr(mechanical, "_canonical_solve", failing)
         with pytest.raises(SolverDivergedError, match=r"stalled at x1 = 0\.35$"):
             c.local_reps(x0, x1s)
     assert tried == x1s[:3].tolist()
 
 
+@pytest.mark.parametrize("name", ["so3_coupled", "se3_coupled"])
 @MECHANICS
-@given(short_pairs(so3_coupled().bundle, fiber=0.0))
-def test_mechanical_discrete_connection_matches_pointwise_solve(p):
-    L = so3_coupled()
-    via_rep = mechanical_discrete_connection(L).local_rep(p.first.shape, p.second.shape)
-    via_solve = mechanical_connection(L, p)
-    assert np.max(np.abs(via_rep - via_solve.matrix)) < 1e-12
+@given(data=st.data())
+def test_mechanical_discrete_connection_matches_pointwise_solve(name, data):
+    # Both are one product g1 A g0^-1 of one canonical solve, so bit for bit.
+    L = FIXTURES[name]()
+    p = data.draw(short_pairs(L.bundle))
+    via_form = eval_form(mechanical_discrete_connection(L), p)
+    assert mechanical_connection(L, p).matrix.tobytes() == via_form.matrix.tobytes()
+
+
+def se3_translated(data):
+    """SE(3) elements: a rotation as in ``elements`` and a translation whose
+    length is log-uniform in [1e-2, 1e6]."""
+    u = data.draw(_coords(3, 1.0).filter(lambda v: np.linalg.norm(v) > 1e-3))
+    m = lg.exp(SE3, np.concatenate([data.draw(algebra(SO3)), np.zeros(3)])).matrix.copy()
+    m[:3, 3] = u * (10.0 ** data.draw(st.floats(-2.0, 6.0)) / np.linalg.norm(u))
+    return lg.GroupElement(SE3, m)
+
+
+@pytest.mark.parametrize("name", ["so3_coupled", "se3_coupled"])
+@MECHANICS
+@given(data=st.data())
+def test_mechanical_connection_is_equivariant(name, data):
+    # form(h p) = h form(p) h^-1: the solve sees only the shape pair, so a far
+    # translation of both fibers moves the value by rounding alone.  Products
+    # with a translation of length T round by about T ulps, whatever the
+    # value's size, so the bound is relative to the largest entry of h too.
+    L = FIXTURES[name]()
+    p = data.draw(short_pairs(L.bundle))
+    h = se3_translated(data) if L.bundle.group is SE3 else data.draw(elements(SO3))
+    got = mechanical_connection(L, act_pair(h, p)).matrix
+    want = lg.compose(h, lg.compose(mechanical_connection(L, p), lg.inverse(h))).matrix
+    scale = max(np.max(np.abs(want)), np.max(np.abs(h.matrix)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 # -- the displacement charts' Jacobians ----------------------------------------------
@@ -649,7 +678,10 @@ CHARTS = settings(derandomize=True, max_examples=200, deadline=None, database=No
 @CHARTS
 @given(rotation_vectors())
 def test_log_chart_jacobians_are_the_two_dexpinv_calls_bit_for_bit(lam):
-    p1, p2 = presets._log_chart_jacobians(lam)
+    # The entries of -dexpinv(lam) and dexpinv(-lam), from the numpy formula's L^2.
+    w = SO3.hat(lam)
+    p1, p2 = (np.array(e).reshape(3, 3) for e in presets._log_chart_entries(
+        lam.tolist(), lg._dexpinv_c2(lg._norm(lam)), (w @ w).ravel().tolist()))
     assert p1.tobytes() == (-dexpinv_so3(lam)).tobytes() == (-reference_dexpinv(lam)).tobytes()
     assert p2.tobytes() == dexpinv_so3(-lam).tobytes() == reference_dexpinv(-lam).tobytes()
 
@@ -658,9 +690,9 @@ def test_log_chart_jacobians_are_the_two_dexpinv_calls_bit_for_bit(lam):
 @given(algebra(SE3, 2.0))
 def test_extract_chart_jacobians_are_the_two_extract_derivatives_bit_for_bit(xi):
     m = lg.exp(SE3, xi).matrix
-    d1, d2 = presets._se3_extract_jacobians(m)
-    assert d1.tobytes() == reference_extract_d1(m).tobytes()
-    assert d2.tobytes() == reference_extract_d2(m).tobytes()
+    d1_t, d2_t = presets._se3_extract_jacobian_entries(m.tolist())
+    assert np.array(d1_t).tobytes() == reference_extract_d1(m).T.tobytes()
+    assert np.array(d2_t).tobytes() == reference_extract_d2(m).T.tobytes()
 
 
 def reference_dexpinv_transpose_derivative(lam, w):
@@ -713,7 +745,9 @@ FLOAT_KERNEL_ULPS = 3.0
 @CHARTS
 @given(st.one_of(rotation_vectors(), switch_neighbours()), _coords(3, 2.0))
 def test_float_dexpinv_transpose_derivative_matches_the_numpy_formula(lam, w):
-    got = presets._dexpinv_transpose_derivative(lam, w)
+    x, y, z = lam.tolist()  # with |lam|^2 summed as _so3_jacobians sums it
+    got = np.array(presets._dexpinv_transpose_entries([x, y, z], w.tolist(),
+                                                      x * x + y * y + z * z)).reshape(3, 3)
     assert ulps(got, reference_dexpinv_transpose_derivative(lam, w)) <= FLOAT_KERNEL_ULPS
 
 
@@ -721,7 +755,7 @@ def test_float_dexpinv_transpose_derivative_matches_the_numpy_formula(lam, w):
 @given(algebra(SE3, 2.0), _coords(6, 2.0))
 def test_float_extract_d1_derivative_matches_the_numpy_formula(xi, w):
     m = lg.exp(SE3, xi).matrix
-    got = presets._se3_extract_d1_derivative(m, w)
+    got = np.array(presets._se3_extract_d1_entries(m.tolist(), w.tolist())).reshape(6, 6)
     assert ulps(got, reference_extract_d1_derivative(m, w)) <= FLOAT_KERNEL_ULPS
     assert np.array_equal(got[3:], np.zeros((3, 6)))
     # The chart itself only halves differences, so its bits are the numpy formula's.

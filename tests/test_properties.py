@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dconn import lie_group as lg
+from dconn import mechanical
 from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint, act
 from dconn.connection import (
     AdjointBundleElement,
@@ -44,12 +45,7 @@ from dconn.levi_civita import (
 )
 from dconn.lie_group import SE3, SO2, SO3, translation_group
 from dconn.limits import exponentiated_connection, induced_continuous
-from dconn.mechanical import (
-    del_step,
-    del_trajectory,
-    mechanical_connection,
-    mechanical_discrete_connection,
-)
+from dconn.mechanical import del_step, del_trajectory, mechanical_discrete_connection
 from dconn.meshes import cone, flat_grid, icosphere, latitude_loop, torus_grid
 from dconn.presets import CONTINUOUS_FIXTURES, LAGRANGIAN_FIXTURES, resolve_connection
 
@@ -515,10 +511,8 @@ def _shape_pairs(b, seed, distances):
 
 
 def _mechanical_solve(family, x0, x1):
-    """The mechanical connection's matrix on ((x0, e), (x1, e)), solved afresh."""
-    L = LAGRANGIAN_FIXTURES[family.partition(":")[2]]()
-    e = lg.identity(L.bundle.group)
-    return mechanical_connection(L, PairElement(BundlePoint(x0, e), BundlePoint(x1, e))).matrix
+    """The mechanical connection's local representation A(x0, x1), solved afresh."""
+    return mechanical._canonical_solve(LAGRANGIAN_FIXTURES[family.partition(":")[2]](), x0, x1)
 
 
 @pytest.mark.parametrize("family, group", CLI_FAMILIES)
@@ -530,10 +524,10 @@ def test_stacked_local_reps_equal_the_per_pair_reps_row_by_row(family, group, se
     # mechanical row is its own Newton solve; a mechanical stack stays within
     # 0.45, where the solves converge.
     c = resolve_connection(family, group)
-    mechanical = family.startswith("mechanical:")
-    per_pair = partial(_mechanical_solve, family) if mechanical else c.local_rep
+    solved = family.startswith("mechanical:")
+    per_pair = partial(_mechanical_solve, family) if solved else c.local_rep
     b, n = c.bundle, len(distances)
-    x0s, x1s = _shape_pairs(b, seed, [0.45 * d for d in distances] if mechanical else distances)
+    x0s, x1s = _shape_pairs(b, seed, [0.45 * d for d in distances] if solved else distances)
     x0 = 0.2 * np.random.default_rng(seed + 1).standard_normal(b.shape_dim)
     k = b.group.matrix_size
     for bases, ends in ((x0s, x1s), (x0, x1s - x0s + x0)):
