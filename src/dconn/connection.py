@@ -41,7 +41,7 @@ from .errors import (
     OutOfDomainError,
     ShapeMismatchError,
 )
-from .lie_group import GroupElement, _frozen
+from .lie_group import GroupElement, _frozen, _norms
 
 # Chart distance up to which a local representation is trusted.
 VALIDITY_RADIUS = 0.5
@@ -100,6 +100,23 @@ def _checked_rep(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> np.nd
     their shapes), once they are within VALIDITY_RADIUS of each other."""
     _check_distance(chart_distance(x0, x1))
     return c.local_rep(x0, x1)
+
+
+def _checked_reps(c: DiscreteConnection, x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:
+    """c.local_reps(x0s, x1s) over the rows of an (n, shape_dim) x1s, checked first.
+
+    The one rule for stacked samples: check, then compute.  One vectorized
+    chart distance checks every row, and the first row past VALIDITY_RADIUS
+    (NaN counts as past) raises _check_distance's OutOfDomainError before
+    any local representation is taken.  Then one ``local_reps`` call takes
+    them all and raises for its first failing row, and each later stage
+    (products, logs) is one array operation raising for its first failing row.
+    """
+    distances = _norms(x1s - x0s)
+    outside = ~(distances <= VALIDITY_RADIUS)
+    if outside.any():
+        _check_distance(float(distances[np.argmax(outside)]))
+    return c.local_reps(x0s, x1s)
 
 
 def eval_form(c: DiscreteConnection, p: PairElement) -> GroupElement:

@@ -6,7 +6,9 @@ velocity eta, and every function here takes q beside it.  Derivatives are
 taken along its chart curve t -> bundle.shift(q, t v) = (x + t xdot,
 g exp(t eta)); a 4th-order central stencil plus one Richardson
 extrapolation level keeps the finite differencing well inside the stated
-tolerances.
+tolerances.  A derivative of a connection, like the order sweep, takes its
+chart-curve points as one stack under ``connection._checked_reps``'s rule:
+check every row, then compute each stage over all of them.
 """
 
 from __future__ import annotations
@@ -18,17 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lie_group as lg
-from .bundle import Bundle, BundlePoint, PairElement, shift
-from .connection import (
-    VALIDITY_RADIUS,
-    DiscreteConnection,
-    _check_distance,
-    _form_product,
-    adjoint,
-    eval_form,
-    horizontal_component,
-    vertical_component,
-)
+from .bundle import Bundle, BundlePoint, PairElement
+from .connection import DiscreteConnection, _checked_reps, _form_product, adjoint
 from .errors import DegenerateFitError, ShapeMismatchError
 from .lie_group import _frozen, _norms
 
@@ -112,21 +105,44 @@ def _validate_h_list(h_list: Sequence[float]) -> list[float]:
     return hs
 
 
-def _stencil(sample: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-    # 4th-order central difference for the first derivative at 0.
-    return (-sample(2 * h) + 8 * sample(h) - 8 * sample(-h) + sample(-2 * h)) / (12 * h)
+def _stencil_times(h_list: Sequence[float]) -> tuple[list[float], list[list[float]]]:
+    """The two finest steps of h_list and, per step h, the stencil's sample
+    times 2h, h, -h, -2h; ValueError unless h_list is finite, positive and
+    strictly decreasing."""
+    hs = _validate_h_list(h_list)[-2:]
+    return hs, [[2 * h, h, -h, -2 * h] for h in hs]
 
 
-def derivative_at_zero(sample: Callable[[float], np.ndarray],
-                       h_list: Sequence[float] = DEFAULT_H_LIST) -> np.ndarray:
-    """4th-order stencil estimates at the two finest steps of h_list plus one
-    Richardson level; the plain stencil when h_list holds one step."""
-    hs = _validate_h_list(h_list)
-    estimates = [_stencil(sample, h) for h in hs[-2:]]
+def _stencil(samples, hs: list[float]):
+    """The derivative at 0 from samples[i][j], the sample at the j-th stencil
+    time of hs[i] (``_stencil_times``): a 4th-order central difference per
+    step plus one Richardson level, the plain stencil when hs holds one step.
+
+    The arithmetic is elementwise, so each entry of a stacked (len(hs), 4,
+    ...) sample array gets the bits it would get from its own scalars.
+    """
+    estimates = [(-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h) for f, h in zip(samples, hs)]
     if len(estimates) == 1:
         return estimates[0]
     r = hs[-2] / hs[-1]
     return (r**4 * estimates[-1] - estimates[-2]) / (r**4 - 1.0)
+
+
+def derivative_at_zero(sample: Callable[[float], np.ndarray],
+                       h_list: Sequence[float] = DEFAULT_H_LIST) -> np.ndarray:
+    """The derivative at t = 0 of a scalar sampler t -> value (a float or an
+    array): ``_stencil`` over its samples at the stencil times of the two
+    finest steps of h_list, taken in order, coarser step first."""
+    hs, times = _stencil_times(h_list)
+    return _stencil([[sample(t) for t in row] for row in times], hs)
+
+
+def _chart_ends(q: BundlePoint, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """shift(q, z) for each row z of an (n, shape_dim + dim) array, as its shape
+    coordinates x + z_shape, (n, shape_dim), and its fibers g exp(z_fiber),
+    (n, k, k), from one ``exp_matrices`` call."""
+    s = q.shape.coords.size
+    return q.shape.coords + zs[:, :s], q.fiber.matrix @ q.fiber.group.exp_matrices(zs[:, s:])
 
 
 def induced_continuous(c: DiscreteConnection, q: BundlePoint, v,
@@ -135,14 +151,17 @@ def induced_continuous(c: DiscreteConnection, q: BundlePoint, v,
 
     Recovers the continuous connection underlying a consistent discrete one;
     on a vertical tangent xi_Q(q) the result is xi exactly up to stencil
-    error, thanks to the splitting property.
+    error, thanks to the splitting property.  The forms at every stencil
+    time are one stack (``_checked_reps``), their logs one ``log_vectors``
+    call, fed to one ``_stencil``.
     """
     v = _tangents(q, v, 1, c)
-
-    def sample(t: float) -> np.ndarray:
-        return lg.log(eval_form(c, PairElement(q, shift(q, t * v))))
-
-    return derivative_at_zero(sample, h_list)
+    group = c.bundle.group
+    hs, times = _stencil_times(h_list)
+    x1s, g1s = _chart_ends(q, np.ravel(times)[:, None] * v)
+    a = _checked_reps(c, q.shape.coords, x1s)
+    forms = _form_product(g1s, a, group.inverse_matrix(q.fiber.matrix))
+    return _stencil(group.log_vectors(forms).reshape(len(hs), 4, -1), hs)
 
 
 def _local_rep(a: ContinuousConnection, kernels: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -221,15 +240,14 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     order relative to ``exact``: Cayley against exponentiated_connection
     reads 2, though against exact horizontal transport both are first order.
 
-    The samples run h-major, (h, v) in sweep order.  The sweep checks before
-    it computes: one domain check over the whole sweep raises for the first
-    sample past VALIDITY_RADIUS before any local representation is taken.
-    Then each stage is one array operation over the sweep: the endpoints,
-    each connection's local representations (one ``local_reps`` call each),
-    both forms, the errors and their logs and norms.  So a failing sweep
-    raises the domain check's OutOfDomainError, else exact's first failing
-    sample, else candidate's, else the error log's CutLocusError for its
-    first sample past the cut.
+    The samples run h-major, (h, v) in sweep order, and follow the rule of
+    ``connection._checked_reps``: one domain check over the whole sweep, then
+    each stage is one array operation over it: the endpoints (one
+    ``_chart_ends`` call), each connection's local representations (one
+    ``local_reps`` call each), both forms, the errors and their logs and
+    norms.  So a failing sweep raises the domain check's OutOfDomainError,
+    else exact's first failing sample, else candidate's, else the error log's
+    CutLocusError for its first sample past the cut.
     """
     hs = _validate_h_list(h_list)
     if hs[0] / hs[-1] < 10.0:
@@ -250,17 +268,9 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     bad = ~(np.abs(norms - 1.0) <= 1.0e-8)  # NaN fails too
     if bad.any():
         raise ValueError(f"directions must be unit vectors (norm {norms[np.argmax(bad)]:.6f})")
-    total = len(hs) * len(d)
-    steps = np.array(hs)[:, None, None]
-    x1s = (x0.coords + steps * d[:, :s]).reshape(total, s)
-    distances = _norms(x1s - x0.coords)
-    outside = ~(distances <= VALIDITY_RADIUS)  # NaN is outside too
-    if outside.any():
-        _check_distance(float(distances[np.argmax(outside)]))
-    etas = (steps * d[:, s:]).reshape(total, group.dim)
-    g1s = (q.fiber.matrix @ group.exp_matrices(etas))[:, None]
-    reps = np.stack([exact.local_reps(x0.coords, x1s), candidate.local_reps(x0.coords, x1s)], 1)
-    forms = _form_product(g1s, reps, group.inverse_matrix(q.fiber.matrix))
+    x1s, g1s = _chart_ends(q, (np.array(hs)[:, None, None] * d).reshape(len(hs) * len(d), -1))
+    reps = np.stack([_checked_reps(exact, x0.coords, x1s), candidate.local_reps(x0.coords, x1s)], 1)
+    forms = _form_product(g1s[:, None], reps, group.inverse_matrix(q.fiber.matrix))
     errors = _norms(group.log_vectors(forms[:, 0] @ group.inverse_matrices(forms[:, 1])))
     rows = [tuple(row) for row in errors.reshape(len(hs), len(d)).tolist()]
     max_errors = tuple(max(row) for row in rows)
@@ -274,25 +284,29 @@ def estimate_order(candidate: DiscreteConnection, exact: DiscreteConnection,
     return OrderEstimate(float(slope) - 1.0, float(slope), tuple(hs), max_errors, tuple(rows))
 
 
-def _endpoint_variation(component: Callable[[DiscreteConnection, PairElement], PairElement],
-                        c: DiscreteConnection, p: PairElement, v,
-                        moves_shape: bool) -> np.ndarray:
-    """Derivative of t -> component(q0, shift(q1, t v)).second at t = 0, for v at q1,
-    as a tangent at component(p).second: v's shape velocity if ``moves_shape``, else 0.
+def _endpoint_variation(c: DiscreteConnection, p: PairElement, v,
+                        horizontal: bool) -> np.ndarray:
+    """Derivative of t -> hor(q0, shift(q1, t v)).second if ``horizontal``, else
+    ver(...).second, at t = 0 for v at q1, as a tangent at that endpoint at t = 0:
+    v's shape velocity if ``horizontal``, else 0.
+
+    One stack holds t = 0 as row 0, then the stencil times; its forms
+    w(t) = form(q0, shift(q1, t v)) take one ``_checked_reps`` call.  The
+    vertical endpoint is w g0 and the horizontal one w^-1 g1(t); the samples
+    are the logs of the endpoint at 0, inverted, times each later endpoint.
     """
     v = _tangents(p.second, v, 1, c)
-
-    def endpoint(t: float) -> lg.GroupElement:
-        return component(c, PairElement(p.first, shift(p.second, t * v))).second.fiber
-
-    g0inv = lg.inverse(endpoint(0.0))
-
-    def sample(t: float) -> np.ndarray:
-        return lg.log(lg.compose(g0inv, endpoint(t)))
-
+    c.bundle.check(p.first)
+    group, g0 = c.bundle.group, p.first.fiber.matrix
+    hs, times = _stencil_times(DEFAULT_H_LIST)
+    x1s, g1s = _chart_ends(p.second, np.append(0.0, times)[:, None] * v)
+    a = _checked_reps(c, p.first.shape.coords, x1s)
+    forms = _form_product(g1s, a, group.inverse_matrix(g0))
+    ends = group.inverse_matrices(forms) @ g1s if horizontal else forms @ g0
+    samples = group.log_vectors(group.inverse_matrix(ends[0]) @ ends[1:])
     s = p.second.shape.coords.size
-    shape_velocity = v[:s] if moves_shape else np.zeros(s)
-    return _frozen(np.concatenate([shape_velocity, derivative_at_zero(sample)]))
+    shape_velocity = v[:s] if horizontal else np.zeros(s)
+    return _frozen(np.concatenate([shape_velocity, _stencil(samples.reshape(len(hs), 4, -1), hs)]))
 
 
 def vertical_variation(c: DiscreteConnection, p: PairElement, v) -> np.ndarray:
@@ -301,7 +315,7 @@ def vertical_variation(c: DiscreteConnection, p: PairElement, v) -> np.ndarray:
     The vertical endpoint moves only in the fiber over pi(q0); the result is
     its velocity at ver(p).second, with zero shape velocity.
     """
-    return _endpoint_variation(vertical_component, c, p, v, False)
+    return _endpoint_variation(c, p, v, False)
 
 
 def horizontal_variation(c: DiscreteConnection, p: PairElement, v) -> np.ndarray:
@@ -311,4 +325,4 @@ def horizontal_variation(c: DiscreteConnection, p: PairElement, v) -> np.ndarray
     result at hor(p).second keeps v's shape velocity; its fiber velocity
     comes from the local representation alone.
     """
-    return _endpoint_variation(horizontal_component, c, p, v, True)
+    return _endpoint_variation(c, p, v, True)

@@ -23,7 +23,9 @@ from dconn.connection import (
     _check_distance,
     eval_form,
     form_matrix,
+    horizontal_component,
     trivial_connection,
+    vertical_component,
 )
 from dconn.errors import (
     CutLocusError,
@@ -48,6 +50,7 @@ from dconn.limits import (
     vertical_tangent,
     vertical_variation,
 )
+from dconn.mechanical import DiscreteLagrangian
 from dconn.presets import (
     CONTINUOUS_FIXTURES,
     LAGRANGIAN_FIXTURES,
@@ -139,23 +142,32 @@ def test_tangent_of_another_width_is_refused(call):
             _tangent_call(call, a, c, p, bad)
 
 
+def _foreign_pairs(call, a, foreign):
+    """The foreign pair, and for a variation, which reads p.first too, the pair
+    whose first point alone is foreign."""
+    if call in ("one_form", "induced"):
+        return [foreign]
+    return [foreign, PairElement(foreign.first, default_pair(a.bundle).second)]
+
+
 @pytest.mark.parametrize("call", ["one_form", "induced", "vertical", "horizontal"])
 def test_tangent_in_another_group_is_refused(call):
     # T3 and SO(3) share dimension 3, so the tangent's width cannot tell them apart.
     a = so3_mechanical()
     c = exponentiated_connection(a)
-    t3 = default_pair(Bundle(translation_group(3), 2))
-    with pytest.raises(GroupMismatchError, match="point group T3 != bundle group SO3"):
-        _tangent_call(call, a, c, t3, np.zeros(5))
+    for p in _foreign_pairs(call, a, default_pair(Bundle(translation_group(3), 2))):
+        with pytest.raises(GroupMismatchError, match="point group T3 != bundle group SO3"):
+            _tangent_call(call, a, c, p, np.zeros(5))
 
 
 @pytest.mark.parametrize("call", ["one_form", "induced", "vertical", "horizontal"])
 def test_tangent_over_another_shape_dimension_is_refused(call):
     a = so3_mechanical()
     c = exponentiated_connection(a)
-    p = default_pair(Bundle(SO3, 3))
-    with pytest.raises(ShapeMismatchError, match="shape dimensions differ: bundle 2, point 3"):
-        _tangent_call(call, a, c, p, np.zeros(6))
+    # The tangent sits at p.second, so its width is p.second's.
+    for p, width in zip(_foreign_pairs(call, a, default_pair(Bundle(SO3, 3))), (6, 5)):
+        with pytest.raises(ShapeMismatchError, match="shape dimensions differ: bundle 2, point 3"):
+            _tangent_call(call, a, c, p, np.zeros(width))
 
 
 # -- scalar differentiation ----------------------------------------------------
@@ -809,3 +821,220 @@ def test_vertical_curve_has_no_horizontal_fiber_motion(sample):
     hor = horizontal_variation(c, p, vertical_tangent(p.second, v[2:]))
     assert np.max(np.abs(hor[:2])) == 0.0
     assert np.max(np.abs(hor[2:])) < 1e-9
+
+
+# -- stacked chart-curve samples --------------------------------------------------------
+
+
+def per_sample_derivative(sample, h_list=(5.0e-3, 2.5e-3)):
+    """derivative_at_zero as it ran before the stencil took stacked samples: one
+    call of the sampler per stencil time, coarser step first, kept as the oracle."""
+    hs = [float(h) for h in h_list]
+
+    def stencil(h):
+        return (-sample(2 * h) + 8 * sample(h) - 8 * sample(-h) + sample(-2 * h)) / (12 * h)
+
+    estimates = [stencil(h) for h in hs[-2:]]
+    if len(estimates) == 1:
+        return estimates[0]
+    r = hs[-2] / hs[-1]
+    return (r**4 * estimates[-1] - estimates[-2]) / (r**4 - 1.0)
+
+
+def per_sample_induced(c, q, v, h_list=(5.0e-3, 2.5e-3)):
+    """induced_continuous one sample at a time: eval_form at each chart-curve point."""
+    def sample(t):
+        return lg.log(eval_form(c, PairElement(q, bd.shift(q, t * v))))
+
+    return per_sample_derivative(sample, h_list)
+
+
+def per_sample_variation(call, c, p, v):
+    """A variation one sample at a time: the endpoint of ver or hor of (q0, shift(q1, t v))."""
+    component = vertical_component if call == "vertical" else horizontal_component
+
+    def endpoint(t):
+        return component(c, PairElement(p.first, bd.shift(p.second, t * v))).second.fiber
+
+    g0inv = lg.inverse(endpoint(0.0))
+    fiber = per_sample_derivative(lambda t: lg.log(lg.compose(g0inv, endpoint(t))))
+    s = p.second.shape.coords.size
+    return np.concatenate([v[:s] if call == "horizontal" else np.zeros(s), fiber])
+
+
+def per_sample_chart_derivative(f, q, first=0):
+    """A value-only slot derivative: per_sample_derivative along each chart curve
+    t -> shift(q, t e_i), i >= first."""
+    dim = q.shape.coords.size + q.fiber.group.dim
+    return np.stack([per_sample_derivative(lambda t, e=e: f(bd.shift(q, t * e)))
+                     for e in np.eye(dim)[first:]], axis=-1)
+
+
+# (family, group) of every connection family the CLI resolves.
+CLI_FAMILIES = [
+    *(("trivial", g) for g in ("SO2", "SO3", "SE3", "T1")),
+    ("euler_poincare", "SO3"),
+    *((f"{kind}:{f}", "SO3") for kind in ("exponentiated", "cayley", "forward_difference")
+      for f in sorted(CONTINUOUS_FIXTURES)),
+    *((f"mechanical:{f}", "SO3") for f in sorted(LAGRANGIAN_FIXTURES)),
+]
+STACKED = settings(derandomize=True, max_examples=8, deadline=None, database=None)
+
+
+def _random_pair(b, rng):
+    """A pair of b whose points lie within 0.3 of each other, and a tangent at
+    its second point."""
+    q0 = b.random_point(rng, shape_scale=0.2, fiber_scale=0.5)
+    step = rng.standard_normal(b.shape_dim)
+    if b.shape_dim:
+        step *= 0.3 * rng.uniform() / np.linalg.norm(step)
+    q1 = b.point(q0.shape.coords + step, lg.random_element(b.group, rng, 0.5))
+    return PairElement(q0, q1), rng.standard_normal(b.shape_dim + b.group.dim)
+
+
+@pytest.mark.parametrize("family, group", CLI_FAMILIES)
+@STACKED
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(5.0e-3, 2.5e-3), (1e-2,), (0.1, 0.03, 0.02)]))
+def test_stacked_samples_equal_the_per_sample_loops(family, group, seed, h_list):
+    # Bound: equal bit for bit, the induced form at each h_list and both variations.
+    c = resolve_connection(family, group)
+    p, v = _random_pair(c.bundle, np.random.default_rng(seed))
+    got = induced_continuous(c, p.second, v, h_list)
+    assert got.tobytes() == per_sample_induced(c, p.second, v, h_list).tobytes()
+    for call, variation in (("vertical", vertical_variation), ("horizontal", horizontal_variation)):
+        assert variation(c, p, v).tobytes() == per_sample_variation(call, c, p, v).tobytes()
+
+
+@pytest.mark.parametrize("fixture", sorted(LAGRANGIAN_FIXTURES))
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_value_only_slot_derivatives_equal_the_per_sample_loops(fixture, seed):
+    # Bound: equal bit for bit, d12 the derivative of the value-only d1.
+    L = LAGRANGIAN_FIXTURES[fixture]()
+    lean = DiscreteLagrangian(L.bundle, L.value)
+    p, _ = _random_pair(L.bundle, np.random.default_rng(seed))
+    q0, q1 = p.first, p.second
+    s = L.bundle.shape_dim
+
+    def d1(q0, q1, first=0):
+        return per_sample_chart_derivative(lambda q: L.value(q, q1), q0, first)
+
+    pairs = [(lean.d1_eval(q0, q1), d1(q0, q1)), (lean.d1_eval(q0, q1, s), d1(q0, q1, s)),
+             (lean.d2_eval(q0, q1), per_sample_chart_derivative(lambda q: L.value(q0, q), q1)),
+             (lean.d12_eval(q0, q1, s),
+              per_sample_chart_derivative(lambda q: d1(q0, q, s), q1, s))]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_derivative_of_a_scalar_sampler_keeps_its_type():
+    for h_list in ([0.1], [0.4, 0.2]):
+        for sample in (np.sin, math.sin, lambda t: np.array([math.sin(t)])):
+            got, want = derivative_at_zero(sample, h_list), per_sample_derivative(sample, h_list)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _counted(c, calls):
+    """c with each local_reps call recorded as its row count."""
+
+    def stacked(x0s, x1s):
+        calls.append(len(x1s))
+        return c.local_reps(x0s, x1s)
+
+    return dataclasses.replace(c, local_reps=stacked)
+
+
+@pytest.mark.parametrize("family, group", CLI_FAMILIES)
+def test_chart_curve_derivatives_take_one_stacked_call(family, group):
+    c = resolve_connection(family, group)
+    p, v = _random_pair(c.bundle, np.random.default_rng(5))
+    for fn, rows in ((lambda k: induced_continuous(k, p.second, v), 8),
+                     (lambda k: induced_continuous(k, p.second, v, [1e-2]), 4),
+                     (lambda k: vertical_variation(k, p, v), 9),
+                     (lambda k: horizontal_variation(k, p, v), 9)):
+        calls = []
+        fn(_counted(c, calls))
+        assert calls == [rows]
+
+
+def _stack_times(call):
+    """The times of a stacked derivative's rows at the default h_list: a
+    variation's t = 0, then 2h, h, -h, -2h for each step h."""
+    return ([] if call == "induced" else [0.0]) + [
+        t for h in (5.0e-3, 2.5e-3) for t in (2 * h, h, -h, -2 * h)]
+
+
+def check_then_compute(call, c, p, v):
+    """A chart-curve derivative that checks, then computes, one sample at a time.
+
+    Kept as the oracle of a stacked derivative's refusals: every row's chart
+    distance is checked, in stack order (a variation's t = 0 first), before any
+    local representation is taken; then the representations of all rows; then
+    the per-sample loop, whose first log past the cut raises.
+    """
+    q0 = p.second if call == "induced" else p.first
+    ends = [bd.shift(p.second, t * v).shape for t in _stack_times(call)]
+    for x1 in ends:
+        _check_distance(bd.chart_distance(q0.shape, x1))
+    for x1 in ends:
+        c.local_rep(q0.shape, x1)
+    if call == "induced":
+        return per_sample_induced(c, p.second, v)
+    return per_sample_variation(call, c, p, v)
+
+
+@pytest.mark.parametrize("call, want", [
+    ("induced", {"ok": 13, "OutOfDomainError": 9, "SolverDivergedError": 3, "CutLocusError": 2}),
+    ("vertical", {"ok": 2, "OutOfDomainError": 18, "SolverDivergedError": 6, "CutLocusError": 1}),
+    ("horizontal", {"ok": 2, "OutOfDomainError": 18, "SolverDivergedError": 6,
+                    "CutLocusError": 1})])
+def test_failing_chart_curve_derivatives_check_then_compute(call, want):
+    # Over a grid of speeds and failure distances a stacked derivative refuses,
+    # in this order: a row past the radius, before any local representation;
+    # the first stalled solve; a log at the cut locus.  The tangent moves the
+    # shape only, so a rep of a half turn meets the cut.  p.second sits 0.3
+    # from p.first along it: at speed 5 a variation's row 1 (t = 0.01) is the
+    # farthest, at 0.35.
+    b = Bundle(SO3, 2)
+    q0 = b.point([0.1, -0.15], lg.exp(SO3, [0.2, -0.1, 0.3]).matrix)
+    p = PairElement(q0, b.point([0.4, -0.15], lg.exp(SO3, [-0.1, 0.3, 0.2]).matrix))
+    inf = math.inf
+    seen = collections.Counter()
+    for speed, cut_at, fail_at in itertools.product((5.0, 25.0, 60.0), (inf, 0.32, 0.1),
+                                                    (inf, 0.34, 0.2)):
+        v = np.array([speed, 0.0, 0.0, 0.0, 0.0])
+        calls = {"oracle": [], "stacked": []}
+        traps = {mode: _trap("c", cut_at, fail_at, calls[mode]) for mode in calls}
+        oracle = _outcome(lambda: check_then_compute(call, traps["oracle"], p, v))
+        kind, got = _outcome(lambda: _tangent_call(call, None, traps["stacked"], p, v))
+        assert kind == oracle[0]
+        assert (got.tobytes() == oracle[1].tobytes()) if kind == "ok" else (got == oracle[1])
+        every = [("c", bd.shift(p.second, t * v).shape.coords.tobytes())
+                 for t in _stack_times(call)]
+        taken = calls["stacked"]
+        assert taken == every[:len(taken)]
+        if kind == "OutOfDomainError":
+            assert taken == []
+        elif kind in ("ok", "CutLocusError"):
+            assert taken == every
+        seen[kind] += 1
+    assert seen == want
+
+
+@pytest.mark.parametrize("call", ["vertical", "horizontal"])
+def test_a_later_row_past_the_radius_raises_before_an_earlier_rows_solve(call):
+    # Row 0 (t = 0) sits 0.3 out and its solve stalls; row 1 (t = 0.01) sits
+    # 0.55 out.  The per-sample loop met the stall first, the stack meets the
+    # domain check first and takes no rep.
+    b = Bundle(SO3, 2)
+    p = PairElement(b.point([0.1, -0.15], np.eye(3)), b.point([0.4, -0.15], np.eye(3)))
+    v = np.array([25.0, 0.0, 0.0, 0.0, 0.0])
+    calls = []
+    trap = _trap("c", math.inf, 0.2, calls)
+    with pytest.raises(SolverDivergedError, match="c stalled at distance 0.300000"):
+        per_sample_variation(call, trap, p, v)
+    calls.clear()
+    with pytest.raises(OutOfDomainError, match="distance 0.5500 exceeds"):
+        _tangent_call(call, None, trap, p, v)
+    assert calls == []
