@@ -9,16 +9,23 @@ at once; the full form on bundle pairs is
     form((x0, g0), (x1, g1)) = g1 A(x0, x1) g0^-1,
 
 which makes equivariance, the splitting property and the horizontal-lift
-identities hold by construction.  All quotient objects are handled through
-canonical representatives whose leading fiber is the identity; a quotient
-pair is the one-step case of a chain, so its splitting and reassembly are
-those of a two-point chain.
+identities hold by construction.  A pair is the one-row chain: a chain's
+forms are one stacked body (``_chain_forms``), of which ``form_matrix`` is
+the one-row case, and a lift is the one-step case of chain assembly
+(``_lifted_fibers``).  Shape pairs reach a local representation only past
+one domain check (``_check_pairs``) of all of them at once, so a chain
+refuses a point of another bundle, then a step past VALIDITY_RADIUS,
+before it takes any local representation.  All quotient objects are
+handled through canonical representatives whose leading fiber is the
+identity; a quotient pair is the one-step case of a chain, so its
+splitting and reassembly are those of a two-point chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,62 +92,70 @@ def adjoint(c: DiscreteConnection) -> DiscreteConnection:
     return DiscreteConnection(c.bundle, lambda x0s, x1s: _frozen(inverses(c.local_reps(x1s, x0s))))
 
 
-def _check_distance(d: float) -> None:
-    """Raise OutOfDomainError unless a shape pair's chart distance d is within VALIDITY_RADIUS."""
-    if not math.isfinite(d):
-        raise OutOfDomainError(f"shape pair distance {d} is not finite")
-    if d > VALIDITY_RADIUS:
-        raise OutOfDomainError(
-            f"shape pair distance {d:.4f} exceeds validity radius {VALIDITY_RADIUS}"
-        )
-
-
-def _checked_rep(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint) -> np.ndarray:
-    """A(x0, x1) for points x0 and x1 of c's shape space (the caller checks
-    their shapes), once they are within VALIDITY_RADIUS of each other."""
-    _check_distance(chart_distance(x0, x1))
-    return c.local_rep(x0, x1)
+def _check_pairs(x0s: np.ndarray, x1s: np.ndarray) -> None:
+    """The one domain check of shape pairs: OutOfDomainError for the first row of
+    an (n, shape_dim) x1s whose chart distance from x0s, which broadcasts to it,
+    is past VALIDITY_RADIUS (NaN counts as past)."""
+    distances = _norms(x1s - x0s)
+    inside = distances <= VALIDITY_RADIUS
+    if not inside.all():
+        d = float(distances[np.argmin(inside)])
+        why = f"exceeds validity radius {VALIDITY_RADIUS}" if math.isfinite(d) else "is not finite"
+        raise OutOfDomainError(f"shape pair distance {d:.4f} {why}")
 
 
 def _checked_reps(c: DiscreteConnection, x0s: np.ndarray, x1s: np.ndarray) -> np.ndarray:
     """c.local_reps(x0s, x1s) over the rows of an (n, shape_dim) x1s, checked first.
 
-    The one rule for stacked samples: check, then compute.  One vectorized
-    chart distance checks every row, and the first row past VALIDITY_RADIUS
-    (NaN counts as past) raises _check_distance's OutOfDomainError before
-    any local representation is taken.  Then one ``local_reps`` call takes
-    them all and raises for its first failing row, and each later stage
-    (products, logs) is one array operation raising for its first failing row.
+    The one rule for stacked pairs: check, then compute.  ``_check_pairs``
+    checks every row before any local representation is taken.  Then one
+    ``local_reps`` call takes them all and raises for its first failing row,
+    and each later stage (products, logs) is one array operation raising for
+    its first failing row.
     """
-    distances = _norms(x1s - x0s)
-    outside = ~(distances <= VALIDITY_RADIUS)
-    if outside.any():
-        _check_distance(float(distances[np.argmax(outside)]))
+    _check_pairs(x0s, x1s)
     return c.local_reps(x0s, x1s)
 
 
 def eval_form(c: DiscreteConnection, p: PairElement) -> GroupElement:
     """The connection form g1 A(x0, x1) g0^-1 on a pair of c's bundle."""
     c.bundle.check(p.first, p.second)
-    group, g1, g0 = c.bundle.group, p.second.fiber, p.first.fiber
-    a = _checked_rep(c, p.first.shape, p.second.shape)
-    return GroupElement(group, _form_product(g1.matrix, a, group.inverse_matrix(g0.matrix)), True)
+    g0inv = c.bundle.group.inverse_matrix(p.first.fiber.matrix)
+    w = form_matrix(c, p.first.shape, p.second.shape, p.second.fiber.matrix, g0inv)
+    return GroupElement(c.bundle.group, w, True)
 
 
 def form_matrix(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint, g1: np.ndarray,
                 g0inv: np.ndarray) -> np.ndarray:
     """The form g1 A(x0, x1) g0^-1 on bare matrices of the connection's group.
 
-    Raises ShapeMismatchError when x0 or x1 has another shape dimension than
-    the connection, OutOfDomainError when (x0, x1) lies outside VALIDITY_RADIUS.
+    The one-row case of a chain's forms (``_chain_forms``): one row through
+    ``_check_pairs``, then A from ``local_rep``, the one-row case of
+    ``local_reps``.  Raises ShapeMismatchError when x0 or x1 has another
+    shape dimension than the connection, OutOfDomainError when (x0, x1) lies
+    outside VALIDITY_RADIUS.
     """
     c.bundle.check_shapes(x0, x1)
-    return _form_product(g1, _checked_rep(c, x0, x1), g0inv)
+    _check_pairs(x0.coords, x1.coords[None])
+    return _form_product(g1, c.local_rep(x0, x1), g0inv)
 
 
 def _form_product(g1: np.ndarray, a: np.ndarray, g0inv: np.ndarray) -> np.ndarray:
     """g1 A g0^-1 on bare matrices, or on stacks of them that broadcast together."""
     return g1 @ (a @ g0inv)
+
+
+def _chain_forms(c: DiscreteConnection, qs: Sequence[BundlePoint]) -> np.ndarray:
+    """The forms g_{l+1} A(x_l, x_{l+1}) g_l^-1 of a chain of k + 1 >= 2 points of
+    c's bundle as one (k, n, n) stack: one ``Bundle.check`` of every point, one
+    ``_checked_reps`` of every step, one batched inverse and one product."""
+    if len(qs) < 2:
+        raise LengthMismatchError(f"chain needs at least two points, got {len(qs)}")
+    c.bundle.check(*qs)
+    xs = np.stack([q.shape.coords for q in qs])
+    gs = np.stack([q.fiber.matrix for q in qs])
+    return _form_product(gs[1:], _checked_reps(c, xs[:-1], xs[1:]),
+                         c.bundle.group.inverse_matrices(gs[:-1]))
 
 
 def vertical_from_form(p: PairElement, w: GroupElement) -> PairElement:
@@ -167,15 +182,24 @@ def horizontal_lift(c: DiscreteConnection, x0: ShapePoint, x1: ShapePoint,
                     q: BundlePoint) -> PairElement:
     """The horizontal pair over (x0, x1) starting at q.
 
-    In the trivialization the lift is (q, (x1, g0 A(x0, x1)^-1)).
+    In the trivialization the lift is (q, (x1, g0 A(x0, x1)^-1)): the
+    one-step case of ``_lifted_fibers``.
     """
     c.bundle.check(q)
     c.bundle.check_shapes(x0, x1)
     if chart_distance(project(q), x0) > BASE_TOL:
         raise BasepointMismatchError("lift base point q does not sit over x0")
-    group = c.bundle.group
-    a_inv = group.inverse_matrix(_checked_rep(c, x0, x1))
-    return PairElement(q, BundlePoint(x1, GroupElement(group, q.fiber.matrix @ a_inv, True)))
+    g1 = _lifted_fibers(c, [x0, x1], q.fiber.matrix)[1]
+    return PairElement(q, BundlePoint(x1, GroupElement(c.bundle.group, g1, True)))
+
+
+def _lifted_fibers(c: DiscreteConnection, shapes: Sequence[ShapePoint], g0: np.ndarray) -> list:
+    """The fibers of the horizontal chain over ``shapes`` (of c's shape
+    dimension) from the fiber g0: g_{l+1} = g_l A(x_l, x_{l+1})^-1, from one
+    ``_checked_reps`` and one batched inverse over every step."""
+    xs = np.stack([x.coords for x in shapes])
+    a_invs = c.bundle.group.inverse_matrices(_checked_reps(c, xs[:-1], xs[1:]))
+    return list(accumulate(a_invs, np.matmul, initial=g0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,10 +274,9 @@ def extended_compose(c: DiscreteConnection, p: PairElement, r: PairElement) -> P
 
 
 def higher_order_form(c: DiscreteConnection, qs: Sequence[BundlePoint]) -> list[GroupElement]:
-    """Connection form of a chain of k + 1 >= 2 points: one value per consecutive pair."""
-    if len(qs) < 2:
-        raise LengthMismatchError(f"chain needs at least two points, got {len(qs)}")
-    return [eval_form(c, PairElement(qs[i], qs[i + 1])) for i in range(len(qs) - 1)]
+    """Connection form of a chain of k + 1 >= 2 points: one value per consecutive
+    pair, the rows of ``_chain_forms``."""
+    return [GroupElement(c.bundle.group, w, True) for w in _chain_forms(c, qs)]
 
 
 def canonical_chain(qs: Sequence[BundlePoint]) -> list[BundlePoint]:
@@ -268,10 +291,13 @@ def decompose_chain(
     """Split a chain into shape points plus adjoint parts based at the start.
 
     The l-th adjoint part is [q0, form(q_l, q_{l+1})]; all parts share the
-    base point of the chain.
+    base point of the chain.  Their group parts g0^-1 W g0 are one stacked
+    conjugation of the chain's forms W.
     """
-    forms = higher_order_form(c, qs)
-    return [project(q) for q in qs], [adjoint_element(qs[0], w) for w in forms]
+    ws = _chain_forms(c, qs)
+    x0, g0, group = project(qs[0]), qs[0].fiber.matrix, c.bundle.group
+    return [project(q) for q in qs], [AdjointBundleElement(x0, GroupElement(group, m, True))
+                                      for m in group.inverse_matrix(g0) @ (ws @ g0)]
 
 
 def assemble_chain(
@@ -282,8 +308,9 @@ def assemble_chain(
     """Inverse of decompose_chain, returned as the canonical chain.
 
     Builds the horizontal chain through (x0, e) (every consecutive form
-    value e), then translates the (l+1)-th point by g_l g_{l-1} ... g_0.
-    The round trip decompose(assemble(...)) is the identity.
+    value e, ``_lifted_fibers``), then translates the (l+1)-th point by
+    g_l g_{l-1} ... g_0.  The round trip decompose(assemble(...)) is the
+    identity.
     """
     if len(shapes) != len(adjoints) + 1:
         raise LengthMismatchError(
@@ -292,15 +319,10 @@ def assemble_chain(
     # An adjoint part's base and group part stand where a point's shape and fiber do.
     c.bundle.check(*(BundlePoint(a.base, a.group_part) for a in adjoints))
     c.bundle.check_shapes(*shapes)
-    x0 = shapes[0]
     for a in adjoints:
-        if chart_distance(a.base, x0) > BASE_TOL:
+        if chart_distance(a.base, shapes[0]) > BASE_TOL:
             raise BasepointMismatchError("adjoint part is not based at the chain start")
-    accum = lg.identity(c.bundle.group)
-    lifted = BundlePoint(x0, accum)
-    out = [lifted]
-    for x, y, a in zip(shapes, shapes[1:], adjoints):
-        lifted = horizontal_lift(c, x, y, lifted).second
-        accum = lg.compose(a.group_part, accum)
-        out.append(act(accum, lifted))
-    return out
+    group, e = c.bundle.group, c.bundle.group.identity_matrix()
+    accums = accumulate((a.group_part.matrix for a in adjoints), lambda p, g: g @ p, initial=e)
+    return [BundlePoint(x, GroupElement(group, p @ f, True))
+            for x, p, f in zip(shapes, accums, _lifted_fibers(c, shapes, e))]

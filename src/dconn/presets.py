@@ -220,9 +220,10 @@ _SE3_C2 = 0.15 * np.array(
 
 
 def coupling_so3(x: np.ndarray) -> np.ndarray:
-    """The 3x2 shape-to-rotation coupling of the coupled rotation Lagrangian."""
-    s, t = x.tolist()
-    return _SO3_C0 + s * _SO3_C1 + t * _SO3_C2
+    """The 3x2 shape-to-rotation coupling C(x) = C0 + x0 C1 + x1 C2 of the coupled
+    rotation Lagrangian, as a stacked field: (..., 2) points to (..., 3, 2)
+    matrices, so it can be a ``ContinuousConnection`` coefficient."""
+    return _SO3_C0 + x[..., 0, None, None] * _SO3_C1 + x[..., 1, None, None] * _SO3_C2
 
 
 def free_particle() -> DiscreteLagrangian:

@@ -14,6 +14,7 @@ from dconn import lie_group as lg
 from dconn.bundle import BASE_TOL, Bundle, PairElement, chart_distance, shape_point
 from dconn.errors import BasepointMismatchError, GroupMismatchError, NotVerticalError
 from dconn.lie_group import SE3, SO3
+from strategies import coords, elements, points
 
 SAMPLED = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
@@ -23,18 +24,6 @@ def bundle(request):
     return Bundle(group=request.param, shape_dim=2)
 
 
-def _coords(n, bound=3.0):
-    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
-
-
-def elements(group, bound=3.0):
-    return _coords(group.dim, bound).map(lambda xi: lg.exp(group, xi))
-
-
-def points(b):
-    return st.builds(b.point, _coords(b.shape_dim), elements(b.group))
-
-
 def _far_from_identity(h, tol):
     return np.max(np.abs(h.matrix - np.eye(h.group.matrix_size))) >= tol
 
@@ -42,8 +31,8 @@ def _far_from_identity(h, tol):
 @SAMPLED
 @given(data=st.data())
 def test_point_and_project(bundle, data):
-    x = data.draw(_coords(2))
-    g = data.draw(elements(bundle.group))
+    x = data.draw(coords(2, 3.0))
+    g = data.draw(elements(bundle.group, 3.0))
     q = bundle.point(x, g)
     assert np.array_equal(bd.project(q).coords, x)
     assert np.array_equal(q.fiber.matrix, g.matrix)
@@ -86,9 +75,9 @@ def test_shift_moves_single_coordinate():
 @given(data=st.data())
 def test_action_identity_and_associativity(bundle, data):
     e = lg.identity(bundle.group)
-    q = data.draw(points(bundle))
+    q = data.draw(points(bundle, 3.0, 3.0))
     assert np.array_equal(bd.act(e, q).fiber.matrix, q.fiber.matrix)
-    h1, h2 = data.draw(elements(bundle.group)), data.draw(elements(bundle.group))
+    h1, h2 = data.draw(elements(bundle.group, 3.0)), data.draw(elements(bundle.group, 3.0))
     once = bd.act(lg.compose(h1, h2), q)
     twice = bd.act(h1, bd.act(h2, q))
     assert np.max(np.abs(once.fiber.matrix - twice.fiber.matrix)) < 1e-12
@@ -98,7 +87,7 @@ def test_action_identity_and_associativity(bundle, data):
 @SAMPLED
 @given(data=st.data())
 def test_action_returns_to_identity_fiber(bundle, data):
-    q = data.draw(points(bundle))
+    q = data.draw(points(bundle, 3.0, 3.0))
     back = bd.act(lg.inverse(q.fiber), q)
     assert np.max(np.abs(back.fiber.matrix - np.eye(bundle.group.matrix_size))) < 1e-13
 
@@ -107,8 +96,8 @@ def test_action_returns_to_identity_fiber(bundle, data):
 @given(data=st.data())
 def test_action_is_free(bundle, data):
     # act(h, q) = q forces h = e; check the contrapositive on h != e.
-    q = data.draw(points(bundle))
-    h = data.draw(elements(bundle.group, bound=1.5))
+    q = data.draw(points(bundle, 3.0, 3.0))
+    h = data.draw(elements(bundle.group, 1.5))
     assume(_far_from_identity(h, 1e-8))
     assert not bd.points_match(bd.act(h, q), q)
 
@@ -116,7 +105,7 @@ def test_action_is_free(bundle, data):
 @SAMPLED
 @given(data=st.data())
 def test_discrete_generator_shape(bundle, data):
-    q, g = data.draw(points(bundle)), data.draw(elements(bundle.group))
+    q, g = data.draw(points(bundle, 3.0, 3.0)), data.draw(elements(bundle.group, 3.0))
     pair = bd.discrete_generator(q, g)
     assert pair.first is q
     assert np.array_equal(bd.project(pair.second).coords, bd.project(q).coords)
@@ -127,8 +116,8 @@ def test_discrete_generator_shape(bundle, data):
 @given(data=st.data())
 def test_discrete_generator_is_homomorphism(bundle, data):
     # i_q(g1 g2) = i_q(g1) * i_q(g2) under vertical composition.
-    q = data.draw(points(bundle))
-    g1, g2 = data.draw(elements(bundle.group)), data.draw(elements(bundle.group))
+    q = data.draw(points(bundle, 3.0, 3.0))
+    g1, g2 = data.draw(elements(bundle.group, 3.0)), data.draw(elements(bundle.group, 3.0))
     whole = bd.discrete_generator(q, lg.compose(g1, g2))
     part = bd.vertical_compose(bd.discrete_generator(q, g1),
                                bd.discrete_generator(q, g2))
@@ -139,8 +128,8 @@ def test_discrete_generator_is_homomorphism(bundle, data):
 @given(data=st.data())
 def test_discrete_generator_equivariance(bundle, data):
     # h . i_q(g) = i_{h.q}(h g h^-1).
-    q = data.draw(points(bundle))
-    g, h = data.draw(elements(bundle.group)), data.draw(elements(bundle.group))
+    q = data.draw(points(bundle, 3.0, 3.0))
+    g, h = data.draw(elements(bundle.group, 3.0)), data.draw(elements(bundle.group, 3.0))
     lhs = bd.act_pair(h, bd.discrete_generator(q, g))
     conj = lg.compose(h, lg.compose(g, lg.inverse(h)))
     rhs = bd.discrete_generator(bd.act(h, q), conj)
@@ -151,12 +140,12 @@ def test_discrete_generator_equivariance(bundle, data):
 @SAMPLED
 @given(data=st.data())
 def test_vertical_compose_identity(bundle, data):
-    q, other = data.draw(points(bundle)), data.draw(points(bundle))
+    q, other = data.draw(points(bundle, 3.0, 3.0)), data.draw(points(bundle, 3.0, 3.0))
     p = PairElement(q, other)
     unit = bd.discrete_generator(q, lg.identity(bundle.group))
     same = bd.vertical_compose(unit, p)
     assert bd.points_match(same.second, p.second)
-    vert = bd.discrete_generator(q, data.draw(elements(bundle.group)))
+    vert = bd.discrete_generator(q, data.draw(elements(bundle.group, 3.0)))
     onto_diagonal = bd.vertical_compose(vert, PairElement(q, q))
     assert bd.points_match(onto_diagonal.second, vert.second)
 
@@ -164,8 +153,8 @@ def test_vertical_compose_identity(bundle, data):
 @SAMPLED
 @given(data=st.data())
 def test_vertical_compose_acts_on_far_end(bundle, data):
-    q, q1 = data.draw(points(bundle)), data.draw(points(bundle))
-    g = data.draw(elements(bundle.group))
+    q, q1 = data.draw(points(bundle, 3.0, 3.0)), data.draw(points(bundle, 3.0, 3.0))
+    g = data.draw(elements(bundle.group, 3.0))
     out = bd.vertical_compose(bd.discrete_generator(q, g), PairElement(q, q1))
     assert bd.points_match(out.first, q)
     assert bd.points_match(out.second, bd.act(g, q1))
@@ -174,10 +163,10 @@ def test_vertical_compose_acts_on_far_end(bundle, data):
 @SAMPLED
 @given(data=st.data())
 def test_vertical_compose_equivariance(bundle, data):
-    q = data.draw(points(bundle))
-    p = PairElement(q, data.draw(points(bundle)))
-    v = bd.discrete_generator(q, data.draw(elements(bundle.group)))
-    h = data.draw(elements(bundle.group))
+    q = data.draw(points(bundle, 3.0, 3.0))
+    p = PairElement(q, data.draw(points(bundle, 3.0, 3.0)))
+    v = bd.discrete_generator(q, data.draw(elements(bundle.group, 3.0)))
+    h = data.draw(elements(bundle.group, 3.0))
     translated = bd.vertical_compose(bd.act_pair(h, v), bd.act_pair(h, p))
     expect = bd.act_pair(h, bd.vertical_compose(v, p))
     assert bd.points_match(translated.second, expect.second, tol=1e-11)
@@ -186,7 +175,7 @@ def test_vertical_compose_equivariance(bundle, data):
 @SAMPLED
 @given(data=st.data())
 def test_vertical_compose_rejects_nonvertical(bundle, data):
-    q, other = data.draw(points(bundle)), data.draw(points(bundle))
+    q, other = data.draw(points(bundle, 3.0, 3.0)), data.draw(points(bundle, 3.0, 3.0))
     assume(chart_distance(q.shape, other.shape) > BASE_TOL)
     slanted = PairElement(q, other)
     with pytest.raises(NotVerticalError):
@@ -197,7 +186,7 @@ def test_vertical_compose_rejects_nonvertical(bundle, data):
 @given(data=st.data())
 def test_vertical_compose_rejects_mismatched_join(bundle, data):
     # Same chart point but a different fiber is still a basepoint mismatch.
-    q, g = data.draw(points(bundle)), data.draw(elements(bundle.group))
+    q, g = data.draw(points(bundle, 3.0, 3.0)), data.draw(elements(bundle.group, 3.0))
     assume(_far_from_identity(g, 1e-8))
     elsewhere = bd.act(g, q)
     v = bd.discrete_generator(elsewhere, g)
@@ -223,7 +212,7 @@ def test_negative_shape_dimension_is_rejected():
 @given(data=st.data())
 def test_zero_dimensional_shape(bundle, data):
     b = Bundle(group=bundle.group, shape_dim=0)
-    q = b.point(np.zeros(0), data.draw(elements(b.group)))
+    q = b.point(np.zeros(0), data.draw(elements(b.group, 3.0)))
     assert bd.project(q).coords.shape == (0,)
-    moved = bd.act(data.draw(elements(b.group)), q)
+    moved = bd.act(data.draw(elements(b.group, 3.0)), q)
     assert bd.project(moved).coords.shape == (0,)

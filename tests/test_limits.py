@@ -20,7 +20,7 @@ from dconn.bundle import Bundle, BundlePoint, PairElement, ShapePoint
 from dconn.connection import (
     VALIDITY_RADIUS,
     DiscreteConnection,
-    _check_distance,
+    _check_pairs,
     eval_form,
     form_matrix,
     horizontal_component,
@@ -59,6 +59,7 @@ from dconn.presets import (
     resolve_connection,
     so3_mechanical,
 )
+from strategies import coords, points
 
 T1 = translation_group(1)
 
@@ -69,14 +70,9 @@ TANGENT = settings(derandomize=True, max_examples=40, deadline=None, database=No
 GROUPS = (SO2, SO3, SE3, translation_group(3))
 
 
-def _coords(n, bound=1.0):
-    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
-
-
 def _point(draw, b, shape_bound=0.1):
     # Fiber coordinates of at most 1 keep every rotation angle below pi.
-    return b.point(draw(_coords(b.shape_dim, shape_bound)),
-                   lg.exp(b.group, draw(_coords(b.group.dim))))
+    return draw(points(b, shape_bound, 1.0))
 
 
 def _coefficient_form(b):
@@ -91,7 +87,7 @@ def tangents(draw, fiber_scale=0.5):
     """A bundle over 2 shape coordinates, a point q of it and a tangent v at q."""
     b = Bundle(draw(st.sampled_from(GROUPS)), 2)
     q = _point(draw, b)
-    v = np.concatenate([draw(_coords(2)), draw(_coords(b.group.dim, fiber_scale))])
+    v = np.concatenate([draw(coords(2, 1.0)), draw(coords(b.group.dim, fiber_scale))])
     return b, q, v
 
 
@@ -244,7 +240,7 @@ def test_induced_form_recovers_continuous_one_form(sample):
 
 
 @TANGENT
-@given(st.floats(-0.3, 0.3), st.floats(-1.0, 1.0), _coords(1), _coords(1))
+@given(st.floats(-0.3, 0.3), st.floats(-1.0, 1.0), coords(1, 1.0), coords(1, 1.0))
 def test_induced_form_abelian_closed_form(x, fiber, u, eta):
     a = abelian_mechanical()
     q = a.bundle.point([x], lg.exp(T1, [fiber]))
@@ -270,13 +266,13 @@ def test_exact_discretization_on_vertical_pairs(data):
     # exp(xi) . q over the same base point maps back to exp(xi).
     c = exponentiated_connection(so3_mechanical())
     q = _point(data.draw, c.bundle, shape_bound=0.3)
-    xi = data.draw(_coords(3))
+    xi = data.draw(coords(3, 1.0))
     w = eval_form(c, PairElement(q, bd.act(lg.exp(SO3, xi), q)))
     assert np.max(np.abs(w.matrix - lg.exp(SO3, xi).matrix)) < 1e-11
 
 
 @TANGENT
-@given(_coords(1), _coords(1))
+@given(coords(1, 1.0), coords(1, 1.0))
 def test_exponentiated_connection_abelian_closed_form(x0, step):
     c = exponentiated_connection(abelian_mechanical())
     x1 = x0 + step
@@ -300,8 +296,8 @@ def test_local_reps_are_the_one_form_on_the_shape_step(fixture, data):
     a = CONTINUOUS_FIXTURES[fixture]()
     b = a.bundle
     e = lg.identity(b.group)
-    x0 = ShapePoint(data.draw(_coords(b.shape_dim)))
-    x1 = ShapePoint(x0.coords + data.draw(_coords(b.shape_dim, 0.5)))
+    x0 = ShapePoint(data.draw(coords(b.shape_dim, 1.0)))
+    x1 = ShapePoint(x0.coords + data.draw(coords(b.shape_dim, 0.5)))
     v = np.concatenate([x1.coords - x0.coords, np.zeros(b.group.dim)])
     for build, to_group in ((exponentiated_connection, lg.exp), (cayley_connection, lg.cayley)):
         assert np.array_equal(build(a).local_rep(x0, x1),
@@ -611,7 +607,7 @@ def check_then_compute_errors(candidate, exact, q, directions, hs):
     x0, s = q.shape, q.shape.coords.size
     ends = [ShapePoint(x0.coords + h * d[:s]) for h in hs for d in directions]
     for x1 in ends:
-        _check_distance(bd.chart_distance(x0, x1))
+        _check_pairs(x0.coords, x1.coords[None])
     for c in (exact, candidate):
         for x1 in ends:
             c.local_rep(x0, x1)
@@ -976,7 +972,7 @@ def check_then_compute(call, c, p, v):
     q0 = p.second if call == "induced" else p.first
     ends = [bd.shift(p.second, t * v).shape for t in _stack_times(call)]
     for x1 in ends:
-        _check_distance(bd.chart_distance(q0.shape, x1))
+        _check_pairs(q0.shape.coords, x1.coords[None])
     for x1 in ends:
         c.local_rep(q0.shape, x1)
     if call == "induced":

@@ -24,6 +24,7 @@ from dconn.errors import (
     SolverDivergedError,
 )
 from dconn.lie_group import SE3, SO3, translation_group
+from dconn.limits import ContinuousConnection, exponentiated_connection
 from dconn.mechanical import (
     DiscreteLagrangian,
     del_step,
@@ -43,6 +44,7 @@ from dconn.presets import (
     so3_coupled,
     so3_pure,
 )
+from strategies import coords, elements, pairs, points
 
 FIXTURES = {
     "free_particle": free_particle,
@@ -58,28 +60,8 @@ def lagrangian(request):
 
 
 MECHANICS = settings(derandomize=True, max_examples=10, deadline=None, database=None)
-
-
-def _coords(n, bound):
-    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
-
-
-def algebra(group, bound=1.5):
-    """Algebra coordinates within ``bound``; 1.5 keeps every rotation angle below pi."""
-    return _coords(group.dim, bound)
-
-
-def elements(group, bound=1.5):
-    return algebra(group, bound).map(lambda xi: lg.exp(group, xi))
-
-
-def points(b, shape=0.6, fiber=0.6):
-    """Points of b with shape coordinates within ``shape``, fiber log within ``fiber``."""
-    return st.builds(b.point, _coords(b.shape_dim, shape), elements(b.group, fiber))
-
-
-def pairs(b, shape=0.6, fiber=0.6):
-    return st.builds(PairElement, points(b, shape, fiber), points(b, shape, fiber))
+# Most draws here bound algebra coordinates by 1.5, which keeps every rotation
+# angle below pi.
 
 
 def short_pairs(b, step=0.3, fiber=0.6):
@@ -87,7 +69,7 @@ def short_pairs(b, step=0.3, fiber=0.6):
     def build(q0, dx, g1):
         return PairElement(q0, BundlePoint(ShapePoint(q0.shape.coords + dx), g1))
 
-    return st.builds(build, points(b, 0.4, fiber), _coords(b.shape_dim, step),
+    return st.builds(build, points(b, 0.4, fiber), coords(b.shape_dim, step),
                      elements(b.group, fiber))
 
 
@@ -99,7 +81,7 @@ def short_pairs(b, step=0.3, fiber=0.6):
 def test_analytic_slot_derivatives_match_finite_differences(lagrangian, data):
     # Rebuild the fixture without derivatives to force the chart-curve fallback.
     fallback = DiscreteLagrangian(lagrangian.bundle, lagrangian.value)
-    p = data.draw(pairs(lagrangian.bundle))
+    p = data.draw(pairs(lagrangian.bundle, 0.6, 0.6))
     a1 = lagrangian.d1_eval(p.first, p.second)
     a2 = lagrangian.d2_eval(p.first, p.second)
     f1 = fallback.d1_eval(p.first, p.second)
@@ -120,7 +102,7 @@ def _d12_gap(L, p) -> float:
 @MECHANICS
 @given(data=st.data())
 def test_analytic_d12_matches_differences_of_d1(lagrangian, data):
-    assert _d12_gap(lagrangian, data.draw(pairs(lagrangian.bundle))) < 1e-9
+    assert _d12_gap(lagrangian, data.draw(pairs(lagrangian.bundle, 0.6, 0.6))) < 1e-9
 
 
 @pytest.mark.parametrize("angle", [5e-5, 0.0])
@@ -140,7 +122,7 @@ def test_slot_derivatives_answer_the_pair_asked_for(name, data):
     # Interleaved calls over two pairs, an equal copy of a point and the
     # swapped pair must each give what a fresh fixture gives for that call.
     L = FIXTURES[name]()
-    p, r = data.draw(pairs(L.bundle)), data.draw(pairs(L.bundle))
+    p, r = data.draw(pairs(L.bundle, 0.6, 0.6)), data.draw(pairs(L.bundle, 0.6, 0.6))
     twin = BundlePoint(ShapePoint(p.second.shape.coords),
                        lg.element(L.bundle.group, p.second.fiber.matrix))
     calls = [
@@ -161,8 +143,8 @@ def test_slot_derivatives_answer_the_pair_asked_for(name, data):
 def test_value_is_group_invariant(lagrangian, data):
     from dconn.bundle import act
 
-    p = data.draw(pairs(lagrangian.bundle))
-    h = data.draw(elements(lagrangian.bundle.group))
+    p = data.draw(pairs(lagrangian.bundle, 0.6, 0.6))
+    h = data.draw(elements(lagrangian.bundle.group, 1.5))
     base = lagrangian.value(p.first, p.second)
     moved = lagrangian.value(act(h, p.first), act(h, p.second))
     assert abs(moved - base) < 1e-11 * max(1.0, abs(base))
@@ -174,8 +156,8 @@ def test_invariance_identity_on_slot_derivatives(lagrangian, data):
     # d/dt L(exp(t xi) q0, exp(t xi) q1) = 0 pairs the fiber blocks of D1, D2
     # with the trivialized generator coordinates Ad_{g^-1} xi.
     d = lagrangian.bundle.shape_dim
-    p = data.draw(pairs(lagrangian.bundle))
-    xi = data.draw(algebra(lagrangian.bundle.group))
+    p = data.draw(pairs(lagrangian.bundle, 0.6, 0.6))
+    xi = data.draw(coords(lagrangian.bundle.group.dim, 1.5))
     d1f = lagrangian.d1_eval(p.first, p.second)[d:]
     d2f = lagrangian.d2_eval(p.first, p.second)[d:]
     total = (d1f @ lg.adjoint(lg.inverse(p.first.fiber), xi)
@@ -202,8 +184,8 @@ def test_free_particle_momentum_is_vertical_velocity():
 @given(data=st.data())
 def test_momentum_agrees_with_fiber_derivative_pairing(lagrangian, data):
     d = lagrangian.bundle.shape_dim
-    p = data.draw(pairs(lagrangian.bundle))
-    xi = data.draw(algebra(lagrangian.bundle.group))
+    p = data.draw(pairs(lagrangian.bundle, 0.6, 0.6))
+    xi = data.draw(coords(lagrangian.bundle.group.dim, 1.5))
     base, covector = fiber_derivative(lagrangian, p)
     assert base is p.first
     mom = discrete_momentum(lagrangian, p)
@@ -299,7 +281,7 @@ def near_default_pair(b, offset=0.02):
     n = b.shape_dim + b.group.dim
     p = default_pair(b)
     return st.builds(lambda z0, z1: (shift(p.first, z0), shift(p.second, z1)),
-                     _coords(n, offset), _coords(n, offset))
+                     coords(n, offset), coords(n, offset))
 
 
 @pytest.mark.parametrize("name", list(FIXTURES))
@@ -518,6 +500,21 @@ def test_mechanical_connection_coupled_closed_form(p):
 
 
 @MECHANICS
+@given(coords(2, 1.0), st.lists(coords(2, 0.14), min_size=1, max_size=6))
+def test_the_coupled_rotation_connection_is_the_exponentiated_coupling(x0, steps):
+    # The coupling C is a stacked field, each row bit for bit its point's value,
+    # and the exponentiated connection of the continuous connection with
+    # coefficient C is the coupled Lagrangian's mechanical one, exp(C(x0) dx),
+    # within 1e-15 (1.1e-16 seen) for steps up to 0.2.
+    x1s = x0 + np.array(steps)
+    stacked = coupling_so3(x1s)
+    assert all(row.tobytes() == coupling_so3(x).tobytes() for row, x in zip(stacked, x1s))
+    exact = exponentiated_connection(ContinuousConnection(Bundle(SO3, 2), coupling_so3))
+    mechanical_reps = mechanical_discrete_connection(so3_coupled()).local_reps(x0, x1s)
+    assert np.max(np.abs(exact.local_reps(x0, x1s) - mechanical_reps)) <= 1e-15
+
+
+@MECHANICS
 @given(data=st.data())
 def test_horizontal_pairs_carry_zero_momentum(data):
     from dconn.connection import horizontal_component
@@ -555,7 +552,7 @@ def test_degenerate_lagrangian_is_detected():
 
 
 @MECHANICS
-@given(g0=elements(SO3), g1=elements(SO3))
+@given(g0=elements(SO3, 1.5), g1=elements(SO3, 1.5))
 def test_mechanical_discrete_connection_solves_each_shape_pair_once(g0, g1):
     solves = []
     solve = mechanical._canonical_solve
@@ -614,8 +611,8 @@ def test_mechanical_discrete_connection_matches_pointwise_solve(name, data):
 def se3_translated(data):
     """SE(3) elements: a rotation as in ``elements`` and a translation whose
     length is log-uniform in [1e-2, 1e6]."""
-    u = data.draw(_coords(3, 1.0).filter(lambda v: np.linalg.norm(v) > 1e-3))
-    m = lg.exp(SE3, np.concatenate([data.draw(algebra(SO3)), np.zeros(3)])).matrix.copy()
+    u = data.draw(coords(3, 1.0).filter(lambda v: np.linalg.norm(v) > 1e-3))
+    m = lg.exp(SE3, np.concatenate([data.draw(coords(SO3.dim, 1.5)), np.zeros(3)])).matrix.copy()
     m[:3, 3] = u * (10.0 ** data.draw(st.floats(-2.0, 6.0)) / np.linalg.norm(u))
     return lg.GroupElement(SE3, m)
 
@@ -630,7 +627,7 @@ def test_mechanical_connection_is_equivariant(name, data):
     # value's size, so the bound is relative to the largest entry of h too.
     L = FIXTURES[name]()
     p = data.draw(short_pairs(L.bundle))
-    h = se3_translated(data) if L.bundle.group is SE3 else data.draw(elements(SO3))
+    h = se3_translated(data) if L.bundle.group is SE3 else data.draw(elements(SO3, 1.5))
     got = mechanical_connection(L, act_pair(h, p)).matrix
     want = lg.compose(h, lg.compose(mechanical_connection(L, p), lg.inverse(h))).matrix
     scale = max(np.max(np.abs(want)), np.max(np.abs(h.matrix)))
@@ -667,7 +664,7 @@ def reference_extract_d2(m):
 def rotation_vectors(draw):
     """so(3) vectors of length log-uniform in [1e-9, 2.5] (a third of them below
     the dexp^-1 series switch at 1e-4), and the zero vector."""
-    u = draw(_coords(3, 1.0))
+    u = draw(coords(3, 1.0))
     norm = np.linalg.norm(u)
     return u if norm == 0.0 else u * (10.0 ** draw(st.floats(-9.0, 0.4)) / norm)
 
@@ -687,7 +684,7 @@ def test_log_chart_jacobians_are_the_two_dexpinv_calls_bit_for_bit(lam):
 
 
 @CHARTS
-@given(algebra(SE3, 2.0))
+@given(coords(SE3.dim, 2.0))
 def test_extract_chart_jacobians_are_the_two_extract_derivatives_bit_for_bit(xi):
     m = lg.exp(SE3, xi).matrix
     d1_t, d2_t = presets._se3_extract_jacobian_entries(m.tolist())
@@ -730,7 +727,7 @@ def ulps(got, want) -> float:
 @st.composite
 def switch_neighbours(draw):
     """so(3) vectors within 8 ulps of a series switch: c2's at 1e-4 or its slope's at 0.5."""
-    u = draw(_coords(3, 1.0))
+    u = draw(coords(3, 1.0))
     norm = np.linalg.norm(u)
     u = np.array([1.0, 0.0, 0.0]) if norm == 0.0 else u / norm
     switch = draw(st.sampled_from([lg._DEXPINV_SERIES, presets._DC2_SERIES]))
@@ -743,7 +740,7 @@ FLOAT_KERNEL_ULPS = 3.0
 
 
 @CHARTS
-@given(st.one_of(rotation_vectors(), switch_neighbours()), _coords(3, 2.0))
+@given(st.one_of(rotation_vectors(), switch_neighbours()), coords(3, 2.0))
 def test_float_dexpinv_transpose_derivative_matches_the_numpy_formula(lam, w):
     x, y, z = lam.tolist()  # with |lam|^2 summed as _so3_jacobians sums it
     got = np.array(presets._dexpinv_transpose_entries([x, y, z], w.tolist(),
@@ -752,7 +749,7 @@ def test_float_dexpinv_transpose_derivative_matches_the_numpy_formula(lam, w):
 
 
 @CHARTS
-@given(algebra(SE3, 2.0), _coords(6, 2.0))
+@given(coords(SE3.dim, 2.0), coords(6, 2.0))
 def test_float_extract_d1_derivative_matches_the_numpy_formula(xi, w):
     m = lg.exp(SE3, xi).matrix
     got = np.array(presets._se3_extract_d1_entries(m.tolist(), w.tolist())).reshape(6, 6)
@@ -870,7 +867,7 @@ FLOAT_TABLE_ULPS = 16.0
 @given(data=st.data())
 def test_float_pair_table_matches_the_numpy_formulas(name, data):
     L = FIXTURES[name]()
-    p = data.draw(st.one_of(pairs(L.bundle), short_pairs(L.bundle)))
+    p = data.draw(st.one_of(pairs(L.bundle, 0.6, 0.6), short_pairs(L.bundle)))
     want = reference_coupled(name, p.first, p.second)
     for slot, ref in want.items():
         got = np.asarray(getattr(L, slot)(p.first, p.second))
@@ -919,8 +916,8 @@ def benchmark_pairs(b):
         return PairElement(q0, BundlePoint(ShapePoint(q0.shape.coords + dx),
                                            lg.compose(q0.fiber, lg.exp(b.group, xi))))
 
-    return st.builds(build, points(b, 0.1, 0.3), _coords(b.shape_dim, 0.05),
-                     algebra(b.group, 0.03))
+    return st.builds(build, points(b, 0.1, 0.3), coords(b.shape_dim, 0.05),
+                     coords(b.group.dim, 0.03))
 
 
 COUPLED = ["so3_coupled", "se3_coupled", "so3_pure"]

@@ -28,6 +28,7 @@ from dconn.connection import (
     decompose_quotient,
     eval_form,
     form_matrix,
+    higher_order_form,
     horizontal_lift,
     quotient_pair,
     trivial_connection,
@@ -537,6 +538,57 @@ def test_stacked_local_reps_equal_the_per_pair_reps_row_by_row(family, group, se
                          for y0, y1 in zip(np.broadcast_to(bases, ends.shape), ends)])
         assert stacked.tobytes() == rows.reshape(n, k, k).tobytes()
     assert c.local_reps(x0, x1s[:0]).shape == c.local_reps(x0s[:0], x1s[:0]).shape == (0, k, k)
+
+
+def per_pair_chain_forms(c, qs):
+    """The forms of a chain, one pair at a time, as higher_order_form took them
+    before its steps were stacked: g1 A(x0, x1) g0^-1 per pair, A from local_rep."""
+    inverse = c.bundle.group.inverse_matrix
+    return [q1.fiber.matrix @ (c.local_rep(q0.shape, q1.shape) @ inverse(q0.fiber.matrix))
+            for q0, q1 in zip(qs, qs[1:])]
+
+
+def per_step_chain_fibers(c, shapes, adjoints):
+    """assemble_chain's fibers, one step at a time, as it took them before its
+    steps were stacked: a horizontal lift, then the running product of the
+    adjoint parts."""
+    group = c.bundle.group
+    accum = lifted = group.identity_matrix()
+    out = [accum]
+    for x, y, a in zip(shapes, shapes[1:], adjoints):
+        lifted = lifted @ group.inverse_matrix(c.local_rep(x, y))
+        accum = a.group_part.matrix @ accum
+        out.append(accum @ lifted)
+    return out
+
+
+@pytest.mark.parametrize("family, group", CLI_FAMILIES)
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 0.45), min_size=1, max_size=5))
+def test_stacked_chains_equal_the_per_pair_loops_bit_for_bit(family, group, seed, distances):
+    # Chains of up to 6 points with steps up to 0.45, where the mechanical
+    # solves converge: forms, adjoint parts and assembled fibers, signed zeros
+    # included.  The loops run on a fresh connection, so a mechanical one
+    # solves each pair afresh.
+    c = resolve_connection(family, group)
+    b = c.bundle
+    rng = np.random.default_rng(seed)
+    steps = rng.standard_normal((len(distances), b.shape_dim))
+    if b.shape_dim:
+        steps *= np.array(distances)[:, None] / np.linalg.norm(steps, axis=1, keepdims=True)
+    xs = 0.2 * rng.standard_normal(b.shape_dim) + np.cumsum(np.insert(steps, 0, 0.0, axis=0), 0)
+    qs = [b.point(x, lg.random_element(b.group, rng)) for x in xs]
+    loops = resolve_connection(family, group)
+    want = per_pair_chain_forms(loops, qs)
+    assert np.array([w.matrix for w in higher_order_form(c, qs)]).tobytes() == \
+        np.array(want).tobytes()
+    shapes, parts = decompose_chain(c, qs)
+    g0 = qs[0].fiber.matrix
+    assert np.array([a.group_part.matrix for a in parts]).tobytes() == \
+        np.array([b.group.inverse_matrix(g0) @ (w @ g0) for w in want]).tobytes()
+    moved = [AdjointBundleElement(shapes[0], lg.random_element(b.group, rng)) for _ in parts]
+    assert np.array([q.fiber.matrix for q in assemble_chain(c, shapes, moved)]).tobytes() == \
+        np.array(per_step_chain_fibers(loops, shapes, moved)).tobytes()
 
 
 def _equal_within(got, want, tol):
